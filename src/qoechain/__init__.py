@@ -5,12 +5,10 @@ from .controller import (
     ActionKind,
     BreachAlert,
     Controller,
-    Counters,
     OracleLimits,
     PolicyConfig,
     Rejected,
     RejectReason,
-    predict_traffic,
 )
 from .errors import (
     InstanceTooLarge,
@@ -66,7 +64,6 @@ __all__ = [
     "BreachAlert",
     "ChainRequest",
     "Controller",
-    "Counters",
     "Diagnostic",
     "Ela",
     "EventQueue",
@@ -107,7 +104,6 @@ __all__ = [
     "parse_scenario",
     "path_metrics",
     "predict_mos",
-    "predict_traffic",
     "run",
     "serialize_scenario",
     "shortest_feasible_path",

@@ -1,5 +1,12 @@
 """SDN controller: admission, embedding, flow monitoring and self-healing.
 
+The controller decides and the orchestrator records. The controller keeps
+the substrate, the catalog, the ELA, the policy and the injected stall
+levels, and nothing per flow: each flow's request, graph, status and
+measurement carry live on its entry in the orchestrator's database. The
+controller scores the entries it is handed and answers with graphs,
+Actions or released holdings; it never changes a flow's status.
+
 The controller owns the reservation ledger. Planning always runs on a
 resource view first and touches the real network only once a whole plan is
 known to fit, so admission and repair are transactional. Every choice
@@ -10,13 +17,11 @@ identical inputs produce identical outputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import (
-    DuplicateRequest,
-    EmptyHistory,
     InstanceTooLarge,
     InvalidRange,
     InvariantViolation,
@@ -26,15 +31,11 @@ from .errors import (
 from .network import NetworkState, PlacementRecord
 from .qoe import Ela, FlowSample, QoeSample, ela_breached, estimate_mos, predict_mos
 from .routing import enumerate_simple_paths, path_key, shortest_feasible_path
-from .service import (
-    ChainRequest,
-    FlowStatus,
-    ForwardingGraph,
-    LinkPath,
-    ServiceCatalog,
-    path_metrics,
-)
+from .service import ChainRequest, ForwardingGraph, LinkPath, ServiceCatalog, path_metrics
 from .units import KBPS_PER_MBPS
+
+if TYPE_CHECKING:
+    from .orchestrator import DbEntry
 
 
 @dataclass(frozen=True)
@@ -98,41 +99,6 @@ class BreachAlert:
     mos: float
 
 
-@dataclass
-class Counters:
-    admitted: int = 0
-    rejected: dict[str, int] = field(
-        default_factory=lambda: {reason.value: 0 for reason in RejectReason}
-    )
-    rerouted: int = 0
-    migrated: int = 0
-    failed: int = 0
-    completed: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "admitted": self.admitted,
-            "rejected": dict(self.rejected),
-            "rejected_total": sum(self.rejected.values()),
-            "rerouted": self.rerouted,
-            "migrated": self.migrated,
-            "failed": self.failed,
-            "completed": self.completed,
-        }
-
-
-def predict_traffic(history: Sequence[float], alpha: float = 0.3) -> float:
-    """EWMA next-window estimate: p0 = x0, pt = alpha*xt + (1-alpha)*pt-1."""
-    if not history:
-        raise EmptyHistory("cannot predict from an empty history")
-    if not 0 < alpha <= 1:
-        raise InvalidRange("alpha must be in (0, 1]")
-    prediction = history[0]
-    for value in history[1:]:
-        prediction = alpha * value + (1 - alpha) * prediction
-    return prediction
-
-
 class ResourceView:
     """NetworkState read interface with tentative resource deltas on top.
 
@@ -191,32 +157,10 @@ class ResourceView:
 
 
 @dataclass
-class _Smoothed:
-    throughput_mbps: float
-    delay_ms: float
-    jitter_ms: float
-    loss_pct: float
-    stall_ratio: float
-
-
-@dataclass
 class _Plan:
     placements: tuple[tuple[str, int], ...]
     segments: tuple[LinkPath, ...]
     predicted: QoeSample
-
-
-@dataclass
-class FlowRecord:
-    """Controller-side state of one live flow."""
-
-    request: ChainRequest
-    graph: ForwardingGraph
-    history: list[QoeSample] = field(default_factory=list)
-    throughput_obs: list[float] = field(default_factory=list)
-    # EWMA carry per metric; None right after (re)embedding so the first
-    # window on a new path is taken at face value.
-    smoothed: _Smoothed | None = None
 
 
 class Controller:
@@ -231,15 +175,13 @@ class Controller:
         self.catalog = catalog
         self.ela = ela
         self.policy = policy
-        self.flows: dict[int, FlowRecord] = {}
+        # Keyed by flow id, not by entry: a stall may target a flow before
+        # that flow is admitted.
         self.stall_levels: dict[int, float] = {}
-        self.counters = Counters()
 
     # -- admission ------------------------------------------------------------
 
-    def embed_chain(
-        self, request: ChainRequest, exclude_links: frozenset[int] = frozenset()
-    ) -> ForwardingGraph | Rejected:
+    def admit(self, request: ChainRequest) -> ForwardingGraph | Rejected:
         """Greedy chain embedding with QoE-gated admission.
 
         Walks the chain from the ingress, placing each VNF on the host with
@@ -249,7 +191,7 @@ class Controller:
         reaches the request's target; on admission every resource is
         reserved in one transaction.
         """
-        plan = self._plan_chain(request, ResourceView(self.network), exclude_links)
+        plan = self._plan_chain(request, ResourceView(self.network), frozenset())
         if isinstance(plan, Rejected):
             return plan
         profile = self.catalog.profile(request.profile)
@@ -261,18 +203,6 @@ class Controller:
         )
         self._reserve_graph(graph)
         return graph
-
-    def admit(self, request: ChainRequest) -> ForwardingGraph | Rejected:
-        """embed_chain plus flow registration and counter upkeep."""
-        if request.id in self.flows:
-            raise DuplicateRequest(f"request {request.id} already admitted")
-        result = self.embed_chain(request)
-        if isinstance(result, Rejected):
-            self.counters.rejected[result.reason.value] += 1
-            return result
-        self.flows[request.id] = FlowRecord(request=request, graph=result)
-        self.counters.admitted += 1
-        return result
 
     def _plan_chain(
         self,
@@ -357,7 +287,7 @@ class Controller:
 
         Enumerates every placement assignment and every simple-path choice
         per segment, subject to aggregate bandwidth feasibility and the same
-        admission rule as embed_chain. Never reserves anything. Raises
+        admission rule as admit. Never reserves anything. Raises
         InstanceTooLarge beyond the configured limits; refusing loudly beats
         a silently truncated search.
         """
@@ -468,40 +398,40 @@ class Controller:
 
     # -- measurement ------------------------------------------------------------
 
-    def monitor_window(self, window_index: int) -> tuple[list[QoeSample], list[BreachAlert]]:
-        """Measure every live flow for one window and collect breach alerts.
+    def monitor_window(
+        self, window_index: int, flows: Iterable[DbEntry]
+    ) -> tuple[list[QoeSample], list[BreachAlert]]:
+        """Measure the given live flows for one window and collect breach alerts.
 
-        Raw figures come from the flow's current segments under the current
-        link quality, the residual-driven throughput, and the injected stall
-        level. Each metric is EWMA-smoothed with predictor_alpha before
-        scoring; degraded flows are still measured so recovery stays
-        observable.
+        flows are the live database entries in ascending request id; the
+        samples and alerts come out in that order. Raw figures come from the
+        flow's current segments under the current link quality, the
+        residual-driven throughput, and the injected stall level. Each metric
+        is EWMA-smoothed with predictor_alpha before scoring; degraded flows
+        are still measured so recovery stays observable. An entry keeps only
+        its last breach_windows samples, all the breach rule reads.
         """
         alpha = self.policy.predictor_alpha
+        keep = self.ela.breach_windows
         samples: list[QoeSample] = []
         alerts: list[BreachAlert] = []
-        for flow_id in sorted(self.flows):
-            record = self.flows[flow_id]
-            if record.graph.status not in (FlowStatus.ACTIVE, FlowStatus.DEGRADED):
-                continue
-            raw = self._measure(record, window_index)
-            record.throughput_obs.append(raw.throughput_mbps)
-            smoothed = self._smooth(record, raw, alpha)
-            profile = self.catalog.profile(record.request.profile)
-            sample = estimate_mos(smoothed, profile)
-            record.history.append(sample)
+        for entry in flows:
+            smoothed = self._smooth(entry, self._measure(entry, window_index), alpha)
+            sample = estimate_mos(smoothed, self.catalog.profile(entry.request.profile))
+            entry.history.append(sample)
+            del entry.history[:-keep]
             samples.append(sample)
-            if ela_breached(record.history, self.ela_for(record.request)):
-                alerts.append(BreachAlert(flow_id, window_index, sample.mos))
+            if ela_breached(entry.history, self.ela_for(entry.request)):
+                alerts.append(BreachAlert(entry.request.id, window_index, sample.mos))
         return samples, alerts
 
-    def _measure(self, record: FlowRecord, window_index: int) -> FlowSample:
-        graph = record.graph
-        profile = self.catalog.profile(record.request.profile)
+    def _measure(self, entry: DbEntry, window_index: int) -> FlowSample:
+        graph = entry.graph
+        profile = self.catalog.profile(entry.request.profile)
         metrics = path_metrics(
             graph.segments,
             self.network,
-            self.catalog.proc_latencies(record.request.vnf_sequence),
+            self.catalog.proc_latencies(entry.request.vnf_sequence),
         )
         usage = graph.link_usage()
         # What this flow can push through: the smallest residual along its
@@ -512,43 +442,30 @@ class Controller:
         )
         bw_req_kbps = round(profile.bw_req_mbps * KBPS_PER_MBPS)
         return FlowSample(
-            flow_id=record.request.id,
+            flow_id=entry.request.id,
             window_index=window_index,
             throughput_mbps=min(floor_kbps, bw_req_kbps) / KBPS_PER_MBPS,
             delay_ms=metrics.latency_ms,
             jitter_ms=metrics.jitter_ms,
             loss_pct=metrics.loss_pct,
-            stall_ratio=self.stall_levels.get(record.request.id, 0.0),
+            stall_ratio=self.stall_levels.get(entry.request.id, 0.0),
         )
 
-    def _smooth(self, record: FlowRecord, raw: FlowSample, alpha: float) -> FlowSample:
-        prev = record.smoothed
-        if prev is None:
-            now = _Smoothed(
-                raw.throughput_mbps,
-                raw.delay_ms,
-                raw.jitter_ms,
-                raw.loss_pct,
-                raw.stall_ratio,
+    def _smooth(self, entry: DbEntry, raw: FlowSample, alpha: float) -> FlowSample:
+        prev = entry.smoothed
+        if prev is not None:
+            raw = FlowSample(
+                flow_id=raw.flow_id,
+                window_index=raw.window_index,
+                throughput_mbps=alpha * raw.throughput_mbps
+                + (1 - alpha) * prev.throughput_mbps,
+                delay_ms=alpha * raw.delay_ms + (1 - alpha) * prev.delay_ms,
+                jitter_ms=alpha * raw.jitter_ms + (1 - alpha) * prev.jitter_ms,
+                loss_pct=alpha * raw.loss_pct + (1 - alpha) * prev.loss_pct,
+                stall_ratio=alpha * raw.stall_ratio + (1 - alpha) * prev.stall_ratio,
             )
-        else:
-            now = _Smoothed(
-                alpha * raw.throughput_mbps + (1 - alpha) * prev.throughput_mbps,
-                alpha * raw.delay_ms + (1 - alpha) * prev.delay_ms,
-                alpha * raw.jitter_ms + (1 - alpha) * prev.jitter_ms,
-                alpha * raw.loss_pct + (1 - alpha) * prev.loss_pct,
-                alpha * raw.stall_ratio + (1 - alpha) * prev.stall_ratio,
-            )
-        record.smoothed = now
-        return FlowSample(
-            flow_id=raw.flow_id,
-            window_index=raw.window_index,
-            throughput_mbps=now.throughput_mbps,
-            delay_ms=now.delay_ms,
-            jitter_ms=now.jitter_ms,
-            loss_pct=now.loss_pct,
-            stall_ratio=now.stall_ratio,
-        )
+        entry.smoothed = raw
+        return raw
 
     def ela_for(self, request: ChainRequest) -> Ela:
         """The scenario-wide ELA shape with this request's own target."""
@@ -565,51 +482,36 @@ class Controller:
             raise InvalidRange("stall_ratio must be within [0, 1]")
         self.stall_levels[flow_id] = stall_ratio
 
-    def predict_flow_throughput(self, flow_id: int) -> float:
-        record = self.flows.get(flow_id)
-        if record is None:
-            raise UnknownFlow(f"unknown flow {flow_id}")
-        return predict_traffic(record.throughput_obs, self.policy.predictor_alpha)
-
     # -- self-healing -------------------------------------------------------------
 
-    def handle_breach(self, flow_id: int) -> Action:
+    def handle_breach(self, entry: DbEntry) -> Action:
         """Escalating repair of a breaching flow.
 
         First try new segments with placements fixed; then a full re-embed
         that shuns the worst link of the current graph (highest loss, then
         highest latency); each stage consumes one of max_reroute_attempts.
         When nothing predicted to meet the target fits, the flow is marked
-        degraded but keeps running on what it has.
+        degraded but keeps running on what it has. The network is updated
+        here; the entry is left for the orchestrator to update.
         """
-        record = self.flows.get(flow_id)
-        if record is None:
-            raise UnknownFlow(f"unknown flow {flow_id}")
-        request, graph = record.request, record.graph
+        request, graph = entry.request, entry.graph
+        flow_id = request.id
         bw_kbps = graph.reserved_bw_kbps
-        attempts = self.policy.max_reroute_attempts
 
-        if attempts >= 1:
-            view = ResourceView(self.network)
-            for link_id, kbps in graph.link_usage().items():
-                view.add_bw(link_id, kbps)
-            segments = self._replan_segments(request, graph, view, bw_kbps)
-            # Identical segments mean there is nothing better to switch to;
-            # that attempt failed rather than trivially succeeded.
-            if segments is not None and segments != graph.segments:
-                predicted = predict_mos(request, segments, view, self.catalog)
-                if predicted.mos >= request.ela_target:
-                    new_graph = ForwardingGraph(
-                        request.id, graph.placements, segments, bw_kbps
-                    )
-                    self._swap_bandwidth(graph, new_graph)
-                    record.graph = new_graph
-                    record.smoothed = None
-                    self.counters.rerouted += 1
-                    return Action(ActionKind.REROUTED, flow_id, new_graph)
-            attempts -= 1
+        view = ResourceView(self.network)
+        for link_id, kbps in graph.link_usage().items():
+            view.add_bw(link_id, kbps)
+        segments = self._replan_segments(request, graph, view, bw_kbps)
+        # Identical segments mean there is nothing better to switch to;
+        # that attempt failed rather than trivially succeeded.
+        if segments is not None and segments != graph.segments:
+            predicted = predict_mos(request, segments, view, self.catalog)
+            if predicted.mos >= request.ela_target:
+                new_graph = ForwardingGraph(request.id, graph.placements, segments, bw_kbps)
+                self._swap_bandwidth(graph, new_graph)
+                return Action(ActionKind.REROUTED, flow_id, new_graph)
 
-        if attempts >= 1:
+        if self.policy.max_reroute_attempts >= 2:
             worst = self._worst_link(graph)
             view = ResourceView(self.network)
             for link_id, kbps in graph.link_usage().items():
@@ -624,13 +526,8 @@ class Controller:
                     request.id, plan.placements, plan.segments, bw_kbps
                 )
                 self._swap_graph(request.id, graph, new_graph)
-                record.graph = new_graph
-                record.smoothed = None
-                self.counters.migrated += 1
                 return Action(ActionKind.MIGRATED, flow_id, new_graph)
-            attempts -= 1
 
-        graph.status = FlowStatus.DEGRADED
         return Action(ActionKind.MARKED_DEGRADED, flow_id)
 
     def _replan_segments(
@@ -657,31 +554,34 @@ class Controller:
 
         return max(set(graph.all_links()), key=badness)
 
-    def handle_host_failure(self, host_id: int, evicted) -> list[Action]:
+    def handle_host_failure(
+        self, host_id: int, evicted, entries: Mapping[int, DbEntry]
+    ) -> list[Action]:
         """Repair every flow that lost a placement to a host failure.
 
-        Only the evicted chain positions are re-placed; surviving
-        placements stay where they are and only the segments adjacent to a
-        change are recomputed. Flows are handled in ascending request id.
-        A flow that cannot be repaired is failed and fully released.
+        entries maps request id to database entry. Only the evicted chain
+        positions are re-placed; surviving placements stay where they are
+        and only the segments adjacent to a change are recomputed. Flows are
+        handled in ascending request id. A flow that cannot be repaired is
+        fully released and answered with a Failed action.
         """
         affected: dict[int, list[int]] = {}
         for request_id, position in evicted:
             affected.setdefault(request_id, []).append(position)
         actions = []
         for request_id in sorted(affected):
-            record = self.flows.get(request_id)
-            if record is None:
+            entry = entries.get(request_id)
+            if entry is None:
                 raise UnknownFlow(f"evicted placement of unknown flow {request_id}")
             actions.append(
-                self._migrate_after_failure(record, sorted(affected[request_id]))
+                self._migrate_after_failure(entry, sorted(affected[request_id]))
             )
         return actions
 
     def _migrate_after_failure(
-        self, record: FlowRecord, changed_positions: list[int]
+        self, entry: DbEntry, changed_positions: list[int]
     ) -> Action:
-        request, graph = record.request, record.graph
+        request, graph = entry.request, entry.graph
         flow_id = request.id
         bw_kbps = graph.reserved_bw_kbps
         recompute: set[int] = set()
@@ -751,9 +651,6 @@ class Controller:
             self.network.release(
                 link_demands=graph.link_usage(), placement_ids=surviving
             )
-            graph.status = FlowStatus.FAILED
-            del self.flows[flow_id]
-            self.counters.failed += 1
             return Action(ActionKind.FAILED, flow_id)
 
         new_graph = ForwardingGraph(
@@ -777,21 +674,16 @@ class Controller:
         ]
         self.network.release(link_demands=old_bw)
         self._reserve_or_die(link_demands=new_bw, placements=new_records)
-        record.graph = new_graph
-        record.smoothed = None
-        self.counters.migrated += 1
         return Action(ActionKind.MIGRATED, flow_id, new_graph)
 
     # -- teardown and reservation plumbing ----------------------------------------
 
-    def release_flow(self, flow_id: int) -> dict[str, int]:
-        """Release everything a completing flow holds and forget it."""
-        record = self.flows.pop(flow_id, None)
-        if record is None:
-            raise UnknownFlow(f"unknown flow {flow_id}")
-        graph = record.graph
+    def release_flow(self, graph: ForwardingGraph) -> dict[str, int]:
+        """Release everything a completing flow's graph holds; return the totals."""
         usage = graph.link_usage()
-        placement_ids = [(flow_id, pos) for pos in range(len(graph.placements))]
+        placement_ids = [
+            (graph.request_id, pos) for pos in range(len(graph.placements))
+        ]
         cpu_total = sum(
             self.catalog.vnf(name).cpu_demand for name, _ in graph.placements
         )
@@ -799,7 +691,6 @@ class Controller:
             self.catalog.vnf(name).mem_demand for name, _ in graph.placements
         )
         self.network.release(link_demands=usage, placement_ids=placement_ids)
-        self.counters.completed += 1
         return {
             "cpu": cpu_total,
             "mem": mem_total,

@@ -15,7 +15,7 @@ from typing import Callable
 from .controller import Controller, PolicyConfig, Rejected
 from .errors import InvariantViolation, TimeTravel
 from .network import NetworkState, build_network
-from .orchestrator import TERMINAL, Orchestrator, audit_lifecycle
+from .orchestrator import TERMINAL, Orchestrator, VnfDb, audit_lifecycle
 from .qoe import QoeSample, ela_compliance
 from .report import FlowSummary, QoeRow, SimReport
 from .rng import SplitMix64
@@ -165,7 +165,9 @@ def run(
             if entry is not None and entry.status not in TERMINAL:
                 orchestrator.complete_request(event.request_id, event.time)
         elif isinstance(event, MeasureWindow):
-            samples, alerts = controller.monitor_window(event.index)
+            samples, alerts = controller.monitor_window(
+                event.index, orchestrator.db.live()
+            )
             measured += 1
             for sample in samples:
                 rows.append(
@@ -182,11 +184,13 @@ def run(
                 histories.setdefault(sample.flow_id, []).append(sample)
             for alert in alerts:
                 breaches.setdefault(alert.flow_id, []).append(alert.window_index)
-                action = controller.handle_breach(alert.flow_id)
-                orchestrator.apply_action(action, event.time)
+                entry = orchestrator.db.entries[alert.flow_id]
+                orchestrator.apply_action(controller.handle_breach(entry), event.time)
         elif isinstance(event, HostFailure):
             evicted = state.fail_host(event.host_id)
-            for action in controller.handle_host_failure(event.host_id, evicted):
+            for action in controller.handle_host_failure(
+                event.host_id, evicted, orchestrator.db.entries
+            ):
                 orchestrator.apply_action(action, event.time)
         elif isinstance(event, LinkDegradation):
             state.degrade_link(
@@ -200,13 +204,12 @@ def run(
         if event_hook is not None:
             event_hook(event, state)
         if strict_debug:
-            _audit_or_die(state, controller, orchestrator, catalog)
+            _audit_or_die(state, orchestrator.db, catalog)
 
-    _audit_or_die(state, controller, orchestrator, catalog)
+    _audit_or_die(state, orchestrator.db, catalog)
     lifecycle_violations = audit_lifecycle(orchestrator.db)
     if lifecycle_violations:
         raise InvariantViolation("; ".join(lifecycle_violations))
-    _audit_counters(controller, orchestrator)
     if measured != windows:
         msg = f"measured {measured} windows, expected {windows}"
         raise InvariantViolation(msg)
@@ -236,7 +239,7 @@ def run(
         duration_ms=doc.duration_ms,
         window_ms=doc.window_ms,
         windows=windows,
-        counters=controller.counters.as_dict(),
+        counters=orchestrator.counters(),
         flows=flow_summaries,
         rows=rows,
         db_dump=orchestrator.db.dump(),
@@ -244,28 +247,22 @@ def run(
 
 
 def audit_conservation(
-    state: NetworkState,
-    controller: Controller,
-    orchestrator: Orchestrator,
-    catalog: ServiceCatalog,
+    state: NetworkState, db: VnfDb, catalog: ServiceCatalog
 ) -> list[str]:
-    """Cross-check residuals against what non-terminal flows should hold."""
+    """Cross-check residuals and graphs against the live database entries."""
     violations: list[str] = []
     expected_cpu: dict[int, int] = {}
     expected_mem: dict[int, int] = {}
     expected_bw: dict[int, int] = {}
     expected_pids: dict[tuple[int, int], int] = {}
-    live_ids = []
-    for request_id, entry in orchestrator.db.entries.items():
-        if entry.status in TERMINAL:
-            continue
-        live_ids.append(request_id)
+    live = db.live()
+    for entry in live:
         graph = entry.graph
         for position, (name, host_id) in enumerate(graph.placements):
             vnf = catalog.vnf(name)
             expected_cpu[host_id] = expected_cpu.get(host_id, 0) + vnf.cpu_demand
             expected_mem[host_id] = expected_mem.get(host_id, 0) + vnf.mem_demand
-            expected_pids[(request_id, position)] = host_id
+            expected_pids[(entry.request.id, position)] = host_id
         for link_id, kbps in graph.link_usage().items():
             expected_bw[link_id] = expected_bw.get(link_id, 0) + kbps
 
@@ -294,49 +291,15 @@ def audit_conservation(
     actual_pids = {pid: rec.host_id for pid, rec in state.placements.items()}
     if actual_pids != expected_pids:
         violations.append("placement registry does not match live flows")
-    if sorted(controller.flows) != sorted(live_ids):
-        violations.append("controller flow map does not match non-terminal entries")
-    for request_id in sorted(controller.flows):
-        record = controller.flows[request_id]
-        problems = validate_forwarding_graph(record.graph, record.request, state)
+    for entry in live:
+        problems = validate_forwarding_graph(entry.graph, entry.request, state)
         for problem in problems:
-            violations.append(f"flow {request_id}: {problem}")
+            violations.append(f"flow {entry.request.id}: {problem}")
     return violations
 
 
-def _audit_or_die(state, controller, orchestrator, catalog) -> None:
-    violations = audit_conservation(state, controller, orchestrator, catalog)
+def _audit_or_die(state, db, catalog) -> None:
+    violations = audit_conservation(state, db, catalog)
     if violations:
         raise InvariantViolation("; ".join(violations))
 
-
-def _audit_counters(controller: Controller, orchestrator: Orchestrator) -> None:
-    counters = controller.counters
-    entries = orchestrator.db.entries.values()
-    checks = [
-        ("admitted", counters.admitted, len(orchestrator.db.entries)),
-        (
-            "completed",
-            counters.completed,
-            sum(1 for entry in entries if entry.status.value == "Completed"),
-        ),
-        (
-            "failed",
-            counters.failed,
-            sum(1 for entry in entries if entry.status.value == "Failed"),
-        ),
-        (
-            "rerouted+migrated",
-            counters.rerouted + counters.migrated,
-            sum(
-                1
-                for entry in entries
-                for _, src, dst in entry.log
-                if src.value == "Migrating" and dst.value == "Active"
-            ),
-        ),
-    ]
-    for label, counted, derived in checks:
-        if counted != derived:
-            msg = f"counter {label}={counted} disagrees with database ({derived})"
-            raise InvariantViolation(msg)

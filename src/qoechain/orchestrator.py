@@ -1,9 +1,13 @@
 """NFV orchestrator: the VNFs database and the flow lifecycle automaton.
 
-The database is the system of record for every request ever submitted,
-including terminal ones. Status changes go through one guarded transition
-helper so any controller/orchestrator disagreement dies loudly instead of
-corrupting the record.
+The database is the only record of a flow: one entry per admitted request,
+kept after the flow ends, holding its request, forwarding graph, lifecycle
+status and log, and the smoothing carry and recent samples the controller
+scores it with. The orchestrator turns the controller's admissions,
+Actions and releases into status changes, all through one guarded
+transition helper, and tallies the two outcomes the lifecycle log cannot
+tell apart: rejections by reason, and reroutes versus migrations. Every
+other counter is derived from the entries when the report is built.
 """
 
 from __future__ import annotations
@@ -11,13 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .controller import Action, ActionKind, Controller, Rejected
+from .controller import Action, ActionKind, Controller, Rejected, RejectReason
 from .errors import (
     AlreadyTerminal,
     DuplicateRequest,
     IllegalTransition,
     UnknownRequest,
 )
+from .qoe import FlowSample, QoeSample
 from .service import ChainRequest, ForwardingGraph
 from .units import kbps_to_mbps
 
@@ -68,11 +73,24 @@ class DbEntry:
     status: LifecycleStatus
     # (time_ms, from, to), append-only with non-decreasing timestamps.
     log: list[tuple[int, LifecycleStatus, LifecycleStatus]] = field(default_factory=list)
+    # EWMA carry per metric; None right after (re)embedding so the first
+    # window on a new path is taken at face value.
+    smoothed: FlowSample | None = None
+    # The most recent scored windows, at most the ELA's breach_windows.
+    history: list[QoeSample] = field(default_factory=list)
 
 
 class VnfDb:
     def __init__(self):
         self.entries: dict[int, DbEntry] = {}
+
+    def live(self) -> list[DbEntry]:
+        """Entries of flows that still hold resources, in ascending request id."""
+        return [
+            self.entries[request_id]
+            for request_id in sorted(self.entries)
+            if self.entries[request_id].status not in TERMINAL
+        ]
 
     def transition(self, entry: DbEntry, to: LifecycleStatus, now: int) -> None:
         if to not in LEGAL_TRANSITIONS[entry.status]:
@@ -94,6 +112,10 @@ class VnfDb:
             entry = self.entries[request_id]
             request = entry.request
             graph = entry.graph
+            # A completed flow's graph keeps the status it last ran under.
+            graph_status = entry.status
+            if graph_status is LifecycleStatus.COMPLETED:
+                graph_status = entry.log[-1][1]
             out.append(
                 {
                     "request_id": request_id,
@@ -115,7 +137,7 @@ class VnfDb:
                         ],
                         "segments": [list(segment) for segment in graph.segments],
                         "reserved_bw_mbps": kbps_to_mbps(graph.reserved_bw_kbps),
-                        "status": graph.status.value,
+                        "status": graph_status.value,
                     },
                     "lifecycle": [
                         {"time_ms": time_ms, "from": src.value, "to": dst.value}
@@ -132,6 +154,9 @@ class Orchestrator:
     def __init__(self, controller: Controller):
         self.controller = controller
         self.db = VnfDb()
+        self.rejected = {reason.value: 0 for reason in RejectReason}
+        self.rerouted = 0
+        self.migrated = 0
 
     def submit_request(self, request: ChainRequest, now: int) -> ForwardingGraph | Rejected:
         """Admit a new request through the controller and record it.
@@ -143,6 +168,7 @@ class Orchestrator:
             raise DuplicateRequest(f"request {request.id} already submitted")
         result = self.controller.admit(request)
         if isinstance(result, Rejected):
+            self.rejected[result.reason.value] += 1
             return result
         entry = DbEntry(request=request, graph=result, status=LifecycleStatus.REQUESTED)
         self.db.entries[request.id] = entry
@@ -157,7 +183,7 @@ class Orchestrator:
         if entry.status in TERMINAL:
             msg = f"request {request_id} is already {entry.status.value}"
             raise AlreadyTerminal(msg)
-        released = self.controller.release_flow(request_id)
+        released = self.controller.release_flow(entry.graph)
         self.db.transition(entry, LifecycleStatus.COMPLETED, now)
         return released
 
@@ -165,9 +191,9 @@ class Orchestrator:
         """Replay a controller action onto the database.
 
         Reroutes and migrations pass through Migrating and land on Active,
-        both logged at the same timestamp. Marking an already-degraded flow
-        degraded again is a no-op rather than a self-transition, which the
-        automaton does not have.
+        both logged at the same timestamp, and restart smoothing on the new
+        graph. Marking an already-degraded flow degraded again is a no-op
+        rather than a self-transition, which the automaton does not have.
         """
         entry = self.db.entries.get(action.flow_id)
         if entry is None:
@@ -176,12 +202,30 @@ class Orchestrator:
             self.db.transition(entry, LifecycleStatus.MIGRATING, now)
             self.db.transition(entry, LifecycleStatus.ACTIVE, now)
             entry.graph = action.new_graph
+            entry.smoothed = None
+            if action.kind is ActionKind.REROUTED:
+                self.rerouted += 1
+            else:
+                self.migrated += 1
         elif action.kind is ActionKind.MARKED_DEGRADED:
             if entry.status is not LifecycleStatus.DEGRADED:
                 self.db.transition(entry, LifecycleStatus.DEGRADED, now)
         elif action.kind is ActionKind.FAILED:
             self.db.transition(entry, LifecycleStatus.FAILED, now)
         return entry
+
+    def counters(self) -> dict:
+        """Run totals: the two tallies plus what the entries' statuses show."""
+        statuses = [entry.status for entry in self.db.entries.values()]
+        return {
+            "admitted": len(statuses),
+            "rejected": dict(self.rejected),
+            "rejected_total": sum(self.rejected.values()),
+            "rerouted": self.rerouted,
+            "migrated": self.migrated,
+            "failed": statuses.count(LifecycleStatus.FAILED),
+            "completed": statuses.count(LifecycleStatus.COMPLETED),
+        }
 
 
 def audit_lifecycle(db: VnfDb) -> list[str]:

@@ -8,8 +8,7 @@ VNF plus the link paths stitching ingress, placements and egress together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidProfile, InvalidRange, UnknownProfile, UnknownVnf
 from .network import NetworkState, NodeKind
@@ -126,12 +125,6 @@ class ServiceCatalog:
         return tuple(self.vnf(name).proc_latency_ms for name in names)
 
 
-class FlowStatus(str, Enum):
-    ACTIVE = "Active"
-    DEGRADED = "Degraded"
-    FAILED = "Failed"
-
-
 @dataclass
 class ForwardingGraph:
     """The embedded shape of one admitted chain.
@@ -147,7 +140,6 @@ class ForwardingGraph:
     placements: tuple[tuple[str, int], ...]
     segments: tuple[LinkPath, ...]
     reserved_bw_kbps: int
-    status: FlowStatus = FlowStatus.ACTIVE
 
     def all_links(self) -> list[int]:
         """Every link crossed, with multiplicity, in traversal order."""
@@ -251,7 +243,7 @@ def validate_forwarding_graph(
         node = state.nodes.get(host_id)
         if node is None or node.kind is not NodeKind.HOST:
             violations.append(f"placement {pos}: node {host_id} is not a host")
-        elif fg.status is FlowStatus.ACTIVE and host_id in state.failed_hosts:
+        elif host_id in state.failed_hosts:
             violations.append(f"placement {pos}: host {host_id} has failed")
 
     points = [request.ingress]

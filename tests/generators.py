@@ -1,7 +1,7 @@
-"""Deterministic random instance builders shared across the test suite.
+"""Deterministic instance builders and test drivers shared across the suite.
 
-Everything takes an explicit random.Random so each test pins its own seed;
-the suite never consumes global RNG state.
+Every random builder takes an explicit random.Random so each test pins its
+own seed; the suite never consumes global RNG state.
 """
 
 from __future__ import annotations
@@ -203,3 +203,13 @@ def random_request(
         arrival_ms=0,
         holding_ms=10_000,
     )
+
+
+def fail_and_repair(orchestrator, host_id: int, now: int = 0) -> list:
+    """Fail a host, let the controller repair, and record its actions."""
+    controller = orchestrator.controller
+    evicted = controller.network.fail_host(host_id)
+    actions = controller.handle_host_failure(host_id, evicted, orchestrator.db.entries)
+    for action in actions:
+        orchestrator.apply_action(action, now)
+    return actions

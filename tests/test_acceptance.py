@@ -22,6 +22,7 @@ from qoechain import (
     Controller,
     Ela,
     NodeKind,
+    Orchestrator,
     Rejected,
     build_network,
     estimate_mos,
@@ -48,7 +49,14 @@ from qoechain.scenario import (
 )
 from qoechain.service import ServiceCatalog
 
-from generators import random_catalog, random_network, random_profile, random_request, random_sample
+from generators import (
+    fail_and_repair,
+    random_catalog,
+    random_network,
+    random_profile,
+    random_request,
+    random_sample,
+)
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -243,16 +251,16 @@ def _raw_conservation_sequence(rng: Random, pid_base: int) -> int:
     return mismatches
 
 
-def _controller_ledger_mismatches(net, controller, catalog) -> int:
+def _controller_ledger_mismatches(net, orchestrator, catalog) -> int:
     expected_cpu: dict[int, int] = {}
     expected_mem: dict[int, int] = {}
     expected_bw: dict[int, int] = {}
-    for record in controller.flows.values():
-        for name, host in record.graph.placements:
+    for entry in orchestrator.db.live():
+        for name, host in entry.graph.placements:
             vnf = catalog.vnf(name)
             expected_cpu[host] = expected_cpu.get(host, 0) + vnf.cpu_demand
             expected_mem[host] = expected_mem.get(host, 0) + vnf.mem_demand
-        for link, kbps in record.graph.link_usage().items():
+        for link, kbps in entry.graph.link_usage().items():
             expected_bw[link] = expected_bw.get(link, 0) + kbps
     bad = 0
     for host in net.residual_cpu:
@@ -277,22 +285,24 @@ def _controller_conservation_sequence(rng: Random) -> int:
         extra_links=rng.randint(1, 3),
     )
     catalog = random_catalog(rng)
-    controller = Controller(net, catalog, Ela(1.0, 1000, 2, 0.9))
+    orchestrator = Orchestrator(Controller(net, catalog, Ela(1.0, 1000, 2, 0.9)))
     alive = set(net.residual_cpu)
     next_id = 0
     mismatches = 0
     for _ in range(rng.randint(5, 10)):
         op = rng.choice(("admit", "admit", "complete", "fail"))
+        live_ids = [entry.request.id for entry in orchestrator.db.live()]
         if op == "admit":
-            controller.admit(random_request(rng, next_id, net, catalog, target=1.0))
+            request = random_request(rng, next_id, net, catalog, target=1.0)
+            orchestrator.submit_request(request, now=0)
             next_id += 1
-        elif op == "complete" and controller.flows:
-            controller.release_flow(rng.choice(sorted(controller.flows)))
+        elif op == "complete" and live_ids:
+            orchestrator.complete_request(rng.choice(live_ids), now=0)
         elif op == "fail" and alive:
             host = rng.choice(sorted(alive))
             alive.discard(host)
-            controller.handle_host_failure(host, net.fail_host(host))
-        mismatches += _controller_ledger_mismatches(net, controller, catalog)
+            fail_and_repair(orchestrator, host)
+        mismatches += _controller_ledger_mismatches(net, orchestrator, catalog)
     return mismatches
 
 
@@ -325,10 +335,10 @@ def test_every_emitted_embedding_is_valid():
             extra_links=rng.randint(0, 4),
         )
         catalog = random_catalog(rng)
-        controller = Controller(net, catalog, Ela(1.0, 1000, 2, 0.9))
+        orchestrator = Orchestrator(Controller(net, catalog, Ela(1.0, 1000, 2, 0.9)))
         for rid in range(rng.randint(1, 5)):
             request = random_request(rng, rid, net, catalog, target=1.0)
-            result = controller.admit(request)
+            result = orchestrator.submit_request(request, now=0)
             if isinstance(result, Rejected):
                 continue
             graphs += 1
@@ -337,11 +347,11 @@ def test_every_emitted_embedding_is_valid():
         hosts = sorted(h for h in net.residual_cpu if h not in net.failed_hosts)
         if hosts and rng.random() < 0.4:
             host = rng.choice(hosts)
-            for action in controller.handle_host_failure(host, net.fail_host(host)):
+            for action in fail_and_repair(orchestrator, host):
                 if action.kind is ActionKind.MIGRATED:
-                    record = controller.flows[action.flow_id]
+                    entry = orchestrator.db.entries[action.flow_id]
                     graphs += 1
-                    if validate_forwarding_graph(record.graph, record.request, net):
+                    if validate_forwarding_graph(entry.graph, entry.request, net):
                         invalid += 1
     _verdict(
         "embedding-validity",

@@ -7,10 +7,12 @@ import pytest
 from qoechain import (
     Controller,
     Ela,
+    LifecycleStatus,
     LinkSpec,
     NodeKind,
     NodeSpec,
     OracleLimits,
+    Orchestrator,
     PolicyConfig,
     Rejected,
     RejectReason,
@@ -20,11 +22,11 @@ from qoechain import (
     validate_forwarding_graph,
 )
 from qoechain.controller import ActionKind
-from qoechain.errors import DuplicateRequest, InstanceTooLarge, InvalidRange, UnknownFlow
+from qoechain.errors import AlreadyTerminal, DuplicateRequest, InstanceTooLarge, InvalidRange
 from qoechain.network import PlacementRecord
-from qoechain.service import FlowStatus
 
 from generators import (
+    fail_and_repair,
     line_network,
     make_profile,
     make_request,
@@ -42,6 +44,11 @@ def _controller(net=None, catalog=None, policy=PolicyConfig()):
     return Controller(net or line_network(), catalog or small_catalog(), ELA, policy)
 
 
+def _orchestrator(net=None, catalog=None, policy=PolicyConfig()):
+    """A controller behind the orchestrator whose database keeps the flows."""
+    return Orchestrator(_controller(net, catalog, policy))
+
+
 def _pair_catalog(**profile_kwargs):
     return ServiceCatalog([], [make_profile(name="stream", **profile_kwargs)])
 
@@ -56,9 +63,10 @@ def _parallel_pair(latencies=(10.0, 12.0), bw=10_000):
 
 
 def test_admit_reserves_everything_transactionally():
-    ctl = _controller()
+    orch = _orchestrator()
+    ctl = orch.controller
     request = make_request()
-    graph = ctl.admit(request)
+    graph = orch.submit_request(request, now=0)
     assert graph.placements == (("fw", 1),)
     assert graph.segments == ((0,), (1,))
     assert graph.reserved_bw_kbps == 4000
@@ -67,20 +75,21 @@ def test_admit_reserves_everything_transactionally():
     assert ctl.network.available_bw(0) == 6000
     assert ctl.network.available_bw(1) == 6000
     assert ctl.network.placements[(0, 0)].host_id == 1
-    assert ctl.counters.admitted == 1
+    assert orch.counters()["admitted"] == 1
     assert validate_forwarding_graph(graph, request, ctl.network) == []
 
 
 def test_admit_twice_raises():
-    ctl = _controller()
-    ctl.admit(make_request())
+    orch = _orchestrator()
+    orch.submit_request(make_request(), now=0)
     with pytest.raises(DuplicateRequest):
-        ctl.admit(make_request())
+        orch.submit_request(make_request(), now=0)
 
 
 def test_consecutive_vnfs_may_share_a_host():
-    ctl = _controller()
-    graph = ctl.admit(make_request(vnfs=("fw", "nat")))
+    orch = _orchestrator()
+    ctl = orch.controller
+    graph = orch.submit_request(make_request(vnfs=("fw", "nat")), now=0)
     assert graph.placements == (("fw", 1), ("nat", 1))
     assert graph.segments == ((0,), (), (1,))
     assert ctl.network.available_cpu(1) == 5  # 8 - 2 - 1
@@ -88,15 +97,14 @@ def test_consecutive_vnfs_may_share_a_host():
 
 def test_host_tie_breaks_on_utilization_then_id():
     # Symmetric square: equal path latency to both hosts.
-    net = square_network()
-    ctl = Controller(net, small_catalog(), ELA)
-    graph = ctl.admit(make_request(ingress=0, egress=3))
+    orch = _orchestrator(square_network())
+    graph = orch.submit_request(make_request(ingress=0, egress=3), now=0)
     assert graph.placements == (("fw", 1),)  # equal everything: lowest id
 
     net2 = square_network()
     net2.reserve(placements=[PlacementRecord((99, 0), host_id=1, cpu=2, mem=0)])
-    ctl2 = Controller(net2, small_catalog(), ELA)
-    graph2 = ctl2.admit(make_request(ingress=0, egress=3))
+    orch2 = _orchestrator(net2)
+    graph2 = orch2.submit_request(make_request(ingress=0, egress=3), now=0)
     assert graph2.placements == (("fw", 2),)  # loaded host loses the tie
 
 
@@ -105,29 +113,29 @@ def test_reject_reasons():
         [VnfType("fw", cpu_demand=99, mem_demand=1, proc_latency_ms=1.0)],
         [make_profile()],
     )
-    ctl = Controller(line_network(), hungry, ELA)
-    result = ctl.admit(make_request())
+    orch = _orchestrator(catalog=hungry)
+    result = orch.submit_request(make_request(), now=0)
     assert result == Rejected(RejectReason.NO_HOST)
-    assert ctl.counters.rejected["NoHost"] == 1
+    assert orch.counters()["rejected"]["NoHost"] == 1
 
     thirsty = ServiceCatalog([], [make_profile(bw=20.0)])
-    ctl = Controller(line_network(), thirsty, ELA)
-    result = ctl.admit(make_request(vnfs=()))
+    orch = _orchestrator(catalog=thirsty)
+    result = orch.submit_request(make_request(vnfs=()), now=0)
     assert result == Rejected(RejectReason.NO_PATH)
-    assert ctl.counters.rejected["NoPath"] == 1
+    assert orch.counters()["rejected"]["NoPath"] == 1
 
     tight = ServiceCatalog(
         [VnfType("fw", 2, 2, 1.0)], [make_profile(delay_opt=1.0, delay_max=10.0)]
     )
-    ctl = Controller(line_network(), tight, ELA)
-    result = ctl.admit(make_request())
+    orch = _orchestrator(catalog=tight)
+    result = orch.submit_request(make_request(), now=0)
     assert isinstance(result, Rejected)
     assert result.reason is RejectReason.QOE_BELOW_TARGET
     assert result.predicted_mos == pytest.approx(1.0)
-    assert ctl.counters.rejected["QoeBelowTarget"] == 1
-    assert ctl.counters.as_dict()["rejected_total"] == 1
+    assert orch.counters()["rejected"]["QoeBelowTarget"] == 1
+    assert orch.counters()["rejected_total"] == 1
     # Rejections never leak reservations.
-    assert ctl.network.snapshot() == line_network().snapshot()
+    assert orch.controller.network.snapshot() == line_network().snapshot()
 
 
 def test_admission_honors_per_request_target():
@@ -135,9 +143,11 @@ def test_admission_honors_per_request_target():
     catalog = ServiceCatalog(
         [VnfType("fw", 2, 2, 1.0)], [make_profile(delay_opt=1.0, delay_max=21.0)]
     )
-    ctl = Controller(line_network(), catalog, ELA)
-    assert isinstance(ctl.admit(make_request(rid=0, target=3.5)), Rejected)
-    assert not isinstance(ctl.admit(make_request(rid=1, target=2.5)), Rejected)
+    orch = _orchestrator(catalog=catalog)
+    assert isinstance(orch.submit_request(make_request(rid=0, target=3.5), now=0), Rejected)
+    assert not isinstance(
+        orch.submit_request(make_request(rid=1, target=2.5), now=0), Rejected
+    )
 
 
 def test_plan_does_not_starve_itself_on_shared_links():
@@ -152,8 +162,8 @@ def test_plan_does_not_starve_itself_on_shared_links():
         LinkSpec(0, 0, 1, bandwidth_kbps=5000, latency_ms=5.0),
         LinkSpec(1, 1, 2, bandwidth_kbps=5000, latency_ms=5.0),
     ]
-    ctl = Controller(build_network(nodes, links), small_catalog(), ELA)
-    graph = ctl.admit(make_request(target=4.9))
+    orch = _orchestrator(build_network(nodes, links))
+    graph = orch.submit_request(make_request(target=4.9), now=0)
     assert not isinstance(graph, Rejected)
 
 
@@ -181,7 +191,7 @@ def test_exact_embed_beats_greedy_on_crafted_gap():
     assert ctl.graph_latency(exact, request) == pytest.approx(4.0)
     assert net.snapshot() == build_network(nodes, links).snapshot()  # no reservation
 
-    greedy = ctl.embed_chain(request)
+    greedy = ctl.admit(request)
     assert greedy.placements == (("fw", 1),)
     assert ctl.graph_latency(greedy, request) == pytest.approx(6.0)
 
@@ -246,12 +256,13 @@ def test_exact_embed_enforces_aggregate_bandwidth_per_link():
 
 def test_monitor_window_scores_and_smooths():
     net = _parallel_pair()
-    ctl = Controller(net, _pair_catalog(delay_opt=50.0, delay_max=250.0), ELA)
+    orch = _orchestrator(net, _pair_catalog(delay_opt=50.0, delay_max=250.0))
+    ctl = orch.controller
     request = make_request(ingress=0, egress=1, vnfs=(), profile="stream")
-    ctl.admit(request)
+    orch.submit_request(request, now=0)
 
     for window in (0, 1):
-        samples, alerts = ctl.monitor_window(window)
+        samples, alerts = ctl.monitor_window(window, orch.db.live())
         assert [s.mos for s in samples] == [5.0]
         assert alerts == []
 
@@ -262,7 +273,7 @@ def test_monitor_window_scores_and_smooths():
     for window in (2, 3, 4):
         expected_delay = 0.3 * 300.0 + 0.7 * expected_delay
         expected.append(expected_delay)
-        samples, alerts = ctl.monitor_window(window)
+        samples, alerts = ctl.monitor_window(window, orch.db.live())
         q_delay = (250.0 - expected_delay) / 200.0
         assert samples[0].mos == pytest.approx(1.0 + 4.0 * q_delay, abs=1e-9)
         alert_trail.append(alerts)
@@ -274,18 +285,36 @@ def test_monitor_window_scores_and_smooths():
 
 
 def test_monitor_reports_flows_in_ascending_id_order():
-    ctl = Controller(square_network(), small_catalog(), ELA)
-    ctl.admit(make_request(rid=7, ingress=0, egress=3))
-    ctl.admit(make_request(rid=3, ingress=3, egress=0))
-    samples, _ = ctl.monitor_window(0)
+    orch = _orchestrator(square_network())
+    orch.submit_request(make_request(rid=7, ingress=0, egress=3), now=0)
+    orch.submit_request(make_request(rid=3, ingress=3, egress=0), now=0)
+    samples, _ = orch.controller.monitor_window(0, orch.db.live())
     assert [s.flow_id for s in samples] == [3, 7]
 
 
+def test_entry_keeps_only_the_breach_windows_samples():
+    # The breach rule reads the last breach_windows samples; a long-lived
+    # flow's entry must not grow with the horizon.
+    net = _parallel_pair()
+    orch = _orchestrator(net, _pair_catalog(delay_opt=50.0, delay_max=250.0))
+    orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
+    entry = orch.db.entries[0]
+    scored = []
+    for window in range(50):
+        if window == 40:
+            net.degrade_link(0, latency_ms=300.0)
+        samples, _ = orch.controller.monitor_window(window, orch.db.live())
+        scored.extend(samples)
+        assert len(entry.history) <= ELA.breach_windows
+    assert entry.history == scored[-ELA.breach_windows:]
+
+
 def test_stall_injection_shapes_q_stall():
-    ctl = _controller()
-    ctl.admit(make_request())
+    orch = _orchestrator()
+    ctl = orch.controller
+    orch.submit_request(make_request(), now=0)
     ctl.set_stall(0, 0.1)  # stall_max is 0.2
-    samples, _ = ctl.monitor_window(0)
+    samples, _ = ctl.monitor_window(0, orch.db.live())
     assert samples[0].q_stall == pytest.approx(0.5)
     assert samples[0].mos == pytest.approx(3.0)
     with pytest.raises(InvalidRange):
@@ -295,50 +324,49 @@ def test_stall_injection_shapes_q_stall():
 def test_reserved_bandwidth_insulates_throughput():
     # Admission reserved the flow's bandwidth, so later contention on the
     # same links never starves it: measurement offers its own share back.
-    ctl = _controller()
-    ctl.admit(make_request())  # 4 of 10 Mbps
+    orch = _orchestrator()
+    ctl = orch.controller
+    orch.submit_request(make_request(), now=0)  # 4 of 10 Mbps
     ctl.network.reserve(link_demands={0: 6000, 1: 6000})  # links now fully booked
-    samples, _ = ctl.monitor_window(0)
+    samples, _ = ctl.monitor_window(0, orch.db.live())
     assert samples[0].q_bw == 1.0
     assert samples[0].mos > 4.9
 
 
-def test_predict_flow_throughput_is_ewma_of_observations():
-    ctl = _controller()
-    ctl.admit(make_request())
-    ctl.monitor_window(0)
-    ctl.flows[0].throughput_obs = [10.0, 20.0]
-    assert ctl.predict_flow_throughput(0) == pytest.approx(13.0)
-    with pytest.raises(UnknownFlow):
-        ctl.predict_flow_throughput(99)
-
-
 def test_handle_breach_reroutes_to_the_spare_link():
     net = _parallel_pair()
-    ctl = Controller(net, _pair_catalog(delay_opt=50.0, delay_max=250.0), ELA)
-    ctl.admit(make_request(ingress=0, egress=1, vnfs=(), profile="stream"))
+    orch = _orchestrator(net, _pair_catalog(delay_opt=50.0, delay_max=250.0))
+    orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
+    entry = orch.db.entries[0]
+    orch.controller.monitor_window(0, orch.db.live())
+    assert entry.smoothed is not None
     net.degrade_link(0, latency_ms=300.0)
-    action = ctl.handle_breach(0)
+    action = orch.controller.handle_breach(entry)
+    orch.apply_action(action, now=1000)
     assert action.kind is ActionKind.REROUTED
     assert action.new_graph.segments == ((1,),)
-    assert ctl.counters.rerouted == 1
+    assert orch.counters()["rerouted"] == 1
+    assert orch.counters()["migrated"] == 0
     assert net.available_bw(0) == 10_000  # old reservation released
     assert net.available_bw(1) == 6000
-    assert ctl.flows[0].smoothed is None  # smoothing restarts on the new path
+    assert entry.graph is action.new_graph
+    assert entry.smoothed is None  # smoothing restarts on the new path
 
 
 def test_handle_breach_escalates_to_migration():
     net = square_network()
-    ctl = Controller(net, small_catalog(), ELA)
-    ctl.admit(make_request(ingress=0, egress=3))
+    orch = _orchestrator(net)
+    orch.submit_request(make_request(ingress=0, egress=3), now=0)
     net.degrade_link(0, loss_pct=50.0)  # worst link, latency untouched
-    action = ctl.handle_breach(0)
+    action = orch.controller.handle_breach(orch.db.entries[0])
+    orch.apply_action(action, now=1000)
     # Reroute alone cannot help: the cheapest segments are unchanged, so the
     # first attempt fails and the re-embed shuns the lossy link.
     assert action.kind is ActionKind.MIGRATED
     assert action.new_graph.placements == (("fw", 2),)
     assert action.new_graph.segments == ((1,), (3,))
-    assert ctl.counters.migrated == 1
+    assert orch.counters()["migrated"] == 1
+    assert orch.counters()["rerouted"] == 0
     assert net.available_cpu(1) == 4
     assert net.available_cpu(2) == 2
     assert net.placements[(0, 0)].host_id == 2
@@ -346,34 +374,32 @@ def test_handle_breach_escalates_to_migration():
 
 def test_handle_breach_marks_degraded_when_out_of_options():
     net = _parallel_pair(latencies=(10.0,))
-    ctl = Controller(net, _pair_catalog(), ELA)
-    ctl.admit(make_request(ingress=0, egress=1, vnfs=(), profile="stream"))
+    orch = _orchestrator(net, _pair_catalog())
+    orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
     net.degrade_link(0, latency_ms=1000.0)
-    action = ctl.handle_breach(0)
+    action = orch.controller.handle_breach(orch.db.entries[0])
     assert action.kind is ActionKind.MARKED_DEGRADED
-    assert ctl.flows[0].graph.status is FlowStatus.DEGRADED
+    orch.apply_action(action, now=1000)
+    assert orch.db.entries[0].status is LifecycleStatus.DEGRADED
     # Degraded flows stay monitored.
-    samples, _ = ctl.monitor_window(0)
+    samples, _ = orch.controller.monitor_window(0, orch.db.live())
     assert len(samples) == 1
-    with pytest.raises(UnknownFlow):
-        ctl.handle_breach(99)
 
 
 def test_single_attempt_policy_skips_migration():
     net = square_network()
-    ctl = Controller(net, small_catalog(), ELA, PolicyConfig(max_reroute_attempts=1))
-    ctl.admit(make_request(ingress=0, egress=3))
+    orch = _orchestrator(net, policy=PolicyConfig(max_reroute_attempts=1))
+    orch.submit_request(make_request(ingress=0, egress=3), now=0)
     net.degrade_link(0, loss_pct=50.0)
-    action = ctl.handle_breach(0)
+    action = orch.controller.handle_breach(orch.db.entries[0])
     assert action.kind is ActionKind.MARKED_DEGRADED
 
 
 def test_host_failure_migrates_evicted_positions():
     net = square_network()
-    ctl = Controller(net, small_catalog(), ELA)
-    ctl.admit(make_request(ingress=0, egress=3))
-    evicted = net.fail_host(1)
-    actions = ctl.handle_host_failure(1, evicted)
+    orch = _orchestrator(net)
+    orch.submit_request(make_request(ingress=0, egress=3), now=0)
+    actions = fail_and_repair(orch, 1)
     assert [a.kind for a in actions] == [ActionKind.MIGRATED]
     graph = actions[0].new_graph
     assert graph.placements == (("fw", 2),)
@@ -381,8 +407,9 @@ def test_host_failure_migrates_evicted_positions():
     assert net.available_bw(0) == 10_000
     assert net.available_bw(1) == 6000
     assert net.available_cpu(2) == 2
-    assert ctl.counters.migrated == 1
-    assert validate_forwarding_graph(graph, ctl.flows[0].request, net) == []
+    assert orch.counters()["migrated"] == 1
+    assert orch.db.entries[0].graph is graph
+    assert validate_forwarding_graph(graph, orch.db.entries[0].request, net) == []
 
 
 def test_host_failure_without_refuge_fails_the_flow():
@@ -399,12 +426,13 @@ def test_host_failure_without_refuge_fails_the_flow():
         LinkSpec(3, 2, 3, bandwidth_kbps=10_000, latency_ms=5.0),
     ]
     net = build_network(nodes, links)
-    ctl = Controller(net, small_catalog(), ELA)
-    ctl.admit(make_request(ingress=0, egress=3))
-    actions = ctl.handle_host_failure(1, net.fail_host(1))
+    orch = _orchestrator(net)
+    orch.submit_request(make_request(ingress=0, egress=3), now=0)
+    actions = fail_and_repair(orch, 1)
     assert [a.kind for a in actions] == [ActionKind.FAILED]
-    assert 0 not in ctl.flows
-    assert ctl.counters.failed == 1
+    assert orch.db.entries[0].status is LifecycleStatus.FAILED
+    assert orch.db.live() == []
+    assert orch.counters()["failed"] == 1
     # Everything the flow held is back.
     assert net.available_bw(0) == 10_000
     assert net.available_bw(2) == 10_000
@@ -415,31 +443,33 @@ def test_host_failure_handles_flows_in_id_order_until_room_runs_out():
     net = square_network()
     # Host 2 starts three-quarters full, so both admissions pick host 1.
     net.reserve(placements=[PlacementRecord((99, 0), host_id=2, cpu=3, mem=3)])
-    ctl = Controller(net, small_catalog(), ELA)
-    ctl.admit(make_request(rid=5, ingress=0, egress=3, vnfs=("nat",)))
-    ctl.admit(make_request(rid=2, ingress=3, egress=0, vnfs=("nat",)))
+    orch = _orchestrator(net)
+    orch.submit_request(make_request(rid=5, ingress=0, egress=3, vnfs=("nat",)), now=0)
+    orch.submit_request(make_request(rid=2, ingress=3, egress=0, vnfs=("nat",)), now=0)
     evicted = net.fail_host(1)
     assert evicted == [(2, 0), (5, 0)]
-    actions = ctl.handle_host_failure(1, evicted)
+    actions = orch.controller.handle_host_failure(1, evicted, orch.db.entries)
+    for action in actions:
+        orch.apply_action(action, now=0)
     assert [a.flow_id for a in actions] == [2, 5]
     # Host 2 has one spare unit: flow 2 migrates first and takes it.
     assert actions[0].kind is ActionKind.MIGRATED
     assert actions[0].new_graph.placements == (("nat", 2),)
     assert actions[1].kind is ActionKind.FAILED
-    assert 5 not in ctl.flows
-    assert 2 in ctl.flows
+    assert [entry.request.id for entry in orch.db.live()] == [2]
+    assert orch.db.entries[5].status is LifecycleStatus.FAILED
 
 
 def test_release_flow_returns_holdings_and_restores_state():
-    ctl = _controller()
-    pristine = ctl.network.snapshot()
-    ctl.admit(make_request())
-    released = ctl.release_flow(0)
+    orch = _orchestrator()
+    pristine = orch.controller.network.snapshot()
+    orch.submit_request(make_request(), now=0)
+    released = orch.complete_request(0, now=1000)
     assert released == {"cpu": 2, "mem": 2, "bandwidth_kbps": 8000}
-    assert ctl.network.snapshot() == pristine
-    assert ctl.counters.completed == 1
-    with pytest.raises(UnknownFlow):
-        ctl.release_flow(0)
+    assert orch.controller.network.snapshot() == pristine
+    assert orch.counters()["completed"] == 1
+    with pytest.raises(AlreadyTerminal):
+        orch.complete_request(0, now=2000)
 
 
 def test_embedding_is_deterministic():
@@ -449,10 +479,11 @@ def test_embedding_is_deterministic():
         for rng in (rng_a, rng_b):
             net = random_network(rng)
             catalog = random_catalog(rng)
-            ctl = Controller(net, catalog, ELA)
+            orch = _orchestrator(net, catalog)
             outcome = []
             for rid in range(6):
-                result = ctl.admit(random_request(rng, rid, net, catalog, target=1.0))
+                request = random_request(rng, rid, net, catalog, target=1.0)
+                result = orch.submit_request(request, now=0)
                 outcome.append(
                     result if isinstance(result, Rejected) else (result.placements, result.segments)
                 )

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from qoechain import EventQueue, parse_scenario, run
+from qoechain import EventQueue, parse_scenario, run, write_report
 from qoechain.errors import InvariantViolation, TimeTravel
 from qoechain.kernel import Departure, MeasureWindow
 from qoechain.report import render_csv
@@ -232,3 +233,64 @@ def test_every_bundled_scenario_runs_clean_under_strict_audits():
         assert diagnostics == [], (path.name, diagnostics)
         report = run(doc, strict_debug=True)
         assert report.windows == doc.duration_ms // doc.window_ms
+
+
+# sha256 of each artifact of each bundled scenario, recorded from the
+# unchanged simulator. A refactor that claims the same behaviour keeps them.
+GOLDEN_DIGESTS = {
+    ("basic", "summary.json"): (
+        "a60ed5d245276f40cd6566a8308f49563f6258d3bfaf40856b714d5723b06fd3"
+    ),
+    ("basic", "qoe_series.csv"): (
+        "81393614d5d828a573f9b60e5fb69693f94183e0e0a7000ba09f87a24e49a657"
+    ),
+    ("basic", "db_dump.json"): (
+        "09e14f49114e5cffb63cf789b694a5d0953b482053363264fc348503a628d8a4"
+    ),
+    ("feedback_reroute", "summary.json"): (
+        "186044e2c2966cd256cf30bc6c74e9df7bb49d4aca10a6803c26433a3ee134d0"
+    ),
+    ("feedback_reroute", "qoe_series.csv"): (
+        "8ea4bd95bec915ca4b033be9e4e600989b1a983dfdf6b8f7bc98165ea96d42ac"
+    ),
+    ("feedback_reroute", "db_dump.json"): (
+        "c86aff0151678ed683ab0b9a5b1887a0df1c7cecc8afaf5d30da1e4e36bf2b55"
+    ),
+    ("greedy_gap", "summary.json"): (
+        "5fa788c1acbf4042692e135df3f92f4562aa3ce3ff0726ed338ef2038dde9d53"
+    ),
+    ("greedy_gap", "qoe_series.csv"): (
+        "b6cb14f4e20826d319cd809d3b040054963983f5a225ac0f8df6f34f7e3da9c4"
+    ),
+    ("greedy_gap", "db_dump.json"): (
+        "1e18222dd6b9147639d4bc69e66e31300575eac040e71d89ac93fbf8343ab6b2"
+    ),
+    ("host_failure_migration", "summary.json"): (
+        "0d1298cb465c98fa4b5293bd17744d9c03355d78fc36ffa0e8b952de74d0b0ee"
+    ),
+    ("host_failure_migration", "qoe_series.csv"): (
+        "875c1f9a5df013c4e00f9397f0ecf0dc03d640d1881c6e29254bbec0311c449d"
+    ),
+    ("host_failure_migration", "db_dump.json"): (
+        "af5acdd163ec4ce33fbe671c79cc2f0c40b22fac97b8ef64d6437e4b6720805d"
+    ),
+    ("minimal", "summary.json"): (
+        "0bf1ed01867738a139047dd1e9bbdda6af8f839607208983648687fe74f9d38c"
+    ),
+    ("minimal", "qoe_series.csv"): (
+        "37b69a5400760aa5d521492eacea7a91d4452ae3aa6ade096a2968a751a83966"
+    ),
+    ("minimal", "db_dump.json"): (
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"
+    ),
+}
+
+
+def test_bundled_scenarios_match_golden_digests(tmp_path):
+    produced = {}
+    for path in sorted(SCENARIOS.glob("*.json")):
+        write_report(run(_load(path.name)), tmp_path / path.stem)
+        for artifact in ("summary.json", "qoe_series.csv", "db_dump.json"):
+            data = (tmp_path / path.stem / artifact).read_bytes()
+            produced[(path.stem, artifact)] = hashlib.sha256(data).hexdigest()
+    assert produced == GOLDEN_DIGESTS

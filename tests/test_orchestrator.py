@@ -112,7 +112,7 @@ def test_complete_releases_resources_and_finishes():
         LifecycleStatus.ACTIVE,
         LifecycleStatus.COMPLETED,
     )
-    assert 0 not in orch.controller.flows
+    assert orch.db.live() == []
 
 
 def test_complete_unknown_or_finished_request_raises():
@@ -236,3 +236,43 @@ def test_dump_is_json_ready_and_sorted_by_request_id():
     assert dump[1]["forwarding_graph"]["segments"] == [[0], [1]]
     assert dump[1]["forwarding_graph"]["reserved_bw_mbps"] == 4.0
     json.dumps(dump)
+
+
+def test_counters_come_from_entries_and_the_two_tallies():
+    orch = _orchestrator()
+    orch.submit_request(make_request(rid=9, vnfs=("fw",) * 5), now=0)  # NoHost
+    for rid in (0, 1, 2):  # the line's links carry two flows; 2 gets NoPath
+        orch.submit_request(make_request(rid=rid), now=0)
+    graph = orch.db.entries[0].graph
+    same = ForwardingGraph(0, graph.placements, graph.segments, graph.reserved_bw_kbps)
+    orch.apply_action(Action(ActionKind.REROUTED, flow_id=0, new_graph=same), now=100)
+    orch.apply_action(Action(ActionKind.MIGRATED, flow_id=0, new_graph=same), now=200)
+    orch.apply_action(Action(ActionKind.FAILED, flow_id=0), now=300)
+    orch.complete_request(1, now=400)
+    assert orch.counters() == {
+        "admitted": 2,
+        "rejected": {"NoHost": 1, "NoPath": 1, "QoeBelowTarget": 0},
+        "rejected_total": 2,
+        "rerouted": 1,
+        "migrated": 1,
+        "failed": 1,
+        "completed": 1,
+    }
+    assert orch.db.live() == []
+
+
+def test_dumped_graph_status_is_the_last_one_the_flow_ran_under():
+    orch = _orchestrator()
+    orch.submit_request(make_request(rid=0), now=0)
+    orch.submit_request(make_request(rid=1), now=0)
+    orch.apply_action(Action(ActionKind.MARKED_DEGRADED, flow_id=0), now=100)
+    orch.complete_request(0, now=200)
+    orch.complete_request(1, now=200)
+    orch.submit_request(make_request(rid=2), now=200)
+    orch.apply_action(Action(ActionKind.FAILED, flow_id=2), now=300)
+    dump = orch.db.dump()
+    assert [(item["status"], item["forwarding_graph"]["status"]) for item in dump] == [
+        ("Completed", "Degraded"),
+        ("Completed", "Active"),
+        ("Failed", "Failed"),
+    ]

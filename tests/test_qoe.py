@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qoechain import Ela, FlowSample, QoeSample, ela_breached, ela_compliance, estimate_mos, predict_mos
-from qoechain.controller import predict_traffic
 from qoechain.errors import EmptyHistory, InvalidRange
 
 from generators import line_network, make_profile, make_request, small_catalog
@@ -120,18 +119,6 @@ def test_compliance_counts_at_or_above_target():
     assert ela_compliance(history, ela) == pytest.approx(0.5)
     with pytest.raises(EmptyHistory):
         ela_compliance([], ela)
-
-
-def test_predict_traffic_ewma():
-    assert predict_traffic([10.0, 20.0], alpha=0.3) == pytest.approx(13.0, abs=1e-12)
-    assert predict_traffic([7.5]) == 7.5
-    assert predict_traffic([1.0, 2.0, 3.0], alpha=1.0) == 3.0
-    with pytest.raises(EmptyHistory):
-        predict_traffic([])
-    with pytest.raises(InvalidRange):
-        predict_traffic([1.0], alpha=0.0)
-    with pytest.raises(InvalidRange):
-        predict_traffic([1.0], alpha=1.5)
 
 
 def test_predict_mos_uses_path_and_residuals():
