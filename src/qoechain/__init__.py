@@ -33,7 +33,6 @@ from .qoe import (
     FlowSample,
     QoeSample,
     ela_breached,
-    ela_compliance,
     estimate_mos,
     predict_mos,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "audit_lifecycle",
     "build_network",
     "ela_breached",
-    "ela_compliance",
     "enumerate_simple_paths",
     "estimate_mos",
     "load_scenario",

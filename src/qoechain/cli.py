@@ -14,7 +14,6 @@ from .controller import Controller, OracleLimits
 from .errors import InvariantViolation, SimulatorError
 from .kernel import run as run_scenario
 from .network import build_network
-from .orchestrator import Orchestrator
 from .report import read_series, read_summary, write_report
 from .scenario import load_scenario
 from .service import ServiceCatalog

@@ -30,8 +30,20 @@ from .errors import (
 )
 from .network import NetworkState, PlacementRecord
 from .qoe import Ela, FlowSample, QoeSample, ela_breached, estimate_mos, predict_mos
-from .routing import enumerate_simple_paths, path_key, shortest_feasible_path
-from .service import ChainRequest, ForwardingGraph, LinkPath, ServiceCatalog, path_metrics
+from .routing import (
+    enumerate_simple_paths,
+    path_key,
+    shortest_feasible_path,
+    shortest_path_tree,
+)
+from .service import (
+    ChainRequest,
+    ForwardingGraph,
+    LinkPath,
+    ServiceCatalog,
+    VnfType,
+    path_metrics,
+)
 from .units import KBPS_PER_MBPS
 
 if TYPE_CHECKING:
@@ -104,10 +116,17 @@ class ResourceView:
 
     A positive delta offers resources back (a flow replanning may reuse its
     own holdings); a negative delta tracks demand pending within a plan.
+    Topology, failures and link quality are the state's own objects: no
+    delta touches them.
     """
 
     def __init__(self, state: NetworkState):
         self._state = state
+        self.nodes = state.nodes
+        self.links = state.links
+        self.failed_hosts = state.failed_hosts
+        self.adjacency = state.adjacency
+        self.link_quality = state.link_quality
         self._bw: dict[int, int] = {}
         self._cpu: dict[int, int] = {}
         self._mem: dict[int, int] = {}
@@ -119,26 +138,8 @@ class ResourceView:
         copy._mem = dict(self._mem)
         return copy
 
-    @property
-    def nodes(self):
-        return self._state.nodes
-
-    @property
-    def links(self):
-        return self._state.links
-
-    @property
-    def failed_hosts(self):
-        return self._state.failed_hosts
-
-    def adjacency(self, node_id: int):
-        return self._state.adjacency(node_id)
-
-    def link_quality(self, link_id: int):
-        return self._state.link_quality(link_id)
-
     def available_bw(self, link_id: int) -> int:
-        return self._state.available_bw(link_id) + self._bw.get(link_id, 0)
+        return self._state.residual_bw[link_id] + self._bw.get(link_id, 0)
 
     def available_cpu(self, host_id: int) -> int:
         return self._state.available_cpu(host_id) + self._cpu.get(host_id, 0)
@@ -217,31 +218,14 @@ class Controller:
         placements: list[tuple[str, int]] = []
         segments: list[LinkPath] = []
         for vnf_name in request.vnf_sequence:
-            vnf = self.catalog.vnf(vnf_name)
-            candidates = self._candidates(plan_view, vnf.cpu_demand, vnf.mem_demand)
-            if not candidates:
-                return Rejected(RejectReason.NO_HOST)
-            options = []
-            for host_id in candidates:
-                path = shortest_feasible_path(
-                    plan_view, anchor, host_id, bw_kbps, exclude_links
-                )
-                if path is None:
-                    continue
-                latency = path_key(plan_view, path)[0]
-                options.append(
-                    (latency, self._utilization(plan_view, host_id), host_id, path)
-                )
-            if not options:
-                return Rejected(RejectReason.NO_PATH)
-            _, _, host_id, segment = min(options)
-            placements.append((vnf_name, host_id))
-            segments.append(tuple(segment))
-            plan_view.add_cpu(host_id, -vnf.cpu_demand)
-            plan_view.add_mem(host_id, -vnf.mem_demand)
-            for link_id in segment:
-                plan_view.add_bw(link_id, -bw_kbps)
-            anchor = host_id
+            placed = self._place_next(
+                plan_view, anchor, self.catalog.vnf(vnf_name), bw_kbps, exclude_links
+            )
+            if isinstance(placed, RejectReason):
+                return Rejected(placed)
+            anchor, segment = placed
+            placements.append((vnf_name, anchor))
+            segments.append(segment)
         final = shortest_feasible_path(
             plan_view, anchor, request.egress, bw_kbps, exclude_links
         )
@@ -255,14 +239,44 @@ class Controller:
             return Rejected(RejectReason.QOE_BELOW_TARGET, predicted.mos)
         return _Plan(tuple(placements), tuple(segments), predicted)
 
-    def _candidates(self, view, cpu: int, mem: int) -> list[int]:
-        return [
+    def _place_next(
+        self,
+        view: ResourceView,
+        anchor: int,
+        vnf: VnfType,
+        bw_kbps: int,
+        exclude_links: frozenset[int],
+    ) -> tuple[int, LinkPath] | RejectReason:
+        """Place one VNF after anchor and take its demand out of the view.
+
+        The host is the candidate with the cheapest feasible path from the
+        anchor (ties: lowest utilization, then lowest host id), all read off
+        one shortest-path tree. Returns the host and the segment to it, or
+        why no host was chosen.
+        """
+        candidates = [
             host_id
             for host_id in self.network.host_ids()
             if host_id not in view.failed_hosts
-            and view.available_cpu(host_id) >= cpu
-            and view.available_mem(host_id) >= mem
+            and view.available_cpu(host_id) >= vnf.cpu_demand
+            and view.available_mem(host_id) >= vnf.mem_demand
         ]
+        if not candidates:
+            return RejectReason.NO_HOST
+        tree = shortest_path_tree(view, anchor, bw_kbps, exclude_links)
+        options = [
+            (tree[h][0], self._utilization(view, h), h, tree[h][2])
+            for h in candidates
+            if h in tree
+        ]
+        if not options:
+            return RejectReason.NO_PATH
+        _, _, host_id, segment = min(options)
+        view.add_cpu(host_id, -vnf.cpu_demand)
+        view.add_mem(host_id, -vnf.mem_demand)
+        for link_id in segment:
+            view.add_bw(link_id, -bw_kbps)
+        return host_id, segment
 
     def _utilization(self, view, host_id: int) -> float:
         node = self.network.nodes[host_id]
@@ -555,7 +569,7 @@ class Controller:
         return max(set(graph.all_links()), key=badness)
 
     def handle_host_failure(
-        self, host_id: int, evicted, entries: Mapping[int, DbEntry]
+        self, evicted, entries: Mapping[int, DbEntry]
     ) -> list[Action]:
         """Repair every flow that lost a placement to a host failure.
 
@@ -603,28 +617,16 @@ class Controller:
         feasible = True
         for position in changed_positions:
             vnf = self.catalog.vnf(graph.placements[position][0])
-            candidates = self._candidates(plan_view, vnf.cpu_demand, vnf.mem_demand)
-            anchor = points[position]
-            options = []
-            for host_id in candidates:
-                path = shortest_feasible_path(plan_view, anchor, host_id, bw_kbps)
-                if path is None:
-                    continue
-                latency = path_key(plan_view, path)[0]
-                options.append(
-                    (latency, self._utilization(plan_view, host_id), host_id, path)
-                )
-            if not options:
+            placed = self._place_next(
+                plan_view, points[position], vnf, bw_kbps, frozenset()
+            )
+            if isinstance(placed, RejectReason):
                 feasible = False
                 break
-            _, _, host_id, segment = min(options)
+            host_id, segment = placed
             new_placements[position] = (vnf.name, host_id)
+            new_segments[position] = segment
             points[position + 1] = host_id
-            new_segments[position] = tuple(segment)
-            plan_view.add_cpu(host_id, -vnf.cpu_demand)
-            plan_view.add_mem(host_id, -vnf.mem_demand)
-            for link_id in segment:
-                plan_view.add_bw(link_id, -bw_kbps)
 
         if feasible:
             for seg_index in sorted(recompute):

@@ -75,10 +75,6 @@ class InvalidProfile(SimulatorError):
     pass
 
 
-class EmptyHistory(SimulatorError):
-    pass
-
-
 # -- controller and orchestrator --------------------------------------------
 
 

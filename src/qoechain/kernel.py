@@ -16,7 +16,6 @@ from .controller import Controller, PolicyConfig, Rejected
 from .errors import InvariantViolation, TimeTravel
 from .network import NetworkState, build_network
 from .orchestrator import TERMINAL, Orchestrator, VnfDb, audit_lifecycle
-from .qoe import QoeSample, ela_compliance
 from .report import FlowSummary, QoeRow, SimReport
 from .rng import SplitMix64
 from .scenario import ScenarioDoc
@@ -144,7 +143,8 @@ def run(
         )
 
     rows: list[QoeRow] = []
-    histories: dict[int, list[QoeSample]] = {}
+    # Per flow: [windows observed, windows at or above the flow's target].
+    tallies: dict[int, list[int]] = {}
     breaches: dict[int, list[int]] = {}
     measured = 0
 
@@ -181,7 +181,11 @@ def run(
                         q_stall=sample.q_stall,
                     )
                 )
-                histories.setdefault(sample.flow_id, []).append(sample)
+                target = orchestrator.db.entries[sample.flow_id].request.ela_target
+                tally = tallies.setdefault(sample.flow_id, [0, 0])
+                tally[0] += 1
+                if sample.mos >= target:
+                    tally[1] += 1
             for alert in alerts:
                 breaches.setdefault(alert.flow_id, []).append(alert.window_index)
                 entry = orchestrator.db.entries[alert.flow_id]
@@ -189,7 +193,7 @@ def run(
         elif isinstance(event, HostFailure):
             evicted = state.fail_host(event.host_id)
             for action in controller.handle_host_failure(
-                event.host_id, evicted, orchestrator.db.entries
+                evicted, orchestrator.db.entries
             ):
                 orchestrator.apply_action(action, event.time)
         elif isinstance(event, LinkDegradation):
@@ -217,16 +221,15 @@ def run(
     flow_summaries: dict[int, FlowSummary] = {}
     for request_id in sorted(orchestrator.db.entries):
         entry = orchestrator.db.entries[request_id]
-        history = histories.get(request_id, [])
-        if history:
-            ela = controller.ela_for(entry.request)
-            compliance = ela_compliance(history, ela)
-            compliant = compliance >= ela.compliance_budget
+        observed, good = tallies.get(request_id, (0, 0))
+        if observed:
+            compliance = good / observed
+            compliant = compliance >= controller.ela.compliance_budget
         else:
             compliance = None
             compliant = None
         flow_summaries[request_id] = FlowSummary(
-            windows_observed=len(history),
+            windows_observed=observed,
             compliance=compliance,
             compliant=compliant,
             breach_windows=breaches.get(request_id, []),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     AlreadyFailed,
@@ -153,6 +153,10 @@ class NetworkState:
         }
         self.failed_hosts: set[int] = set()
         self.overrides: dict[int, LinkQuality] = {}
+        self._base_quality: dict[int, LinkQuality] = {
+            link.id: LinkQuality(link.latency_ms, link.jitter_ms, link.loss_pct)
+            for link in self.links.values()
+        }
         self.placements: dict[PlacementId, PlacementRecord] = {}
 
         adj: dict[int, list[int]] = {node_id: [] for node_id in self.nodes}
@@ -175,8 +179,7 @@ class NetworkState:
         override = self.overrides.get(link_id)
         if override is not None:
             return override
-        link = self.links[link_id]
-        return LinkQuality(link.latency_ms, link.jitter_ms, link.loss_pct)
+        return self._base_quality[link_id]
 
     def available_bw(self, link_id: int) -> int:
         return self.residual_bw[link_id]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import EmptyHistory, InvalidRange
+from .errors import InvalidRange
 from .units import KBPS_PER_MBPS
 from .service import AppProfile, ChainRequest, LinkPath, path_metrics
 
@@ -128,14 +128,6 @@ def ela_breached(history: Sequence[QoeSample], ela: Ela) -> bool:
     if len(history) < k:
         return False
     return all(sample.mos < ela.target_mos for sample in history[-k:])
-
-
-def ela_compliance(history: Sequence[QoeSample], ela: Ela) -> float:
-    """Fraction of windows at or above target. Raises EmptyHistory on []."""
-    if not history:
-        raise EmptyHistory("cannot compute compliance of an empty history")
-    good = sum(1 for sample in history if sample.mos >= ela.target_mos)
-    return good / len(history)
 
 
 def predict_mos(

@@ -4,16 +4,28 @@ Paths are link-id sequences, which disambiguates parallel links between the
 same node pair. A path's cost key is (total latency, hop count, link-id
 sequence); comparing full keys makes every choice a total order and keeps
 runs reproducible. Failed hosts never appear as interior nodes.
+
+One Dijkstra loop (`_settle`) serves two callers. `shortest_path_tree`
+runs it to the end and keys every reachable node from one source, which is
+what host placement needs: one search per anchor instead of one per
+candidate host. `shortest_feasible_path` stops it at the target. Both give
+the same answer for every node: the key is a total order, and appending
+the same link to two paths that end at the same node keeps their order, so
+a node's label is final when it is first popped, whether or not the search
+goes on afterwards. Latency is summed along the path from 0.0 in path
+order, as `path_key` sums it, so even the floats agree.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable
+from heapq import heappop, heappush
+from typing import Iterable, Iterator
 
 from .errors import InstanceTooLarge, UnknownHost
 
 PathKey = tuple[float, int, tuple[int, ...]]
+
+_UNREACHED: PathKey = (float("inf"), 0, ())
 
 
 def path_key(net, path: Iterable[int]) -> PathKey:
@@ -23,6 +35,66 @@ def path_key(net, path: Iterable[int]) -> PathKey:
     for link_id in links:
         latency += net.link_quality(link_id).latency_ms
     return (latency, len(links), links)
+
+
+def _settle(
+    net, src: int, bw_kbps: int, exclude_links: frozenset[int]
+) -> Iterator[tuple[int, PathKey]]:
+    """Yield (node, key) for each node reachable from src as its label becomes final.
+
+    A link is feasible when its available bandwidth covers bw_kbps and it is
+    not excluded. Nodes come out in ascending key order, src first.
+    """
+    adjacency = net.adjacency
+    available_bw = net.available_bw
+    link_quality = net.link_quality
+    links_by_id = net.links
+    failed_hosts = net.failed_hosts
+    best: dict[int, PathKey] = {src: (0.0, 0, ())}
+    done: set[int] = set()
+    heap: list[tuple[float, int, tuple[int, ...], int]] = [(0.0, 0, (), src)]
+    while heap:
+        latency, hops, links, node = heappop(heap)
+        if node in done:
+            continue
+        done.add(node)
+        yield node, (latency, hops, links)
+        # Failed hosts may terminate a path but never relay one.
+        if node != src and node in failed_hosts:
+            continue
+        for link_id in adjacency(node):
+            if link_id in exclude_links or available_bw(link_id) < bw_kbps:
+                continue
+            link = links_by_id[link_id]
+            neighbor = link.b if link.a == node else link.a
+            if neighbor in done:
+                continue
+            candidate: PathKey = (
+                latency + link_quality(link_id).latency_ms,
+                hops + 1,
+                links + (link_id,),
+            )
+            if candidate < best.get(neighbor, _UNREACHED):
+                best[neighbor] = candidate
+                heappush(heap, (*candidate, neighbor))
+
+
+def shortest_path_tree(
+    net,
+    src: int,
+    bw_kbps: int,
+    exclude_links: frozenset[int] = frozenset(),
+) -> dict[int, PathKey]:
+    """Key of the minimum-latency feasible path from src to every reachable node.
+
+    Same feasibility and tie-break rules as shortest_feasible_path; src maps
+    to (0.0, 0, ()) and unreachable nodes are absent. `net` is a
+    NetworkState or a planning view of one.
+    """
+    if src not in net.nodes:
+        msg = f"unknown node in path query: {src}"
+        raise UnknownHost(msg)
+    return dict(_settle(net, src, bw_kbps, exclude_links))
 
 
 def shortest_feasible_path(
@@ -44,39 +116,9 @@ def shortest_feasible_path(
         raise UnknownHost(msg)
     if src == dst:
         return []
-
-    start: PathKey = (0.0, 0, ())
-    best: dict[int, PathKey] = {src: start}
-    done: set[int] = set()
-    heap: list[tuple[float, int, tuple[int, ...], int]] = [(*start, src)]
-    while heap:
-        latency, hops, links, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        done.add(node)
+    for node, (_, _, links) in _settle(net, src, bw_kbps, exclude_links):
         if node == dst:
             return list(links)
-        # Failed hosts may terminate a path but never relay one.
-        if node != src and node in net.failed_hosts:
-            continue
-        for link_id in net.adjacency(node):
-            if link_id in exclude_links:
-                continue
-            if net.available_bw(link_id) < bw_kbps:
-                continue
-            link = net.links[link_id]
-            neighbor = link.other(node)
-            if neighbor in done:
-                continue
-            quality = net.link_quality(link_id)
-            candidate: PathKey = (
-                latency + quality.latency_ms,
-                hops + 1,
-                links + (link_id,),
-            )
-            if candidate < best.get(neighbor, (float("inf"), 0, ())):
-                best[neighbor] = candidate
-                heapq.heappush(heap, (*candidate, neighbor))
     return None
 
 

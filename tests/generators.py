@@ -209,7 +209,7 @@ def fail_and_repair(orchestrator, host_id: int, now: int = 0) -> list:
     """Fail a host, let the controller repair, and record its actions."""
     controller = orchestrator.controller
     evicted = controller.network.fail_host(host_id)
-    actions = controller.handle_host_failure(host_id, evicted, orchestrator.db.entries)
+    actions = controller.handle_host_failure(evicted, orchestrator.db.entries)
     for action in actions:
         orchestrator.apply_action(action, now)
     return actions

@@ -21,7 +21,6 @@ from qoechain import (
     AppProfile,
     Controller,
     Ela,
-    NodeKind,
     Orchestrator,
     Rejected,
     build_network,

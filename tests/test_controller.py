@@ -448,7 +448,7 @@ def test_host_failure_handles_flows_in_id_order_until_room_runs_out():
     orch.submit_request(make_request(rid=2, ingress=3, egress=0, vnfs=("nat",)), now=0)
     evicted = net.fail_host(1)
     assert evicted == [(2, 0), (5, 0)]
-    actions = orch.controller.handle_host_failure(1, evicted, orch.db.entries)
+    actions = orch.controller.handle_host_failure(evicted, orch.db.entries)
     for action in actions:
         orch.apply_action(action, now=0)
     assert [a.flow_id for a in actions] == [2, 5]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -206,6 +208,34 @@ def test_arrival_jitter_is_reproducible_and_seed_sensitive():
     assert len(arrivals) > 1
 
 
+def test_window_exactly_at_target_counts_as_compliant():
+    # The line flow scores exactly 5.0 in every window; with the target at
+    # 5.0 each window sits at target and must count as compliant.
+    payload = _payload()
+    request = payload["workload"]["requests"][0]
+    request["ela_target"] = 5.0
+    request["holding_ms"] = 10_000
+    report = run(_doc(payload))
+    assert [row.mos for row in report.rows] == [5.0, 5.0, 5.0]
+    summary = report.flows[0]
+    assert summary.windows_observed == 3
+    assert summary.compliance == 1.0
+    assert summary.compliant is True
+
+
+def test_early_departure_of_the_last_flow_keeps_the_window_count():
+    payload = _payload()
+    first = payload["workload"]["requests"][0]
+    first["holding_ms"] = 10_000
+    payload["workload"]["requests"].append({**first, "id": 1, "holding_ms": 1500})
+    report = run(_doc(payload), strict_debug=True)
+    assert report.windows == payload["meta"]["duration_ms"] // payload["meta"]["window_ms"]
+    assert report.flows[0].windows_observed == 3
+    assert report.flows[1].windows_observed == 1
+    assert report.flows[1].final_status == "Completed"
+    assert len(report.rows) == 4
+
+
 def test_event_hook_sees_the_dispatch_order():
     names: list[str] = []
     run(_doc(_payload()), event_hook=lambda event, state: names.append(type(event).__name__))
@@ -294,3 +324,19 @@ def test_bundled_scenarios_match_golden_digests(tmp_path):
             data = (tmp_path / path.stem / artifact).read_bytes()
             produced[(path.stem, artifact)] = hashlib.sha256(data).hexdigest()
     assert produced == GOLDEN_DIGESTS
+
+
+def test_every_traced_entry_point_is_an_own_attribute():
+    # The benchmark's tracer swaps each entry point through owner.__dict__,
+    # so a name must be defined or imported right where it is listed.
+    path = Path(__file__).parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.ENTRY_POINTS
+    for name, module_name, attr_path in tracer.ENTRY_POINTS:
+        owner = importlib.import_module(module_name)
+        *parents, attr = attr_path.split(".")
+        for part in parents:
+            owner = getattr(owner, part)
+        assert attr in owner.__dict__, (name, module_name, attr_path)

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qoechain import Ela, FlowSample, QoeSample, ela_breached, ela_compliance, estimate_mos, predict_mos
-from qoechain.errors import EmptyHistory, InvalidRange
+from qoechain import Ela, FlowSample, QoeSample, ela_breached, estimate_mos, predict_mos
+from qoechain.errors import InvalidRange
 
 from generators import line_network, make_profile, make_request, small_catalog
 
@@ -111,14 +111,6 @@ def test_breach_window_of_one():
     ela = Ela(3.0, 1000, 1, 0.9)
     assert ela_breached(_history(4.0, 2.9), ela)
     assert not ela_breached(_history(2.0, 3.0), ela)
-
-
-def test_compliance_counts_at_or_above_target():
-    ela = Ela(3.0, 1000, 2, 0.9)
-    history = _history(3.0, 2.9, 5.0, 1.0)
-    assert ela_compliance(history, ela) == pytest.approx(0.5)
-    with pytest.raises(EmptyHistory):
-        ela_compliance([], ela)
 
 
 def test_predict_mos_uses_path_and_residuals():

@@ -12,8 +12,9 @@ from qoechain import (
     enumerate_simple_paths,
     shortest_feasible_path,
 )
+from qoechain.controller import ResourceView
 from qoechain.errors import InstanceTooLarge, UnknownHost
-from qoechain.routing import path_key
+from qoechain.routing import path_key, shortest_path_tree
 
 from generators import random_network, square_network
 
@@ -128,3 +129,73 @@ def test_dijkstra_agrees_with_enumeration_on_random_graphs():
         assert path_key(net, best) == keys[0]
         compared += 1
     assert compared >= 40  # most random instances must actually connect
+
+
+def _perturbed_network(rng: Random, **sizes):
+    """A random substrate with one failed host and one degraded link."""
+    net = random_network(rng, **sizes)
+    net.fail_host(rng.choice(net.host_ids()))
+    net.degrade_link(
+        rng.choice(sorted(net.links)), latency_ms=round(rng.uniform(0.5, 40.0), 1)
+    )
+    return net
+
+
+def _check_tree_against_queries(net, rng: Random, exhaustive: bool) -> int:
+    """Compare every node's tree entry with a per-target query; count answers."""
+    bw = rng.randint(1, 9) * 1000
+    exclude = frozenset(rng.sample(sorted(net.links), rng.randint(0, 2)))
+    answered = 0
+    for src in sorted(net.nodes):
+        tree = shortest_path_tree(net, src, bw, exclude)
+        assert tree[src] == (0.0, 0, ())
+        assert set(tree) <= set(net.nodes)
+        for node in sorted(net.nodes):
+            if node == src:
+                continue
+            path = shortest_feasible_path(net, src, node, bw, exclude)
+            if path is None:
+                assert node not in tree
+            else:
+                assert tree[node] == path_key(net, path)
+                answered += 1
+            if exhaustive:
+                everything = enumerate_simple_paths(
+                    net, src, node, bw, exclude, max_paths=5000
+                )
+                keys = [path_key(net, each) for each in everything]
+                assert tree.get(node) == (min(keys) if keys else None)
+    return answered
+
+
+def test_tree_matches_every_per_target_query_and_the_enumeration():
+    rng = Random(0x7EE)
+    answered = 0
+    for _ in range(60):
+        net = _perturbed_network(
+            rng, n_endpoints=2, n_hosts=3, n_switches=1, extra_links=3
+        )
+        answered += _check_tree_against_queries(net, rng, exhaustive=True)
+    for _ in range(20):
+        net = _perturbed_network(
+            rng, n_endpoints=3, n_hosts=6, n_switches=3, extra_links=8
+        )
+        answered += _check_tree_against_queries(net, rng, exhaustive=False)
+    assert answered >= 2000  # most queries must actually find a path
+
+
+def test_tree_on_a_planning_view_reads_its_bandwidth_deltas():
+    rng = Random(0xB0B)
+    for _ in range(20):
+        net = _perturbed_network(rng, n_hosts=4, n_switches=2, extra_links=5)
+        view = ResourceView(net)
+        for link_id in rng.sample(sorted(net.links), 3):
+            view.add_bw(link_id, -rng.randint(1, 6) * 1000)
+        _check_tree_against_queries(view, rng, exhaustive=False)
+
+
+def test_tree_of_an_unknown_source_raises():
+    net = _parallel_pair()
+    with pytest.raises(UnknownHost):
+        shortest_path_tree(net, 9, 1000)
+    assert shortest_path_tree(net, 0, 6000) == {0: (0.0, 0, ()), 1: (10.0, 1, (2,))}

@@ -4,7 +4,6 @@ import pytest
 
 from qoechain import (
     AppProfile,
-    ChainRequest,
     ForwardingGraph,
     LinkSpec,
     NodeKind,
