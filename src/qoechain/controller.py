@@ -29,7 +29,15 @@ from .errors import (
     UnknownFlow,
 )
 from .network import NetworkState, PlacementRecord
-from .qoe import Ela, FlowSample, QoeSample, ela_breached, estimate_mos, predict_mos
+from .qoe import (
+    Ela,
+    FlowSample,
+    QoeSample,
+    check_stall_ratio,
+    ela_breached,
+    estimate_mos,
+    predict_mos,
+)
 from .routing import (
     enumerate_simple_paths,
     path_key,
@@ -64,9 +72,11 @@ class PolicyConfig:
 
     def __post_init__(self):
         if not 0 < self.predictor_alpha <= 1:
-            raise InvalidRange("predictor_alpha must be in (0, 1]")
+            msg = "predictor_alpha must be in (0, 1]"
+            raise InvalidRange(msg, field="predictor_alpha")
         if self.max_reroute_attempts < 1:
-            raise InvalidRange("max_reroute_attempts must be at least 1")
+            msg = "max_reroute_attempts must be at least 1"
+            raise InvalidRange(msg, field="max_reroute_attempts")
 
 
 @dataclass(frozen=True)
@@ -492,8 +502,7 @@ class Controller:
 
     def set_stall(self, flow_id: int, stall_ratio: float) -> None:
         """Set a flow's stall level; it persists until the next injection."""
-        if not 0 <= stall_ratio <= 1:
-            raise InvalidRange("stall_ratio must be within [0, 1]")
+        check_stall_ratio(stall_ratio)
         self.stall_levels[flow_id] = stall_ratio
 
     # -- self-healing -------------------------------------------------------------

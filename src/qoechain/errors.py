@@ -14,19 +14,23 @@ class InvariantViolation(SimulatorError):
 # -- network model ----------------------------------------------------------
 
 
+class InvalidRange(SimulatorError):
+    """A value breaks its rule; field names the one attribute at fault, if any."""
+
+    def __init__(self, message: str = "", field: str | None = None):
+        self.field = field
+        super().__init__(message)
+
+
 class DuplicateId(SimulatorError):
     pass
 
 
-class DanglingEndpoint(SimulatorError):
+class DanglingEndpoint(InvalidRange):
     pass
 
 
-class NegativeCapacity(SimulatorError):
-    pass
-
-
-class InvalidRange(SimulatorError):
+class NegativeCapacity(InvalidRange):
     pass
 
 
@@ -71,7 +75,7 @@ class UnknownProfile(SimulatorError):
     pass
 
 
-class InvalidProfile(SimulatorError):
+class InvalidProfile(InvalidRange):
     pass
 
 

@@ -47,7 +47,7 @@ class NodeSpec:
     def __post_init__(self):
         if self.id < 0:
             msg = f"node id must be non-negative, got {self.id}"
-            raise InvalidRange(msg)
+            raise InvalidRange(msg, field="id")
         if self.cpu_capacity < 0 or self.mem_capacity < 0:
             msg = f"node {self.id}: capacities must be non-negative"
             raise NegativeCapacity(msg)
@@ -74,19 +74,14 @@ class LinkSpec:
     def __post_init__(self):
         if self.id < 0:
             msg = f"link id must be non-negative, got {self.id}"
-            raise InvalidRange(msg)
+            raise InvalidRange(msg, field="id")
         if self.a == self.b:
             msg = f"link {self.id}: self-loops are not allowed"
             raise DanglingEndpoint(msg)
         if self.bandwidth_kbps <= 0:
-            msg = f"link {self.id}: bandwidth must be positive"
-            raise NegativeCapacity(msg)
-        if self.latency_ms < 0 or self.jitter_ms < 0:
-            msg = f"link {self.id}: latency and jitter must be non-negative"
-            raise InvalidRange(msg)
-        if not 0 <= self.loss_pct <= 100:
-            msg = f"link {self.id}: loss must be within [0, 100]"
-            raise InvalidRange(msg)
+            msg = f"link {self.id}: bandwidth must be at least 0.001 Mbps"
+            raise NegativeCapacity(msg, field="bandwidth_kbps")
+        check_link_quality(self.id, self.latency_ms, self.jitter_ms, self.loss_pct)
 
     def other(self, node_id: int) -> int:
         if node_id == self.a:
@@ -95,6 +90,24 @@ class LinkSpec:
             return self.a
         msg = f"node {node_id} is not an endpoint of link {self.id}"
         raise DanglingEndpoint(msg)
+
+
+def check_link_quality(
+    link_id: int, latency_ms: float = 0.0, jitter_ms: float = 0.0, loss_pct: float = 0.0
+) -> None:
+    """The rule on link quality figures, for base values and overrides alike.
+
+    Latency and jitter are non-negative and loss is a percentage. A figure
+    left at its default is one the caller does not set. A bad latency or
+    jitter names no field: a link's diagnostic for it is at the link.
+    """
+    if latency_ms < 0:
+        raise InvalidRange(f"link {link_id}: latency must be non-negative")
+    if jitter_ms < 0:
+        raise InvalidRange(f"link {link_id}: jitter must be non-negative")
+    if not 0 <= loss_pct <= 100:
+        msg = f"link {link_id}: loss must be within [0, 100]"
+        raise InvalidRange(msg, field="loss_pct")
 
 
 @dataclass(frozen=True)
@@ -374,12 +387,7 @@ class NetworkState:
         latency = current.latency_ms if latency_ms is None else latency_ms
         jitter = current.jitter_ms if jitter_ms is None else jitter_ms
         loss = current.loss_pct if loss_pct is None else loss_pct
-        if latency < 0 or jitter < 0:
-            msg = f"link {link_id}: latency and jitter must be non-negative"
-            raise InvalidRange(msg)
-        if not 0 <= loss <= 100:
-            msg = f"link {link_id}: loss must be within [0, 100]"
-            raise InvalidRange(msg)
+        check_link_quality(link_id, latency, jitter, loss)
         self.overrides[link_id] = LinkQuality(latency, jitter, loss)
 
     # -- helpers -------------------------------------------------------------

@@ -19,6 +19,12 @@ if TYPE_CHECKING:
     from .service import ServiceCatalog
 
 
+def check_stall_ratio(stall_ratio: float) -> None:
+    """A stall ratio is the share of a window a flow spends stalled."""
+    if not 0 <= stall_ratio <= 1:
+        raise InvalidRange("stall_ratio must be within [0, 1]", field="stall_ratio")
+
+
 @dataclass(frozen=True)
 class FlowSample:
     """One measurement window's raw figures for a flow."""
@@ -37,8 +43,7 @@ class FlowSample:
         for field_name in ("throughput_mbps", "delay_ms", "jitter_ms", "loss_pct"):
             if getattr(self, field_name) < 0:
                 raise InvalidRange(f"{field_name} must be non-negative")
-        if not 0 <= self.stall_ratio <= 1:
-            raise InvalidRange("stall_ratio must be within [0, 1]")
+        check_stall_ratio(self.stall_ratio)
 
 
 @dataclass(frozen=True)
@@ -73,13 +78,15 @@ class Ela:
 
     def __post_init__(self):
         if not 1.0 <= self.target_mos <= 5.0:
-            raise InvalidRange("target_mos must be within [1, 5]")
+            raise InvalidRange("target_mos must be within [1, 5]", field="target_mos")
         if self.window_ms <= 0:
-            raise InvalidRange("window_ms must be positive")
+            raise InvalidRange("window_ms must be positive", field="window_ms")
         if self.breach_windows < 1:
-            raise InvalidRange("breach_windows must be at least 1")
+            msg = "breach_windows must be at least 1"
+            raise InvalidRange(msg, field="breach_windows")
         if not 0 <= self.compliance_budget <= 1:
-            raise InvalidRange("compliance_budget must be within [0, 1]")
+            msg = "compliance_budget must be within [0, 1]"
+            raise InvalidRange(msg, field="compliance_budget")
 
 
 def _clamp01(value: float) -> float:

@@ -4,20 +4,28 @@ Parsing is strict: unknown keys, bad types and broken cross-references all
 become diagnostics that carry the JSON location (network.links[2].loss_pct)
 so a scenario author can fix the file without reading this code. A valid
 document round-trips: parse(serialize(parse(text))) equals parse(text).
+
+Each record kind has one field table from JSON keys to dataclass attributes.
+The parser builds each record by its table and diagnoses what the record's
+validator raises, so each value rule lives only in the dataclass; the
+serializer writes by the same tables. Only what no single record can know
+is checked here: the meta rules, references between records and node
+kinds, and times within the duration.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from .controller import PolicyConfig
-from .errors import IoFailure
-from .network import LinkSpec, NodeSpec, NodeKind
-from .qoe import Ela
+from .errors import InvalidRange, IoFailure
+from .network import LinkSpec, NodeKind, NodeSpec, check_link_quality
+from .qoe import Ela, check_stall_ratio
 from .service import AppProfile, ChainRequest, VnfType
-from .units import KBPS_PER_MBPS, kbps_to_mbps
+from .units import KBPS_PER_MBPS, kbps_to_mbps, mbps_to_kbps
 
 _MAX_SEED = (1 << 64) - 1
 
@@ -28,10 +36,18 @@ class Diagnostic:
     message: str
 
 
+def _check_time(time_ms: int) -> None:
+    if time_ms < 0:
+        raise InvalidRange("time_ms must be non-negative", field="time_ms")
+
+
 @dataclass(frozen=True)
 class HostFailureSpec:
     time_ms: int
     host: int
+
+    def __post_init__(self):
+        _check_time(self.time_ms)
 
 
 @dataclass(frozen=True)
@@ -42,12 +58,29 @@ class LinkDegradationSpec:
     jitter_ms: float | None = None
     loss_pct: float | None = None
 
+    def __post_init__(self):
+        _check_time(self.time_ms)
+        figures = ("latency_ms", "jitter_ms", "loss_pct")
+        given = [name for name in figures if getattr(self, name) is not None]
+        if not given:
+            raise InvalidRange("degradation changes nothing")
+        for name in given:
+            try:
+                check_link_quality(self.link, **{name: getattr(self, name)})
+            except InvalidRange as exc:
+                # A degradation sets its figures one by one, so a bad one is its own fault.
+                raise InvalidRange(str(exc), field=name) from None
+
 
 @dataclass(frozen=True)
 class StallInjectionSpec:
     time_ms: int
     flow: int
     stall_ratio: float
+
+    def __post_init__(self):
+        _check_time(self.time_ms)
+        check_stall_ratio(self.stall_ratio)
 
 
 @dataclass(frozen=True)
@@ -69,50 +102,173 @@ class ScenarioDoc:
     stall_injections: tuple[StallInjectionSpec, ...]
 
 
-class _Ctx:
-    def __init__(self):
-        self.diagnostics: list[Diagnostic] = []
+# -- field tables ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Field:
+    """One JSON key of a record and the attribute it fills.
+
+    kind is the JSON type: int, number (finite, read as float), str or list.
+    default stands in for an absent optional key. convert is a (load, dump)
+    pair; load raises ValueError with the diagnostic message. unique is the
+    message for a value an earlier item of the list holds. items is the
+    table of a list's records. A None attribute is not serialized.
+    """
+
+    key: str
+    attr: str
+    kind: str
+    required: bool = True
+    default: Any = None
+    convert: tuple[Callable[[Any], Any], Callable[[Any], Any]] | None = None
+    unique: str | None = None
+    items: _Table | None = None
+
+
+@dataclass(frozen=True)
+class _Table:
+    cls: type
+    rows: tuple[_Field, ...]
+
+
+# The JSON types each kind accepts: json.loads gives exact types, and a bool
+# is not an int here.
+_JSON_TYPES = {"int": (int,), "number": (int, float), "str": (str,), "list": (list,)}
+
+
+def _load_kbps(mbps: float) -> int:
+    try:
+        kbps = mbps_to_kbps(mbps)
+    except OverflowError:
+        raise ValueError("too large to convert to kbps") from None
+    if abs(mbps * KBPS_PER_MBPS - kbps) > 1e-6:
+        raise ValueError("resolution is 0.001 Mbps")
+    return kbps
+
+
+def _load_node_kind(value: str) -> NodeKind:
+    try:
+        return NodeKind(value)
+    except ValueError:
+        raise ValueError("must be host, switch or endpoint") from None
+
+
+_NODE = _Table(NodeSpec, (
+    _Field("id", "id", "int", unique="duplicate node id {!r}"),
+    _Field("kind", "kind", "str", convert=(_load_node_kind, lambda kind: kind.value)),
+    _Field("cpu_capacity", "cpu_capacity", "int", required=False, default=0),
+    _Field("mem_capacity", "mem_capacity", "int", required=False, default=0),
+))
+_LINK = _Table(LinkSpec, (
+    _Field("id", "id", "int", unique="duplicate link id {!r}"),
+    _Field("a", "a", "int"),
+    _Field("b", "b", "int"),
+    _Field("bandwidth_mbps", "bandwidth_kbps", "number", convert=(_load_kbps, kbps_to_mbps)),
+    _Field("latency_ms", "latency_ms", "number"),
+    _Field("jitter_ms", "jitter_ms", "number", required=False, default=0.0),
+    _Field("loss_pct", "loss_pct", "number", required=False, default=0.0),
+))
+_VNF_TYPE = _Table(VnfType, (
+    _Field("name", "name", "str", unique="duplicate vnf type {!r}"),
+    _Field("cpu_demand", "cpu_demand", "int"),
+    _Field("mem_demand", "mem_demand", "int"),
+    _Field("proc_latency_ms", "proc_latency_ms", "number"),
+))
+_PROFILE = _Table(AppProfile, (
+    _Field("name", "name", "str", unique="duplicate profile {!r}"),
+    _Field("bw_mbps", "bw_req_mbps", "number"),
+    _Field("delay_opt_ms", "delay_opt_ms", "number"),
+    _Field("delay_max_ms", "delay_max_ms", "number"),
+    _Field("loss_max_pct", "loss_max_pct", "number"),
+    _Field("stall_max", "stall_max", "number"),
+))
+# window_ms comes from meta; the parser supplies it.
+_ELA = _Table(Ela, (
+    _Field("target_mos", "target_mos", "number"),
+    _Field("breach_windows", "breach_windows", "int"),
+    _Field("compliance_budget", "compliance_budget", "number"),
+))
+_POLICY = _Table(PolicyConfig, (
+    _Field("predictor_alpha", "predictor_alpha", "number", required=False, default=0.3),
+    _Field("max_reroute_attempts", "max_reroute_attempts", "int", required=False, default=2),
+))
+# An absent ela_target is the ELA's target_mos; the parser supplies it.
+_REQUEST = _Table(ChainRequest, (
+    _Field("id", "id", "int", unique="duplicate request id {!r}"),
+    _Field("ingress", "ingress", "int"),
+    _Field("egress", "egress", "int"),
+    _Field("vnfs", "vnf_sequence", "list", required=False, default=(), convert=(tuple, list)),
+    _Field("profile", "profile", "str"),
+    _Field("ela_target", "ela_target", "number", required=False),
+    _Field("arrival_ms", "arrival_ms", "int"),
+    _Field("holding_ms", "holding_ms", "int"),
+))
+_HOST_FAILURE = _Table(HostFailureSpec, (
+    _Field("time_ms", "time_ms", "int"),
+    _Field("host", "host", "int", unique="host {!r} fails more than once"),
+))
+_LINK_DEGRADATION = _Table(LinkDegradationSpec, (
+    _Field("time_ms", "time_ms", "int"),
+    _Field("link", "link", "int"),
+    _Field("latency_ms", "latency_ms", "number", required=False),
+    _Field("jitter_ms", "jitter_ms", "number", required=False),
+    _Field("loss_pct", "loss_pct", "number", required=False),
+))
+_STALL_INJECTION = _Table(StallInjectionSpec, (
+    _Field("time_ms", "time_ms", "int"),
+    _Field("flow", "flow", "int"),
+    _Field("stall_ratio", "stall_ratio", "number"),
+))
+
+
+def _records(key: str, attr: str, table: _Table, required: bool = False) -> _Field:
+    """The row of a section's list of records."""
+    return _Field(key, attr, "list", required, default=(), items=table)
+
+
+# Sections in document order, key -> (required, rows, the ScenarioDoc attribute
+# holding the section's record, or None when its fields sit on ScenarioDoc).
+_SECTIONS = {
+    "meta": (True, (
+        _Field("name", "name", "str", default=""),
+        _Field("seed", "seed", "int", default=0),
+        _Field("duration_ms", "duration_ms", "int", default=0),
+        _Field("window_ms", "window_ms", "int", default=1),
+    ), None),
+    "network": (True, (
+        _records("nodes", "nodes", _NODE, required=True),
+        _records("links", "links", _LINK, required=True),
+    ), None),
+    "catalog": (False, (_records("vnf_types", "vnf_types", _VNF_TYPE),), None),
+    "profiles": (False, (_records("app_profiles", "profiles", _PROFILE),), None),
+    "ela": (True, _ELA.rows, "ela"),
+    "policy": (False, _POLICY.rows, "policy"),
+    "workload": (True, (
+        _Field("arrival_jitter_ms", "arrival_jitter_ms", "int", required=False, default=0),
+        _records("requests", "requests", _REQUEST, required=True),
+    ), None),
+    "faults": (False, (
+        _records("host_failures", "host_failures", _HOST_FAILURE),
+        _records("link_degradations", "link_degradations", _LINK_DEGRADATION),
+        _records("stall_injections", "stall_injections", _STALL_INJECTION),
+    ), None),
+}
+
+
+# -- reading ---------------------------------------------------------------------
+
+
+class _Ctx(list):
+    """The diagnostics of one parse, in the order found."""
 
     def error(self, path: str, message: str) -> None:
-        self.diagnostics.append(Diagnostic(path, message))
+        self.append(Diagnostic(path, message))
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _take(ctx: _Ctx, obj: dict, path: str, key: str, kind: str, required: bool = True, default: Any = None) -> Any:
-    """Pop one typed field from obj; diagnose and return default on trouble."""
-    if key not in obj:
-        if required:
-            ctx.error(f"{path}.{key}", "missing required key")
-        return default
-    value = obj.pop(key)
-    ok = {
-        "int": _is_int,
-        "number": _is_number,
-        "str": lambda v: isinstance(v, str),
-        "list": lambda v: isinstance(v, list),
-        "obj": lambda v: isinstance(v, dict),
-    }[kind](value)
-    if not ok:
-        ctx.error(f"{path}.{key}", f"expected {kind}")
-        return default
-    return value
-
-
-def _reject_unknown(ctx: _Ctx, obj: dict, path: str) -> None:
-    for key in sorted(obj):
-        ctx.error(f"{path}.{key}", "unknown key")
-
-
-def _section(ctx: _Ctx, doc: dict, key: str, required: bool) -> dict:
+def _section(ctx: _Ctx, doc: dict, key: str) -> dict:
     if key not in doc:
-        if required:
+        if _SECTIONS[key][0]:
             ctx.error(key, "missing required section")
         return {}
     value = doc.pop(key)
@@ -122,438 +278,96 @@ def _section(ctx: _Ctx, doc: dict, key: str, required: bool) -> dict:
     return value
 
 
-def _parse_meta(ctx: _Ctx, doc: dict) -> dict:
-    meta = _section(ctx, doc, "meta", required=True)
-    name = _take(ctx, meta, "meta", "name", "str", default="")
-    seed = _take(ctx, meta, "meta", "seed", "int", default=0)
-    duration = _take(ctx, meta, "meta", "duration_ms", "int", default=0)
-    window = _take(ctx, meta, "meta", "window_ms", "int", default=1)
-    _reject_unknown(ctx, meta, "meta")
-    if seed is not None and not 0 <= seed <= _MAX_SEED:
-        ctx.error("meta.seed", "must fit in an unsigned 64-bit integer")
-        seed = 0
-    if duration < 0:
-        ctx.error("meta.duration_ms", "must be non-negative")
-        duration = 0
-    if window <= 0:
-        ctx.error("meta.window_ms", "must be positive")
-        window = 1
-    if duration % window != 0:
-        ctx.error("meta.duration_ms", "must be a multiple of window_ms")
-        duration -= duration % window
-    return {"name": name, "seed": seed, "duration_ms": duration, "window_ms": window}
+def _read(ctx: _Ctx, obj: dict, path: str, rows: tuple[_Field, ...], values: dict) -> dict:
+    """Fill values from one JSON object by its rows, popping what it reads.
 
-
-def _parse_nodes(ctx: _Ctx, items: list, path: str) -> list[NodeSpec]:
-    nodes: list[NodeSpec] = []
-    seen: set[int] = set()
-    for index, raw in enumerate(items):
-        item_path = f"{path}[{index}]"
-        if not isinstance(raw, dict):
-            ctx.error(item_path, "expected object")
+    A missing, mistyped or unconvertible key is diagnosed and the row's
+    default stands in; an absent key keeps a value that values arrived with.
+    Leftover keys are diagnosed as unknown.
+    """
+    for row in rows:
+        if row.key not in obj:
+            if row.required:
+                ctx.error(f"{path}.{row.key}", "missing required key")
+            values.setdefault(row.attr, row.default)
             continue
-        obj = dict(raw)
-        node_id = _take(ctx, obj, item_path, "id", "int")
-        kind_str = _take(ctx, obj, item_path, "kind", "str", default="")
-        cpu = _take(ctx, obj, item_path, "cpu_capacity", "int", required=False, default=0)
-        mem = _take(ctx, obj, item_path, "mem_capacity", "int", required=False, default=0)
-        _reject_unknown(ctx, obj, item_path)
-        if node_id is None:
-            continue
-        if node_id < 0:
-            ctx.error(f"{item_path}.id", "must be non-negative")
-            continue
-        if node_id in seen:
-            ctx.error(f"{item_path}.id", f"duplicate node id {node_id}")
-            continue
+        value = obj.pop(row.key)
         try:
-            kind = NodeKind(kind_str)
-        except ValueError:
-            ctx.error(f"{item_path}.kind", "must be host, switch or endpoint")
-            continue
-        if cpu < 0 or mem < 0:
-            ctx.error(item_path, "capacities must be non-negative")
-            continue
-        if kind is not NodeKind.HOST and (cpu or mem):
-            ctx.error(item_path, "only hosts may have cpu/mem capacity")
-            continue
-        seen.add(node_id)
-        nodes.append(NodeSpec(node_id, kind, cpu, mem))
-    return nodes
+            if type(value) not in _JSON_TYPES[row.kind]:
+                raise ValueError(f"expected {row.kind}")
+            # float() overflows on an integer beyond the float range.
+            if row.kind == "number" and not math.isfinite(value := float(value)):
+                raise ValueError("expected finite number")
+            if row.convert is not None:
+                value = row.convert[0](value)
+        except (ValueError, OverflowError) as exc:
+            ctx.error(f"{path}.{row.key}", str(exc))
+            value = row.default
+        values[row.attr] = value
+    if obj:
+        for key in sorted(obj):
+            ctx.error(f"{path}.{key}", "unknown key")
+    return values
 
 
-def _parse_links(ctx: _Ctx, items: list, path: str, node_ids: set[int]) -> list[LinkSpec]:
-    links: list[LinkSpec] = []
-    seen: set[int] = set()
-    for index, raw in enumerate(items):
+def _record(ctx: _Ctx, obj: dict, path: str, table: _Table, base: dict) -> Any:
+    """The record one JSON object describes, or None once it is diagnosed.
+
+    A value rule the record's validator raises is diagnosed at the key of
+    the attribute it names, or at path when it names none.
+    """
+    before = len(ctx)
+    values = _read(ctx, obj, path, table.rows, dict(base))
+    if len(ctx) > before:
+        return None
+    try:
+        return table.cls(**values)
+    except InvalidRange as exc:
+        key = next((row.key for row in table.rows if row.attr == exc.field), None)
+        ctx.error(path if key is None else f"{path}.{key}", str(exc))
+        return None
+
+
+def _items(ctx: _Ctx, raw: list, path: str, table: _Table, base: dict) -> dict[str, Any]:
+    """{item path: record} for each item of a JSON list that reads and builds."""
+    built: dict[str, Any] = {}
+    unique_row = next((row for row in table.rows if row.unique), None)
+    seen: set = set()
+    for index, item in enumerate(raw):
         item_path = f"{path}[{index}]"
-        if not isinstance(raw, dict):
+        if type(item) is not dict:
             ctx.error(item_path, "expected object")
             continue
-        obj = dict(raw)
-        link_id = _take(ctx, obj, item_path, "id", "int")
-        a = _take(ctx, obj, item_path, "a", "int")
-        b = _take(ctx, obj, item_path, "b", "int")
-        bw = _take(ctx, obj, item_path, "bandwidth_mbps", "number")
-        latency = _take(ctx, obj, item_path, "latency_ms", "number")
-        jitter = _take(ctx, obj, item_path, "jitter_ms", "number", required=False, default=0.0)
-        loss = _take(ctx, obj, item_path, "loss_pct", "number", required=False, default=0.0)
-        _reject_unknown(ctx, obj, item_path)
-        if None in (link_id, a, b, bw, latency):
+        record = _record(ctx, item, item_path, table, base)
+        if record is None:
             continue
-        bad = False
-        if link_id < 0:
-            ctx.error(f"{item_path}.id", "must be non-negative")
-            bad = True
-        elif link_id in seen:
-            ctx.error(f"{item_path}.id", f"duplicate link id {link_id}")
-            bad = True
-        if a not in node_ids:
-            ctx.error(f"{item_path}.a", f"unknown node {a}")
-            bad = True
-        if b not in node_ids:
-            ctx.error(f"{item_path}.b", f"unknown node {b}")
-            bad = True
-        if a == b:
-            ctx.error(item_path, "self-loops are not allowed")
-            bad = True
-        kbps = round(bw * KBPS_PER_MBPS)
-        if bw <= 0 or kbps < 1:
-            ctx.error(f"{item_path}.bandwidth_mbps", "must be at least 0.001")
-            bad = True
-        elif abs(bw * KBPS_PER_MBPS - kbps) > 1e-6:
-            ctx.error(f"{item_path}.bandwidth_mbps", "resolution is 0.001 Mbps")
-            bad = True
-        if latency < 0 or jitter < 0:
-            ctx.error(item_path, "latency and jitter must be non-negative")
-            bad = True
-        if not 0 <= loss <= 100:
-            ctx.error(f"{item_path}.loss_pct", "must be within [0, 100]")
-            bad = True
-        if bad:
-            continue
-        seen.add(link_id)
-        links.append(LinkSpec(link_id, a, b, kbps, float(latency), float(jitter), float(loss)))
-    return links
+        if unique_row is not None:
+            value = getattr(record, unique_row.attr)
+            if value in seen:
+                ctx.error(f"{item_path}.{unique_row.key}", unique_row.unique.format(value))
+                continue
+            seen.add(value)
+        built[item_path] = record
+    return built
 
 
-def _parse_catalog(ctx: _Ctx, doc: dict) -> list[VnfType]:
-    catalog = _section(ctx, doc, "catalog", required=False)
-    items = _take(ctx, catalog, "catalog", "vnf_types", "list", required=False, default=[])
-    _reject_unknown(ctx, catalog, "catalog")
-    vnf_types: list[VnfType] = []
-    seen: set[str] = set()
-    for index, raw in enumerate(items):
-        item_path = f"catalog.vnf_types[{index}]"
-        if not isinstance(raw, dict):
-            ctx.error(item_path, "expected object")
-            continue
-        obj = dict(raw)
-        name = _take(ctx, obj, item_path, "name", "str", default="")
-        cpu = _take(ctx, obj, item_path, "cpu_demand", "int")
-        mem = _take(ctx, obj, item_path, "mem_demand", "int")
-        proc = _take(ctx, obj, item_path, "proc_latency_ms", "number")
-        _reject_unknown(ctx, obj, item_path)
-        if not name or None in (cpu, mem, proc):
-            if not name:
-                ctx.error(f"{item_path}.name", "must be non-empty")
-            continue
-        if name in seen:
-            ctx.error(f"{item_path}.name", f"duplicate vnf type {name!r}")
-            continue
-        if cpu < 0 or mem < 0 or proc < 0:
-            ctx.error(item_path, "demands and proc latency must be non-negative")
-            continue
-        seen.add(name)
-        vnf_types.append(VnfType(name, cpu, mem, float(proc)))
-    return vnf_types
+def _read_section(ctx: _Ctx, doc: dict, key: str, base: dict | None = None) -> dict:
+    """Read one section; a list becomes {item path: record}, base filling its items."""
+    rows = _SECTIONS[key][1]
+    values = _read(ctx, _section(ctx, doc, key), key, rows, {})
+    for row in rows:
+        if row.items is not None:
+            path = f"{key}.{row.key}"
+            values[row.attr] = _items(ctx, values[row.attr], path, row.items, base or {})
+    return values
 
 
-def _parse_profiles(ctx: _Ctx, doc: dict) -> list[AppProfile]:
-    section = _section(ctx, doc, "profiles", required=False)
-    items = _take(ctx, section, "profiles", "app_profiles", "list", required=False, default=[])
-    _reject_unknown(ctx, section, "profiles")
-    profiles: list[AppProfile] = []
-    seen: set[str] = set()
-    for index, raw in enumerate(items):
-        item_path = f"profiles.app_profiles[{index}]"
-        if not isinstance(raw, dict):
-            ctx.error(item_path, "expected object")
-            continue
-        obj = dict(raw)
-        name = _take(ctx, obj, item_path, "name", "str", default="")
-        bw = _take(ctx, obj, item_path, "bw_mbps", "number")
-        delay_opt = _take(ctx, obj, item_path, "delay_opt_ms", "number")
-        delay_max = _take(ctx, obj, item_path, "delay_max_ms", "number")
-        loss_max = _take(ctx, obj, item_path, "loss_max_pct", "number")
-        stall_max = _take(ctx, obj, item_path, "stall_max", "number")
-        _reject_unknown(ctx, obj, item_path)
-        if not name:
-            ctx.error(f"{item_path}.name", "must be non-empty")
-            continue
-        if None in (bw, delay_opt, delay_max, loss_max, stall_max):
-            continue
-        if name in seen:
-            ctx.error(f"{item_path}.name", f"duplicate profile {name!r}")
-            continue
-        bad = False
-        if bw <= 0:
-            ctx.error(f"{item_path}.bw_mbps", "must be positive")
-            bad = True
-        if delay_opt < 0 or delay_max <= delay_opt:
-            ctx.error(item_path, "need 0 <= delay_opt_ms < delay_max_ms")
-            bad = True
-        if not 0 < loss_max <= 100:
-            ctx.error(f"{item_path}.loss_max_pct", "must be in (0, 100]")
-            bad = True
-        if not 0 < stall_max <= 1:
-            ctx.error(f"{item_path}.stall_max", "must be in (0, 1]")
-            bad = True
-        if bad:
-            continue
-        seen.add(name)
-        profiles.append(
-            AppProfile(name, float(bw), float(delay_opt), float(delay_max), float(loss_max), float(stall_max))
-        )
-    return profiles
-
-
-def _parse_ela(ctx: _Ctx, doc: dict, window_ms: int) -> Ela:
-    section = _section(ctx, doc, "ela", required=True)
-    target = _take(ctx, section, "ela", "target_mos", "number", default=3.0)
-    breach = _take(ctx, section, "ela", "breach_windows", "int", default=1)
-    budget = _take(ctx, section, "ela", "compliance_budget", "number", default=1.0)
-    _reject_unknown(ctx, section, "ela")
-    if not 1.0 <= target <= 5.0:
-        ctx.error("ela.target_mos", "must be within [1, 5]")
-        target = 3.0
-    if breach < 1:
-        ctx.error("ela.breach_windows", "must be at least 1")
-        breach = 1
-    if not 0 <= budget <= 1:
-        ctx.error("ela.compliance_budget", "must be within [0, 1]")
-        budget = 1.0
-    return Ela(float(target), window_ms, breach, float(budget))
-
-
-def _parse_policy(ctx: _Ctx, doc: dict) -> PolicyConfig:
-    section = _section(ctx, doc, "policy", required=False)
-    alpha = _take(ctx, section, "policy", "predictor_alpha", "number", required=False, default=0.3)
-    attempts = _take(ctx, section, "policy", "max_reroute_attempts", "int", required=False, default=2)
-    _reject_unknown(ctx, section, "policy")
-    if not 0 < alpha <= 1:
-        ctx.error("policy.predictor_alpha", "must be in (0, 1]")
-        alpha = 0.3
-    if attempts < 1:
-        ctx.error("policy.max_reroute_attempts", "must be at least 1")
-        attempts = 2
-    return PolicyConfig(float(alpha), attempts)
-
-
-def _parse_workload(
-    ctx: _Ctx,
-    doc: dict,
-    nodes: dict[int, NodeSpec],
-    vnf_names: set[str],
-    profile_names: set[str],
-    default_target: float,
-    duration_ms: int,
-) -> tuple[int, list[ChainRequest]]:
-    section = _section(ctx, doc, "workload", required=True)
-    jitter = _take(ctx, section, "workload", "arrival_jitter_ms", "int", required=False, default=0)
-    items = _take(ctx, section, "workload", "requests", "list", default=[])
-    _reject_unknown(ctx, section, "workload")
-    if jitter < 0:
-        ctx.error("workload.arrival_jitter_ms", "must be non-negative")
-        jitter = 0
-    requests: list[ChainRequest] = []
-    seen: set[int] = set()
-    for index, raw in enumerate(items or []):
-        item_path = f"workload.requests[{index}]"
-        if not isinstance(raw, dict):
-            ctx.error(item_path, "expected object")
-            continue
-        obj = dict(raw)
-        request_id = _take(ctx, obj, item_path, "id", "int")
-        ingress = _take(ctx, obj, item_path, "ingress", "int")
-        egress = _take(ctx, obj, item_path, "egress", "int")
-        vnfs = _take(ctx, obj, item_path, "vnfs", "list", required=False, default=[])
-        profile = _take(ctx, obj, item_path, "profile", "str", default="")
-        target = _take(ctx, obj, item_path, "ela_target", "number", required=False, default=default_target)
-        arrival = _take(ctx, obj, item_path, "arrival_ms", "int")
-        holding = _take(ctx, obj, item_path, "holding_ms", "int")
-        _reject_unknown(ctx, obj, item_path)
-        if None in (request_id, ingress, egress, arrival, holding):
-            continue
-        bad = False
-        if request_id < 0:
-            ctx.error(f"{item_path}.id", "must be non-negative")
-            bad = True
-        elif request_id in seen:
-            ctx.error(f"{item_path}.id", f"duplicate request id {request_id}")
-            bad = True
-        for key, node_id in (("ingress", ingress), ("egress", egress)):
-            node = nodes.get(node_id)
-            if node is None:
-                ctx.error(f"{item_path}.{key}", f"unknown node {node_id}")
-                bad = True
-            elif node.kind is not NodeKind.ENDPOINT:
-                ctx.error(f"{item_path}.{key}", f"node {node_id} is not an endpoint")
-                bad = True
-        if ingress == egress:
-            ctx.error(item_path, "ingress and egress must differ")
-            bad = True
-        names: list[str] = []
-        for vnf_index, name in enumerate(vnfs):
-            if not isinstance(name, str) or name not in vnf_names:
-                ctx.error(f"{item_path}.vnfs[{vnf_index}]", f"unknown vnf type {name!r}")
-                bad = True
-            else:
-                names.append(name)
-        if profile not in profile_names:
-            ctx.error(f"{item_path}.profile", f"unknown profile {profile!r}")
-            bad = True
-        if not 1.0 <= target <= 5.0:
-            ctx.error(f"{item_path}.ela_target", "must be within [1, 5]")
-            bad = True
-        if arrival < 0 or arrival > duration_ms:
-            ctx.error(f"{item_path}.arrival_ms", "must be within [0, duration_ms]")
-            bad = True
-        if holding <= 0:
-            ctx.error(f"{item_path}.holding_ms", "must be positive")
-            bad = True
-        if bad:
-            continue
-        seen.add(request_id)
-        requests.append(
-            ChainRequest(
-                id=request_id,
-                ingress=ingress,
-                egress=egress,
-                vnf_sequence=tuple(names),
-                profile=profile,
-                ela_target=float(target),
-                arrival_ms=arrival,
-                holding_ms=holding,
-            )
-        )
-    return jitter, requests
-
-
-def _parse_faults(
-    ctx: _Ctx,
-    doc: dict,
-    nodes: dict[int, NodeSpec],
-    link_ids: set[int],
-    request_ids: set[int],
-    duration_ms: int,
-) -> tuple[list[HostFailureSpec], list[LinkDegradationSpec], list[StallInjectionSpec]]:
-    section = _section(ctx, doc, "faults", required=False)
-    failures_raw = _take(ctx, section, "faults", "host_failures", "list", required=False, default=[])
-    degradations_raw = _take(ctx, section, "faults", "link_degradations", "list", required=False, default=[])
-    stalls_raw = _take(ctx, section, "faults", "stall_injections", "list", required=False, default=[])
-    _reject_unknown(ctx, section, "faults")
-
-    failures: list[HostFailureSpec] = []
-    failed_hosts: set[int] = set()
-    for index, raw in enumerate(failures_raw):
-        item_path = f"faults.host_failures[{index}]"
-        if not isinstance(raw, dict):
-            ctx.error(item_path, "expected object")
-            continue
-        obj = dict(raw)
-        time_ms = _take(ctx, obj, item_path, "time_ms", "int")
-        host = _take(ctx, obj, item_path, "host", "int")
-        _reject_unknown(ctx, obj, item_path)
-        if None in (time_ms, host):
-            continue
-        node = nodes.get(host)
-        if node is None or node.kind is not NodeKind.HOST:
-            ctx.error(f"{item_path}.host", f"node {host} is not a host")
-            continue
-        if host in failed_hosts:
-            ctx.error(f"{item_path}.host", f"host {host} fails more than once")
-            continue
-        if not 0 <= time_ms <= duration_ms:
-            ctx.error(f"{item_path}.time_ms", "must be within [0, duration_ms]")
-            continue
-        failed_hosts.add(host)
-        failures.append(HostFailureSpec(time_ms, host))
-
-    degradations: list[LinkDegradationSpec] = []
-    for index, raw in enumerate(degradations_raw):
-        item_path = f"faults.link_degradations[{index}]"
-        if not isinstance(raw, dict):
-            ctx.error(item_path, "expected object")
-            continue
-        obj = dict(raw)
-        time_ms = _take(ctx, obj, item_path, "time_ms", "int")
-        link = _take(ctx, obj, item_path, "link", "int")
-        latency = _take(ctx, obj, item_path, "latency_ms", "number", required=False)
-        jitter = _take(ctx, obj, item_path, "jitter_ms", "number", required=False)
-        loss = _take(ctx, obj, item_path, "loss_pct", "number", required=False)
-        _reject_unknown(ctx, obj, item_path)
-        if None in (time_ms, link):
-            continue
-        bad = False
-        if link not in link_ids:
-            ctx.error(f"{item_path}.link", f"unknown link {link}")
-            bad = True
-        if not 0 <= time_ms <= duration_ms:
-            ctx.error(f"{item_path}.time_ms", "must be within [0, duration_ms]")
-            bad = True
-        if latency is None and jitter is None and loss is None:
-            ctx.error(item_path, "degradation changes nothing")
-            bad = True
-        if latency is not None and latency < 0:
-            ctx.error(f"{item_path}.latency_ms", "must be non-negative")
-            bad = True
-        if jitter is not None and jitter < 0:
-            ctx.error(f"{item_path}.jitter_ms", "must be non-negative")
-            bad = True
-        if loss is not None and not 0 <= loss <= 100:
-            ctx.error(f"{item_path}.loss_pct", "must be within [0, 100]")
-            bad = True
-        if bad:
-            continue
-        degradations.append(
-            LinkDegradationSpec(
-                time_ms,
-                link,
-                None if latency is None else float(latency),
-                None if jitter is None else float(jitter),
-                None if loss is None else float(loss),
-            )
-        )
-
-    stalls: list[StallInjectionSpec] = []
-    for index, raw in enumerate(stalls_raw):
-        item_path = f"faults.stall_injections[{index}]"
-        if not isinstance(raw, dict):
-            ctx.error(item_path, "expected object")
-            continue
-        obj = dict(raw)
-        time_ms = _take(ctx, obj, item_path, "time_ms", "int")
-        flow = _take(ctx, obj, item_path, "flow", "int")
-        ratio = _take(ctx, obj, item_path, "stall_ratio", "number")
-        _reject_unknown(ctx, obj, item_path)
-        if None in (time_ms, flow, ratio):
-            continue
-        bad = False
-        if flow not in request_ids:
-            ctx.error(f"{item_path}.flow", f"unknown request {flow}")
-            bad = True
-        if not 0 <= time_ms <= duration_ms:
-            ctx.error(f"{item_path}.time_ms", "must be within [0, duration_ms]")
-            bad = True
-        if not 0 <= ratio <= 1:
-            ctx.error(f"{item_path}.stall_ratio", "must be within [0, 1]")
-            bad = True
-        if bad:
-            continue
-        stalls.append(StallInjectionSpec(time_ms, flow, float(ratio)))
-
-    return failures, degradations, stalls
+def _refs(ctx: _Ctx, records: dict, attr: str, known, message: str) -> None:
+    """Diagnose records whose attr (also their JSON key) is not in known."""
+    for path, record in records.items():
+        value = getattr(record, attr)
+        if value not in known:
+            ctx.error(f"{path}.{attr}", message.format(value))
 
 
 def parse_scenario(text: str | bytes) -> tuple[ScenarioDoc | None, list[Diagnostic]]:
@@ -566,172 +380,101 @@ def parse_scenario(text: str | bytes) -> tuple[ScenarioDoc | None, list[Diagnost
         root = json.loads(text)
     except json.JSONDecodeError as exc:
         ctx.error("$", f"invalid JSON: {exc}")
-        return None, ctx.diagnostics
+        return None, list(ctx)
     if not isinstance(root, dict):
         ctx.error("$", "top level must be an object")
-        return None, ctx.diagnostics
+        return None, list(ctx)
 
     doc = dict(root)
-    meta = _parse_meta(ctx, doc)
+    meta = _read_section(ctx, doc, "meta")
+    if not 0 <= meta["seed"] <= _MAX_SEED:
+        ctx.error("meta.seed", "must fit in an unsigned 64-bit integer")
+    if meta["duration_ms"] < 0:
+        ctx.error("meta.duration_ms", "must be non-negative")
+        meta["duration_ms"] = 0
+    if meta["window_ms"] <= 0:
+        ctx.error("meta.window_ms", "must be positive")
+        meta["window_ms"] = 1
+    if meta["duration_ms"] % meta["window_ms"] != 0:
+        ctx.error("meta.duration_ms", "must be a multiple of window_ms")
+    times = range(meta["duration_ms"] + 1)
 
-    network = _section(ctx, doc, "network", required=True)
-    nodes_raw = _take(ctx, network, "network", "nodes", "list", default=[])
-    links_raw = _take(ctx, network, "network", "links", "list", default=[])
-    _reject_unknown(ctx, network, "network")
-    nodes = _parse_nodes(ctx, nodes_raw or [], "network.nodes")
-    node_map = {node.id: node for node in nodes}
-    links = _parse_links(ctx, links_raw or [], "network.links", set(node_map))
+    network = _read_section(ctx, doc, "network")
+    nodes = {node.id: node for node in network["nodes"].values()}
+    for end in ("a", "b"):
+        _refs(ctx, network["links"], end, nodes, "unknown node {}")
 
-    vnf_types = _parse_catalog(ctx, doc)
-    profiles = _parse_profiles(ctx, doc)
-    ela = _parse_ela(ctx, doc, meta["window_ms"])
-    policy = _parse_policy(ctx, doc)
-    jitter, requests = _parse_workload(
-        ctx,
-        doc,
-        node_map,
-        {vnf.name for vnf in vnf_types},
-        {profile.name for profile in profiles},
-        ela.target_mos,
-        meta["duration_ms"],
-    )
-    failures, degradations, stalls = _parse_faults(
-        ctx,
-        doc,
-        node_map,
-        {link.id for link in links},
-        {request.id for request in requests},
-        meta["duration_ms"],
-    )
-    _reject_unknown(ctx, doc, "$")
+    catalog = _read_section(ctx, doc, "catalog")
+    profiles = _read_section(ctx, doc, "profiles")
+    window = {"window_ms": meta["window_ms"]}
+    ela = _record(ctx, _section(ctx, doc, "ela"), "ela", _ELA, window)
+    policy = _record(ctx, _section(ctx, doc, "policy"), "policy", _POLICY, {})
 
-    if ctx.diagnostics:
-        return None, ctx.diagnostics
-    scenario = ScenarioDoc(
-        name=meta["name"],
-        seed=meta["seed"],
-        duration_ms=meta["duration_ms"],
-        window_ms=meta["window_ms"],
-        nodes=tuple(nodes),
-        links=tuple(links),
-        vnf_types=tuple(vnf_types),
-        profiles=tuple(profiles),
-        ela=ela,
-        policy=policy,
-        arrival_jitter_ms=jitter,
-        requests=tuple(requests),
-        host_failures=tuple(failures),
-        link_degradations=tuple(degradations),
-        stall_injections=tuple(stalls),
-    )
-    return scenario, []
+    # A broken ELA is already diagnosed; any valid target lets requests be checked.
+    target = 3.0 if ela is None else ela.target_mos
+    workload = _read_section(ctx, doc, "workload", {"ela_target": target})
+    if workload["arrival_jitter_ms"] < 0:
+        ctx.error("workload.arrival_jitter_ms", "must be non-negative")
+    requests = workload["requests"]
+    vnf_names = {vnf.name for vnf in catalog["vnf_types"].values()}
+    for path, request in requests.items():
+        for key in ("ingress", "egress"):
+            node = nodes.get(getattr(request, key))
+            if node is None:
+                ctx.error(f"{path}.{key}", f"unknown node {getattr(request, key)}")
+            elif node.kind is not NodeKind.ENDPOINT:
+                ctx.error(f"{path}.{key}", f"node {node.id} is not an endpoint")
+        for index, name in enumerate(request.vnf_sequence):
+            if not isinstance(name, str) or name not in vnf_names:
+                ctx.error(f"{path}.vnfs[{index}]", f"unknown vnf type {name!r}")
+    profile_names = {profile.name for profile in profiles["profiles"].values()}
+    _refs(ctx, requests, "profile", profile_names, "unknown profile {!r}")
+    _refs(ctx, requests, "arrival_ms", times, "must be within [0, duration_ms]")
+
+    faults = _read_section(ctx, doc, "faults")
+    hosts = {node.id for node in nodes.values() if node.kind is NodeKind.HOST}
+    link_ids = {link.id for link in network["links"].values()}
+    request_ids = {request.id for request in requests.values()}
+    _refs(ctx, faults["host_failures"], "host", hosts, "node {} is not a host")
+    _refs(ctx, faults["link_degradations"], "link", link_ids, "unknown link {}")
+    _refs(ctx, faults["stall_injections"], "flow", request_ids, "unknown request {}")
+    for key in ("host_failures", "link_degradations", "stall_injections"):
+        _refs(ctx, faults[key], "time_ms", times, "must be within [0, duration_ms]")
+    for key in sorted(doc):
+        ctx.error(f"$.{key}", "unknown key")
+
+    if ctx:
+        return None, list(ctx)
+    # Each row of these sections names the ScenarioDoc attribute it fills.
+    fields = {"ela": ela, "policy": policy}
+    for section in (meta, network, catalog, profiles, workload, faults):
+        for attr, value in section.items():
+            fields[attr] = tuple(value.values()) if isinstance(value, dict) else value
+    return ScenarioDoc(**fields), []
+
+
+# -- writing ---------------------------------------------------------------------
+
+
+def _dump(record: Any, rows: tuple[_Field, ...]) -> dict:
+    payload = {}
+    for row in rows:
+        value = getattr(record, row.attr)
+        if value is None:
+            continue
+        if row.items is not None:
+            value = [_dump(item, row.items.rows) for item in value]
+        elif row.convert is not None:
+            value = row.convert[1](value)
+        payload[row.key] = value
+    return payload
 
 
 def serialize_scenario(doc: ScenarioDoc) -> str:
     """Canonical JSON for a scenario; parse(serialize(doc)) equals doc."""
-    degradations = []
-    for spec in doc.link_degradations:
-        entry: dict[str, Any] = {"time_ms": spec.time_ms, "link": spec.link}
-        if spec.latency_ms is not None:
-            entry["latency_ms"] = spec.latency_ms
-        if spec.jitter_ms is not None:
-            entry["jitter_ms"] = spec.jitter_ms
-        if spec.loss_pct is not None:
-            entry["loss_pct"] = spec.loss_pct
-        degradations.append(entry)
     payload = {
-        "meta": {
-            "name": doc.name,
-            "seed": doc.seed,
-            "duration_ms": doc.duration_ms,
-            "window_ms": doc.window_ms,
-        },
-        "network": {
-            "nodes": [
-                {
-                    "id": node.id,
-                    "kind": node.kind.value,
-                    **(
-                        {"cpu_capacity": node.cpu_capacity, "mem_capacity": node.mem_capacity}
-                        if node.kind is NodeKind.HOST
-                        else {}
-                    ),
-                }
-                for node in doc.nodes
-            ],
-            "links": [
-                {
-                    "id": link.id,
-                    "a": link.a,
-                    "b": link.b,
-                    "bandwidth_mbps": kbps_to_mbps(link.bandwidth_kbps),
-                    "latency_ms": link.latency_ms,
-                    "jitter_ms": link.jitter_ms,
-                    "loss_pct": link.loss_pct,
-                }
-                for link in doc.links
-            ],
-        },
-        "catalog": {
-            "vnf_types": [
-                {
-                    "name": vnf.name,
-                    "cpu_demand": vnf.cpu_demand,
-                    "mem_demand": vnf.mem_demand,
-                    "proc_latency_ms": vnf.proc_latency_ms,
-                }
-                for vnf in doc.vnf_types
-            ]
-        },
-        "profiles": {
-            "app_profiles": [
-                {
-                    "name": profile.name,
-                    "bw_mbps": profile.bw_req_mbps,
-                    "delay_opt_ms": profile.delay_opt_ms,
-                    "delay_max_ms": profile.delay_max_ms,
-                    "loss_max_pct": profile.loss_max_pct,
-                    "stall_max": profile.stall_max,
-                }
-                for profile in doc.profiles
-            ]
-        },
-        "ela": {
-            "target_mos": doc.ela.target_mos,
-            "breach_windows": doc.ela.breach_windows,
-            "compliance_budget": doc.ela.compliance_budget,
-        },
-        "policy": {
-            "predictor_alpha": doc.policy.predictor_alpha,
-            "max_reroute_attempts": doc.policy.max_reroute_attempts,
-        },
-        "workload": {
-            "arrival_jitter_ms": doc.arrival_jitter_ms,
-            "requests": [
-                {
-                    "id": request.id,
-                    "ingress": request.ingress,
-                    "egress": request.egress,
-                    "vnfs": list(request.vnf_sequence),
-                    "profile": request.profile,
-                    "ela_target": request.ela_target,
-                    "arrival_ms": request.arrival_ms,
-                    "holding_ms": request.holding_ms,
-                }
-                for request in doc.requests
-            ],
-        },
-        "faults": {
-            "host_failures": [
-                {"time_ms": spec.time_ms, "host": spec.host}
-                for spec in doc.host_failures
-            ],
-            "link_degradations": degradations,
-            "stall_injections": [
-                {"time_ms": spec.time_ms, "flow": spec.flow, "stall_ratio": spec.stall_ratio}
-                for spec in doc.stall_injections
-            ],
-        },
+        key: _dump(doc if owner is None else getattr(doc, owner), rows)
+        for key, (_, rows, owner) in _SECTIONS.items()
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

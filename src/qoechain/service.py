@@ -27,7 +27,7 @@ class VnfType:
 
     def __post_init__(self):
         if not self.name:
-            raise InvalidRange("vnf name must be non-empty")
+            raise InvalidRange("vnf name must be non-empty", field="name")
         if self.cpu_demand < 0 or self.mem_demand < 0:
             msg = f"vnf {self.name}: demands must be non-negative"
             raise InvalidRange(msg)
@@ -49,19 +49,19 @@ class AppProfile:
 
     def __post_init__(self):
         if not self.name:
-            raise InvalidProfile("profile name must be non-empty")
+            raise InvalidProfile("profile name must be non-empty", field="name")
         if self.bw_req_mbps <= 0:
             msg = f"profile {self.name}: bw_req must be positive"
-            raise InvalidProfile(msg)
+            raise InvalidProfile(msg, field="bw_req_mbps")
         if self.delay_opt_ms < 0 or self.delay_max_ms <= self.delay_opt_ms:
-            msg = f"profile {self.name}: need 0 <= delay_opt < delay_max"
+            msg = f"profile {self.name}: need 0 <= delay_opt_ms < delay_max_ms"
             raise InvalidProfile(msg)
         if self.loss_max_pct <= 0 or self.loss_max_pct > 100:
             msg = f"profile {self.name}: loss_max must be in (0, 100]"
-            raise InvalidProfile(msg)
+            raise InvalidProfile(msg, field="loss_max_pct")
         if not 0 < self.stall_max <= 1:
             msg = f"profile {self.name}: stall_max must be in (0, 1]"
-            raise InvalidProfile(msg)
+            raise InvalidProfile(msg, field="stall_max")
 
 
 @dataclass(frozen=True)
@@ -79,19 +79,20 @@ class ChainRequest:
 
     def __post_init__(self):
         if self.id < 0:
-            raise InvalidRange(f"request id must be non-negative, got {self.id}")
+            msg = f"request id must be non-negative, got {self.id}"
+            raise InvalidRange(msg, field="id")
         if self.ingress == self.egress:
             msg = f"request {self.id}: ingress and egress must differ"
             raise InvalidRange(msg)
         if not 1.0 <= self.ela_target <= 5.0:
             msg = f"request {self.id}: ela_target must be within [1, 5]"
-            raise InvalidRange(msg)
+            raise InvalidRange(msg, field="ela_target")
         if self.arrival_ms < 0:
             msg = f"request {self.id}: arrival must be non-negative"
-            raise InvalidRange(msg)
+            raise InvalidRange(msg, field="arrival_ms")
         if self.holding_ms <= 0:
             msg = f"request {self.id}: holding time must be positive"
-            raise InvalidRange(msg)
+            raise InvalidRange(msg, field="holding_ms")
 
 
 class ServiceCatalog:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from qoechain import load_scenario, parse_scenario, serialize_scenario
 from qoechain.controller import PolicyConfig
-from qoechain.errors import IoFailure
+from qoechain.errors import InvalidRange, IoFailure
+from qoechain.scenario import HostFailureSpec, LinkDegradationSpec, StallInjectionSpec
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -341,6 +343,84 @@ CASES = [
         ),
         "faults.stall_injections[0].time_ms", "[0, duration_ms]", id="stall-too-late",
     ),
+    pytest.param(
+        lambda p: p["network"]["nodes"][1].update(cpu_capacity=-1),
+        "network.nodes[1]", "non-negative", id="node-negative-capacity",
+    ),
+    pytest.param(
+        lambda p: p["network"]["links"][0].update(jitter_ms=-1),
+        "network.links[0]", "non-negative", id="link-negative-jitter",
+    ),
+    pytest.param(
+        lambda p: p["network"]["links"][0].update(b=9),
+        "network.links[0].b", "unknown node 9", id="link-unknown-b",
+    ),
+    pytest.param(
+        lambda p: p["catalog"]["vnf_types"][0].update(name=""),
+        "catalog.vnf_types[0].name", "non-empty", id="vnf-empty-name",
+    ),
+    pytest.param(
+        lambda p: p["profiles"]["app_profiles"][0].update(name=""),
+        "profiles.app_profiles[0].name", "non-empty", id="profile-empty-name",
+    ),
+    pytest.param(
+        lambda p: p["catalog"]["vnf_types"][0].update(proc_latency_ms=-1),
+        "catalog.vnf_types[0]", "non-negative", id="vnf-negative-proc-latency",
+    ),
+    pytest.param(
+        lambda p: p["workload"]["requests"][0].update(id=-1),
+        "workload.requests[0].id", "non-negative", id="request-negative-id",
+    ),
+    pytest.param(
+        lambda p: p["workload"]["requests"][0].update(ingress=9),
+        "workload.requests[0].ingress", "unknown node 9", id="ingress-unknown-node",
+    ),
+    pytest.param(
+        lambda p: p["faults"]["link_degradations"].append(
+            {"time_ms": 0, "link": 0, "latency_ms": -1}
+        ),
+        "faults.link_degradations[0].latency_ms", "non-negative",
+        id="degradation-negative-latency",
+    ),
+    pytest.param(
+        lambda p: p["faults"]["link_degradations"].append(
+            {"time_ms": 0, "link": 0, "jitter_ms": -1}
+        ),
+        "faults.link_degradations[0].jitter_ms", "non-negative",
+        id="degradation-negative-jitter",
+    ),
+    pytest.param(
+        lambda p: p["faults"]["link_degradations"].append(
+            {"time_ms": 0, "link": 0, "loss_pct": 101}
+        ),
+        "faults.link_degradations[0].loss_pct", "[0, 100]", id="degradation-loss-range",
+    ),
+    pytest.param(
+        lambda p: p["faults"]["host_failures"].append({"time_ms": 99_999, "host": 1}),
+        "faults.host_failures[0].time_ms", "[0, duration_ms]", id="failure-too-late",
+    ),
+    pytest.param(
+        lambda p: p["network"]["links"][0].update(bandwidth_mbps=math.inf),
+        "network.links[0].bandwidth_mbps", "expected finite number",
+        id="link-bw-infinite",
+    ),
+    pytest.param(
+        lambda p: p["network"]["links"][0].update(latency_ms=math.nan),
+        "network.links[0].latency_ms", "expected finite number", id="link-latency-nan",
+    ),
+    pytest.param(
+        lambda p: p["profiles"]["app_profiles"][0].update(delay_max_ms=math.nan),
+        "profiles.app_profiles[0].delay_max_ms", "expected finite number",
+        id="profile-delay-max-nan",
+    ),
+    pytest.param(
+        lambda p: p["ela"].update(target_mos=-math.inf),
+        "ela.target_mos", "expected finite number", id="ela-target-negative-infinity",
+    ),
+    pytest.param(
+        lambda p: p["network"]["links"][0].update(bandwidth_mbps=1e308),
+        "network.links[0].bandwidth_mbps", "too large", id="link-bw-overflows-kbps",
+    ),
 ]
 
 
@@ -353,6 +433,40 @@ def test_diagnostics_carry_exact_paths(mutate, path, fragment):
     assert any(
         item.path == path and fragment in item.message for item in diagnostics
     ), diagnostics
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: HostFailureSpec(time_ms=-1, host=1), id="failure-time"),
+        pytest.param(
+            lambda: LinkDegradationSpec(time_ms=-1, link=0, latency_ms=1.0),
+            id="degradation-time",
+        ),
+        pytest.param(lambda: LinkDegradationSpec(time_ms=0, link=0), id="degradation-empty"),
+        pytest.param(
+            lambda: LinkDegradationSpec(time_ms=0, link=0, latency_ms=-1.0),
+            id="degradation-latency",
+        ),
+        pytest.param(
+            lambda: LinkDegradationSpec(time_ms=0, link=0, jitter_ms=-1.0),
+            id="degradation-jitter",
+        ),
+        pytest.param(
+            lambda: LinkDegradationSpec(time_ms=0, link=0, loss_pct=101.0),
+            id="degradation-loss",
+        ),
+        pytest.param(
+            lambda: StallInjectionSpec(time_ms=-1, flow=0, stall_ratio=0.5), id="stall-time"
+        ),
+        pytest.param(
+            lambda: StallInjectionSpec(time_ms=0, flow=0, stall_ratio=1.5), id="stall-ratio"
+        ),
+    ],
+)
+def test_fault_specs_reject_bad_values(build):
+    with pytest.raises(InvalidRange):
+        build()
 
 
 def test_every_bundled_scenario_round_trips():
