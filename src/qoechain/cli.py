@@ -67,17 +67,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_or_fail(path: str):
+def _load(path: str):
+    """The scenario at path, or None once each diagnostic is printed."""
     doc, diagnostics = load_scenario(path)
-    if doc is None:
-        for diagnostic in diagnostics:
-            print(f"ERROR {diagnostic.path}: {diagnostic.message}", file=sys.stderr)
-        raise SystemExit(USAGE_EXIT)
+    for diagnostic in diagnostics:
+        print(f"ERROR {diagnostic.path}: {diagnostic.message}", file=sys.stderr)
     return doc
 
 
 def _cmd_run(args) -> int:
-    doc = _load_or_fail(args.scenario)
+    doc = _load(args.scenario)
+    if doc is None:
+        return USAGE_EXIT
     report = run_scenario(
         doc, seed=args.seed, alpha=args.alpha, strict_debug=args.strict_debug
     )
@@ -95,10 +96,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    doc, diagnostics = load_scenario(args.scenario)
+    doc = _load(args.scenario)
     if doc is None:
-        for diagnostic in diagnostics:
-            print(f"ERROR {diagnostic.path}: {diagnostic.message}", file=sys.stderr)
         return USAGE_EXIT
     print(
         f"{doc.name}: ok ({len(doc.nodes)} nodes, {len(doc.links)} links, "
@@ -108,7 +107,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    doc = _load_or_fail(args.scenario)
+    doc = _load(args.scenario)
+    if doc is None:
+        return USAGE_EXIT
     if not doc.requests:
         print("ERROR workload.requests: scenario declares no requests", file=sys.stderr)
         return USAGE_EXIT

@@ -2,10 +2,11 @@
 
 The controller decides and the orchestrator records. The controller keeps
 the substrate, the catalog, the ELA, the policy and the injected stall
-levels, and nothing per flow: each flow's request, graph, status and
-measurement carry live on its entry in the orchestrator's database. The
-controller scores the entries it is handed and answers with graphs,
-Actions or released holdings; it never changes a flow's status.
+levels, and nothing per flow: each flow's request, graph, status,
+measurement carry and route figures live on its entry in the
+orchestrator's database. The controller scores the entries it is handed
+and answers with graphs, Actions or released holdings; it never changes a
+flow's status.
 
 The controller owns the reservation ledger. Planning always runs on a
 resource view first and touches the real network only once a whole plan is
@@ -45,9 +46,11 @@ from .routing import (
     shortest_path_tree,
 )
 from .service import (
+    AppProfile,
     ChainRequest,
     ForwardingGraph,
     LinkPath,
+    PathMetrics,
     ServiceCatalog,
     VnfType,
     path_metrics,
@@ -165,6 +168,27 @@ class ResourceView:
 
     def add_mem(self, host_id: int, delta: int) -> None:
         self._mem[host_id] = self._mem.get(host_id, 0) + delta
+
+
+@dataclass(frozen=True)
+class RouteFigures:
+    """What measuring a flow reads off its graph, request and link quality.
+
+    Built for one graph object under one quality epoch, and valid while the
+    entry still holds that object and the network's quality_epoch has not
+    moved: a reroute or migration installs a new graph object, and only
+    degrade_link changes link quality. Residual bandwidth changes at every
+    reserve and release, so the throughput floor is read every window.
+    """
+
+    graph: ForwardingGraph
+    quality_epoch: int
+    metrics: PathMetrics
+    # (link id, kbps) of graph.link_usage(), in its order.
+    usage: tuple[tuple[int, int], ...]
+    bw_req_kbps: int
+    profile: AppProfile
+    ela: Ela
 
 
 @dataclass
@@ -429,11 +453,12 @@ class Controller:
 
         flows are the live database entries in ascending request id; the
         samples and alerts come out in that order. Raw figures come from the
-        flow's current segments under the current link quality, the
-        residual-driven throughput, and the injected stall level. Each metric
-        is EWMA-smoothed with predictor_alpha before scoring; degraded flows
-        are still measured so recovery stays observable. An entry keeps only
-        its last breach_windows samples, all the breach rule reads.
+        flow's route figures (its current segments under the current link
+        quality), the residual-driven throughput, and the injected stall
+        level. Each metric is EWMA-smoothed with predictor_alpha before
+        scoring; degraded flows are still measured so recovery stays
+        observable. An entry keeps only its last breach_windows samples, all
+        the breach rule reads.
         """
         alpha = self.policy.predictor_alpha
         keep = self.ela.breach_windows
@@ -441,38 +466,57 @@ class Controller:
         alerts: list[BreachAlert] = []
         for entry in flows:
             smoothed = self._smooth(entry, self._measure(entry, window_index), alpha)
-            sample = estimate_mos(smoothed, self.catalog.profile(entry.request.profile))
-            entry.history.append(sample)
-            del entry.history[:-keep]
+            route = entry.route
+            sample = estimate_mos(smoothed, route.profile)
+            history = entry.history
+            history.append(sample)
+            del history[:-keep]
             samples.append(sample)
-            if ela_breached(entry.history, self.ela_for(entry.request)):
+            if ela_breached(history, route.ela):
                 alerts.append(BreachAlert(entry.request.id, window_index, sample.mos))
         return samples, alerts
 
     def _measure(self, entry: DbEntry, window_index: int) -> FlowSample:
-        graph = entry.graph
-        profile = self.catalog.profile(entry.request.profile)
-        metrics = path_metrics(
-            graph.segments,
-            self.network,
-            self.catalog.proc_latencies(entry.request.vnf_sequence),
-        )
-        usage = graph.link_usage()
+        """The flow's raw sample for one window; brings entry.route up to date."""
+        network = self.network
+        route = entry.route
+        if (
+            route is None
+            or route.graph is not entry.graph
+            or route.quality_epoch != network.quality_epoch
+        ):
+            route = entry.route = self._route_figures(entry)
         # What this flow can push through: the smallest residual along its
         # path with its own reservation offered back, capped at the profile.
-        floor_kbps = min(
-            self.network.available_bw(link_id) + kbps
-            for link_id, kbps in usage.items()
-        )
-        bw_req_kbps = round(profile.bw_req_mbps * KBPS_PER_MBPS)
+        residual_bw = network.residual_bw
+        floor_kbps = min(residual_bw[link_id] + kbps for link_id, kbps in route.usage)
+        metrics = route.metrics
+        flow_id = entry.request.id
         return FlowSample(
-            flow_id=entry.request.id,
+            flow_id=flow_id,
             window_index=window_index,
-            throughput_mbps=min(floor_kbps, bw_req_kbps) / KBPS_PER_MBPS,
+            throughput_mbps=min(floor_kbps, route.bw_req_kbps) / KBPS_PER_MBPS,
             delay_ms=metrics.latency_ms,
             jitter_ms=metrics.jitter_ms,
             loss_pct=metrics.loss_pct,
-            stall_ratio=self.stall_levels.get(entry.request.id, 0.0),
+            stall_ratio=self.stall_levels.get(flow_id, 0.0),
+        )
+
+    def _route_figures(self, entry: DbEntry) -> RouteFigures:
+        request, graph = entry.request, entry.graph
+        profile = self.catalog.profile(request.profile)
+        return RouteFigures(
+            graph=graph,
+            quality_epoch=self.network.quality_epoch,
+            metrics=path_metrics(
+                graph.segments,
+                self.network,
+                self.catalog.proc_latencies(request.vnf_sequence),
+            ),
+            usage=tuple(graph.link_usage().items()),
+            bw_req_kbps=round(profile.bw_req_mbps * KBPS_PER_MBPS),
+            profile=profile,
+            ela=self.ela_for(request),
         )
 
     def _smooth(self, entry: DbEntry, raw: FlowSample, alpha: float) -> FlowSample:

@@ -166,6 +166,9 @@ class NetworkState:
         }
         self.failed_hosts: set[int] = set()
         self.overrides: dict[int, LinkQuality] = {}
+        # Moves at every change of link quality, so figures read off link
+        # quality can tell whether they are stale.
+        self.quality_epoch = 0
         self._base_quality: dict[int, LinkQuality] = {
             link.id: LinkQuality(link.latency_ms, link.jitter_ms, link.loss_pct)
             for link in self.links.values()
@@ -378,7 +381,8 @@ class NetworkState:
         """Override a link's quality figures; None keeps the current value.
 
         Capacity is untouched: a degraded link still carries its reserved
-        traffic, only worse. loss_pct=100 models a link failure.
+        traffic, only worse. loss_pct=100 models a link failure. This is the
+        only change of link quality, and each one moves quality_epoch.
         """
         if link_id not in self.links:
             msg = f"unknown link {link_id}"
@@ -389,6 +393,7 @@ class NetworkState:
         loss = current.loss_pct if loss_pct is None else loss_pct
         check_link_quality(link_id, latency, jitter, loss)
         self.overrides[link_id] = LinkQuality(latency, jitter, loss)
+        self.quality_epoch += 1
 
     # -- helpers -------------------------------------------------------------
 

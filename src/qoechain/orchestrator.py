@@ -2,12 +2,12 @@
 
 The database is the only record of a flow: one entry per admitted request,
 kept after the flow ends, holding its request, forwarding graph, lifecycle
-status and log, and the smoothing carry and recent samples the controller
-scores it with. The orchestrator turns the controller's admissions,
-Actions and releases into status changes, all through one guarded
-transition helper, and tallies the two outcomes the lifecycle log cannot
-tell apart: rejections by reason, and reroutes versus migrations. Every
-other counter is derived from the entries when the report is built.
+status and log, and the smoothing carry, recent samples and route figures
+the controller scores it with. The orchestrator turns the controller's
+admissions, Actions and releases into status changes, all through one
+guarded transition helper, and tallies the two outcomes the lifecycle log
+cannot tell apart: rejections by reason, and reroutes versus migrations.
+Every other counter is derived from the entries when the report is built.
 """
 
 from __future__ import annotations
@@ -15,7 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .controller import Action, ActionKind, Controller, Rejected, RejectReason
+from .controller import (
+    Action,
+    ActionKind,
+    Controller,
+    Rejected,
+    RejectReason,
+    RouteFigures,
+)
 from .errors import (
     AlreadyTerminal,
     DuplicateRequest,
@@ -78,6 +85,9 @@ class DbEntry:
     smoothed: FlowSample | None = None
     # The most recent scored windows, at most the ELA's breach_windows.
     history: list[QoeSample] = field(default_factory=list)
+    # The controller's figures for measuring this flow, keyed on the graph
+    # object and the network's quality epoch; None until first measured.
+    route: RouteFigures | None = None
 
 
 class VnfDb:

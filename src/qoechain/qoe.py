@@ -13,7 +13,13 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InvalidRange
 from .units import KBPS_PER_MBPS
-from .service import AppProfile, ChainRequest, LinkPath, path_metrics
+from .service import (
+    AppProfile,
+    ChainRequest,
+    LinkPath,
+    check_mos_target,
+    path_metrics,
+)
 
 if TYPE_CHECKING:
     from .service import ServiceCatalog
@@ -40,9 +46,14 @@ class FlowSample:
     def __post_init__(self):
         if self.window_index < 0:
             raise InvalidRange("window_index must be non-negative")
-        for field_name in ("throughput_mbps", "delay_ms", "jitter_ms", "loss_pct"):
-            if getattr(self, field_name) < 0:
-                raise InvalidRange(f"{field_name} must be non-negative")
+        if self.throughput_mbps < 0:
+            raise InvalidRange("throughput_mbps must be non-negative")
+        if self.delay_ms < 0:
+            raise InvalidRange("delay_ms must be non-negative")
+        if self.jitter_ms < 0:
+            raise InvalidRange("jitter_ms must be non-negative")
+        if self.loss_pct < 0:
+            raise InvalidRange("loss_pct must be non-negative")
         check_stall_ratio(self.stall_ratio)
 
 
@@ -59,9 +70,14 @@ class QoeSample:
     q_stall: float
 
     def __post_init__(self):
-        for field_name in ("q_bw", "q_delay", "q_loss", "q_stall"):
-            if not 0 <= getattr(self, field_name) <= 1:
-                raise InvalidRange(f"{field_name} must be within [0, 1]")
+        if not 0 <= self.q_bw <= 1:
+            raise InvalidRange("q_bw must be within [0, 1]")
+        if not 0 <= self.q_delay <= 1:
+            raise InvalidRange("q_delay must be within [0, 1]")
+        if not 0 <= self.q_loss <= 1:
+            raise InvalidRange("q_loss must be within [0, 1]")
+        if not 0 <= self.q_stall <= 1:
+            raise InvalidRange("q_stall must be within [0, 1]")
         expected = 1.0 + 4.0 * self.q_bw * self.q_delay * self.q_loss * self.q_stall
         if abs(self.mos - expected) > 1e-9:
             raise InvalidRange("mos does not match its factors")
@@ -77,8 +93,7 @@ class Ela:
     compliance_budget: float
 
     def __post_init__(self):
-        if not 1.0 <= self.target_mos <= 5.0:
-            raise InvalidRange("target_mos must be within [1, 5]", field="target_mos")
+        check_mos_target(self.target_mos, "target_mos")
         if self.window_ms <= 0:
             raise InvalidRange("window_ms must be positive", field="window_ms")
         if self.breach_windows < 1:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -260,7 +261,16 @@ _SECTIONS = {
 
 
 class _Ctx(list):
-    """The diagnostics of one parse, in the order found."""
+    """The diagnostics of one parse, in the order found.
+
+    unbuilt maps a list's path to the keys of its items that read their key
+    cleanly but did not build: such an item is diagnosed once, and a record
+    naming its key is not diagnosed again for that.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.unbuilt: defaultdict[str, set] = defaultdict(set)
 
     def error(self, path: str, message: str) -> None:
         self.append(Diagnostic(path, message))
@@ -338,8 +348,14 @@ def _items(ctx: _Ctx, raw: list, path: str, table: _Table, base: dict) -> dict[s
         if type(item) is not dict:
             ctx.error(item_path, "expected object")
             continue
+        before = len(ctx)
+        key = None if unique_row is None else item.get(unique_row.key)
         record = _record(ctx, item, item_path, table, base)
         if record is None:
+            if unique_row is not None:
+                key_path = f"{item_path}.{unique_row.key}"
+                if all(found.path != key_path for found in ctx[before:]):
+                    ctx.unbuilt[path].add(key)
             continue
         if unique_row is not None:
             value = getattr(record, unique_row.attr)
@@ -360,6 +376,11 @@ def _read_section(ctx: _Ctx, doc: dict, key: str, base: dict | None = None) -> d
             path = f"{key}.{row.key}"
             values[row.attr] = _items(ctx, values[row.attr], path, row.items, base or {})
     return values
+
+
+def _keys(ctx: _Ctx, records: dict, attr: str, path: str) -> set:
+    """The keys a reference may name: the records' attr, plus the unbuilt items' keys."""
+    return {getattr(record, attr) for record in records.values()} | ctx.unbuilt[path]
 
 
 def _refs(ctx: _Ctx, records: dict, attr: str, known, message: str) -> None:
@@ -401,8 +422,9 @@ def parse_scenario(text: str | bytes) -> tuple[ScenarioDoc | None, list[Diagnost
 
     network = _read_section(ctx, doc, "network")
     nodes = {node.id: node for node in network["nodes"].values()}
+    node_ids = _keys(ctx, network["nodes"], "id", "network.nodes")
     for end in ("a", "b"):
-        _refs(ctx, network["links"], end, nodes, "unknown node {}")
+        _refs(ctx, network["links"], end, node_ids, "unknown node {}")
 
     catalog = _read_section(ctx, doc, "catalog")
     profiles = _read_section(ctx, doc, "profiles")
@@ -416,25 +438,28 @@ def parse_scenario(text: str | bytes) -> tuple[ScenarioDoc | None, list[Diagnost
     if workload["arrival_jitter_ms"] < 0:
         ctx.error("workload.arrival_jitter_ms", "must be non-negative")
     requests = workload["requests"]
-    vnf_names = {vnf.name for vnf in catalog["vnf_types"].values()}
+    vnf_names = _keys(ctx, catalog["vnf_types"], "name", "catalog.vnf_types")
     for path, request in requests.items():
         for key in ("ingress", "egress"):
-            node = nodes.get(getattr(request, key))
-            if node is None:
-                ctx.error(f"{path}.{key}", f"unknown node {getattr(request, key)}")
-            elif node.kind is not NodeKind.ENDPOINT:
-                ctx.error(f"{path}.{key}", f"node {node.id} is not an endpoint")
+            node_id = getattr(request, key)
+            node = nodes.get(node_id)
+            if node_id not in node_ids:
+                ctx.error(f"{path}.{key}", f"unknown node {node_id}")
+            elif node is not None and node.kind is not NodeKind.ENDPOINT:
+                ctx.error(f"{path}.{key}", f"node {node_id} is not an endpoint")
         for index, name in enumerate(request.vnf_sequence):
             if not isinstance(name, str) or name not in vnf_names:
                 ctx.error(f"{path}.vnfs[{index}]", f"unknown vnf type {name!r}")
-    profile_names = {profile.name for profile in profiles["profiles"].values()}
+    profile_names = _keys(ctx, profiles["profiles"], "name", "profiles.app_profiles")
     _refs(ctx, requests, "profile", profile_names, "unknown profile {!r}")
     _refs(ctx, requests, "arrival_ms", times, "must be within [0, duration_ms]")
 
     faults = _read_section(ctx, doc, "faults")
+    # A node that did not build has no kind to hold against it.
     hosts = {node.id for node in nodes.values() if node.kind is NodeKind.HOST}
-    link_ids = {link.id for link in network["links"].values()}
-    request_ids = {request.id for request in requests.values()}
+    hosts |= ctx.unbuilt["network.nodes"]
+    link_ids = _keys(ctx, network["links"], "id", "network.links")
+    request_ids = _keys(ctx, requests, "id", "workload.requests")
     _refs(ctx, faults["host_failures"], "host", hosts, "node {} is not a host")
     _refs(ctx, faults["link_degradations"], "link", link_ids, "unknown link {}")
     _refs(ctx, faults["stall_injections"], "flow", request_ids, "unknown request {}")

@@ -64,6 +64,12 @@ class AppProfile:
             raise InvalidProfile(msg, field="stall_max")
 
 
+def check_mos_target(target: float, field: str, owner: str = "") -> None:
+    """A MOS target lies on the MOS scale, [1, 5]; owner prefixes the message."""
+    if not 1.0 <= target <= 5.0:
+        raise InvalidRange(f"{owner}{field} must be within [1, 5]", field=field)
+
+
 @dataclass(frozen=True)
 class ChainRequest:
     """A request to run traffic from ingress to egress through a VNF chain."""
@@ -84,9 +90,7 @@ class ChainRequest:
         if self.ingress == self.egress:
             msg = f"request {self.id}: ingress and egress must differ"
             raise InvalidRange(msg)
-        if not 1.0 <= self.ela_target <= 5.0:
-            msg = f"request {self.id}: ela_target must be within [1, 5]"
-            raise InvalidRange(msg, field="ela_target")
+        check_mos_target(self.ela_target, "ela_target", f"request {self.id}: ")
         if self.arrival_ms < 0:
             msg = f"request {self.id}: arrival must be non-negative"
             raise InvalidRange(msg, field="arrival_ms")

@@ -1,5 +1,7 @@
 """Controller behavior: admission, oracle, monitoring and self-healing."""
 
+import gc
+import tracemalloc
 from random import Random
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from qoechain import (
     Controller,
     Ela,
+    ForwardingGraph,
     LifecycleStatus,
     LinkSpec,
     NodeKind,
@@ -24,6 +27,7 @@ from qoechain import (
 from qoechain.controller import ActionKind
 from qoechain.errors import AlreadyTerminal, DuplicateRequest, InstanceTooLarge, InvalidRange
 from qoechain.network import PlacementRecord
+from qoechain.orchestrator import DbEntry
 
 from generators import (
     fail_and_repair,
@@ -331,6 +335,89 @@ def test_reserved_bandwidth_insulates_throughput():
     samples, _ = ctl.monitor_window(0, orch.db.live())
     assert samples[0].q_bw == 1.0
     assert samples[0].mos > 4.9
+
+
+# Route figures are cached on the entry per graph object and quality epoch;
+# these three pin what must still show in the very next window.
+
+
+def test_degrading_a_used_link_shows_in_the_next_window():
+    net = _parallel_pair()
+    orch = _orchestrator(net, _pair_catalog(), PolicyConfig(predictor_alpha=1.0))
+    orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
+    entry = orch.db.entries[0]
+    orch.controller.monitor_window(0, orch.db.live())
+    assert (entry.smoothed.delay_ms, entry.smoothed.loss_pct) == (10.0, 0.0)
+    net.degrade_link(0, latency_ms=40.0, loss_pct=2.0)
+    orch.controller.monitor_window(1, orch.db.live())
+    assert entry.smoothed.delay_ms == 40.0
+    assert entry.smoothed.loss_pct == pytest.approx(2.0)
+
+
+def test_a_reroute_is_measured_on_the_new_segments_next_window():
+    net = _parallel_pair()
+    orch = _orchestrator(net, _pair_catalog(delay_opt=50.0, delay_max=250.0))
+    orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
+    entry = orch.db.entries[0]
+    net.degrade_link(0, latency_ms=300.0)
+    # Measured after the degradation, so only the new graph tells the
+    # figures of link 0 apart from those of the reroute.
+    orch.controller.monitor_window(0, orch.db.live())
+    assert entry.smoothed.delay_ms == 300.0
+    orch.apply_action(orch.controller.handle_breach(entry), now=1000)
+    assert entry.graph.segments == ((1,),)
+    samples, _ = orch.controller.monitor_window(1, orch.db.live())
+    assert entry.smoothed.delay_ms == 12.0  # smoothing restarted on link 1
+    assert samples[0].mos == 5.0
+
+
+def test_a_second_flow_on_a_shared_link_lowers_throughput_next_window():
+    # Admission reserves a flow's whole requirement, which the floor offers
+    # back; a graph reserving less (built by hand here) feels the residual,
+    # and the residual moves with every reserve, so it is read every window.
+    net = _parallel_pair(latencies=(10.0,))
+    catalog = ServiceCatalog(
+        [], [make_profile(name="stream"), make_profile(name="bulk", bw=8.0)]
+    )
+    orch = _orchestrator(net, catalog, PolicyConfig(predictor_alpha=1.0))
+    light = ForwardingGraph(0, (), ((0,),), reserved_bw_kbps=1000)
+    net.reserve(link_demands=light.link_usage())
+    request = make_request(ingress=0, egress=1, vnfs=(), profile="stream")
+    orch.db.entries[0] = DbEntry(request, light, LifecycleStatus.ACTIVE)
+    samples, _ = orch.controller.monitor_window(0, orch.db.live())
+    assert samples[0].q_bw == 1.0  # 9 Mbps free plus its own 1, capped at 4
+    bulk = make_request(rid=1, ingress=0, egress=1, vnfs=(), profile="bulk")
+    orch.submit_request(bulk, now=0)
+    samples, _ = orch.controller.monitor_window(1, orch.db.live())
+    assert orch.db.entries[0].smoothed.throughput_mbps == 2.0  # 1 free plus its own 1
+    assert samples[0].q_bw == 0.5
+
+
+def test_per_flow_state_stays_bounded_over_the_horizon():
+    # Entries keep a bounded history and one set of route figures, however
+    # long the flows live and however often the figures are rebuilt.
+    net = square_network()
+    orch = _orchestrator(net)
+    for rid, (ingress, egress) in enumerate([(0, 3), (3, 0), (0, 3), (3, 0)]):
+        request = make_request(rid=rid, ingress=ingress, egress=egress, vnfs=())
+        assert not isinstance(orch.submit_request(request, now=0), Rejected)
+    controller = orch.controller
+
+    def run_windows(first: int, last: int) -> int:
+        for window in range(first, last):
+            if window % 25 == 0:
+                net.degrade_link(0, latency_ms=5.0 + window % 50)
+            controller.monitor_window(window, orch.db.live())
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        after_50 = run_windows(0, 50)
+        after_450 = run_windows(50, 450)
+    finally:
+        tracemalloc.stop()
+    assert after_450 - after_50 < 4096
 
 
 def test_handle_breach_reroutes_to_the_spare_link():

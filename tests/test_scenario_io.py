@@ -435,6 +435,68 @@ def test_diagnostics_carry_exact_paths(mutate, path, fragment):
     ), diagnostics
 
 
+def _node_1_broken(p):
+    p["network"]["nodes"][1]["cpu_capacity"] = -1
+
+
+def _request_0_broken(p):
+    p["workload"]["requests"][0]["holding_ms"] = 0
+    p["faults"]["stall_injections"] = [{"time_ms": 0, "flow": 0, "stall_ratio": 0.5}]
+
+
+def _link_0_broken(p):
+    p["network"]["links"][0]["loss_pct"] = 101
+    p["faults"]["link_degradations"] = [{"time_ms": 0, "link": 0, "latency_ms": 9}]
+
+
+# An item that reads its key but does not build is diagnosed once: records
+# naming that key get no "unknown ..." diagnostic on top.
+CASCADE_CASES = [
+    pytest.param(
+        lambda p: p["profiles"]["app_profiles"][0].update(delay_max_ms=math.nan),
+        [("profiles.app_profiles[0].delay_max_ms", "expected finite number")],
+        id="profile-nan",
+    ),
+    pytest.param(
+        _node_1_broken,
+        [("network.nodes[1]", "node 1: capacities must be non-negative")],
+        id="node-negative-capacity",
+    ),
+    pytest.param(
+        lambda p: p["catalog"]["vnf_types"][0].update(cpu_demand=-1),
+        [("catalog.vnf_types[0]", "vnf fw: demands must be non-negative")],
+        id="vnf-negative-demand",
+    ),
+    pytest.param(
+        _request_0_broken,
+        [("workload.requests[0].holding_ms", "request 0: holding time must be positive")],
+        id="request-zero-holding",
+    ),
+    pytest.param(
+        _link_0_broken,
+        [("network.links[0].loss_pct", "link 0: loss must be within [0, 100]")],
+        id="link-loss-range",
+    ),
+    pytest.param(
+        lambda p: p["profiles"]["app_profiles"][0].update(name=7),
+        [
+            ("profiles.app_profiles[0].name", "expected str"),
+            ("workload.requests[0].profile", "unknown profile 'video'"),
+        ],
+        id="profile-key-unreadable",
+    ),
+]
+
+
+@pytest.mark.parametrize("mutate,expected", CASCADE_CASES)
+def test_an_item_that_does_not_build_is_diagnosed_once(mutate, expected):
+    payload = json.loads((SCENARIOS / "host_failure_migration.json").read_text())
+    mutate(payload)
+    doc, diagnostics = parse_scenario(json.dumps(payload))
+    assert doc is None
+    assert [(item.path, item.message) for item in diagnostics] == expected
+
+
 @pytest.mark.parametrize(
     "build",
     [
