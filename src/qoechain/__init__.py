@@ -14,7 +14,6 @@ from .errors import (
     InstanceTooLarge,
     InvariantViolation,
     IoFailure,
-    ScenarioInvalid,
     SimulatorError,
     TimeTravel,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "RejectReason",
     "Rejected",
     "ScenarioDoc",
-    "ScenarioInvalid",
     "ServiceCatalog",
     "SimReport",
     "SimulatorError",

@@ -8,11 +8,12 @@ orchestrator's database. The controller scores the entries it is handed
 and answers with graphs, Actions or released holdings; it never changes a
 flow's status.
 
-The controller owns the reservation ledger. Planning always runs on a
-resource view first and touches the real network only once a whole plan is
-known to fit, so admission and repair are transactional. Every choice
-(candidate host, path, worst link) is made under a total order, which makes
-identical inputs produce identical outputs.
+The controller owns the reservation ledger. Admission and every repair
+are planned by one routine on a resource view, and one ledger commit
+touches the real network only once a whole plan is known to fit, so
+admission and repair are transactional. Every choice (candidate host,
+path, worst link) is made under a total order, which makes identical
+inputs produce identical outputs.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 from .errors import (
     InstanceTooLarge,
     InvalidRange,
     InvariantViolation,
     SimulatorError,
-    UnknownFlow,
+    UnknownRequest,
 )
 from .network import NetworkState, PlacementRecord
 from .qoe import (
@@ -144,13 +145,6 @@ class ResourceView:
         self._cpu: dict[int, int] = {}
         self._mem: dict[int, int] = {}
 
-    def fork(self) -> "ResourceView":
-        copy = ResourceView(self._state)
-        copy._bw = dict(self._bw)
-        copy._cpu = dict(self._cpu)
-        copy._mem = dict(self._mem)
-        return copy
-
     def available_bw(self, link_id: int) -> int:
         return self._state.residual_bw[link_id] + self._bw.get(link_id, 0)
 
@@ -191,13 +185,6 @@ class RouteFigures:
     ela: Ela
 
 
-@dataclass
-class _Plan:
-    placements: tuple[tuple[str, int], ...]
-    segments: tuple[LinkPath, ...]
-    predicted: QoeSample
-
-
 class Controller:
     def __init__(
         self,
@@ -226,52 +213,81 @@ class Controller:
         reaches the request's target; on admission every resource is
         reserved in one transaction.
         """
-        plan = self._plan_chain(request, ResourceView(self.network), frozenset())
-        if isinstance(plan, Rejected):
-            return plan
-        profile = self.catalog.profile(request.profile)
-        graph = ForwardingGraph(
-            request_id=request.id,
-            placements=plan.placements,
-            segments=plan.segments,
-            reserved_bw_kbps=round(profile.bw_req_mbps * KBPS_PER_MBPS),
-        )
-        self._reserve_graph(graph)
+        chain = range(len(request.vnf_sequence))
+        segments = range(len(chain) + 1)
+        graph = self._replan(request, None, chain, segments)
+        if not isinstance(graph, Rejected):
+            self._commit(None, graph, chain, segments)
         return graph
 
-    def _plan_chain(
+    def _replan(
         self,
         request: ChainRequest,
-        view: ResourceView,
-        exclude_links: frozenset[int],
-    ) -> _Plan | Rejected:
-        profile = self.catalog.profile(request.profile)
-        bw_kbps = round(profile.bw_req_mbps * KBPS_PER_MBPS)
-        plan_view = view.fork()
-        anchor = request.ingress
-        placements: list[tuple[str, int]] = []
-        segments: list[LinkPath] = []
-        for vnf_name in request.vnf_sequence:
-            placed = self._place_next(
-                plan_view, anchor, self.catalog.vnf(vnf_name), bw_kbps, exclude_links
-            )
+        graph: ForwardingGraph | None,
+        positions: Collection[int],
+        segments: Collection[int],
+        exclude_links: frozenset[int] = frozenset(),
+        evicted: frozenset[int] = frozenset(),
+    ) -> ForwardingGraph | Rejected:
+        """Plan new hosts for positions and new paths for segments; reserve nothing.
+
+        graph is the flow's current graph, or None for a new request, which
+        passes every position and segment. segments must include the one
+        into each position. Planning runs on one view with what the flow
+        holds at those positions and segments offered back; evicted names
+        positions the graph lists but no longer holds, as their host failed.
+        Positions are re-placed first, in ascending order, each with the
+        segment into it; the other segments are then rebuilt in ascending
+        order. A plan identical to the graph is no repair. A flow that lost
+        placements takes any plan that fits; any other plan must reach the
+        request's target MOS, predicted on the view without the plan's own
+        pending demand.
+        """
+        view = ResourceView(self.network)
+        if graph is None:
+            profile = self.catalog.profile(request.profile)
+            bw_kbps = round(profile.bw_req_mbps * KBPS_PER_MBPS)
+            hosts = [None] * len(request.vnf_sequence)
+            paths: list[LinkPath] = [()] * (len(hosts) + 1)
+        else:
+            bw_kbps = graph.reserved_bw_kbps
+            hosts = [host_id for _, host_id in graph.placements]
+            paths = list(graph.segments)
+            usage, records = self._parts(graph, positions, segments, evicted)
+            for link_id, kbps in usage.items():
+                view.add_bw(link_id, kbps)
+            for record in records:
+                view.add_cpu(record.host_id, record.cpu)
+                view.add_mem(record.host_id, record.mem)
+        points = [request.ingress, *hosts, request.egress]
+        for position in sorted(positions):
+            vnf = self.catalog.vnf(request.vnf_sequence[position])
+            placed = self._place_next(view, points[position], vnf, bw_kbps, exclude_links)
             if isinstance(placed, RejectReason):
                 return Rejected(placed)
-            anchor, segment = placed
-            placements.append((vnf_name, anchor))
-            segments.append(segment)
-        final = shortest_feasible_path(
-            plan_view, anchor, request.egress, bw_kbps, exclude_links
-        )
-        if final is None:
+            points[position + 1], paths[position] = placed
+        for index in sorted(set(segments) - set(positions)):
+            path = shortest_feasible_path(
+                view, points[index], points[index + 1], bw_kbps, exclude_links
+            )
+            if path is None:
+                return Rejected(RejectReason.NO_PATH)
+            paths[index] = tuple(path)
+            for link_id in path:
+                view.add_bw(link_id, -bw_kbps)
+        if graph is not None and tuple(paths) == graph.segments:
             return Rejected(RejectReason.NO_PATH)
-        segments.append(tuple(final))
-        # Prediction reads the base view: the plan's own pending demand must
-        # not mask the bandwidth the flow is about to hold.
-        predicted = predict_mos(request, segments, view, self.catalog)
-        if predicted.mos < request.ela_target:
-            return Rejected(RejectReason.QOE_BELOW_TARGET, predicted.mos)
-        return _Plan(tuple(placements), tuple(segments), predicted)
+        if not evicted:
+            # Give the plan's pending demand back: the flow must not compete
+            # with itself for the bandwidth it is about to hold.
+            for index in segments:
+                for link_id in paths[index]:
+                    view.add_bw(link_id, bw_kbps)
+            predicted = predict_mos(request, paths, view, self.catalog)
+            if predicted.mos < request.ela_target:
+                return Rejected(RejectReason.QOE_BELOW_TARGET, predicted.mos)
+        placements = tuple(zip(request.vnf_sequence, points[1:-1]))
+        return ForwardingGraph(request.id, placements, tuple(paths), bw_kbps)
 
     def _place_next(
         self,
@@ -562,57 +578,18 @@ class Controller:
         here; the entry is left for the orchestrator to update.
         """
         request, graph = entry.request, entry.graph
-        flow_id = request.id
-        bw_kbps = graph.reserved_bw_kbps
-
-        view = ResourceView(self.network)
-        for link_id, kbps in graph.link_usage().items():
-            view.add_bw(link_id, kbps)
-        segments = self._replan_segments(request, graph, view, bw_kbps)
-        # Identical segments mean there is nothing better to switch to;
-        # that attempt failed rather than trivially succeeded.
-        if segments is not None and segments != graph.segments:
-            predicted = predict_mos(request, segments, view, self.catalog)
-            if predicted.mos >= request.ela_target:
-                new_graph = ForwardingGraph(request.id, graph.placements, segments, bw_kbps)
-                self._swap_bandwidth(graph, new_graph)
-                return Action(ActionKind.REROUTED, flow_id, new_graph)
-
-        if self.policy.max_reroute_attempts >= 2:
-            worst = self._worst_link(graph)
-            view = ResourceView(self.network)
-            for link_id, kbps in graph.link_usage().items():
-                view.add_bw(link_id, kbps)
-            for vnf_name, host_id in graph.placements:
-                vnf = self.catalog.vnf(vnf_name)
-                view.add_cpu(host_id, vnf.cpu_demand)
-                view.add_mem(host_id, vnf.mem_demand)
-            plan = self._plan_chain(request, view, frozenset({worst}))
-            if not isinstance(plan, Rejected):
-                new_graph = ForwardingGraph(
-                    request.id, plan.placements, plan.segments, bw_kbps
-                )
-                self._swap_graph(request.id, graph, new_graph)
-                return Action(ActionKind.MIGRATED, flow_id, new_graph)
-
-        return Action(ActionKind.MARKED_DEGRADED, flow_id)
-
-    def _replan_segments(
-        self, request: ChainRequest, graph: ForwardingGraph, view: ResourceView, bw_kbps: int
-    ) -> tuple[LinkPath, ...] | None:
-        points = [request.ingress, *(host for _, host in graph.placements), request.egress]
-        plan_view = view.fork()
-        segments: list[LinkPath] = []
-        for index in range(len(points) - 1):
-            path = shortest_feasible_path(
-                plan_view, points[index], points[index + 1], bw_kbps
-            )
-            if path is None:
-                return None
-            for link_id in path:
-                plan_view.add_bw(link_id, -bw_kbps)
-            segments.append(tuple(path))
-        return tuple(segments)
+        chain = range(len(graph.placements))
+        segments = range(len(graph.segments))
+        stages = [
+            (ActionKind.REROUTED, (), frozenset()),
+            (ActionKind.MIGRATED, chain, frozenset({self._worst_link(graph)})),
+        ]
+        for kind, positions, exclude_links in stages[: self.policy.max_reroute_attempts]:
+            new_graph = self._replan(request, graph, positions, segments, exclude_links)
+            if not isinstance(new_graph, Rejected):
+                self._commit(graph, new_graph, positions, segments)
+                return Action(kind, request.id, new_graph)
+        return Action(ActionKind.MARKED_DEGRADED, request.id)
 
     def _worst_link(self, graph: ForwardingGraph) -> int:
         def badness(link_id: int):
@@ -632,164 +609,94 @@ class Controller:
         handled in ascending request id. A flow that cannot be repaired is
         fully released and answered with a Failed action.
         """
-        affected: dict[int, list[int]] = {}
+        affected: dict[int, set[int]] = {}
         for request_id, position in evicted:
-            affected.setdefault(request_id, []).append(position)
+            affected.setdefault(request_id, set()).add(position)
         actions = []
         for request_id in sorted(affected):
             entry = entries.get(request_id)
             if entry is None:
-                raise UnknownFlow(f"evicted placement of unknown flow {request_id}")
-            actions.append(
-                self._migrate_after_failure(entry, sorted(affected[request_id]))
-            )
+                raise UnknownRequest(f"evicted placement of unknown request {request_id}")
+            graph = entry.graph
+            lost = frozenset(affected[request_id])
+            segments = sorted({index for p in lost for index in (p, p + 1)})
+            new_graph = self._replan(entry.request, graph, lost, segments, evicted=lost)
+            if isinstance(new_graph, Rejected):
+                # Everything the flow still holds goes back.
+                chain = range(len(graph.placements))
+                self._commit(graph, None, chain, range(len(graph.segments)), lost)
+                actions.append(Action(ActionKind.FAILED, request_id))
+            else:
+                self._commit(graph, new_graph, lost, segments, lost)
+                actions.append(Action(ActionKind.MIGRATED, request_id, new_graph))
         return actions
 
-    def _migrate_after_failure(
-        self, entry: DbEntry, changed_positions: list[int]
-    ) -> Action:
-        request, graph = entry.request, entry.graph
-        flow_id = request.id
-        bw_kbps = graph.reserved_bw_kbps
-        recompute: set[int] = set()
-        for position in changed_positions:
-            recompute.add(position)
-            recompute.add(position + 1)
-
-        # The evicted placements' cpu/mem were wiped with the host; only the
-        # bandwidth of the segments being rebuilt comes back to the planner.
-        view = ResourceView(self.network)
-        for seg_index in recompute:
-            for link_id in graph.segments[seg_index]:
-                view.add_bw(link_id, bw_kbps)
-        plan_view = view.fork()
-
-        points = [request.ingress, *(host for _, host in graph.placements), request.egress]
-        new_placements = list(graph.placements)
-        new_segments = list(graph.segments)
-        feasible = True
-        for position in changed_positions:
-            vnf = self.catalog.vnf(graph.placements[position][0])
-            placed = self._place_next(
-                plan_view, points[position], vnf, bw_kbps, frozenset()
-            )
-            if isinstance(placed, RejectReason):
-                feasible = False
-                break
-            host_id, segment = placed
-            new_placements[position] = (vnf.name, host_id)
-            new_segments[position] = segment
-            points[position + 1] = host_id
-
-        if feasible:
-            for seg_index in sorted(recompute):
-                if seg_index in changed_positions:
-                    continue  # already rebuilt as the incoming segment
-                path = shortest_feasible_path(
-                    plan_view, points[seg_index], points[seg_index + 1], bw_kbps
-                )
-                if path is None:
-                    feasible = False
-                    break
-                new_segments[seg_index] = tuple(path)
-                for link_id in path:
-                    plan_view.add_bw(link_id, -bw_kbps)
-
-        if not feasible:
-            # Everything the flow still holds goes back: the remaining
-            # segment bandwidth and the placements that survived the host.
-            surviving = [
-                (flow_id, position)
-                for position in range(len(graph.placements))
-                if position not in changed_positions
-            ]
-            self.network.release(
-                link_demands=graph.link_usage(), placement_ids=surviving
-            )
-            return Action(ActionKind.FAILED, flow_id)
-
-        new_graph = ForwardingGraph(
-            request.id, tuple(new_placements), tuple(new_segments), bw_kbps
-        )
-        old_bw: dict[int, int] = {}
-        new_bw: dict[int, int] = {}
-        for seg_index in sorted(recompute):
-            for link_id in graph.segments[seg_index]:
-                old_bw[link_id] = old_bw.get(link_id, 0) + bw_kbps
-            for link_id in new_graph.segments[seg_index]:
-                new_bw[link_id] = new_bw.get(link_id, 0) + bw_kbps
-        new_records = [
-            PlacementRecord(
-                placement_id=(flow_id, position),
-                host_id=new_placements[position][1],
-                cpu=self.catalog.vnf(new_placements[position][0]).cpu_demand,
-                mem=self.catalog.vnf(new_placements[position][0]).mem_demand,
-            )
-            for position in changed_positions
-        ]
-        self.network.release(link_demands=old_bw)
-        self._reserve_or_die(link_demands=new_bw, placements=new_records)
-        return Action(ActionKind.MIGRATED, flow_id, new_graph)
-
-    # -- teardown and reservation plumbing ----------------------------------------
+    # -- the reservation ledger ---------------------------------------------------
 
     def release_flow(self, graph: ForwardingGraph) -> dict[str, int]:
         """Release everything a completing flow's graph holds; return the totals."""
-        usage = graph.link_usage()
-        placement_ids = [
-            (graph.request_id, pos) for pos in range(len(graph.placements))
-        ]
-        cpu_total = sum(
-            self.catalog.vnf(name).cpu_demand for name, _ in graph.placements
+        usage, records = self._commit(
+            graph, None, range(len(graph.placements)), range(len(graph.segments))
         )
-        mem_total = sum(
-            self.catalog.vnf(name).mem_demand for name, _ in graph.placements
-        )
-        self.network.release(link_demands=usage, placement_ids=placement_ids)
         return {
-            "cpu": cpu_total,
-            "mem": mem_total,
+            "cpu": sum(record.cpu for record in records),
+            "mem": sum(record.mem for record in records),
             "bandwidth_kbps": sum(usage.values()),
         }
 
-    def _reserve_graph(self, graph: ForwardingGraph) -> None:
-        records = [
-            PlacementRecord(
-                placement_id=(graph.request_id, position),
-                host_id=host_id,
-                cpu=self.catalog.vnf(name).cpu_demand,
-                mem=self.catalog.vnf(name).mem_demand,
+    def _commit(
+        self,
+        old: ForwardingGraph | None,
+        new: ForwardingGraph | None,
+        positions: Collection[int],
+        segments: Collection[int],
+        evicted: frozenset[int] = frozenset(),
+    ) -> tuple[dict[int, int], list[PlacementRecord]]:
+        """Swap old's parts at positions and segments for new's on the ledger.
+
+        One release of what old holds there (evicted positions hold
+        nothing), then one reserve of new's parts. Either graph may be None:
+        admission has nothing to give back, a flow that ends nothing to
+        take. Returns what was released. A new plan was checked against a
+        view of this very state, so a reserve that fails means planner and
+        ledger disagree, which is fatal.
+        """
+        released: tuple[dict[int, int], list[PlacementRecord]] = ({}, [])
+        if old is not None:
+            released = self._parts(old, positions, segments, evicted)
+            placement_ids = [record.placement_id for record in released[1]]
+            self.network.release(link_demands=released[0], placement_ids=placement_ids)
+        if new is not None:
+            usage, records = self._parts(new, positions, segments)
+            try:
+                self.network.reserve(link_demands=usage, placements=records)
+            except SimulatorError as exc:
+                msg = f"planned reservation no longer fits: {exc}"
+                raise InvariantViolation(msg) from exc
+        return released
+
+    def _parts(
+        self,
+        graph: ForwardingGraph,
+        positions: Collection[int],
+        segments: Collection[int],
+        evicted: frozenset[int] = frozenset(),
+    ) -> tuple[dict[int, int], list[PlacementRecord]]:
+        """What graph holds at positions and segments: kbps per link, placements."""
+        usage: dict[int, int] = {}
+        for index in segments:
+            for link_id in graph.segments[index]:
+                usage[link_id] = usage.get(link_id, 0) + graph.reserved_bw_kbps
+        records = []
+        for position in sorted(set(positions) - evicted):
+            name, host_id = graph.placements[position]
+            vnf = self.catalog.vnf(name)
+            records.append(
+                PlacementRecord(
+                    (graph.request_id, position), host_id, vnf.cpu_demand, vnf.mem_demand
+                )
             )
-            for position, (name, host_id) in enumerate(graph.placements)
-        ]
-        self.network.reserve(link_demands=graph.link_usage(), placements=records)
-
-    def _swap_bandwidth(self, old: ForwardingGraph, new: ForwardingGraph) -> None:
-        self.network.release(link_demands=old.link_usage())
-        self._reserve_or_die(link_demands=new.link_usage())
-
-    def _swap_graph(self, flow_id: int, old: ForwardingGraph, new: ForwardingGraph) -> None:
-        placement_ids = [(flow_id, pos) for pos in range(len(old.placements))]
-        self.network.release(link_demands=old.link_usage(), placement_ids=placement_ids)
-        records = [
-            PlacementRecord(
-                placement_id=(flow_id, position),
-                host_id=host_id,
-                cpu=self.catalog.vnf(name).cpu_demand,
-                mem=self.catalog.vnf(name).mem_demand,
-            )
-            for position, (name, host_id) in enumerate(new.placements)
-        ]
-        self._reserve_or_die(link_demands=new.link_usage(), placements=records)
-
-    def _reserve_or_die(self, **kwargs) -> None:
-        # The plan was validated against a view of this very state, so a
-        # failing reserve means planner and ledger disagree. Fatal.
-        try:
-            self.network.reserve(**kwargs)
-        except SimulatorError as exc:
-            msg = f"planned reservation no longer fits: {exc}"
-            raise InvariantViolation(msg) from exc
+        return usage, records
 
     def graph_latency(self, graph: ForwardingGraph, request: ChainRequest) -> float:
         """End-to-end latency of an embedding, processing included."""

@@ -82,10 +82,6 @@ class InvalidProfile(InvalidRange):
 # -- controller and orchestrator --------------------------------------------
 
 
-class UnknownFlow(SimulatorError):
-    pass
-
-
 class DuplicateRequest(SimulatorError):
     pass
 
@@ -111,14 +107,6 @@ class InstanceTooLarge(SimulatorError):
 
 class TimeTravel(SimulatorError):
     """An event was scheduled before the current simulation clock."""
-
-
-class ScenarioInvalid(SimulatorError):
-    """A scenario document failed validation; carries the diagnostics."""
-
-    def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
-        super().__init__(f"{len(self.diagnostics)} scenario diagnostic(s)")
 
 
 class IoFailure(SimulatorError):

@@ -165,11 +165,11 @@ def run(
             if entry is not None and entry.status not in TERMINAL:
                 orchestrator.complete_request(event.request_id, event.time)
         elif isinstance(event, MeasureWindow):
-            samples, alerts = controller.monitor_window(
-                event.index, orchestrator.db.live()
-            )
+            live = orchestrator.db.live()
+            samples, alerts = controller.monitor_window(event.index, live)
             measured += 1
-            for sample in samples:
+            # monitor_window answers one sample per entry, in the entries' order.
+            for entry, sample in zip(live, samples):
                 rows.append(
                     QoeRow(
                         time_ms=event.time,
@@ -181,10 +181,9 @@ def run(
                         q_stall=sample.q_stall,
                     )
                 )
-                target = orchestrator.db.entries[sample.flow_id].request.ela_target
                 tally = tallies.setdefault(sample.flow_id, [0, 0])
                 tally[0] += 1
-                if sample.mos >= target:
+                if sample.mos >= entry.request.ela_target:
                     tally[1] += 1
             for alert in alerts:
                 breaches.setdefault(alert.flow_id, []).append(alert.window_index)

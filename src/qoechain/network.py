@@ -206,32 +206,19 @@ class NetworkState:
     def available_mem(self, host_id: int) -> int:
         return self.residual_mem[host_id]
 
-    def snapshot(self) -> tuple:
-        """Equality-comparable picture of the whole mutable state."""
-        return (
-            tuple(sorted(self.residual_cpu.items())),
-            tuple(sorted(self.residual_mem.items())),
-            tuple(sorted(self.residual_bw.items())),
-            tuple(sorted(self.failed_hosts)),
-            tuple(sorted(self.overrides.items())),
-            tuple(sorted(self.placements.items())),
-        )
-
     # -- mutations ----------------------------------------------------------
 
     def reserve(
         self,
-        host_demands: Mapping[int, tuple[int, int]] | None = None,
         link_demands: Mapping[int, int] | None = None,
         placements: Iterable[PlacementRecord] = (),
     ) -> None:
-        """Reserve CPU/memory and bandwidth, all-or-nothing.
+        """Reserve bandwidth and placements' CPU/memory, all-or-nothing.
 
-        host_demands maps host id to (cpu, mem). link_demands maps link id
-        to kbps; a link crossed twice by the same chain must appear once
-        with the doubled demand. placements additionally pin named VNF
-        instances to hosts so a later host failure can report exactly which
-        instances it evicted.
+        link_demands maps link id to kbps; a link crossed twice by the same
+        chain must appear once with the doubled demand. placements pin named
+        VNF instances, with the CPU and memory they hold, to hosts so a
+        later host failure can report exactly which instances it evicted.
 
         Raises UnknownHost/UnknownLink for bad ids, NegativeCapacity for
         negative demands, DuplicateId for an already-known placement id and
@@ -241,13 +228,6 @@ class NetworkState:
         placements = tuple(placements)
         cpu_need: dict[int, int] = {}
         mem_need: dict[int, int] = {}
-        for host_id, (cpu, mem) in (host_demands or {}).items():
-            self._check_host(host_id)
-            if cpu < 0 or mem < 0:
-                msg = f"negative demand on host {host_id}"
-                raise NegativeCapacity(msg)
-            cpu_need[host_id] = cpu_need.get(host_id, 0) + cpu
-            mem_need[host_id] = mem_need.get(host_id, 0) + mem
         seen_pids = set()
         for rec in placements:
             self._check_host(rec.host_id)
@@ -292,7 +272,6 @@ class NetworkState:
 
     def release(
         self,
-        host_demands: Mapping[int, tuple[int, int]] | None = None,
         link_demands: Mapping[int, int] | None = None,
         placement_ids: Iterable[PlacementId] = (),
     ) -> None:
@@ -305,13 +284,6 @@ class NetworkState:
         placement_ids = tuple(placement_ids)
         cpu_back: dict[int, int] = {}
         mem_back: dict[int, int] = {}
-        for host_id, (cpu, mem) in (host_demands or {}).items():
-            self._check_host(host_id, allow_failed=True)
-            if cpu < 0 or mem < 0:
-                msg = f"negative release on host {host_id}"
-                raise NegativeCapacity(msg)
-            cpu_back[host_id] = cpu_back.get(host_id, 0) + cpu
-            mem_back[host_id] = mem_back.get(host_id, 0) + mem
         seen_pids = set()
         for pid in placement_ids:
             rec = self.placements.get(pid)

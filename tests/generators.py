@@ -77,6 +77,18 @@ def square_network() -> NetworkState:
     return build_network(nodes, links)
 
 
+def snapshot(net: NetworkState) -> tuple:
+    """Equality-comparable picture of a network's whole mutable state."""
+    return (
+        tuple(sorted(net.residual_cpu.items())),
+        tuple(sorted(net.residual_mem.items())),
+        tuple(sorted(net.residual_bw.items())),
+        tuple(sorted(net.failed_hosts)),
+        tuple(sorted(net.overrides.items())),
+        tuple(sorted(net.placements.items())),
+    )
+
+
 def small_catalog() -> ServiceCatalog:
     vnfs = [
         VnfType("fw", cpu_demand=2, mem_demand=2, proc_latency_ms=1.0),

@@ -22,10 +22,17 @@ from qoechain import (
     ServiceCatalog,
     VnfType,
     build_network,
+    predict_mos,
     validate_forwarding_graph,
 )
 from qoechain.controller import ActionKind
-from qoechain.errors import AlreadyTerminal, DuplicateRequest, InstanceTooLarge, InvalidRange
+from qoechain.errors import (
+    AlreadyTerminal,
+    DuplicateRequest,
+    InstanceTooLarge,
+    InvalidRange,
+    UnknownRequest,
+)
 from qoechain.network import PlacementRecord
 from qoechain.orchestrator import DbEntry
 
@@ -38,6 +45,7 @@ from generators import (
     random_network,
     random_request,
     small_catalog,
+    snapshot,
     square_network,
 )
 
@@ -139,7 +147,7 @@ def test_reject_reasons():
     assert orch.counters()["rejected"]["QoeBelowTarget"] == 1
     assert orch.counters()["rejected_total"] == 1
     # Rejections never leak reservations.
-    assert orch.controller.network.snapshot() == line_network().snapshot()
+    assert snapshot(orch.controller.network) == snapshot(line_network())
 
 
 def test_admission_honors_per_request_target():
@@ -193,7 +201,7 @@ def test_exact_embed_beats_greedy_on_crafted_gap():
     assert exact.placements == (("fw", 2),)
     assert exact.segments == ((1,), (3,))
     assert ctl.graph_latency(exact, request) == pytest.approx(4.0)
-    assert net.snapshot() == build_network(nodes, links).snapshot()  # no reservation
+    assert snapshot(net) == snapshot(build_network(nodes, links))  # no reservation
 
     greedy = ctl.admit(request)
     assert greedy.placements == (("fw", 1),)
@@ -473,6 +481,16 @@ def test_handle_breach_marks_degraded_when_out_of_options():
     assert len(samples) == 1
 
 
+def test_unchanged_segments_are_no_reroute():
+    # A stall, not the path, is at fault: the best segments are the ones
+    # the flow already has, which would pass the MOS gate but repair nothing.
+    orch = _orchestrator()
+    orch.submit_request(make_request(), now=0)
+    orch.controller.set_stall(0, 0.9)
+    action = orch.controller.handle_breach(orch.db.entries[0])
+    assert action.kind is ActionKind.MARKED_DEGRADED
+
+
 def test_single_attempt_policy_skips_migration():
     net = square_network()
     orch = _orchestrator(net, policy=PolicyConfig(max_reroute_attempts=1))
@@ -497,6 +515,80 @@ def test_host_failure_migrates_evicted_positions():
     assert orch.counters()["migrated"] == 1
     assert orch.db.entries[0].graph is graph
     assert validate_forwarding_graph(graph, orch.db.entries[0].request, net) == []
+
+
+def test_host_failure_re_places_two_evicted_positions_of_one_chain():
+    net = square_network()
+    orch = _orchestrator(net)
+    request = make_request(ingress=0, egress=3, vnfs=("fw", "nat"))
+    orch.submit_request(request, now=0)
+    assert orch.db.entries[0].graph.placements == (("fw", 1), ("nat", 1))
+    actions = fail_and_repair(orch, 1)
+    assert [a.kind for a in actions] == [ActionKind.MIGRATED]
+    graph = actions[0].new_graph
+    # fw is placed first and becomes the anchor nat is placed from; the
+    # egress segment is rebuilt last, from nat's new host.
+    assert graph.placements == (("fw", 2), ("nat", 2))
+    assert graph.segments == ((1,), (), (3,))
+    assert [net.available_bw(link_id) for link_id in range(4)] == [10_000, 6000, 10_000, 6000]
+    assert (net.available_cpu(2), net.available_mem(2)) == (1, 1)
+    assert {pid: rec.host_id for pid, rec in net.placements.items()} == {(0, 0): 2, (0, 1): 2}
+    assert validate_forwarding_graph(graph, request, net) == []
+
+
+def test_breach_re_embed_may_reuse_the_flows_own_holdings():
+    # Host 1 has room for exactly one fw and link 2 for one flow and a bit:
+    # the re-embed fits only with what the flow itself holds offered back.
+    nodes = [
+        NodeSpec(0, NodeKind.ENDPOINT),
+        NodeSpec(1, NodeKind.HOST, cpu_capacity=2, mem_capacity=2),
+        NodeSpec(2, NodeKind.ENDPOINT),
+    ]
+    links = [
+        LinkSpec(0, 0, 1, bandwidth_kbps=10_000, latency_ms=5.0),
+        LinkSpec(1, 0, 1, bandwidth_kbps=10_000, latency_ms=6.0),
+        LinkSpec(2, 1, 2, bandwidth_kbps=5000, latency_ms=5.0),
+    ]
+    net = build_network(nodes, links)
+    orch = _orchestrator(net)
+    orch.submit_request(make_request(), now=0)
+    assert orch.db.entries[0].graph.segments == ((0,), (2,))
+    assert (net.available_cpu(1), net.available_bw(2)) == (0, 1000)
+    # Loss does not weigh on paths, so new segments alone change nothing.
+    net.degrade_link(0, loss_pct=50.0)
+    action = orch.controller.handle_breach(orch.db.entries[0])
+    orch.apply_action(action, now=1000)
+    assert action.kind is ActionKind.MIGRATED
+    assert action.new_graph.placements == (("fw", 1),)
+    assert action.new_graph.segments == ((1,), (2,))
+    assert (net.available_cpu(1), net.available_mem(1)) == (0, 0)
+    assert [net.available_bw(link_id) for link_id in range(3)] == [10_000, 6000, 1000]
+    assert net.placements[(0, 0)].host_id == 1
+
+
+def test_host_failure_migrates_below_the_target_rather_than_fail():
+    nodes = [
+        NodeSpec(0, NodeKind.ENDPOINT),
+        NodeSpec(1, NodeKind.HOST, cpu_capacity=4, mem_capacity=4),
+        NodeSpec(2, NodeKind.HOST, cpu_capacity=4, mem_capacity=4),
+        NodeSpec(3, NodeKind.ENDPOINT),
+    ]
+    links = [
+        LinkSpec(0, 0, 1, bandwidth_kbps=10_000, latency_ms=5.0),
+        LinkSpec(1, 0, 2, bandwidth_kbps=10_000, latency_ms=300.0),
+        LinkSpec(2, 1, 3, bandwidth_kbps=10_000, latency_ms=5.0),
+        LinkSpec(3, 2, 3, bandwidth_kbps=10_000, latency_ms=300.0),
+    ]
+    net = build_network(nodes, links)
+    orch = _orchestrator(net)
+    request = make_request(ingress=0, egress=3)
+    orch.submit_request(request, now=0)
+    # The only refuge is too slow for the target: admission would refuse
+    # it, but a flow that lost its host takes any embedding that fits.
+    assert predict_mos(request, [(1,), (3,)], net, orch.controller.catalog).mos < 3.0
+    actions = fail_and_repair(orch, 1)
+    assert [a.kind for a in actions] == [ActionKind.MIGRATED]
+    assert actions[0].new_graph.placements == (("fw", 2),)
 
 
 def test_host_failure_without_refuge_fails_the_flow():
@@ -547,13 +639,21 @@ def test_host_failure_handles_flows_in_id_order_until_room_runs_out():
     assert orch.db.entries[5].status is LifecycleStatus.FAILED
 
 
+def test_eviction_of_an_unknown_flow_raises_unknown_request():
+    orch = _orchestrator(square_network())
+    orch.submit_request(make_request(ingress=0, egress=3), now=0)
+    assert orch.controller.network.fail_host(1) == [(0, 0)]
+    with pytest.raises(UnknownRequest):
+        orch.controller.handle_host_failure([(7, 0)], orch.db.entries)
+
+
 def test_release_flow_returns_holdings_and_restores_state():
     orch = _orchestrator()
-    pristine = orch.controller.network.snapshot()
+    pristine = snapshot(orch.controller.network)
     orch.submit_request(make_request(), now=0)
     released = orch.complete_request(0, now=1000)
     assert released == {"cpu": 2, "mem": 2, "bandwidth_kbps": 8000}
-    assert orch.controller.network.snapshot() == pristine
+    assert snapshot(orch.controller.network) == pristine
     assert orch.counters()["completed"] == 1
     with pytest.raises(AlreadyTerminal):
         orch.complete_request(0, now=2000)

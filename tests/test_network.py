@@ -17,7 +17,7 @@ from qoechain.errors import (
 )
 from qoechain.network import PlacementRecord
 
-from generators import line_network, square_network
+from generators import line_network, snapshot, square_network
 
 
 def test_node_validation():
@@ -74,7 +74,7 @@ def test_initial_residuals_match_capacity():
 
 def test_reserve_and_release_roundtrip():
     net = line_network()
-    before = net.snapshot()
+    before = snapshot(net)
     net.reserve(
         link_demands={0: 4000, 1: 4000},
         placements=[PlacementRecord((7, 0), host_id=1, cpu=2, mem=3)],
@@ -84,33 +84,35 @@ def test_reserve_and_release_roundtrip():
     assert net.available_bw(0) == 6000
     assert (7, 0) in net.placements
     net.release(link_demands={0: 4000, 1: 4000}, placement_ids=[(7, 0)])
-    assert net.snapshot() == before
+    assert snapshot(net) == before
 
 
 def test_reserve_is_all_or_nothing():
     net = line_network()
-    before = net.snapshot()
+    before = snapshot(net)
     # Second link demand exceeds capacity; the first must not stick.
     with pytest.raises(InsufficientResidual) as exc:
         net.reserve(link_demands={0: 4000, 1: 999_999})
     assert exc.value.resource == "bandwidth"
     assert exc.value.entity_id == 1
-    assert net.snapshot() == before
-    with pytest.raises(InsufficientResidual):
-        net.reserve(host_demands={1: (9, 0)})
-    assert net.snapshot() == before
+    assert snapshot(net) == before
+    with pytest.raises(InsufficientResidual) as exc:
+        net.reserve(placements=[PlacementRecord((7, 0), host_id=1, cpu=9, mem=0)])
+    assert exc.value.resource == "cpu"
+    assert snapshot(net) == before
 
 
 def test_reserve_validates_ids_and_signs():
     net = line_network()
     with pytest.raises(UnknownHost):
-        net.reserve(host_demands={0: (1, 1)})  # node 0 is an endpoint
+        # Node 0 is an endpoint.
+        net.reserve(placements=[PlacementRecord((7, 0), host_id=0, cpu=1, mem=1)])
     with pytest.raises(UnknownLink):
         net.reserve(link_demands={42: 1})
     with pytest.raises(NegativeCapacity):
         net.reserve(link_demands={0: -1})
     with pytest.raises(NegativeCapacity):
-        net.reserve(host_demands={1: (-1, 0)})
+        net.reserve(placements=[PlacementRecord((7, 0), host_id=1, cpu=-1, mem=0)])
 
 
 def test_duplicate_placement_id_rejected():
@@ -136,11 +138,11 @@ def test_over_release_is_an_invariant_violation():
     with pytest.raises(OverRelease):
         net.release(placement_ids=[(9, 9)])
     assert isinstance(OverRelease("bandwidth", 0), InvariantViolation)
-    before = net.snapshot()
+    before = snapshot(net)
     # A failing release must also leave everything untouched.
     with pytest.raises(OverRelease):
         net.release(link_demands={0: 1000, 1: 1})
-    assert net.snapshot() == before
+    assert snapshot(net) == before
 
 
 def test_fail_host_evicts_and_resets():
@@ -198,10 +200,10 @@ def test_degrade_link_overrides_quality():
 
 def test_snapshot_reflects_every_mutable_piece():
     net = square_network()
-    base = net.snapshot()
+    base = snapshot(net)
     net.reserve(link_demands={0: 1})
-    assert net.snapshot() != base
+    assert snapshot(net) != base
     net.release(link_demands={0: 1})
-    assert net.snapshot() == base
+    assert snapshot(net) == base
     net.degrade_link(0, jitter_ms=1.0)
-    assert net.snapshot() != base
+    assert snapshot(net) != base

@@ -1,30 +1,63 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and every definition is read.
 
-The scan is static: it parses each source file with ast, collects the
-names its import statements bind, and reports those that no expression in
-the file reads. Names listed in a module's ``__all__`` count as used, since
-re-exporting them is why they are imported, and so do names read inside a
-quoted annotation.
+Both scans are static: they parse each source file with ast. The import
+scan collects the names a file's import statements bind and reports those
+that no expression in the file reads. Names listed in a module's
+``__all__`` count as used, since re-exporting them is why they are
+imported, and so do names read inside a quoted annotation.
+
+The definition scan reports each function, method or class defined in
+``src/qoechain`` whose name no expression in ``src/qoechain`` outside its
+own body reads, as a bare name or as an attribute, unless an ``__all__``
+lists it. Names are matched without resolving types, so a read of any
+attribute with the same name counts; dunder methods are called by the
+language and are never reported.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).parent.parent
-SOURCES = sorted(
-    [*ROOT.glob("src/qoechain/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")]
-)
+PACKAGE = sorted(ROOT.glob("src/qoechain/*.py"))
+SOURCES = sorted([*PACKAGE, *ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")])
+
+
+def quoted_annotation_names(tree: ast.AST) -> list[str]:
+    """Names read inside string annotations, which ast keeps as constants."""
+    annotations: list[ast.expr | None] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    names = []
+    for annotation in annotations:
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            quoted = ast.parse(annotation.value, mode="eval")
+            names.extend(node.id for node in ast.walk(quoted) if isinstance(node, ast.Name))
+    return names
+
+
+def exported(tree: ast.AST) -> list[str]:
+    """The names an ``__all__`` assignment in tree lists."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            names.extend(ast.literal_eval(node.value))
+    return names
 
 
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported: dict[str, int] = {}
-    used: set[str] = set()
-    annotations: list[ast.expr | None] = []
+    used: set[str] = set(exported(tree)) | set(quoted_annotation_names(tree))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -34,19 +67,43 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, (ast.arg, ast.AnnAssign)):
-            annotations.append(node.annotation)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            annotations.append(node.returns)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
-    for annotation in annotations:
-        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-            quoted = ast.parse(annotation.value, mode="eval")
-            used.update(node.id for node in ast.walk(quoted) if isinstance(node, ast.Name))
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def reads(tree: ast.AST) -> Counter:
+    """How often each name is read in tree, as a name or as an attribute."""
+    counts: Counter = Counter(quoted_annotation_names(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            counts[node.attr] += 1
+    return counts
+
+
+def definitions(tree: ast.AST, prefix: str = ""):
+    """(qualified name, node) of every function, method and class in tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node
+            yield from definitions(node, prefix + node.name + ".")
+        else:
+            yield from definitions(node, prefix)
+
+
+def unused_definitions(sources: list[str]) -> list[str]:
+    trees = [ast.parse(source) for source in sources]
+    total: Counter = sum((reads(tree) for tree in trees), Counter())
+    listed = {name for tree in trees for name in exported(tree)}
+    unused = []
+    for tree in trees:
+        for qualified, node in definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or name in listed:
+                continue
+            if total[name] <= reads(node)[name]:
+                unused.append(qualified)
+    return unused
 
 
 def test_the_scan_sees_an_unused_import():
@@ -57,6 +114,25 @@ def test_the_scan_sees_an_unused_import():
     assert unused_imports(source) == ["line 1: os"]
 
 
+def test_the_scan_sees_an_unused_definition():
+    sources = [
+        "__all__ = ['api']\ndef api(): return Box().open() + helper(1)\n"
+        "def helper(x): return x\ndef loop(n): return loop(n - 1)\n",
+        "class Box:\n    def __init__(self): self.shut = 0\n"
+        "    def open(self): return 1\n    def close(self): return Box()\n"
+        "class Hidden:\n    def method(self): return Hidden\n"
+        "def annotated(x: 'Quoted'): return x\nclass Quoted: pass\n",
+    ]
+    assert unused_definitions(sources) == [
+        "loop", "Box.close", "Hidden", "Hidden.method", "annotated"
+    ]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_definition_in_the_package_is_read():
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
+    assert unused_definitions(sources) == []
