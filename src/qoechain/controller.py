@@ -126,52 +126,52 @@ class BreachAlert:
 
 
 class ResourceView:
-    """NetworkState read interface with tentative resource deltas on top.
+    """The NetworkState reads planning needs, with tentative resource deltas on top.
 
     A positive delta offers resources back (a flow replanning may reuse its
     own holdings); a negative delta tracks demand pending within a plan.
-    Topology, failures and link quality are the state's own objects: no
-    delta touches them.
+    Topology, failures, link quality and the residual counters are the
+    state's own objects: no delta touches them. What is available is the
+    residual plus the delta, which hot loops read inline.
     """
 
     def __init__(self, state: NetworkState):
-        self._state = state
         self.nodes = state.nodes
         self.links = state.links
         self.failed_hosts = state.failed_hosts
         self.adjacency = state.adjacency
+        self.edges = state.edges
         self.link_quality = state.link_quality
-        self._bw: dict[int, int] = {}
-        self._cpu: dict[int, int] = {}
-        self._mem: dict[int, int] = {}
+        self.residual_bw = state.residual_bw
+        self.residual_cpu = state.residual_cpu
+        self.residual_mem = state.residual_mem
+        self.bw_delta: dict[int, int] = {}
+        self.cpu_delta: dict[int, int] = {}
+        self.mem_delta: dict[int, int] = {}
 
     def available_bw(self, link_id: int) -> int:
-        return self._state.residual_bw[link_id] + self._bw.get(link_id, 0)
-
-    def available_cpu(self, host_id: int) -> int:
-        return self._state.available_cpu(host_id) + self._cpu.get(host_id, 0)
-
-    def available_mem(self, host_id: int) -> int:
-        return self._state.available_mem(host_id) + self._mem.get(host_id, 0)
+        return self.residual_bw[link_id] + self.bw_delta.get(link_id, 0)
 
     def add_bw(self, link_id: int, delta: int) -> None:
-        self._bw[link_id] = self._bw.get(link_id, 0) + delta
+        self.bw_delta[link_id] = self.bw_delta.get(link_id, 0) + delta
 
     def add_cpu(self, host_id: int, delta: int) -> None:
-        self._cpu[host_id] = self._cpu.get(host_id, 0) + delta
+        self.cpu_delta[host_id] = self.cpu_delta.get(host_id, 0) + delta
 
     def add_mem(self, host_id: int, delta: int) -> None:
-        self._mem[host_id] = self._mem.get(host_id, 0) + delta
+        self.mem_delta[host_id] = self.mem_delta.get(host_id, 0) + delta
 
 
-@dataclass(frozen=True)
+@dataclass
 class RouteFigures:
     """What measuring a flow reads off its graph, request and link quality.
 
-    Built for one graph object under one quality epoch, and valid while the
-    entry still holds that object and the network's quality_epoch has not
-    moved: a reroute or migration installs a new graph object, and only
-    degrade_link changes link quality. Residual bandwidth changes at every
+    Built for one graph object and valid while the entry still holds that
+    object and no link of the graph has changed quality since quality_epoch:
+    a reroute or migration installs a new graph object, and only
+    degrade_link changes link quality, recording the epoch of each change
+    per link. When the epoch has moved but only off the route, the figures
+    stay and just take the new epoch. Residual bandwidth changes at every
     reserve and release, so the throughput floor is read every window.
     """
 
@@ -301,24 +301,36 @@ class Controller:
 
         The host is the candidate with the cheapest feasible path from the
         anchor (ties: lowest utilization, then lowest host id), all read off
-        one shortest-path tree. Returns the host and the segment to it, or
-        why no host was chosen.
+        one shortest-path tree. One pass reads each host's CPU and memory
+        once; the tree is built at the first host that fits, so a NoHost
+        rejection searches nothing. Returns the host and the segment to it,
+        or why no host was chosen.
         """
-        candidates = [
-            host_id
-            for host_id in self.network.host_ids()
-            if host_id not in view.failed_hosts
-            and view.available_cpu(host_id) >= vnf.cpu_demand
-            and view.available_mem(host_id) >= vnf.mem_demand
-        ]
-        if not candidates:
+        residual_cpu, cpu_delta = view.residual_cpu, view.cpu_delta
+        residual_mem, mem_delta = view.residual_mem, view.mem_delta
+        nodes = self.network.nodes
+        tree = None
+        options = []
+        for host_id in self.network.host_ids():
+            if host_id in view.failed_hosts:
+                continue
+            cpu = residual_cpu[host_id] + cpu_delta.get(host_id, 0)
+            mem = residual_mem[host_id] + mem_delta.get(host_id, 0)
+            if cpu < vnf.cpu_demand or mem < vnf.mem_demand:
+                continue
+            if tree is None:
+                tree = shortest_path_tree(view, anchor, bw_kbps, exclude_links)
+            label = tree.get(host_id)
+            if label is None:
+                continue
+            cap_cpu, cap_mem = nodes[host_id].cpu_capacity, nodes[host_id].mem_capacity
+            utilization = max(
+                (cap_cpu - cpu) / cap_cpu if cap_cpu else 0.0,
+                (cap_mem - mem) / cap_mem if cap_mem else 0.0,
+            )
+            options.append((label[0], utilization, host_id, label[2]))
+        if tree is None:
             return RejectReason.NO_HOST
-        tree = shortest_path_tree(view, anchor, bw_kbps, exclude_links)
-        options = [
-            (tree[h][0], self._utilization(view, h), h, tree[h][2])
-            for h in candidates
-            if h in tree
-        ]
         if not options:
             return RejectReason.NO_PATH
         _, _, host_id, segment = min(options)
@@ -327,20 +339,6 @@ class Controller:
         for link_id in segment:
             view.add_bw(link_id, -bw_kbps)
         return host_id, segment
-
-    def _utilization(self, view, host_id: int) -> float:
-        node = self.network.nodes[host_id]
-        cpu_util = (
-            (node.cpu_capacity - view.available_cpu(host_id)) / node.cpu_capacity
-            if node.cpu_capacity
-            else 0.0
-        )
-        mem_util = (
-            (node.mem_capacity - view.available_mem(host_id)) / node.mem_capacity
-            if node.mem_capacity
-            else 0.0
-        )
-        return max(cpu_util, mem_util)
 
     # -- exhaustive oracle -----------------------------------------------------
 
@@ -496,12 +494,15 @@ class Controller:
         """The flow's raw sample for one window; brings entry.route up to date."""
         network = self.network
         route = entry.route
-        if (
-            route is None
-            or route.graph is not entry.graph
-            or route.quality_epoch != network.quality_epoch
-        ):
+        if route is None or route.graph is not entry.graph:
             route = entry.route = self._route_figures(entry)
+        elif route.quality_epoch != network.quality_epoch:
+            changed = network.quality_changed
+            built = route.quality_epoch
+            if any(changed.get(link_id, built) > built for link_id, _ in route.usage):
+                route = entry.route = self._route_figures(entry)
+            else:
+                route.quality_epoch = network.quality_epoch
         # What this flow can push through: the smallest residual along its
         # path with its own reservation offered back, capped at the profile.
         residual_bw = network.residual_bw

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -136,6 +137,10 @@ class NetworkState:
     state bit-identical to what it was before the call.
     """
 
+    # Tentative bandwidth on top of residual_bw, which path search adds in:
+    # a bare state has none, a planning view carries its own.
+    bw_delta: Mapping[int, int] = MappingProxyType({})
+
     def __init__(self, nodes: Iterable[NodeSpec], links: Iterable[LinkSpec]):
         self.nodes: dict[int, NodeSpec] = {}
         for node in nodes:
@@ -167,8 +172,10 @@ class NetworkState:
         self.failed_hosts: set[int] = set()
         self.overrides: dict[int, LinkQuality] = {}
         # Moves at every change of link quality, so figures read off link
-        # quality can tell whether they are stale.
+        # quality can tell whether they are stale; quality_changed holds the
+        # epoch of each link's last change, so they can tell which link.
         self.quality_epoch = 0
+        self.quality_changed: dict[int, int] = {}
         self._base_quality: dict[int, LinkQuality] = {
             link.id: LinkQuality(link.latency_ms, link.jitter_ms, link.loss_pct)
             for link in self.links.values()
@@ -182,6 +189,13 @@ class NetworkState:
         self._adjacency: dict[int, tuple[int, ...]] = {
             node_id: tuple(sorted(ids)) for node_id, ids in adj.items()
         }
+        # What path search reads per node: (link id, neighbour, latency) in
+        # adjacency order under the current quality. degrade_link rewrites
+        # entries in place, never rebinding the dict, so planning views
+        # holding it see every change.
+        self.edges: dict[int, tuple[tuple[int, int, float], ...]] = {}
+        for node_id in self.nodes:
+            self._refresh_edges(node_id)
 
     # -- read model ---------------------------------------------------------
 
@@ -354,7 +368,8 @@ class NetworkState:
 
         Capacity is untouched: a degraded link still carries its reserved
         traffic, only worse. loss_pct=100 models a link failure. This is the
-        only change of link quality, and each one moves quality_epoch.
+        only change of link quality, and each one moves quality_epoch,
+        records it in quality_changed and refreshes both endpoints' edges.
         """
         if link_id not in self.links:
             msg = f"unknown link {link_id}"
@@ -366,8 +381,19 @@ class NetworkState:
         check_link_quality(link_id, latency, jitter, loss)
         self.overrides[link_id] = LinkQuality(latency, jitter, loss)
         self.quality_epoch += 1
+        self.quality_changed[link_id] = self.quality_epoch
+        link = self.links[link_id]
+        self._refresh_edges(link.a)
+        self._refresh_edges(link.b)
 
     # -- helpers -------------------------------------------------------------
+
+    def _refresh_edges(self, node_id: int) -> None:
+        links = self.links
+        self.edges[node_id] = tuple(
+            (link_id, links[link_id].other(node_id), self.link_quality(link_id).latency_ms)
+            for link_id in self._adjacency[node_id]
+        )
 
     def _check_host(self, host_id: int, allow_failed: bool = False) -> None:
         node = self.nodes.get(host_id)

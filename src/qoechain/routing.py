@@ -5,27 +5,35 @@ same node pair. A path's cost key is (total latency, hop count, link-id
 sequence); comparing full keys makes every choice a total order and keeps
 runs reproducible. Failed hosts never appear as interior nodes.
 
-One Dijkstra loop (`_settle`) serves two callers. `shortest_path_tree`
-runs it to the end and keys every reachable node from one source, which is
-what host placement needs: one search per anchor instead of one per
-candidate host. `shortest_feasible_path` stops it at the target. Both give
-the same answer for every node: the key is a total order, and appending
-the same link to two paths that end at the same node keeps their order, so
-a node's label is final when it is first popped, whether or not the search
-goes on afterwards. Latency is summed along the path from 0.0 in path
-order, as `path_key` sums it, so even the floats agree.
+One Dijkstra loop (`_settle`) serves two callers. It is one plain call, not
+a generator, that returns the settled labels and stops once an optional
+target is settled. `shortest_path_tree` runs it to the end and keys every
+reachable node from one source, which is what host placement needs: one
+search per anchor instead of one per candidate host.
+`shortest_feasible_path` stops it at the target. Both give the same answer
+for every node: the key is a total order, and appending the same link to
+two paths that end at the same node keeps their order, so a node's label
+is final when it is first popped, whether or not the search goes on
+afterwards. Latency is summed along the path from 0.0 in path order, as
+`path_key` sums it, so even the floats agree.
+
+The loop reads each node's (link id, neighbour, latency) tuples from the
+state's `edges` and the bandwidth as residual plus pending delta, without
+calling an accessor per edge. A candidate whose neighbour already holds a
+label better on (latency, hops) is dropped before its link tuple is built;
+only a tie on both compares link sequences. `enumerate_simple_paths` and
+`path_key` read `adjacency` and `link_quality` instead, so the oracle does
+not share the loop's inputs.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InstanceTooLarge, UnknownHost
 
 PathKey = tuple[float, int, tuple[int, ...]]
-
-_UNREACHED: PathKey = (float("inf"), 0, ())
 
 
 def path_key(net, path: Iterable[int]) -> PathKey:
@@ -38,45 +46,57 @@ def path_key(net, path: Iterable[int]) -> PathKey:
 
 
 def _settle(
-    net, src: int, bw_kbps: int, exclude_links: frozenset[int]
-) -> Iterator[tuple[int, PathKey]]:
-    """Yield (node, key) for each node reachable from src as its label becomes final.
+    net,
+    src: int,
+    bw_kbps: int,
+    exclude_links: frozenset[int],
+    dst: int | None = None,
+) -> dict[int, PathKey]:
+    """Final keys of the nodes reachable from src, in ascending key order.
 
     A link is feasible when its available bandwidth covers bw_kbps and it is
-    not excluded. Nodes come out in ascending key order, src first.
+    not excluded. The search stops once dst, if given, is settled.
     """
-    adjacency = net.adjacency
-    available_bw = net.available_bw
-    link_quality = net.link_quality
-    links_by_id = net.links
+    edges = net.edges
+    residual_bw = net.residual_bw
+    pending_bw = net.bw_delta.get
     failed_hosts = net.failed_hosts
     best: dict[int, PathKey] = {src: (0.0, 0, ())}
-    done: set[int] = set()
+    done: dict[int, PathKey] = {}
     heap: list[tuple[float, int, tuple[int, ...], int]] = [(0.0, 0, (), src)]
     while heap:
         latency, hops, links, node = heappop(heap)
         if node in done:
             continue
-        done.add(node)
-        yield node, (latency, hops, links)
+        done[node] = (latency, hops, links)
+        if node == dst:
+            break
         # Failed hosts may terminate a path but never relay one.
         if node != src and node in failed_hosts:
             continue
-        for link_id in adjacency(node):
-            if link_id in exclude_links or available_bw(link_id) < bw_kbps:
+        next_hops = hops + 1
+        for link_id, neighbor, link_latency in edges[node]:
+            if (
+                neighbor in done
+                or link_id in exclude_links
+                or residual_bw[link_id] + pending_bw(link_id, 0) < bw_kbps
+            ):
                 continue
-            link = links_by_id[link_id]
-            neighbor = link.b if link.a == node else link.a
-            if neighbor in done:
-                continue
-            candidate: PathKey = (
-                latency + link_quality(link_id).latency_ms,
-                hops + 1,
-                links + (link_id,),
-            )
-            if candidate < best.get(neighbor, _UNREACHED):
-                best[neighbor] = candidate
-                heappush(heap, (*candidate, neighbor))
+            next_latency = latency + link_latency
+            label = best.get(neighbor)
+            if label is not None:
+                # Only a tie on (latency, hops) needs the link sequences.
+                if label[0] < next_latency:
+                    continue
+                if label[0] == next_latency:
+                    if label[1] < next_hops:
+                        continue
+                    if label[1] == next_hops and label[2] <= links + (link_id,):
+                        continue
+            next_links = links + (link_id,)
+            best[neighbor] = (next_latency, next_hops, next_links)
+            heappush(heap, (next_latency, next_hops, next_links, neighbor))
+    return done
 
 
 def shortest_path_tree(
@@ -94,7 +114,7 @@ def shortest_path_tree(
     if src not in net.nodes:
         msg = f"unknown node in path query: {src}"
         raise UnknownHost(msg)
-    return dict(_settle(net, src, bw_kbps, exclude_links))
+    return _settle(net, src, bw_kbps, exclude_links)
 
 
 def shortest_feasible_path(
@@ -116,10 +136,8 @@ def shortest_feasible_path(
         raise UnknownHost(msg)
     if src == dst:
         return []
-    for node, (_, _, links) in _settle(net, src, bw_kbps, exclude_links):
-        if node == dst:
-            return list(links)
-    return None
+    label = _settle(net, src, bw_kbps, exclude_links, dst).get(dst)
+    return None if label is None else list(label[2])
 
 
 def enumerate_simple_paths(

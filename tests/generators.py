@@ -129,8 +129,13 @@ def random_network(
     n_switches: int = 1,
     extra_links: int = 3,
     bw_mbps_range: tuple[int, int] = (2, 10),
+    latency_choices: tuple[float, ...] | None = None,
 ) -> NetworkState:
-    """A connected random substrate: spanning tree plus a few extra links."""
+    """A connected random substrate: spanning tree plus a few extra links.
+
+    With latency_choices set, each link's latency is drawn from it instead
+    of from a continuous range, so equal-latency paths become common.
+    """
     nodes: list[NodeSpec] = []
     node_id = 0
     for _ in range(n_endpoints):
@@ -161,7 +166,11 @@ def random_network(
                 a=a,
                 b=b,
                 bandwidth_kbps=rng.randint(*bw_mbps_range) * 1000,
-                latency_ms=round(rng.uniform(1.0, 15.0), 1),
+                latency_ms=(
+                    round(rng.uniform(1.0, 15.0), 1)
+                    if latency_choices is None
+                    else rng.choice(latency_choices)
+                ),
                 jitter_ms=round(rng.uniform(0.0, 3.0), 1),
                 loss_pct=round(rng.uniform(0.0, 2.0), 2),
             )

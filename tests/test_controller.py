@@ -401,6 +401,60 @@ def test_a_second_flow_on_a_shared_link_lowers_throughput_next_window():
     assert samples[0].q_bw == 0.5
 
 
+# A moved quality epoch rebuilds a flow's figures only when a link of its
+# route changed after they were built.
+
+
+def _pair_flow(net):
+    """One chain-free flow on link 0 of the pair, measured unsmoothed."""
+    orch = _orchestrator(net, _pair_catalog(), PolicyConfig(predictor_alpha=1.0))
+    orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
+    return orch, orch.db.entries[0]
+
+
+def test_degrading_a_link_off_the_route_keeps_its_figures():
+    net = _parallel_pair()
+    orch, entry = _pair_flow(net)
+    first, _ = orch.controller.monitor_window(0, orch.db.live())
+    before = entry.route
+    net.degrade_link(1, latency_ms=40.0, loss_pct=2.0)
+    second, _ = orch.controller.monitor_window(1, orch.db.live())
+    assert entry.route is before
+    assert before.quality_epoch == net.quality_epoch
+    assert (second[0].mos, second[0].q_delay, second[0].q_loss) == (
+        first[0].mos,
+        first[0].q_delay,
+        first[0].q_loss,
+    )
+    assert (entry.smoothed.delay_ms, entry.smoothed.loss_pct) == (10.0, 0.0)
+
+
+def test_degrading_a_link_on_the_route_rebuilds_its_figures():
+    net = _parallel_pair()
+    orch, entry = _pair_flow(net)
+    orch.controller.monitor_window(0, orch.db.live())
+    before = entry.route
+    net.degrade_link(0, latency_ms=40.0)
+    orch.controller.monitor_window(1, orch.db.live())
+    assert entry.route is not before
+    assert entry.route.quality_epoch == net.quality_epoch
+    assert entry.smoothed.delay_ms == 40.0
+
+
+def test_a_link_degraded_off_the_route_shows_once_the_flow_moves_onto_it():
+    net = _parallel_pair()
+    orch, entry = _pair_flow(net)
+    net.degrade_link(1, latency_ms=15.0)  # off the route: figures kept
+    orch.controller.monitor_window(0, orch.db.live())
+    net.degrade_link(0, latency_ms=300.0)
+    orch.controller.monitor_window(1, orch.db.live())
+    assert entry.smoothed.delay_ms == 300.0
+    orch.apply_action(orch.controller.handle_breach(entry), now=2000)
+    assert entry.graph.segments == ((1,),)
+    orch.controller.monitor_window(2, orch.db.live())
+    assert entry.smoothed.delay_ms == 15.0  # the override, not the base 12 ms
+
+
 def test_per_flow_state_stays_bounded_over_the_horizon():
     # Entries keep a bounded history and one set of route figures, however
     # long the flows live and however often the figures are rebuilt.

@@ -3,6 +3,7 @@
 import pytest
 
 from qoechain import LinkSpec, NodeKind, NodeSpec, build_network
+from qoechain.controller import ResourceView
 from qoechain.errors import (
     AlreadyFailed,
     DanglingEndpoint,
@@ -196,6 +197,27 @@ def test_degrade_link_overrides_quality():
         net.degrade_link(0, loss_pct=200.0)
     with pytest.raises(InvalidRange):
         net.degrade_link(0, latency_ms=-1.0)
+
+
+def test_degrade_link_refreshes_both_endpoints_edges_in_place():
+    net = square_network()
+    view = ResourceView(net)
+    edges = net.edges
+    before = dict(edges)
+    assert edges[0] == ((0, 1, 5.0), (1, 2, 5.0))
+    net.degrade_link(0, latency_ms=30.0)
+    assert net.edges is edges  # mutated, never rebound
+    assert edges[0] == ((0, 1, 30.0), (1, 2, 5.0))
+    assert edges[1] == ((0, 0, 30.0), (2, 3, 5.0))
+    assert edges[2] is before[2] and edges[3] is before[3]
+    assert view.edges[0][0] == (0, 1, 30.0)  # a view built earlier sees it
+    net.degrade_link(0, jitter_ms=2.0)
+    assert edges[1][0] == (0, 0, 30.0)  # latency kept
+    net.degrade_link(3, loss_pct=1.0)
+    assert net.quality_changed == {0: 2, 3: 3}
+    with pytest.raises(InvalidRange):
+        net.degrade_link(2, latency_ms=-1.0)
+    assert net.quality_changed == {0: 2, 3: 3}  # a rejected override records nothing
 
 
 def test_snapshot_reflects_every_mutable_piece():

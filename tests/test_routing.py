@@ -199,3 +199,46 @@ def test_tree_of_an_unknown_source_raises():
     with pytest.raises(UnknownHost):
         shortest_path_tree(net, 9, 1000)
     assert shortest_path_tree(net, 0, 6000) == {0: (0.0, 0, ()), 1: (10.0, 1, (2,))}
+
+
+def test_tree_and_query_match_the_enumeration_under_heavy_ties():
+    # Latencies of 1 or 2 ms make labels that tie on (latency, hops) but
+    # differ in link sequence common, so the link-sequence tie-break decides
+    # many answers; a search that prunes before comparing sequences must
+    # still pick the smallest.
+    rng = Random(0x71E5)
+    answered = tied = 0
+    for _ in range(80):
+        net = random_network(
+            rng,
+            n_endpoints=2,
+            n_hosts=3,
+            n_switches=2,
+            extra_links=5,
+            latency_choices=(1.0, 2.0),
+        )
+        net.fail_host(rng.choice(net.host_ids()))
+        view = ResourceView(net)
+        for link_id in rng.sample(sorted(net.links), 4):
+            view.add_bw(link_id, rng.choice((-1, 1)) * rng.randint(1, 6) * 1000)
+        bw = rng.randint(1, 6) * 1000
+        exclude = frozenset(rng.sample(sorted(net.links), rng.randint(0, 2)))
+        for searched in (net, view):
+            for src in sorted(net.nodes):
+                tree = shortest_path_tree(searched, src, bw, exclude)
+                for dst in sorted(net.nodes):
+                    if dst == src:
+                        continue
+                    everything = enumerate_simple_paths(
+                        searched, src, dst, bw, exclude, max_paths=5000
+                    )
+                    keys = sorted(path_key(searched, path) for path in everything)
+                    best = keys[0] if keys else None
+                    assert tree.get(dst) == best
+                    path = shortest_feasible_path(searched, src, dst, bw, exclude)
+                    assert (None if path is None else path_key(searched, path)) == best
+                    if keys:
+                        answered += 1
+                        tied += len(keys) > 1 and keys[1][:2] == keys[0][:2]
+    assert answered >= 4000  # most queries must actually find a path
+    assert tied >= 500  # and many must be settled by the link-sequence tie-break
