@@ -3,7 +3,6 @@
 from .controller import (
     Action,
     ActionKind,
-    BreachAlert,
     Controller,
     OracleLimits,
     PolicyConfig,
@@ -59,7 +58,6 @@ __all__ = [
     "Action",
     "ActionKind",
     "AppProfile",
-    "BreachAlert",
     "ChainRequest",
     "Controller",
     "Diagnostic",

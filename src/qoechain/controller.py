@@ -118,13 +118,6 @@ class Action:
     new_graph: ForwardingGraph | None = None
 
 
-@dataclass(frozen=True)
-class BreachAlert:
-    flow_id: int
-    window_index: int
-    mos: float
-
-
 class ResourceView:
     """The NetworkState reads planning needs, with tentative resource deltas on top.
 
@@ -245,8 +238,7 @@ class Controller:
         """
         view = ResourceView(self.network)
         if graph is None:
-            profile = self.catalog.profile(request.profile)
-            bw_kbps = round(profile.bw_req_mbps * KBPS_PER_MBPS)
+            bw_kbps = self.catalog.profile(request.profile).bw_req_kbps
             hosts = [None] * len(request.vnf_sequence)
             paths: list[LinkPath] = [()] * (len(hosts) + 1)
         else:
@@ -353,8 +345,7 @@ class Controller:
         InstanceTooLarge beyond the configured limits; refusing loudly beats
         a silently truncated search.
         """
-        profile = self.catalog.profile(request.profile)
-        bw_kbps = round(profile.bw_req_mbps * KBPS_PER_MBPS)
+        bw_kbps = self.catalog.profile(request.profile).bw_req_kbps
         chain = [self.catalog.vnf(name) for name in request.vnf_sequence]
         hosts = self.network.host_ids()
         if len(hosts) > limits.max_hosts:
@@ -462,12 +453,14 @@ class Controller:
 
     def monitor_window(
         self, window_index: int, flows: Iterable[DbEntry]
-    ) -> tuple[list[QoeSample], list[BreachAlert]]:
-        """Measure the given live flows for one window and collect breach alerts.
+    ) -> tuple[list[QoeSample], list[QoeSample]]:
+        """Measure the given live flows for one window.
 
-        flows are the live database entries in ascending request id; the
-        samples and alerts come out in that order. Raw figures come from the
-        flow's route figures (its current segments under the current link
+        Returns (samples, breaching): one sample per flow, and those of them
+        that breach the flow's ELA.
+        flows are the live database entries in ascending request id; both
+        lists come out in that order. Raw figures come from the flow's
+        route figures (its current segments under the current link
         quality), the residual-driven throughput, and the injected stall
         level. Each metric is EWMA-smoothed with predictor_alpha before
         scoring; degraded flows are still measured so recovery stays
@@ -477,7 +470,7 @@ class Controller:
         alpha = self.policy.predictor_alpha
         keep = self.ela.breach_windows
         samples: list[QoeSample] = []
-        alerts: list[BreachAlert] = []
+        breaching: list[QoeSample] = []
         for entry in flows:
             smoothed = self._smooth(entry, self._measure(entry, window_index), alpha)
             route = entry.route
@@ -487,8 +480,8 @@ class Controller:
             del history[:-keep]
             samples.append(sample)
             if ela_breached(history, route.ela):
-                alerts.append(BreachAlert(entry.request.id, window_index, sample.mos))
-        return samples, alerts
+                breaching.append(sample)
+        return samples, breaching
 
     def _measure(self, entry: DbEntry, window_index: int) -> FlowSample:
         """The flow's raw sample for one window; brings entry.route up to date."""
@@ -531,7 +524,7 @@ class Controller:
                 self.catalog.proc_latencies(request.vnf_sequence),
             ),
             usage=tuple(graph.link_usage().items()),
-            bw_req_kbps=round(profile.bw_req_mbps * KBPS_PER_MBPS),
+            bw_req_kbps=profile.bw_req_kbps,
             profile=profile,
             ela=self.ela_for(request),
         )
@@ -556,7 +549,6 @@ class Controller:
         """The scenario-wide ELA shape with this request's own target."""
         return Ela(
             target_mos=request.ela_target,
-            window_ms=self.ela.window_ms,
             breach_windows=self.ela.breach_windows,
             compliance_budget=self.ela.compliance_budget,
         )

@@ -4,62 +4,42 @@ Time is integer milliseconds. Events dispatch in (time, seq) order where
 seq is the scheduling order, so same-time ties resolve the same way every
 run: measurement windows are scheduled first, then the scenario's declared
 events in file order, then anything spawned while running (departures).
+The scenario's fault records are queued as they are: each is its own event.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
-from .controller import Controller, PolicyConfig, Rejected
+from .controller import Controller, Rejected
 from .errors import InvariantViolation, TimeTravel
 from .network import NetworkState, build_network
 from .orchestrator import TERMINAL, Orchestrator, VnfDb, audit_lifecycle
-from .report import FlowSummary, QoeRow, SimReport
+from .qoe import QoeSample
+from .report import FlowSummary, SimReport
 from .rng import SplitMix64
-from .scenario import ScenarioDoc
+from .scenario import HostFailure, LinkDegradation, ScenarioDoc, StallInjection
 from .service import ServiceCatalog, validate_forwarding_graph
 
 
 @dataclass(frozen=True)
 class Arrival:
-    time: int
+    time_ms: int
     request: object
 
 
 @dataclass(frozen=True)
 class Departure:
-    time: int
+    time_ms: int
     request_id: int
 
 
 @dataclass(frozen=True)
 class MeasureWindow:
-    time: int
+    time_ms: int
     index: int
-
-
-@dataclass(frozen=True)
-class HostFailure:
-    time: int
-    host_id: int
-
-
-@dataclass(frozen=True)
-class LinkDegradation:
-    time: int
-    link_id: int
-    latency_ms: float | None
-    jitter_ms: float | None
-    loss_pct: float | None
-
-
-@dataclass(frozen=True)
-class StallInjection:
-    time: int
-    flow_id: int
-    stall_ratio: float
 
 
 class EventQueue:
@@ -74,10 +54,10 @@ class EventQueue:
         return len(self._heap)
 
     def schedule(self, event) -> None:
-        if event.time < self.now:
-            msg = f"event at {event.time}ms scheduled at clock {self.now}ms"
+        if event.time_ms < self.now:
+            msg = f"event at {event.time_ms}ms scheduled at clock {self.now}ms"
             raise TimeTravel(msg)
-        heapq.heappush(self._heap, (event.time, self._seq, event))
+        heapq.heappush(self._heap, (event.time_ms, self._seq, event))
         self._seq += 1
 
     def peek_time(self) -> int:
@@ -107,7 +87,7 @@ def run(
     catalog = ServiceCatalog(doc.vnf_types, doc.profiles)
     policy = doc.policy
     if alpha is not None:
-        policy = PolicyConfig(alpha, policy.max_reroute_attempts)
+        policy = replace(policy, predictor_alpha=alpha)
     controller = Controller(state, catalog, doc.ela, policy)
     orchestrator = Orchestrator(controller)
 
@@ -115,34 +95,18 @@ def run(
     queue = EventQueue()
     windows = doc.duration_ms // doc.window_ms
     for index in range(windows):
-        queue.schedule(MeasureWindow(time=(index + 1) * doc.window_ms, index=index))
+        queue.schedule(MeasureWindow(time_ms=(index + 1) * doc.window_ms, index=index))
     rng = SplitMix64(effective_seed)
     for request in doc.requests:
         arrival = request.arrival_ms
         if doc.arrival_jitter_ms > 0:
             span = 2 * doc.arrival_jitter_ms + 1
             arrival = max(0, arrival + rng.next_below(span) - doc.arrival_jitter_ms)
-        queue.schedule(Arrival(time=arrival, request=request))
-    for failure in doc.host_failures:
-        queue.schedule(HostFailure(time=failure.time_ms, host_id=failure.host))
-    for degradation in doc.link_degradations:
-        queue.schedule(
-            LinkDegradation(
-                time=degradation.time_ms,
-                link_id=degradation.link,
-                latency_ms=degradation.latency_ms,
-                jitter_ms=degradation.jitter_ms,
-                loss_pct=degradation.loss_pct,
-            )
-        )
-    for stall in doc.stall_injections:
-        queue.schedule(
-            StallInjection(
-                time=stall.time_ms, flow_id=stall.flow, stall_ratio=stall.stall_ratio
-            )
-        )
+        queue.schedule(Arrival(time_ms=arrival, request=request))
+    for fault in (*doc.host_failures, *doc.link_degradations, *doc.stall_injections):
+        queue.schedule(fault)
 
-    rows: list[QoeRow] = []
+    rows: list[QoeSample] = []
     # Per flow: [windows observed, windows at or above the flow's target].
     tallies: dict[int, list[int]] = {}
     breaches: dict[int, list[int]] = {}
@@ -151,11 +115,11 @@ def run(
     while queue and queue.peek_time() <= doc.duration_ms:
         event = queue.pop()
         if isinstance(event, Arrival):
-            result = orchestrator.submit_request(event.request, event.time)
+            result = orchestrator.submit_request(event.request, event.time_ms)
             if not isinstance(result, Rejected):
                 queue.schedule(
                     Departure(
-                        time=event.time + event.request.holding_ms,
+                        time_ms=event.time_ms + event.request.holding_ms,
                         request_id=event.request.id,
                     )
                 )
@@ -163,44 +127,32 @@ def run(
             entry = orchestrator.db.entries.get(event.request_id)
             # A flow that already failed has nothing left to tear down.
             if entry is not None and entry.status not in TERMINAL:
-                orchestrator.complete_request(event.request_id, event.time)
+                orchestrator.complete_request(event.request_id, event.time_ms)
         elif isinstance(event, MeasureWindow):
             live = orchestrator.db.live()
-            samples, alerts = controller.monitor_window(event.index, live)
+            samples, breaching = controller.monitor_window(event.index, live)
             measured += 1
+            rows.extend(samples)
             # monitor_window answers one sample per entry, in the entries' order.
             for entry, sample in zip(live, samples):
-                rows.append(
-                    QoeRow(
-                        time_ms=event.time,
-                        flow_id=sample.flow_id,
-                        mos=sample.mos,
-                        q_bw=sample.q_bw,
-                        q_delay=sample.q_delay,
-                        q_loss=sample.q_loss,
-                        q_stall=sample.q_stall,
-                    )
-                )
                 tally = tallies.setdefault(sample.flow_id, [0, 0])
                 tally[0] += 1
                 if sample.mos >= entry.request.ela_target:
                     tally[1] += 1
-            for alert in alerts:
-                breaches.setdefault(alert.flow_id, []).append(alert.window_index)
-                entry = orchestrator.db.entries[alert.flow_id]
-                orchestrator.apply_action(controller.handle_breach(entry), event.time)
+            for sample in breaching:
+                breaches.setdefault(sample.flow_id, []).append(sample.window_index)
+                entry = orchestrator.db.entries[sample.flow_id]
+                orchestrator.apply_action(controller.handle_breach(entry), event.time_ms)
         elif isinstance(event, HostFailure):
-            evicted = state.fail_host(event.host_id)
+            evicted = state.fail_host(event.host)
             for action in controller.handle_host_failure(
                 evicted, orchestrator.db.entries
             ):
-                orchestrator.apply_action(action, event.time)
+                orchestrator.apply_action(action, event.time_ms)
         elif isinstance(event, LinkDegradation):
-            state.degrade_link(
-                event.link_id, event.latency_ms, event.jitter_ms, event.loss_pct
-            )
+            state.degrade_link(event.link, event.latency_ms, event.jitter_ms, event.loss_pct)
         elif isinstance(event, StallInjection):
-            controller.set_stall(event.flow_id, event.stall_ratio)
+            controller.set_stall(event.flow, event.stall_ratio)
         else:  # pragma: no cover - the queue only ever holds the types above
             msg = f"unknown event {event!r}"
             raise InvariantViolation(msg)

@@ -166,6 +166,8 @@ class NetworkState:
             if node.kind is NodeKind.HOST:
                 self.residual_cpu[node.id] = node.cpu_capacity
                 self.residual_mem[node.id] = node.mem_capacity
+        # Hosts never join or leave after construction; a failed one stays listed.
+        self._host_ids = tuple(sorted(self.residual_cpu))
         self.residual_bw: dict[int, int] = {
             link.id: link.bandwidth_kbps for link in self.links.values()
         }
@@ -199,8 +201,8 @@ class NetworkState:
 
     # -- read model ---------------------------------------------------------
 
-    def host_ids(self) -> list[int]:
-        return sorted(self.residual_cpu)
+    def host_ids(self) -> tuple[int, ...]:
+        return self._host_ids
 
     def adjacency(self, node_id: int) -> tuple[int, ...]:
         return self._adjacency[node_id]

@@ -30,6 +30,7 @@ from .errors import (
     UnknownRequest,
 )
 from .qoe import FlowSample, QoeSample
+from .scenario import dump_request
 from .service import ChainRequest, ForwardingGraph
 from .units import kbps_to_mbps
 
@@ -120,7 +121,6 @@ class VnfDb:
         out = []
         for request_id in sorted(self.entries):
             entry = self.entries[request_id]
-            request = entry.request
             graph = entry.graph
             # A completed flow's graph keeps the status it last ran under.
             graph_status = entry.status
@@ -129,16 +129,7 @@ class VnfDb:
             out.append(
                 {
                     "request_id": request_id,
-                    "request": {
-                        "id": request.id,
-                        "ingress": request.ingress,
-                        "egress": request.egress,
-                        "vnfs": list(request.vnf_sequence),
-                        "profile": request.profile,
-                        "ela_target": request.ela_target,
-                        "arrival_ms": request.arrival_ms,
-                        "holding_ms": request.holding_ms,
-                    },
+                    "request": dump_request(entry.request),
                     "status": entry.status.value,
                     "forwarding_graph": {
                         "placements": [

@@ -88,14 +88,11 @@ class Ela:
     """Experience level agreement for one flow."""
 
     target_mos: float
-    window_ms: int
     breach_windows: int
     compliance_budget: float
 
     def __post_init__(self):
         check_mos_target(self.target_mos, "target_mos")
-        if self.window_ms <= 0:
-            raise InvalidRange("window_ms must be positive", field="window_ms")
         if self.breach_windows < 1:
             msg = "breach_windows must be at least 1"
             raise InvalidRange(msg, field="breach_windows")
@@ -171,7 +168,7 @@ def predict_mos(
         segments, net, catalog.proc_latencies(request.vnf_sequence)
     )
     links = [link_id for segment in segments for link_id in segment]
-    bw_req_kbps = round(profile.bw_req_mbps * KBPS_PER_MBPS)
+    bw_req_kbps = profile.bw_req_kbps
     if links:
         floor_kbps = min(net.available_bw(link_id) for link_id in links)
         throughput_kbps = min(floor_kbps, bw_req_kbps)

@@ -18,19 +18,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import IoFailure
+from .qoe import QoeSample
 
 CSV_HEADER = ["time_ms", "flow_id", "mos", "q_bw", "q_delay", "q_loss", "q_stall"]
-
-
-@dataclass(frozen=True)
-class QoeRow:
-    time_ms: int
-    flow_id: int
-    mos: float
-    q_bw: float
-    q_delay: float
-    q_loss: float
-    q_stall: float
 
 
 @dataclass(frozen=True)
@@ -51,7 +41,7 @@ class SimReport:
     windows: int
     counters: dict[str, object]
     flows: dict[int, FlowSummary]
-    rows: list[QoeRow] = field(default_factory=list)
+    rows: list[QoeSample] = field(default_factory=list)
     db_dump: list[dict] = field(default_factory=list)
 
     def summary_dict(self) -> dict:
@@ -76,14 +66,18 @@ class SimReport:
         }
 
 
-def render_csv(rows: list[QoeRow]) -> str:
-    """Render the QoE series with fixed six-decimal floats."""
+def render_csv(rows: list[QoeSample], window_ms: int) -> str:
+    """Render the QoE series with fixed six-decimal floats.
+
+    A sample's time is the end of its window, (window_index + 1) * window_ms,
+    when the kernel measured it.
+    """
     lines = [",".join(CSV_HEADER)]
-    ordered = sorted(rows, key=lambda row: (row.time_ms, row.flow_id))
+    ordered = sorted(rows, key=lambda row: (row.window_index, row.flow_id))
     for row in ordered:
         lines.append(
-            f"{row.time_ms},{row.flow_id},{row.mos:.6f},{row.q_bw:.6f},"
-            f"{row.q_delay:.6f},{row.q_loss:.6f},{row.q_stall:.6f}"
+            f"{(row.window_index + 1) * window_ms},{row.flow_id},{row.mos:.6f},"
+            f"{row.q_bw:.6f},{row.q_delay:.6f},{row.q_loss:.6f},{row.q_stall:.6f}"
         )
     return "\n".join(lines) + "\n"
 
@@ -98,7 +92,7 @@ def write_report(report: SimReport, out_dir: str | Path) -> list[Path]:
         dump_path = directory / "db_dump.json"
         summary_text = json.dumps(report.summary_dict(), indent=2, sort_keys=True)
         summary_path.write_text(summary_text + "\n", encoding="utf-8")
-        series_path.write_text(render_csv(report.rows), encoding="utf-8")
+        series_path.write_text(render_csv(report.rows, report.window_ms), encoding="utf-8")
         dump_text = json.dumps(report.db_dump, indent=2, sort_keys=True)
         dump_path.write_text(dump_text + "\n", encoding="utf-8")
     except OSError as exc:

@@ -42,8 +42,11 @@ def _check_time(time_ms: int) -> None:
         raise InvalidRange("time_ms must be non-negative", field="time_ms")
 
 
+# Fault records; the kernel queues each as it is, the event at its time_ms.
+
+
 @dataclass(frozen=True)
-class HostFailureSpec:
+class HostFailure:
     time_ms: int
     host: int
 
@@ -52,7 +55,7 @@ class HostFailureSpec:
 
 
 @dataclass(frozen=True)
-class LinkDegradationSpec:
+class LinkDegradation:
     time_ms: int
     link: int
     latency_ms: float | None = None
@@ -74,7 +77,7 @@ class LinkDegradationSpec:
 
 
 @dataclass(frozen=True)
-class StallInjectionSpec:
+class StallInjection:
     time_ms: int
     flow: int
     stall_ratio: float
@@ -98,9 +101,9 @@ class ScenarioDoc:
     policy: PolicyConfig
     arrival_jitter_ms: int
     requests: tuple[ChainRequest, ...]
-    host_failures: tuple[HostFailureSpec, ...]
-    link_degradations: tuple[LinkDegradationSpec, ...]
-    stall_injections: tuple[StallInjectionSpec, ...]
+    host_failures: tuple[HostFailure, ...]
+    link_degradations: tuple[LinkDegradation, ...]
+    stall_injections: tuple[StallInjection, ...]
 
 
 # -- field tables ---------------------------------------------------------------
@@ -184,7 +187,6 @@ _PROFILE = _Table(AppProfile, (
     _Field("loss_max_pct", "loss_max_pct", "number"),
     _Field("stall_max", "stall_max", "number"),
 ))
-# window_ms comes from meta; the parser supplies it.
 _ELA = _Table(Ela, (
     _Field("target_mos", "target_mos", "number"),
     _Field("breach_windows", "breach_windows", "int"),
@@ -205,18 +207,18 @@ _REQUEST = _Table(ChainRequest, (
     _Field("arrival_ms", "arrival_ms", "int"),
     _Field("holding_ms", "holding_ms", "int"),
 ))
-_HOST_FAILURE = _Table(HostFailureSpec, (
+_HOST_FAILURE = _Table(HostFailure, (
     _Field("time_ms", "time_ms", "int"),
     _Field("host", "host", "int", unique="host {!r} fails more than once"),
 ))
-_LINK_DEGRADATION = _Table(LinkDegradationSpec, (
+_LINK_DEGRADATION = _Table(LinkDegradation, (
     _Field("time_ms", "time_ms", "int"),
     _Field("link", "link", "int"),
     _Field("latency_ms", "latency_ms", "number", required=False),
     _Field("jitter_ms", "jitter_ms", "number", required=False),
     _Field("loss_pct", "loss_pct", "number", required=False),
 ))
-_STALL_INJECTION = _Table(StallInjectionSpec, (
+_STALL_INJECTION = _Table(StallInjection, (
     _Field("time_ms", "time_ms", "int"),
     _Field("flow", "flow", "int"),
     _Field("stall_ratio", "stall_ratio", "number"),
@@ -428,8 +430,7 @@ def parse_scenario(text: str | bytes) -> tuple[ScenarioDoc | None, list[Diagnost
 
     catalog = _read_section(ctx, doc, "catalog")
     profiles = _read_section(ctx, doc, "profiles")
-    window = {"window_ms": meta["window_ms"]}
-    ela = _record(ctx, _section(ctx, doc, "ela"), "ela", _ELA, window)
+    ela = _record(ctx, _section(ctx, doc, "ela"), "ela", _ELA, {})
     policy = _record(ctx, _section(ctx, doc, "policy"), "policy", _POLICY, {})
 
     # A broken ELA is already diagnosed; any valid target lets requests be checked.
@@ -493,6 +494,11 @@ def _dump(record: Any, rows: tuple[_Field, ...]) -> dict:
             value = row.convert[1](value)
         payload[row.key] = value
     return payload
+
+
+def dump_request(request: ChainRequest) -> dict:
+    """A request's JSON object, keyed as in a scenario's workload."""
+    return _dump(request, _REQUEST.rows)
 
 
 def serialize_scenario(doc: ScenarioDoc) -> str:

@@ -12,6 +12,7 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidProfile, InvalidRange, UnknownProfile, UnknownVnf
 from .network import NetworkState, NodeKind
+from .units import mbps_to_kbps
 
 LinkPath = tuple[int, ...]
 
@@ -62,6 +63,11 @@ class AppProfile:
         if not 0 < self.stall_max <= 1:
             msg = f"profile {self.name}: stall_max must be in (0, 1]"
             raise InvalidProfile(msg, field="stall_max")
+
+    @property
+    def bw_req_kbps(self) -> int:
+        """The bandwidth need in the integer kbps that reservations hold."""
+        return mbps_to_kbps(self.bw_req_mbps)
 
 
 def check_mos_target(target: float, field: str, owner: str = "") -> None:

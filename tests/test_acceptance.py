@@ -41,10 +41,10 @@ from qoechain.network import PlacementRecord
 from qoechain.qoe import FlowSample
 from qoechain.routing import enumerate_simple_paths, path_key, shortest_feasible_path
 from qoechain.scenario import (
-    HostFailureSpec,
-    LinkDegradationSpec,
+    HostFailure,
+    LinkDegradation,
     ScenarioDoc,
-    StallInjectionSpec,
+    StallInjection,
 )
 from qoechain.service import ServiceCatalog
 
@@ -284,7 +284,7 @@ def _controller_conservation_sequence(rng: Random) -> int:
         extra_links=rng.randint(1, 3),
     )
     catalog = random_catalog(rng)
-    orchestrator = Orchestrator(Controller(net, catalog, Ela(1.0, 1000, 2, 0.9)))
+    orchestrator = Orchestrator(Controller(net, catalog, Ela(1.0, 2, 0.9)))
     alive = set(net.residual_cpu)
     next_id = 0
     mismatches = 0
@@ -334,7 +334,7 @@ def test_every_emitted_embedding_is_valid():
             extra_links=rng.randint(0, 4),
         )
         catalog = random_catalog(rng)
-        orchestrator = Orchestrator(Controller(net, catalog, Ela(1.0, 1000, 2, 0.9)))
+        orchestrator = Orchestrator(Controller(net, catalog, Ela(1.0, 2, 0.9)))
         for rid in range(rng.randint(1, 5)):
             request = random_request(rng, rid, net, catalog, target=1.0)
             result = orchestrator.submit_request(request, now=0)
@@ -377,7 +377,7 @@ def test_oracle_contains_greedy_and_measures_the_gap():
             extra_links=rng.randint(0, 3),
         )
         catalog = random_catalog(rng)
-        controller = Controller(net, catalog, Ela(1.0, 1000, 2, 0.9))
+        controller = Controller(net, catalog, Ela(1.0, 2, 0.9))
         request = random_request(rng, 0, net, catalog, target=1.0, max_chain=3)
         try:
             exact = controller.exact_embed(request, limits)
@@ -464,10 +464,10 @@ def test_host_failure_triggers_immediate_migration():
     stale_refs = []
 
     def hook(event, state):
-        if event.time >= 2500 and any(
+        if event.time_ms >= 2500 and any(
             rec.host_id == 1 for rec in state.placements.values()
         ):
-            stale_refs.append((type(event).__name__, event.time))
+            stale_refs.append((type(event).__name__, event.time_ms))
 
     report = run(doc, strict_debug=True, event_hook=hook)
     lifecycle = [
@@ -475,7 +475,9 @@ def test_host_failure_triggers_immediate_migration():
         for step in report.db_dump[0]["lifecycle"]
     ]
     migration_steps = [step for step in lifecycle if step[0] == 2500]
-    recovery_row = next(row for row in report.rows if row.time_ms == 3000)
+    recovery_row = next(
+        row for row in report.rows if (row.window_index + 1) * doc.window_ms == 3000
+    )
     ok = (
         report.counters["migrated"] == 1
         and migration_steps
@@ -625,10 +627,10 @@ def _random_doc(rng: Random, index: int) -> ScenarioDoc:
     failures = []
     if hosts and rng.random() < 0.6:
         failures.append(
-            HostFailureSpec(time_ms=rng.randrange(0, duration), host=rng.choice(hosts))
+            HostFailure(time_ms=rng.randrange(0, duration), host=rng.choice(hosts))
         )
     degradations = [
-        LinkDegradationSpec(
+        LinkDegradation(
             time_ms=rng.randrange(0, duration),
             link=link,
             latency_ms=rng.uniform(50.0, 400.0),
@@ -637,7 +639,7 @@ def _random_doc(rng: Random, index: int) -> ScenarioDoc:
         if rng.random() < 0.2
     ]
     stalls = [
-        StallInjectionSpec(
+        StallInjection(
             time_ms=rng.randrange(0, duration),
             flow=request.id,
             stall_ratio=round(rng.uniform(0.0, 1.0), 2),
@@ -654,7 +656,7 @@ def _random_doc(rng: Random, index: int) -> ScenarioDoc:
         links=tuple(net.links[i] for i in sorted(net.links)),
         vnf_types=tuple(catalog.vnf_types[name] for name in sorted(catalog.vnf_types)),
         profiles=tuple(catalog.profiles[name] for name in sorted(catalog.profiles)),
-        ela=Ela(3.0, 1000, 2, 0.8),
+        ela=Ela(3.0, 2, 0.8),
         policy=PolicyConfig(0.3, 2),
         arrival_jitter_ms=rng.choice((0, 0, 250)),
         requests=tuple(requests),

@@ -49,7 +49,7 @@ from generators import (
     square_network,
 )
 
-ELA = Ela(target_mos=3.0, window_ms=1000, breach_windows=2, compliance_budget=0.9)
+ELA = Ela(target_mos=3.0, breach_windows=2, compliance_budget=0.9)
 
 
 def _controller(net=None, catalog=None, policy=PolicyConfig()):

@@ -81,10 +81,10 @@ def _payload() -> dict:
 
 def test_queue_orders_by_time_then_insertion_order():
     queue = EventQueue()
-    queue.schedule(Departure(time=5, request_id=1))
-    queue.schedule(Departure(time=2, request_id=2))
-    queue.schedule(Departure(time=5, request_id=3))
-    queue.schedule(Departure(time=2, request_id=4))
+    queue.schedule(Departure(time_ms=5, request_id=1))
+    queue.schedule(Departure(time_ms=2, request_id=2))
+    queue.schedule(Departure(time_ms=5, request_id=3))
+    queue.schedule(Departure(time_ms=2, request_id=4))
     assert [queue.pop().request_id for _ in range(4)] == [2, 4, 1, 3]
     assert queue.now == 5
     assert len(queue) == 0
@@ -92,11 +92,11 @@ def test_queue_orders_by_time_then_insertion_order():
 
 def test_scheduling_into_the_past_raises():
     queue = EventQueue()
-    queue.schedule(MeasureWindow(time=5, index=0))
+    queue.schedule(MeasureWindow(time_ms=5, index=0))
     queue.pop()
     with pytest.raises(TimeTravel):
-        queue.schedule(MeasureWindow(time=4, index=1))
-    queue.schedule(MeasureWindow(time=5, index=1))
+        queue.schedule(MeasureWindow(time_ms=4, index=1))
+    queue.schedule(MeasureWindow(time_ms=5, index=1))
 
 
 def test_empty_scenario_produces_header_only_series():
@@ -105,7 +105,7 @@ def test_empty_scenario_produces_header_only_series():
     assert report.rows == []
     assert report.flows == {}
     assert report.counters["admitted"] == 0
-    assert render_csv(report.rows) == (
+    assert render_csv(report.rows, report.window_ms) == (
         "time_ms,flow_id,mos,q_bw,q_delay,q_loss,q_stall\n"
     )
 
@@ -131,7 +131,7 @@ def test_departure_completes_the_flow():
     assert report.counters["completed"] == 1
     assert report.flows[0].final_status == "Completed"
     assert report.flows[0].windows_observed == 1
-    assert [row.time_ms for row in report.rows] == [1000]
+    assert [(row.window_index + 1) * report.window_ms for row in report.rows] == [1000]
     assert report.flows[0].compliance == 1.0
 
 
@@ -195,7 +195,7 @@ def test_arrival_jitter_is_reproducible_and_seed_sensitive():
     doc = _doc(payload)
     first = run(doc)
     second = run(doc)
-    assert render_csv(first.rows) == render_csv(second.rows)
+    assert render_csv(first.rows, first.window_ms) == render_csv(second.rows, second.window_ms)
     assert first.summary_dict() == second.summary_dict()
     assert first.db_dump == second.db_dump
 

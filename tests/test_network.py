@@ -66,7 +66,7 @@ def test_build_rejects_duplicates_and_dangling_links():
 
 def test_initial_residuals_match_capacity():
     net = line_network()
-    assert net.host_ids() == [1]
+    assert net.host_ids() == (1,)
     assert net.available_cpu(1) == 8
     assert net.available_mem(1) == 8
     assert net.available_bw(0) == 10_000

@@ -28,7 +28,7 @@ from qoechain.service import ForwardingGraph
 
 from generators import line_network, make_request, small_catalog
 
-ELA = Ela(3.0, 1000, 2, 0.9)
+ELA = Ela(3.0, 2, 0.9)
 
 
 def _orchestrator() -> Orchestrator:

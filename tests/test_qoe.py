@@ -79,13 +79,11 @@ def test_qoe_sample_rejects_inconsistent_mos():
 
 def test_ela_validation():
     with pytest.raises(InvalidRange):
-        Ela(0.5, 1000, 1, 1.0)
+        Ela(0.5, 1, 1.0)
     with pytest.raises(InvalidRange):
-        Ela(3.0, 0, 1, 1.0)
+        Ela(3.0, 0, 1.0)
     with pytest.raises(InvalidRange):
-        Ela(3.0, 1000, 0, 1.0)
-    with pytest.raises(InvalidRange):
-        Ela(3.0, 1000, 1, 1.5)
+        Ela(3.0, 1, 1.5)
 
 
 def _history(*mos_values):
@@ -97,7 +95,7 @@ def _history(*mos_values):
 
 
 def test_breach_needs_k_consecutive_strictly_below():
-    ela = Ela(3.0, 1000, 2, 0.9)
+    ela = Ela(3.0, 2, 0.9)
     assert not ela_breached(_history(2.0), ela)  # shorter than K
     assert not ela_breached(_history(2.0, 3.0), ela)
     assert not ela_breached(_history(2.0, 3.0, 2.5), ela)
@@ -108,7 +106,7 @@ def test_breach_needs_k_consecutive_strictly_below():
 
 
 def test_breach_window_of_one():
-    ela = Ela(3.0, 1000, 1, 0.9)
+    ela = Ela(3.0, 1, 0.9)
     assert ela_breached(_history(4.0, 2.9), ela)
     assert not ela_breached(_history(2.0, 3.0), ela)
 

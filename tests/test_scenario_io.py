@@ -11,7 +11,7 @@ import pytest
 from qoechain import load_scenario, parse_scenario, serialize_scenario
 from qoechain.controller import PolicyConfig
 from qoechain.errors import InvalidRange, IoFailure
-from qoechain.scenario import HostFailureSpec, LinkDegradationSpec, StallInjectionSpec
+from qoechain.scenario import HostFailure, LinkDegradation, StallInjection
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -81,7 +81,6 @@ def test_valid_document_parses_with_no_diagnostics():
     assert doc.vnf_types[0].name == "fw"
     assert doc.profiles[0].bw_req_mbps == 4.0
     assert doc.ela.target_mos == 3.0
-    assert doc.ela.window_ms == 1000
     assert doc.requests[0].vnf_sequence == ("fw",)
     assert doc.requests[0].ela_target == 3.0
 
@@ -500,29 +499,29 @@ def test_an_item_that_does_not_build_is_diagnosed_once(mutate, expected):
 @pytest.mark.parametrize(
     "build",
     [
-        pytest.param(lambda: HostFailureSpec(time_ms=-1, host=1), id="failure-time"),
+        pytest.param(lambda: HostFailure(time_ms=-1, host=1), id="failure-time"),
         pytest.param(
-            lambda: LinkDegradationSpec(time_ms=-1, link=0, latency_ms=1.0),
+            lambda: LinkDegradation(time_ms=-1, link=0, latency_ms=1.0),
             id="degradation-time",
         ),
-        pytest.param(lambda: LinkDegradationSpec(time_ms=0, link=0), id="degradation-empty"),
+        pytest.param(lambda: LinkDegradation(time_ms=0, link=0), id="degradation-empty"),
         pytest.param(
-            lambda: LinkDegradationSpec(time_ms=0, link=0, latency_ms=-1.0),
+            lambda: LinkDegradation(time_ms=0, link=0, latency_ms=-1.0),
             id="degradation-latency",
         ),
         pytest.param(
-            lambda: LinkDegradationSpec(time_ms=0, link=0, jitter_ms=-1.0),
+            lambda: LinkDegradation(time_ms=0, link=0, jitter_ms=-1.0),
             id="degradation-jitter",
         ),
         pytest.param(
-            lambda: LinkDegradationSpec(time_ms=0, link=0, loss_pct=101.0),
+            lambda: LinkDegradation(time_ms=0, link=0, loss_pct=101.0),
             id="degradation-loss",
         ),
         pytest.param(
-            lambda: StallInjectionSpec(time_ms=-1, flow=0, stall_ratio=0.5), id="stall-time"
+            lambda: StallInjection(time_ms=-1, flow=0, stall_ratio=0.5), id="stall-time"
         ),
         pytest.param(
-            lambda: StallInjectionSpec(time_ms=0, flow=0, stall_ratio=1.5), id="stall-ratio"
+            lambda: StallInjection(time_ms=0, flow=0, stall_ratio=1.5), id="stall-ratio"
         ),
     ],
 )

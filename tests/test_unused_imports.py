@@ -11,13 +11,15 @@ The definition scan reports each function, method or class defined in
 own body reads, as a bare name or as an attribute, unless an ``__all__``
 lists it. Names are matched without resolving types, so a read of any
 attribute with the same name counts; dunder methods are called by the
-language and are never reported.
+language and are never reported. Because of that, a method name that two
+or more classes define is reported too, unless ``SHARED`` gives the reason:
+a read of one such method would hide that the other has lost its callers.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,12 @@ import pytest
 ROOT = Path(__file__).parent.parent
 PACKAGE = sorted(ROOT.glob("src/qoechain/*.py"))
 SOURCES = sorted([*PACKAGE, *ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")])
+
+# Method names that two or more package classes define, and why.
+SHARED = {
+    "available_bw": "NetworkState and ResourceView; predict_mos reads it on either",
+    "error": "_Parser overrides argparse's error; _Ctx records a diagnostic",
+}
 
 
 def quoted_annotation_names(tree: ast.AST) -> list[str]:
@@ -91,7 +99,25 @@ def definitions(tree: ast.AST, prefix: str = ""):
             yield from definitions(node, prefix)
 
 
-def unused_definitions(sources: list[str]) -> list[str]:
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def method_owners(trees: list[ast.AST]) -> dict[str, list[str]]:
+    """The classes defining each method name, dunders left out."""
+    owners: defaultdict[str, list[str]] = defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        if not is_dunder(item.name):
+                            owners[item.name].append(node.name)
+    return owners
+
+
+def unused_definitions(sources: list[str], shared=()) -> list[str]:
+    """Definitions no other code reads, then method names shared but not in shared."""
     trees = [ast.parse(source) for source in sources]
     total: Counter = sum((reads(tree) for tree in trees), Counter())
     listed = {name for tree in trees for name in exported(tree)}
@@ -99,10 +125,13 @@ def unused_definitions(sources: list[str]) -> list[str]:
     for tree in trees:
         for qualified, node in definitions(tree):
             name = node.name
-            if name.startswith("__") and name.endswith("__") or name in listed:
+            if is_dunder(name) or name in listed:
                 continue
             if total[name] <= reads(node)[name]:
                 unused.append(qualified)
+    for name, classes in method_owners(trees).items():
+        if len(classes) > 1 and name not in shared:
+            unused.append(f"{name} defined by {', '.join(classes)}")
     return unused
 
 
@@ -128,6 +157,17 @@ def test_the_scan_sees_an_unused_definition():
     ]
 
 
+def test_the_scan_sees_a_method_name_two_classes_define():
+    # Bag.open has no caller, but the read of Box.open hides that.
+    sources = [
+        "__all__ = ['api']\ndef api(): return Box().open() + Bag().close()\n",
+        "class Box:\n    def open(self): return 1\n"
+        "class Bag:\n    def open(self): return 2\n    def close(self): return 3\n",
+    ]
+    assert unused_definitions(sources) == ["open defined by Box, Bag"]
+    assert unused_definitions(sources, shared={"open"}) == []
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -135,4 +175,9 @@ def test_no_unused_imports(path):
 
 def test_every_definition_in_the_package_is_read():
     sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
-    assert unused_definitions(sources) == []
+    assert unused_definitions(sources, SHARED) == []
+
+
+def test_every_shared_method_name_is_still_shared():
+    owners = method_owners([ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE])
+    assert {name: owners[name] for name in SHARED if len(owners[name]) < 2} == {}
