@@ -220,19 +220,17 @@ class Controller:
         positions: Collection[int],
         segments: Collection[int],
         exclude_links: frozenset[int] = frozenset(),
-        evicted: frozenset[int] = frozenset(),
     ) -> ForwardingGraph | Rejected:
         """Plan new hosts for positions and new paths for segments; reserve nothing.
 
         graph is the flow's current graph, or None for a new request, which
         passes every position and segment. segments must include the one
         into each position. Planning runs on one view with what the flow
-        holds at those positions and segments offered back; evicted names
-        positions the graph lists but no longer holds, as their host failed.
-        Positions are re-placed first, in ascending order, each with the
-        segment into it; the other segments are then rebuilt in ascending
-        order. A plan identical to the graph is no repair. A flow that lost
-        placements takes any plan that fits; any other plan must reach the
+        holds at those positions and segments offered back. Positions are
+        re-placed first, in ascending order, each with the segment into it;
+        the other segments are then rebuilt in ascending order. A plan
+        identical to the graph is no repair. A flow whose graph touches a
+        failed host takes any plan that fits; any other plan must reach the
         request's target MOS, predicted on the view without the plan's own
         pending demand.
         """
@@ -245,7 +243,7 @@ class Controller:
             bw_kbps = graph.reserved_bw_kbps
             hosts = [host_id for _, host_id in graph.placements]
             paths = list(graph.segments)
-            usage, records = self._parts(graph, positions, segments, evicted)
+            usage, records = self._parts(graph, positions, segments)
             for link_id, kbps in usage.items():
                 view.add_bw(link_id, kbps)
             for record in records:
@@ -269,7 +267,7 @@ class Controller:
                 view.add_bw(link_id, -bw_kbps)
         if graph is not None and tuple(paths) == graph.segments:
             return Rejected(RejectReason.NO_PATH)
-        if not evicted:
+        if graph is None or not self._hit_by_failure(graph):
             # Give the plan's pending demand back: the flow must not compete
             # with itself for the bandwidth it is about to hold.
             for index in segments:
@@ -280,6 +278,11 @@ class Controller:
                 return Rejected(RejectReason.QOE_BELOW_TARGET, predicted.mos)
         placements = tuple(zip(request.vnf_sequence, points[1:-1]))
         return ForwardingGraph(request.id, placements, tuple(paths), bw_kbps)
+
+    def _hit_by_failure(self, graph: ForwardingGraph) -> bool:
+        """Whether graph places a VNF on a failed host."""
+        failed = self.network.failed_hosts
+        return any(host_id in failed for _, host_id in graph.placements)
 
     def _place_next(
         self,
@@ -465,7 +468,8 @@ class Controller:
         level. Each metric is EWMA-smoothed with predictor_alpha before
         scoring; degraded flows are still measured so recovery stays
         observable. An entry keeps only its last breach_windows samples, all
-        the breach rule reads.
+        the breach rule reads, and its run outcome: the windows observed,
+        those at or above its target, and those that breached.
         """
         alpha = self.policy.predictor_alpha
         keep = self.ela.breach_windows
@@ -479,16 +483,25 @@ class Controller:
             history.append(sample)
             del history[:-keep]
             samples.append(sample)
+            entry.windows_observed += 1
+            if sample.mos >= route.ela.target_mos:
+                entry.windows_met += 1
             if ela_breached(history, route.ela):
+                entry.breach_windows.append(window_index)
                 breaching.append(sample)
         return samples, breaching
 
     def _measure(self, entry: DbEntry, window_index: int) -> FlowSample:
-        """The flow's raw sample for one window; brings entry.route up to date."""
+        """The flow's raw sample for one window; brings entry.route up to date.
+
+        A new graph restarts smoothing: the first window on a new path is
+        taken at face value.
+        """
         network = self.network
         route = entry.route
         if route is None or route.graph is not entry.graph:
             route = entry.route = self._route_figures(entry)
+            entry.smoothed = None
         elif route.quality_epoch != network.quality_epoch:
             changed = network.quality_changed
             built = route.quality_epoch
@@ -599,8 +612,9 @@ class Controller:
         entries maps request id to database entry. Only the evicted chain
         positions are re-placed; surviving placements stay where they are
         and only the segments adjacent to a change are recomputed. Flows are
-        handled in ascending request id. A flow that cannot be repaired is
-        fully released and answered with a Failed action.
+        handled in ascending request id. What the failed host holds stays
+        reserved until the flow's commit releases it. A flow that cannot be
+        repaired is fully released and answered with a Failed action.
         """
         affected: dict[int, set[int]] = {}
         for request_id, position in evicted:
@@ -613,29 +627,20 @@ class Controller:
             graph = entry.graph
             lost = frozenset(affected[request_id])
             segments = sorted({index for p in lost for index in (p, p + 1)})
-            new_graph = self._replan(entry.request, graph, lost, segments, evicted=lost)
+            new_graph = self._replan(entry.request, graph, lost, segments)
             if isinstance(new_graph, Rejected):
-                # Everything the flow still holds goes back.
-                chain = range(len(graph.placements))
-                self._commit(graph, None, chain, range(len(graph.segments)), lost)
+                self.release_flow(graph)
                 actions.append(Action(ActionKind.FAILED, request_id))
             else:
-                self._commit(graph, new_graph, lost, segments, lost)
+                self._commit(graph, new_graph, lost, segments)
                 actions.append(Action(ActionKind.MIGRATED, request_id, new_graph))
         return actions
 
     # -- the reservation ledger ---------------------------------------------------
 
-    def release_flow(self, graph: ForwardingGraph) -> dict[str, int]:
-        """Release everything a completing flow's graph holds; return the totals."""
-        usage, records = self._commit(
-            graph, None, range(len(graph.placements)), range(len(graph.segments))
-        )
-        return {
-            "cpu": sum(record.cpu for record in records),
-            "mem": sum(record.mem for record in records),
-            "bandwidth_kbps": sum(usage.values()),
-        }
+    def release_flow(self, graph: ForwardingGraph) -> None:
+        """Release everything a flow's graph holds."""
+        self._commit(graph, None, range(len(graph.placements)), range(len(graph.segments)))
 
     def _commit(
         self,
@@ -643,22 +648,20 @@ class Controller:
         new: ForwardingGraph | None,
         positions: Collection[int],
         segments: Collection[int],
-        evicted: frozenset[int] = frozenset(),
-    ) -> tuple[dict[int, int], list[PlacementRecord]]:
+    ) -> None:
         """Swap old's parts at positions and segments for new's on the ledger.
 
-        One release of what old holds there (evicted positions hold
-        nothing), then one reserve of new's parts. Either graph may be None:
-        admission has nothing to give back, a flow that ends nothing to
-        take. Returns what was released. A new plan was checked against a
-        view of this very state, so a reserve that fails means planner and
-        ledger disagree, which is fatal.
+        One release of what old holds there, then one reserve of new's
+        parts. Either graph may be None: admission has nothing to give back,
+        a flow that ends nothing to take. A failed host's holdings are
+        released here like any other. A new plan was checked against a view
+        of this very state, so a reserve that fails means planner and ledger
+        disagree, which is fatal.
         """
-        released: tuple[dict[int, int], list[PlacementRecord]] = ({}, [])
         if old is not None:
-            released = self._parts(old, positions, segments, evicted)
-            placement_ids = [record.placement_id for record in released[1]]
-            self.network.release(link_demands=released[0], placement_ids=placement_ids)
+            usage, records = self._parts(old, positions, segments)
+            placement_ids = [record.placement_id for record in records]
+            self.network.release(link_demands=usage, placement_ids=placement_ids)
         if new is not None:
             usage, records = self._parts(new, positions, segments)
             try:
@@ -666,14 +669,12 @@ class Controller:
             except SimulatorError as exc:
                 msg = f"planned reservation no longer fits: {exc}"
                 raise InvariantViolation(msg) from exc
-        return released
 
     def _parts(
         self,
         graph: ForwardingGraph,
         positions: Collection[int],
         segments: Collection[int],
-        evicted: frozenset[int] = frozenset(),
     ) -> tuple[dict[int, int], list[PlacementRecord]]:
         """What graph holds at positions and segments: kbps per link, placements."""
         usage: dict[int, int] = {}
@@ -681,7 +682,7 @@ class Controller:
             for link_id in graph.segments[index]:
                 usage[link_id] = usage.get(link_id, 0) + graph.reserved_bw_kbps
         records = []
-        for position in sorted(set(positions) - evicted):
+        for position in sorted(positions):
             name, host_id = graph.placements[position]
             vnf = self.catalog.vnf(name)
             records.append(

@@ -16,7 +16,7 @@ from typing import Callable
 from .controller import Controller, Rejected
 from .errors import InvariantViolation, TimeTravel
 from .network import NetworkState, build_network
-from .orchestrator import TERMINAL, Orchestrator, VnfDb, audit_lifecycle
+from .orchestrator import TERMINAL, DbEntry, Orchestrator, VnfDb, audit_lifecycle
 from .qoe import QoeSample
 from .report import FlowSummary, SimReport
 from .rng import SplitMix64
@@ -107,9 +107,6 @@ def run(
         queue.schedule(fault)
 
     rows: list[QoeSample] = []
-    # Per flow: [windows observed, windows at or above the flow's target].
-    tallies: dict[int, list[int]] = {}
-    breaches: dict[int, list[int]] = {}
     measured = 0
 
     while queue and queue.peek_time() <= doc.duration_ms:
@@ -129,18 +126,12 @@ def run(
             if entry is not None and entry.status not in TERMINAL:
                 orchestrator.complete_request(event.request_id, event.time_ms)
         elif isinstance(event, MeasureWindow):
-            live = orchestrator.db.live()
-            samples, breaching = controller.monitor_window(event.index, live)
+            samples, breaching = controller.monitor_window(
+                event.index, orchestrator.db.live()
+            )
             measured += 1
             rows.extend(samples)
-            # monitor_window answers one sample per entry, in the entries' order.
-            for entry, sample in zip(live, samples):
-                tally = tallies.setdefault(sample.flow_id, [0, 0])
-                tally[0] += 1
-                if sample.mos >= entry.request.ela_target:
-                    tally[1] += 1
             for sample in breaching:
-                breaches.setdefault(sample.flow_id, []).append(sample.window_index)
                 entry = orchestrator.db.entries[sample.flow_id]
                 orchestrator.apply_action(controller.handle_breach(entry), event.time_ms)
         elif isinstance(event, HostFailure):
@@ -169,24 +160,8 @@ def run(
         msg = f"measured {measured} windows, expected {windows}"
         raise InvariantViolation(msg)
 
-    flow_summaries: dict[int, FlowSummary] = {}
-    for request_id in sorted(orchestrator.db.entries):
-        entry = orchestrator.db.entries[request_id]
-        observed, good = tallies.get(request_id, (0, 0))
-        if observed:
-            compliance = good / observed
-            compliant = compliance >= controller.ela.compliance_budget
-        else:
-            compliance = None
-            compliant = None
-        flow_summaries[request_id] = FlowSummary(
-            windows_observed=observed,
-            compliance=compliance,
-            compliant=compliant,
-            breach_windows=breaches.get(request_id, []),
-            final_status=entry.status.value,
-        )
-
+    entries = orchestrator.db.entries
+    budget = controller.ela.compliance_budget
     return SimReport(
         scenario_name=doc.name,
         seed=effective_seed,
@@ -194,9 +169,25 @@ def run(
         window_ms=doc.window_ms,
         windows=windows,
         counters=orchestrator.counters(),
-        flows=flow_summaries,
+        flows={
+            request_id: _flow_summary(entries[request_id], budget)
+            for request_id in sorted(entries)
+        },
         rows=rows,
         db_dump=orchestrator.db.dump(),
+    )
+
+
+def _flow_summary(entry: DbEntry, compliance_budget: float) -> FlowSummary:
+    """A flow's line in the report, read off its database entry."""
+    observed = entry.windows_observed
+    compliance = entry.windows_met / observed if observed else None
+    return FlowSummary(
+        windows_observed=observed,
+        compliance=compliance,
+        compliant=None if compliance is None else compliance >= compliance_budget,
+        breach_windows=entry.breach_windows,
+        final_status=entry.status.value,
     )
 
 

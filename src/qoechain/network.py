@@ -234,7 +234,7 @@ class NetworkState:
         link_demands maps link id to kbps; a link crossed twice by the same
         chain must appear once with the doubled demand. placements pin named
         VNF instances, with the CPU and memory they hold, to hosts so a
-        later host failure can report exactly which instances it evicted.
+        later host failure can report exactly which instances it holds.
 
         Raises UnknownHost/UnknownLink for bad ids, NegativeCapacity for
         negative demands, DuplicateId for an already-known placement id and
@@ -339,25 +339,21 @@ class NetworkState:
             del self.placements[pid]
 
     def fail_host(self, host_id: int) -> list[PlacementId]:
-        """Fail-stop a host: wipe its reservations, return evicted placements.
+        """Fail-stop a host; return the placements it holds, sorted.
 
-        Failing an already-failed host raises AlreadyFailed; failures are
-        explicit events, not idempotent updates.
+        The host takes no new demand from now on. What it holds stays
+        reserved until released like any other holding. Failing an
+        already-failed host raises AlreadyFailed; failures are explicit
+        events, not idempotent updates.
         """
         self._check_host(host_id, allow_failed=True)
         if host_id in self.failed_hosts:
             msg = f"host {host_id} already failed"
             raise AlreadyFailed(msg)
-        evicted = sorted(
+        self.failed_hosts.add(host_id)
+        return sorted(
             pid for pid, rec in self.placements.items() if rec.host_id == host_id
         )
-        for pid in evicted:
-            del self.placements[pid]
-        node = self.nodes[host_id]
-        self.residual_cpu[host_id] = node.cpu_capacity
-        self.residual_mem[host_id] = node.mem_capacity
-        self.failed_hosts.add(host_id)
-        return evicted
 
     def degrade_link(
         self,

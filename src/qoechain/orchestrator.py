@@ -2,12 +2,16 @@
 
 The database is the only record of a flow: one entry per admitted request,
 kept after the flow ends, holding its request, forwarding graph, lifecycle
-status and log, and the smoothing carry, recent samples and route figures
-the controller scores it with. The orchestrator turns the controller's
-admissions, Actions and releases into status changes, all through one
-guarded transition helper, and tallies the two outcomes the lifecycle log
-cannot tell apart: rejections by reason, and reroutes versus migrations.
-Every other counter is derived from the entries when the report is built.
+status and log, the smoothing carry, recent samples and route figures the
+controller scores it with, and its run outcome (windows observed, windows
+at or above target, breach windows). Each fact has one writer: the
+orchestrator writes the graph, status and log, turning the controller's
+admissions, Actions and releases into status changes through one guarded
+transition helper; the controller's monitoring writes the measurement
+fields and the run outcome. The orchestrator also tallies the two outcomes
+the lifecycle log cannot tell apart: rejections by reason, and reroutes
+versus migrations. Every other counter is derived from the entries when the
+report is built.
 """
 
 from __future__ import annotations
@@ -81,14 +85,19 @@ class DbEntry:
     status: LifecycleStatus
     # (time_ms, from, to), append-only with non-decreasing timestamps.
     log: list[tuple[int, LifecycleStatus, LifecycleStatus]] = field(default_factory=list)
-    # EWMA carry per metric; None right after (re)embedding so the first
-    # window on a new path is taken at face value.
+    # EWMA carry per metric; the controller restarts it on each new graph,
+    # so the first window on a new path is taken at face value.
     smoothed: FlowSample | None = None
     # The most recent scored windows, at most the ELA's breach_windows.
     history: list[QoeSample] = field(default_factory=list)
     # The controller's figures for measuring this flow, keyed on the graph
     # object and the network's quality epoch; None until first measured.
     route: RouteFigures | None = None
+    # The run outcome: windows measured, windows at or above the target,
+    # and the indices of the windows that breached the ELA.
+    windows_observed: int = 0
+    windows_met: int = 0
+    breach_windows: list[int] = field(default_factory=list)
 
 
 class VnfDb:
@@ -176,24 +185,22 @@ class Orchestrator:
         self.db.transition(entry, LifecycleStatus.ACTIVE, now)
         return result
 
-    def complete_request(self, request_id: int, now: int) -> dict[str, int]:
-        """Tear down a flow that ran its course; returns what was released."""
+    def complete_request(self, request_id: int, now: int) -> None:
+        """Tear down a flow that ran its course."""
         entry = self.db.entries.get(request_id)
         if entry is None:
             raise UnknownRequest(f"unknown request {request_id}")
         if entry.status in TERMINAL:
             msg = f"request {request_id} is already {entry.status.value}"
             raise AlreadyTerminal(msg)
-        released = self.controller.release_flow(entry.graph)
+        self.controller.release_flow(entry.graph)
         self.db.transition(entry, LifecycleStatus.COMPLETED, now)
-        return released
 
     def apply_action(self, action: Action, now: int) -> DbEntry:
         """Replay a controller action onto the database.
 
         Reroutes and migrations pass through Migrating and land on Active,
-        both logged at the same timestamp, and restart smoothing on the new
-        graph. Marking an already-degraded flow degraded again is a no-op
+        both logged at the same timestamp, and install the new graph. Marking an already-degraded flow degraded again is a no-op
         rather than a self-transition, which the automaton does not have.
         """
         entry = self.db.entries.get(action.flow_id)
@@ -203,7 +210,6 @@ class Orchestrator:
             self.db.transition(entry, LifecycleStatus.MIGRATING, now)
             self.db.transition(entry, LifecycleStatus.ACTIVE, now)
             entry.graph = action.new_graph
-            entry.smoothed = None
             if action.kind is ActionKind.REROUTED:
                 self.rerouted += 1
             else:

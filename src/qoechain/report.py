@@ -45,16 +45,9 @@ class SimReport:
     db_dump: list[dict] = field(default_factory=list)
 
     def summary_dict(self) -> dict:
-        flows = {}
-        for flow_id in sorted(self.flows):
-            summary = self.flows[flow_id]
-            flows[str(flow_id)] = {
-                "windows_observed": summary.windows_observed,
-                "compliance": summary.compliance,
-                "compliant": summary.compliant,
-                "breach_windows": list(summary.breach_windows),
-                "final_status": summary.final_status,
-            }
+        flows = {
+            str(flow_id): vars(self.flows[flow_id]) for flow_id in sorted(self.flows)
+        }
         return {
             "scenario": self.scenario_name,
             "seed": self.seed,

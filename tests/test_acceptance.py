@@ -224,15 +224,10 @@ def _raw_conservation_sequence(rng: Random, pid_base: int) -> int:
         elif op == "fail" and alive:
             host = rng.choice(sorted(alive))
             alive.discard(host)
-            evicted = set(net.fail_host(host))
-            used_cpu[host] = 0
-            used_mem[host] = 0
-            for pid in evicted:
-                shadow_pids.pop(pid)
-            groups = [
-                ([pid for pid in pids if pid not in evicted], link_demands)
-                for pids, link_demands in groups
-            ]
+            # The host's holdings stay reserved until released.
+            held = sorted(pid for pid, rec in shadow_pids.items() if rec.host_id == host)
+            if net.fail_host(host) != held:
+                mismatches += 1
         elif op == "degrade" and links:
             net.degrade_link(rng.choice(links), latency_ms=rng.uniform(0.0, 500.0))
 

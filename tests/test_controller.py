@@ -9,6 +9,7 @@ import pytest
 from qoechain import (
     Controller,
     Ela,
+    FlowSample,
     ForwardingGraph,
     LifecycleStatus,
     LinkSpec,
@@ -499,7 +500,17 @@ def test_handle_breach_reroutes_to_the_spare_link():
     assert net.available_bw(0) == 10_000  # old reservation released
     assert net.available_bw(1) == 6000
     assert entry.graph is action.new_graph
-    assert entry.smoothed is None  # smoothing restarts on the new path
+    # Smoothing restarts on the new path: the next window is taken raw.
+    orch.controller.monitor_window(1, orch.db.live())
+    assert entry.smoothed == FlowSample(
+        flow_id=0,
+        window_index=1,
+        throughput_mbps=4.0,
+        delay_ms=12.0,
+        jitter_ms=0.0,
+        loss_pct=0.0,
+        stall_ratio=0.0,
+    )
 
 
 def test_handle_breach_escalates_to_migration():
@@ -705,8 +716,7 @@ def test_release_flow_returns_holdings_and_restores_state():
     orch = _orchestrator()
     pristine = snapshot(orch.controller.network)
     orch.submit_request(make_request(), now=0)
-    released = orch.complete_request(0, now=1000)
-    assert released == {"cpu": 2, "mem": 2, "bandwidth_kbps": 8000}
+    orch.complete_request(0, now=1000)
     assert snapshot(orch.controller.network) == pristine
     assert orch.counters()["completed"] == 1
     with pytest.raises(AlreadyTerminal):

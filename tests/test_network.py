@@ -158,11 +158,16 @@ def test_fail_host_evicts_and_resets():
     )
     evicted = net.fail_host(1)
     assert evicted == [(0, 0), (0, 1)]
-    assert net.available_cpu(1) == 4  # wiped back to capacity
-    assert net.available_mem(1) == 4
+    assert net.available_cpu(1) == 1  # held until released
+    assert net.available_mem(1) == 1
     assert net.available_bw(0) == 8000  # bandwidth is not host state
-    assert set(net.placements) == {(1, 0)}
+    assert set(net.placements) == {(0, 0), (1, 0), (0, 1)}
     assert 1 in net.failed_hosts
+    # Releasing what the failed host holds gives it back in full.
+    net.release(placement_ids=evicted)
+    assert net.available_cpu(1) == 4
+    assert net.available_mem(1) == 4
+    assert set(net.placements) == {(1, 0)}
     with pytest.raises(AlreadyFailed):
         net.fail_host(1)
     # A failed host accepts no new demand.

