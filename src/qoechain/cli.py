@@ -75,6 +75,15 @@ def _load(path: str):
     return doc
 
 
+def _counters_line(counters: dict) -> str:
+    """The run totals as `run` and `report` print them."""
+    return (
+        f"admitted={counters['admitted']} rejected={counters['rejected_total']} "
+        f"completed={counters['completed']} failed={counters['failed']} "
+        f"rerouted={counters['rerouted']} migrated={counters['migrated']}"
+    )
+
+
 def _cmd_run(args) -> int:
     doc = _load(args.scenario)
     if doc is None:
@@ -83,13 +92,7 @@ def _cmd_run(args) -> int:
         doc, seed=args.seed, alpha=args.alpha, strict_debug=args.strict_debug
     )
     paths = write_report(report, args.out)
-    counters = report.counters
-    print(
-        f"{doc.name}: {report.windows} windows, "
-        f"admitted={counters['admitted']} rejected={counters['rejected_total']} "
-        f"completed={counters['completed']} failed={counters['failed']} "
-        f"rerouted={counters['rerouted']} migrated={counters['migrated']}"
-    )
+    print(f"{doc.name}: {report.windows} windows, {_counters_line(report.counters)}")
     for path in paths:
         print(f"wrote {path}")
     return 0
@@ -151,14 +154,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_report(args) -> int:
     summary = read_summary(args.out)
     series = read_series(args.out)
-    counters = summary["counters"]
     print(f"scenario {summary['scenario']} seed {summary['seed']}")
-    print(
-        f"windows={summary['windows']} admitted={counters['admitted']} "
-        f"rejected={counters['rejected_total']} completed={counters['completed']} "
-        f"failed={counters['failed']} rerouted={counters['rerouted']} "
-        f"migrated={counters['migrated']}"
-    )
+    print(f"windows={summary['windows']} {_counters_line(summary['counters'])}")
     for flow_id in sorted(summary["flows"], key=int):
         flow = summary["flows"][flow_id]
         if flow["compliance"] is None:

@@ -3,17 +3,18 @@
 The controller decides and the orchestrator records. The controller keeps
 the substrate, the catalog, the ELA, the policy and the injected stall
 levels, and nothing per flow: each flow's request, graph, status,
-measurement carry and route figures live on its entry in the
-orchestrator's database. The controller scores the entries it is handed
-and answers with graphs, Actions or released holdings; it never changes a
-flow's status.
+measurement carry, route figures and run outcome live on its entry in the
+orchestrator's database. The controller scores the entries it is handed,
+writing only their measurement fields and run outcome, and answers with
+graphs or Actions; it never changes a flow's graph or status.
 
 The controller owns the reservation ledger. Admission and every repair
-are planned by one routine on a resource view, and one ledger commit
-touches the real network only once a whole plan is known to fit, so
-admission and repair are transactional. Every choice (candidate host,
-path, worst link) is made under a total order, which makes identical
-inputs produce identical outputs.
+are planned by one routine on a resource view, and one ledger commit,
+the only writer of the ledger, touches the real network only once a whole
+plan is known to fit, so admission and repair are transactional. A failed
+host's holdings stay reserved until that commit releases them. Every
+choice (candidate host, path, worst link) is made under a total order,
+which makes identical inputs produce identical outputs.
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ class Controller:
                 view.add_bw(link_id, -bw_kbps)
         if graph is not None and tuple(paths) == graph.segments:
             return Rejected(RejectReason.NO_PATH)
-        if graph is None or not self._hit_by_failure(graph):
+        if graph is None or not self._failure_damage(request, graph)[1]:
             # Give the plan's pending demand back: the flow must not compete
             # with itself for the bandwidth it is about to hold.
             for index in segments:
@@ -279,10 +280,24 @@ class Controller:
         placements = tuple(zip(request.vnf_sequence, points[1:-1]))
         return ForwardingGraph(request.id, placements, tuple(paths), bw_kbps)
 
-    def _hit_by_failure(self, graph: ForwardingGraph) -> bool:
-        """Whether graph places a VNF on a failed host."""
+    def _failure_damage(
+        self, request: ChainRequest, graph: ForwardingGraph
+    ) -> tuple[set[int], set[int]]:
+        """Where failed hosts break graph: (positions, segments).
+
+        The positions are those placed on a failed host; the segments are
+        those on either side of such a position or forwarding through one.
+        """
         failed = self.network.failed_hosts
-        return any(host_id in failed for _, host_id in graph.placements)
+        lost = {p for p, (_, host_id) in enumerate(graph.placements) if host_id in failed}
+        segments = {index for p in lost for index in (p, p + 1)}
+        node = request.ingress
+        for index, segment in enumerate(graph.segments):
+            for hop, link_id in enumerate(segment):
+                if hop and node in failed:
+                    segments.add(index)
+                node = self.network.links[link_id].other(node)
+        return lost, segments
 
     def _place_next(
         self,
@@ -492,16 +507,12 @@ class Controller:
         return samples, breaching
 
     def _measure(self, entry: DbEntry, window_index: int) -> FlowSample:
-        """The flow's raw sample for one window; brings entry.route up to date.
-
-        A new graph restarts smoothing: the first window on a new path is
-        taken at face value.
-        """
+        """The flow's raw sample for one window; brings entry.route up to date."""
         network = self.network
         route = entry.route
         if route is None or route.graph is not entry.graph:
             route = entry.route = self._route_figures(entry)
-            entry.smoothed = None
+            entry.smoothed = None  # the first window on a new graph is taken raw
         elif route.quality_epoch != network.quality_epoch:
             changed = network.quality_changed
             built = route.quality_epoch
@@ -607,33 +618,33 @@ class Controller:
     def handle_host_failure(
         self, evicted, entries: Mapping[int, DbEntry]
     ) -> list[Action]:
-        """Repair every flow that lost a placement to a host failure.
+        """Repair every live flow whose graph touches a failed host.
 
-        entries maps request id to database entry. Only the evicted chain
-        positions are re-placed; surviving placements stay where they are
-        and only the segments adjacent to a change are recomputed. Flows are
-        handled in ascending request id. What the failed host holds stays
-        reserved until the flow's commit releases it. A flow that cannot be
-        repaired is fully released and answered with a Failed action.
+        evicted lists the placements the failed host holds; entries maps
+        request id to database entry. Only what _failure_damage names is
+        planned anew, without the MOS gate; the rest of the graph stays.
+        Flows are handled in ascending request id. A repaired flow is
+        answered with Migrated if it lost a placement, else Rerouted; one
+        that cannot be repaired is fully released and answered with Failed.
         """
-        affected: dict[int, set[int]] = {}
-        for request_id, position in evicted:
-            affected.setdefault(request_id, set()).add(position)
-        actions = []
-        for request_id in sorted(affected):
-            entry = entries.get(request_id)
-            if entry is None:
+        for request_id, _ in evicted:
+            if request_id not in entries:
                 raise UnknownRequest(f"evicted placement of unknown request {request_id}")
+        actions = []
+        for request_id in sorted(entries):
+            entry = entries[request_id]
             graph = entry.graph
-            lost = frozenset(affected[request_id])
-            segments = sorted({index for p in lost for index in (p, p + 1)})
+            lost, segments = self._failure_damage(entry.request, graph)
+            if not (entry.is_live and segments):
+                continue
             new_graph = self._replan(entry.request, graph, lost, segments)
             if isinstance(new_graph, Rejected):
                 self.release_flow(graph)
                 actions.append(Action(ActionKind.FAILED, request_id))
             else:
                 self._commit(graph, new_graph, lost, segments)
-                actions.append(Action(ActionKind.MIGRATED, request_id, new_graph))
+                kind = ActionKind.MIGRATED if lost else ActionKind.REROUTED
+                actions.append(Action(kind, request_id, new_graph))
         return actions
 
     # -- the reservation ledger ---------------------------------------------------

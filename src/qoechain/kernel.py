@@ -16,7 +16,7 @@ from typing import Callable
 from .controller import Controller, Rejected
 from .errors import InvariantViolation, TimeTravel
 from .network import NetworkState, build_network
-from .orchestrator import TERMINAL, DbEntry, Orchestrator, VnfDb, audit_lifecycle
+from .orchestrator import DbEntry, Orchestrator, VnfDb, audit_lifecycle
 from .qoe import QoeSample
 from .report import FlowSummary, SimReport
 from .rng import SplitMix64
@@ -123,7 +123,7 @@ def run(
         elif isinstance(event, Departure):
             entry = orchestrator.db.entries.get(event.request_id)
             # A flow that already failed has nothing left to tear down.
-            if entry is not None and entry.status not in TERMINAL:
+            if entry is not None and entry.is_live:
                 orchestrator.complete_request(event.request_id, event.time_ms)
         elif isinstance(event, MeasureWindow):
             samples, breaching = controller.monitor_window(
@@ -160,8 +160,6 @@ def run(
         msg = f"measured {measured} windows, expected {windows}"
         raise InvariantViolation(msg)
 
-    entries = orchestrator.db.entries
-    budget = controller.ela.compliance_budget
     return SimReport(
         scenario_name=doc.name,
         seed=effective_seed,
@@ -170,8 +168,8 @@ def run(
         windows=windows,
         counters=orchestrator.counters(),
         flows={
-            request_id: _flow_summary(entries[request_id], budget)
-            for request_id in sorted(entries)
+            request_id: _flow_summary(entry, controller.ela.compliance_budget)
+            for request_id, entry in sorted(orchestrator.db.entries.items())
         },
         rows=rows,
         db_dump=orchestrator.db.dump(),

@@ -2,16 +2,13 @@
 
 The database is the only record of a flow: one entry per admitted request,
 kept after the flow ends, holding its request, forwarding graph, lifecycle
-status and log, the smoothing carry, recent samples and route figures the
-controller scores it with, and its run outcome (windows observed, windows
-at or above target, breach windows). Each fact has one writer: the
-orchestrator writes the graph, status and log, turning the controller's
-admissions, Actions and releases into status changes through one guarded
-transition helper; the controller's monitoring writes the measurement
-fields and the run outcome. The orchestrator also tallies the two outcomes
-the lifecycle log cannot tell apart: rejections by reason, and reroutes
-versus migrations. Every other counter is derived from the entries when the
-report is built.
+status and log, and what the controller's monitoring alone writes: the
+smoothing carry, recent samples, route figures and run outcome. The
+orchestrator turns the controller's admissions, Actions and releases into
+graph and status changes, all through one guarded transition helper, and
+tallies the two outcomes the lifecycle log cannot tell apart: rejections
+by reason, and reroutes versus migrations. Every other counter is derived
+from the entries when the report is built.
 """
 
 from __future__ import annotations
@@ -99,6 +96,11 @@ class DbEntry:
     windows_met: int = 0
     breach_windows: list[int] = field(default_factory=list)
 
+    @property
+    def is_live(self) -> bool:
+        """Whether the flow still holds resources."""
+        return self.status not in TERMINAL
+
 
 class VnfDb:
     def __init__(self):
@@ -109,7 +111,7 @@ class VnfDb:
         return [
             self.entries[request_id]
             for request_id in sorted(self.entries)
-            if self.entries[request_id].status not in TERMINAL
+            if self.entries[request_id].is_live
         ]
 
     def transition(self, entry: DbEntry, to: LifecycleStatus, now: int) -> None:
@@ -190,7 +192,7 @@ class Orchestrator:
         entry = self.db.entries.get(request_id)
         if entry is None:
             raise UnknownRequest(f"unknown request {request_id}")
-        if entry.status in TERMINAL:
+        if not entry.is_live:
             msg = f"request {request_id} is already {entry.status.value}"
             raise AlreadyTerminal(msg)
         self.controller.release_flow(entry.graph)
@@ -200,8 +202,9 @@ class Orchestrator:
         """Replay a controller action onto the database.
 
         Reroutes and migrations pass through Migrating and land on Active,
-        both logged at the same timestamp, and install the new graph. Marking an already-degraded flow degraded again is a no-op
-        rather than a self-transition, which the automaton does not have.
+        both logged at the same timestamp, and install the new graph.
+        Marking an already-degraded flow degraded again is a no-op rather
+        than a self-transition, which the automaton does not have.
         """
         entry = self.db.entries.get(action.flow_id)
         if entry is None:

@@ -201,7 +201,9 @@ def _walk_segment(
     """Follow a link path from start; append violations, return the end node."""
     here = start
     seen: set[int] = set()
-    for link_id in segment:
+    for hop, link_id in enumerate(segment):
+        if hop and here in state.failed_hosts:
+            violations.append(f"{label}: relays through failed host {here}")
         link = state.links.get(link_id)
         if link is None:
             violations.append(f"{label}: unknown link {link_id}")

@@ -1,15 +1,16 @@
-"""Acceptance battery: ten end-to-end guarantees, one verdict line each.
+"""Acceptance battery: twelve end-to-end guarantees, one verdict line each.
 
 Every test prints exactly one PASS/FAIL line with its evidence before
 asserting, so a `pytest -rP` run reads as a checklist: QoE model
 properties, closed-form scores, resource conservation, embedding
-validity, oracle containment, routing optimality, the two scripted
-fault-recovery scenarios, byte-level determinism and lifecycle
-soundness.
+validity, oracle containment, routing optimality, the three scripted
+fault-recovery scenarios, byte-level determinism, lifecycle soundness
+and the per-flow summary replayed from the series.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import time
@@ -35,6 +36,7 @@ from qoechain.errors import (
     AlreadyFailed,
     InstanceTooLarge,
     InsufficientResidual,
+    InvariantViolation,
     UnknownHost,
 )
 from qoechain.network import PlacementRecord
@@ -492,6 +494,54 @@ def test_host_failure_triggers_immediate_migration():
     )
 
 
+def test_host_failure_reroutes_flows_relayed_through_the_host():
+    # Flow 0 places fw on host 1; flow 1 places nothing but forwards through
+    # host 1. Both must leave it when it fails; strict audits flag any live
+    # segment that still relays through a failed host.
+    doc = _load("relay_failure.json")
+    profile = doc.profiles[0]
+    try:
+        report = run(doc, strict_debug=True)
+    except InvariantViolation as exc:
+        _verdict("relay-failure-scenario", False, f"audit tripped: {exc}")
+    dump = {entry["request_id"]: entry for entry in report.db_dump}
+    steps = {
+        request_id: [
+            (step["time_ms"], step["from"], step["to"])
+            for step in entry["lifecycle"]
+            if step["time_ms"] == 2500
+        ]
+        for request_id, entry in dump.items()
+    }
+    # The refuge is links 1 and 3 (15 ms each), measured raw after the move.
+    span = profile.delay_max_ms - profile.delay_opt_ms
+    refuge_mos = 1.0 + 4.0 * (profile.delay_max_ms - 30.0) / span
+    relayed_rows = [
+        row.mos for row in report.rows if row.flow_id == 1 and row.window_index >= 2
+    ]
+    ok = (
+        report.counters["migrated"] == 1
+        and report.counters["rerouted"] == 1
+        and all(
+            steps[request_id]
+            == [(2500, "Active", "Migrating"), (2500, "Migrating", "Active")]
+            for request_id in (0, 1)
+        )
+        and dump[0]["forwarding_graph"]["placements"] == [{"vnf": "fw", "host": 2}]
+        and dump[1]["forwarding_graph"]["segments"] == [[1, 3]]
+        and len(relayed_rows) == 3
+        and all(abs(mos - refuge_mos) <= 1e-9 for mos in relayed_rows)
+        and all(flow.compliance == 1.0 for flow in report.flows.values())
+    )
+    _verdict(
+        "relay-failure-scenario",
+        ok,
+        f"migrated={report.counters['migrated']}, rerouted={report.counters['rerouted']}, "
+        f"relayed flow segments {dump[1]['forwarding_graph']['segments']}, "
+        f"mos after failure {relayed_rows}",
+    )
+
+
 def test_breach_feedback_reroutes_at_the_replayed_window():
     doc = _load("feedback_reroute.json")
     profile = doc.profiles[0]
@@ -680,4 +730,65 @@ def test_lifecycle_logs_replay_the_automaton():
         "lifecycle-soundness",
         not problems,
         f"{runs} runs, {entries} lifecycle logs replayed, {len(problems)} violations",
+    )
+
+
+def _replay_flow(rows: list[tuple[int, float]], target: float, need: int) -> dict:
+    """A flow's summary figures from its (window index, mos) rows alone."""
+    below = 0
+    breaches = []
+    for window_index, mos in rows:
+        below = below + 1 if mos < target else 0
+        if below >= need:
+            breaches.append(window_index)
+    met = sum(1 for _, mos in rows if mos >= target)
+    return {
+        "windows_observed": len(rows),
+        "compliance": met / len(rows) if rows else None,
+        "breach_windows": breaches,
+    }
+
+
+def test_flow_summaries_replay_from_the_series(tmp_path):
+    rng = Random(2020)
+    docs = [_load(path.name) for path in sorted(SCENARIOS.glob("*.json"))]
+    # The same scenarios with every target at 5.0: a perfect window is then
+    # exactly at target, which counts as met, and any other window is below.
+    docs += [
+        dataclasses.replace(
+            doc,
+            requests=tuple(
+                dataclasses.replace(request, ela_target=5.0) for request in doc.requests
+            ),
+        )
+        for doc in docs
+    ]
+    docs += [_random_doc(rng, index) for index in range(60)]
+    flows = 0
+    breaches = 0
+    problems: list[str] = []
+    for index, doc in enumerate(docs):
+        out = tmp_path / f"run{index}"
+        write_report(run(doc), out)
+        summary = json.loads((out / "summary.json").read_text())
+        with open(out / "qoe_series.csv", newline="") as handle:
+            series = list(csv.DictReader(handle))
+        targets = {request.id: request.ela_target for request in doc.requests}
+        for flow_id, reported in summary["flows"].items():
+            rows = [
+                (int(row["time_ms"]) // doc.window_ms - 1, float(row["mos"]))
+                for row in series
+                if row["flow_id"] == flow_id
+            ]
+            replayed = _replay_flow(rows, targets[int(flow_id)], doc.ela.breach_windows)
+            got = {key: reported[key] for key in replayed}
+            if got != replayed:
+                problems.append(f"{doc.name} flow {flow_id}: {got} != {replayed}")
+            flows += 1
+            breaches += len(replayed["breach_windows"])
+    _verdict(
+        "summary-replay",
+        not problems and flows > 0 and breaches > 0,
+        f"{len(docs)} runs, {flows} flows replayed from the series "
+        f"({breaches} breach windows), mismatches: {problems or 'none'}",
     )

@@ -46,6 +46,10 @@ def test_run_writes_the_three_artifacts(tmp_path, capsys):
     assert cli.main(["run", BASIC, "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "basic: 10 windows" in stdout
+    assert stdout.splitlines()[0] == (
+        "basic: 10 windows, "
+        "admitted=1 rejected=0 completed=0 failed=0 rerouted=0 migrated=0"
+    )
     assert stdout.count("wrote ") == 3
     summary = json.loads((out / "summary.json").read_text())
     assert summary["counters"]["admitted"] == 1
@@ -117,6 +121,9 @@ def test_report_summarizes_a_run_directory(tmp_path, capsys):
     assert cli.main(["report", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "scenario basic seed 7" in stdout
+    assert stdout.splitlines()[1] == (
+        "windows=10 admitted=1 rejected=0 completed=0 failed=0 rerouted=0 migrated=0"
+    )
     assert "flow 0: Active windows=10 compliance=1.000 breaches=0" in stdout
     assert "series rows: 10" in stdout
 

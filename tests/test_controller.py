@@ -712,6 +712,70 @@ def test_eviction_of_an_unknown_flow_raises_unknown_request():
         orch.controller.handle_host_failure([(7, 0)], orch.db.entries)
 
 
+def test_host_failure_reroutes_a_flow_that_relays_through_the_host():
+    nodes = [
+        NodeSpec(0, NodeKind.ENDPOINT),
+        NodeSpec(1, NodeKind.HOST, cpu_capacity=4, mem_capacity=4),
+        NodeSpec(2, NodeKind.HOST, cpu_capacity=4, mem_capacity=4),
+        NodeSpec(3, NodeKind.ENDPOINT),
+    ]
+    links = [
+        LinkSpec(0, 0, 1, bandwidth_kbps=10_000, latency_ms=5.0),
+        LinkSpec(1, 0, 2, bandwidth_kbps=10_000, latency_ms=300.0),
+        LinkSpec(2, 1, 3, bandwidth_kbps=10_000, latency_ms=5.0),
+        LinkSpec(3, 2, 3, bandwidth_kbps=10_000, latency_ms=300.0),
+        LinkSpec(4, 1, 2, bandwidth_kbps=10_000, latency_ms=5.0),
+    ]
+    net = build_network(nodes, links)
+    orch = _orchestrator(net)
+    # Flow 0 places fw on host 2 and passes through host 1 on both sides;
+    # flow 1 places nothing and only passes through host 1.
+    net.reserve(placements=[PlacementRecord((99, 0), host_id=1, cpu=4, mem=4)])
+    first = make_request(ingress=0, egress=3, target=1.0)
+    orch.submit_request(first, now=0)
+    net.release(placement_ids=[(99, 0)])
+    second = make_request(rid=1, ingress=0, egress=3, vnfs=())
+    orch.submit_request(second, now=0)
+    assert orch.db.entries[0].graph.segments == ((0, 4), (4, 2))
+    assert orch.db.entries[1].graph.segments == ((0, 2),)
+    # The refuge is too slow for flow 1's target: a flow the failure hit
+    # takes it anyway.
+    catalog = orch.controller.catalog
+    assert predict_mos(second, [(1, 3)], net, catalog).mos < 3.0
+    actions = fail_and_repair(orch, 1)
+    assert [(a.flow_id, a.kind) for a in actions] == [
+        (0, ActionKind.REROUTED),
+        (1, ActionKind.REROUTED),
+    ]
+    assert actions[0].new_graph.placements == (("fw", 2),)
+    assert actions[0].new_graph.segments == ((1,), (3,))
+    assert actions[1].new_graph.segments == ((1, 3),)
+    assert orch.counters()["rerouted"] == 2
+    assert [net.available_bw(link_id) for link_id in range(5)] == [
+        10_000,
+        2000,
+        10_000,
+        2000,
+        10_000,
+    ]
+    for entry in orch.db.live():
+        assert validate_forwarding_graph(entry.graph, entry.request, net) == []
+
+
+def test_host_failure_fails_a_relayed_flow_without_refuge_and_skips_ended_ones():
+    net = line_network()
+    orch = _orchestrator(net)
+    orch.submit_request(make_request(vnfs=()), now=0)
+    orch.submit_request(make_request(rid=1, vnfs=()), now=0)
+    orch.complete_request(0, now=500)
+    actions = fail_and_repair(orch, 1, now=1000)
+    # Only the live flow is hit; the completed one holds nothing.
+    assert [(a.flow_id, a.kind) for a in actions] == [(1, ActionKind.FAILED)]
+    assert orch.db.entries[0].status is LifecycleStatus.COMPLETED
+    assert orch.db.entries[1].status is LifecycleStatus.FAILED
+    assert [net.available_bw(link_id) for link_id in range(2)] == [10_000, 10_000]
+
+
 def test_release_flow_returns_holdings_and_restores_state():
     orch = _orchestrator()
     pristine = snapshot(orch.controller.network)

@@ -266,7 +266,9 @@ def test_every_bundled_scenario_runs_clean_under_strict_audits():
 
 
 # sha256 of each artifact of each bundled scenario, recorded from the
-# unchanged simulator. A refactor that claims the same behaviour keeps them.
+# unchanged simulator (relay_failure from the first simulator that moves
+# relayed flows off a failed host). A refactor that claims the same
+# behaviour keeps them.
 GOLDEN_DIGESTS = {
     ("basic", "summary.json"): (
         "a60ed5d245276f40cd6566a8308f49563f6258d3bfaf40856b714d5723b06fd3"
@@ -312,6 +314,15 @@ GOLDEN_DIGESTS = {
     ),
     ("minimal", "db_dump.json"): (
         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"
+    ),
+    ("relay_failure", "summary.json"): (
+        "387c564960322d99eee2df62bedb40b375f17288f6b0dc88107822f8216ed0a0"
+    ),
+    ("relay_failure", "qoe_series.csv"): (
+        "b0e04abd4f395333dbfaf0417a86d472118ff3672703b4ecfe797158f030ae14"
+    ),
+    ("relay_failure", "db_dump.json"): (
+        "a8981449570c92a96e8328e487463594cd1e9754a2f6fadebd98298abe62e3fe"
     ),
 }
 

@@ -198,6 +198,20 @@ def test_validate_flags_a_placement_on_a_failed_host():
     assert any("has failed" in violation for violation in violations)
 
 
+def test_validate_flags_a_segment_relayed_by_a_failed_host():
+    # 0 -> 1 -> 3 places nothing on host 1 but forwards through it.
+    net = square_network()
+    request = make_request(ingress=0, egress=3, vnfs=())
+    graph = ForwardingGraph(0, (), ((0, 2),), 4000)
+    assert validate_forwarding_graph(graph, request, net) == []
+    net.fail_host(2)
+    assert validate_forwarding_graph(graph, request, net) == []
+    net.fail_host(1)
+    assert validate_forwarding_graph(graph, request, net) == [
+        "segment 0: relays through failed host 1"
+    ]
+
+
 def test_validate_empty_chain_graph():
     net = square_network()
     request = make_request(ingress=0, egress=3, vnfs=())
