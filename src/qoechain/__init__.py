@@ -30,7 +30,6 @@ from .qoe import (
     Ela,
     FlowSample,
     QoeSample,
-    ela_breached,
     estimate_mos,
     predict_mos,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "audit_conservation",
     "audit_lifecycle",
     "build_network",
-    "ela_breached",
     "enumerate_simple_paths",
     "estimate_mos",
     "load_scenario",

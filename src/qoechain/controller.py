@@ -3,10 +3,13 @@
 The controller decides and the orchestrator records. The controller keeps
 the substrate, the catalog, the ELA, the policy and the injected stall
 levels, and nothing per flow: each flow's request, graph, status,
-measurement carry, route figures and run outcome live on its entry in the
-orchestrator's database. The controller scores the entries it is handed,
-writing only their measurement fields and run outcome, and answers with
-graphs or Actions; it never changes a flow's graph or status.
+measurement carry, run of windows below target, route figures and run
+outcome live on its entry in the orchestrator's database. Monitoring reads
+the target from the request, the profile from the catalog and the breach
+rule's window count from the ELA. The controller scores the entries it is
+handed, writing only their measurement fields and run outcome, and answers
+with graphs or Actions; it never changes a flow's graph or status. A host
+failure is repaired from the live flows' graphs alone.
 
 The controller owns the reservation ledger. Admission and every repair
 are planned by one routine on a resource view, and one ledger commit,
@@ -22,14 +25,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping
+from typing import TYPE_CHECKING, Collection, Iterable
 
 from .errors import (
     InstanceTooLarge,
     InvalidRange,
     InvariantViolation,
     SimulatorError,
-    UnknownRequest,
 )
 from .network import NetworkState, PlacementRecord
 from .qoe import (
@@ -37,7 +39,6 @@ from .qoe import (
     FlowSample,
     QoeSample,
     check_stall_ratio,
-    ela_breached,
     estimate_mos,
     predict_mos,
 )
@@ -48,7 +49,6 @@ from .routing import (
     shortest_path_tree,
 )
 from .service import (
-    AppProfile,
     ChainRequest,
     ForwardingGraph,
     LinkPath,
@@ -158,7 +158,7 @@ class ResourceView:
 
 @dataclass
 class RouteFigures:
-    """What measuring a flow reads off its graph, request and link quality.
+    """What measuring a flow reads off its graph and the link quality.
 
     Built for one graph object and valid while the entry still holds that
     object and no link of the graph has changed quality since quality_epoch:
@@ -174,9 +174,6 @@ class RouteFigures:
     metrics: PathMetrics
     # (link id, kbps) of graph.link_usage(), in its order.
     usage: tuple[tuple[int, int], ...]
-    bw_req_kbps: int
-    profile: AppProfile
-    ela: Ela
 
 
 class Controller:
@@ -475,38 +472,43 @@ class Controller:
         """Measure the given live flows for one window.
 
         Returns (samples, breaching): one sample per flow, and those of them
-        that breach the flow's ELA.
+        that breach the ELA.
         flows are the live database entries in ascending request id; both
         lists come out in that order. Raw figures come from the flow's
         route figures (its current segments under the current link
         quality), the residual-driven throughput, and the injected stall
         level. Each metric is EWMA-smoothed with predictor_alpha before
-        scoring; degraded flows are still measured so recovery stays
-        observable. An entry keeps only its last breach_windows samples, all
-        the breach rule reads, and its run outcome: the windows observed,
-        those at or above its target, and those that breached.
+        scoring against the request's profile; degraded flows are still
+        measured so recovery stays observable. A window scoring strictly
+        below the request's target extends the entry's run of such windows
+        and any other ends it; a flow breaches while that run is at least
+        the ELA's breach_windows long. The entry also keeps its run outcome:
+        the windows observed, those at or above its target, and those that
+        breached.
         """
         alpha = self.policy.predictor_alpha
-        keep = self.ela.breach_windows
+        breach_after = self.ela.breach_windows
+        profile_of = self.catalog.profile
         samples: list[QoeSample] = []
         breaching: list[QoeSample] = []
         for entry in flows:
-            smoothed = self._smooth(entry, self._measure(entry, window_index), alpha)
-            route = entry.route
-            sample = estimate_mos(smoothed, route.profile)
-            history = entry.history
-            history.append(sample)
-            del history[:-keep]
+            request = entry.request
+            profile = profile_of(request.profile)
+            raw = self._measure(entry, window_index, profile.bw_req_kbps)
+            sample = estimate_mos(self._smooth(entry, raw, alpha), profile)
             samples.append(sample)
             entry.windows_observed += 1
-            if sample.mos >= route.ela.target_mos:
+            if sample.mos >= request.ela_target:
                 entry.windows_met += 1
-            if ela_breached(history, route.ela):
-                entry.breach_windows.append(window_index)
-                breaching.append(sample)
+                entry.windows_below = 0
+            else:
+                entry.windows_below += 1
+                if entry.windows_below >= breach_after:
+                    entry.breach_windows.append(window_index)
+                    breaching.append(sample)
         return samples, breaching
 
-    def _measure(self, entry: DbEntry, window_index: int) -> FlowSample:
+    def _measure(self, entry: DbEntry, window_index: int, bw_req_kbps: int) -> FlowSample:
         """The flow's raw sample for one window; brings entry.route up to date."""
         network = self.network
         route = entry.route
@@ -529,7 +531,7 @@ class Controller:
         return FlowSample(
             flow_id=flow_id,
             window_index=window_index,
-            throughput_mbps=min(floor_kbps, route.bw_req_kbps) / KBPS_PER_MBPS,
+            throughput_mbps=min(floor_kbps, bw_req_kbps) / KBPS_PER_MBPS,
             delay_ms=metrics.latency_ms,
             jitter_ms=metrics.jitter_ms,
             loss_pct=metrics.loss_pct,
@@ -538,7 +540,6 @@ class Controller:
 
     def _route_figures(self, entry: DbEntry) -> RouteFigures:
         request, graph = entry.request, entry.graph
-        profile = self.catalog.profile(request.profile)
         return RouteFigures(
             graph=graph,
             quality_epoch=self.network.quality_epoch,
@@ -548,9 +549,6 @@ class Controller:
                 self.catalog.proc_latencies(request.vnf_sequence),
             ),
             usage=tuple(graph.link_usage().items()),
-            bw_req_kbps=profile.bw_req_kbps,
-            profile=profile,
-            ela=self.ela_for(request),
         )
 
     def _smooth(self, entry: DbEntry, raw: FlowSample, alpha: float) -> FlowSample:
@@ -568,14 +566,6 @@ class Controller:
             )
         entry.smoothed = raw
         return raw
-
-    def ela_for(self, request: ChainRequest) -> Ela:
-        """The scenario-wide ELA shape with this request's own target."""
-        return Ela(
-            target_mos=request.ela_target,
-            breach_windows=self.ela.breach_windows,
-            compliance_budget=self.ela.compliance_budget,
-        )
 
     def set_stall(self, flow_id: int, stall_ratio: float) -> None:
         """Set a flow's stall level; it persists until the next injection."""
@@ -615,36 +605,30 @@ class Controller:
 
         return max(set(graph.all_links()), key=badness)
 
-    def handle_host_failure(
-        self, evicted, entries: Mapping[int, DbEntry]
-    ) -> list[Action]:
-        """Repair every live flow whose graph touches a failed host.
+    def handle_host_failure(self, flows: Iterable[DbEntry]) -> list[Action]:
+        """Repair every given flow whose graph touches a failed host.
 
-        evicted lists the placements the failed host holds; entries maps
-        request id to database entry. Only what _failure_damage names is
+        flows are the live database entries in ascending request id, and
+        are handled in that order. Only what _failure_damage names is
         planned anew, without the MOS gate; the rest of the graph stays.
-        Flows are handled in ascending request id. A repaired flow is
-        answered with Migrated if it lost a placement, else Rerouted; one
-        that cannot be repaired is fully released and answered with Failed.
+        A repaired flow is answered with Migrated if it lost a placement,
+        else Rerouted; one that cannot be repaired is fully released and
+        answered with Failed.
         """
-        for request_id, _ in evicted:
-            if request_id not in entries:
-                raise UnknownRequest(f"evicted placement of unknown request {request_id}")
         actions = []
-        for request_id in sorted(entries):
-            entry = entries[request_id]
-            graph = entry.graph
-            lost, segments = self._failure_damage(entry.request, graph)
-            if not (entry.is_live and segments):
+        for entry in flows:
+            request, graph = entry.request, entry.graph
+            lost, segments = self._failure_damage(request, graph)
+            if not segments:
                 continue
-            new_graph = self._replan(entry.request, graph, lost, segments)
+            new_graph = self._replan(request, graph, lost, segments)
             if isinstance(new_graph, Rejected):
                 self.release_flow(graph)
-                actions.append(Action(ActionKind.FAILED, request_id))
+                actions.append(Action(ActionKind.FAILED, request.id))
             else:
                 self._commit(graph, new_graph, lost, segments)
                 kind = ActionKind.MIGRATED if lost else ActionKind.REROUTED
-                actions.append(Action(kind, request_id, new_graph))
+                actions.append(Action(kind, request.id, new_graph))
         return actions
 
     # -- the reservation ledger ---------------------------------------------------

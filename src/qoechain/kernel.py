@@ -135,10 +135,8 @@ def run(
                 entry = orchestrator.db.entries[sample.flow_id]
                 orchestrator.apply_action(controller.handle_breach(entry), event.time_ms)
         elif isinstance(event, HostFailure):
-            evicted = state.fail_host(event.host)
-            for action in controller.handle_host_failure(
-                evicted, orchestrator.db.entries
-            ):
+            state.fail_host(event.host)
+            for action in controller.handle_host_failure(orchestrator.db.live()):
                 orchestrator.apply_action(action, event.time_ms)
         elif isinstance(event, LinkDegradation):
             state.degrade_link(event.link, event.latency_ms, event.jitter_ms, event.loss_pct)

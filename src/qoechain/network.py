@@ -338,8 +338,8 @@ class NetworkState:
         for pid in placement_ids:
             del self.placements[pid]
 
-    def fail_host(self, host_id: int) -> list[PlacementId]:
-        """Fail-stop a host; return the placements it holds, sorted.
+    def fail_host(self, host_id: int) -> None:
+        """Fail-stop a host.
 
         The host takes no new demand from now on. What it holds stays
         reserved until released like any other holding. Failing an
@@ -351,9 +351,6 @@ class NetworkState:
             msg = f"host {host_id} already failed"
             raise AlreadyFailed(msg)
         self.failed_hosts.add(host_id)
-        return sorted(
-            pid for pid, rec in self.placements.items() if rec.host_id == host_id
-        )
 
     def degrade_link(
         self,

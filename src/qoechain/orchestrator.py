@@ -3,12 +3,12 @@
 The database is the only record of a flow: one entry per admitted request,
 kept after the flow ends, holding its request, forwarding graph, lifecycle
 status and log, and what the controller's monitoring alone writes: the
-smoothing carry, recent samples, route figures and run outcome. The
-orchestrator turns the controller's admissions, Actions and releases into
-graph and status changes, all through one guarded transition helper, and
-tallies the two outcomes the lifecycle log cannot tell apart: rejections
-by reason, and reroutes versus migrations. Every other counter is derived
-from the entries when the report is built.
+smoothing carry, the run of windows below target, route figures and run
+outcome. The orchestrator turns the controller's admissions, Actions and
+releases into graph and status changes, all through one guarded
+transition helper, and tallies the two outcomes the lifecycle log cannot
+tell apart: rejections by reason, and reroutes versus migrations. Every
+other counter is derived from the entries when the report is built.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     IllegalTransition,
     UnknownRequest,
 )
-from .qoe import FlowSample, QoeSample
+from .qoe import FlowSample
 from .scenario import dump_request
 from .service import ChainRequest, ForwardingGraph
 from .units import kbps_to_mbps
@@ -85,8 +85,9 @@ class DbEntry:
     # EWMA carry per metric; the controller restarts it on each new graph,
     # so the first window on a new path is taken at face value.
     smoothed: FlowSample | None = None
-    # The most recent scored windows, at most the ELA's breach_windows.
-    history: list[QoeSample] = field(default_factory=list)
+    # Consecutive scored windows below the target, up to the latest; it
+    # carries over a new graph.
+    windows_below: int = 0
     # The controller's figures for measuring this flow, keyed on the graph
     # object and the network's quality epoch; None until first measured.
     route: RouteFigures | None = None

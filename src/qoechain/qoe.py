@@ -9,7 +9,7 @@ delay + 2 * jitter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import InvalidRange
 from .units import KBPS_PER_MBPS
@@ -135,18 +135,6 @@ def estimate_mos(sample: FlowSample, profile: AppProfile) -> QoeSample:
         q_loss=q_loss,
         q_stall=q_stall,
     )
-
-
-def ela_breached(history: Sequence[QoeSample], ela: Ela) -> bool:
-    """True iff the most recent breach_windows samples all score below target.
-
-    The comparison is strict: a window exactly at target does not breach.
-    A history shorter than the rule cannot breach yet.
-    """
-    k = ela.breach_windows
-    if len(history) < k:
-        return False
-    return all(sample.mos < ela.target_mos for sample in history[-k:])
 
 
 def predict_mos(

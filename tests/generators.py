@@ -229,8 +229,8 @@ def random_request(
 def fail_and_repair(orchestrator, host_id: int, now: int = 0) -> list:
     """Fail a host, let the controller repair, and record its actions."""
     controller = orchestrator.controller
-    evicted = controller.network.fail_host(host_id)
-    actions = controller.handle_host_failure(evicted, orchestrator.db.entries)
+    controller.network.fail_host(host_id)
+    actions = controller.handle_host_failure(orchestrator.db.live())
     for action in actions:
         orchestrator.apply_action(action, now)
     return actions

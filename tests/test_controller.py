@@ -32,7 +32,6 @@ from qoechain.errors import (
     DuplicateRequest,
     InstanceTooLarge,
     InvalidRange,
-    UnknownRequest,
 )
 from qoechain.network import PlacementRecord
 from qoechain.orchestrator import DbEntry
@@ -305,21 +304,85 @@ def test_monitor_reports_flows_in_ascending_id_order():
     assert [s.flow_id for s in samples] == [3, 7]
 
 
-def test_entry_keeps_only_the_breach_windows_samples():
-    # The breach rule reads the last breach_windows samples; a long-lived
-    # flow's entry must not grow with the horizon.
-    net = _parallel_pair()
-    orch = _orchestrator(net, _pair_catalog(delay_opt=50.0, delay_max=250.0))
-    orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
-    entry = orch.db.entries[0]
-    scored = []
-    for window in range(50):
-        if window == 40:
-            net.degrade_link(0, latency_ms=300.0)
-        samples, _ = orch.controller.monitor_window(window, orch.db.live())
-        scored.extend(samples)
-        assert len(entry.history) <= ELA.breach_windows
-    assert entry.history == scored[-ELA.breach_windows:]
+def _stalled_flow(breach_windows=2, latencies=(10.0,)):
+    """One unchained stream flow on a parallel pair, scored without smoothing.
+
+    With every other factor at 1, each window's MOS is set by the stall
+    level alone: 0.0 scores 5.0, 0.1 exactly the target 3.0, 0.2 scores 1.0.
+    """
+    ela = Ela(target_mos=3.0, breach_windows=breach_windows, compliance_budget=0.9)
+    controller = Controller(
+        _parallel_pair(latencies), _pair_catalog(), ela, PolicyConfig(predictor_alpha=1.0)
+    )
+    orch = Orchestrator(controller)
+    request = make_request(ingress=0, egress=1, vnfs=(), profile="stream", target=3.0)
+    assert not isinstance(orch.submit_request(request, now=0), Rejected)
+    return orch
+
+
+def _breach_trail(breach_windows, stalls):
+    """Each window's MOS and the windows that breached, one window per stall."""
+    orch = _stalled_flow(breach_windows)
+    scores, breached = [], []
+    for window, stall in enumerate(stalls):
+        orch.controller.set_stall(0, stall)
+        samples, breaching = orch.controller.monitor_window(window, orch.db.live())
+        scores.append(samples[0].mos)
+        breached.extend(sample.window_index for sample in breaching)
+    assert orch.db.entries[0].breach_windows == breached
+    return scores, breached
+
+
+def test_monitor_window_breaches_after_k_windows_strictly_below_target():
+    assert _breach_trail(2, [0.0, 0.1, 0.2]) == ([5.0, 3.0, 1.0], [])
+    # Fewer than K windows below the target cannot breach.
+    assert _breach_trail(2, [0.2])[1] == []
+    assert _breach_trail(2, [0.0, 0.2, 0.2])[1] == [2]
+    # A window exactly at the target does not breach and ends the run.
+    assert _breach_trail(2, [0.2, 0.1])[1] == []
+    assert _breach_trail(2, [0.1, 0.1])[1] == []
+    assert _breach_trail(2, [0.2, 0.1, 0.2])[1] == []
+    assert _breach_trail(2, [0.2, 0.1, 0.2, 0.2])[1] == [3]
+    # K = 1: every window below the target breaches on its own.
+    assert _breach_trail(1, [0.0, 0.2])[1] == [1]
+    assert _breach_trail(1, [0.2, 0.1])[1] == [0]
+    assert _breach_trail(1, [0.2, 0.2, 0.0, 0.2])[1] == [0, 1, 3]
+
+
+def test_a_degraded_flow_breaches_again_and_the_run_survives_a_reroute():
+    # No other path: the breaching flow is marked degraded, stays below the
+    # target and breaches again in the very next window.
+    orch = _stalled_flow()
+    controller, entry = orch.controller, orch.db.entries[0]
+    controller.set_stall(0, 0.2)
+    for window in range(2):
+        _, breaching = controller.monitor_window(window, orch.db.live())
+    assert [s.window_index for s in breaching] == [1]
+    action = controller.handle_breach(entry)
+    assert action.kind is ActionKind.MARKED_DEGRADED
+    orch.apply_action(action, now=2000)
+    _, breaching = controller.monitor_window(2, orch.db.live())
+    assert [s.window_index for s in breaching] == [2]
+    assert entry.breach_windows == [1, 2]
+    assert entry.status is LifecycleStatus.DEGRADED
+
+    # A spare link: the breach moves the flow, and the run below the target
+    # carries over to the new graph, so the next stalled window breaches.
+    orch = _stalled_flow(latencies=(10.0, 12.0))
+    controller, entry = orch.controller, orch.db.entries[0]
+    controller.set_stall(0, 0.2)
+    for window in range(2):
+        _, breaching = controller.monitor_window(window, orch.db.live())
+    old_graph = entry.graph
+    orch.apply_action(controller.handle_breach(entry), now=2000)
+    assert entry.graph is not old_graph and entry.graph.segments == ((1,),)
+    assert entry.windows_below == 2
+    _, breaching = controller.monitor_window(2, orch.db.live())
+    assert [s.window_index for s in breaching] == [2]
+    controller.set_stall(0, 0.0)
+    _, breaching = controller.monitor_window(3, orch.db.live())
+    assert breaching == [] and entry.windows_below == 0
+    assert entry.breach_windows == [1, 2]
 
 
 def test_stall_injection_shapes_q_stall():
@@ -690,11 +753,9 @@ def test_host_failure_handles_flows_in_id_order_until_room_runs_out():
     orch = _orchestrator(net)
     orch.submit_request(make_request(rid=5, ingress=0, egress=3, vnfs=("nat",)), now=0)
     orch.submit_request(make_request(rid=2, ingress=3, egress=0, vnfs=("nat",)), now=0)
-    evicted = net.fail_host(1)
-    assert evicted == [(2, 0), (5, 0)]
-    actions = orch.controller.handle_host_failure(evicted, orch.db.entries)
-    for action in actions:
-        orch.apply_action(action, now=0)
+    on_host_1 = sorted(pid for pid, rec in net.placements.items() if rec.host_id == 1)
+    assert on_host_1 == [(2, 0), (5, 0)]
+    actions = fail_and_repair(orch, 1)
     assert [a.flow_id for a in actions] == [2, 5]
     # Host 2 has one spare unit: flow 2 migrates first and takes it.
     assert actions[0].kind is ActionKind.MIGRATED
@@ -702,14 +763,6 @@ def test_host_failure_handles_flows_in_id_order_until_room_runs_out():
     assert actions[1].kind is ActionKind.FAILED
     assert [entry.request.id for entry in orch.db.live()] == [2]
     assert orch.db.entries[5].status is LifecycleStatus.FAILED
-
-
-def test_eviction_of_an_unknown_flow_raises_unknown_request():
-    orch = _orchestrator(square_network())
-    orch.submit_request(make_request(ingress=0, egress=3), now=0)
-    assert orch.controller.network.fail_host(1) == [(0, 0)]
-    with pytest.raises(UnknownRequest):
-        orch.controller.handle_host_failure([(7, 0)], orch.db.entries)
 
 
 def test_host_failure_reroutes_a_flow_that_relays_through_the_host():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qoechain import Ela, FlowSample, QoeSample, ela_breached, estimate_mos, predict_mos
+from qoechain import Ela, FlowSample, QoeSample, estimate_mos, predict_mos
 from qoechain.errors import InvalidRange
 
 from generators import line_network, make_profile, make_request, small_catalog
@@ -84,31 +84,6 @@ def test_ela_validation():
         Ela(3.0, 0, 1.0)
     with pytest.raises(InvalidRange):
         Ela(3.0, 1, 1.5)
-
-
-def _history(*mos_values):
-    out = []
-    for index, mos in enumerate(mos_values):
-        q = (mos - 1.0) / 4.0
-        out.append(QoeSample(0, index, mos=1.0 + 4.0 * q, q_bw=1.0, q_delay=q, q_loss=1.0, q_stall=1.0))
-    return out
-
-
-def test_breach_needs_k_consecutive_strictly_below():
-    ela = Ela(3.0, 2, 0.9)
-    assert not ela_breached(_history(2.0), ela)  # shorter than K
-    assert not ela_breached(_history(2.0, 3.0), ela)
-    assert not ela_breached(_history(2.0, 3.0, 2.5), ela)
-    assert ela_breached(_history(3.5, 2.0, 2.5), ela)
-    # Exactly at target is not a breach; the comparison is strict.
-    assert not ela_breached(_history(2.0, 3.0 + 0.0), ela)
-    assert not ela_breached(_history(3.0, 3.0), ela)
-
-
-def test_breach_window_of_one():
-    ela = Ela(3.0, 1, 0.9)
-    assert ela_breached(_history(4.0, 2.9), ela)
-    assert not ela_breached(_history(2.0, 3.0), ela)
 
 
 def test_predict_mos_uses_path_and_residuals():
