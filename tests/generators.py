@@ -11,10 +11,15 @@ from random import Random
 from qoechain import (
     AppProfile,
     ChainRequest,
+    Controller,
+    Ela,
     LinkSpec,
     NetworkState,
     NodeKind,
     NodeSpec,
+    Orchestrator,
+    PolicyConfig,
+    Rejected,
     ServiceCatalog,
     VnfType,
     build_network,
@@ -75,6 +80,21 @@ def square_network() -> NetworkState:
         LinkSpec(3, 2, 3, bandwidth_kbps=10_000, latency_ms=5.0),
     ]
     return build_network(nodes, links)
+
+
+def parallel_pair(latencies=(10.0, 12.0), bw=10_000) -> NetworkState:
+    """Endpoints 0 and 1 joined by one link per latency, in link-id order."""
+    nodes = [NodeSpec(0, NodeKind.ENDPOINT), NodeSpec(1, NodeKind.ENDPOINT)]
+    links = [
+        LinkSpec(i, 0, 1, bandwidth_kbps=bw, latency_ms=lat)
+        for i, lat in enumerate(latencies)
+    ]
+    return build_network(nodes, links)
+
+
+def pair_catalog(**profile_kwargs) -> ServiceCatalog:
+    """No VNF types and one profile named stream."""
+    return ServiceCatalog([], [make_profile(name="stream", **profile_kwargs)])
 
 
 def snapshot(net: NetworkState) -> tuple:
@@ -234,3 +254,33 @@ def fail_and_repair(orchestrator, host_id: int, now: int = 0) -> list:
     for action in actions:
         orchestrator.apply_action(action, now)
     return actions
+
+
+def stalled_flow(breach_windows: int = 2, latencies=(10.0,)):
+    """One unchained stream flow on a parallel pair, scored without smoothing.
+
+    Returns its orchestrator; the flow is request 0. With every other factor
+    at 1, each window's MOS is set by the stall level alone: 0.0 scores 5.0,
+    0.1 exactly the target 3.0, 0.2 scores 1.0.
+    """
+    ela = Ela(target_mos=3.0, breach_windows=breach_windows, compliance_budget=0.9)
+    controller = Controller(
+        parallel_pair(latencies), pair_catalog(), ela, PolicyConfig(predictor_alpha=1.0)
+    )
+    orch = Orchestrator(controller)
+    request = make_request(ingress=0, egress=1, vnfs=(), profile="stream", target=3.0)
+    assert not isinstance(orch.submit_request(request, now=0), Rejected)
+    return orch
+
+
+def breach_trail(breach_windows: int, stalls) -> tuple[list[float], list[int]]:
+    """Each window's MOS and the windows that breached, one window per stall."""
+    orch = stalled_flow(breach_windows)
+    scores, breached = [], []
+    for window, stall in enumerate(stalls):
+        orch.controller.set_stall(0, stall)
+        samples, breaching = orch.controller.monitor_window(window, orch.db.live())
+        scores.append(samples[0].mos)
+        breached.extend(sample.window_index for sample in breaching)
+    assert orch.db.entries[0].breach_windows == breached
+    return scores, breached

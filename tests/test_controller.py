@@ -41,12 +41,15 @@ from generators import (
     line_network,
     make_profile,
     make_request,
+    pair_catalog,
+    parallel_pair,
     random_catalog,
     random_network,
     random_request,
     small_catalog,
     snapshot,
     square_network,
+    stalled_flow,
 )
 
 ELA = Ela(target_mos=3.0, breach_windows=2, compliance_budget=0.9)
@@ -59,19 +62,6 @@ def _controller(net=None, catalog=None, policy=PolicyConfig()):
 def _orchestrator(net=None, catalog=None, policy=PolicyConfig()):
     """A controller behind the orchestrator whose database keeps the flows."""
     return Orchestrator(_controller(net, catalog, policy))
-
-
-def _pair_catalog(**profile_kwargs):
-    return ServiceCatalog([], [make_profile(name="stream", **profile_kwargs)])
-
-
-def _parallel_pair(latencies=(10.0, 12.0), bw=10_000):
-    nodes = [NodeSpec(0, NodeKind.ENDPOINT), NodeSpec(1, NodeKind.ENDPOINT)]
-    links = [
-        LinkSpec(i, 0, 1, bandwidth_kbps=bw, latency_ms=lat)
-        for i, lat in enumerate(latencies)
-    ]
-    return build_network(nodes, links)
 
 
 def test_admit_reserves_everything_transactionally():
@@ -267,8 +257,8 @@ def test_exact_embed_enforces_aggregate_bandwidth_per_link():
 
 
 def test_monitor_window_scores_and_smooths():
-    net = _parallel_pair()
-    orch = _orchestrator(net, _pair_catalog(delay_opt=50.0, delay_max=250.0))
+    net = parallel_pair()
+    orch = _orchestrator(net, pair_catalog(delay_opt=50.0, delay_max=250.0))
     ctl = orch.controller
     request = make_request(ingress=0, egress=1, vnfs=(), profile="stream")
     orch.submit_request(request, now=0)
@@ -304,55 +294,10 @@ def test_monitor_reports_flows_in_ascending_id_order():
     assert [s.flow_id for s in samples] == [3, 7]
 
 
-def _stalled_flow(breach_windows=2, latencies=(10.0,)):
-    """One unchained stream flow on a parallel pair, scored without smoothing.
-
-    With every other factor at 1, each window's MOS is set by the stall
-    level alone: 0.0 scores 5.0, 0.1 exactly the target 3.0, 0.2 scores 1.0.
-    """
-    ela = Ela(target_mos=3.0, breach_windows=breach_windows, compliance_budget=0.9)
-    controller = Controller(
-        _parallel_pair(latencies), _pair_catalog(), ela, PolicyConfig(predictor_alpha=1.0)
-    )
-    orch = Orchestrator(controller)
-    request = make_request(ingress=0, egress=1, vnfs=(), profile="stream", target=3.0)
-    assert not isinstance(orch.submit_request(request, now=0), Rejected)
-    return orch
-
-
-def _breach_trail(breach_windows, stalls):
-    """Each window's MOS and the windows that breached, one window per stall."""
-    orch = _stalled_flow(breach_windows)
-    scores, breached = [], []
-    for window, stall in enumerate(stalls):
-        orch.controller.set_stall(0, stall)
-        samples, breaching = orch.controller.monitor_window(window, orch.db.live())
-        scores.append(samples[0].mos)
-        breached.extend(sample.window_index for sample in breaching)
-    assert orch.db.entries[0].breach_windows == breached
-    return scores, breached
-
-
-def test_monitor_window_breaches_after_k_windows_strictly_below_target():
-    assert _breach_trail(2, [0.0, 0.1, 0.2]) == ([5.0, 3.0, 1.0], [])
-    # Fewer than K windows below the target cannot breach.
-    assert _breach_trail(2, [0.2])[1] == []
-    assert _breach_trail(2, [0.0, 0.2, 0.2])[1] == [2]
-    # A window exactly at the target does not breach and ends the run.
-    assert _breach_trail(2, [0.2, 0.1])[1] == []
-    assert _breach_trail(2, [0.1, 0.1])[1] == []
-    assert _breach_trail(2, [0.2, 0.1, 0.2])[1] == []
-    assert _breach_trail(2, [0.2, 0.1, 0.2, 0.2])[1] == [3]
-    # K = 1: every window below the target breaches on its own.
-    assert _breach_trail(1, [0.0, 0.2])[1] == [1]
-    assert _breach_trail(1, [0.2, 0.1])[1] == [0]
-    assert _breach_trail(1, [0.2, 0.2, 0.0, 0.2])[1] == [0, 1, 3]
-
-
 def test_a_degraded_flow_breaches_again_and_the_run_survives_a_reroute():
     # No other path: the breaching flow is marked degraded, stays below the
     # target and breaches again in the very next window.
-    orch = _stalled_flow()
+    orch = stalled_flow()
     controller, entry = orch.controller, orch.db.entries[0]
     controller.set_stall(0, 0.2)
     for window in range(2):
@@ -368,7 +313,7 @@ def test_a_degraded_flow_breaches_again_and_the_run_survives_a_reroute():
 
     # A spare link: the breach moves the flow, and the run below the target
     # carries over to the new graph, so the next stalled window breaches.
-    orch = _stalled_flow(latencies=(10.0, 12.0))
+    orch = stalled_flow(latencies=(10.0, 12.0))
     controller, entry = orch.controller, orch.db.entries[0]
     controller.set_stall(0, 0.2)
     for window in range(2):
@@ -414,8 +359,8 @@ def test_reserved_bandwidth_insulates_throughput():
 
 
 def test_degrading_a_used_link_shows_in_the_next_window():
-    net = _parallel_pair()
-    orch = _orchestrator(net, _pair_catalog(), PolicyConfig(predictor_alpha=1.0))
+    net = parallel_pair()
+    orch = _orchestrator(net, pair_catalog(), PolicyConfig(predictor_alpha=1.0))
     orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
     entry = orch.db.entries[0]
     orch.controller.monitor_window(0, orch.db.live())
@@ -427,8 +372,8 @@ def test_degrading_a_used_link_shows_in_the_next_window():
 
 
 def test_a_reroute_is_measured_on_the_new_segments_next_window():
-    net = _parallel_pair()
-    orch = _orchestrator(net, _pair_catalog(delay_opt=50.0, delay_max=250.0))
+    net = parallel_pair()
+    orch = _orchestrator(net, pair_catalog(delay_opt=50.0, delay_max=250.0))
     orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
     entry = orch.db.entries[0]
     net.degrade_link(0, latency_ms=300.0)
@@ -447,7 +392,7 @@ def test_a_second_flow_on_a_shared_link_lowers_throughput_next_window():
     # Admission reserves a flow's whole requirement, which the floor offers
     # back; a graph reserving less (built by hand here) feels the residual,
     # and the residual moves with every reserve, so it is read every window.
-    net = _parallel_pair(latencies=(10.0,))
+    net = parallel_pair(latencies=(10.0,))
     catalog = ServiceCatalog(
         [], [make_profile(name="stream"), make_profile(name="bulk", bw=8.0)]
     )
@@ -471,13 +416,13 @@ def test_a_second_flow_on_a_shared_link_lowers_throughput_next_window():
 
 def _pair_flow(net):
     """One chain-free flow on link 0 of the pair, measured unsmoothed."""
-    orch = _orchestrator(net, _pair_catalog(), PolicyConfig(predictor_alpha=1.0))
+    orch = _orchestrator(net, pair_catalog(), PolicyConfig(predictor_alpha=1.0))
     orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
     return orch, orch.db.entries[0]
 
 
 def test_degrading_a_link_off_the_route_keeps_its_figures():
-    net = _parallel_pair()
+    net = parallel_pair()
     orch, entry = _pair_flow(net)
     first, _ = orch.controller.monitor_window(0, orch.db.live())
     before = entry.route
@@ -494,7 +439,7 @@ def test_degrading_a_link_off_the_route_keeps_its_figures():
 
 
 def test_degrading_a_link_on_the_route_rebuilds_its_figures():
-    net = _parallel_pair()
+    net = parallel_pair()
     orch, entry = _pair_flow(net)
     orch.controller.monitor_window(0, orch.db.live())
     before = entry.route
@@ -506,7 +451,7 @@ def test_degrading_a_link_on_the_route_rebuilds_its_figures():
 
 
 def test_a_link_degraded_off_the_route_shows_once_the_flow_moves_onto_it():
-    net = _parallel_pair()
+    net = parallel_pair()
     orch, entry = _pair_flow(net)
     net.degrade_link(1, latency_ms=15.0)  # off the route: figures kept
     orch.controller.monitor_window(0, orch.db.live())
@@ -547,8 +492,8 @@ def test_per_flow_state_stays_bounded_over_the_horizon():
 
 
 def test_handle_breach_reroutes_to_the_spare_link():
-    net = _parallel_pair()
-    orch = _orchestrator(net, _pair_catalog(delay_opt=50.0, delay_max=250.0))
+    net = parallel_pair()
+    orch = _orchestrator(net, pair_catalog(delay_opt=50.0, delay_max=250.0))
     orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
     entry = orch.db.entries[0]
     orch.controller.monitor_window(0, orch.db.live())
@@ -596,8 +541,8 @@ def test_handle_breach_escalates_to_migration():
 
 
 def test_handle_breach_marks_degraded_when_out_of_options():
-    net = _parallel_pair(latencies=(10.0,))
-    orch = _orchestrator(net, _pair_catalog())
+    net = parallel_pair(latencies=(10.0,))
+    orch = _orchestrator(net, pair_catalog())
     orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
     net.degrade_link(0, latency_ms=1000.0)
     action = orch.controller.handle_breach(orch.db.entries[0])

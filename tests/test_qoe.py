@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from qoechain import Ela, FlowSample, QoeSample, estimate_mos, predict_mos
 from qoechain.errors import InvalidRange
 
-from generators import line_network, make_profile, make_request, small_catalog
+from generators import breach_trail, line_network, make_profile, make_request, small_catalog
 
 
 def _sample(thr=4.0, delay=100.0, jitter=25.0, loss=1.0, stall=0.05, window=0):
@@ -84,6 +84,26 @@ def test_ela_validation():
         Ela(3.0, 0, 1.0)
     with pytest.raises(InvalidRange):
         Ela(3.0, 1, 1.5)
+
+
+def test_breach_needs_k_consecutive_strictly_below():
+    # Stall 0.0 scores 5.0, 0.1 exactly the target 3.0, 0.2 scores 1.0.
+    assert breach_trail(2, [0.0, 0.1, 0.2]) == ([5.0, 3.0, 1.0], [])
+    # Fewer than K windows below the target cannot breach.
+    assert breach_trail(2, [0.2])[1] == []
+    assert breach_trail(2, [0.0, 0.2, 0.2])[1] == [2]
+    # A window exactly at the target does not breach and ends the run.
+    assert breach_trail(2, [0.2, 0.1])[1] == []
+    assert breach_trail(2, [0.1, 0.1])[1] == []
+    assert breach_trail(2, [0.2, 0.1, 0.2])[1] == []
+    assert breach_trail(2, [0.2, 0.1, 0.2, 0.2])[1] == [3]
+
+
+def test_breach_window_of_one():
+    # K = 1: every window below the target breaches on its own.
+    assert breach_trail(1, [0.0, 0.2])[1] == [1]
+    assert breach_trail(1, [0.2, 0.1])[1] == [0]
+    assert breach_trail(1, [0.2, 0.2, 0.0, 0.2])[1] == [0, 1, 3]
 
 
 def test_predict_mos_uses_path_and_residuals():
