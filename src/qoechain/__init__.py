@@ -4,7 +4,6 @@ from .controller import (
     Action,
     ActionKind,
     Controller,
-    OracleLimits,
     PolicyConfig,
     Rejected,
     RejectReason,
@@ -25,6 +24,7 @@ from .network import (
     NodeSpec,
     build_network,
 )
+from .oracle import OracleLimits, enumerate_simple_paths, exact_embed
 from .orchestrator import LifecycleStatus, Orchestrator, VnfDb, audit_lifecycle
 from .qoe import (
     Ela,
@@ -34,7 +34,7 @@ from .qoe import (
     predict_mos,
 )
 from .report import SimReport, write_report
-from .routing import enumerate_simple_paths, shortest_feasible_path
+from .routing import shortest_feasible_path
 from .scenario import (
     Diagnostic,
     ScenarioDoc,
@@ -92,6 +92,7 @@ __all__ = [
     "build_network",
     "enumerate_simple_paths",
     "estimate_mos",
+    "exact_embed",
     "load_scenario",
     "parse_scenario",
     "path_metrics",

@@ -10,10 +10,10 @@ import argparse
 import json
 import sys
 
-from .controller import Controller, OracleLimits
 from .errors import InvariantViolation, SimulatorError
 from .kernel import run as run_scenario
 from .network import build_network
+from .oracle import exact_embed, graph_latency
 from .report import read_series, read_summary, write_report
 from .scenario import load_scenario
 from .service import ServiceCatalog
@@ -129,12 +129,11 @@ def _cmd_oracle(args) -> int:
         request = matches[0]
     state = build_network(doc.nodes, doc.links)
     catalog = ServiceCatalog(doc.vnf_types, doc.profiles)
-    controller = Controller(state, catalog, doc.ela, doc.policy)
-    result = controller.exact_embed(request, OracleLimits())
+    result = exact_embed(state, catalog, request)
     if result is None:
         print(json.dumps({"request": request.id, "feasible": False}, sort_keys=True))
         return 0
-    latency = controller.graph_latency(result, request)
+    latency = graph_latency(state, catalog, result, request)
     print(
         json.dumps(
             {

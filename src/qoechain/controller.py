@@ -22,13 +22,11 @@ which makes identical inputs produce identical outputs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Collection, Iterable
 
 from .errors import (
-    InstanceTooLarge,
     InvalidRange,
     InvariantViolation,
     SimulatorError,
@@ -42,12 +40,7 @@ from .qoe import (
     estimate_mos,
     predict_mos,
 )
-from .routing import (
-    enumerate_simple_paths,
-    path_key,
-    shortest_feasible_path,
-    shortest_path_tree,
-)
+from .routing import shortest_feasible_path, shortest_path_tree
 from .service import (
     ChainRequest,
     ForwardingGraph,
@@ -84,15 +77,6 @@ class PolicyConfig:
             raise InvalidRange(msg, field="max_reroute_attempts")
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    """Hard bounds above which exact_embed refuses to run."""
-
-    max_hosts: int = 6
-    max_chain: int = 3
-    max_paths_per_pair: int = 100
-
-
 class RejectReason(str, Enum):
     NO_HOST = "NoHost"
     NO_PATH = "NoPath"
@@ -125,9 +109,11 @@ class ResourceView:
     A positive delta offers resources back (a flow replanning may reuse its
     own holdings); a negative delta tracks demand pending within a plan.
     Topology, failures, link quality and the residual counters are the
-    state's own objects: no delta touches them. What is available is the
-    residual plus the delta, which hot loops read inline.
+    state's own objects: no delta touches them. Usable bandwidth is read
+    by the state's own available_bw, which adds the view's bw_delta in.
     """
+
+    available_bw = NetworkState.available_bw
 
     def __init__(self, state: NetworkState):
         self.nodes = state.nodes
@@ -142,9 +128,6 @@ class ResourceView:
         self.bw_delta: dict[int, int] = {}
         self.cpu_delta: dict[int, int] = {}
         self.mem_delta: dict[int, int] = {}
-
-    def available_bw(self, link_id: int) -> int:
-        return self.residual_bw[link_id] + self.bw_delta.get(link_id, 0)
 
     def add_bw(self, link_id: int, delta: int) -> None:
         self.bw_delta[link_id] = self.bw_delta.get(link_id, 0) + delta
@@ -347,123 +330,6 @@ class Controller:
             view.add_bw(link_id, -bw_kbps)
         return host_id, segment
 
-    # -- exhaustive oracle -----------------------------------------------------
-
-    def exact_embed(
-        self, request: ChainRequest, limits: OracleLimits = OracleLimits()
-    ) -> ForwardingGraph | None:
-        """Exhaustive minimum-latency embedding, or None when infeasible.
-
-        Enumerates every placement assignment and every simple-path choice
-        per segment, subject to aggregate bandwidth feasibility and the same
-        admission rule as admit. Never reserves anything. Raises
-        InstanceTooLarge beyond the configured limits; refusing loudly beats
-        a silently truncated search.
-        """
-        bw_kbps = self.catalog.profile(request.profile).bw_req_kbps
-        chain = [self.catalog.vnf(name) for name in request.vnf_sequence]
-        hosts = self.network.host_ids()
-        if len(hosts) > limits.max_hosts:
-            msg = f"{len(hosts)} hosts exceeds oracle limit {limits.max_hosts}"
-            raise InstanceTooLarge(msg)
-        if len(chain) > limits.max_chain:
-            msg = f"chain length {len(chain)} exceeds oracle limit {limits.max_chain}"
-            raise InstanceTooLarge(msg)
-        usable = [h for h in hosts if h not in self.network.failed_hosts]
-        proc_total = sum(vnf.proc_latency_ms for vnf in chain)
-
-        path_cache: dict[tuple[int, int], list[tuple[float, list[int]]]] = {}
-
-        def paths_between(a: int, b: int) -> list[tuple[float, list[int]]]:
-            if (a, b) not in path_cache:
-                raw = enumerate_simple_paths(
-                    self.network, a, b, bw_kbps, max_paths=limits.max_paths_per_pair
-                )
-                keyed = sorted(
-                    (path_key(self.network, path), path) for path in raw
-                )
-                path_cache[(a, b)] = [(key[0], path) for key, path in keyed]
-            return path_cache[(a, b)]
-
-        best: tuple | None = None  # (latency, hosts, flat links, segments)
-
-        for assignment in itertools.product(usable, repeat=len(chain)):
-            cpu_need: dict[int, int] = {}
-            mem_need: dict[int, int] = {}
-            for vnf, host_id in zip(chain, assignment):
-                cpu_need[host_id] = cpu_need.get(host_id, 0) + vnf.cpu_demand
-                mem_need[host_id] = mem_need.get(host_id, 0) + vnf.mem_demand
-            if any(
-                cpu_need[h] > self.network.available_cpu(h)
-                or mem_need[h] > self.network.available_mem(h)
-                for h in cpu_need
-            ):
-                continue
-            points = [request.ingress, *assignment, request.egress]
-            options = [
-                paths_between(points[i], points[i + 1])
-                for i in range(len(points) - 1)
-            ]
-            if any(not segment_options for segment_options in options):
-                continue
-            best = self._search_segments(
-                request, assignment, options, bw_kbps, proc_total, best
-            )
-
-        if best is None:
-            return None
-        _, assignment, _, segments = best
-        placements = tuple(
-            (vnf.name, host_id) for vnf, host_id in zip(chain, assignment)
-        )
-        return ForwardingGraph(
-            request_id=request.id,
-            placements=placements,
-            segments=segments,
-            reserved_bw_kbps=bw_kbps,
-        )
-
-    def _search_segments(
-        self, request, assignment, options, bw_kbps, proc_total, best
-    ):
-        """Depth-first choice of one path per segment, bounded by best latency."""
-        chosen: list[LinkPath] = []
-
-        def feasible(usage: dict[int, int]) -> bool:
-            return all(
-                kbps <= self.network.available_bw(link_id)
-                for link_id, kbps in usage.items()
-            )
-
-        def dfs(index: int, latency: float, usage: dict[int, int]):
-            nonlocal best
-            if best is not None and latency + proc_total > best[0]:
-                return
-            if index == len(options):
-                segments = tuple(chosen)
-                predicted = predict_mos(request, segments, self.network, self.catalog)
-                if predicted.mos < request.ela_target:
-                    return
-                flat = tuple(
-                    link_id for segment in segments for link_id in segment
-                )
-                key = (latency + proc_total, tuple(assignment), flat, segments)
-                if best is None or key < best:
-                    best = key
-                return
-            for seg_latency, path in options[index]:
-                new_usage = dict(usage)
-                for link_id in path:
-                    new_usage[link_id] = new_usage.get(link_id, 0) + bw_kbps
-                if not feasible(new_usage):
-                    continue
-                chosen.append(tuple(path))
-                dfs(index + 1, latency + seg_latency, new_usage)
-                chosen.pop()
-
-        dfs(0, 0.0, {})
-        return best
-
     # -- measurement ------------------------------------------------------------
 
     def monitor_window(
@@ -524,6 +390,8 @@ class Controller:
                 route.quality_epoch = network.quality_epoch
         # What this flow can push through: the smallest residual along its
         # path with its own reservation offered back, capped at the profile.
+        # Usable bandwidth is NetworkState.available_bw, read inline per link:
+        # on the state itself bw_delta is empty, so it is residual_bw.
         residual_bw = network.residual_bw
         floor_kbps = min(residual_bw[link_id] + kbps for link_id, kbps in route.usage)
         metrics = route.metrics
@@ -686,11 +554,3 @@ class Controller:
                 )
             )
         return usage, records
-
-    def graph_latency(self, graph: ForwardingGraph, request: ChainRequest) -> float:
-        """End-to-end latency of an embedding, processing included."""
-        return path_metrics(
-            graph.segments,
-            self.network,
-            self.catalog.proc_latencies(request.vnf_sequence),
-        ).latency_ms

@@ -137,7 +137,7 @@ class NetworkState:
     state bit-identical to what it was before the call.
     """
 
-    # Tentative bandwidth on top of residual_bw, which path search adds in:
+    # Tentative bandwidth on top of residual_bw, which available_bw adds in:
     # a bare state has none, a planning view carries its own.
     bw_delta: Mapping[int, int] = MappingProxyType({})
 
@@ -214,13 +214,12 @@ class NetworkState:
         return self._base_quality[link_id]
 
     def available_bw(self, link_id: int) -> int:
-        return self.residual_bw[link_id]
+        """The usable-bandwidth rule: residual plus any pending delta.
 
-    def available_cpu(self, host_id: int) -> int:
-        return self.residual_cpu[host_id]
-
-    def available_mem(self, host_id: int) -> int:
-        return self.residual_mem[host_id]
+        Planning views share this function; routing._settle and
+        Controller._measure read it inline in their per-link loops.
+        """
+        return self.residual_bw[link_id] + self.bw_delta.get(link_id, 0)
 
     # -- mutations ----------------------------------------------------------
 

@@ -15,34 +15,23 @@ for every node: the key is a total order, and appending the same link to
 two paths that end at the same node keeps their order, so a node's label
 is final when it is first popped, whether or not the search goes on
 afterwards. Latency is summed along the path from 0.0 in path order, as
-`path_key` sums it, so even the floats agree.
+`oracle.path_key` sums it, so even the floats agree.
 
 The loop reads each node's (link id, neighbour, latency) tuples from the
-state's `edges` and the bandwidth as residual plus pending delta, without
-calling an accessor per edge. A candidate whose neighbour already holds a
-label better on (latency, hops) is dropped before its link tuple is built;
-only a tie on both compares link sequences. `enumerate_simple_paths` and
-`path_key` read `adjacency` and `link_quality` instead, so the oracle does
-not share the loop's inputs.
+state's `edges` and the usable bandwidth, as `NetworkState.available_bw`
+defines it, inline, without calling an accessor per edge. A candidate
+whose neighbour already holds a label better on (latency, hops) is
+dropped before its link tuple is built; only a tie on both compares link
+sequences.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Iterable
 
-from .errors import InstanceTooLarge, UnknownHost
+from .errors import UnknownHost
 
 PathKey = tuple[float, int, tuple[int, ...]]
-
-
-def path_key(net, path: Iterable[int]) -> PathKey:
-    """Cost key of a link path under the current quality overrides."""
-    links = tuple(path)
-    latency = 0.0
-    for link_id in links:
-        latency += net.link_quality(link_id).latency_ms
-    return (latency, len(links), links)
 
 
 def _settle(
@@ -58,6 +47,7 @@ def _settle(
     not excluded. The search stops once dst, if given, is settled.
     """
     edges = net.edges
+    # Usable bandwidth is NetworkState.available_bw, read inline per edge.
     residual_bw = net.residual_bw
     pending_bw = net.bw_delta.get
     failed_hosts = net.failed_hosts
@@ -138,53 +128,3 @@ def shortest_feasible_path(
         return []
     label = _settle(net, src, bw_kbps, exclude_links, dst).get(dst)
     return None if label is None else list(label[2])
-
-
-def enumerate_simple_paths(
-    net,
-    src: int,
-    dst: int,
-    bw_kbps: int,
-    exclude_links: frozenset[int] = frozenset(),
-    max_paths: int | None = None,
-) -> list[list[int]]:
-    """All simple paths (no repeated node) from src to dst over feasible links.
-
-    The exhaustive counterpart of shortest_feasible_path, used by oracles.
-    Paths come out in depth-first link-id order. With max_paths set, finding
-    more than that raises InstanceTooLarge instead of silently truncating,
-    which would quietly bias any comparison built on top.
-    """
-    if src not in net.nodes or dst not in net.nodes:
-        msg = f"unknown node in path query: {src} -> {dst}"
-        raise UnknownHost(msg)
-    if src == dst:
-        return [[]]
-
-    paths: list[list[int]] = []
-
-    def extend(node: int, visited: set[int], trail: list[int]) -> None:
-        if node != src and node in net.failed_hosts:
-            return
-        for link_id in net.adjacency(node):
-            if link_id in exclude_links:
-                continue
-            if net.available_bw(link_id) < bw_kbps:
-                continue
-            neighbor = net.links[link_id].other(node)
-            if neighbor in visited:
-                continue
-            trail.append(link_id)
-            if neighbor == dst:
-                paths.append(list(trail))
-                if max_paths is not None and len(paths) > max_paths:
-                    msg = f"more than {max_paths} simple paths between {src} and {dst}"
-                    raise InstanceTooLarge(msg)
-            else:
-                visited.add(neighbor)
-                extend(neighbor, visited, trail)
-                visited.remove(neighbor)
-            trail.pop()
-
-    extend(src, {src}, [])
-    return paths

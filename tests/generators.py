@@ -6,6 +6,8 @@ own seed; the suite never consumes global RNG state.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from random import Random
 
 from qoechain import (
@@ -23,8 +25,12 @@ from qoechain import (
     ServiceCatalog,
     VnfType,
     build_network,
+    parse_scenario,
 )
 from qoechain.qoe import FlowSample
+from qoechain.scenario import ScenarioDoc
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def make_profile(
@@ -284,3 +290,18 @@ def breach_trail(breach_windows: int, stalls) -> tuple[list[float], list[int]]:
         breached.extend(sample.window_index for sample in breaching)
     assert orch.db.entries[0].breach_windows == breached
     return scores, breached
+
+
+def one_fault_of_each_kind() -> ScenarioDoc:
+    """The host-failure scenario with one link degradation and one stall added.
+
+    Its run dispatches every event type: arrivals, a departure, measure
+    windows, the host failure, the degradation and the stall.
+    """
+    payload = json.loads((SCENARIOS / "host_failure_migration.json").read_text())
+    payload["workload"]["requests"][0]["holding_ms"] = 4000
+    payload["faults"]["link_degradations"] = [{"time_ms": 1500, "link": 1, "latency_ms": 50}]
+    payload["faults"]["stall_injections"] = [{"time_ms": 3500, "flow": 0, "stall_ratio": 0.1}]
+    doc, diagnostics = parse_scenario(json.dumps(payload))
+    assert diagnostics == []
+    return doc

@@ -1,9 +1,10 @@
-"""Acceptance battery: twelve end-to-end guarantees, one verdict line each.
+"""Acceptance battery: thirteen end-to-end guarantees, one verdict line each.
 
 Every test prints exactly one PASS/FAIL line with its evidence before
 asserting, so a `pytest -rP` run reads as a checklist: QoE model
 properties, closed-form scores, resource conservation, embedding
-validity, oracle containment, routing optimality, the three scripted
+validity, oracle containment, the admission gap of greedy rejections
+against the oracle, routing optimality, the three scripted
 fault-recovery scenarios, byte-level determinism, lifecycle soundness
 and the per-flow summary replayed from the series.
 """
@@ -31,7 +32,7 @@ from qoechain import (
     validate_forwarding_graph,
     write_report,
 )
-from qoechain.controller import OracleLimits, PolicyConfig
+from qoechain.controller import PolicyConfig, RejectReason
 from qoechain.errors import (
     AlreadyFailed,
     InstanceTooLarge,
@@ -40,8 +41,15 @@ from qoechain.errors import (
     UnknownHost,
 )
 from qoechain.network import PlacementRecord
+from qoechain.oracle import (
+    OracleLimits,
+    enumerate_simple_paths,
+    exact_embed,
+    graph_latency,
+    path_key,
+)
 from qoechain.qoe import FlowSample
-from qoechain.routing import enumerate_simple_paths, path_key, shortest_feasible_path
+from qoechain.routing import shortest_feasible_path
 from qoechain.scenario import (
     HostFailure,
     LinkDegradation,
@@ -381,7 +389,7 @@ def test_oracle_contains_greedy_and_measures_the_gap():
         controller = Controller(net, catalog, Ela(1.0, 2, 0.9))
         request = random_request(rng, 0, net, catalog, target=1.0, max_chain=3)
         try:
-            exact = controller.exact_embed(request, limits)
+            exact = exact_embed(net, catalog, request, limits)
         except InstanceTooLarge:
             continue
         instances += 1
@@ -392,8 +400,8 @@ def test_oracle_contains_greedy_and_measures_the_gap():
         if exact is None:
             containment_failures += 1
             continue
-        greedy_latency = controller.graph_latency(greedy, request)
-        exact_latency = controller.graph_latency(exact, request)
+        greedy_latency = graph_latency(net, catalog, greedy, request)
+        exact_latency = graph_latency(net, catalog, exact, request)
         if exact_latency > greedy_latency + 1e-9:
             optimality_failures += 1
         gaps.append(greedy_latency - exact_latency)
@@ -404,11 +412,11 @@ def test_oracle_contains_greedy_and_measures_the_gap():
     catalog = ServiceCatalog(doc.vnf_types, doc.profiles)
     controller = Controller(net, catalog, doc.ela, doc.policy)
     request = doc.requests[0]
-    exact = controller.exact_embed(request)
+    exact = exact_embed(net, catalog, request)
     greedy = controller.admit(request)
-    constructed_gap = controller.graph_latency(
-        greedy, request
-    ) - controller.graph_latency(exact, request)
+    constructed_gap = graph_latency(net, catalog, greedy, request) - graph_latency(
+        net, catalog, exact, request
+    )
 
     mean_gap = sum(gaps) / len(gaps) if gaps else 0.0
     max_gap = max(gaps, default=0.0)
@@ -426,6 +434,51 @@ def test_oracle_contains_greedy_and_measures_the_gap():
         f"containment failures {containment_failures}, optimality failures "
         f"{optimality_failures}, gap mean {mean_gap:.3f} max {max_gap:.3f} ms, "
         f"constructed gap {constructed_gap:.1f} ms, {elapsed:.1f}s",
+    )
+
+
+def test_admission_gap_of_greedy_rejections():
+    # How often greedy admission turns away a request the exhaustive oracle
+    # can embed, by rejection reason. Only containment is a guarantee; the
+    # gap figures are measured, not bounded.
+    rng = Random(707)
+    limits = OracleLimits(max_hosts=6, max_chain=3, max_paths_per_pair=100)
+    instances = 0
+    admitted = 0
+    containment_failures = 0
+    rejected = {"qoe": 0, "host_or_path": 0}
+    embeddable = {"qoe": 0, "host_or_path": 0}
+    for _ in range(300):
+        net = random_network(
+            rng,
+            n_endpoints=2,
+            n_hosts=rng.randint(1, 6),
+            n_switches=rng.randint(0, 1),
+            extra_links=rng.randint(0, 3),
+        )
+        catalog = random_catalog(rng)
+        request = random_request(rng, 0, net, catalog, max_chain=3)
+        try:
+            exact = exact_embed(net, catalog, request, limits)
+        except InstanceTooLarge:
+            continue
+        instances += 1
+        greedy = Controller(net, catalog, Ela(1.0, 2, 0.9)).admit(request)
+        if not isinstance(greedy, Rejected):
+            admitted += 1
+            containment_failures += exact is None
+            continue
+        kind = "qoe" if greedy.reason is RejectReason.QOE_BELOW_TARGET else "host_or_path"
+        rejected[kind] += 1
+        embeddable[kind] += exact is not None
+    _verdict(
+        "admission-gap",
+        containment_failures == 0 and instances >= 200,
+        f"{instances} of 300 draws within the oracle's limits ({admitted} admitted), "
+        f"containment failures "
+        f"{containment_failures}; the oracle embeds {embeddable['qoe']} of "
+        f"{rejected['qoe']} QoeBelowTarget and {embeddable['host_or_path']} of "
+        f"{rejected['host_or_path']} NoHost/NoPath rejections",
     )
 
 

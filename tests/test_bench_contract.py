@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import ast
 import importlib
-import json
 from pathlib import Path
 
-from qoechain import parse_scenario, run
+from qoechain import run
+
+from generators import one_fault_of_each_kind
 
 ROOT = Path(__file__).parent.parent
 
@@ -44,12 +45,6 @@ def test_every_traced_entry_point_resolves():
 
 
 def test_one_fault_of_each_kind_dispatches_every_counted_event_type():
-    payload = json.loads((ROOT / "scenarios" / "host_failure_migration.json").read_text())
-    payload["workload"]["requests"][0]["holding_ms"] = 4000
-    payload["faults"]["link_degradations"] = [{"time_ms": 1500, "link": 1, "latency_ms": 50}]
-    payload["faults"]["stall_injections"] = [{"time_ms": 3500, "flow": 0, "stall_ratio": 0.1}]
-    doc, diagnostics = parse_scenario(json.dumps(payload))
-    assert diagnostics == []
     dispatched = set()
-    run(doc, event_hook=lambda event, state: dispatched.add(type(event).__name__))
+    run(one_fault_of_each_kind(), event_hook=lambda event, state: dispatched.add(type(event).__name__))
     assert dispatched == set(bench_constant("run_bench.py", "EVENT_TYPES"))

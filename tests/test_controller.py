@@ -23,6 +23,7 @@ from qoechain import (
     ServiceCatalog,
     VnfType,
     build_network,
+    exact_embed,
     predict_mos,
     validate_forwarding_graph,
 )
@@ -34,6 +35,7 @@ from qoechain.errors import (
     InvalidRange,
 )
 from qoechain.network import PlacementRecord
+from qoechain.oracle import graph_latency
 from qoechain.orchestrator import DbEntry
 
 from generators import (
@@ -72,8 +74,8 @@ def test_admit_reserves_everything_transactionally():
     assert graph.placements == (("fw", 1),)
     assert graph.segments == ((0,), (1,))
     assert graph.reserved_bw_kbps == 4000
-    assert ctl.network.available_cpu(1) == 6
-    assert ctl.network.available_mem(1) == 6
+    assert ctl.network.residual_cpu[1] == 6
+    assert ctl.network.residual_mem[1] == 6
     assert ctl.network.available_bw(0) == 6000
     assert ctl.network.available_bw(1) == 6000
     assert ctl.network.placements[(0, 0)].host_id == 1
@@ -94,7 +96,7 @@ def test_consecutive_vnfs_may_share_a_host():
     graph = orch.submit_request(make_request(vnfs=("fw", "nat")), now=0)
     assert graph.placements == (("fw", 1), ("nat", 1))
     assert graph.segments == ((0,), (), (1,))
-    assert ctl.network.available_cpu(1) == 5  # 8 - 2 - 1
+    assert ctl.network.residual_cpu[1] == 5  # 8 - 2 - 1
 
 
 def test_host_tie_breaks_on_utilization_then_id():
@@ -187,21 +189,21 @@ def test_exact_embed_beats_greedy_on_crafted_gap():
     ctl = Controller(net, catalog, ELA)
     request = make_request(ingress=0, egress=3)
 
-    exact = ctl.exact_embed(request)
+    exact = exact_embed(net, catalog, request)
     assert exact.placements == (("fw", 2),)
     assert exact.segments == ((1,), (3,))
-    assert ctl.graph_latency(exact, request) == pytest.approx(4.0)
+    assert graph_latency(net, catalog, exact, request) == pytest.approx(4.0)
     assert snapshot(net) == snapshot(build_network(nodes, links))  # no reservation
 
     greedy = ctl.admit(request)
     assert greedy.placements == (("fw", 1),)
-    assert ctl.graph_latency(greedy, request) == pytest.approx(6.0)
+    assert graph_latency(net, catalog, greedy, request) == pytest.approx(6.0)
 
 
 def test_exact_embed_infeasible_returns_none():
     catalog = ServiceCatalog([VnfType("fw", 99, 99, 0.0)], [make_profile()])
     ctl = Controller(square_network(), catalog, ELA)
-    assert ctl.exact_embed(make_request(ingress=0, egress=3)) is None
+    assert exact_embed(ctl.network, ctl.catalog, make_request(ingress=0, egress=3)) is None
 
 
 def test_exact_embed_enforces_limits():
@@ -210,15 +212,17 @@ def test_exact_embed_enforces_limits():
     links = [LinkSpec(0, 0, 1, bandwidth_kbps=10_000, latency_ms=1.0)]
     ctl = Controller(build_network(nodes, links), small_catalog(), ELA)
     with pytest.raises(InstanceTooLarge):
-        ctl.exact_embed(make_request(ingress=0, egress=1, vnfs=()))
+        exact_embed(ctl.network, ctl.catalog, make_request(ingress=0, egress=1, vnfs=()))
 
     ctl = _controller()
     with pytest.raises(InstanceTooLarge):
-        ctl.exact_embed(make_request(vnfs=("fw",) * 4))
+        exact_embed(ctl.network, ctl.catalog, make_request(vnfs=("fw",) * 4))
 
     ctl = Controller(square_network(), small_catalog(), ELA)
     with pytest.raises(InstanceTooLarge):
-        ctl.exact_embed(
+        exact_embed(
+            ctl.network,
+            ctl.catalog,
             make_request(ingress=0, egress=3, vnfs=()),
             OracleLimits(max_paths_per_pair=1),
         )
@@ -245,15 +249,16 @@ def test_exact_embed_enforces_aggregate_bandwidth_per_link():
     catalog = ServiceCatalog([VnfType("fw", 2, 2, 0.0)], [make_profile()])
     request = make_request(ingress=0, egress=2)
 
-    roomy = Controller(_spur_network(spur_bw_kbps=9000), catalog, ELA)
-    graph = roomy.exact_embed(request)
-    assert graph.placements == (("fw", 3),)
-    # Out and back over the spur: link 2 appears in both segments.
-    assert graph.segments == ((0, 2), (2, 1))
+    # 8 Mbps is exactly the aggregate demand: usable bandwidth equal to the
+    # demand is enough.
+    for spur_bw_kbps in (9000, 8000):
+        graph = exact_embed(_spur_network(spur_bw_kbps), catalog, request)
+        assert graph.placements == (("fw", 3),)
+        # Out and back over the spur: link 2 appears in both segments.
+        assert graph.segments == ((0, 2), (2, 1))
 
-    tight = Controller(_spur_network(spur_bw_kbps=7000), catalog, ELA)
     # 7 Mbps covers one crossing but not both; no embedding remains.
-    assert tight.exact_embed(request) is None
+    assert exact_embed(_spur_network(spur_bw_kbps=7000), catalog, request) is None
 
 
 def test_monitor_window_scores_and_smooths():
@@ -410,6 +415,23 @@ def test_a_second_flow_on_a_shared_link_lowers_throughput_next_window():
     assert samples[0].q_bw == 0.5
 
 
+def test_the_throughput_floor_is_usable_bandwidth_plus_the_flows_own():
+    # Measurement reads the usable-bandwidth rule inline; at a saturated
+    # link it must agree exactly with NetworkState.available_bw.
+    net = line_network()
+    orch = _orchestrator(net, pair_catalog(), PolicyConfig(predictor_alpha=1.0))
+    graph = ForwardingGraph(0, (), ((0, 1),), reserved_bw_kbps=1000)
+    net.reserve(link_demands=graph.link_usage())
+    net.reserve(link_demands={0: 9000, 1: 7000})
+    assert net.residual_bw[0] == 0
+    request = make_request(ingress=0, egress=2, vnfs=(), profile="stream")
+    orch.db.entries[0] = DbEntry(request, graph, LifecycleStatus.ACTIVE)
+    orch.controller.monitor_window(0, orch.db.live())
+    usage = graph.link_usage().items()
+    floor_kbps = min(net.available_bw(link_id) + kbps for link_id, kbps in usage)
+    assert orch.db.entries[0].smoothed.throughput_mbps == floor_kbps / 1000
+
+
 # A moved quality epoch rebuilds a flow's figures only when a link of its
 # route changed after they were built.
 
@@ -535,8 +557,8 @@ def test_handle_breach_escalates_to_migration():
     assert action.new_graph.segments == ((1,), (3,))
     assert orch.counters()["migrated"] == 1
     assert orch.counters()["rerouted"] == 0
-    assert net.available_cpu(1) == 4
-    assert net.available_cpu(2) == 2
+    assert net.residual_cpu[1] == 4
+    assert net.residual_cpu[2] == 2
     assert net.placements[(0, 0)].host_id == 2
 
 
@@ -584,7 +606,7 @@ def test_host_failure_migrates_evicted_positions():
     assert graph.segments == ((1,), (3,))
     assert net.available_bw(0) == 10_000
     assert net.available_bw(1) == 6000
-    assert net.available_cpu(2) == 2
+    assert net.residual_cpu[2] == 2
     assert orch.counters()["migrated"] == 1
     assert orch.db.entries[0].graph is graph
     assert validate_forwarding_graph(graph, orch.db.entries[0].request, net) == []
@@ -604,7 +626,7 @@ def test_host_failure_re_places_two_evicted_positions_of_one_chain():
     assert graph.placements == (("fw", 2), ("nat", 2))
     assert graph.segments == ((1,), (), (3,))
     assert [net.available_bw(link_id) for link_id in range(4)] == [10_000, 6000, 10_000, 6000]
-    assert (net.available_cpu(2), net.available_mem(2)) == (1, 1)
+    assert (net.residual_cpu[2], net.residual_mem[2]) == (1, 1)
     assert {pid: rec.host_id for pid, rec in net.placements.items()} == {(0, 0): 2, (0, 1): 2}
     assert validate_forwarding_graph(graph, request, net) == []
 
@@ -626,7 +648,7 @@ def test_breach_re_embed_may_reuse_the_flows_own_holdings():
     orch = _orchestrator(net)
     orch.submit_request(make_request(), now=0)
     assert orch.db.entries[0].graph.segments == ((0,), (2,))
-    assert (net.available_cpu(1), net.available_bw(2)) == (0, 1000)
+    assert (net.residual_cpu[1], net.available_bw(2)) == (0, 1000)
     # Loss does not weigh on paths, so new segments alone change nothing.
     net.degrade_link(0, loss_pct=50.0)
     action = orch.controller.handle_breach(orch.db.entries[0])
@@ -634,7 +656,7 @@ def test_breach_re_embed_may_reuse_the_flows_own_holdings():
     assert action.kind is ActionKind.MIGRATED
     assert action.new_graph.placements == (("fw", 1),)
     assert action.new_graph.segments == ((1,), (2,))
-    assert (net.available_cpu(1), net.available_mem(1)) == (0, 0)
+    assert (net.residual_cpu[1], net.residual_mem[1]) == (0, 0)
     assert [net.available_bw(link_id) for link_id in range(3)] == [10_000, 6000, 1000]
     assert net.placements[(0, 0)].host_id == 1
 

@@ -67,8 +67,8 @@ def test_build_rejects_duplicates_and_dangling_links():
 def test_initial_residuals_match_capacity():
     net = line_network()
     assert net.host_ids() == (1,)
-    assert net.available_cpu(1) == 8
-    assert net.available_mem(1) == 8
+    assert net.residual_cpu[1] == 8
+    assert net.residual_mem[1] == 8
     assert net.available_bw(0) == 10_000
     assert net.adjacency(1) == (0, 1)
 
@@ -80,8 +80,8 @@ def test_reserve_and_release_roundtrip():
         link_demands={0: 4000, 1: 4000},
         placements=[PlacementRecord((7, 0), host_id=1, cpu=2, mem=3)],
     )
-    assert net.available_cpu(1) == 6
-    assert net.available_mem(1) == 5
+    assert net.residual_cpu[1] == 6
+    assert net.residual_mem[1] == 5
     assert net.available_bw(0) == 6000
     assert (7, 0) in net.placements
     net.release(link_demands={0: 4000, 1: 4000}, placement_ids=[(7, 0)])
@@ -157,15 +157,15 @@ def test_fail_host_evicts_and_resets():
         ],
     )
     net.fail_host(1)
-    assert net.available_cpu(1) == 1  # held until released
-    assert net.available_mem(1) == 1
+    assert net.residual_cpu[1] == 1  # held until released
+    assert net.residual_mem[1] == 1
     assert net.available_bw(0) == 8000  # bandwidth is not host state
     assert set(net.placements) == {(0, 0), (1, 0), (0, 1)}
     assert 1 in net.failed_hosts
     # Releasing what the failed host holds gives it back in full.
     net.release(placement_ids=[(0, 0), (0, 1)])
-    assert net.available_cpu(1) == 4
-    assert net.available_mem(1) == 4
+    assert net.residual_cpu[1] == 4
+    assert net.residual_mem[1] == 4
     assert set(net.placements) == {(1, 0)}
     with pytest.raises(AlreadyFailed):
         net.fail_host(1)

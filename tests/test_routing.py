@@ -14,7 +14,8 @@ from qoechain import (
 )
 from qoechain.controller import ResourceView
 from qoechain.errors import InstanceTooLarge, UnknownHost
-from qoechain.routing import path_key, shortest_path_tree
+from qoechain.oracle import path_key
+from qoechain.routing import shortest_path_tree
 
 from generators import random_network, square_network
 

@@ -37,7 +37,6 @@ PUBLIC = {
 
 # Method names that two or more package classes define, and why.
 SHARED = {
-    "available_bw": "NetworkState and ResourceView; predict_mos reads it on either",
     "error": "_Parser overrides argparse's error; _Ctx records a diagnostic",
 }
 
