@@ -40,9 +40,6 @@ def _build_parser() -> _Parser:
     run_cmd.add_argument("--out", required=True, help="output directory")
     run_cmd.add_argument("--seed", type=int, default=None, help="override seed")
     run_cmd.add_argument(
-        "--alpha", type=float, default=None, help="override smoothing factor"
-    )
-    run_cmd.add_argument(
         "--strict-debug",
         action="store_true",
         help="audit global invariants after every event",
@@ -88,9 +85,7 @@ def _cmd_run(args) -> int:
     doc = _load(args.scenario)
     if doc is None:
         return USAGE_EXIT
-    report = run_scenario(
-        doc, seed=args.seed, alpha=args.alpha, strict_debug=args.strict_debug
-    )
+    report = run_scenario(doc, seed=args.seed, strict_debug=args.strict_debug)
     paths = write_report(report, args.out)
     print(f"{doc.name}: {report.windows} windows, {_counters_line(report.counters)}")
     for path in paths:
@@ -139,7 +134,8 @@ def _cmd_oracle(args) -> int:
             {
                 "request": request.id,
                 "placements": [
-                    {"vnf": name, "host": host} for name, host in result.placements
+                    {"vnf": name, "host": host}
+                    for name, host in zip(request.vnf_sequence, result.hosts)
                 ],
                 "segments": [list(segment) for segment in result.segments],
                 "total_latency_ms": latency,

@@ -191,7 +191,7 @@ class Controller:
         segments = range(len(chain) + 1)
         graph = self._replan(request, None, chain, segments)
         if not isinstance(graph, Rejected):
-            self._commit(None, graph, chain, segments)
+            self._commit(request, None, graph, chain, segments)
         return graph
 
     def _replan(
@@ -222,9 +222,9 @@ class Controller:
             paths: list[LinkPath] = [()] * (len(hosts) + 1)
         else:
             bw_kbps = graph.reserved_bw_kbps
-            hosts = [host_id for _, host_id in graph.placements]
+            hosts = list(graph.hosts)
             paths = list(graph.segments)
-            usage, records = self._parts(graph, positions, segments)
+            usage, records = self._parts(request, graph, positions, segments)
             for link_id, kbps in usage.items():
                 view.add_bw(link_id, kbps)
             for record in records:
@@ -257,8 +257,7 @@ class Controller:
             predicted = predict_mos(request, paths, view, self.catalog)
             if predicted.mos < request.ela_target:
                 return Rejected(RejectReason.QOE_BELOW_TARGET, predicted.mos)
-        placements = tuple(zip(request.vnf_sequence, points[1:-1]))
-        return ForwardingGraph(request.id, placements, tuple(paths), bw_kbps)
+        return ForwardingGraph(tuple(points[1:-1]), tuple(paths), bw_kbps)
 
     def _failure_damage(
         self, request: ChainRequest, graph: ForwardingGraph
@@ -269,7 +268,7 @@ class Controller:
         those on either side of such a position or forwarding through one.
         """
         failed = self.network.failed_hosts
-        lost = {p for p, (_, host_id) in enumerate(graph.placements) if host_id in failed}
+        lost = {p for p, host_id in enumerate(graph.hosts) if host_id in failed}
         segments = {index for p in lost for index in (p, p + 1)}
         node = request.ingress
         for index, segment in enumerate(graph.segments):
@@ -301,7 +300,7 @@ class Controller:
         nodes = self.network.nodes
         tree = None
         options = []
-        for host_id in self.network.host_ids():
+        for host_id in self.network.host_ids:
             if host_id in view.failed_hosts:
                 continue
             cpu = residual_cpu[host_id] + cpu_delta.get(host_id, 0)
@@ -453,7 +452,7 @@ class Controller:
         here; the entry is left for the orchestrator to update.
         """
         request, graph = entry.request, entry.graph
-        chain = range(len(graph.placements))
+        chain = range(len(request.vnf_sequence))
         segments = range(len(graph.segments))
         stages = [
             (ActionKind.REROUTED, (), frozenset()),
@@ -462,7 +461,7 @@ class Controller:
         for kind, positions, exclude_links in stages[: self.policy.max_reroute_attempts]:
             new_graph = self._replan(request, graph, positions, segments, exclude_links)
             if not isinstance(new_graph, Rejected):
-                self._commit(graph, new_graph, positions, segments)
+                self._commit(request, graph, new_graph, positions, segments)
                 return Action(kind, request.id, new_graph)
         return Action(ActionKind.MARKED_DEGRADED, request.id)
 
@@ -491,22 +490,25 @@ class Controller:
                 continue
             new_graph = self._replan(request, graph, lost, segments)
             if isinstance(new_graph, Rejected):
-                self.release_flow(graph)
+                self.release_flow(entry)
                 actions.append(Action(ActionKind.FAILED, request.id))
             else:
-                self._commit(graph, new_graph, lost, segments)
+                self._commit(request, graph, new_graph, lost, segments)
                 kind = ActionKind.MIGRATED if lost else ActionKind.REROUTED
                 actions.append(Action(kind, request.id, new_graph))
         return actions
 
     # -- the reservation ledger ---------------------------------------------------
 
-    def release_flow(self, graph: ForwardingGraph) -> None:
+    def release_flow(self, entry: DbEntry) -> None:
         """Release everything a flow's graph holds."""
-        self._commit(graph, None, range(len(graph.placements)), range(len(graph.segments)))
+        request, graph = entry.request, entry.graph
+        chain = range(len(request.vnf_sequence))
+        self._commit(request, graph, None, chain, range(len(graph.segments)))
 
     def _commit(
         self,
+        request: ChainRequest,
         old: ForwardingGraph | None,
         new: ForwardingGraph | None,
         positions: Collection[int],
@@ -522,11 +524,11 @@ class Controller:
         disagree, which is fatal.
         """
         if old is not None:
-            usage, records = self._parts(old, positions, segments)
+            usage, records = self._parts(request, old, positions, segments)
             placement_ids = [record.placement_id for record in records]
             self.network.release(link_demands=usage, placement_ids=placement_ids)
         if new is not None:
-            usage, records = self._parts(new, positions, segments)
+            usage, records = self._parts(request, new, positions, segments)
             try:
                 self.network.reserve(link_demands=usage, placements=records)
             except SimulatorError as exc:
@@ -535,6 +537,7 @@ class Controller:
 
     def _parts(
         self,
+        request: ChainRequest,
         graph: ForwardingGraph,
         positions: Collection[int],
         segments: Collection[int],
@@ -546,11 +549,9 @@ class Controller:
                 usage[link_id] = usage.get(link_id, 0) + graph.reserved_bw_kbps
         records = []
         for position in sorted(positions):
-            name, host_id = graph.placements[position]
-            vnf = self.catalog.vnf(name)
+            vnf = self.catalog.vnf(request.vnf_sequence[position])
+            pid = (request.id, position)
             records.append(
-                PlacementRecord(
-                    (graph.request_id, position), host_id, vnf.cpu_demand, vnf.mem_demand
-                )
+                PlacementRecord(pid, graph.hosts[position], vnf.cpu_demand, vnf.mem_demand)
             )
         return usage, records

@@ -10,7 +10,7 @@ The scenario's fault records are queued as they are: each is its own event.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .controller import Controller, Rejected
@@ -72,23 +72,19 @@ class EventQueue:
 def run(
     doc: ScenarioDoc,
     seed: int | None = None,
-    alpha: float | None = None,
     strict_debug: bool = False,
     event_hook: Callable | None = None,
 ) -> SimReport:
     """Execute a scenario to its horizon and return the report.
 
-    seed and alpha override the scenario's own values. strict_debug re-runs
-    the global conservation and validity audits after every event instead of
-    only at the end. event_hook(event, state) is a test seam called after
-    each dispatch, before the audits.
+    seed overrides the scenario's own seed. strict_debug re-runs the global
+    conservation and validity audits after every event instead of only at
+    the end. event_hook(event, state) is a test seam called after each
+    dispatch, before the audits.
     """
     state = build_network(doc.nodes, doc.links)
     catalog = ServiceCatalog(doc.vnf_types, doc.profiles)
-    policy = doc.policy
-    if alpha is not None:
-        policy = replace(policy, predictor_alpha=alpha)
-    controller = Controller(state, catalog, doc.ela, policy)
+    controller = Controller(state, catalog, doc.ela, doc.policy)
     orchestrator = Orchestrator(controller)
 
     effective_seed = doc.seed if seed is None else seed
@@ -199,7 +195,8 @@ def audit_conservation(
     live = db.live()
     for entry in live:
         graph = entry.graph
-        for position, (name, host_id) in enumerate(graph.placements):
+        placed = zip(entry.request.vnf_sequence, graph.hosts)
+        for position, (name, host_id) in enumerate(placed):
             vnf = catalog.vnf(name)
             expected_cpu[host_id] = expected_cpu.get(host_id, 0) + vnf.cpu_demand
             expected_mem[host_id] = expected_mem.get(host_id, 0) + vnf.mem_demand

@@ -113,7 +113,7 @@ def check_link_quality(
 
 @dataclass(frozen=True)
 class LinkQuality:
-    """Effective link quality: base values unless a degradation overrides them."""
+    """A link's quality figures: its spec's until a degradation overwrites them."""
 
     latency_ms: float
     jitter_ms: float
@@ -167,28 +167,29 @@ class NetworkState:
                 self.residual_cpu[node.id] = node.cpu_capacity
                 self.residual_mem[node.id] = node.mem_capacity
         # Hosts never join or leave after construction; a failed one stays listed.
-        self._host_ids = tuple(sorted(self.residual_cpu))
+        self.host_ids: tuple[int, ...] = tuple(sorted(self.residual_cpu))
         self.residual_bw: dict[int, int] = {
             link.id: link.bandwidth_kbps for link in self.links.values()
         }
         self.failed_hosts: set[int] = set()
-        self.overrides: dict[int, LinkQuality] = {}
+        # Each link's current quality: its LinkSpec figures until degrade_link
+        # overwrites them.
+        self.quality: dict[int, LinkQuality] = {
+            link.id: LinkQuality(link.latency_ms, link.jitter_ms, link.loss_pct)
+            for link in self.links.values()
+        }
         # Moves at every change of link quality, so figures read off link
         # quality can tell whether they are stale; quality_changed holds the
         # epoch of each link's last change, so they can tell which link.
         self.quality_epoch = 0
         self.quality_changed: dict[int, int] = {}
-        self._base_quality: dict[int, LinkQuality] = {
-            link.id: LinkQuality(link.latency_ms, link.jitter_ms, link.loss_pct)
-            for link in self.links.values()
-        }
         self.placements: dict[PlacementId, PlacementRecord] = {}
 
         adj: dict[int, list[int]] = {node_id: [] for node_id in self.nodes}
         for link in self.links.values():
             adj[link.a].append(link.id)
             adj[link.b].append(link.id)
-        self._adjacency: dict[int, tuple[int, ...]] = {
+        self.adjacency: dict[int, tuple[int, ...]] = {
             node_id: tuple(sorted(ids)) for node_id, ids in adj.items()
         }
         # What path search reads per node: (link id, neighbour, latency) in
@@ -201,17 +202,8 @@ class NetworkState:
 
     # -- read model ---------------------------------------------------------
 
-    def host_ids(self) -> tuple[int, ...]:
-        return self._host_ids
-
-    def adjacency(self, node_id: int) -> tuple[int, ...]:
-        return self._adjacency[node_id]
-
     def link_quality(self, link_id: int) -> LinkQuality:
-        override = self.overrides.get(link_id)
-        if override is not None:
-            return override
-        return self._base_quality[link_id]
+        return self.quality[link_id]
 
     def available_bw(self, link_id: int) -> int:
         """The usable-bandwidth rule: residual plus any pending delta.
@@ -368,12 +360,12 @@ class NetworkState:
         if link_id not in self.links:
             msg = f"unknown link {link_id}"
             raise UnknownLink(msg)
-        current = self.link_quality(link_id)
+        current = self.quality[link_id]
         latency = current.latency_ms if latency_ms is None else latency_ms
         jitter = current.jitter_ms if jitter_ms is None else jitter_ms
         loss = current.loss_pct if loss_pct is None else loss_pct
         check_link_quality(link_id, latency, jitter, loss)
-        self.overrides[link_id] = LinkQuality(latency, jitter, loss)
+        self.quality[link_id] = LinkQuality(latency, jitter, loss)
         self.quality_epoch += 1
         self.quality_changed[link_id] = self.quality_epoch
         link = self.links[link_id]
@@ -385,8 +377,8 @@ class NetworkState:
     def _refresh_edges(self, node_id: int) -> None:
         links = self.links
         self.edges[node_id] = tuple(
-            (link_id, links[link_id].other(node_id), self.link_quality(link_id).latency_ms)
-            for link_id in self._adjacency[node_id]
+            (link_id, links[link_id].other(node_id), self.quality[link_id].latency_ms)
+            for link_id in self.adjacency[node_id]
         )
 
     def _check_host(self, host_id: int, allow_failed: bool = False) -> None:

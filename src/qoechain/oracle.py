@@ -36,7 +36,7 @@ class OracleLimits:
 
 
 def path_key(net, path: Iterable[int]) -> PathKey:
-    """Cost key of a link path under the current quality overrides."""
+    """Cost key of a link path under the current link quality."""
     links = tuple(path)
     latency = 0.0
     for link_id in links:
@@ -70,7 +70,7 @@ def enumerate_simple_paths(
     def extend(node: int, visited: set[int], trail: list[int]) -> None:
         if node != src and node in net.failed_hosts:
             return
-        for link_id in net.adjacency(node):
+        for link_id in net.adjacency[node]:
             if link_id in exclude_links:
                 continue
             if net.available_bw(link_id) < bw_kbps:
@@ -110,7 +110,7 @@ def exact_embed(
     """
     bw_kbps = catalog.profile(request.profile).bw_req_kbps
     chain = [catalog.vnf(name) for name in request.vnf_sequence]
-    hosts = network.host_ids()
+    hosts = network.host_ids
     if len(hosts) > limits.max_hosts:
         msg = f"{len(hosts)} hosts exceeds oracle limit {limits.max_hosts}"
         raise InstanceTooLarge(msg)
@@ -182,13 +182,7 @@ def exact_embed(
     if best is None:
         return None
     _, assignment, _, segments = best
-    placements = tuple((vnf.name, host_id) for vnf, host_id in zip(chain, assignment))
-    return ForwardingGraph(
-        request_id=request.id,
-        placements=placements,
-        segments=segments,
-        reserved_bw_kbps=bw_kbps,
-    )
+    return ForwardingGraph(hosts=assignment, segments=segments, reserved_bw_kbps=bw_kbps)
 
 
 def graph_latency(

@@ -133,7 +133,7 @@ class VnfDb:
         out = []
         for request_id in sorted(self.entries):
             entry = self.entries[request_id]
-            graph = entry.graph
+            request, graph = entry.request, entry.graph
             # A completed flow's graph keeps the status it last ran under.
             graph_status = entry.status
             if graph_status is LifecycleStatus.COMPLETED:
@@ -141,12 +141,12 @@ class VnfDb:
             out.append(
                 {
                     "request_id": request_id,
-                    "request": dump_request(entry.request),
+                    "request": dump_request(request),
                     "status": entry.status.value,
                     "forwarding_graph": {
                         "placements": [
                             {"vnf": name, "host": host_id}
-                            for name, host_id in graph.placements
+                            for name, host_id in zip(request.vnf_sequence, graph.hosts)
                         ],
                         "segments": [list(segment) for segment in graph.segments],
                         "reserved_bw_mbps": kbps_to_mbps(graph.reserved_bw_kbps),
@@ -196,7 +196,7 @@ class Orchestrator:
         if not entry.is_live:
             msg = f"request {request_id} is already {entry.status.value}"
             raise AlreadyTerminal(msg)
-        self.controller.release_flow(entry.graph)
+        self.controller.release_flow(entry)
         self.db.transition(entry, LifecycleStatus.COMPLETED, now)
 
     def apply_action(self, action: Action, now: int) -> DbEntry:

@@ -1,8 +1,10 @@
 """Service model: VNF catalog, application profiles, chains and their graphs.
 
 A chain request asks for an ordered sequence of VNFs between two endpoints.
-An admitted request is materialized as a forwarding graph: one placement per
-VNF plus the link paths stitching ingress, placements and egress together.
+An admitted request is materialized as a forwarding graph: one host per
+chain position plus the link paths stitching ingress, hosts and egress
+together. The graph holds only what embedding decides; the request id and
+the VNF names are read from the request.
 """
 
 from __future__ import annotations
@@ -140,15 +142,14 @@ class ServiceCatalog:
 class ForwardingGraph:
     """The embedded shape of one admitted chain.
 
-    placements[i] is (vnf_name, host_id) for chain position i. segments has
-    exactly one more entry than placements: segment 0 runs ingress to the
-    first placement, segment i to placement i, and the last segment to
-    egress. A segment is a link-id path; it is empty when its two ends are
-    the same node (consecutive VNFs on one host).
+    hosts[i] is the host of chain position i, which runs the request's
+    vnf_sequence[i]. segments has exactly one more entry than hosts:
+    segment 0 runs ingress to the first host, segment i to host i, and the
+    last segment to egress. A segment is a link-id path; it is empty when
+    its two ends are the same node (consecutive VNFs on one host).
     """
 
-    request_id: int
-    placements: tuple[tuple[str, int], ...]
+    hosts: tuple[int, ...]
     segments: tuple[LinkPath, ...]
     reserved_bw_kbps: int
 
@@ -227,41 +228,27 @@ def validate_forwarding_graph(
     """Structural audit of a forwarding graph against its request and state.
 
     Returns a list of human-readable violations; an empty list means the
-    graph is coherent. The request and graph must already agree on the
-    request id, that much is the caller's job.
+    graph is coherent.
     """
-    if fg.request_id != request.id:
-        raise InvalidRange("forwarding graph and request ids differ")
-
     violations: list[str] = []
-    if len(fg.placements) != len(request.vnf_sequence):
+    if len(fg.hosts) != len(request.vnf_sequence):
         violations.append(
-            f"expected {len(request.vnf_sequence)} placements, got {len(fg.placements)}"
+            f"expected {len(request.vnf_sequence)} placements, got {len(fg.hosts)}"
         )
-    else:
-        for pos, ((vnf_name, _), wanted) in enumerate(
-            zip(fg.placements, request.vnf_sequence)
-        ):
-            if vnf_name != wanted:
-                violations.append(
-                    f"placement {pos}: vnf {vnf_name!r} does not match request {wanted!r}"
-                )
-    if len(fg.segments) != len(fg.placements) + 1:
+    if len(fg.segments) != len(fg.hosts) + 1:
         violations.append(
-            f"expected {len(fg.placements) + 1} segments, got {len(fg.segments)}"
+            f"expected {len(fg.hosts) + 1} segments, got {len(fg.segments)}"
         )
         return violations
 
-    for pos, (_, host_id) in enumerate(fg.placements):
+    for pos, host_id in enumerate(fg.hosts):
         node = state.nodes.get(host_id)
         if node is None or node.kind is not NodeKind.HOST:
             violations.append(f"placement {pos}: node {host_id} is not a host")
         elif host_id in state.failed_hosts:
             violations.append(f"placement {pos}: host {host_id} has failed")
 
-    points = [request.ingress]
-    points.extend(host_id for _, host_id in fg.placements)
-    points.append(request.egress)
+    points = [request.ingress, *fg.hosts, request.egress]
     for index, segment in enumerate(fg.segments):
         label = f"segment {index}"
         end = _walk_segment(state, points[index], segment, violations, label)

@@ -110,7 +110,7 @@ def snapshot(net: NetworkState) -> tuple:
         tuple(sorted(net.residual_mem.items())),
         tuple(sorted(net.residual_bw.items())),
         tuple(sorted(net.failed_hosts)),
-        tuple(sorted(net.overrides.items())),
+        tuple(sorted(net.quality.items())),
         tuple(sorted(net.placements.items())),
     )
 

@@ -259,7 +259,7 @@ def _controller_ledger_mismatches(net, orchestrator, catalog) -> int:
     expected_mem: dict[int, int] = {}
     expected_bw: dict[int, int] = {}
     for entry in orchestrator.db.live():
-        for name, host in entry.graph.placements:
+        for name, host in zip(entry.request.vnf_sequence, entry.graph.hosts):
             vnf = catalog.vnf(name)
             expected_cpu[host] = expected_cpu.get(host, 0) + vnf.cpu_demand
             expected_mem[host] = expected_mem.get(host, 0) + vnf.mem_demand

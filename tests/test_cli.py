@@ -60,8 +60,7 @@ def test_run_writes_the_three_artifacts(tmp_path, capsys):
 def test_run_accepts_seed_and_alpha_overrides(tmp_path):
     out = tmp_path / "out"
     code = cli.main(
-        ["run", BASIC, "--out", str(out), "--seed", "3", "--alpha", "0.5",
-         "--strict-debug"]
+        ["run", BASIC, "--out", str(out), "--seed", "3", "--strict-debug"]
     )
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())

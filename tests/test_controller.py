@@ -71,7 +71,7 @@ def test_admit_reserves_everything_transactionally():
     ctl = orch.controller
     request = make_request()
     graph = orch.submit_request(request, now=0)
-    assert graph.placements == (("fw", 1),)
+    assert graph.hosts == (1,)
     assert graph.segments == ((0,), (1,))
     assert graph.reserved_bw_kbps == 4000
     assert ctl.network.residual_cpu[1] == 6
@@ -94,7 +94,7 @@ def test_consecutive_vnfs_may_share_a_host():
     orch = _orchestrator()
     ctl = orch.controller
     graph = orch.submit_request(make_request(vnfs=("fw", "nat")), now=0)
-    assert graph.placements == (("fw", 1), ("nat", 1))
+    assert graph.hosts == (1, 1)
     assert graph.segments == ((0,), (), (1,))
     assert ctl.network.residual_cpu[1] == 5  # 8 - 2 - 1
 
@@ -103,13 +103,13 @@ def test_host_tie_breaks_on_utilization_then_id():
     # Symmetric square: equal path latency to both hosts.
     orch = _orchestrator(square_network())
     graph = orch.submit_request(make_request(ingress=0, egress=3), now=0)
-    assert graph.placements == (("fw", 1),)  # equal everything: lowest id
+    assert graph.hosts == (1,)  # equal everything: lowest id
 
     net2 = square_network()
     net2.reserve(placements=[PlacementRecord((99, 0), host_id=1, cpu=2, mem=0)])
     orch2 = _orchestrator(net2)
     graph2 = orch2.submit_request(make_request(ingress=0, egress=3), now=0)
-    assert graph2.placements == (("fw", 2),)  # loaded host loses the tie
+    assert graph2.hosts == (2,)  # loaded host loses the tie
 
 
 def test_reject_reasons():
@@ -190,13 +190,13 @@ def test_exact_embed_beats_greedy_on_crafted_gap():
     request = make_request(ingress=0, egress=3)
 
     exact = exact_embed(net, catalog, request)
-    assert exact.placements == (("fw", 2),)
+    assert exact.hosts == (2,)
     assert exact.segments == ((1,), (3,))
     assert graph_latency(net, catalog, exact, request) == pytest.approx(4.0)
     assert snapshot(net) == snapshot(build_network(nodes, links))  # no reservation
 
     greedy = ctl.admit(request)
-    assert greedy.placements == (("fw", 1),)
+    assert greedy.hosts == (1,)
     assert graph_latency(net, catalog, greedy, request) == pytest.approx(6.0)
 
 
@@ -253,7 +253,7 @@ def test_exact_embed_enforces_aggregate_bandwidth_per_link():
     # demand is enough.
     for spur_bw_kbps in (9000, 8000):
         graph = exact_embed(_spur_network(spur_bw_kbps), catalog, request)
-        assert graph.placements == (("fw", 3),)
+        assert graph.hosts == (3,)
         # Out and back over the spur: link 2 appears in both segments.
         assert graph.segments == ((0, 2), (2, 1))
 
@@ -402,7 +402,7 @@ def test_a_second_flow_on_a_shared_link_lowers_throughput_next_window():
         [], [make_profile(name="stream"), make_profile(name="bulk", bw=8.0)]
     )
     orch = _orchestrator(net, catalog, PolicyConfig(predictor_alpha=1.0))
-    light = ForwardingGraph(0, (), ((0,),), reserved_bw_kbps=1000)
+    light = ForwardingGraph((), ((0,),), reserved_bw_kbps=1000)
     net.reserve(link_demands=light.link_usage())
     request = make_request(ingress=0, egress=1, vnfs=(), profile="stream")
     orch.db.entries[0] = DbEntry(request, light, LifecycleStatus.ACTIVE)
@@ -420,7 +420,7 @@ def test_the_throughput_floor_is_usable_bandwidth_plus_the_flows_own():
     # link it must agree exactly with NetworkState.available_bw.
     net = line_network()
     orch = _orchestrator(net, pair_catalog(), PolicyConfig(predictor_alpha=1.0))
-    graph = ForwardingGraph(0, (), ((0, 1),), reserved_bw_kbps=1000)
+    graph = ForwardingGraph((), ((0, 1),), reserved_bw_kbps=1000)
     net.reserve(link_demands=graph.link_usage())
     net.reserve(link_demands={0: 9000, 1: 7000})
     assert net.residual_bw[0] == 0
@@ -553,7 +553,7 @@ def test_handle_breach_escalates_to_migration():
     # Reroute alone cannot help: the cheapest segments are unchanged, so the
     # first attempt fails and the re-embed shuns the lossy link.
     assert action.kind is ActionKind.MIGRATED
-    assert action.new_graph.placements == (("fw", 2),)
+    assert action.new_graph.hosts == (2,)
     assert action.new_graph.segments == ((1,), (3,))
     assert orch.counters()["migrated"] == 1
     assert orch.counters()["rerouted"] == 0
@@ -602,7 +602,7 @@ def test_host_failure_migrates_evicted_positions():
     actions = fail_and_repair(orch, 1)
     assert [a.kind for a in actions] == [ActionKind.MIGRATED]
     graph = actions[0].new_graph
-    assert graph.placements == (("fw", 2),)
+    assert graph.hosts == (2,)
     assert graph.segments == ((1,), (3,))
     assert net.available_bw(0) == 10_000
     assert net.available_bw(1) == 6000
@@ -617,13 +617,13 @@ def test_host_failure_re_places_two_evicted_positions_of_one_chain():
     orch = _orchestrator(net)
     request = make_request(ingress=0, egress=3, vnfs=("fw", "nat"))
     orch.submit_request(request, now=0)
-    assert orch.db.entries[0].graph.placements == (("fw", 1), ("nat", 1))
+    assert orch.db.entries[0].graph.hosts == (1, 1)
     actions = fail_and_repair(orch, 1)
     assert [a.kind for a in actions] == [ActionKind.MIGRATED]
     graph = actions[0].new_graph
     # fw is placed first and becomes the anchor nat is placed from; the
     # egress segment is rebuilt last, from nat's new host.
-    assert graph.placements == (("fw", 2), ("nat", 2))
+    assert graph.hosts == (2, 2)
     assert graph.segments == ((1,), (), (3,))
     assert [net.available_bw(link_id) for link_id in range(4)] == [10_000, 6000, 10_000, 6000]
     assert (net.residual_cpu[2], net.residual_mem[2]) == (1, 1)
@@ -654,7 +654,7 @@ def test_breach_re_embed_may_reuse_the_flows_own_holdings():
     action = orch.controller.handle_breach(orch.db.entries[0])
     orch.apply_action(action, now=1000)
     assert action.kind is ActionKind.MIGRATED
-    assert action.new_graph.placements == (("fw", 1),)
+    assert action.new_graph.hosts == (1,)
     assert action.new_graph.segments == ((1,), (2,))
     assert (net.residual_cpu[1], net.residual_mem[1]) == (0, 0)
     assert [net.available_bw(link_id) for link_id in range(3)] == [10_000, 6000, 1000]
@@ -683,7 +683,7 @@ def test_host_failure_migrates_below_the_target_rather_than_fail():
     assert predict_mos(request, [(1,), (3,)], net, orch.controller.catalog).mos < 3.0
     actions = fail_and_repair(orch, 1)
     assert [a.kind for a in actions] == [ActionKind.MIGRATED]
-    assert actions[0].new_graph.placements == (("fw", 2),)
+    assert actions[0].new_graph.hosts == (2,)
 
 
 def test_host_failure_without_refuge_fails_the_flow():
@@ -726,7 +726,7 @@ def test_host_failure_handles_flows_in_id_order_until_room_runs_out():
     assert [a.flow_id for a in actions] == [2, 5]
     # Host 2 has one spare unit: flow 2 migrates first and takes it.
     assert actions[0].kind is ActionKind.MIGRATED
-    assert actions[0].new_graph.placements == (("nat", 2),)
+    assert actions[0].new_graph.hosts == (2,)
     assert actions[1].kind is ActionKind.FAILED
     assert [entry.request.id for entry in orch.db.live()] == [2]
     assert orch.db.entries[5].status is LifecycleStatus.FAILED
@@ -767,7 +767,7 @@ def test_host_failure_reroutes_a_flow_that_relays_through_the_host():
         (0, ActionKind.REROUTED),
         (1, ActionKind.REROUTED),
     ]
-    assert actions[0].new_graph.placements == (("fw", 2),)
+    assert actions[0].new_graph.hosts == (2,)
     assert actions[0].new_graph.segments == ((1,), (3,))
     assert actions[1].new_graph.segments == ((1, 3),)
     assert orch.counters()["rerouted"] == 2
@@ -820,7 +820,7 @@ def test_embedding_is_deterministic():
                 request = random_request(rng, rid, net, catalog, target=1.0)
                 result = orch.submit_request(request, now=0)
                 outcome.append(
-                    result if isinstance(result, Rejected) else (result.placements, result.segments)
+                    result if isinstance(result, Rejected) else (result.hosts, result.segments)
                 )
             plans.append(outcome)
         assert plans[0] == plans[1]

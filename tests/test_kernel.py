@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -183,7 +184,7 @@ def test_link_degradation_applies_from_its_event_time():
     assert report.rows[0].mos == pytest.approx(5.0, abs=1e-9)
     assert report.rows[1].mos == pytest.approx(1 + 4 * (400 - 99.5) / 350, abs=1e-9)
 
-    sharp = run(doc, alpha=1.0)
+    sharp = run(replace(doc, policy=replace(doc.policy, predictor_alpha=1.0)))
     assert sharp.rows[1].mos == pytest.approx(1 + 4 * (400 - 306) / 350, abs=1e-9)
 
 

@@ -66,11 +66,11 @@ def test_build_rejects_duplicates_and_dangling_links():
 
 def test_initial_residuals_match_capacity():
     net = line_network()
-    assert net.host_ids() == (1,)
+    assert net.host_ids == (1,)
     assert net.residual_cpu[1] == 8
     assert net.residual_mem[1] == 8
     assert net.available_bw(0) == 10_000
-    assert net.adjacency(1) == (0, 1)
+    assert net.adjacency[1] == (0, 1)
 
 
 def test_reserve_and_release_roundtrip():

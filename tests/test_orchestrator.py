@@ -36,7 +36,7 @@ def _orchestrator() -> Orchestrator:
 
 
 def _entry(log, status) -> DbEntry:
-    graph = ForwardingGraph(0, (("fw", 1),), ((0,), (1,)), 4000)
+    graph = ForwardingGraph((1,), ((0,), (1,)), 4000)
     entry = DbEntry(request=make_request(), graph=graph, status=status)
     entry.log = log
     return entry
@@ -127,9 +127,7 @@ def test_complete_unknown_or_finished_request_raises():
 def test_reroute_action_passes_through_migrating_at_one_instant():
     orch = _orchestrator()
     graph = orch.submit_request(make_request(), now=0)
-    new_graph = ForwardingGraph(
-        0, graph.placements, graph.segments, graph.reserved_bw_kbps
-    )
+    new_graph = ForwardingGraph(graph.hosts, graph.segments, graph.reserved_bw_kbps)
     entry = orch.apply_action(
         Action(ActionKind.REROUTED, flow_id=0, new_graph=new_graph), now=3000
     )
@@ -172,9 +170,7 @@ def test_audit_passes_on_a_clean_history():
     orch = _orchestrator()
     graph = orch.submit_request(make_request(), now=0)
     orch.apply_action(Action(ActionKind.MARKED_DEGRADED, flow_id=0), now=1000)
-    new_graph = ForwardingGraph(
-        0, graph.placements, graph.segments, graph.reserved_bw_kbps
-    )
+    new_graph = ForwardingGraph(graph.hosts, graph.segments, graph.reserved_bw_kbps)
     orch.apply_action(
         Action(ActionKind.REROUTED, flow_id=0, new_graph=new_graph), now=2000
     )
@@ -243,7 +239,7 @@ def test_counters_come_from_entries_and_the_two_tallies():
     for rid in (0, 1, 2):  # the line's links carry two flows; 2 gets NoPath
         orch.submit_request(make_request(rid=rid), now=0)
     graph = orch.db.entries[0].graph
-    same = ForwardingGraph(0, graph.placements, graph.segments, graph.reserved_bw_kbps)
+    same = ForwardingGraph(graph.hosts, graph.segments, graph.reserved_bw_kbps)
     orch.apply_action(Action(ActionKind.REROUTED, flow_id=0, new_graph=same), now=100)
     orch.apply_action(Action(ActionKind.MIGRATED, flow_id=0, new_graph=same), now=200)
     orch.apply_action(Action(ActionKind.FAILED, flow_id=0), now=300)

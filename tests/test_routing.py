@@ -135,7 +135,7 @@ def test_dijkstra_agrees_with_enumeration_on_random_graphs():
 def _perturbed_network(rng: Random, **sizes):
     """A random substrate with one failed host and one degraded link."""
     net = random_network(rng, **sizes)
-    net.fail_host(rng.choice(net.host_ids()))
+    net.fail_host(rng.choice(net.host_ids))
     net.degrade_link(
         rng.choice(sorted(net.links)), latency_ms=round(rng.uniform(0.5, 40.0), 1)
     )
@@ -218,7 +218,7 @@ def test_tree_and_query_match_the_enumeration_under_heavy_ties():
             extra_links=5,
             latency_choices=(1.0, 2.0),
         )
-        net.fail_host(rng.choice(net.host_ids()))
+        net.fail_host(rng.choice(net.host_ids))
         view = ResourceView(net)
         for link_id in rng.sample(sorted(net.links), 4):
             view.add_bw(link_id, rng.choice((-1, 1)) * rng.randint(1, 6) * 1000)

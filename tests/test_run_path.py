@@ -1,10 +1,11 @@
 """What a simulation run calls, watched with sys.setprofile.
 
-controller.py and routing.py hold only code that kernel.run executes, and
-the exhaustive oracle in oracle.py is never part of a run. The runs parse
-and run the bundled scenarios and the one-fault-of-each-kind document,
-which between them reach every fault handler; parsing builds the policy,
-whose validator lives in controller.py.
+The run-path modules (network.py, service.py, qoe.py, routing.py,
+controller.py, orchestrator.py and kernel.py) hold only code that a run
+executes, and the exhaustive oracle in oracle.py is never part of a run.
+The runs parse and run the bundled scenarios and the one-fault-of-each-kind
+document, which between them reach every fault handler; parsing builds
+the policy, whose validator lives in controller.py.
 """
 
 from __future__ import annotations
@@ -18,6 +19,15 @@ from qoechain import parse_scenario, run
 from generators import SCENARIOS, one_fault_of_each_kind
 
 PACKAGE = Path(__file__).parent.parent / "src" / "qoechain"
+RUN_PATH = (
+    "network.py",
+    "service.py",
+    "qoe.py",
+    "routing.py",
+    "controller.py",
+    "orchestrator.py",
+    "kernel.py",
+)
 
 
 def defined(module: str) -> set[tuple[str, int]]:
@@ -66,5 +76,5 @@ def called_by(work) -> dict[str, set[tuple[str, int]]]:
 def test_runs_call_all_of_the_run_path_and_none_of_the_oracle():
     called = called_by(run_everything)
     assert sorted(called.get("oracle.py", set())) == []
-    for module in ("controller.py", "routing.py"):
+    for module in RUN_PATH:
         assert sorted(defined(module) - called.get(module, set())) == [], module

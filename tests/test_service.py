@@ -121,8 +121,7 @@ def test_empty_path_has_zero_metrics():
 
 def test_link_usage_counts_multiplicity():
     graph = ForwardingGraph(
-        request_id=0,
-        placements=(("fw", 1),),
+        hosts=(1,),
         segments=((0,), (0, 1, 3)),
         reserved_bw_kbps=4000,
     )
@@ -131,12 +130,7 @@ def test_link_usage_counts_multiplicity():
 
 
 def _square_graph():
-    return ForwardingGraph(
-        request_id=0,
-        placements=(("fw", 1),),
-        segments=((0,), (2,)),
-        reserved_bw_kbps=4000,
-    )
+    return ForwardingGraph(hosts=(1,), segments=((0,), (2,)), reserved_bw_kbps=4000)
 
 
 def test_validate_clean_graph():
@@ -145,24 +139,17 @@ def test_validate_clean_graph():
     assert validate_forwarding_graph(_square_graph(), request, net) == []
 
 
-def test_validate_request_id_mismatch_raises():
-    net = square_network()
-    request = make_request(rid=5, ingress=0, egress=3)
-    with pytest.raises(InvalidRange):
-        validate_forwarding_graph(_square_graph(), request, net)
-
-
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
-        (lambda g: g.__setattr__("placements", ()), "expected 1 placements"),
-        (lambda g: g.__setattr__("placements", (("nat", 1),)), "does not match"),
+        (lambda g: g.__setattr__("hosts", ()), "expected 1 placements"),
         (lambda g: g.__setattr__("segments", ((0,),)), "expected 2 segments"),
         (lambda g: g.__setattr__("segments", ((2,), (0,))), "does not touch"),
         (lambda g: g.__setattr__("segments", ((0,), (3,))), "does not touch"),
         (lambda g: g.__setattr__("segments", ((0, 0), (2,))), "repeated within segment"),
         (lambda g: g.__setattr__("segments", ((99,), (2,))), "unknown link"),
-        (lambda g: g.__setattr__("placements", (("fw", 0),)), "is not a host"),
+        (lambda g: g.__setattr__("segments", ((1,), (2,))), "ends at node 2, expected 1"),
+        (lambda g: g.__setattr__("hosts", (0,)), "is not a host"),
     ],
 )
 def test_validate_detects_each_perturbation(mutate, fragment):
@@ -179,8 +166,7 @@ def test_validate_swapped_segment_links_break_continuity():
     net = square_network()
     request = make_request(ingress=0, egress=3)
     graph = ForwardingGraph(
-        request_id=0,
-        placements=(("fw", 1),),
+        hosts=(1,),
         segments=((0,), (0, 1, 3)),  # 1 -> 0 -> 2 -> 3
         reserved_bw_kbps=4000,
     )
@@ -202,7 +188,7 @@ def test_validate_flags_a_segment_relayed_by_a_failed_host():
     # 0 -> 1 -> 3 places nothing on host 1 but forwards through it.
     net = square_network()
     request = make_request(ingress=0, egress=3, vnfs=())
-    graph = ForwardingGraph(0, (), ((0, 2),), 4000)
+    graph = ForwardingGraph((), ((0, 2),), 4000)
     assert validate_forwarding_graph(graph, request, net) == []
     net.fail_host(2)
     assert validate_forwarding_graph(graph, request, net) == []
@@ -215,9 +201,9 @@ def test_validate_flags_a_segment_relayed_by_a_failed_host():
 def test_validate_empty_chain_graph():
     net = square_network()
     request = make_request(ingress=0, egress=3, vnfs=())
-    graph = ForwardingGraph(0, (), ((0, 2),), 4000)
+    graph = ForwardingGraph((), ((0, 2),), 4000)
     assert validate_forwarding_graph(graph, request, net) == []
-    graph = ForwardingGraph(0, (), ((0, 3),), 4000)
+    graph = ForwardingGraph((), ((0, 3),), 4000)
     assert validate_forwarding_graph(graph, request, net)
 
 
