@@ -22,7 +22,6 @@ from .network import (
     NetworkState,
     NodeKind,
     NodeSpec,
-    build_network,
 )
 from .oracle import OracleLimits, enumerate_simple_paths, exact_embed
 from .orchestrator import LifecycleStatus, Orchestrator, VnfDb, audit_lifecycle
@@ -89,7 +88,6 @@ __all__ = [
     "VnfType",
     "audit_conservation",
     "audit_lifecycle",
-    "build_network",
     "enumerate_simple_paths",
     "estimate_mos",
     "exact_embed",

@@ -12,7 +12,7 @@ import sys
 
 from .errors import InvariantViolation, SimulatorError
 from .kernel import run as run_scenario
-from .network import build_network
+from .network import NetworkState
 from .oracle import exact_embed, graph_latency
 from .report import read_series, read_summary, write_report
 from .scenario import load_scenario
@@ -122,7 +122,7 @@ def _cmd_oracle(args) -> int:
             )
             return USAGE_EXIT
         request = matches[0]
-    state = build_network(doc.nodes, doc.links)
+    state = NetworkState(doc.nodes, doc.links)
     catalog = ServiceCatalog(doc.vnf_types, doc.profiles)
     result = exact_embed(state, catalog, request)
     if result is None:

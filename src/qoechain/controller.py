@@ -31,7 +31,7 @@ from .errors import (
     InvariantViolation,
     SimulatorError,
 )
-from .network import NetworkState, PlacementRecord
+from .network import NetworkState
 from .qoe import (
     Ela,
     FlowSample,
@@ -121,7 +121,7 @@ class ResourceView:
         self.failed_hosts = state.failed_hosts
         self.adjacency = state.adjacency
         self.edges = state.edges
-        self.link_quality = state.link_quality
+        self.quality = state.quality
         self.residual_bw = state.residual_bw
         self.residual_cpu = state.residual_cpu
         self.residual_mem = state.residual_mem
@@ -224,12 +224,13 @@ class Controller:
             bw_kbps = graph.reserved_bw_kbps
             hosts = list(graph.hosts)
             paths = list(graph.segments)
-            usage, records = self._parts(request, graph, positions, segments)
+            usage, cpu, mem = self._parts(request, graph, positions, segments)
             for link_id, kbps in usage.items():
                 view.add_bw(link_id, kbps)
-            for record in records:
-                view.add_cpu(record.host_id, record.cpu)
-                view.add_mem(record.host_id, record.mem)
+            for host_id, amount in cpu.items():
+                view.add_cpu(host_id, amount)
+            for host_id, amount in mem.items():
+                view.add_mem(host_id, amount)
         points = [request.ingress, *hosts, request.egress]
         for position in sorted(positions):
             vnf = self.catalog.vnf(request.vnf_sequence[position])
@@ -467,7 +468,7 @@ class Controller:
 
     def _worst_link(self, graph: ForwardingGraph) -> int:
         def badness(link_id: int):
-            quality = self.network.link_quality(link_id)
+            quality = self.network.quality[link_id]
             return (quality.loss_pct, quality.latency_ms, link_id)
 
         return max(set(graph.all_links()), key=badness)
@@ -524,13 +525,10 @@ class Controller:
         disagree, which is fatal.
         """
         if old is not None:
-            usage, records = self._parts(request, old, positions, segments)
-            placement_ids = [record.placement_id for record in records]
-            self.network.release(link_demands=usage, placement_ids=placement_ids)
+            self.network.release(*self._parts(request, old, positions, segments))
         if new is not None:
-            usage, records = self._parts(request, new, positions, segments)
             try:
-                self.network.reserve(link_demands=usage, placements=records)
+                self.network.reserve(*self._parts(request, new, positions, segments))
             except SimulatorError as exc:
                 msg = f"planned reservation no longer fits: {exc}"
                 raise InvariantViolation(msg) from exc
@@ -541,17 +539,21 @@ class Controller:
         graph: ForwardingGraph,
         positions: Collection[int],
         segments: Collection[int],
-    ) -> tuple[dict[int, int], list[PlacementRecord]]:
-        """What graph holds at positions and segments: kbps per link, placements."""
+    ) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+        """What graph holds at positions and segments.
+
+        Returns kbps per link, and CPU and memory per host summed over the
+        VNFs placed there, in the order reserve and release take them.
+        """
         usage: dict[int, int] = {}
         for index in segments:
             for link_id in graph.segments[index]:
                 usage[link_id] = usage.get(link_id, 0) + graph.reserved_bw_kbps
-        records = []
+        cpu: dict[int, int] = {}
+        mem: dict[int, int] = {}
         for position in sorted(positions):
             vnf = self.catalog.vnf(request.vnf_sequence[position])
-            pid = (request.id, position)
-            records.append(
-                PlacementRecord(pid, graph.hosts[position], vnf.cpu_demand, vnf.mem_demand)
-            )
-        return usage, records
+            host_id = graph.hosts[position]
+            cpu[host_id] = cpu.get(host_id, 0) + vnf.cpu_demand
+            mem[host_id] = mem.get(host_id, 0) + vnf.mem_demand
+        return usage, cpu, mem

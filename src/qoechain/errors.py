@@ -58,7 +58,7 @@ class InsufficientResidual(SimulatorError):
 class OverRelease(InvariantViolation):
     """A release would push a residual above capacity; bookkeeping bug."""
 
-    def __init__(self, resource: str, entity_id: object, message: str = ""):
+    def __init__(self, resource: str, entity_id: int, message: str = ""):
         self.resource = resource
         self.entity_id = entity_id
         super().__init__(message or f"over-release of {resource} on {entity_id}")

@@ -4,7 +4,8 @@ The substrate is an undirected graph of compute hosts, switches and traffic
 endpoints. Each link carries one shared bandwidth pool plus base quality
 figures (latency, jitter, loss) that fault injection may override at run
 time. Reservations mutate integer residual counters; every mutating
-operation either applies completely or not at all.
+operation either applies completely or not at all. The network counts what
+is left; which flow holds what is recorded in the VNF database.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from .errors import (
     UnknownHost,
     UnknownLink,
 )
-
-# Placement identity is (request_id, chain position).
-PlacementId = tuple[int, int]
-
 
 class NodeKind(str, Enum):
     HOST = "host"
@@ -120,16 +117,6 @@ class LinkQuality:
     loss_pct: float
 
 
-@dataclass(frozen=True)
-class PlacementRecord:
-    """One VNF instance pinned to a host, with the resources it holds."""
-
-    placement_id: PlacementId
-    host_id: int
-    cpu: int
-    mem: int
-
-
 class NetworkState:
     """Mutable substrate state: residual resources, failures, degradations.
 
@@ -183,7 +170,6 @@ class NetworkState:
         # epoch of each link's last change, so they can tell which link.
         self.quality_epoch = 0
         self.quality_changed: dict[int, int] = {}
-        self.placements: dict[PlacementId, PlacementRecord] = {}
 
         adj: dict[int, list[int]] = {node_id: [] for node_id in self.nodes}
         for link in self.links.values():
@@ -202,9 +188,6 @@ class NetworkState:
 
     # -- read model ---------------------------------------------------------
 
-    def link_quality(self, link_id: int) -> LinkQuality:
-        return self.quality[link_id]
-
     def available_bw(self, link_id: int) -> int:
         """The usable-bandwidth rule: residual plus any pending delta.
 
@@ -218,116 +201,50 @@ class NetworkState:
     def reserve(
         self,
         link_demands: Mapping[int, int] | None = None,
-        placements: Iterable[PlacementRecord] = (),
+        cpu_demands: Mapping[int, int] | None = None,
+        mem_demands: Mapping[int, int] | None = None,
     ) -> None:
-        """Reserve bandwidth and placements' CPU/memory, all-or-nothing.
+        """Reserve per-id totals of bandwidth, CPU and memory, all-or-nothing.
 
         link_demands maps link id to kbps; a link crossed twice by the same
-        chain must appear once with the doubled demand. placements pin named
-        VNF instances, with the CPU and memory they hold, to hosts so a
-        later host failure can report exactly which instances it holds.
+        chain must appear once with the doubled demand. cpu_demands and
+        mem_demands map host id to the sum over the VNFs placed there. Who
+        holds what is the database's record, not the network's.
 
         Raises UnknownHost/UnknownLink for bad ids, NegativeCapacity for
-        negative demands, DuplicateId for an already-known placement id and
-        InsufficientResidual when anything does not fit. On any error the
-        state is left untouched.
+        negative demands and InsufficientResidual when anything does not fit
+        or a host has failed. On any error the state is left untouched.
         """
-        placements = tuple(placements)
-        cpu_need: dict[int, int] = {}
-        mem_need: dict[int, int] = {}
-        seen_pids = set()
-        for rec in placements:
-            self._check_host(rec.host_id)
-            if rec.cpu < 0 or rec.mem < 0:
-                msg = f"negative demand in placement {rec.placement_id}"
-                raise NegativeCapacity(msg)
-            if rec.placement_id in self.placements or rec.placement_id in seen_pids:
-                msg = f"placement id {rec.placement_id} already reserved"
-                raise DuplicateId(msg)
-            seen_pids.add(rec.placement_id)
-            cpu_need[rec.host_id] = cpu_need.get(rec.host_id, 0) + rec.cpu
-            mem_need[rec.host_id] = mem_need.get(rec.host_id, 0) + rec.mem
-
-        bw_need: dict[int, int] = {}
-        for link_id, kbps in (link_demands or {}).items():
-            if link_id not in self.links:
-                msg = f"unknown link {link_id}"
-                raise UnknownLink(msg)
-            if kbps < 0:
-                msg = f"negative bandwidth demand on link {link_id}"
-                raise NegativeCapacity(msg)
-            bw_need[link_id] = bw_need.get(link_id, 0) + kbps
-
-        for host_id, cpu in cpu_need.items():
-            if cpu > self.residual_cpu[host_id]:
-                raise InsufficientResidual("cpu", host_id)
-        for host_id, mem in mem_need.items():
-            if mem > self.residual_mem[host_id]:
-                raise InsufficientResidual("mem", host_id)
-        for link_id, kbps in bw_need.items():
-            if kbps > self.residual_bw[link_id]:
-                raise InsufficientResidual("bandwidth", link_id)
-
-        for host_id, cpu in cpu_need.items():
-            self.residual_cpu[host_id] -= cpu
-        for host_id, mem in mem_need.items():
-            self.residual_mem[host_id] -= mem
-        for link_id, kbps in bw_need.items():
-            self.residual_bw[link_id] -= kbps
-        for rec in placements:
-            self.placements[rec.placement_id] = rec
+        tables = self._ledger_tables(link_demands, cpu_demands, mem_demands, allow_failed=False)
+        for resource, residual, totals, _ in tables:
+            for key, amount in totals.items():
+                if amount > residual[key]:
+                    raise InsufficientResidual(resource, key)
+        for _, residual, totals, _ in tables:
+            for key, amount in totals.items():
+                residual[key] -= amount
 
     def release(
         self,
         link_demands: Mapping[int, int] | None = None,
-        placement_ids: Iterable[PlacementId] = (),
+        cpu_demands: Mapping[int, int] | None = None,
+        mem_demands: Mapping[int, int] | None = None,
     ) -> None:
-        """Give back previously reserved resources, all-or-nothing.
+        """Give back per-id totals reserved earlier, all-or-nothing.
 
-        Releasing more than is reserved, or an unknown placement id, raises
+        Takes the same maps as reserve; a failed host's holdings are given
+        back like any other. Releasing more than is reserved raises
         OverRelease: that always means the caller's ledger and this state
         disagree, which is fatal.
         """
-        placement_ids = tuple(placement_ids)
-        cpu_back: dict[int, int] = {}
-        mem_back: dict[int, int] = {}
-        seen_pids = set()
-        for pid in placement_ids:
-            rec = self.placements.get(pid)
-            if rec is None or pid in seen_pids:
-                raise OverRelease("placement", pid)
-            seen_pids.add(pid)
-            cpu_back[rec.host_id] = cpu_back.get(rec.host_id, 0) + rec.cpu
-            mem_back[rec.host_id] = mem_back.get(rec.host_id, 0) + rec.mem
-
-        bw_back: dict[int, int] = {}
-        for link_id, kbps in (link_demands or {}).items():
-            if link_id not in self.links:
-                msg = f"unknown link {link_id}"
-                raise UnknownLink(msg)
-            if kbps < 0:
-                msg = f"negative bandwidth release on link {link_id}"
-                raise NegativeCapacity(msg)
-            bw_back[link_id] = bw_back.get(link_id, 0) + kbps
-
-        for host_id, cpu in cpu_back.items():
-            node = self.nodes[host_id]
-            if self.residual_cpu[host_id] + cpu > node.cpu_capacity:
-                raise OverRelease("cpu", host_id)
-            if self.residual_mem[host_id] + mem_back[host_id] > node.mem_capacity:
-                raise OverRelease("mem", host_id)
-        for link_id, kbps in bw_back.items():
-            if self.residual_bw[link_id] + kbps > self.links[link_id].bandwidth_kbps:
-                raise OverRelease("bandwidth", link_id)
-
-        for host_id, cpu in cpu_back.items():
-            self.residual_cpu[host_id] += cpu
-        for host_id, mem in mem_back.items():
-            self.residual_mem[host_id] += mem
-        for link_id, kbps in bw_back.items():
-            self.residual_bw[link_id] += kbps
-        for pid in placement_ids:
-            del self.placements[pid]
+        tables = self._ledger_tables(link_demands, cpu_demands, mem_demands, allow_failed=True)
+        for resource, residual, totals, capacity in tables:
+            for key, amount in totals.items():
+                if residual[key] + amount > capacity(key):
+                    raise OverRelease(resource, key)
+        for _, residual, totals, _ in tables:
+            for key, amount in totals.items():
+                residual[key] += amount
 
     def fail_host(self, host_id: int) -> None:
         """Fail-stop a host.
@@ -381,6 +298,32 @@ class NetworkState:
             for link_id in self.adjacency[node_id]
         )
 
+    def _ledger_tables(self, link_demands, cpu_demands, mem_demands, allow_failed):
+        """Check a reserve's or release's ids and signs; pair each map with its table.
+
+        Returns (resource, residual table, totals, capacity of an id) for
+        CPU, memory and bandwidth, in that order. A failed host takes no
+        demand unless allow_failed.
+        """
+        nodes, links = self.nodes, self.links
+        cpu_demands, mem_demands = cpu_demands or {}, mem_demands or {}
+        link_demands = link_demands or {}
+        for host_id in (*cpu_demands, *mem_demands):
+            self._check_host(host_id, allow_failed)
+        for link_id in link_demands:
+            if link_id not in links:
+                raise UnknownLink(f"unknown link {link_id}")
+        tables = (
+            ("cpu", self.residual_cpu, cpu_demands, lambda i: nodes[i].cpu_capacity),
+            ("mem", self.residual_mem, mem_demands, lambda i: nodes[i].mem_capacity),
+            ("bandwidth", self.residual_bw, link_demands, lambda i: links[i].bandwidth_kbps),
+        )
+        for resource, _, totals, _ in tables:
+            for key, amount in totals.items():
+                if amount < 0:
+                    raise NegativeCapacity(f"negative {resource} demand on {key}")
+        return tables
+
     def _check_host(self, host_id: int, allow_failed: bool = False) -> None:
         node = self.nodes.get(host_id)
         if node is None or node.kind is not NodeKind.HOST:
@@ -391,7 +334,3 @@ class NetworkState:
             # unsatisfiable by definition.
             raise InsufficientResidual("cpu", host_id, f"host {host_id} has failed")
 
-
-def build_network(nodes: Iterable[NodeSpec], links: Iterable[LinkSpec]) -> NetworkState:
-    """Validate the topology and return a fresh, fully available state."""
-    return NetworkState(nodes, links)

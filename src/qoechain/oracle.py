@@ -9,7 +9,7 @@ exhaustive embedding of one request. Both refuse loudly, with
 InstanceTooLarge, where an exhaustive search would not be small.
 
 `enumerate_simple_paths` and `path_key` read the state's `adjacency`,
-`link_quality` and `available_bw` instead of the `edges` tuples and the
+`quality` and `available_bw` instead of the `edges` tuples and the
 inline bandwidth read of the routing loop, so the oracle does not share
 the loop's inputs.
 """
@@ -40,7 +40,7 @@ def path_key(net, path: Iterable[int]) -> PathKey:
     links = tuple(path)
     latency = 0.0
     for link_id in links:
-        latency += net.link_quality(link_id).latency_ms
+        latency += net.quality[link_id].latency_ms
     return (latency, len(links), links)
 
 

@@ -188,7 +188,7 @@ def path_metrics(
     delivery = 1.0
     for segment in segments:
         for link_id in segment:
-            quality = state.link_quality(link_id)
+            quality = state.quality[link_id]
             latency += quality.latency_ms
             jitter += quality.jitter_ms
             delivery *= 1.0 - quality.loss_pct / 100.0

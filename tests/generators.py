@@ -24,7 +24,6 @@ from qoechain import (
     Rejected,
     ServiceCatalog,
     VnfType,
-    build_network,
     parse_scenario,
 )
 from qoechain.qoe import FlowSample
@@ -68,7 +67,7 @@ def line_network() -> NetworkState:
         LinkSpec(0, 0, 1, bandwidth_kbps=10_000, latency_ms=5.0),
         LinkSpec(1, 1, 2, bandwidth_kbps=10_000, latency_ms=5.0),
     ]
-    return build_network(nodes, links)
+    return NetworkState(nodes, links)
 
 
 def square_network() -> NetworkState:
@@ -85,7 +84,7 @@ def square_network() -> NetworkState:
         LinkSpec(2, 1, 3, bandwidth_kbps=10_000, latency_ms=5.0),
         LinkSpec(3, 2, 3, bandwidth_kbps=10_000, latency_ms=5.0),
     ]
-    return build_network(nodes, links)
+    return NetworkState(nodes, links)
 
 
 def parallel_pair(latencies=(10.0, 12.0), bw=10_000) -> NetworkState:
@@ -95,7 +94,7 @@ def parallel_pair(latencies=(10.0, 12.0), bw=10_000) -> NetworkState:
         LinkSpec(i, 0, 1, bandwidth_kbps=bw, latency_ms=lat)
         for i, lat in enumerate(latencies)
     ]
-    return build_network(nodes, links)
+    return NetworkState(nodes, links)
 
 
 def pair_catalog(**profile_kwargs) -> ServiceCatalog:
@@ -111,7 +110,6 @@ def snapshot(net: NetworkState) -> tuple:
         tuple(sorted(net.residual_bw.items())),
         tuple(sorted(net.failed_hosts)),
         tuple(sorted(net.quality.items())),
-        tuple(sorted(net.placements.items())),
     )
 
 
@@ -207,7 +205,7 @@ def random_network(
     for _ in range(extra_links):
         a, b = rng.sample(order, 2)
         add_link(a, b)
-    return build_network(nodes, links)
+    return NetworkState(nodes, links)
 
 
 def random_catalog(rng: Random, n_vnfs: int = 3, n_profiles: int = 2) -> ServiceCatalog:

@@ -23,9 +23,9 @@ from qoechain import (
     AppProfile,
     Controller,
     Ela,
+    NetworkState,
     Orchestrator,
     Rejected,
-    build_network,
     estimate_mos,
     parse_scenario,
     run,
@@ -40,7 +40,6 @@ from qoechain.errors import (
     InvariantViolation,
     UnknownHost,
 )
-from qoechain.network import PlacementRecord
 from qoechain.oracle import (
     OracleLimits,
     enumerate_simple_paths,
@@ -172,7 +171,7 @@ def test_closed_form_scores_match_hand_derivation():
     )
 
 
-def _raw_conservation_sequence(rng: Random, pid_base: int) -> int:
+def _raw_conservation_sequence(rng: Random) -> int:
     """Random reserve/release/fail/degrade ops vs an independent ledger."""
     net = random_network(
         rng,
@@ -186,49 +185,43 @@ def _raw_conservation_sequence(rng: Random, pid_base: int) -> int:
     used_cpu = {host: 0 for host in hosts}
     used_mem = {host: 0 for host in hosts}
     used_bw = {link: 0 for link in links}
-    shadow_pids: dict[tuple[int, int], PlacementRecord] = {}
-    groups: list[tuple[list, dict]] = []
+    # Each reserve that went through: (kbps per link, cpu per host, mem per host).
+    groups: list[tuple[dict, dict, dict]] = []
     alive = set(hosts)
     mismatches = 0
-    pid_counter = 0
 
     for _ in range(rng.randint(6, 12)):
         op = rng.choice(("reserve", "reserve", "release", "fail", "degrade"))
         if op == "reserve" and hosts:
-            records = []
+            cpu_demands: dict[int, int] = {}
+            mem_demands: dict[int, int] = {}
             for _ in range(rng.randint(0, 2)):
-                records.append(
-                    PlacementRecord(
-                        (pid_base, pid_counter),
-                        host_id=rng.choice(hosts),
-                        cpu=rng.randint(0, 3),
-                        mem=rng.randint(0, 3),
-                    )
-                )
-                pid_counter += 1
+                host = rng.choice(hosts)
+                cpu_demands[host] = cpu_demands.get(host, 0) + rng.randint(0, 3)
+                mem_demands[host] = mem_demands.get(host, 0) + rng.randint(0, 3)
             link_demands: dict[int, int] = {}
             for _ in range(rng.randint(0, 2)):
                 link = rng.choice(links)
                 link_demands[link] = link_demands.get(link, 0) + rng.randint(0, 8) * 500
             try:
-                net.reserve(link_demands=link_demands, placements=records)
+                net.reserve(link_demands, cpu_demands, mem_demands)
             except (InsufficientResidual, UnknownHost, AlreadyFailed):
                 pass
             else:
-                for rec in records:
-                    used_cpu[rec.host_id] += rec.cpu
-                    used_mem[rec.host_id] += rec.mem
-                    shadow_pids[rec.placement_id] = rec
+                for host, cpu in cpu_demands.items():
+                    used_cpu[host] += cpu
+                for host, mem in mem_demands.items():
+                    used_mem[host] += mem
                 for link, kbps in link_demands.items():
                     used_bw[link] += kbps
-                groups.append(([rec.placement_id for rec in records], link_demands))
+                groups.append((link_demands, cpu_demands, mem_demands))
         elif op == "release" and groups:
-            pids, link_demands = groups.pop(rng.randrange(len(groups)))
-            net.release(link_demands=link_demands, placement_ids=pids)
-            for pid in pids:
-                rec = shadow_pids.pop(pid)
-                used_cpu[rec.host_id] -= rec.cpu
-                used_mem[rec.host_id] -= rec.mem
+            link_demands, cpu_demands, mem_demands = groups.pop(rng.randrange(len(groups)))
+            net.release(link_demands, cpu_demands, mem_demands)
+            for host, cpu in cpu_demands.items():
+                used_cpu[host] -= cpu
+            for host, mem in mem_demands.items():
+                used_mem[host] -= mem
             for link, kbps in link_demands.items():
                 used_bw[link] -= kbps
         elif op == "fail" and alive:
@@ -249,8 +242,6 @@ def _raw_conservation_sequence(rng: Random, pid_base: int) -> int:
         for link in links:
             if net.links[link].bandwidth_kbps - net.residual_bw[link] != used_bw[link]:
                 mismatches += 1
-        if set(net.placements) != set(shadow_pids):
-            mismatches += 1
     return mismatches
 
 
@@ -315,7 +306,7 @@ def test_resource_ledgers_stay_conserved():
     mismatches = 0
     for index in range(sequences):
         if index % 2 == 0:
-            mismatches += _raw_conservation_sequence(rng, pid_base=index)
+            mismatches += _raw_conservation_sequence(rng)
         else:
             mismatches += _controller_conservation_sequence(rng)
     _verdict(
@@ -408,7 +399,7 @@ def test_oracle_contains_greedy_and_measures_the_gap():
     elapsed = time.perf_counter() - start
 
     doc = _load("greedy_gap.json")
-    net = build_network(doc.nodes, doc.links)
+    net = NetworkState(doc.nodes, doc.links)
     catalog = ServiceCatalog(doc.vnf_types, doc.profiles)
     controller = Controller(net, catalog, doc.ela, doc.policy)
     request = doc.requests[0]
@@ -518,9 +509,10 @@ def test_host_failure_triggers_immediate_migration():
     stale_refs = []
 
     def hook(event, state):
-        if event.time_ms >= 2500 and any(
-            rec.host_id == 1 for rec in state.placements.values()
-        ):
+        # From the failure on, failed host 1 holds nothing.
+        host = state.nodes[1]
+        held = (state.residual_cpu[1], state.residual_mem[1])
+        if event.time_ms >= 2500 and held != (host.cpu_capacity, host.mem_capacity):
             stale_refs.append((type(event).__name__, event.time_ms))
 
     report = run(doc, strict_debug=True, event_hook=hook)

@@ -13,6 +13,7 @@ from qoechain import (
     ForwardingGraph,
     LifecycleStatus,
     LinkSpec,
+    NetworkState,
     NodeKind,
     NodeSpec,
     OracleLimits,
@@ -22,7 +23,6 @@ from qoechain import (
     RejectReason,
     ServiceCatalog,
     VnfType,
-    build_network,
     exact_embed,
     predict_mos,
     validate_forwarding_graph,
@@ -34,7 +34,6 @@ from qoechain.errors import (
     InstanceTooLarge,
     InvalidRange,
 )
-from qoechain.network import PlacementRecord
 from qoechain.oracle import graph_latency
 from qoechain.orchestrator import DbEntry
 
@@ -78,7 +77,7 @@ def test_admit_reserves_everything_transactionally():
     assert ctl.network.residual_mem[1] == 6
     assert ctl.network.available_bw(0) == 6000
     assert ctl.network.available_bw(1) == 6000
-    assert ctl.network.placements[(0, 0)].host_id == 1
+    assert orch.db.entries[0].graph.hosts == (1,)
     assert orch.counters()["admitted"] == 1
     assert validate_forwarding_graph(graph, request, ctl.network) == []
 
@@ -106,7 +105,7 @@ def test_host_tie_breaks_on_utilization_then_id():
     assert graph.hosts == (1,)  # equal everything: lowest id
 
     net2 = square_network()
-    net2.reserve(placements=[PlacementRecord((99, 0), host_id=1, cpu=2, mem=0)])
+    net2.reserve(cpu_demands={1: 2}, mem_demands={1: 0})
     orch2 = _orchestrator(net2)
     graph2 = orch2.submit_request(make_request(ingress=0, egress=3), now=0)
     assert graph2.hosts == (2,)  # loaded host loses the tie
@@ -166,7 +165,7 @@ def test_plan_does_not_starve_itself_on_shared_links():
         LinkSpec(0, 0, 1, bandwidth_kbps=5000, latency_ms=5.0),
         LinkSpec(1, 1, 2, bandwidth_kbps=5000, latency_ms=5.0),
     ]
-    orch = _orchestrator(build_network(nodes, links))
+    orch = _orchestrator(NetworkState(nodes, links))
     graph = orch.submit_request(make_request(target=4.9), now=0)
     assert not isinstance(graph, Rejected)
 
@@ -185,7 +184,7 @@ def test_exact_embed_beats_greedy_on_crafted_gap():
         LinkSpec(3, 2, 3, bandwidth_kbps=10_000, latency_ms=2.0),
     ]
     catalog = ServiceCatalog([VnfType("fw", 1, 1, 0.0)], [make_profile()])
-    net = build_network(nodes, links)
+    net = NetworkState(nodes, links)
     ctl = Controller(net, catalog, ELA)
     request = make_request(ingress=0, egress=3)
 
@@ -193,7 +192,7 @@ def test_exact_embed_beats_greedy_on_crafted_gap():
     assert exact.hosts == (2,)
     assert exact.segments == ((1,), (3,))
     assert graph_latency(net, catalog, exact, request) == pytest.approx(4.0)
-    assert snapshot(net) == snapshot(build_network(nodes, links))  # no reservation
+    assert snapshot(net) == snapshot(NetworkState(nodes, links))  # no reservation
 
     greedy = ctl.admit(request)
     assert greedy.hosts == (1,)
@@ -210,7 +209,7 @@ def test_exact_embed_enforces_limits():
     nodes = [NodeSpec(0, NodeKind.ENDPOINT), NodeSpec(1, NodeKind.ENDPOINT)]
     nodes += [NodeSpec(i, NodeKind.HOST, cpu_capacity=1, mem_capacity=1) for i in range(2, 9)]
     links = [LinkSpec(0, 0, 1, bandwidth_kbps=10_000, latency_ms=1.0)]
-    ctl = Controller(build_network(nodes, links), small_catalog(), ELA)
+    ctl = Controller(NetworkState(nodes, links), small_catalog(), ELA)
     with pytest.raises(InstanceTooLarge):
         exact_embed(ctl.network, ctl.catalog, make_request(ingress=0, egress=1, vnfs=()))
 
@@ -242,7 +241,7 @@ def _spur_network(spur_bw_kbps: int):
         LinkSpec(1, 1, 2, bandwidth_kbps=6000, latency_ms=1.0),
         LinkSpec(2, 1, 3, bandwidth_kbps=spur_bw_kbps, latency_ms=5.0),
     ]
-    return build_network(nodes, links)
+    return NetworkState(nodes, links)
 
 
 def test_exact_embed_enforces_aggregate_bandwidth_per_link():
@@ -559,7 +558,7 @@ def test_handle_breach_escalates_to_migration():
     assert orch.counters()["rerouted"] == 0
     assert net.residual_cpu[1] == 4
     assert net.residual_cpu[2] == 2
-    assert net.placements[(0, 0)].host_id == 2
+    assert orch.db.entries[0].graph.hosts == (2,)
 
 
 def test_handle_breach_marks_degraded_when_out_of_options():
@@ -627,7 +626,8 @@ def test_host_failure_re_places_two_evicted_positions_of_one_chain():
     assert graph.segments == ((1,), (), (3,))
     assert [net.available_bw(link_id) for link_id in range(4)] == [10_000, 6000, 10_000, 6000]
     assert (net.residual_cpu[2], net.residual_mem[2]) == (1, 1)
-    assert {pid: rec.host_id for pid, rec in net.placements.items()} == {(0, 0): 2, (0, 1): 2}
+    assert (net.residual_cpu[1], net.residual_mem[1]) == (4, 4)
+    assert orch.db.entries[0].graph.hosts == (2, 2)
     assert validate_forwarding_graph(graph, request, net) == []
 
 
@@ -644,7 +644,7 @@ def test_breach_re_embed_may_reuse_the_flows_own_holdings():
         LinkSpec(1, 0, 1, bandwidth_kbps=10_000, latency_ms=6.0),
         LinkSpec(2, 1, 2, bandwidth_kbps=5000, latency_ms=5.0),
     ]
-    net = build_network(nodes, links)
+    net = NetworkState(nodes, links)
     orch = _orchestrator(net)
     orch.submit_request(make_request(), now=0)
     assert orch.db.entries[0].graph.segments == ((0,), (2,))
@@ -658,7 +658,7 @@ def test_breach_re_embed_may_reuse_the_flows_own_holdings():
     assert action.new_graph.segments == ((1,), (2,))
     assert (net.residual_cpu[1], net.residual_mem[1]) == (0, 0)
     assert [net.available_bw(link_id) for link_id in range(3)] == [10_000, 6000, 1000]
-    assert net.placements[(0, 0)].host_id == 1
+    assert orch.db.entries[0].graph.hosts == (1,)
 
 
 def test_host_failure_migrates_below_the_target_rather_than_fail():
@@ -674,7 +674,7 @@ def test_host_failure_migrates_below_the_target_rather_than_fail():
         LinkSpec(2, 1, 3, bandwidth_kbps=10_000, latency_ms=5.0),
         LinkSpec(3, 2, 3, bandwidth_kbps=10_000, latency_ms=300.0),
     ]
-    net = build_network(nodes, links)
+    net = NetworkState(nodes, links)
     orch = _orchestrator(net)
     request = make_request(ingress=0, egress=3)
     orch.submit_request(request, now=0)
@@ -699,7 +699,7 @@ def test_host_failure_without_refuge_fails_the_flow():
         LinkSpec(2, 1, 3, bandwidth_kbps=10_000, latency_ms=5.0),
         LinkSpec(3, 2, 3, bandwidth_kbps=10_000, latency_ms=5.0),
     ]
-    net = build_network(nodes, links)
+    net = NetworkState(nodes, links)
     orch = _orchestrator(net)
     orch.submit_request(make_request(ingress=0, egress=3), now=0)
     actions = fail_and_repair(orch, 1)
@@ -710,18 +710,18 @@ def test_host_failure_without_refuge_fails_the_flow():
     # Everything the flow held is back.
     assert net.available_bw(0) == 10_000
     assert net.available_bw(2) == 10_000
-    assert net.placements == {}
+    assert (net.residual_cpu[1], net.residual_mem[1]) == (4, 4)
 
 
 def test_host_failure_handles_flows_in_id_order_until_room_runs_out():
     net = square_network()
     # Host 2 starts three-quarters full, so both admissions pick host 1.
-    net.reserve(placements=[PlacementRecord((99, 0), host_id=2, cpu=3, mem=3)])
+    net.reserve(cpu_demands={2: 3}, mem_demands={2: 3})
     orch = _orchestrator(net)
     orch.submit_request(make_request(rid=5, ingress=0, egress=3, vnfs=("nat",)), now=0)
     orch.submit_request(make_request(rid=2, ingress=3, egress=0, vnfs=("nat",)), now=0)
-    on_host_1 = sorted(pid for pid, rec in net.placements.items() if rec.host_id == 1)
-    assert on_host_1 == [(2, 0), (5, 0)]
+    on_host_1 = sorted(entry.request.id for entry in orch.db.live() if 1 in entry.graph.hosts)
+    assert on_host_1 == [2, 5]
     actions = fail_and_repair(orch, 1)
     assert [a.flow_id for a in actions] == [2, 5]
     # Host 2 has one spare unit: flow 2 migrates first and takes it.
@@ -746,14 +746,14 @@ def test_host_failure_reroutes_a_flow_that_relays_through_the_host():
         LinkSpec(3, 2, 3, bandwidth_kbps=10_000, latency_ms=300.0),
         LinkSpec(4, 1, 2, bandwidth_kbps=10_000, latency_ms=5.0),
     ]
-    net = build_network(nodes, links)
+    net = NetworkState(nodes, links)
     orch = _orchestrator(net)
     # Flow 0 places fw on host 2 and passes through host 1 on both sides;
     # flow 1 places nothing and only passes through host 1.
-    net.reserve(placements=[PlacementRecord((99, 0), host_id=1, cpu=4, mem=4)])
+    net.reserve(cpu_demands={1: 4}, mem_demands={1: 4})
     first = make_request(ingress=0, egress=3, target=1.0)
     orch.submit_request(first, now=0)
-    net.release(placement_ids=[(99, 0)])
+    net.release(cpu_demands={1: 4}, mem_demands={1: 4})
     second = make_request(rid=1, ingress=0, egress=3, vnfs=())
     orch.submit_request(second, now=0)
     assert orch.db.entries[0].graph.segments == ((0, 4), (4, 2))

@@ -6,12 +6,13 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from qoechain import EventQueue, parse_scenario, run, write_report
+from qoechain import Controller, EventQueue, parse_scenario, run, write_report
 from qoechain.errors import InvariantViolation, TimeTravel
 from qoechain.kernel import Departure, MeasureWindow
 from qoechain.report import render_csv
@@ -249,12 +250,53 @@ def test_event_hook_sees_the_dispatch_order():
     ]
 
 
-def test_strict_debug_catches_state_corruption():
+def _take_cpu(state, graph):
+    state.residual_cpu[1] -= 1
+
+
+def _take_mem(state, graph):
+    state.residual_mem[1] -= 1
+
+
+def _take_bandwidth(state, graph):
+    state.residual_bw[0] -= 1
+
+
+def _unknown_link(state, graph):
+    graph.segments = ((99,), *graph.segments[1:])
+
+
+# One corruption per branch of audit_conservation, made while the one flow
+# (fw on host 1, 4 Mbps over links 0 and 1) is live.
+@pytest.mark.parametrize(
+    "corruption,message",
+    [
+        pytest.param(_take_cpu, "host 1: cpu ledger says 2, state says 3", id="cpu"),
+        pytest.param(_take_mem, "host 1: mem ledger says 2, state says 3", id="mem"),
+        pytest.param(
+            _take_bandwidth,
+            "link 0: bandwidth ledger says 4000, state says 4001",
+            id="bandwidth",
+        ),
+        pytest.param(_unknown_link, "flow 0: segment 0: unknown link 99", id="segment"),
+    ],
+)
+def test_strict_debug_catches_state_corruption(corruption, message, monkeypatch):
+    graphs = []
+    admit = Controller.admit
+
+    def recording_admit(self, request):
+        graph = admit(self, request)
+        graphs.append(graph)
+        return graph
+
+    monkeypatch.setattr(Controller, "admit", recording_admit)
+
     def corrupt(event, state):
         if isinstance(event, MeasureWindow):
-            state.residual_bw[0] -= 1
+            corruption(state, graphs[0])
 
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
         run(_doc(_payload()), strict_debug=True, event_hook=corrupt)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qoechain import LinkSpec, NodeKind, NodeSpec, build_network
+from qoechain import LinkSpec, NetworkState, NodeKind, NodeSpec
 from qoechain.controller import ResourceView
 from qoechain.errors import (
     AlreadyFailed,
@@ -16,7 +16,6 @@ from qoechain.errors import (
     UnknownHost,
     UnknownLink,
 )
-from qoechain.network import PlacementRecord
 
 from generators import line_network, snapshot, square_network
 
@@ -52,16 +51,16 @@ def test_link_validation():
 def test_build_rejects_duplicates_and_dangling_links():
     nodes = [NodeSpec(0, NodeKind.ENDPOINT), NodeSpec(0, NodeKind.ENDPOINT)]
     with pytest.raises(DuplicateId):
-        build_network(nodes, [])
+        NetworkState(nodes, [])
     nodes = [NodeSpec(0, NodeKind.ENDPOINT), NodeSpec(1, NodeKind.ENDPOINT)]
     with pytest.raises(DanglingEndpoint):
-        build_network(nodes, [LinkSpec(0, 0, 9, bandwidth_kbps=1000, latency_ms=1.0)])
+        NetworkState(nodes, [LinkSpec(0, 0, 9, bandwidth_kbps=1000, latency_ms=1.0)])
     links = [
         LinkSpec(0, 0, 1, bandwidth_kbps=1000, latency_ms=1.0),
         LinkSpec(0, 1, 0, bandwidth_kbps=1000, latency_ms=1.0),
     ]
     with pytest.raises(DuplicateId):
-        build_network(nodes, links)
+        NetworkState(nodes, links)
 
 
 def test_initial_residuals_match_capacity():
@@ -76,15 +75,11 @@ def test_initial_residuals_match_capacity():
 def test_reserve_and_release_roundtrip():
     net = line_network()
     before = snapshot(net)
-    net.reserve(
-        link_demands={0: 4000, 1: 4000},
-        placements=[PlacementRecord((7, 0), host_id=1, cpu=2, mem=3)],
-    )
+    net.reserve(link_demands={0: 4000, 1: 4000}, cpu_demands={1: 2}, mem_demands={1: 3})
     assert net.residual_cpu[1] == 6
     assert net.residual_mem[1] == 5
     assert net.available_bw(0) == 6000
-    assert (7, 0) in net.placements
-    net.release(link_demands={0: 4000, 1: 4000}, placement_ids=[(7, 0)])
+    net.release(link_demands={0: 4000, 1: 4000}, cpu_demands={1: 2}, mem_demands={1: 3})
     assert snapshot(net) == before
 
 
@@ -98,7 +93,7 @@ def test_reserve_is_all_or_nothing():
     assert exc.value.entity_id == 1
     assert snapshot(net) == before
     with pytest.raises(InsufficientResidual) as exc:
-        net.reserve(placements=[PlacementRecord((7, 0), host_id=1, cpu=9, mem=0)])
+        net.reserve(cpu_demands={1: 9}, mem_demands={1: 0})
     assert exc.value.resource == "cpu"
     assert snapshot(net) == before
 
@@ -107,28 +102,13 @@ def test_reserve_validates_ids_and_signs():
     net = line_network()
     with pytest.raises(UnknownHost):
         # Node 0 is an endpoint.
-        net.reserve(placements=[PlacementRecord((7, 0), host_id=0, cpu=1, mem=1)])
+        net.reserve(cpu_demands={0: 1}, mem_demands={0: 1})
     with pytest.raises(UnknownLink):
         net.reserve(link_demands={42: 1})
     with pytest.raises(NegativeCapacity):
         net.reserve(link_demands={0: -1})
     with pytest.raises(NegativeCapacity):
-        net.reserve(placements=[PlacementRecord((7, 0), host_id=1, cpu=-1, mem=0)])
-
-
-def test_duplicate_placement_id_rejected():
-    net = line_network()
-    record = PlacementRecord((1, 0), host_id=1, cpu=1, mem=1)
-    net.reserve(placements=[record])
-    with pytest.raises(DuplicateId):
-        net.reserve(placements=[PlacementRecord((1, 0), host_id=1, cpu=1, mem=1)])
-    with pytest.raises(DuplicateId):
-        net.reserve(
-            placements=[
-                PlacementRecord((2, 0), host_id=1, cpu=1, mem=1),
-                PlacementRecord((2, 0), host_id=1, cpu=1, mem=1),
-            ]
-        )
+        net.reserve(cpu_demands={1: -1}, mem_demands={1: 0})
 
 
 def test_over_release_is_an_invariant_violation():
@@ -137,7 +117,8 @@ def test_over_release_is_an_invariant_violation():
     with pytest.raises(OverRelease):
         net.release(link_demands={0: 2000})
     with pytest.raises(OverRelease):
-        net.release(placement_ids=[(9, 9)])
+        # Host 1 holds nothing.
+        net.release(cpu_demands={1: 1})
     assert isinstance(OverRelease("bandwidth", 0), InvariantViolation)
     before = snapshot(net)
     # A failing release must also leave everything untouched.
@@ -148,30 +129,23 @@ def test_over_release_is_an_invariant_violation():
 
 def test_fail_host_evicts_and_resets():
     net = square_network()
-    net.reserve(
-        link_demands={0: 2000},
-        placements=[
-            PlacementRecord((0, 0), host_id=1, cpu=2, mem=2),
-            PlacementRecord((1, 0), host_id=2, cpu=1, mem=1),
-            PlacementRecord((0, 1), host_id=1, cpu=1, mem=1),
-        ],
-    )
+    net.reserve(link_demands={0: 2000}, cpu_demands={1: 3, 2: 1}, mem_demands={1: 3, 2: 1})
     net.fail_host(1)
     assert net.residual_cpu[1] == 1  # held until released
     assert net.residual_mem[1] == 1
     assert net.available_bw(0) == 8000  # bandwidth is not host state
-    assert set(net.placements) == {(0, 0), (1, 0), (0, 1)}
+    assert net.residual_cpu[2] == 3  # other hosts are untouched
     assert 1 in net.failed_hosts
     # Releasing what the failed host holds gives it back in full.
-    net.release(placement_ids=[(0, 0), (0, 1)])
+    net.release(cpu_demands={1: 3}, mem_demands={1: 3})
     assert net.residual_cpu[1] == 4
     assert net.residual_mem[1] == 4
-    assert set(net.placements) == {(1, 0)}
+    assert net.residual_cpu[2] == 3
     with pytest.raises(AlreadyFailed):
         net.fail_host(1)
     # A failed host accepts no new demand.
     with pytest.raises(InsufficientResidual):
-        net.reserve(placements=[PlacementRecord((2, 0), host_id=1, cpu=1, mem=1)])
+        net.reserve(cpu_demands={1: 1}, mem_demands={1: 1})
 
 
 def test_fail_host_rejects_non_hosts():
@@ -184,17 +158,17 @@ def test_fail_host_rejects_non_hosts():
 
 def test_degrade_link_overrides_quality():
     net = square_network()
-    base = net.link_quality(0)
+    base = net.quality[0]
     assert (base.latency_ms, base.jitter_ms, base.loss_pct) == (5.0, 0.0, 0.0)
     net.degrade_link(0, latency_ms=300.0)
-    quality = net.link_quality(0)
+    quality = net.quality[0]
     assert quality.latency_ms == 300.0
     assert quality.jitter_ms == 0.0  # None keeps the current value
     net.degrade_link(0, loss_pct=12.5)
-    quality = net.link_quality(0)
+    quality = net.quality[0]
     assert quality.latency_ms == 300.0  # overrides stack, not reset
     assert quality.loss_pct == 12.5
-    assert net.link_quality(1).latency_ms == 5.0
+    assert net.quality[1].latency_ms == 5.0
     with pytest.raises(UnknownLink):
         net.degrade_link(99, latency_ms=1.0)
     with pytest.raises(InvalidRange):

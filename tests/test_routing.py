@@ -6,9 +6,9 @@ import pytest
 
 from qoechain import (
     LinkSpec,
+    NetworkState,
     NodeKind,
     NodeSpec,
-    build_network,
     enumerate_simple_paths,
     shortest_feasible_path,
 )
@@ -27,7 +27,7 @@ def _parallel_pair():
         LinkSpec(1, 0, 1, bandwidth_kbps=5000, latency_ms=12.0),
         LinkSpec(2, 0, 1, bandwidth_kbps=9000, latency_ms=10.0),
     ]
-    return build_network(nodes, links)
+    return NetworkState(nodes, links)
 
 
 def test_shortest_picks_lowest_latency_then_link_id():
@@ -73,7 +73,7 @@ def test_latency_beats_hop_count():
         LinkSpec(1, 0, 1, bandwidth_kbps=1000, latency_ms=5.0),
         LinkSpec(2, 1, 2, bandwidth_kbps=1000, latency_ms=5.0),
     ]
-    net = build_network(nodes, links)
+    net = NetworkState(nodes, links)
     assert shortest_feasible_path(net, 0, 2, 500) == [1, 2]
 
 

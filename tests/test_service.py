@@ -6,11 +6,11 @@ from qoechain import (
     AppProfile,
     ForwardingGraph,
     LinkSpec,
+    NetworkState,
     NodeKind,
     NodeSpec,
     ServiceCatalog,
     VnfType,
-    build_network,
     path_metrics,
     validate_forwarding_graph,
 )
@@ -83,7 +83,7 @@ def _metrics_network():
         LinkSpec(0, 0, 1, bandwidth_kbps=10_000, latency_ms=30.0, jitter_ms=3.0, loss_pct=2.0),
         LinkSpec(1, 1, 2, bandwidth_kbps=10_000, latency_ms=20.0, jitter_ms=2.0, loss_pct=3.0),
     ]
-    return build_network(nodes, links)
+    return NetworkState(nodes, links)
 
 
 def test_path_metrics_worked_example():
@@ -109,7 +109,7 @@ def test_loss_composition_of_two_heavy_links():
         LinkSpec(0, 0, 1, bandwidth_kbps=1000, latency_ms=1.0, loss_pct=50.0),
         LinkSpec(1, 1, 2, bandwidth_kbps=1000, latency_ms=1.0, loss_pct=50.0),
     ]
-    net = build_network(nodes, links)
+    net = NetworkState(nodes, links)
     assert path_metrics([(0, 1)], net).loss_pct == pytest.approx(75.0)
 
 
