@@ -3,13 +3,14 @@
 The controller decides and the orchestrator records. The controller keeps
 the substrate, the catalog, the ELA, the policy and the injected stall
 levels, and nothing per flow: each flow's request, graph, status,
-measurement carry, run of windows below target, route figures and run
-outcome live on its entry in the orchestrator's database. Monitoring reads
-the target from the request, the profile from the catalog and the breach
-rule's window count from the ELA. The controller scores the entries it is
-handed, writing only their measurement fields and run outcome, and answers
-with graphs or Actions; it never changes a flow's graph or status. A host
-failure is repaired from the live flows' graphs alone.
+measurement carry, settled sample, run of windows below target, route
+figures and run outcome live on its entry in the orchestrator's database.
+Monitoring reads the target from the request, the profile from the catalog
+and the breach rule's window count from the ELA. The controller scores the
+entries it is handed, writing only their measurement fields and run
+outcome, and answers with graphs or Actions; it never changes a flow's
+graph or status. A host failure is repaired from the live flows' graphs
+alone.
 
 The controller owns the reservation ledger. Admission and every repair
 are planned by one routine on a resource view, and one ledger commit,
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import TYPE_CHECKING, Collection, Iterable
 
 from .errors import (
@@ -42,6 +44,7 @@ from .qoe import (
 )
 from .routing import shortest_feasible_path, shortest_path_tree
 from .service import (
+    AppProfile,
     ChainRequest,
     ForwardingGraph,
     LinkPath,
@@ -54,6 +57,11 @@ from .units import KBPS_PER_MBPS
 
 if TYPE_CHECKING:
     from .orchestrator import DbEntry
+
+# The figures of a FlowSample that smoothing folds, in field order.
+_FIGURES = attrgetter(
+    "throughput_mbps", "delay_ms", "jitter_ms", "loss_pct", "stall_ratio"
+)
 
 
 @dataclass(frozen=True)
@@ -351,6 +359,15 @@ class Controller:
         the ELA's breach_windows long. The entry also keeps its run outcome:
         the windows observed, those at or above its target, and those that
         breached.
+
+        A settled flow is not smoothed or scored again. Smoothed figures are
+        a function of the raw inputs (route figures, throughput, stall level)
+        and the last smoothed figures. So when the raw inputs equal the last
+        window's and the last window's smoothing left every figure where it
+        was, the EWMA sits at its floating-point fixed point and the sample
+        is the last one with a new window index. entry.settled keeps that
+        sample with the throughput and stall level it was scored from;
+        rebuilt route figures drop it.
         """
         alpha = self.policy.predictor_alpha
         breach_after = self.ela.breach_windows
@@ -360,8 +377,7 @@ class Controller:
         for entry in flows:
             request = entry.request
             profile = profile_of(request.profile)
-            raw = self._measure(entry, window_index, profile.bw_req_kbps)
-            sample = estimate_mos(self._smooth(entry, raw, alpha), profile)
+            sample = self._measure(entry, window_index, profile, alpha)
             samples.append(sample)
             entry.windows_observed += 1
             if sample.mos >= request.ela_target:
@@ -374,18 +390,22 @@ class Controller:
                     breaching.append(sample)
         return samples, breaching
 
-    def _measure(self, entry: DbEntry, window_index: int, bw_req_kbps: int) -> FlowSample:
-        """The flow's raw sample for one window; brings entry.route up to date."""
+    def _measure(
+        self, entry: DbEntry, window_index: int, profile: AppProfile, alpha: float
+    ) -> QoeSample:
+        """The flow's sample for one window; brings its monitoring state up to date."""
         network = self.network
         route = entry.route
         if route is None or route.graph is not entry.graph:
             route = entry.route = self._route_figures(entry)
-            entry.smoothed = None  # the first window on a new graph is taken raw
+            # The first window on a new graph is taken raw.
+            entry.smoothed = entry.settled = None
         elif route.quality_epoch != network.quality_epoch:
             changed = network.quality_changed
             built = route.quality_epoch
             if any(changed.get(link_id, built) > built for link_id, _ in route.usage):
                 route = entry.route = self._route_figures(entry)
+                entry.settled = None
             else:
                 route.quality_epoch = network.quality_epoch
         # What this flow can push through: the smallest residual along its
@@ -394,17 +414,35 @@ class Controller:
         # on the state itself bw_delta is empty, so it is residual_bw.
         residual_bw = network.residual_bw
         floor_kbps = min(residual_bw[link_id] + kbps for link_id, kbps in route.usage)
-        metrics = route.metrics
+        throughput_kbps = min(floor_kbps, profile.bw_req_kbps)
         flow_id = entry.request.id
-        return FlowSample(
+        stall_ratio = self.stall_levels.get(flow_id, 0.0)
+        settled = entry.settled
+        if settled is not None and settled[:2] == (throughput_kbps, stall_ratio):
+            last = settled[2]
+            return QoeSample(
+                flow_id,
+                window_index,
+                last.mos,
+                last.q_bw,
+                last.q_delay,
+                last.q_loss,
+                last.q_stall,
+            )
+        metrics = route.metrics
+        raw = FlowSample(
             flow_id=flow_id,
             window_index=window_index,
-            throughput_mbps=min(floor_kbps, bw_req_kbps) / KBPS_PER_MBPS,
+            throughput_mbps=throughput_kbps / KBPS_PER_MBPS,
             delay_ms=metrics.latency_ms,
             jitter_ms=metrics.jitter_ms,
             loss_pct=metrics.loss_pct,
-            stall_ratio=self.stall_levels.get(flow_id, 0.0),
+            stall_ratio=stall_ratio,
         )
+        still = self._smooth(entry, raw, alpha)
+        sample = estimate_mos(entry.smoothed, profile)
+        entry.settled = (throughput_kbps, stall_ratio, sample) if still else None
+        return sample
 
     def _route_figures(self, entry: DbEntry) -> RouteFigures:
         request, graph = entry.request, entry.graph
@@ -419,21 +457,16 @@ class Controller:
             usage=tuple(graph.link_usage().items()),
         )
 
-    def _smooth(self, entry: DbEntry, raw: FlowSample, alpha: float) -> FlowSample:
+    def _smooth(self, entry: DbEntry, raw: FlowSample, alpha: float) -> bool:
+        """Fold raw into entry.smoothed; whether every smoothed figure stood still."""
         prev = entry.smoothed
-        if prev is not None:
-            raw = FlowSample(
-                flow_id=raw.flow_id,
-                window_index=raw.window_index,
-                throughput_mbps=alpha * raw.throughput_mbps
-                + (1 - alpha) * prev.throughput_mbps,
-                delay_ms=alpha * raw.delay_ms + (1 - alpha) * prev.delay_ms,
-                jitter_ms=alpha * raw.jitter_ms + (1 - alpha) * prev.jitter_ms,
-                loss_pct=alpha * raw.loss_pct + (1 - alpha) * prev.loss_pct,
-                stall_ratio=alpha * raw.stall_ratio + (1 - alpha) * prev.stall_ratio,
-            )
-        entry.smoothed = raw
-        return raw
+        if prev is None:
+            entry.smoothed = raw
+            return False
+        last = _FIGURES(prev)
+        figures = tuple(alpha * r + (1 - alpha) * p for r, p in zip(_FIGURES(raw), last))
+        entry.smoothed = FlowSample(raw.flow_id, raw.window_index, *figures)
+        return figures == last
 
     def set_stall(self, flow_id: int, stall_ratio: float) -> None:
         """Set a flow's stall level; it persists until the next injection."""

@@ -3,12 +3,13 @@
 The database is the only record of a flow: one entry per admitted request,
 kept after the flow ends, holding its request, forwarding graph, lifecycle
 status and log, and what the controller's monitoring alone writes: the
-smoothing carry, the run of windows below target, route figures and run
-outcome. The orchestrator turns the controller's admissions, Actions and
-releases into graph and status changes, all through one guarded
-transition helper, and tallies the two outcomes the lifecycle log cannot
-tell apart: rejections by reason, and reroutes versus migrations. Every
-other counter is derived from the entries when the report is built.
+smoothing carry, the settled sample, the run of windows below target,
+route figures and run outcome. The orchestrator turns the controller's
+admissions, Actions and releases into graph and status changes, all
+through one guarded transition helper, and tallies the two outcomes the
+lifecycle log cannot tell apart: rejections by reason, and reroutes versus
+migrations. Every other counter is derived from the entries when the
+report is built.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     IllegalTransition,
     UnknownRequest,
 )
-from .qoe import FlowSample
+from .qoe import FlowSample, QoeSample
 from .scenario import dump_request
 from .service import ChainRequest, ForwardingGraph
 from .units import kbps_to_mbps
@@ -91,6 +92,10 @@ class DbEntry:
     # The controller's figures for measuring this flow, keyed on the graph
     # object and the network's quality epoch; None until first measured.
     route: RouteFigures | None = None
+    # While smoothing stands still: the throughput kbps and stall ratio the
+    # last window read and the sample it scored, reused by a window that
+    # reads the same; dropped whenever the route figures are rebuilt.
+    settled: tuple[int, float, QoeSample] | None = None
     # The run outcome: windows measured, windows at or above the target,
     # and the indices of the windows that breached the ELA.
     windows_observed: int = 0

@@ -10,6 +10,7 @@ the VNF names are read from the request.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidProfile, InvalidRange, UnknownProfile, UnknownVnf
@@ -66,7 +67,7 @@ class AppProfile:
             msg = f"profile {self.name}: stall_max must be in (0, 1]"
             raise InvalidProfile(msg, field="stall_max")
 
-    @property
+    @cached_property
     def bw_req_kbps(self) -> int:
         """The bandwidth need in the integer kbps that reservations hold."""
         return mbps_to_kbps(self.bw_req_mbps)

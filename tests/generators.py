@@ -6,6 +6,7 @@ own seed; the suite never consumes global RNG state.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from random import Random
@@ -27,7 +28,12 @@ from qoechain import (
     parse_scenario,
 )
 from qoechain.qoe import FlowSample
-from qoechain.scenario import ScenarioDoc
+from qoechain.scenario import (
+    HostFailure,
+    LinkDegradation,
+    ScenarioDoc,
+    StallInjection,
+)
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -303,3 +309,67 @@ def one_fault_of_each_kind() -> ScenarioDoc:
     doc, diagnostics = parse_scenario(json.dumps(payload))
     assert diagnostics == []
     return doc
+
+
+def random_doc(rng: Random, index: int) -> ScenarioDoc:
+    """A small random scenario: requests, at most one host failure, degradations, stalls."""
+    net = random_network(
+        rng,
+        n_endpoints=2,
+        n_hosts=rng.randint(2, 3),
+        n_switches=rng.randint(0, 1),
+        extra_links=rng.randint(1, 3),
+    )
+    catalog = random_catalog(rng)
+    duration = rng.randint(5, 10) * 1000
+    requests = []
+    for rid in range(rng.randint(1, 6)):
+        base = random_request(rng, rid, net, catalog, target=rng.uniform(1.0, 3.5))
+        requests.append(
+            dataclasses.replace(
+                base,
+                arrival_ms=rng.randrange(0, duration),
+                holding_ms=rng.choice((1500, 4000, duration + 5000)),
+            )
+        )
+    hosts = sorted(net.residual_cpu)
+    failures = []
+    if hosts and rng.random() < 0.6:
+        failures.append(
+            HostFailure(time_ms=rng.randrange(0, duration), host=rng.choice(hosts))
+        )
+    degradations = [
+        LinkDegradation(
+            time_ms=rng.randrange(0, duration),
+            link=link,
+            latency_ms=rng.uniform(50.0, 400.0),
+        )
+        for link in sorted(net.links)
+        if rng.random() < 0.2
+    ]
+    stalls = [
+        StallInjection(
+            time_ms=rng.randrange(0, duration),
+            flow=request.id,
+            stall_ratio=round(rng.uniform(0.0, 1.0), 2),
+        )
+        for request in requests
+        if rng.random() < 0.2
+    ]
+    return ScenarioDoc(
+        name=f"fuzz{index}",
+        seed=rng.randrange(2**32),
+        duration_ms=duration,
+        window_ms=1000,
+        nodes=tuple(net.nodes.values()),
+        links=tuple(net.links[i] for i in sorted(net.links)),
+        vnf_types=tuple(catalog.vnf_types[name] for name in sorted(catalog.vnf_types)),
+        profiles=tuple(catalog.profiles[name] for name in sorted(catalog.profiles)),
+        ela=Ela(3.0, 2, 0.8),
+        policy=PolicyConfig(0.3, 2),
+        arrival_jitter_ms=rng.choice((0, 0, 250)),
+        requests=tuple(requests),
+        host_failures=tuple(failures),
+        link_degradations=tuple(degradations),
+        stall_injections=tuple(stalls),
+    )

@@ -32,7 +32,7 @@ from qoechain import (
     validate_forwarding_graph,
     write_report,
 )
-from qoechain.controller import PolicyConfig, RejectReason
+from qoechain.controller import RejectReason
 from qoechain.errors import (
     AlreadyFailed,
     InstanceTooLarge,
@@ -49,18 +49,14 @@ from qoechain.oracle import (
 )
 from qoechain.qoe import FlowSample
 from qoechain.routing import shortest_feasible_path
-from qoechain.scenario import (
-    HostFailure,
-    LinkDegradation,
-    ScenarioDoc,
-    StallInjection,
-)
+from qoechain.scenario import ScenarioDoc
 from qoechain.service import ServiceCatalog
 
 from generators import (
     fail_and_repair,
     random_catalog,
     random_network,
+    random_doc,
     random_profile,
     random_request,
     random_sample,
@@ -697,69 +693,6 @@ def _replay_dump(dump_text: str) -> list[str]:
     return problems
 
 
-def _random_doc(rng: Random, index: int) -> ScenarioDoc:
-    net = random_network(
-        rng,
-        n_endpoints=2,
-        n_hosts=rng.randint(2, 3),
-        n_switches=rng.randint(0, 1),
-        extra_links=rng.randint(1, 3),
-    )
-    catalog = random_catalog(rng)
-    duration = rng.randint(5, 10) * 1000
-    requests = []
-    for rid in range(rng.randint(1, 6)):
-        base = random_request(rng, rid, net, catalog, target=rng.uniform(1.0, 3.5))
-        requests.append(
-            dataclasses.replace(
-                base,
-                arrival_ms=rng.randrange(0, duration),
-                holding_ms=rng.choice((1500, 4000, duration + 5000)),
-            )
-        )
-    hosts = sorted(net.residual_cpu)
-    failures = []
-    if hosts and rng.random() < 0.6:
-        failures.append(
-            HostFailure(time_ms=rng.randrange(0, duration), host=rng.choice(hosts))
-        )
-    degradations = [
-        LinkDegradation(
-            time_ms=rng.randrange(0, duration),
-            link=link,
-            latency_ms=rng.uniform(50.0, 400.0),
-        )
-        for link in sorted(net.links)
-        if rng.random() < 0.2
-    ]
-    stalls = [
-        StallInjection(
-            time_ms=rng.randrange(0, duration),
-            flow=request.id,
-            stall_ratio=round(rng.uniform(0.0, 1.0), 2),
-        )
-        for request in requests
-        if rng.random() < 0.2
-    ]
-    return ScenarioDoc(
-        name=f"fuzz{index}",
-        seed=rng.randrange(2**32),
-        duration_ms=duration,
-        window_ms=1000,
-        nodes=tuple(net.nodes.values()),
-        links=tuple(net.links[i] for i in sorted(net.links)),
-        vnf_types=tuple(catalog.vnf_types[name] for name in sorted(catalog.vnf_types)),
-        profiles=tuple(catalog.profiles[name] for name in sorted(catalog.profiles)),
-        ela=Ela(3.0, 2, 0.8),
-        policy=PolicyConfig(0.3, 2),
-        arrival_jitter_ms=rng.choice((0, 0, 250)),
-        requests=tuple(requests),
-        host_failures=tuple(failures),
-        link_degradations=tuple(degradations),
-        stall_injections=tuple(stalls),
-    )
-
-
 def test_lifecycle_logs_replay_the_automaton():
     rng = Random(1010)
     runs = 0
@@ -771,7 +704,7 @@ def test_lifecycle_logs_replay_the_automaton():
         runs += 1
         entries += len(report.db_dump)
     for index in range(25):
-        report = run(_random_doc(rng, index), strict_debug=True)
+        report = run(random_doc(rng, index), strict_debug=True)
         problems += _replay_dump(json.dumps(report.db_dump))
         runs += 1
         entries += len(report.db_dump)
@@ -812,7 +745,7 @@ def test_flow_summaries_replay_from_the_series(tmp_path):
         )
         for doc in docs
     ]
-    docs += [_random_doc(rng, index) for index in range(60)]
+    docs += [random_doc(rng, index) for index in range(60)]
     flows = 0
     breaches = 0
     problems: list[str] = []

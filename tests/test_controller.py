@@ -1,5 +1,6 @@
 """Controller behavior: admission, oracle, monitoring and self-healing."""
 
+import dataclasses
 import gc
 import tracemalloc
 from random import Random
@@ -23,10 +24,13 @@ from qoechain import (
     RejectReason,
     ServiceCatalog,
     VnfType,
+    estimate_mos,
     exact_embed,
     predict_mos,
+    run,
     validate_forwarding_graph,
 )
+from qoechain import controller as controller_module
 from qoechain.controller import ActionKind
 from qoechain.errors import (
     AlreadyTerminal,
@@ -42,9 +46,11 @@ from generators import (
     line_network,
     make_profile,
     make_request,
+    one_fault_of_each_kind,
     pair_catalog,
     parallel_pair,
     random_catalog,
+    random_doc,
     random_network,
     random_request,
     small_catalog,
@@ -483,6 +489,147 @@ def test_a_link_degraded_off_the_route_shows_once_the_flow_moves_onto_it():
     assert entry.graph.segments == ((1,),)
     orch.controller.monitor_window(2, orch.db.live())
     assert entry.smoothed.delay_ms == 15.0  # the override, not the base 12 ms
+
+
+# A settled flow's sample is reused while nothing it is measured from moves.
+# Each event below must show in the very next window, exactly as smoothing
+# and scoring from scratch give it; a degradation off the route must not.
+
+ALPHA = 0.3
+FIGURES = ("throughput_mbps", "delay_ms", "jitter_ms", "loss_pct", "stall_ratio")
+
+
+def _settle(orch) -> int:
+    """Monitor until flow 0's sample is reused; returns the next window index."""
+    entry = orch.db.entries[0]
+    window = 0
+    while entry.settled is None:
+        assert window < 50, "smoothing never settled"
+        orch.controller.monitor_window(window, orch.db.live())
+        window += 1
+    held = entry.settled
+    samples, _ = orch.controller.monitor_window(window, orch.db.live())
+    assert entry.settled is held  # reused, not scored again
+    assert samples[0] == dataclasses.replace(held[2], window_index=window)
+    return window + 1
+
+
+def _scored_from_scratch(orch, window: int, raw: tuple, restart: bool = False):
+    """Flow 0's sample in window, checked against the hand-computed EWMA of raw.
+
+    raw holds the window's raw figures in FIGURES order; restart means the
+    window is the first on a new graph, so it is taken raw.
+    """
+    entry = orch.db.entries[0]
+    last = entry.smoothed
+    samples, _ = orch.controller.monitor_window(window, orch.db.live())
+    if not restart:
+        carry = [getattr(last, name) for name in FIGURES]
+        raw = [ALPHA * r + (1 - ALPHA) * c for r, c in zip(raw, carry)]
+    profile = orch.controller.catalog.profile(entry.request.profile)
+    assert samples[0] == estimate_mos(FlowSample(0, window, *raw), profile)
+    return samples[0]
+
+
+def _settled_pair_flow(net):
+    """The chain-free stream flow on link 0 of the pair, settled under ALPHA."""
+    orch = _orchestrator(net, pair_catalog(), PolicyConfig(predictor_alpha=ALPHA))
+    orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
+    return orch, _settle(orch)
+
+
+def test_a_settled_flow_feels_a_second_flow_on_a_shared_link():
+    net = parallel_pair(latencies=(10.0,))
+    catalog = ServiceCatalog(
+        [], [make_profile(name="stream"), make_profile(name="bulk", bw=8.0)]
+    )
+    orch = _orchestrator(net, catalog, PolicyConfig(predictor_alpha=ALPHA))
+    light = ForwardingGraph((), ((0,),), reserved_bw_kbps=1000)
+    net.reserve(link_demands=light.link_usage())
+    request = make_request(ingress=0, egress=1, vnfs=(), profile="stream")
+    orch.db.entries[0] = DbEntry(request, light, LifecycleStatus.ACTIVE)
+    window = _settle(orch)
+    bulk = make_request(rid=1, ingress=0, egress=1, vnfs=(), profile="bulk")
+    assert not isinstance(orch.submit_request(bulk, now=0), Rejected)
+    # 1 Mbps free plus its own 1.
+    sample = _scored_from_scratch(orch, window, (2.0, 10.0, 0.0, 0.0, 0.0))
+    assert sample.q_bw < 1.0
+
+
+def test_a_settled_flow_feels_a_stall_change():
+    orch, window = _settled_pair_flow(parallel_pair())
+    orch.controller.set_stall(0, 0.1)
+    sample = _scored_from_scratch(orch, window, (4.0, 10.0, 0.0, 0.0, 0.1))
+    assert sample.q_stall < 1.0
+
+
+def test_a_settled_flow_feels_a_degradation_on_its_route():
+    net = parallel_pair()
+    orch, window = _settled_pair_flow(net)
+    net.degrade_link(0, latency_ms=40.0, loss_pct=2.0)
+    loss_pct = 100.0 * (1.0 - (1.0 - 2.0 / 100.0))
+    sample = _scored_from_scratch(orch, window, (4.0, 40.0, 0.0, loss_pct, 0.0))
+    assert sample.q_loss < 1.0
+
+
+def test_a_settled_flow_is_taken_raw_after_a_reroute():
+    net = parallel_pair()
+    orch, window = _settled_pair_flow(net)
+    entry = orch.db.entries[0]
+    net.degrade_link(0, latency_ms=300.0)
+    orch.apply_action(orch.controller.handle_breach(entry), now=1000)
+    assert entry.graph.segments == ((1,),)
+    _scored_from_scratch(orch, window, (4.0, 12.0, 0.0, 0.0, 0.0), restart=True)
+    assert entry.settled is None
+
+
+def test_a_settled_flow_reuses_its_sample_after_a_degradation_off_its_route():
+    net = parallel_pair()
+    orch, window = _settled_pair_flow(net)
+    entry = orch.db.entries[0]
+    held = entry.settled
+    net.degrade_link(1, latency_ms=40.0, loss_pct=2.0)
+    sample = _scored_from_scratch(orch, window, (4.0, 10.0, 0.0, 0.0, 0.0))
+    assert entry.settled is held
+    assert sample == dataclasses.replace(held[2], window_index=window)
+
+
+def test_a_moving_ewma_is_scored_afresh_every_window():
+    net = parallel_pair()
+    orch, window = _settled_pair_flow(net)
+    entry = orch.db.entries[0]
+    net.degrade_link(0, latency_ms=300.0)
+    last = entry.settled[2]
+    for window in range(window, window + 10):
+        sample = _scored_from_scratch(orch, window, (4.0, 300.0, 0.0, 0.0, 0.0))
+        assert (sample.mos, sample.q_delay) != (last.mos, last.q_delay)
+        assert entry.settled is None
+        last = sample
+
+
+def test_reusing_settled_samples_changes_no_run(monkeypatch):
+    # The same runs with every reuse check missing: a DbEntry.settled that
+    # always reads None makes the controller measure, smooth and score
+    # every flow in every window.
+    rng = Random(1414)
+    docs = [one_fault_of_each_kind()] + [random_doc(rng, index) for index in range(200)]
+    scored = []
+    monkeypatch.setattr(
+        controller_module,
+        "estimate_mos",
+        lambda sample, profile: scored.append(sample) or estimate_mos(sample, profile),
+    )
+    reused = [run(doc) for doc in docs]
+    assert len(scored) < sum(len(report.rows) for report in reused)
+    never = property(lambda entry: None, lambda entry, value: None)
+    monkeypatch.setattr(DbEntry, "settled", never)
+    for doc, first in zip(docs, reused):
+        second = run(doc)
+        assert (second.rows, second.flows, second.db_dump) == (
+            first.rows,
+            first.flows,
+            first.db_dump,
+        )
 
 
 def test_per_flow_state_stays_bounded_over_the_horizon():
