@@ -298,37 +298,37 @@ class Controller:
         """Place one VNF after anchor and take its demand out of the view.
 
         The host is the candidate with the cheapest feasible path from the
-        anchor (ties: lowest utilization, then lowest host id), all read off
-        one shortest-path tree. One pass reads each host's CPU and memory
-        once; the tree is built at the first host that fits, so a NoHost
-        rejection searches nothing. Returns the host and the segment to it,
-        or why no host was chosen.
+        anchor (ties: lowest utilization, then lowest host id). One pass
+        reads each host's CPU and memory once to find the hosts that fit, so
+        a NoHost rejection searches nothing; one shortest-path tree bounded
+        at the nearest of them then holds every host that can win. Returns
+        the host and the segment to it, or why no host was chosen.
         """
         residual_cpu, cpu_delta = view.residual_cpu, view.cpu_delta
         residual_mem, mem_delta = view.residual_mem, view.mem_delta
-        nodes = self.network.nodes
-        tree = None
-        options = []
+        fitting = {}
         for host_id in self.network.host_ids:
             if host_id in view.failed_hosts:
                 continue
             cpu = residual_cpu[host_id] + cpu_delta.get(host_id, 0)
             mem = residual_mem[host_id] + mem_delta.get(host_id, 0)
-            if cpu < vnf.cpu_demand or mem < vnf.mem_demand:
+            if cpu >= vnf.cpu_demand and mem >= vnf.mem_demand:
+                fitting[host_id] = cpu, mem
+        if not fitting:
+            return RejectReason.NO_HOST
+        tree = shortest_path_tree(view, anchor, bw_kbps, exclude_links, fitting)
+        nodes = self.network.nodes
+        options = []
+        for host_id, label in tree.items():
+            if host_id not in fitting:
                 continue
-            if tree is None:
-                tree = shortest_path_tree(view, anchor, bw_kbps, exclude_links)
-            label = tree.get(host_id)
-            if label is None:
-                continue
+            cpu, mem = fitting[host_id]
             cap_cpu, cap_mem = nodes[host_id].cpu_capacity, nodes[host_id].mem_capacity
             utilization = max(
                 (cap_cpu - cpu) / cap_cpu if cap_cpu else 0.0,
                 (cap_mem - mem) / cap_mem if cap_mem else 0.0,
             )
             options.append((label[0], utilization, host_id, label[2]))
-        if tree is None:
-            return RejectReason.NO_HOST
         if not options:
             return RejectReason.NO_PATH
         _, _, host_id, segment = min(options)

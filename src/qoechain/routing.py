@@ -5,16 +5,16 @@ same node pair. A path's cost key is (total latency, hop count, link-id
 sequence); comparing full keys makes every choice a total order and keeps
 runs reproducible. Failed hosts never appear as interior nodes.
 
-One Dijkstra loop (`_settle`) serves two callers. It is one plain call, not
-a generator, that returns the settled labels and stops once an optional
-target is settled. `shortest_path_tree` runs it to the end and keys every
-reachable node from one source, which is what host placement needs: one
-search per anchor instead of one per candidate host.
-`shortest_feasible_path` stops it at the target. Both give the same answer
-for every node: the key is a total order, and appending the same link to
-two paths that end at the same node keeps their order, so a node's label
-is final when it is first popped, whether or not the search goes on
-afterwards. Latency is summed along the path from 0.0 in path order, as
+One Dijkstra loop (`_settle`), one plain call, serves both callers with one
+stop rule: given target nodes, it stops once all are settled or at the first
+popped key whose latency is strictly above that of the first target settled.
+`shortest_feasible_path` passes its destination; host placement passes the
+hosts that fit, since a host farther than the nearest one cannot win while
+every host tied with it is still settled. Without targets the search settles
+every reachable node. A settled node's label is the one a full search gives:
+the key is a total order, and appending the same link to two paths that end
+at the same node keeps their order, so a label is final when first popped.
+Latency is summed along the path from 0.0 in path order, as
 `oracle.path_key` sums it, so even the floats agree.
 
 The loop reads each node's (link id, neighbour, latency) tuples from the
@@ -27,6 +27,7 @@ sequences.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from heapq import heappop, heappush
 
 from .errors import UnknownHost
@@ -39,12 +40,13 @@ def _settle(
     src: int,
     bw_kbps: int,
     exclude_links: frozenset[int],
-    dst: int | None = None,
+    targets: Collection[int] = (),
 ) -> dict[int, PathKey]:
     """Final keys of the nodes reachable from src, in ascending key order.
 
     A link is feasible when its available bandwidth covers bw_kbps and it is
-    not excluded. The search stops once dst, if given, is settled.
+    not excluded. The search stops once every target is settled, or before
+    settling a node farther than the first target settled.
     """
     edges = net.edges
     # Usable bandwidth is NetworkState.available_bw, read inline per edge.
@@ -54,13 +56,19 @@ def _settle(
     best: dict[int, PathKey] = {src: (0.0, 0, ())}
     done: dict[int, PathKey] = {}
     heap: list[tuple[float, int, tuple[int, ...], int]] = [(0.0, 0, (), src)]
+    # Targets settle in latency order, so each one settled sets the same bound.
+    bound, unsettled = float("inf"), len(targets)
     while heap:
         latency, hops, links, node = heappop(heap)
+        if latency > bound:
+            break
         if node in done:
             continue
         done[node] = (latency, hops, links)
-        if node == dst:
-            break
+        if node in targets:
+            bound, unsettled = latency, unsettled - 1
+            if not unsettled:
+                break
         # Failed hosts may terminate a path but never relay one.
         if node != src and node in failed_hosts:
             continue
@@ -94,17 +102,19 @@ def shortest_path_tree(
     src: int,
     bw_kbps: int,
     exclude_links: frozenset[int] = frozenset(),
+    targets: Collection[int] = (),
 ) -> dict[int, PathKey]:
     """Key of the minimum-latency feasible path from src to every reachable node.
 
     Same feasibility and tie-break rules as shortest_feasible_path; src maps
-    to (0.0, 0, ()) and unreachable nodes are absent. `net` is a
-    NetworkState or a planning view of one.
+    to (0.0, 0, ()) and unreachable nodes are absent; with targets, so are
+    the nodes past _settle's stop. `net` is a NetworkState or a planning
+    view of one.
     """
     if src not in net.nodes:
         msg = f"unknown node in path query: {src}"
         raise UnknownHost(msg)
-    return _settle(net, src, bw_kbps, exclude_links)
+    return _settle(net, src, bw_kbps, exclude_links, targets)
 
 
 def shortest_feasible_path(
@@ -126,5 +136,5 @@ def shortest_feasible_path(
         raise UnknownHost(msg)
     if src == dst:
         return []
-    label = _settle(net, src, bw_kbps, exclude_links, dst).get(dst)
+    label = _settle(net, src, bw_kbps, exclude_links, (dst,)).get(dst)
     return None if label is None else list(label[2])

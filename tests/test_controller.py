@@ -31,7 +31,7 @@ from qoechain import (
     validate_forwarding_graph,
 )
 from qoechain import controller as controller_module
-from qoechain.controller import ActionKind
+from qoechain.controller import ActionKind, ResourceView
 from qoechain.errors import (
     AlreadyTerminal,
     DuplicateRequest,
@@ -40,6 +40,7 @@ from qoechain.errors import (
 )
 from qoechain.oracle import graph_latency
 from qoechain.orchestrator import DbEntry
+from qoechain.routing import shortest_path_tree
 
 from generators import (
     fail_and_repair,
@@ -231,6 +232,118 @@ def test_exact_embed_enforces_limits():
             make_request(ingress=0, egress=3, vnfs=()),
             OracleLimits(max_paths_per_pair=1),
         )
+
+
+def _bw_view(net, deltas):
+    view = ResourceView(net)
+    for link_id, kbps in deltas.items():
+        view.add_bw(link_id, kbps)
+    return view
+
+
+def _full_tree_choice(net, searched, anchor, vnf, bw_kbps, exclude):
+    """_place_next's rule read off an unbounded tree over searched.
+
+    Returns the winning (host, segment), or the reject reason, and whether
+    the winner is settled after another fitting host of its latency.
+    """
+    tree = shortest_path_tree(searched, anchor, bw_kbps, exclude)
+    fits, options = False, []
+    for host_id in net.host_ids:
+        cpu, mem = net.residual_cpu[host_id], net.residual_mem[host_id]
+        if host_id in net.failed_hosts or cpu < vnf.cpu_demand or mem < vnf.mem_demand:
+            continue
+        fits = True
+        if host_id in tree:
+            node = net.nodes[host_id]
+            utilization = max(
+                (node.cpu_capacity - cpu) / node.cpu_capacity,
+                (node.mem_capacity - mem) / node.mem_capacity,
+            )
+            latency, hops, segment = tree[host_id]
+            options.append((latency, utilization, host_id, segment, hops))
+    if not options:
+        return (RejectReason.NO_PATH if fits else RejectReason.NO_HOST), False
+    chosen = min(options)
+    first = min(options, key=lambda option: (option[0], option[4], option[3]))
+    return (chosen[2], chosen[3]), first != chosen
+
+
+def test_bounded_placement_matches_the_full_tree_choice():
+    # Latencies of 1 or 2 ms put several fitting hosts in the nearest
+    # latency tier, often at different hop counts, and the tie-breaks often
+    # choose one settled after another: a search that stopped at the first
+    # of them, rather than past the tier, would miss the winner.
+    rng = Random(0x9EA7)
+    placed = tied = 0
+    for _ in range(120):
+        net = random_network(
+            rng,
+            n_endpoints=2,
+            n_hosts=8,
+            n_switches=2,
+            extra_links=8,
+            latency_choices=(1.0, 2.0),
+        )
+        net.reserve(
+            cpu_demands={h: rng.randint(0, net.nodes[h].cpu_capacity - 1) for h in net.host_ids},
+            mem_demands={h: rng.randint(0, net.nodes[h].mem_capacity - 1) for h in net.host_ids},
+        )
+        net.fail_host(rng.choice(net.host_ids))
+        ctl = Controller(net, small_catalog(), ELA)
+        vnf = VnfType("v", rng.randint(1, 3), rng.randint(1, 3), 0.0)
+        bw = rng.randint(1, 6) * 1000
+        exclude = frozenset(rng.sample(sorted(net.links), rng.randint(0, 2)))
+        deltas = {
+            link_id: rng.choice((-1, 1)) * rng.randint(1, 4) * 1000
+            for link_id in rng.sample(sorted(net.links), 4)
+        }
+        for searched_deltas in ({}, deltas):
+            searched = _bw_view(net, searched_deltas) if searched_deltas else net
+            for anchor in sorted(net.nodes):
+                expected, tie = _full_tree_choice(net, searched, anchor, vnf, bw, exclude)
+                view = _bw_view(net, searched_deltas)
+                assert ctl._place_next(view, anchor, vnf, bw, exclude) == expected
+                placed += not isinstance(expected, RejectReason)
+                tied += tie
+    assert placed >= 2000  # most searches must place a VNF
+    assert tied >= 100  # and many winners must follow a same-latency host
+
+
+@pytest.fixture
+def placement_trees(monkeypatch):
+    """The shortest-path trees the controller builds, in build order."""
+    trees = []
+
+    def recording_tree(*args, **kwargs):
+        trees.append(shortest_path_tree(*args, **kwargs))
+        return trees[-1]
+
+    monkeypatch.setattr(controller_module, "shortest_path_tree", recording_tree)
+    return trees
+
+
+def test_colocated_placement_settles_only_the_anchor_tier(placement_trees):
+    net = line_network()
+    ctl = _controller(net)
+    vnf = ctl.catalog.vnf("fw")
+    assert ctl._place_next(ResourceView(net), 1, vnf, 1000, frozenset()) == (1, ())
+    assert placement_trees == [{1: (0.0, 0, ())}]
+
+
+def test_placement_stops_at_the_nearest_fitting_host(placement_trees):
+    # Endpoint 0, then hosts 1..8 in a line, each 1 ms further: every host
+    # fits, the nearest is one hop away and the tail is long.
+    nodes = [NodeSpec(0, NodeKind.ENDPOINT)] + [
+        NodeSpec(i, NodeKind.HOST, cpu_capacity=4, mem_capacity=4) for i in range(1, 9)
+    ]
+    links = [LinkSpec(i, i, i + 1, bandwidth_kbps=10_000, latency_ms=1.0) for i in range(8)]
+    net = NetworkState(nodes, links)
+    ctl = _controller(net)
+    placed = ctl._place_next(ResourceView(net), 0, ctl.catalog.vnf("fw"), 1000, frozenset())
+    assert placed == (1, (0,))
+    assert len(shortest_path_tree(net, 0, 1000)) == 9
+    assert [sorted(tree) for tree in placement_trees] == [[0, 1]]  # not the tail
 
 
 def _spur_network(spur_bw_kbps: int):

@@ -243,3 +243,41 @@ def test_tree_and_query_match_the_enumeration_under_heavy_ties():
                         tied += len(keys) > 1 and keys[1][:2] == keys[0][:2]
     assert answered >= 4000  # most queries must actually find a path
     assert tied >= 500  # and many must be settled by the link-sequence tie-break
+
+
+def test_a_bounded_tree_is_the_full_tree_up_to_the_nearest_target_tier():
+    # The bounded search settles nodes in the full search's order and stops
+    # either with every target settled or before the first node farther
+    # than the nearest target; with no target reachable it runs to the end.
+    rng = Random(0x5707)
+    bounded_short = 0
+    for _ in range(60):
+        net = random_network(
+            rng,
+            n_endpoints=2,
+            n_hosts=5,
+            n_switches=2,
+            extra_links=6,
+            latency_choices=(1.0, 2.0),
+        )
+        net.fail_host(rng.choice(net.host_ids))
+        bw = rng.randint(1, 6) * 1000
+        exclude = frozenset(rng.sample(sorted(net.links), rng.randint(0, 3)))
+        for src in sorted(net.nodes):
+            targets = set(rng.sample(sorted(net.nodes), rng.randint(1, 4)))
+            full = shortest_path_tree(net, src, bw, exclude)
+            bounded = shortest_path_tree(net, src, bw, exclude, targets)
+            assert list(bounded.items()) == list(full.items())[: len(bounded)]
+            reached = [full[node][0] for node in targets if node in full]
+            if not reached:
+                assert bounded == full
+                continue
+            nearest = min(reached)
+            assert all(label[0] <= nearest for label in bounded.values())
+            tier = {node for node in targets & set(full) if full[node][0] == nearest}
+            assert tier <= set(bounded)
+            if len(bounded) < len(full) and not targets & set(full) <= set(bounded):
+                # Stopped by the bound, so the next node is past the tier.
+                assert list(full.values())[len(bounded)][0] > nearest
+                bounded_short += 1
+    assert bounded_short >= 200  # the latency bound, not the target count, often stops it
