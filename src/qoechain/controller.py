@@ -365,8 +365,8 @@ class Controller:
         and the last smoothed figures. So when the raw inputs equal the last
         window's and the last window's smoothing left every figure where it
         was, the EWMA sits at its floating-point fixed point and the sample
-        is the last one with a new window index. entry.settled keeps that
-        sample with the throughput and stall level it was scored from;
+        is the last one, returned as the same object. entry.settled keeps
+        that sample with the throughput and stall level it was scored from;
         rebuilt route figures drop it.
         """
         alpha = self.policy.predictor_alpha
@@ -377,7 +377,7 @@ class Controller:
         for entry in flows:
             request = entry.request
             profile = profile_of(request.profile)
-            sample = self._measure(entry, window_index, profile, alpha)
+            sample = self._measure(entry, profile, alpha)
             samples.append(sample)
             entry.windows_observed += 1
             if sample.mos >= request.ela_target:
@@ -390,9 +390,7 @@ class Controller:
                     breaching.append(sample)
         return samples, breaching
 
-    def _measure(
-        self, entry: DbEntry, window_index: int, profile: AppProfile, alpha: float
-    ) -> QoeSample:
+    def _measure(self, entry: DbEntry, profile: AppProfile, alpha: float) -> QoeSample:
         """The flow's sample for one window; brings its monitoring state up to date."""
         network = self.network
         route = entry.route
@@ -419,20 +417,10 @@ class Controller:
         stall_ratio = self.stall_levels.get(flow_id, 0.0)
         settled = entry.settled
         if settled is not None and settled[:2] == (throughput_kbps, stall_ratio):
-            last = settled[2]
-            return QoeSample(
-                flow_id,
-                window_index,
-                last.mos,
-                last.q_bw,
-                last.q_delay,
-                last.q_loss,
-                last.q_stall,
-            )
+            return settled[2]
         metrics = route.metrics
         raw = FlowSample(
             flow_id=flow_id,
-            window_index=window_index,
             throughput_mbps=throughput_kbps / KBPS_PER_MBPS,
             delay_ms=metrics.latency_ms,
             jitter_ms=metrics.jitter_ms,
@@ -465,7 +453,7 @@ class Controller:
             return False
         last = _FIGURES(prev)
         figures = tuple(alpha * r + (1 - alpha) * p for r, p in zip(_FIGURES(raw), last))
-        entry.smoothed = FlowSample(raw.flow_id, raw.window_index, *figures)
+        entry.smoothed = FlowSample(raw.flow_id, *figures)
         return figures == last
 
     def set_stall(self, flow_id: int, stall_ratio: float) -> None:

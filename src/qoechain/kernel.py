@@ -102,8 +102,7 @@ def run(
     for fault in (*doc.host_failures, *doc.link_degradations, *doc.stall_injections):
         queue.schedule(fault)
 
-    rows: list[QoeSample] = []
-    measured = 0
+    series: list[list[QoeSample]] = []
 
     while queue and queue.peek_time() <= doc.duration_ms:
         event = queue.pop()
@@ -125,8 +124,7 @@ def run(
             samples, breaching = controller.monitor_window(
                 event.index, orchestrator.db.live()
             )
-            measured += 1
-            rows.extend(samples)
+            series.append(samples)
             for sample in breaching:
                 entry = orchestrator.db.entries[sample.flow_id]
                 orchestrator.apply_action(controller.handle_breach(entry), event.time_ms)
@@ -150,8 +148,8 @@ def run(
     lifecycle_violations = audit_lifecycle(orchestrator.db)
     if lifecycle_violations:
         raise InvariantViolation("; ".join(lifecycle_violations))
-    if measured != windows:
-        msg = f"measured {measured} windows, expected {windows}"
+    if len(series) != windows:
+        msg = f"measured {len(series)} windows, expected {windows}"
         raise InvariantViolation(msg)
 
     return SimReport(
@@ -165,7 +163,7 @@ def run(
             request_id: _flow_summary(entry, controller.ela.compliance_budget)
             for request_id, entry in sorted(orchestrator.db.entries.items())
         },
-        rows=rows,
+        series=series,
         db_dump=orchestrator.db.dump(),
     )
 

@@ -109,16 +109,26 @@ class DbEntry:
 
 
 class VnfDb:
+    """Every entry ever admitted, by request id, plus an index of the live ones.
+
+    add is the one way in and transition the one way to a terminal status,
+    so together they keep the index equal to the entries that are live.
+    """
+
     def __init__(self):
         self.entries: dict[int, DbEntry] = {}
+        self._live: dict[int, DbEntry] = {}
+
+    def add(self, entry: DbEntry) -> None:
+        request_id = entry.request.id
+        self.entries[request_id] = entry
+        if entry.is_live:
+            self._live[request_id] = entry
 
     def live(self) -> list[DbEntry]:
         """Entries of flows that still hold resources, in ascending request id."""
-        return [
-            self.entries[request_id]
-            for request_id in sorted(self.entries)
-            if self.entries[request_id].is_live
-        ]
+        live = self._live
+        return [live[request_id] for request_id in sorted(live)]
 
     def transition(self, entry: DbEntry, to: LifecycleStatus, now: int) -> None:
         if to not in LEGAL_TRANSITIONS[entry.status]:
@@ -132,6 +142,8 @@ class VnfDb:
             raise IllegalTransition(msg)
         entry.log.append((now, entry.status, to))
         entry.status = to
+        if to in TERMINAL:
+            del self._live[entry.request.id]
 
     def dump(self) -> list[dict]:
         """JSON-ready dump of every entry, sorted by request id."""
@@ -189,7 +201,7 @@ class Orchestrator:
             self.rejected[result.reason.value] += 1
             return result
         entry = DbEntry(request=request, graph=result, status=LifecycleStatus.REQUESTED)
-        self.db.entries[request.id] = entry
+        self.db.add(entry)
         self.db.transition(entry, LifecycleStatus.ACTIVE, now)
         return result
 

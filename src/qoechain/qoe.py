@@ -36,7 +36,6 @@ class FlowSample:
     """One measurement window's raw figures for a flow."""
 
     flow_id: int
-    window_index: int
     throughput_mbps: float
     delay_ms: float
     jitter_ms: float
@@ -44,8 +43,6 @@ class FlowSample:
     stall_ratio: float
 
     def __post_init__(self):
-        if self.window_index < 0:
-            raise InvalidRange("window_index must be non-negative")
         if self.throughput_mbps < 0:
             raise InvalidRange("throughput_mbps must be non-negative")
         if self.delay_ms < 0:
@@ -59,10 +56,13 @@ class FlowSample:
 
 @dataclass(frozen=True)
 class QoeSample:
-    """A scored window: the MOS plus its four quality factors."""
+    """A scored window: the MOS plus its four quality factors.
+
+    Which window it scored is the series' business, not the sample's: a
+    settled flow's sample stands for every window it is reused in.
+    """
 
     flow_id: int
-    window_index: int
     mos: float
     q_bw: float
     q_delay: float
@@ -128,7 +128,6 @@ def estimate_mos(sample: FlowSample, profile: AppProfile) -> QoeSample:
     mos = 1.0 + 4.0 * q_bw * q_delay * q_loss * q_stall
     return QoeSample(
         flow_id=sample.flow_id,
-        window_index=sample.window_index,
         mos=mos,
         q_bw=q_bw,
         q_delay=q_delay,
@@ -164,7 +163,6 @@ def predict_mos(
         throughput_kbps = bw_req_kbps
     sample = FlowSample(
         flow_id=request.id,
-        window_index=0,
         throughput_mbps=max(0, throughput_kbps) / KBPS_PER_MBPS,
         delay_ms=metrics.latency_ms,
         jitter_ms=metrics.jitter_ms,

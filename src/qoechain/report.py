@@ -41,7 +41,10 @@ class SimReport:
     windows: int
     counters: dict[str, object]
     flows: dict[int, FlowSummary]
-    rows: list[QoeSample] = field(default_factory=list)
+    # The QoE series: index = window index; each window's samples in
+    # ascending flow id, [] when no flow was live. A settled flow's sample
+    # is one object shared by every window that reused it.
+    series: list[list[QoeSample]] = field(default_factory=list)
     db_dump: list[dict] = field(default_factory=list)
 
     def summary_dict(self) -> dict:
@@ -59,20 +62,33 @@ class SimReport:
         }
 
 
-def render_csv(rows: list[QoeSample], window_ms: int) -> str:
-    """Render the QoE series with fixed six-decimal floats.
+def _write_series(handle, series: list[list[QoeSample]], window_ms: int) -> None:
+    """Stream the QoE series with fixed six-decimal floats, one window at a time.
 
-    A sample's time is the end of its window, (window_index + 1) * window_ms,
-    when the kernel measured it.
+    A row's time is the end of its window, (window index + 1) * window_ms,
+    when the kernel measured it; rows come out in the series' (window, flow
+    id) order. A settled flow hands the same sample object to a run of
+    consecutive windows, so each sample's score text is formatted once and
+    looked up by id in the next window. Every sample stays alive in the
+    series for the whole write, so no id is reused while it is a key.
     """
-    lines = [",".join(CSV_HEADER)]
-    ordered = sorted(rows, key=lambda row: (row.window_index, row.flow_id))
-    for row in ordered:
-        lines.append(
-            f"{(row.window_index + 1) * window_ms},{row.flow_id},{row.mos:.6f},"
-            f"{row.q_bw:.6f},{row.q_delay:.6f},{row.q_loss:.6f},{row.q_stall:.6f}"
-        )
-    return "\n".join(lines) + "\n"
+    handle.write(",".join(CSV_HEADER) + "\n")
+    previous: dict[int, str] = {}
+    for index, samples in enumerate(series):
+        prefix = f"{(index + 1) * window_ms},"
+        current: dict[int, str] = {}
+        lines: list[str] = []
+        for sample in samples:
+            text = previous.get(id(sample))
+            if text is None:
+                text = (
+                    f"{sample.flow_id},{sample.mos:.6f},{sample.q_bw:.6f},"
+                    f"{sample.q_delay:.6f},{sample.q_loss:.6f},{sample.q_stall:.6f}\n"
+                )
+            current[id(sample)] = text
+            lines.append(prefix + text)
+        handle.write("".join(lines))
+        previous = current
 
 
 def write_report(report: SimReport, out_dir: str | Path) -> list[Path]:
@@ -85,7 +101,8 @@ def write_report(report: SimReport, out_dir: str | Path) -> list[Path]:
         dump_path = directory / "db_dump.json"
         summary_text = json.dumps(report.summary_dict(), indent=2, sort_keys=True)
         summary_path.write_text(summary_text + "\n", encoding="utf-8")
-        series_path.write_text(render_csv(report.rows, report.window_ms), encoding="utf-8")
+        with open(series_path, "w", encoding="utf-8") as handle:
+            _write_series(handle, report.series, report.window_ms)
         dump_text = json.dumps(report.db_dump, indent=2, sort_keys=True)
         dump_path.write_text(dump_text + "\n", encoding="utf-8")
     except OSError as exc:

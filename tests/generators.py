@@ -10,6 +10,7 @@ import dataclasses
 import json
 from pathlib import Path
 from random import Random
+from typing import Iterator
 
 from qoechain import (
     AppProfile,
@@ -27,7 +28,8 @@ from qoechain import (
     VnfType,
     parse_scenario,
 )
-from qoechain.qoe import FlowSample
+from qoechain.qoe import FlowSample, QoeSample
+from qoechain.report import SimReport
 from qoechain.scenario import (
     HostFailure,
     LinkDegradation,
@@ -140,10 +142,9 @@ def random_profile(rng: Random, name: str = "p") -> AppProfile:
     )
 
 
-def random_sample(rng: Random, flow_id: int = 0, window: int = 0) -> FlowSample:
+def random_sample(rng: Random, flow_id: int = 0) -> FlowSample:
     return FlowSample(
         flow_id=flow_id,
-        window_index=window,
         throughput_mbps=round(rng.uniform(0.0, 12.0), 3),
         delay_ms=round(rng.uniform(0.0, 600.0), 2),
         jitter_ms=round(rng.uniform(0.0, 60.0), 2),
@@ -266,6 +267,13 @@ def fail_and_repair(orchestrator, host_id: int, now: int = 0) -> list:
     return actions
 
 
+def series_rows(report: SimReport) -> Iterator[tuple[int, QoeSample]]:
+    """A run's QoE series as (window index, sample) rows, in qoe_series.csv order."""
+    for window, samples in enumerate(report.series):
+        for sample in samples:
+            yield window, sample
+
+
 def stalled_flow(breach_windows: int = 2, latencies=(10.0,)):
     """One unchained stream flow on a parallel pair, scored without smoothing.
 
@@ -291,7 +299,7 @@ def breach_trail(breach_windows: int, stalls) -> tuple[list[float], list[int]]:
         orch.controller.set_stall(0, stall)
         samples, breaching = orch.controller.monitor_window(window, orch.db.live())
         scores.append(samples[0].mos)
-        breached.extend(sample.window_index for sample in breaching)
+        breached.extend(window for _ in breaching)
     assert orch.db.entries[0].breach_windows == breached
     return scores, breached
 

@@ -60,6 +60,7 @@ from generators import (
     random_profile,
     random_request,
     random_sample,
+    series_rows,
 )
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -142,21 +143,21 @@ def test_qoe_model_properties_hold_over_random_pairs():
 
 def test_closed_form_scores_match_hand_derivation():
     profile = AppProfile("video", 4.0, 50.0, 400.0, 5.0, 0.2)
-    worked = estimate_mos(FlowSample(0, 0, 4.0, 100.0, 25.0, 1.0, 0.05), profile)
+    worked = estimate_mos(FlowSample(0, 4.0, 100.0, 25.0, 1.0, 0.05), profile)
     expected = 1.0 + 4.0 * (3.0 / 7.0)
     checks = [
         ("worked-example", abs(worked.mos - expected) <= 1e-9),
         (
             "perfect-is-five",
-            estimate_mos(FlowSample(0, 0, 4.0, 0.0, 0.0, 0.0, 0.0), profile).mos == 5.0,
+            estimate_mos(FlowSample(0, 4.0, 0.0, 0.0, 0.0, 0.0), profile).mos == 5.0,
         ),
         (
             "loss-at-max-is-one",
-            estimate_mos(FlowSample(0, 0, 4.0, 0.0, 0.0, 5.0, 0.0), profile).mos == 1.0,
+            estimate_mos(FlowSample(0, 4.0, 0.0, 0.0, 5.0, 0.0), profile).mos == 1.0,
         ),
         (
             "loss-beyond-max-is-one",
-            estimate_mos(FlowSample(0, 0, 4.0, 0.0, 0.0, 80.0, 0.0), profile).mos == 1.0,
+            estimate_mos(FlowSample(0, 4.0, 0.0, 0.0, 80.0, 0.0), profile).mos == 1.0,
         ),
     ]
     failed = [name for name, good in checks if not good]
@@ -517,8 +518,9 @@ def test_host_failure_triggers_immediate_migration():
         for step in report.db_dump[0]["lifecycle"]
     ]
     migration_steps = [step for step in lifecycle if step[0] == 2500]
+    rows = list(series_rows(report))
     recovery_row = next(
-        row for row in report.rows if (row.window_index + 1) * doc.window_ms == 3000
+        row for window, row in rows if (window + 1) * doc.window_ms == 3000
     )
     ok = (
         report.counters["migrated"] == 1
@@ -526,8 +528,8 @@ def test_host_failure_triggers_immediate_migration():
         == [(2500, "Active", "Migrating"), (2500, "Migrating", "Active")]
         and not stale_refs
         and recovery_row.mos >= doc.ela.target_mos
-        and len(report.rows) == 5
-        and all(abs(row.mos - 5.0) <= 1e-9 for row in report.rows)
+        and len(rows) == 5
+        and all(abs(row.mos - 5.0) <= 1e-9 for _, row in rows)
         and report.flows[0].compliance == 1.0
     )
     _verdict(
@@ -562,7 +564,7 @@ def test_host_failure_reroutes_flows_relayed_through_the_host():
     span = profile.delay_max_ms - profile.delay_opt_ms
     refuge_mos = 1.0 + 4.0 * (profile.delay_max_ms - 30.0) / span
     relayed_rows = [
-        row.mos for row in report.rows if row.flow_id == 1 and row.window_index >= 2
+        row.mos for window, row in series_rows(report) if row.flow_id == 1 and window >= 2
     ]
     ok = (
         report.counters["migrated"] == 1
@@ -618,7 +620,7 @@ def test_breach_feedback_reroutes_at_the_replayed_window():
             smoothed = None  # the reroute resets the smoother
 
     report = run(doc, strict_debug=True)
-    actual = [row.mos for row in report.rows]
+    actual = [row.mos for _, row in series_rows(report)]
     worst_error = max(
         (abs(a - e) for a, e in zip(actual, expected_mos)), default=float("inf")
     )

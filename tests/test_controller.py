@@ -1,6 +1,5 @@
 """Controller behavior: admission, oracle, monitoring and self-healing."""
 
-import dataclasses
 import gc
 import tracemalloc
 from random import Random
@@ -54,6 +53,7 @@ from generators import (
     random_doc,
     random_network,
     random_request,
+    series_rows,
     small_catalog,
     snapshot,
     square_network,
@@ -405,8 +405,8 @@ def test_monitor_window_scores_and_smooths():
     assert expected == pytest.approx([97.0, 157.9, 200.53])
     # Windows 3 and 4 score below 3.0; the second consecutive miss alerts.
     assert alert_trail[0] == [] and alert_trail[1] == []
-    assert len(alert_trail[2]) == 1
-    assert alert_trail[2][0].window_index == 4
+    assert alert_trail[2] == samples
+    assert orch.db.entries[0].breach_windows == [4]
 
 
 def test_monitor_reports_flows_in_ascending_id_order():
@@ -425,12 +425,13 @@ def test_a_degraded_flow_breaches_again_and_the_run_survives_a_reroute():
     controller.set_stall(0, 0.2)
     for window in range(2):
         _, breaching = controller.monitor_window(window, orch.db.live())
-    assert [s.window_index for s in breaching] == [1]
+    assert [s.flow_id for s in breaching] == [0]
+    assert entry.breach_windows == [1]
     action = controller.handle_breach(entry)
     assert action.kind is ActionKind.MARKED_DEGRADED
     orch.apply_action(action, now=2000)
     _, breaching = controller.monitor_window(2, orch.db.live())
-    assert [s.window_index for s in breaching] == [2]
+    assert [s.flow_id for s in breaching] == [0]
     assert entry.breach_windows == [1, 2]
     assert entry.status is LifecycleStatus.DEGRADED
 
@@ -446,7 +447,8 @@ def test_a_degraded_flow_breaches_again_and_the_run_survives_a_reroute():
     assert entry.graph is not old_graph and entry.graph.segments == ((1,),)
     assert entry.windows_below == 2
     _, breaching = controller.monitor_window(2, orch.db.live())
-    assert [s.window_index for s in breaching] == [2]
+    assert [s.flow_id for s in breaching] == [0]
+    assert entry.breach_windows == [1, 2]
     controller.set_stall(0, 0.0)
     _, breaching = controller.monitor_window(3, orch.db.live())
     assert breaching == [] and entry.windows_below == 0
@@ -523,7 +525,7 @@ def test_a_second_flow_on_a_shared_link_lowers_throughput_next_window():
     light = ForwardingGraph((), ((0,),), reserved_bw_kbps=1000)
     net.reserve(link_demands=light.link_usage())
     request = make_request(ingress=0, egress=1, vnfs=(), profile="stream")
-    orch.db.entries[0] = DbEntry(request, light, LifecycleStatus.ACTIVE)
+    orch.db.add(DbEntry(request, light, LifecycleStatus.ACTIVE))
     samples, _ = orch.controller.monitor_window(0, orch.db.live())
     assert samples[0].q_bw == 1.0  # 9 Mbps free plus its own 1, capped at 4
     bulk = make_request(rid=1, ingress=0, egress=1, vnfs=(), profile="bulk")
@@ -543,7 +545,7 @@ def test_the_throughput_floor_is_usable_bandwidth_plus_the_flows_own():
     net.reserve(link_demands={0: 9000, 1: 7000})
     assert net.residual_bw[0] == 0
     request = make_request(ingress=0, egress=2, vnfs=(), profile="stream")
-    orch.db.entries[0] = DbEntry(request, graph, LifecycleStatus.ACTIVE)
+    orch.db.add(DbEntry(request, graph, LifecycleStatus.ACTIVE))
     orch.controller.monitor_window(0, orch.db.live())
     usage = graph.link_usage().items()
     floor_kbps = min(net.available_bw(link_id) + kbps for link_id, kbps in usage)
@@ -623,7 +625,7 @@ def _settle(orch) -> int:
     held = entry.settled
     samples, _ = orch.controller.monitor_window(window, orch.db.live())
     assert entry.settled is held  # reused, not scored again
-    assert samples[0] == dataclasses.replace(held[2], window_index=window)
+    assert samples[0] is held[2]
     return window + 1
 
 
@@ -640,7 +642,7 @@ def _scored_from_scratch(orch, window: int, raw: tuple, restart: bool = False):
         carry = [getattr(last, name) for name in FIGURES]
         raw = [ALPHA * r + (1 - ALPHA) * c for r, c in zip(raw, carry)]
     profile = orch.controller.catalog.profile(entry.request.profile)
-    assert samples[0] == estimate_mos(FlowSample(0, window, *raw), profile)
+    assert samples[0] == estimate_mos(FlowSample(0, *raw), profile)
     return samples[0]
 
 
@@ -660,7 +662,7 @@ def test_a_settled_flow_feels_a_second_flow_on_a_shared_link():
     light = ForwardingGraph((), ((0,),), reserved_bw_kbps=1000)
     net.reserve(link_demands=light.link_usage())
     request = make_request(ingress=0, egress=1, vnfs=(), profile="stream")
-    orch.db.entries[0] = DbEntry(request, light, LifecycleStatus.ACTIVE)
+    orch.db.add(DbEntry(request, light, LifecycleStatus.ACTIVE))
     window = _settle(orch)
     bulk = make_request(rid=1, ingress=0, egress=1, vnfs=(), profile="bulk")
     assert not isinstance(orch.submit_request(bulk, now=0), Rejected)
@@ -704,7 +706,7 @@ def test_a_settled_flow_reuses_its_sample_after_a_degradation_off_its_route():
     net.degrade_link(1, latency_ms=40.0, loss_pct=2.0)
     sample = _scored_from_scratch(orch, window, (4.0, 10.0, 0.0, 0.0, 0.0))
     assert entry.settled is held
-    assert sample == dataclasses.replace(held[2], window_index=window)
+    assert sample is held[2]
 
 
 def test_a_moving_ewma_is_scored_afresh_every_window():
@@ -732,14 +734,21 @@ def test_reusing_settled_samples_changes_no_run(monkeypatch):
         "estimate_mos",
         lambda sample, profile: scored.append(sample) or estimate_mos(sample, profile),
     )
-    reused = [run(doc) for doc in docs]
-    assert len(scored) < sum(len(report.rows) for report in reused)
+    reused = []
+    for doc in docs:
+        before = len(scored)
+        reused.append(run(doc))
+        # A reused window shares its sample object: the series holds one
+        # object per scoring, however many windows repeat it.
+        shared = {id(sample) for _, sample in series_rows(reused[-1])}
+        assert len(shared) == len(scored) - before
+    assert len(scored) < sum(len(list(series_rows(report))) for report in reused)
     never = property(lambda entry: None, lambda entry, value: None)
     monkeypatch.setattr(DbEntry, "settled", never)
     for doc, first in zip(docs, reused):
         second = run(doc)
-        assert (second.rows, second.flows, second.db_dump) == (
-            first.rows,
+        assert (second.series, second.flows, second.db_dump) == (
+            first.series,
             first.flows,
             first.db_dump,
         )
@@ -793,7 +802,6 @@ def test_handle_breach_reroutes_to_the_spare_link():
     orch.controller.monitor_window(1, orch.db.live())
     assert entry.smoothed == FlowSample(
         flow_id=0,
-        window_index=1,
         throughput_mbps=4.0,
         delay_ms=12.0,
         jitter_ms=0.0,

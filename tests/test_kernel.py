@@ -7,15 +7,20 @@ import importlib
 import importlib.util
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from qoechain import Controller, EventQueue, parse_scenario, run, write_report
 from qoechain.errors import InvariantViolation, TimeTravel
 from qoechain.kernel import Departure, MeasureWindow
-from qoechain.report import render_csv
+from qoechain.qoe import QoeSample
+from qoechain.report import SimReport
+
+from generators import one_fault_of_each_kind, random_doc, series_rows
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -101,13 +106,14 @@ def test_scheduling_into_the_past_raises():
     queue.schedule(MeasureWindow(time_ms=5, index=1))
 
 
-def test_empty_scenario_produces_header_only_series():
+def test_empty_scenario_produces_header_only_series(tmp_path):
     report = run(_load("minimal.json"))
     assert report.windows == 1
-    assert report.rows == []
+    assert report.series == [[]]
     assert report.flows == {}
     assert report.counters["admitted"] == 0
-    assert render_csv(report.rows, report.window_ms) == (
+    write_report(report, tmp_path)
+    assert (tmp_path / "qoe_series.csv").read_text() == (
         "time_ms,flow_id,mos,q_bw,q_delay,q_loss,q_stall\n"
     )
 
@@ -115,8 +121,9 @@ def test_empty_scenario_produces_header_only_series():
 def test_basic_run_holds_the_derived_steady_state():
     report = run(_load("basic.json"))
     assert report.windows == 10
-    assert len(report.rows) == 10
-    for row in report.rows:
+    rows = list(series_rows(report))
+    assert len(rows) == 10
+    for _, row in rows:
         assert row.mos == pytest.approx(4.969387755102041, abs=1e-9)
     summary = report.flows[0]
     assert summary.windows_observed == 10
@@ -133,7 +140,7 @@ def test_departure_completes_the_flow():
     assert report.counters["completed"] == 1
     assert report.flows[0].final_status == "Completed"
     assert report.flows[0].windows_observed == 1
-    assert [(row.window_index + 1) * report.window_ms for row in report.rows] == [1000]
+    assert [(window + 1) * report.window_ms for window, _ in series_rows(report)] == [1000]
     assert report.flows[0].compliance == 1.0
 
 
@@ -165,7 +172,7 @@ def test_stall_injection_descends_through_the_smoother():
         "stall_injections": [{"time_ms": 1500, "flow": 0, "stall_ratio": 0.1}]
     }
     report = run(_doc(payload))
-    mos = [row.mos for row in report.rows]
+    mos = [row.mos for _, row in series_rows(report)]
     # stall EWMA: 0, then 0.03, then 0.051 -> q_stall 1, 0.85, 0.745
     assert mos[0] == pytest.approx(5.0, abs=1e-9)
     assert mos[1] == pytest.approx(4.4, abs=1e-9)
@@ -182,11 +189,13 @@ def test_link_degradation_applies_from_its_event_time():
     doc = _doc(payload)
     report = run(doc)
     # raw delay jumps 11 -> 306; smoothed 0.3*306 + 0.7*11 = 99.5
-    assert report.rows[0].mos == pytest.approx(5.0, abs=1e-9)
-    assert report.rows[1].mos == pytest.approx(1 + 4 * (400 - 99.5) / 350, abs=1e-9)
+    first, second = (row for _, row in series_rows(report))
+    assert first.mos == pytest.approx(5.0, abs=1e-9)
+    assert second.mos == pytest.approx(1 + 4 * (400 - 99.5) / 350, abs=1e-9)
 
     sharp = run(replace(doc, policy=replace(doc.policy, predictor_alpha=1.0)))
-    assert sharp.rows[1].mos == pytest.approx(1 + 4 * (400 - 306) / 350, abs=1e-9)
+    _, second = (row for _, row in series_rows(sharp))
+    assert second.mos == pytest.approx(1 + 4 * (400 - 306) / 350, abs=1e-9)
 
 
 def test_arrival_jitter_is_reproducible_and_seed_sensitive():
@@ -197,7 +206,7 @@ def test_arrival_jitter_is_reproducible_and_seed_sensitive():
     doc = _doc(payload)
     first = run(doc)
     second = run(doc)
-    assert render_csv(first.rows, first.window_ms) == render_csv(second.rows, second.window_ms)
+    assert list(series_rows(first)) == list(series_rows(second))
     assert first.summary_dict() == second.summary_dict()
     assert first.db_dump == second.db_dump
 
@@ -218,7 +227,7 @@ def test_window_exactly_at_target_counts_as_compliant():
     request["ela_target"] = 5.0
     request["holding_ms"] = 10_000
     report = run(_doc(payload))
-    assert [row.mos for row in report.rows] == [5.0, 5.0, 5.0]
+    assert [row.mos for _, row in series_rows(report)] == [5.0, 5.0, 5.0]
     summary = report.flows[0]
     assert summary.windows_observed == 3
     assert summary.compliance == 1.0
@@ -235,7 +244,48 @@ def test_early_departure_of_the_last_flow_keeps_the_window_count():
     assert report.flows[0].windows_observed == 3
     assert report.flows[1].windows_observed == 1
     assert report.flows[1].final_status == "Completed"
-    assert len(report.rows) == 4
+    assert len(list(series_rows(report))) == 4
+
+
+def test_the_series_holds_each_window_in_ascending_flow_id():
+    # The series is written as it stands, unsorted: the kernel's order is
+    # the file's (window, flow id) order.
+    rng = Random(1618)
+    docs = [one_fault_of_each_kind()] + [
+        replace(random_doc(rng, index), arrival_jitter_ms=1500) for index in range(300)
+    ]
+    multi_flow_windows = 0
+    for doc in docs:
+        report = run(doc)
+        assert len(report.series) == report.windows
+        for samples in report.series:
+            ids = [sample.flow_id for sample in samples]
+            assert all(first < second for first, second in zip(ids, ids[1:]))
+            multi_flow_windows += len(ids) > 1
+    assert multi_flow_windows > 100
+
+
+def test_the_series_streams_to_disk(tmp_path):
+    # 200 flows over 300 windows with no sample repeated: a writer that
+    # builds the whole file in memory peaks above the file's own size.
+    flows, windows = 200, 300
+    series = []
+    for window in range(windows):
+        samples = []
+        for flow in range(flows):
+            q_bw = (window * flows + flow + 1) / (flows * windows + 1)
+            samples.append(QoeSample(flow, 1.0 + 4.0 * q_bw, q_bw, 1.0, 1.0, 1.0))
+        series.append(samples)
+    report = SimReport("streamed", 1, windows * 1000, 1000, windows, {}, {}, series)
+    tracemalloc.start()
+    try:
+        write_report(report, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "qoe_series.csv").stat().st_size
+    assert size > 3_000_000
+    assert peak < size / 2
 
 
 def test_event_hook_sees_the_dispatch_order():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from random import Random
 
 import pytest
 
@@ -16,6 +18,7 @@ from qoechain import (
     Rejected,
     VnfDb,
     audit_lifecycle,
+    run,
 )
 from qoechain.errors import (
     AlreadyTerminal,
@@ -26,7 +29,7 @@ from qoechain.errors import (
 from qoechain.orchestrator import LEGAL_TRANSITIONS, TERMINAL, DbEntry
 from qoechain.service import ForwardingGraph
 
-from generators import line_network, make_request, small_catalog
+from generators import line_network, make_request, random_doc, small_catalog
 
 ELA = Ela(3.0, 2, 0.9)
 
@@ -166,6 +169,69 @@ def test_action_for_unknown_flow_raises():
         orch.apply_action(Action(ActionKind.FAILED, flow_id=9), now=0)
 
 
+def _scanned_live(db: VnfDb) -> list[DbEntry]:
+    """The live entries read off a scan of every entry, as before the index."""
+    return [db.entries[rid] for rid in sorted(db.entries) if db.entries[rid].is_live]
+
+
+def test_live_index_matches_a_full_scan_over_random_lifecycles():
+    # Requests arrive out of id order, as jittered arrivals admit them, and
+    # every legal move is taken at random: degrade, migrate, complete, fail.
+    rng = Random(1616)
+    moves = 0
+    for _ in range(60):
+        db = VnfDb()
+        arrivals = list(range(rng.randint(1, 15)))
+        rng.shuffle(arrivals)
+        now = 0
+        while arrivals or db.live():
+            now += rng.randint(0, 2)
+            live = db.live()
+            if arrivals and (not live or rng.random() < 0.4):
+                graph = ForwardingGraph((1,), ((0,), (1,)), 4000)
+                request = make_request(rid=arrivals.pop())
+                entry = DbEntry(request, graph, LifecycleStatus.REQUESTED)
+                db.add(entry)
+                db.transition(entry, LifecycleStatus.ACTIVE, now)
+            else:
+                entry = rng.choice(live)
+                to = rng.choice(sorted(LEGAL_TRANSITIONS[entry.status]))
+                db.transition(entry, to, now)
+                moves += 1
+            assert db.live() == _scanned_live(db)
+        assert db.live() == []
+    assert moves > 500
+
+
+def test_live_index_matches_a_full_scan_in_jittered_runs(monkeypatch):
+    # Whole runs: admissions, departures, breach repairs and host-failure
+    # migrations, with arrivals jittered out of id order.
+    indexed = VnfDb.live
+    sizes = []
+
+    def live(db: VnfDb) -> list[DbEntry]:
+        entries = indexed(db)
+        assert entries == _scanned_live(db)
+        sizes.append(len(entries))
+        return entries
+
+    monkeypatch.setattr(VnfDb, "live", live)
+    rng = Random(1617)
+    moved = ended = failed = out_of_order = 0
+    for index in range(400):
+        doc = random_doc(rng, index)
+        report = run(dataclasses.replace(doc, arrival_jitter_ms=1500), strict_debug=True)
+        counters = report.counters
+        moved += counters["rerouted"] + counters["migrated"]
+        ended += counters["completed"]
+        failed += counters["failed"]
+        admitted = sorted(report.db_dump, key=lambda item: item["lifecycle"][0]["time_ms"])
+        ids = [item["request_id"] for item in admitted]
+        out_of_order += ids != sorted(ids)
+    assert min(moved, ended, failed, out_of_order) > 0
+    assert sum(sizes) > 1000
+
+
 def test_audit_passes_on_a_clean_history():
     orch = _orchestrator()
     graph = orch.submit_request(make_request(), now=0)
@@ -180,39 +246,47 @@ def test_audit_passes_on_a_clean_history():
 
 def test_audit_flags_log_that_starts_past_requested():
     db = VnfDb()
-    db.entries[0] = _entry(
-        [(0, LifecycleStatus.ACTIVE, LifecycleStatus.DEGRADED)],
-        LifecycleStatus.DEGRADED,
+    db.add(
+        _entry(
+            [(0, LifecycleStatus.ACTIVE, LifecycleStatus.DEGRADED)],
+            LifecycleStatus.DEGRADED,
+        )
     )
     assert any("jumps" in violation for violation in audit_lifecycle(db))
 
 
 def test_audit_flags_illegal_edge():
     db = VnfDb()
-    db.entries[0] = _entry(
-        [(0, LifecycleStatus.REQUESTED, LifecycleStatus.DEGRADED)],
-        LifecycleStatus.DEGRADED,
+    db.add(
+        _entry(
+            [(0, LifecycleStatus.REQUESTED, LifecycleStatus.DEGRADED)],
+            LifecycleStatus.DEGRADED,
+        )
     )
     assert any("illegal" in violation for violation in audit_lifecycle(db))
 
 
 def test_audit_flags_time_regression():
     db = VnfDb()
-    db.entries[0] = _entry(
-        [
-            (5, LifecycleStatus.REQUESTED, LifecycleStatus.ACTIVE),
-            (3, LifecycleStatus.ACTIVE, LifecycleStatus.COMPLETED),
-        ],
-        LifecycleStatus.COMPLETED,
+    db.add(
+        _entry(
+            [
+                (5, LifecycleStatus.REQUESTED, LifecycleStatus.ACTIVE),
+                (3, LifecycleStatus.ACTIVE, LifecycleStatus.COMPLETED),
+            ],
+            LifecycleStatus.COMPLETED,
+        )
     )
     assert any("monotone" in violation for violation in audit_lifecycle(db))
 
 
 def test_audit_flags_status_that_disagrees_with_log():
     db = VnfDb()
-    db.entries[0] = _entry(
-        [(0, LifecycleStatus.REQUESTED, LifecycleStatus.ACTIVE)],
-        LifecycleStatus.COMPLETED,
+    db.add(
+        _entry(
+            [(0, LifecycleStatus.REQUESTED, LifecycleStatus.ACTIVE)],
+            LifecycleStatus.COMPLETED,
+        )
     )
     assert any("ends at" in violation for violation in audit_lifecycle(db))
 

@@ -9,8 +9,8 @@ from qoechain.errors import InvalidRange
 from generators import breach_trail, line_network, make_profile, make_request, small_catalog
 
 
-def _sample(thr=4.0, delay=100.0, jitter=25.0, loss=1.0, stall=0.05, window=0):
-    return FlowSample(0, window, thr, delay, jitter, loss, stall)
+def _sample(thr=4.0, delay=100.0, jitter=25.0, loss=1.0, stall=0.05):
+    return FlowSample(0, thr, delay, jitter, loss, stall)
 
 
 def test_mos_worked_example():
@@ -66,15 +66,13 @@ def test_flow_sample_validation():
         _sample(thr=-0.1)
     with pytest.raises(InvalidRange):
         _sample(stall=1.1)
-    with pytest.raises(InvalidRange):
-        FlowSample(0, -1, 1.0, 1.0, 1.0, 1.0, 0.0)
 
 
 def test_qoe_sample_rejects_inconsistent_mos():
     with pytest.raises(InvalidRange):
-        QoeSample(0, 0, mos=4.0, q_bw=1.0, q_delay=1.0, q_loss=1.0, q_stall=1.0)
+        QoeSample(0, mos=4.0, q_bw=1.0, q_delay=1.0, q_loss=1.0, q_stall=1.0)
     with pytest.raises(InvalidRange):
-        QoeSample(0, 0, mos=5.0, q_bw=1.0, q_delay=1.2, q_loss=1.0, q_stall=1.0)
+        QoeSample(0, mos=5.0, q_bw=1.0, q_delay=1.2, q_loss=1.0, q_stall=1.0)
 
 
 def test_ela_validation():
@@ -160,7 +158,6 @@ def test_more_delay_never_helps(profile, sample, extra):
     worse = estimate_mos(
         FlowSample(
             sample.flow_id,
-            sample.window_index,
             sample.throughput_mbps,
             sample.delay_ms + extra,
             sample.jitter_ms,
