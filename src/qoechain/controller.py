@@ -156,8 +156,9 @@ class RouteFigures:
     a reroute or migration installs a new graph object, and only
     degrade_link changes link quality, recording the epoch of each change
     per link. When the epoch has moved but only off the route, the figures
-    stay and just take the new epoch. Residual bandwidth changes at every
-    reserve and release, so the throughput floor is read every window.
+    stay and just take the new epoch. Residual bandwidth is not held here:
+    the throughput floor is read again in every window whose stamp (see
+    monitor_window) has moved since the flow was last measured.
     """
 
     graph: ForwardingGraph
@@ -182,6 +183,8 @@ class Controller:
         # Keyed by flow id, not by entry: a stall may target a flow before
         # that flow is admitted.
         self.stall_levels: dict[int, float] = {}
+        # Moves at every set_stall, the one writer of stall_levels.
+        self.stall_epoch = 0
 
     # -- admission ------------------------------------------------------------
 
@@ -275,8 +278,11 @@ class Controller:
 
         The positions are those placed on a failed host; the segments are
         those on either side of such a position or forwarding through one.
+        With no failed host there is nothing to walk.
         """
         failed = self.network.failed_hosts
+        if not failed:
+            return set(), set()
         lost = {p for p, host_id in enumerate(graph.hosts) if host_id in failed}
         segments = {index for p in lost for index in (p, p + 1)}
         node = request.ingress
@@ -366,18 +372,32 @@ class Controller:
         window's and the last window's smoothing left every figure where it
         was, the EWMA sits at its floating-point fixed point and the sample
         is the last one, returned as the same object. entry.settled keeps
-        that sample with the throughput and stall level it was scored from;
-        rebuilt route figures drop it.
+        that sample with the throughput and stall level it was scored from
+        and the window stamp it was last measured under; rebuilt route
+        figures drop it.
+
+        The stamp is (quality_epoch, ledger_epoch, stall_epoch), built once
+        per window. Every raw input has one writer that moves one of them:
+        degrade_link changes link quality, reserve and release change
+        residuals (and _commit, which calls them, precedes every graph
+        change), and set_stall changes stall levels. A settled flow last
+        measured under this window's stamp therefore takes its held sample
+        with one comparison; any other flow is measured.
         """
         alpha = self.policy.predictor_alpha
         breach_after = self.ela.breach_windows
         profile_of = self.catalog.profile
+        network = self.network
+        stamp = (network.quality_epoch, network.ledger_epoch, self.stall_epoch)
         samples: list[QoeSample] = []
         breaching: list[QoeSample] = []
         for entry in flows:
             request = entry.request
-            profile = profile_of(request.profile)
-            sample = self._measure(entry, profile, alpha)
+            settled = entry.settled
+            if settled is not None and settled[3] == stamp:
+                sample = settled[2]
+            else:
+                sample = self._measure(entry, profile_of(request.profile), alpha, stamp)
             samples.append(sample)
             entry.windows_observed += 1
             if sample.mos >= request.ela_target:
@@ -390,8 +410,13 @@ class Controller:
                     breaching.append(sample)
         return samples, breaching
 
-    def _measure(self, entry: DbEntry, profile: AppProfile, alpha: float) -> QoeSample:
-        """The flow's sample for one window; brings its monitoring state up to date."""
+    def _measure(
+        self, entry: DbEntry, profile: AppProfile, alpha: float, stamp: tuple[int, int, int]
+    ) -> QoeSample:
+        """The flow's sample for one window; brings its monitoring state up to date.
+
+        stamp is the window's, recorded with a settled sample.
+        """
         network = self.network
         route = entry.route
         if route is None or route.graph is not entry.graph:
@@ -416,7 +441,8 @@ class Controller:
         flow_id = entry.request.id
         stall_ratio = self.stall_levels.get(flow_id, 0.0)
         settled = entry.settled
-        if settled is not None and settled[:2] == (throughput_kbps, stall_ratio):
+        if settled is not None and settled[0] == throughput_kbps and settled[1] == stall_ratio:
+            settled[3] = stamp
             return settled[2]
         metrics = route.metrics
         raw = FlowSample(
@@ -429,7 +455,7 @@ class Controller:
         )
         still = self._smooth(entry, raw, alpha)
         sample = estimate_mos(entry.smoothed, profile)
-        entry.settled = (throughput_kbps, stall_ratio, sample) if still else None
+        entry.settled = [throughput_kbps, stall_ratio, sample, stamp] if still else None
         return sample
 
     def _route_figures(self, entry: DbEntry) -> RouteFigures:
@@ -460,6 +486,7 @@ class Controller:
         """Set a flow's stall level; it persists until the next injection."""
         check_stall_ratio(stall_ratio)
         self.stall_levels[flow_id] = stall_ratio
+        self.stall_epoch += 1
 
     # -- self-healing -------------------------------------------------------------
 

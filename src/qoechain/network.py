@@ -170,6 +170,9 @@ class NetworkState:
         # epoch of each link's last change, so they can tell which link.
         self.quality_epoch = 0
         self.quality_changed: dict[int, int] = {}
+        # Moves at every reserve and release that writes, so figures read off
+        # the residual counters can tell whether they are stale.
+        self.ledger_epoch = 0
 
         adj: dict[int, list[int]] = {node_id: [] for node_id in self.nodes}
         for link in self.links.values():
@@ -213,7 +216,8 @@ class NetworkState:
 
         Raises UnknownHost/UnknownLink for bad ids, NegativeCapacity for
         negative demands and InsufficientResidual when anything does not fit
-        or a host has failed. On any error the state is left untouched.
+        or a host has failed. On any error the state is left untouched,
+        ledger_epoch included; otherwise ledger_epoch moves.
         """
         tables = self._ledger_tables(link_demands, cpu_demands, mem_demands, allow_failed=False)
         for resource, residual, totals, _ in tables:
@@ -223,6 +227,7 @@ class NetworkState:
         for _, residual, totals, _ in tables:
             for key, amount in totals.items():
                 residual[key] -= amount
+        self.ledger_epoch += 1
 
     def release(
         self,
@@ -235,7 +240,8 @@ class NetworkState:
         Takes the same maps as reserve; a failed host's holdings are given
         back like any other. Releasing more than is reserved raises
         OverRelease: that always means the caller's ledger and this state
-        disagree, which is fatal.
+        disagree, which is fatal. Like reserve, it moves ledger_epoch only
+        when it writes.
         """
         tables = self._ledger_tables(link_demands, cpu_demands, mem_demands, allow_failed=True)
         for resource, residual, totals, capacity in tables:
@@ -245,6 +251,7 @@ class NetworkState:
         for _, residual, totals, _ in tables:
             for key, amount in totals.items():
                 residual[key] += amount
+        self.ledger_epoch += 1
 
     def fail_host(self, host_id: int) -> None:
         """Fail-stop a host.

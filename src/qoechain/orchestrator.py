@@ -31,7 +31,7 @@ from .errors import (
     IllegalTransition,
     UnknownRequest,
 )
-from .qoe import FlowSample, QoeSample
+from .qoe import FlowSample
 from .scenario import dump_request
 from .service import ChainRequest, ForwardingGraph
 from .units import kbps_to_mbps
@@ -92,10 +92,13 @@ class DbEntry:
     # The controller's figures for measuring this flow, keyed on the graph
     # object and the network's quality epoch; None until first measured.
     route: RouteFigures | None = None
-    # While smoothing stands still: the throughput kbps and stall ratio the
-    # last window read and the sample it scored, reused by a window that
-    # reads the same; dropped whenever the route figures are rebuilt.
-    settled: tuple[int, float, QoeSample] | None = None
+    # While smoothing stands still: [throughput kbps, stall ratio, sample,
+    # stamp], the inputs the last scoring read, the sample it scored, and the
+    # controller's window stamp at the flow's last measurement. A window
+    # under the same stamp takes the sample unmeasured; one that measures
+    # the same inputs takes it and records its stamp in place. Dropped
+    # whenever the route figures are rebuilt.
+    settled: list | None = None
     # The run outcome: windows measured, windows at or above the target,
     # and the indices of the windows that breached the ELA.
     windows_observed: int = 0

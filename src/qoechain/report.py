@@ -121,11 +121,14 @@ def read_summary(out_dir: str | Path) -> dict:
     return json.loads(text)
 
 
-def read_series(out_dir: str | Path) -> list[dict]:
+def count_series_rows(out_dir: str | Path) -> int:
+    """The data rows of qoe_series.csv, counted one row at a time."""
     path = Path(out_dir) / "qoe_series.csv"
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            return list(csv.DictReader(handle))
+            rows = csv.reader(handle)
+            next(rows, None)  # the header
+            return sum(1 for row in rows if row)
     except OSError as exc:
         msg = f"cannot read {path}: {exc}"
         raise IoFailure(msg) from exc

@@ -57,7 +57,7 @@ def test_run_writes_the_three_artifacts(tmp_path, capsys):
     assert (out / "db_dump.json").exists()
 
 
-def test_run_accepts_seed_and_alpha_overrides(tmp_path):
+def test_run_accepts_a_seed_override_under_strict_debug(tmp_path):
     out = tmp_path / "out"
     code = cli.main(
         ["run", BASIC, "--out", str(out), "--seed", "3", "--strict-debug"]
@@ -65,6 +65,10 @@ def test_run_accepts_seed_and_alpha_overrides(tmp_path):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["seed"] == 3
+    # The smoothing factor is the scenario policy's alone: no flag overrides it.
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["run", BASIC, "--out", str(out), "--alpha", "0.5"])
+    assert excinfo.value.code == 1
 
 
 def test_run_missing_scenario_is_an_input_error(tmp_path, capsys):
@@ -125,6 +129,12 @@ def test_report_summarizes_a_run_directory(tmp_path, capsys):
     )
     assert "flow 0: Active windows=10 compliance=1.000 breaches=0" in stdout
     assert "series rows: 10" in stdout
+    # A run with no flow writes the header alone.
+    empty = tmp_path / "empty"
+    cli.main(["run", str(SCENARIOS / "minimal.json"), "--out", str(empty)])
+    capsys.readouterr()
+    assert cli.main(["report", str(empty)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "series rows: 0"
 
 
 def test_report_on_missing_directory_is_an_input_error(tmp_path, capsys):

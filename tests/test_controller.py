@@ -671,6 +671,25 @@ def test_a_settled_flow_feels_a_second_flow_on_a_shared_link():
     assert sample.q_bw < 1.0
 
 
+def test_a_settled_flow_feels_a_departure_from_a_shared_link():
+    net = parallel_pair(latencies=(10.0,))
+    catalog = ServiceCatalog(
+        [], [make_profile(name="stream"), make_profile(name="bulk", bw=8.0)]
+    )
+    orch = _orchestrator(net, catalog, PolicyConfig(predictor_alpha=ALPHA))
+    light = ForwardingGraph((), ((0,),), reserved_bw_kbps=1000)
+    net.reserve(link_demands=light.link_usage())
+    request = make_request(ingress=0, egress=1, vnfs=(), profile="stream")
+    orch.db.add(DbEntry(request, light, LifecycleStatus.ACTIVE))
+    bulk = make_request(rid=1, ingress=0, egress=1, vnfs=(), profile="bulk")
+    assert not isinstance(orch.submit_request(bulk, now=0), Rejected)
+    window = _settle(orch)
+    assert orch.db.entries[0].smoothed.throughput_mbps == pytest.approx(2.0)
+    orch.complete_request(1, now=1000)  # a release alone, with no reserve
+    sample = _scored_from_scratch(orch, window, (4.0, 10.0, 0.0, 0.0, 0.0))
+    assert sample.q_bw < 1.0  # the EWMA is still on its way back up
+
+
 def test_a_settled_flow_feels_a_stall_change():
     orch, window = _settled_pair_flow(parallel_pair())
     orch.controller.set_stall(0, 0.1)
@@ -752,6 +771,83 @@ def test_reusing_settled_samples_changes_no_run(monkeypatch):
             first.flows,
             first.db_dump,
         )
+
+
+def _settled_stream_flows(count: int = 3):
+    """count chain-free stream flows on link 0 of three, each settled under ALPHA.
+
+    Links 1 and 2 carry no flow. Returns the orchestrator and the next
+    window index.
+    """
+    net = parallel_pair(latencies=(10.0, 12.0, 15.0), bw=20_000)
+    orch = _orchestrator(net, pair_catalog(), PolicyConfig(predictor_alpha=ALPHA))
+    for rid in range(count):
+        request = make_request(rid=rid, ingress=0, egress=1, vnfs=(), profile="stream")
+        assert not isinstance(orch.submit_request(request, now=0), Rejected)
+    entries = orch.db.live()
+    assert all(entry.graph.segments == ((0,),) for entry in entries)
+    window = 0
+    while any(entry.settled is None for entry in entries):
+        assert window < 50, "smoothing never settled"
+        orch.controller.monitor_window(window, entries)
+        window += 1
+    return orch, window
+
+
+def _count_measures(monkeypatch) -> list[int]:
+    """The flow ids Controller._measure is called for, in call order."""
+    measured: list[int] = []
+    measure = Controller._measure
+
+    def counted(self, entry, *args):
+        measured.append(entry.request.id)
+        return measure(self, entry, *args)
+
+    monkeypatch.setattr(Controller, "_measure", counted)
+    return measured
+
+
+def test_set_stall_moves_the_stall_epoch():
+    controller = _controller(parallel_pair(), pair_catalog())
+    epoch = controller.stall_epoch
+    controller.set_stall(7, 0.2)  # a flow not admitted yet counts too
+    assert controller.stall_epoch != epoch
+    epoch = controller.stall_epoch
+    controller.set_stall(7, 0.2)  # so does a level that stays the same
+    assert controller.stall_epoch != epoch
+    epoch = controller.stall_epoch
+    with pytest.raises(InvalidRange):
+        controller.set_stall(7, 1.5)
+    assert controller.stall_epoch == epoch
+
+
+def test_quiet_windows_measure_no_settled_flow(monkeypatch):
+    orch, window = _settled_stream_flows()
+    held = [entry.settled[2] for entry in orch.db.live()]
+    measured = _count_measures(monkeypatch)
+    for window in range(window, window + 5):
+        samples, _ = orch.controller.monitor_window(window, orch.db.live())
+        assert all(sample is last for sample, last in zip(samples, held))
+    assert measured == []
+
+
+@pytest.mark.parametrize("change", ["set_stall", "degrade_link", "reserve"])
+def test_a_moved_stamp_measures_every_live_flow_once(monkeypatch, change):
+    orch, window = _settled_stream_flows()
+    controller, net = orch.controller, orch.controller.network
+    measured = _count_measures(monkeypatch)
+    if change == "set_stall":
+        controller.set_stall(1, 0.0)  # the level it already had
+    elif change == "degrade_link":
+        net.degrade_link(2, latency_ms=40.0)  # on no flow's route
+    else:
+        net.reserve(link_demands={1: 1000})  # on no flow's route
+    controller.monitor_window(window, orch.db.live())
+    assert measured == [0, 1, 2]
+    # None of them read anything new, so each recorded the new stamp and
+    # the next window is quiet again.
+    controller.monitor_window(window + 1, orch.db.live())
+    assert measured == [0, 1, 2]
 
 
 def test_per_flow_state_stays_bounded_over_the_horizon():

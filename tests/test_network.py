@@ -127,6 +127,37 @@ def test_over_release_is_an_invariant_violation():
     assert snapshot(net) == before
 
 
+def test_ledger_epoch_moves_on_each_write_and_never_on_a_raise():
+    net = line_network()
+    epoch = net.ledger_epoch
+    net.reserve(link_demands={0: 4000}, cpu_demands={1: 2}, mem_demands={1: 3})
+    assert net.ledger_epoch != epoch
+    failing = [
+        (InsufficientResidual, lambda: net.reserve(link_demands={0: 4000, 1: 999_999})),
+        (InsufficientResidual, lambda: net.reserve(cpu_demands={1: 9})),
+        (OverRelease, lambda: net.release(link_demands={0: 5000})),
+        (OverRelease, lambda: net.release(link_demands={1: 1000}, mem_demands={1: 3})),
+        (UnknownLink, lambda: net.reserve(link_demands={42: 1})),
+        (NegativeCapacity, lambda: net.release(cpu_demands={1: -1})),
+    ]
+    for error, call in failing:
+        epoch, before = net.ledger_epoch, snapshot(net)
+        with pytest.raises(error):
+            call()
+        assert (net.ledger_epoch, snapshot(net)) == (epoch, before)
+    epoch = net.ledger_epoch
+    net.release(link_demands={0: 4000}, cpu_demands={1: 2}, mem_demands={1: 3})
+    assert net.ledger_epoch != epoch
+    # Failing a host or degrading a link is no ledger write.
+    epoch = net.ledger_epoch
+    net.fail_host(1)
+    net.degrade_link(0, latency_ms=9.0)
+    assert net.ledger_epoch == epoch
+    with pytest.raises(InsufficientResidual):
+        net.reserve(cpu_demands={1: 1}, mem_demands={1: 1})
+    assert net.ledger_epoch == epoch
+
+
 def test_fail_host_evicts_and_resets():
     net = square_network()
     net.reserve(link_demands={0: 2000}, cpu_demands={1: 3, 2: 1}, mem_demands={1: 3, 2: 1})
