@@ -117,11 +117,9 @@ class ResourceView:
     A positive delta offers resources back (a flow replanning may reuse its
     own holdings); a negative delta tracks demand pending within a plan.
     Topology, failures, link quality and the residual counters are the
-    state's own objects: no delta touches them. Usable bandwidth is read
-    by the state's own available_bw, which adds the view's bw_delta in.
+    state's own objects: no delta touches them. Path search reads usable
+    bandwidth as the residual plus the view's bw_delta.
     """
-
-    available_bw = NetworkState.available_bw
 
     def __init__(self, state: NetworkState):
         self.nodes = state.nodes
@@ -156,16 +154,15 @@ class RouteFigures:
     a reroute or migration installs a new graph object, and only
     degrade_link changes link quality, recording the epoch of each change
     per link. When the epoch has moved but only off the route, the figures
-    stay and just take the new epoch. Residual bandwidth is not held here:
-    the throughput floor is read again in every window whose stamp (see
-    monitor_window) has moved since the flow was last measured.
+    stay and just take the new epoch. Nothing here reads residual
+    bandwidth: a flow's throughput is the rate its graph reserves.
     """
 
     graph: ForwardingGraph
     quality_epoch: int
     metrics: PathMetrics
-    # (link id, kbps) of graph.link_usage(), in its order.
-    usage: tuple[tuple[int, int], ...]
+    # Every link the graph crosses.
+    links: frozenset[int]
 
 
 class Controller:
@@ -223,8 +220,8 @@ class Controller:
         the other segments are then rebuilt in ascending order. A plan
         identical to the graph is no repair. A flow whose graph touches a
         failed host takes any plan that fits; any other plan must reach the
-        request's target MOS, predicted on the view without the plan's own
-        pending demand.
+        request's target MOS, predicted from its segments under the current
+        link quality.
         """
         view = ResourceView(self.network)
         if graph is None:
@@ -261,11 +258,6 @@ class Controller:
         if graph is not None and tuple(paths) == graph.segments:
             return Rejected(RejectReason.NO_PATH)
         if graph is None or not self._failure_damage(request, graph)[1]:
-            # Give the plan's pending demand back: the flow must not compete
-            # with itself for the bandwidth it is about to hold.
-            for index in segments:
-                for link_id in paths[index]:
-                    view.add_bw(link_id, bw_kbps)
             predicted = predict_mos(request, paths, view, self.catalog)
             if predicted.mos < request.ela_target:
                 return Rejected(RejectReason.QOE_BELOW_TARGET, predicted.mos)
@@ -356,15 +348,15 @@ class Controller:
         flows are the live database entries in ascending request id; both
         lists come out in that order. Raw figures come from the flow's
         route figures (its current segments under the current link
-        quality), the residual-driven throughput, and the injected stall
-        level. Each metric is EWMA-smoothed with predictor_alpha before
-        scoring against the request's profile; degraded flows are still
-        measured so recovery stays observable. A window scoring strictly
-        below the request's target extends the entry's run of such windows
-        and any other ends it; a flow breaches while that run is at least
-        the ELA's breach_windows long. The entry also keeps its run outcome:
-        the windows observed, those at or above its target, and those that
-        breached.
+        quality), the rate its graph reserves as throughput, and the
+        injected stall level. Each metric is EWMA-smoothed with
+        predictor_alpha before scoring against the request's profile;
+        degraded flows are still measured so recovery stays observable. A
+        window scoring strictly below the request's target extends the
+        entry's run of such windows and any other ends it; a flow breaches
+        while that run is at least the ELA's breach_windows long. The entry
+        also keeps its run outcome: the windows observed, those at or above
+        its target, and those that breached.
 
         A settled flow is not smoothed or scored again. Smoothed figures are
         a function of the raw inputs (route figures, throughput, stall level)
@@ -372,30 +364,29 @@ class Controller:
         window's and the last window's smoothing left every figure where it
         was, the EWMA sits at its floating-point fixed point and the sample
         is the last one, returned as the same object. entry.settled keeps
-        that sample with the throughput and stall level it was scored from
-        and the window stamp it was last measured under; rebuilt route
-        figures drop it.
+        that sample with the stall level it was scored from and the window
+        stamp it was last measured under; rebuilt route figures drop it.
 
-        The stamp is (quality_epoch, ledger_epoch, stall_epoch), built once
-        per window. Every raw input has one writer that moves one of them:
-        degrade_link changes link quality, reserve and release change
-        residuals (and _commit, which calls them, precedes every graph
-        change), and set_stall changes stall levels. A settled flow last
+        The stamp is (quality_epoch, stall_epoch), built once per window.
+        Route figures and throughput are fixed by the graph object, link
+        quality changes only through degrade_link and stall levels only
+        through set_stall, each of which moves one epoch. A settled flow
+        still on the graph its route figures were built for and last
         measured under this window's stamp therefore takes its held sample
-        with one comparison; any other flow is measured.
+        unmeasured; any other flow is measured. A reroute or migration
+        moves no epoch, so the graph check is what sends a moved flow on.
         """
         alpha = self.policy.predictor_alpha
         breach_after = self.ela.breach_windows
         profile_of = self.catalog.profile
-        network = self.network
-        stamp = (network.quality_epoch, network.ledger_epoch, self.stall_epoch)
+        stamp = (self.network.quality_epoch, self.stall_epoch)
         samples: list[QoeSample] = []
         breaching: list[QoeSample] = []
         for entry in flows:
             request = entry.request
             settled = entry.settled
-            if settled is not None and settled[3] == stamp:
-                sample = settled[2]
+            if settled is not None and settled[2] == stamp and entry.route.graph is entry.graph:
+                sample = settled[1]
             else:
                 sample = self._measure(entry, profile_of(request.profile), alpha, stamp)
             samples.append(sample)
@@ -411,7 +402,7 @@ class Controller:
         return samples, breaching
 
     def _measure(
-        self, entry: DbEntry, profile: AppProfile, alpha: float, stamp: tuple[int, int, int]
+        self, entry: DbEntry, profile: AppProfile, alpha: float, stamp: tuple[int, int]
     ) -> QoeSample:
         """The flow's sample for one window; brings its monitoring state up to date.
 
@@ -426,28 +417,21 @@ class Controller:
         elif route.quality_epoch != network.quality_epoch:
             changed = network.quality_changed
             built = route.quality_epoch
-            if any(changed.get(link_id, built) > built for link_id, _ in route.usage):
+            if any(changed.get(link_id, built) > built for link_id in route.links):
                 route = entry.route = self._route_figures(entry)
                 entry.settled = None
             else:
                 route.quality_epoch = network.quality_epoch
-        # What this flow can push through: the smallest residual along its
-        # path with its own reservation offered back, capped at the profile.
-        # Usable bandwidth is NetworkState.available_bw, read inline per link:
-        # on the state itself bw_delta is empty, so it is residual_bw.
-        residual_bw = network.residual_bw
-        floor_kbps = min(residual_bw[link_id] + kbps for link_id, kbps in route.usage)
-        throughput_kbps = min(floor_kbps, profile.bw_req_kbps)
         flow_id = entry.request.id
         stall_ratio = self.stall_levels.get(flow_id, 0.0)
         settled = entry.settled
-        if settled is not None and settled[0] == throughput_kbps and settled[1] == stall_ratio:
-            settled[3] = stamp
-            return settled[2]
+        if settled is not None and settled[0] == stall_ratio:
+            settled[2] = stamp
+            return settled[1]
         metrics = route.metrics
         raw = FlowSample(
             flow_id=flow_id,
-            throughput_mbps=throughput_kbps / KBPS_PER_MBPS,
+            throughput_mbps=entry.graph.reserved_bw_kbps / KBPS_PER_MBPS,
             delay_ms=metrics.latency_ms,
             jitter_ms=metrics.jitter_ms,
             loss_pct=metrics.loss_pct,
@@ -455,7 +439,7 @@ class Controller:
         )
         still = self._smooth(entry, raw, alpha)
         sample = estimate_mos(entry.smoothed, profile)
-        entry.settled = [throughput_kbps, stall_ratio, sample, stamp] if still else None
+        entry.settled = [stall_ratio, sample, stamp] if still else None
         return sample
 
     def _route_figures(self, entry: DbEntry) -> RouteFigures:
@@ -468,7 +452,7 @@ class Controller:
                 self.network,
                 self.catalog.proc_latencies(request.vnf_sequence),
             ),
-            usage=tuple(graph.link_usage().items()),
+            links=frozenset(graph.all_links()),
         )
 
     def _smooth(self, entry: DbEntry, raw: FlowSample, alpha: float) -> bool:

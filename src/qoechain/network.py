@@ -124,8 +124,8 @@ class NetworkState:
     state bit-identical to what it was before the call.
     """
 
-    # Tentative bandwidth on top of residual_bw, which available_bw adds in:
-    # a bare state has none, a planning view carries its own.
+    # Tentative bandwidth on top of residual_bw, which path search and the
+    # oracle add in: a bare state has none, a planning view carries its own.
     bw_delta: Mapping[int, int] = MappingProxyType({})
 
     def __init__(self, nodes: Iterable[NodeSpec], links: Iterable[LinkSpec]):
@@ -170,9 +170,6 @@ class NetworkState:
         # epoch of each link's last change, so they can tell which link.
         self.quality_epoch = 0
         self.quality_changed: dict[int, int] = {}
-        # Moves at every reserve and release that writes, so figures read off
-        # the residual counters can tell whether they are stale.
-        self.ledger_epoch = 0
 
         adj: dict[int, list[int]] = {node_id: [] for node_id in self.nodes}
         for link in self.links.values():
@@ -188,16 +185,6 @@ class NetworkState:
         self.edges: dict[int, tuple[tuple[int, int, float], ...]] = {}
         for node_id in self.nodes:
             self._refresh_edges(node_id)
-
-    # -- read model ---------------------------------------------------------
-
-    def available_bw(self, link_id: int) -> int:
-        """The usable-bandwidth rule: residual plus any pending delta.
-
-        Planning views share this function; routing._settle and
-        Controller._measure read it inline in their per-link loops.
-        """
-        return self.residual_bw[link_id] + self.bw_delta.get(link_id, 0)
 
     # -- mutations ----------------------------------------------------------
 
@@ -216,8 +203,7 @@ class NetworkState:
 
         Raises UnknownHost/UnknownLink for bad ids, NegativeCapacity for
         negative demands and InsufficientResidual when anything does not fit
-        or a host has failed. On any error the state is left untouched,
-        ledger_epoch included; otherwise ledger_epoch moves.
+        or a host has failed. On any error the state is left untouched.
         """
         tables = self._ledger_tables(link_demands, cpu_demands, mem_demands, allow_failed=False)
         for resource, residual, totals, _ in tables:
@@ -227,7 +213,6 @@ class NetworkState:
         for _, residual, totals, _ in tables:
             for key, amount in totals.items():
                 residual[key] -= amount
-        self.ledger_epoch += 1
 
     def release(
         self,
@@ -240,8 +225,7 @@ class NetworkState:
         Takes the same maps as reserve; a failed host's holdings are given
         back like any other. Releasing more than is reserved raises
         OverRelease: that always means the caller's ledger and this state
-        disagree, which is fatal. Like reserve, it moves ledger_epoch only
-        when it writes.
+        disagree, which is fatal.
         """
         tables = self._ledger_tables(link_demands, cpu_demands, mem_demands, allow_failed=True)
         for resource, residual, totals, capacity in tables:
@@ -251,7 +235,6 @@ class NetworkState:
         for _, residual, totals, _ in tables:
             for key, amount in totals.items():
                 residual[key] += amount
-        self.ledger_epoch += 1
 
     def fail_host(self, host_id: int) -> None:
         """Fail-stop a host.

@@ -92,12 +92,13 @@ class DbEntry:
     # The controller's figures for measuring this flow, keyed on the graph
     # object and the network's quality epoch; None until first measured.
     route: RouteFigures | None = None
-    # While smoothing stands still: [throughput kbps, stall ratio, sample,
-    # stamp], the inputs the last scoring read, the sample it scored, and the
-    # controller's window stamp at the flow's last measurement. A window
-    # under the same stamp takes the sample unmeasured; one that measures
-    # the same inputs takes it and records its stamp in place. Dropped
-    # whenever the route figures are rebuilt.
+    # While smoothing stands still: [stall ratio, sample, stamp], the stall
+    # level the last scoring read, the sample it scored, and the controller's
+    # window stamp at the flow's last measurement. A window under the same
+    # stamp, on the graph the route figures were built for, takes the sample
+    # unmeasured; one that measures the same stall level takes it and
+    # records its stamp in place. Dropped whenever the route figures are
+    # rebuilt.
     settled: list | None = None
     # The run outcome: windows measured, windows at or above the target,
     # and the indices of the windows that breached the ELA.

@@ -145,25 +145,17 @@ def predict_mos(
     """Admission-time MOS prediction for a candidate embedding.
 
     Builds a synthetic sample from the candidate's path metrics. Throughput
-    is the smallest residual bandwidth along the path capped at the profile
-    requirement, and stalling is assumed absent at admission time. `net` is
+    is the profile requirement, the rate admission reserves on every link
+    of the path, and stalling is assumed absent at admission time. `net` is
     anything with the NetworkState read interface, including planning views.
     """
-    segments = tuple(segments)
     profile = catalog.profile(request.profile)
     metrics = path_metrics(
         segments, net, catalog.proc_latencies(request.vnf_sequence)
     )
-    links = [link_id for segment in segments for link_id in segment]
-    bw_req_kbps = profile.bw_req_kbps
-    if links:
-        floor_kbps = min(net.available_bw(link_id) for link_id in links)
-        throughput_kbps = min(floor_kbps, bw_req_kbps)
-    else:
-        throughput_kbps = bw_req_kbps
     sample = FlowSample(
         flow_id=request.id,
-        throughput_mbps=max(0, throughput_kbps) / KBPS_PER_MBPS,
+        throughput_mbps=profile.bw_req_kbps / KBPS_PER_MBPS,
         delay_ms=metrics.latency_ms,
         jitter_ms=metrics.jitter_ms,
         loss_pct=metrics.loss_pct,

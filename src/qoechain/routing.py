@@ -18,8 +18,8 @@ Latency is summed along the path from 0.0 in path order, as
 `oracle.path_key` sums it, so even the floats agree.
 
 The loop reads each node's (link id, neighbour, latency) tuples from the
-state's `edges` and the usable bandwidth, as `NetworkState.available_bw`
-defines it, inline, without calling an accessor per edge. A candidate
+state's `edges` and the usable bandwidth (residual plus any pending
+planning delta) inline, without calling an accessor per edge. A candidate
 whose neighbour already holds a label better on (latency, hops) is
 dropped before its link tuple is built; only a tie on both compares link
 sequences.
@@ -49,7 +49,7 @@ def _settle(
     settling a node farther than the first target settled.
     """
     edges = net.edges
-    # Usable bandwidth is NetworkState.available_bw, read inline per edge.
+    # Usable bandwidth: the residual plus any pending planning delta.
     residual_bw = net.residual_bw
     pending_bw = net.bw_delta.get
     failed_hosts = net.failed_hosts

@@ -10,7 +10,6 @@ from qoechain import (
     Controller,
     Ela,
     FlowSample,
-    ForwardingGraph,
     LifecycleStatus,
     LinkSpec,
     NetworkState,
@@ -82,8 +81,8 @@ def test_admit_reserves_everything_transactionally():
     assert graph.reserved_bw_kbps == 4000
     assert ctl.network.residual_cpu[1] == 6
     assert ctl.network.residual_mem[1] == 6
-    assert ctl.network.available_bw(0) == 6000
-    assert ctl.network.available_bw(1) == 6000
+    assert ctl.network.residual_bw[0] == 6000
+    assert ctl.network.residual_bw[1] == 6000
     assert orch.db.entries[0].graph.hosts == (1,)
     assert orch.counters()["admitted"] == 1
     assert validate_forwarding_graph(graph, request, ctl.network) == []
@@ -513,45 +512,6 @@ def test_a_reroute_is_measured_on_the_new_segments_next_window():
     assert samples[0].mos == 5.0
 
 
-def test_a_second_flow_on_a_shared_link_lowers_throughput_next_window():
-    # Admission reserves a flow's whole requirement, which the floor offers
-    # back; a graph reserving less (built by hand here) feels the residual,
-    # and the residual moves with every reserve, so it is read every window.
-    net = parallel_pair(latencies=(10.0,))
-    catalog = ServiceCatalog(
-        [], [make_profile(name="stream"), make_profile(name="bulk", bw=8.0)]
-    )
-    orch = _orchestrator(net, catalog, PolicyConfig(predictor_alpha=1.0))
-    light = ForwardingGraph((), ((0,),), reserved_bw_kbps=1000)
-    net.reserve(link_demands=light.link_usage())
-    request = make_request(ingress=0, egress=1, vnfs=(), profile="stream")
-    orch.db.add(DbEntry(request, light, LifecycleStatus.ACTIVE))
-    samples, _ = orch.controller.monitor_window(0, orch.db.live())
-    assert samples[0].q_bw == 1.0  # 9 Mbps free plus its own 1, capped at 4
-    bulk = make_request(rid=1, ingress=0, egress=1, vnfs=(), profile="bulk")
-    orch.submit_request(bulk, now=0)
-    samples, _ = orch.controller.monitor_window(1, orch.db.live())
-    assert orch.db.entries[0].smoothed.throughput_mbps == 2.0  # 1 free plus its own 1
-    assert samples[0].q_bw == 0.5
-
-
-def test_the_throughput_floor_is_usable_bandwidth_plus_the_flows_own():
-    # Measurement reads the usable-bandwidth rule inline; at a saturated
-    # link it must agree exactly with NetworkState.available_bw.
-    net = line_network()
-    orch = _orchestrator(net, pair_catalog(), PolicyConfig(predictor_alpha=1.0))
-    graph = ForwardingGraph((), ((0, 1),), reserved_bw_kbps=1000)
-    net.reserve(link_demands=graph.link_usage())
-    net.reserve(link_demands={0: 9000, 1: 7000})
-    assert net.residual_bw[0] == 0
-    request = make_request(ingress=0, egress=2, vnfs=(), profile="stream")
-    orch.db.add(DbEntry(request, graph, LifecycleStatus.ACTIVE))
-    orch.controller.monitor_window(0, orch.db.live())
-    usage = graph.link_usage().items()
-    floor_kbps = min(net.available_bw(link_id) + kbps for link_id, kbps in usage)
-    assert orch.db.entries[0].smoothed.throughput_mbps == floor_kbps / 1000
-
-
 # A moved quality epoch rebuilds a flow's figures only when a link of its
 # route changed after they were built.
 
@@ -625,7 +585,7 @@ def _settle(orch) -> int:
     held = entry.settled
     samples, _ = orch.controller.monitor_window(window, orch.db.live())
     assert entry.settled is held  # reused, not scored again
-    assert samples[0] is held[2]
+    assert samples[0] is held[1]
     return window + 1
 
 
@@ -651,43 +611,6 @@ def _settled_pair_flow(net):
     orch = _orchestrator(net, pair_catalog(), PolicyConfig(predictor_alpha=ALPHA))
     orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
     return orch, _settle(orch)
-
-
-def test_a_settled_flow_feels_a_second_flow_on_a_shared_link():
-    net = parallel_pair(latencies=(10.0,))
-    catalog = ServiceCatalog(
-        [], [make_profile(name="stream"), make_profile(name="bulk", bw=8.0)]
-    )
-    orch = _orchestrator(net, catalog, PolicyConfig(predictor_alpha=ALPHA))
-    light = ForwardingGraph((), ((0,),), reserved_bw_kbps=1000)
-    net.reserve(link_demands=light.link_usage())
-    request = make_request(ingress=0, egress=1, vnfs=(), profile="stream")
-    orch.db.add(DbEntry(request, light, LifecycleStatus.ACTIVE))
-    window = _settle(orch)
-    bulk = make_request(rid=1, ingress=0, egress=1, vnfs=(), profile="bulk")
-    assert not isinstance(orch.submit_request(bulk, now=0), Rejected)
-    # 1 Mbps free plus its own 1.
-    sample = _scored_from_scratch(orch, window, (2.0, 10.0, 0.0, 0.0, 0.0))
-    assert sample.q_bw < 1.0
-
-
-def test_a_settled_flow_feels_a_departure_from_a_shared_link():
-    net = parallel_pair(latencies=(10.0,))
-    catalog = ServiceCatalog(
-        [], [make_profile(name="stream"), make_profile(name="bulk", bw=8.0)]
-    )
-    orch = _orchestrator(net, catalog, PolicyConfig(predictor_alpha=ALPHA))
-    light = ForwardingGraph((), ((0,),), reserved_bw_kbps=1000)
-    net.reserve(link_demands=light.link_usage())
-    request = make_request(ingress=0, egress=1, vnfs=(), profile="stream")
-    orch.db.add(DbEntry(request, light, LifecycleStatus.ACTIVE))
-    bulk = make_request(rid=1, ingress=0, egress=1, vnfs=(), profile="bulk")
-    assert not isinstance(orch.submit_request(bulk, now=0), Rejected)
-    window = _settle(orch)
-    assert orch.db.entries[0].smoothed.throughput_mbps == pytest.approx(2.0)
-    orch.complete_request(1, now=1000)  # a release alone, with no reserve
-    sample = _scored_from_scratch(orch, window, (4.0, 10.0, 0.0, 0.0, 0.0))
-    assert sample.q_bw < 1.0  # the EWMA is still on its way back up
 
 
 def test_a_settled_flow_feels_a_stall_change():
@@ -717,6 +640,22 @@ def test_a_settled_flow_is_taken_raw_after_a_reroute():
     assert entry.settled is None
 
 
+def test_a_settled_flow_is_measured_on_its_new_graph_after_a_host_failure():
+    # A migration moves neither the quality nor the stall epoch, so only the
+    # new graph object can send the flow past its held sample.
+    net = square_network()
+    net.degrade_link(1, latency_ms=20.0)  # host 2 is the farther refuge
+    orch = _orchestrator(net, policy=PolicyConfig(predictor_alpha=ALPHA))
+    orch.submit_request(make_request(ingress=0, egress=3), now=0)
+    window = _settle(orch)
+    entry = orch.db.entries[0]
+    fail_and_repair(orch, 1)
+    assert entry.graph.hosts == (2,)
+    # 20 + 5 ms of links and 1 ms of fw, taken raw on the new graph.
+    _scored_from_scratch(orch, window, (4.0, 26.0, 0.0, 0.0, 0.0), restart=True)
+    assert entry.route.graph is entry.graph
+
+
 def test_a_settled_flow_reuses_its_sample_after_a_degradation_off_its_route():
     net = parallel_pair()
     orch, window = _settled_pair_flow(net)
@@ -725,7 +664,7 @@ def test_a_settled_flow_reuses_its_sample_after_a_degradation_off_its_route():
     net.degrade_link(1, latency_ms=40.0, loss_pct=2.0)
     sample = _scored_from_scratch(orch, window, (4.0, 10.0, 0.0, 0.0, 0.0))
     assert entry.settled is held
-    assert sample is held[2]
+    assert sample is held[1]
 
 
 def test_a_moving_ewma_is_scored_afresh_every_window():
@@ -733,7 +672,7 @@ def test_a_moving_ewma_is_scored_afresh_every_window():
     orch, window = _settled_pair_flow(net)
     entry = orch.db.entries[0]
     net.degrade_link(0, latency_ms=300.0)
-    last = entry.settled[2]
+    last = entry.settled[1]
     for window in range(window, window + 10):
         sample = _scored_from_scratch(orch, window, (4.0, 300.0, 0.0, 0.0, 0.0))
         assert (sample.mos, sample.q_delay) != (last.mos, last.q_delay)
@@ -822,26 +761,33 @@ def test_set_stall_moves_the_stall_epoch():
 
 
 def test_quiet_windows_measure_no_settled_flow(monkeypatch):
+    # A reserve or release off every route leaves a window quiet: a flow's
+    # throughput is its own reservation, not what the ledger has left.
     orch, window = _settled_stream_flows()
-    held = [entry.settled[2] for entry in orch.db.live()]
+    net = orch.controller.network
+    held = [entry.settled[1] for entry in orch.db.live()]
     measured = _count_measures(monkeypatch)
-    for window in range(window, window + 5):
+    writes = [
+        lambda: net.reserve(link_demands={1: 1000}),  # on no flow's route
+        lambda: net.release(link_demands={1: 1000}),
+        lambda: None,
+    ]
+    for window, write in enumerate(writes, start=window):
+        write()
         samples, _ = orch.controller.monitor_window(window, orch.db.live())
         assert all(sample is last for sample, last in zip(samples, held))
     assert measured == []
 
 
-@pytest.mark.parametrize("change", ["set_stall", "degrade_link", "reserve"])
+@pytest.mark.parametrize("change", ["set_stall", "degrade_link"])
 def test_a_moved_stamp_measures_every_live_flow_once(monkeypatch, change):
     orch, window = _settled_stream_flows()
     controller, net = orch.controller, orch.controller.network
     measured = _count_measures(monkeypatch)
     if change == "set_stall":
         controller.set_stall(1, 0.0)  # the level it already had
-    elif change == "degrade_link":
-        net.degrade_link(2, latency_ms=40.0)  # on no flow's route
     else:
-        net.reserve(link_demands={1: 1000})  # on no flow's route
+        net.degrade_link(2, latency_ms=40.0)  # on no flow's route
     controller.monitor_window(window, orch.db.live())
     assert measured == [0, 1, 2]
     # None of them read anything new, so each recorded the new stamp and
@@ -891,8 +837,8 @@ def test_handle_breach_reroutes_to_the_spare_link():
     assert action.new_graph.segments == ((1,),)
     assert orch.counters()["rerouted"] == 1
     assert orch.counters()["migrated"] == 0
-    assert net.available_bw(0) == 10_000  # old reservation released
-    assert net.available_bw(1) == 6000
+    assert net.residual_bw[0] == 10_000  # old reservation released
+    assert net.residual_bw[1] == 6000
     assert entry.graph is action.new_graph
     # Smoothing restarts on the new path: the next window is taken raw.
     orch.controller.monitor_window(1, orch.db.live())
@@ -967,8 +913,8 @@ def test_host_failure_migrates_evicted_positions():
     graph = actions[0].new_graph
     assert graph.hosts == (2,)
     assert graph.segments == ((1,), (3,))
-    assert net.available_bw(0) == 10_000
-    assert net.available_bw(1) == 6000
+    assert net.residual_bw[0] == 10_000
+    assert net.residual_bw[1] == 6000
     assert net.residual_cpu[2] == 2
     assert orch.counters()["migrated"] == 1
     assert orch.db.entries[0].graph is graph
@@ -988,7 +934,7 @@ def test_host_failure_re_places_two_evicted_positions_of_one_chain():
     # egress segment is rebuilt last, from nat's new host.
     assert graph.hosts == (2, 2)
     assert graph.segments == ((1,), (), (3,))
-    assert [net.available_bw(link_id) for link_id in range(4)] == [10_000, 6000, 10_000, 6000]
+    assert [net.residual_bw[link_id] for link_id in range(4)] == [10_000, 6000, 10_000, 6000]
     assert (net.residual_cpu[2], net.residual_mem[2]) == (1, 1)
     assert (net.residual_cpu[1], net.residual_mem[1]) == (4, 4)
     assert orch.db.entries[0].graph.hosts == (2, 2)
@@ -1012,7 +958,7 @@ def test_breach_re_embed_may_reuse_the_flows_own_holdings():
     orch = _orchestrator(net)
     orch.submit_request(make_request(), now=0)
     assert orch.db.entries[0].graph.segments == ((0,), (2,))
-    assert (net.residual_cpu[1], net.available_bw(2)) == (0, 1000)
+    assert (net.residual_cpu[1], net.residual_bw[2]) == (0, 1000)
     # Loss does not weigh on paths, so new segments alone change nothing.
     net.degrade_link(0, loss_pct=50.0)
     action = orch.controller.handle_breach(orch.db.entries[0])
@@ -1021,7 +967,7 @@ def test_breach_re_embed_may_reuse_the_flows_own_holdings():
     assert action.new_graph.hosts == (1,)
     assert action.new_graph.segments == ((1,), (2,))
     assert (net.residual_cpu[1], net.residual_mem[1]) == (0, 0)
-    assert [net.available_bw(link_id) for link_id in range(3)] == [10_000, 6000, 1000]
+    assert [net.residual_bw[link_id] for link_id in range(3)] == [10_000, 6000, 1000]
     assert orch.db.entries[0].graph.hosts == (1,)
 
 
@@ -1072,8 +1018,8 @@ def test_host_failure_without_refuge_fails_the_flow():
     assert orch.db.live() == []
     assert orch.counters()["failed"] == 1
     # Everything the flow held is back.
-    assert net.available_bw(0) == 10_000
-    assert net.available_bw(2) == 10_000
+    assert net.residual_bw[0] == 10_000
+    assert net.residual_bw[2] == 10_000
     assert (net.residual_cpu[1], net.residual_mem[1]) == (4, 4)
 
 
@@ -1135,7 +1081,7 @@ def test_host_failure_reroutes_a_flow_that_relays_through_the_host():
     assert actions[0].new_graph.segments == ((1,), (3,))
     assert actions[1].new_graph.segments == ((1, 3),)
     assert orch.counters()["rerouted"] == 2
-    assert [net.available_bw(link_id) for link_id in range(5)] == [
+    assert [net.residual_bw[link_id] for link_id in range(5)] == [
         10_000,
         2000,
         10_000,
@@ -1157,7 +1103,7 @@ def test_host_failure_fails_a_relayed_flow_without_refuge_and_skips_ended_ones()
     assert [(a.flow_id, a.kind) for a in actions] == [(1, ActionKind.FAILED)]
     assert orch.db.entries[0].status is LifecycleStatus.COMPLETED
     assert orch.db.entries[1].status is LifecycleStatus.FAILED
-    assert [net.available_bw(link_id) for link_id in range(2)] == [10_000, 10_000]
+    assert [net.residual_bw[link_id] for link_id in range(2)] == [10_000, 10_000]
 
 
 def test_release_flow_returns_holdings_and_restores_state():

@@ -68,7 +68,7 @@ def test_initial_residuals_match_capacity():
     assert net.host_ids == (1,)
     assert net.residual_cpu[1] == 8
     assert net.residual_mem[1] == 8
-    assert net.available_bw(0) == 10_000
+    assert net.residual_bw[0] == 10_000
     assert net.adjacency[1] == (0, 1)
 
 
@@ -78,7 +78,7 @@ def test_reserve_and_release_roundtrip():
     net.reserve(link_demands={0: 4000, 1: 4000}, cpu_demands={1: 2}, mem_demands={1: 3})
     assert net.residual_cpu[1] == 6
     assert net.residual_mem[1] == 5
-    assert net.available_bw(0) == 6000
+    assert net.residual_bw[0] == 6000
     net.release(link_demands={0: 4000, 1: 4000}, cpu_demands={1: 2}, mem_demands={1: 3})
     assert snapshot(net) == before
 
@@ -100,6 +100,7 @@ def test_reserve_is_all_or_nothing():
 
 def test_reserve_validates_ids_and_signs():
     net = line_network()
+    before = snapshot(net)
     with pytest.raises(UnknownHost):
         # Node 0 is an endpoint.
         net.reserve(cpu_demands={0: 1}, mem_demands={0: 1})
@@ -109,6 +110,9 @@ def test_reserve_validates_ids_and_signs():
         net.reserve(link_demands={0: -1})
     with pytest.raises(NegativeCapacity):
         net.reserve(cpu_demands={1: -1}, mem_demands={1: 0})
+    with pytest.raises(NegativeCapacity):
+        net.release(cpu_demands={1: -1})
+    assert snapshot(net) == before  # a rejected call writes nothing
 
 
 def test_over_release_is_an_invariant_violation():
@@ -127,44 +131,13 @@ def test_over_release_is_an_invariant_violation():
     assert snapshot(net) == before
 
 
-def test_ledger_epoch_moves_on_each_write_and_never_on_a_raise():
-    net = line_network()
-    epoch = net.ledger_epoch
-    net.reserve(link_demands={0: 4000}, cpu_demands={1: 2}, mem_demands={1: 3})
-    assert net.ledger_epoch != epoch
-    failing = [
-        (InsufficientResidual, lambda: net.reserve(link_demands={0: 4000, 1: 999_999})),
-        (InsufficientResidual, lambda: net.reserve(cpu_demands={1: 9})),
-        (OverRelease, lambda: net.release(link_demands={0: 5000})),
-        (OverRelease, lambda: net.release(link_demands={1: 1000}, mem_demands={1: 3})),
-        (UnknownLink, lambda: net.reserve(link_demands={42: 1})),
-        (NegativeCapacity, lambda: net.release(cpu_demands={1: -1})),
-    ]
-    for error, call in failing:
-        epoch, before = net.ledger_epoch, snapshot(net)
-        with pytest.raises(error):
-            call()
-        assert (net.ledger_epoch, snapshot(net)) == (epoch, before)
-    epoch = net.ledger_epoch
-    net.release(link_demands={0: 4000}, cpu_demands={1: 2}, mem_demands={1: 3})
-    assert net.ledger_epoch != epoch
-    # Failing a host or degrading a link is no ledger write.
-    epoch = net.ledger_epoch
-    net.fail_host(1)
-    net.degrade_link(0, latency_ms=9.0)
-    assert net.ledger_epoch == epoch
-    with pytest.raises(InsufficientResidual):
-        net.reserve(cpu_demands={1: 1}, mem_demands={1: 1})
-    assert net.ledger_epoch == epoch
-
-
 def test_fail_host_evicts_and_resets():
     net = square_network()
     net.reserve(link_demands={0: 2000}, cpu_demands={1: 3, 2: 1}, mem_demands={1: 3, 2: 1})
     net.fail_host(1)
     assert net.residual_cpu[1] == 1  # held until released
     assert net.residual_mem[1] == 1
-    assert net.available_bw(0) == 8000  # bandwidth is not host state
+    assert net.residual_bw[0] == 8000  # bandwidth is not host state
     assert net.residual_cpu[2] == 3  # other hosts are untouched
     assert 1 in net.failed_hosts
     # Releasing what the failed host holds gives it back in full.

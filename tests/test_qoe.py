@@ -111,9 +111,6 @@ def test_predict_mos_uses_path_and_residuals():
     predicted = predict_mos(request, ((0,), (1,)), net, catalog)
     # 11 ms effective delay against delay_opt 50 -> every factor is 1.
     assert predicted.mos == 5.0
-    net.reserve(link_demands={0: 9000})  # 1 Mbps left on link 0
-    starved = predict_mos(request, ((0,), (1,)), net, catalog)
-    assert starved.q_bw == pytest.approx(0.25)
 
 
 def test_predict_mos_without_links_assumes_requirement_met():
