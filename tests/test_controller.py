@@ -779,15 +779,20 @@ def test_quiet_windows_measure_no_settled_flow(monkeypatch):
     assert measured == []
 
 
-@pytest.mark.parametrize("change", ["set_stall", "degrade_link"])
+@pytest.mark.parametrize("change", ["set_stall", "degrade_link", "reserve"])
 def test_a_moved_stamp_measures_every_live_flow_once(monkeypatch, change):
     orch, window = _settled_stream_flows()
     controller, net = orch.controller, orch.controller.network
     measured = _count_measures(monkeypatch)
     if change == "set_stall":
         controller.set_stall(1, 0.0)  # the level it already had
-    else:
+    elif change == "degrade_link":
         net.degrade_link(2, latency_ms=40.0)  # on no flow's route
+    else:
+        # A ledger write moves no stamp, even on every flow's route; beside a
+        # move that does, it adds no second measure and no later one.
+        net.reserve(link_demands={0: 1000})
+        controller.set_stall(1, 0.0)
     controller.monitor_window(window, orch.db.live())
     assert measured == [0, 1, 2]
     # None of them read anything new, so each recorded the new stamp and
