@@ -7,7 +7,11 @@ A finished run produces three files in the output directory:
   db_dump.json    the orchestrator database, lifecycle logs included
 
 All three are rendered deterministically (sorted keys, fixed float
-formatting) so identical runs produce byte-identical artifacts.
+formatting) so identical runs produce byte-identical artifacts. The two JSON
+files are the bytes of json.dumps(value, indent=2, sort_keys=True) plus a
+newline, written by this module's own writer: json.dumps with an indent runs
+json's pure-Python encoder. db_dump.json and the series stream to disk, one
+database entry and one window at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +23,10 @@ from pathlib import Path
 
 from .errors import IoFailure
 from .qoe import QoeSample
+
+# json's own C escaper: the text json.dumps gives a str, quotes included.
+_escape = json.encoder.encode_basestring_ascii
+_INF = float("inf")
 
 CSV_HEADER = ["time_ms", "flow_id", "mos", "q_bw", "q_delay", "q_loss", "q_stall"]
 
@@ -62,6 +70,82 @@ class SimReport:
         }
 
 
+def _append_json(value, indent: str, parts: list[str]) -> None:
+    """Append the text of json.dumps(value, indent=2, sort_keys=True) to parts.
+
+    indent is a newline plus the spaces of value's depth. Only the exact
+    built-in types json writes are taken, and dict keys must be str; any
+    other value or key raises TypeError. Scalars are spelled as json spells
+    them: str through json's escaper, int and float by their reprs, NaN and
+    the infinities by json's names.
+    """
+    kind = type(value)
+    if kind is str:
+        parts.append(_escape(value))
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                msg = f"keys must be str, not {type(key).__name__}"
+                raise TypeError(msg)
+            parts.append(separator + _escape(key) + ": ")
+            _append_json(value[key], inner, parts)
+            separator = "," + inner
+        parts.append(indent + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _append_json(item, inner, parts)
+            separator = "," + inner
+        parts.append(indent + "]")
+    elif kind is float:
+        if -_INF < value < _INF:
+            parts.append(float.__repr__(value))
+        elif value != value:
+            parts.append("NaN")
+        else:
+            parts.append("Infinity" if value > 0 else "-Infinity")
+    elif value is None:
+        parts.append("null")
+    elif kind is bool:
+        parts.append("true" if value else "false")
+    else:
+        msg = f"Object of type {kind.__name__} is not JSON serializable"
+        raise TypeError(msg)
+
+
+def _json_text(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), for the types _append_json takes."""
+    parts: list[str] = []
+    _append_json(value, "\n", parts)
+    return "".join(parts)
+
+
+def _write_json_list(handle, items: list) -> None:
+    """Stream _json_text(items) and a newline, one item at a time."""
+    if not items:
+        handle.write("[]\n")
+        return
+    separator = "[\n  "
+    for item in items:
+        parts = [separator]
+        _append_json(item, "\n  ", parts)
+        handle.write("".join(parts))
+        separator = ",\n  "
+    handle.write("\n]\n")
+
+
 def _write_series(handle, series: list[list[QoeSample]], window_ms: int) -> None:
     """Stream the QoE series with fixed six-decimal floats, one window at a time.
 
@@ -99,12 +183,11 @@ def write_report(report: SimReport, out_dir: str | Path) -> list[Path]:
         summary_path = directory / "summary.json"
         series_path = directory / "qoe_series.csv"
         dump_path = directory / "db_dump.json"
-        summary_text = json.dumps(report.summary_dict(), indent=2, sort_keys=True)
-        summary_path.write_text(summary_text + "\n", encoding="utf-8")
+        summary_path.write_text(_json_text(report.summary_dict()) + "\n", encoding="utf-8")
         with open(series_path, "w", encoding="utf-8") as handle:
             _write_series(handle, report.series, report.window_ms)
-        dump_text = json.dumps(report.db_dump, indent=2, sort_keys=True)
-        dump_path.write_text(dump_text + "\n", encoding="utf-8")
+        with open(dump_path, "w", encoding="utf-8") as handle:
+            _write_json_list(handle, report.db_dump)
     except OSError as exc:
         msg = f"cannot write report to {directory}: {exc}"
         raise IoFailure(msg) from exc

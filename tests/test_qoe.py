@@ -104,7 +104,7 @@ def test_breach_window_of_one():
     assert breach_trail(1, [0.2, 0.2, 0.0, 0.2])[1] == [0, 1, 3]
 
 
-def test_predict_mos_uses_path_and_residuals():
+def test_predict_mos_scores_the_path_figures():
     net = line_network()
     catalog = small_catalog()
     request = make_request()

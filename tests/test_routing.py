@@ -77,6 +77,28 @@ def test_latency_beats_hop_count():
     assert shortest_feasible_path(net, 0, 2, 500) == [1, 2]
 
 
+def test_a_float_latency_tie_falls_to_fewer_hops():
+    # One-decimal latencies summed in path order can tie exactly as floats:
+    # 6.7 + 9.0 + 9.0 == 3.6 + 6.3 + 6.8 + 8.0 == 24.7, a tie over 3 and 4
+    # hops that the benchmark sweeps hold. Summed in reverse, the 4-hop route
+    # comes to 24.700000000000003, so only path order makes the tie. Its
+    # links have the smaller ids, so only the hop count picks the 3-hop route.
+    nodes = [NodeSpec(0, NodeKind.ENDPOINT), NodeSpec(1, NodeKind.ENDPOINT)]
+    nodes += [NodeSpec(node_id, NodeKind.SWITCH) for node_id in range(2, 7)]
+    four = [(0, 4, 3.6), (4, 5, 6.3), (5, 6, 6.8), (6, 1, 8.0)]
+    three = [(0, 2, 6.7), (2, 3, 9.0), (3, 1, 9.0)]
+    links = [
+        LinkSpec(link_id, a, b, bandwidth_kbps=1000, latency_ms=latency)
+        for link_id, (a, b, latency) in enumerate(four + three)
+    ]
+    net = NetworkState(nodes, links)
+    four_hops, three_hops = path_key(net, [0, 1, 2, 3]), path_key(net, [4, 5, 6])
+    assert four_hops[0] == three_hops[0] == 24.7
+    assert three_hops < four_hops
+    assert shortest_feasible_path(net, 0, 1, 500) == [4, 5, 6]
+    assert shortest_path_tree(net, 0, 500)[1] == three_hops
+
+
 def test_shortest_respects_quality_overrides():
     net = square_network()
     assert shortest_feasible_path(net, 0, 3, 1000) == [0, 2]
