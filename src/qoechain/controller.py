@@ -112,13 +112,13 @@ class Action:
 
 
 class ResourceView:
-    """The NetworkState reads planning needs, with tentative resource deltas on top.
+    """The NetworkState reads planning needs, on the view's own residuals.
 
-    A positive delta offers resources back (a flow replanning may reuse its
-    own holdings); a negative delta tracks demand pending within a plan.
-    Topology, failures, link quality and the residual counters are the
-    state's own objects: no delta touches them. Path search reads usable
-    bandwidth as the residual plus the view's bw_delta.
+    The three residual tables are copies a plan writes freely: giving a
+    replanned flow's holdings back raises them, and demand pending within
+    the plan lowers them. Topology, failures and link quality are the
+    state's own objects. Discarding the view discards the plan; only the
+    ledger commit writes the state's residuals.
     """
 
     def __init__(self, state: NetworkState):
@@ -128,21 +128,9 @@ class ResourceView:
         self.adjacency = state.adjacency
         self.edges = state.edges
         self.quality = state.quality
-        self.residual_bw = state.residual_bw
-        self.residual_cpu = state.residual_cpu
-        self.residual_mem = state.residual_mem
-        self.bw_delta: dict[int, int] = {}
-        self.cpu_delta: dict[int, int] = {}
-        self.mem_delta: dict[int, int] = {}
-
-    def add_bw(self, link_id: int, delta: int) -> None:
-        self.bw_delta[link_id] = self.bw_delta.get(link_id, 0) + delta
-
-    def add_cpu(self, host_id: int, delta: int) -> None:
-        self.cpu_delta[host_id] = self.cpu_delta.get(host_id, 0) + delta
-
-    def add_mem(self, host_id: int, delta: int) -> None:
-        self.mem_delta[host_id] = self.mem_delta.get(host_id, 0) + delta
+        self.residual_bw = state.residual_bw.copy()
+        self.residual_cpu = state.residual_cpu.copy()
+        self.residual_mem = state.residual_mem.copy()
 
 
 @dataclass
@@ -234,11 +222,11 @@ class Controller:
             paths = list(graph.segments)
             usage, cpu, mem = self._parts(request, graph, positions, segments)
             for link_id, kbps in usage.items():
-                view.add_bw(link_id, kbps)
+                view.residual_bw[link_id] += kbps
             for host_id, amount in cpu.items():
-                view.add_cpu(host_id, amount)
+                view.residual_cpu[host_id] += amount
             for host_id, amount in mem.items():
-                view.add_mem(host_id, amount)
+                view.residual_mem[host_id] += amount
         points = [request.ingress, *hosts, request.egress]
         for position in sorted(positions):
             vnf = self.catalog.vnf(request.vnf_sequence[position])
@@ -254,7 +242,7 @@ class Controller:
                 return Rejected(RejectReason.NO_PATH)
             paths[index] = tuple(path)
             for link_id in path:
-                view.add_bw(link_id, -bw_kbps)
+                view.residual_bw[link_id] -= bw_kbps
         if graph is not None and tuple(paths) == graph.segments:
             return Rejected(RejectReason.NO_PATH)
         if graph is None or not self._failure_damage(request, graph)[1]:
@@ -302,14 +290,12 @@ class Controller:
         at the nearest of them then holds every host that can win. Returns
         the host and the segment to it, or why no host was chosen.
         """
-        residual_cpu, cpu_delta = view.residual_cpu, view.cpu_delta
-        residual_mem, mem_delta = view.residual_mem, view.mem_delta
+        residual_cpu, residual_mem = view.residual_cpu, view.residual_mem
         fitting = {}
         for host_id in self.network.host_ids:
             if host_id in view.failed_hosts:
                 continue
-            cpu = residual_cpu[host_id] + cpu_delta.get(host_id, 0)
-            mem = residual_mem[host_id] + mem_delta.get(host_id, 0)
+            cpu, mem = residual_cpu[host_id], residual_mem[host_id]
             if cpu >= vnf.cpu_demand and mem >= vnf.mem_demand:
                 fitting[host_id] = cpu, mem
         if not fitting:
@@ -330,10 +316,10 @@ class Controller:
         if not options:
             return RejectReason.NO_PATH
         _, _, host_id, segment = min(options)
-        view.add_cpu(host_id, -vnf.cpu_demand)
-        view.add_mem(host_id, -vnf.mem_demand)
+        residual_cpu[host_id] -= vnf.cpu_demand
+        residual_mem[host_id] -= vnf.mem_demand
         for link_id in segment:
-            view.add_bw(link_id, -bw_kbps)
+            view.residual_bw[link_id] -= bw_kbps
         return host_id, segment
 
     # -- measurement ------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -123,10 +122,6 @@ class NetworkState:
     Mutations are transactional: a rejected reserve or release leaves the
     state bit-identical to what it was before the call.
     """
-
-    # Tentative bandwidth on top of residual_bw, which path search and the
-    # oracle add in: a bare state has none, a planning view carries its own.
-    bw_delta: Mapping[int, int] = MappingProxyType({})
 
     def __init__(self, nodes: Iterable[NodeSpec], links: Iterable[LinkSpec]):
         self.nodes: dict[int, NodeSpec] = {}

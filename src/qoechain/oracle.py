@@ -9,9 +9,9 @@ exhaustive embedding of one request. Both refuse loudly, with
 InstanceTooLarge, where an exhaustive search would not be small.
 
 `enumerate_simple_paths` and `path_key` read the state's `adjacency` and
-`quality`, and bandwidth through the oracle's own `available_bw`, instead
-of the `edges` tuples and the inline bandwidth read of the routing loop, so
-the oracle does not share the loop's inputs.
+`quality` instead of the `edges` tuples of the routing loop, so the oracle
+does not share the loop's inputs. Bandwidth and host capacity are the
+`residual_*` tables, a planning view's own copies when given one.
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ class OracleLimits:
     max_hosts: int = 6
     max_chain: int = 3
     max_paths_per_pair: int = 100
-
-
-def available_bw(net, link_id: int) -> int:
-    """Usable bandwidth on a link: its residual plus any pending planning delta."""
-    return net.residual_bw[link_id] + net.bw_delta.get(link_id, 0)
 
 
 def path_key(net, path: Iterable[int]) -> PathKey:
@@ -78,7 +73,7 @@ def enumerate_simple_paths(
         for link_id in net.adjacency[node]:
             if link_id in exclude_links:
                 continue
-            if available_bw(net, link_id) < bw_kbps:
+            if net.residual_bw[link_id] < bw_kbps:
                 continue
             neighbor = net.links[link_id].other(node)
             if neighbor in visited:
@@ -140,7 +135,7 @@ def exact_embed(
     chosen: list[LinkPath] = []
 
     def feasible(usage: dict[int, int]) -> bool:
-        return all(kbps <= available_bw(network, link_id) for link_id, kbps in usage.items())
+        return all(kbps <= network.residual_bw[link_id] for link_id, kbps in usage.items())
 
     def dfs(assignment, options, index: int, latency: float, usage: dict[int, int]):
         """Depth-first choice of one path per segment, bounded by best latency."""

@@ -197,11 +197,17 @@ def write_report(report: SimReport, out_dir: str | Path) -> list[Path]:
 def read_summary(out_dir: str | Path) -> dict:
     path = Path(out_dir) / "summary.json"
     try:
-        text = path.read_text(encoding="utf-8")
+        summary = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         msg = f"cannot read {path}: {exc}"
         raise IoFailure(msg) from exc
-    return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        msg = f"{path} is not valid JSON: {exc}"
+        raise IoFailure(msg) from exc
+    if not isinstance(summary, dict):
+        msg = f"{path} does not hold a JSON object"
+        raise IoFailure(msg)
+    return summary
 
 
 def count_series_rows(out_dir: str | Path) -> int:

@@ -7,6 +7,8 @@ everywhere. Reference: Steele, Lea and Flood's SplittableRandom mixer.
 
 from __future__ import annotations
 
+from .errors import InvalidRange
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -14,7 +16,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 class SplitMix64:
     def __init__(self, seed: int):
         if not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed must fit in 64 bits, got {seed}")
+            msg = f"seed must fit in an unsigned 64-bit integer, got {seed}"
+            raise InvalidRange(msg, field="seed")
         self._state = seed
 
     def next_u64(self) -> int:

@@ -18,8 +18,9 @@ Latency is summed along the path from 0.0 in path order, as
 `oracle.path_key` sums it, so even the floats agree.
 
 The loop reads each node's (link id, neighbour, latency) tuples from the
-state's `edges` and the usable bandwidth (residual plus any pending
-planning delta) inline, without calling an accessor per edge. A candidate
+state's `edges` and each link's `residual_bw` inline, without calling an
+accessor per edge; a planning view's residuals are its own copies, with
+the plan's pending demand already taken out. A candidate
 whose neighbour already holds a label better on (latency, hops) is
 dropped before its link tuple is built; only a tie on both compares link
 sequences.
@@ -44,14 +45,12 @@ def _settle(
 ) -> dict[int, PathKey]:
     """Final keys of the nodes reachable from src, in ascending key order.
 
-    A link is feasible when its available bandwidth covers bw_kbps and it is
+    A link is feasible when its residual bandwidth covers bw_kbps and it is
     not excluded. The search stops once every target is settled, or before
     settling a node farther than the first target settled.
     """
     edges = net.edges
-    # Usable bandwidth: the residual plus any pending planning delta.
     residual_bw = net.residual_bw
-    pending_bw = net.bw_delta.get
     failed_hosts = net.failed_hosts
     best: dict[int, PathKey] = {src: (0.0, 0, ())}
     done: dict[int, PathKey] = {}
@@ -77,7 +76,7 @@ def _settle(
             if (
                 neighbor in done
                 or link_id in exclude_links
-                or residual_bw[link_id] + pending_bw(link_id, 0) < bw_kbps
+                or residual_bw[link_id] < bw_kbps
             ):
                 continue
             next_latency = latency + link_latency
@@ -126,7 +125,7 @@ def shortest_feasible_path(
 ) -> list[int] | None:
     """Minimum-latency simple path from src to dst over feasible links.
 
-    A link is feasible when its available bandwidth covers bw_kbps and it is
+    A link is feasible when its residual bandwidth covers bw_kbps and it is
     not excluded. Ties fall to fewer hops, then to the lexicographically
     smallest link-id sequence. Returns [] when src == dst and None when no
     feasible path exists. `net` is a NetworkState or a planning view of one.

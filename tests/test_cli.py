@@ -71,6 +71,14 @@ def test_run_accepts_a_seed_override_under_strict_debug(tmp_path):
     assert excinfo.value.code == 1
 
 
+@pytest.mark.parametrize("seed", ["-5", str(1 << 64)])
+def test_run_seed_override_out_of_range_is_an_input_error(tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    assert cli.main(["run", BASIC, "--out", str(out), "--seed", seed]) == 1
+    assert "ERROR input: seed must fit in an unsigned 64-bit integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_missing_scenario_is_an_input_error(tmp_path, capsys):
     code = cli.main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == 1
@@ -137,6 +145,13 @@ def test_report_summarizes_a_run_directory(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "series rows: 0"
 
 
-def test_report_on_missing_directory_is_an_input_error(tmp_path, capsys):
-    assert cli.main(["report", str(tmp_path / "nope")]) == 1
+@pytest.mark.parametrize(
+    "summary", [None, "{not json", "[]"], ids=["missing", "not_json", "not_an_object"]
+)
+def test_report_on_missing_directory_is_an_input_error(tmp_path, capsys, summary):
+    out = tmp_path / "nope"
+    if summary is not None:
+        out.mkdir()
+        (out / "summary.json").write_text(summary)
+    assert cli.main(["report", str(out)]) == 1
     assert "ERROR input:" in capsys.readouterr().err

@@ -236,7 +236,7 @@ def test_exact_embed_enforces_limits():
 def _bw_view(net, deltas):
     view = ResourceView(net)
     for link_id, kbps in deltas.items():
-        view.add_bw(link_id, kbps)
+        view.residual_bw[link_id] += kbps
     return view
 
 
@@ -881,8 +881,12 @@ def test_handle_breach_marks_degraded_when_out_of_options():
     orch = _orchestrator(net, pair_catalog())
     orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
     net.degrade_link(0, latency_ms=1000.0)
+    before = snapshot(net)
     action = orch.controller.handle_breach(orch.db.entries[0])
     assert action.kind is ActionKind.MARKED_DEGRADED
+    # Both stages planned on views that gave the flow's holdings back and
+    # placed new demand; none of it reached the state.
+    assert snapshot(net) == before
     orch.apply_action(action, now=1000)
     assert orch.db.entries[0].status is LifecycleStatus.DEGRADED
     # Degraded flows stay monitored.

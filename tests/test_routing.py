@@ -213,7 +213,7 @@ def test_tree_on_a_planning_view_reads_its_bandwidth_deltas():
         net = _perturbed_network(rng, n_hosts=4, n_switches=2, extra_links=5)
         view = ResourceView(net)
         for link_id in rng.sample(sorted(net.links), 3):
-            view.add_bw(link_id, -rng.randint(1, 6) * 1000)
+            view.residual_bw[link_id] -= rng.randint(1, 6) * 1000
         _check_tree_against_queries(view, rng, exhaustive=False)
 
 
@@ -243,7 +243,7 @@ def test_tree_and_query_match_the_enumeration_under_heavy_ties():
         net.fail_host(rng.choice(net.host_ids))
         view = ResourceView(net)
         for link_id in rng.sample(sorted(net.links), 4):
-            view.add_bw(link_id, rng.choice((-1, 1)) * rng.randint(1, 6) * 1000)
+            view.residual_bw[link_id] += rng.choice((-1, 1)) * rng.randint(1, 6) * 1000
         bw = rng.randint(1, 6) * 1000
         exclude = frozenset(rng.sample(sorted(net.links), rng.randint(0, 2)))
         for searched in (net, view):
