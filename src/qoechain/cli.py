@@ -148,6 +148,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_report(args) -> int:
     summary = read_summary(args.out)
+    rows = count_series_rows(args.out)
     print(f"scenario {summary['scenario']} seed {summary['seed']}")
     print(f"windows={summary['windows']} {_counters_line(summary['counters'])}")
     for flow_id in sorted(summary["flows"], key=int):
@@ -161,7 +162,7 @@ def _cmd_report(args) -> int:
             f"windows={flow['windows_observed']} compliance={compliance} "
             f"breaches={len(flow['breach_windows'])}"
         )
-    print(f"series rows: {count_series_rows(args.out)}")
+    print(f"series rows: {rows}")
     return 0
 
 

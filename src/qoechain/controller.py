@@ -12,6 +12,11 @@ outcome, and answers with graphs or Actions; it never changes a flow's
 graph or status. A host failure is repaired from the live flows' graphs
 alone.
 
+A flow's measurement inputs change only at three events, and each reaches
+just the flows it touches: a degradation through handle_degradation, a
+stall level through set_stall and a new graph through the graph check in
+monitor_window.
+
 The controller owns the reservation ledger. Admission and every repair
 are planned by one routine on a resource view, and one ledger commit,
 the only writer of the ledger, touches the real network only once a whole
@@ -115,8 +120,8 @@ class ResourceView:
     """The NetworkState reads planning needs, on the view's own residuals.
 
     The three residual tables are copies a plan writes freely: giving a
-    replanned flow's holdings back raises them, and demand pending within
-    the plan lowers them. Topology, failures and link quality are the
+    replanned flow's holdings back raises them, demand pending within the
+    plan lowers them, and a link the plan shuns is set to -1. Topology, failures and link quality are the
     state's own objects. Discarding the view discards the plan; only the
     ledger commit writes the state's residuals.
     """
@@ -138,16 +143,13 @@ class RouteFigures:
     """What measuring a flow reads off its graph and the link quality.
 
     Built for one graph object and valid while the entry still holds that
-    object and no link of the graph has changed quality since quality_epoch:
-    a reroute or migration installs a new graph object, and only
-    degrade_link changes link quality, recording the epoch of each change
-    per link. When the epoch has moved but only off the route, the figures
-    stay and just take the new epoch. Nothing here reads residual
-    bandwidth: a flow's throughput is the rate its graph reserves.
+    object: a reroute or migration installs a new graph object, and
+    handle_degradation rebuilds the figures of every flow whose graph
+    crosses a degraded link. Nothing here reads residual bandwidth: a
+    flow's throughput is the rate its graph reserves.
     """
 
     graph: ForwardingGraph
-    quality_epoch: int
     metrics: PathMetrics
     # Every link the graph crosses.
     links: frozenset[int]
@@ -168,8 +170,6 @@ class Controller:
         # Keyed by flow id, not by entry: a stall may target a flow before
         # that flow is admitted.
         self.stall_levels: dict[int, float] = {}
-        # Moves at every set_stall, the one writer of stall_levels.
-        self.stall_epoch = 0
 
     # -- admission ------------------------------------------------------------
 
@@ -209,7 +209,8 @@ class Controller:
         identical to the graph is no repair. A flow whose graph touches a
         failed host takes any plan that fits; any other plan must reach the
         request's target MOS, predicted from its segments under the current
-        link quality.
+        link quality. Each link in exclude_links is shunned: the view gives
+        it a residual of -1, below any demand.
         """
         view = ResourceView(self.network)
         if graph is None:
@@ -227,17 +228,17 @@ class Controller:
                 view.residual_cpu[host_id] += amount
             for host_id, amount in mem.items():
                 view.residual_mem[host_id] += amount
+        for link_id in exclude_links:
+            view.residual_bw[link_id] = -1
         points = [request.ingress, *hosts, request.egress]
         for position in sorted(positions):
             vnf = self.catalog.vnf(request.vnf_sequence[position])
-            placed = self._place_next(view, points[position], vnf, bw_kbps, exclude_links)
+            placed = self._place_next(view, points[position], vnf, bw_kbps)
             if isinstance(placed, RejectReason):
                 return Rejected(placed)
             points[position + 1], paths[position] = placed
         for index in sorted(set(segments) - set(positions)):
-            path = shortest_feasible_path(
-                view, points[index], points[index + 1], bw_kbps, exclude_links
-            )
+            path = shortest_feasible_path(view, points[index], points[index + 1], bw_kbps)
             if path is None:
                 return Rejected(RejectReason.NO_PATH)
             paths[index] = tuple(path)
@@ -274,12 +275,7 @@ class Controller:
         return lost, segments
 
     def _place_next(
-        self,
-        view: ResourceView,
-        anchor: int,
-        vnf: VnfType,
-        bw_kbps: int,
-        exclude_links: frozenset[int],
+        self, view: ResourceView, anchor: int, vnf: VnfType, bw_kbps: int
     ) -> tuple[int, LinkPath] | RejectReason:
         """Place one VNF after anchor and take its demand out of the view.
 
@@ -300,7 +296,7 @@ class Controller:
                 fitting[host_id] = cpu, mem
         if not fitting:
             return RejectReason.NO_HOST
-        tree = shortest_path_tree(view, anchor, bw_kbps, exclude_links, fitting)
+        tree = shortest_path_tree(view, anchor, bw_kbps, fitting)
         nodes = self.network.nodes
         options = []
         for host_id, label in tree.items():
@@ -349,32 +345,23 @@ class Controller:
         and the last smoothed figures. So when the raw inputs equal the last
         window's and the last window's smoothing left every figure where it
         was, the EWMA sits at its floating-point fixed point and the sample
-        is the last one, returned as the same object. entry.settled keeps
-        that sample with the stall level it was scored from and the window
-        stamp it was last measured under; rebuilt route figures drop it.
-
-        The stamp is (quality_epoch, stall_epoch), built once per window.
-        Route figures and throughput are fixed by the graph object, link
-        quality changes only through degrade_link and stall levels only
-        through set_stall, each of which moves one epoch. A settled flow
-        still on the graph its route figures were built for and last
-        measured under this window's stamp therefore takes its held sample
-        unmeasured; any other flow is measured. A reroute or migration
-        moves no epoch, so the graph check is what sends a moved flow on.
+        is the last one. entry.settled holds that sample, and a window that
+        finds it, on the graph the route figures were built for, returns the
+        same object unmeasured. Route figures and throughput are fixed by
+        the graph object; a degradation on the route (handle_degradation)
+        and a new stall level (set_stall) drop the held sample, and a new
+        graph object fails the graph check.
         """
         alpha = self.policy.predictor_alpha
         breach_after = self.ela.breach_windows
         profile_of = self.catalog.profile
-        stamp = (self.network.quality_epoch, self.stall_epoch)
         samples: list[QoeSample] = []
         breaching: list[QoeSample] = []
         for entry in flows:
             request = entry.request
-            settled = entry.settled
-            if settled is not None and settled[2] == stamp and entry.route.graph is entry.graph:
-                sample = settled[1]
-            else:
-                sample = self._measure(entry, profile_of(request.profile), alpha, stamp)
+            sample = entry.settled
+            if sample is None or entry.route.graph is not entry.graph:
+                sample = self._measure(entry, profile_of(request.profile), alpha)
             samples.append(sample)
             entry.windows_observed += 1
             if sample.mos >= request.ela_target:
@@ -387,33 +374,15 @@ class Controller:
                     breaching.append(sample)
         return samples, breaching
 
-    def _measure(
-        self, entry: DbEntry, profile: AppProfile, alpha: float, stamp: tuple[int, int]
-    ) -> QoeSample:
-        """The flow's sample for one window; brings its monitoring state up to date.
-
-        stamp is the window's, recorded with a settled sample.
-        """
-        network = self.network
+    def _measure(self, entry: DbEntry, profile: AppProfile, alpha: float) -> QoeSample:
+        """The flow's sample for one window; brings its monitoring state up to date."""
         route = entry.route
         if route is None or route.graph is not entry.graph:
             route = entry.route = self._route_figures(entry)
             # The first window on a new graph is taken raw.
-            entry.smoothed = entry.settled = None
-        elif route.quality_epoch != network.quality_epoch:
-            changed = network.quality_changed
-            built = route.quality_epoch
-            if any(changed.get(link_id, built) > built for link_id in route.links):
-                route = entry.route = self._route_figures(entry)
-                entry.settled = None
-            else:
-                route.quality_epoch = network.quality_epoch
+            entry.smoothed = None
         flow_id = entry.request.id
         stall_ratio = self.stall_levels.get(flow_id, 0.0)
-        settled = entry.settled
-        if settled is not None and settled[0] == stall_ratio:
-            settled[2] = stamp
-            return settled[1]
         metrics = route.metrics
         raw = FlowSample(
             flow_id=flow_id,
@@ -425,14 +394,13 @@ class Controller:
         )
         still = self._smooth(entry, raw, alpha)
         sample = estimate_mos(entry.smoothed, profile)
-        entry.settled = [stall_ratio, sample, stamp] if still else None
+        entry.settled = sample if still else None
         return sample
 
     def _route_figures(self, entry: DbEntry) -> RouteFigures:
         request, graph = entry.request, entry.graph
         return RouteFigures(
             graph=graph,
-            quality_epoch=self.network.quality_epoch,
             metrics=path_metrics(
                 graph.segments,
                 self.network,
@@ -452,11 +420,32 @@ class Controller:
         entry.smoothed = FlowSample(raw.flow_id, *figures)
         return figures == last
 
-    def set_stall(self, flow_id: int, stall_ratio: float) -> None:
-        """Set a flow's stall level; it persists until the next injection."""
+    def handle_degradation(self, link_id: int, flows: Iterable[DbEntry]) -> None:
+        """Bring the given live flows up to date after link_id changed quality.
+
+        A flow whose route figures, built for its current graph, cross the
+        link has them rebuilt under the new quality and loses its held
+        sample; its smoothing carries on. Figures built for an older graph
+        are left for _measure, which rebuilds them and restarts smoothing.
+        """
+        for entry in flows:
+            route = entry.route
+            if route is not None and route.graph is entry.graph and link_id in route.links:
+                entry.route = self._route_figures(entry)
+                entry.settled = None
+
+    def set_stall(self, flow_id: int, stall_ratio: float, flows: Iterable[DbEntry]) -> None:
+        """Set a flow's stall level; it persists until the next injection.
+
+        flows are the live database entries; if the flow is one of them, its
+        held sample is dropped. A flow not yet admitted reads the level when
+        first measured.
+        """
         check_stall_ratio(stall_ratio)
         self.stall_levels[flow_id] = stall_ratio
-        self.stall_epoch += 1
+        for entry in flows:
+            if entry.request.id == flow_id:
+                entry.settled = None
 
     # -- self-healing -------------------------------------------------------------
 

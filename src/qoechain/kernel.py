@@ -134,8 +134,9 @@ def run(
                 orchestrator.apply_action(action, event.time_ms)
         elif isinstance(event, LinkDegradation):
             state.degrade_link(event.link, event.latency_ms, event.jitter_ms, event.loss_pct)
+            controller.handle_degradation(event.link, orchestrator.db.live())
         elif isinstance(event, StallInjection):
-            controller.set_stall(event.flow, event.stall_ratio)
+            controller.set_stall(event.flow, event.stall_ratio, orchestrator.db.live())
         else:  # pragma: no cover - the queue only ever holds the types above
             msg = f"unknown event {event!r}"
             raise InvariantViolation(msg)

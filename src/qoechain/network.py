@@ -160,11 +160,6 @@ class NetworkState:
             link.id: LinkQuality(link.latency_ms, link.jitter_ms, link.loss_pct)
             for link in self.links.values()
         }
-        # Moves at every change of link quality, so figures read off link
-        # quality can tell whether they are stale; quality_changed holds the
-        # epoch of each link's last change, so they can tell which link.
-        self.quality_epoch = 0
-        self.quality_changed: dict[int, int] = {}
 
         adj: dict[int, list[int]] = {node_id: [] for node_id in self.nodes}
         for link in self.links.values():
@@ -256,8 +251,9 @@ class NetworkState:
 
         Capacity is untouched: a degraded link still carries its reserved
         traffic, only worse. loss_pct=100 models a link failure. This is the
-        only change of link quality, and each one moves quality_epoch,
-        records it in quality_changed and refreshes both endpoints' edges.
+        only change of link quality; it refreshes both endpoints' edges, and
+        the caller hands the change to Controller.handle_degradation, which
+        refreshes the flows measured over the link.
         """
         if link_id not in self.links:
             msg = f"unknown link {link_id}"
@@ -268,8 +264,6 @@ class NetworkState:
         loss = current.loss_pct if loss_pct is None else loss_pct
         check_link_quality(link_id, latency, jitter, loss)
         self.quality[link_id] = LinkQuality(latency, jitter, loss)
-        self.quality_epoch += 1
-        self.quality_changed[link_id] = self.quality_epoch
         link = self.links[link_id]
         self._refresh_edges(link.a)
         self._refresh_edges(link.b)

@@ -49,7 +49,6 @@ def enumerate_simple_paths(
     src: int,
     dst: int,
     bw_kbps: int,
-    exclude_links: frozenset[int] = frozenset(),
     max_paths: int | None = None,
 ) -> list[list[int]]:
     """All simple paths (no repeated node) from src to dst over feasible links.
@@ -71,8 +70,6 @@ def enumerate_simple_paths(
         if node != src and node in net.failed_hosts:
             return
         for link_id in net.adjacency[node]:
-            if link_id in exclude_links:
-                continue
             if net.residual_bw[link_id] < bw_kbps:
                 continue
             neighbor = net.links[link_id].other(node)

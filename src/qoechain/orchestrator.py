@@ -31,7 +31,7 @@ from .errors import (
     IllegalTransition,
     UnknownRequest,
 )
-from .qoe import FlowSample
+from .qoe import FlowSample, QoeSample
 from .scenario import dump_request
 from .service import ChainRequest, ForwardingGraph
 from .units import kbps_to_mbps
@@ -90,16 +90,12 @@ class DbEntry:
     # carries over a new graph.
     windows_below: int = 0
     # The controller's figures for measuring this flow, keyed on the graph
-    # object and the network's quality epoch; None until first measured.
+    # object; None until first measured.
     route: RouteFigures | None = None
-    # While smoothing stands still: [stall ratio, sample, stamp], the stall
-    # level the last scoring read, the sample it scored, and the controller's
-    # window stamp at the flow's last measurement. A window under the same
-    # stamp, on the graph the route figures were built for, takes the sample
-    # unmeasured; one that measures the same stall level takes it and
-    # records its stamp in place. Dropped whenever the route figures are
-    # rebuilt.
-    settled: list | None = None
+    # While smoothing stands still, the sample it last scored. A window on
+    # the graph the route figures were built for takes it unmeasured. A
+    # degradation on the route and a new stall level drop it.
+    settled: QoeSample | None = None
     # The run outcome: windows measured, windows at or above the target,
     # and the indices of the windows that breached the ELA.
     windows_observed: int = 0

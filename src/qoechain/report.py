@@ -30,6 +30,19 @@ _INF = float("inf")
 
 CSV_HEADER = ["time_ms", "flow_id", "mos", "q_bw", "q_delay", "q_loss", "q_stall"]
 
+# What `qoechain report` reads off summary.json, each with the types it takes:
+# the top level, the counters and each flow.
+_SUMMARY_FIELDS = {"scenario": str, "seed": int, "windows": int, "counters": dict, "flows": dict}
+_COUNTER_FIELDS = dict.fromkeys(
+    ("admitted", "rejected_total", "completed", "failed", "rerouted", "migrated"), int
+)
+_FLOW_FIELDS = {
+    "final_status": str,
+    "windows_observed": int,
+    "compliance": (int, float, type(None)),
+    "breach_windows": list,
+}
+
 
 @dataclass(frozen=True)
 class FlowSummary:
@@ -194,7 +207,17 @@ def write_report(report: SimReport, out_dir: str | Path) -> list[Path]:
     return [summary_path, series_path, dump_path]
 
 
+def _check_fields(path: Path, where: str, value, fields: dict) -> None:
+    """Raise IoFailure unless value is a JSON object holding fields, each of its types."""
+    if not isinstance(value, dict):
+        raise IoFailure(f"{path}: {where} is not a JSON object")
+    for key, kinds in fields.items():
+        if key not in value or not isinstance(value[key], kinds):
+            raise IoFailure(f"{path}: {where} has no valid {key!r}")
+
+
 def read_summary(out_dir: str | Path) -> dict:
+    """The summary.json in out_dir, checked to hold what `qoechain report` reads."""
     path = Path(out_dir) / "summary.json"
     try:
         summary = json.loads(path.read_text(encoding="utf-8"))
@@ -204,9 +227,12 @@ def read_summary(out_dir: str | Path) -> dict:
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         msg = f"{path} is not valid JSON: {exc}"
         raise IoFailure(msg) from exc
-    if not isinstance(summary, dict):
-        msg = f"{path} does not hold a JSON object"
-        raise IoFailure(msg)
+    _check_fields(path, "the summary", summary, _SUMMARY_FIELDS)
+    _check_fields(path, "counters", summary["counters"], _COUNTER_FIELDS)
+    for flow_id, flow in summary["flows"].items():
+        if not flow_id.isdecimal():
+            raise IoFailure(f"{path}: flow id {flow_id!r} is not a number")
+        _check_fields(path, f"flow {flow_id}", flow, _FLOW_FIELDS)
     return summary
 
 
@@ -220,4 +246,7 @@ def count_series_rows(out_dir: str | Path) -> int:
             return sum(1 for row in rows if row)
     except OSError as exc:
         msg = f"cannot read {path}: {exc}"
+        raise IoFailure(msg) from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        msg = f"{path} is not a UTF-8 CSV file: {exc}"
         raise IoFailure(msg) from exc

@@ -20,7 +20,8 @@ Latency is summed along the path from 0.0 in path order, as
 The loop reads each node's (link id, neighbour, latency) tuples from the
 state's `edges` and each link's `residual_bw` inline, without calling an
 accessor per edge; a planning view's residuals are its own copies, with
-the plan's pending demand already taken out. A candidate
+the plan's pending demand already taken out and any link it shuns set
+below every demand. A candidate
 whose neighbour already holds a label better on (latency, hops) is
 dropped before its link tuple is built; only a tie on both compares link
 sequences.
@@ -36,18 +37,12 @@ from .errors import UnknownHost
 PathKey = tuple[float, int, tuple[int, ...]]
 
 
-def _settle(
-    net,
-    src: int,
-    bw_kbps: int,
-    exclude_links: frozenset[int],
-    targets: Collection[int] = (),
-) -> dict[int, PathKey]:
+def _settle(net, src: int, bw_kbps: int, targets: Collection[int] = ()) -> dict[int, PathKey]:
     """Final keys of the nodes reachable from src, in ascending key order.
 
-    A link is feasible when its residual bandwidth covers bw_kbps and it is
-    not excluded. The search stops once every target is settled, or before
-    settling a node farther than the first target settled.
+    A link is feasible when its residual bandwidth covers bw_kbps. The
+    search stops once every target is settled, or before settling a node
+    farther than the first target settled.
     """
     edges = net.edges
     residual_bw = net.residual_bw
@@ -73,11 +68,7 @@ def _settle(
             continue
         next_hops = hops + 1
         for link_id, neighbor, link_latency in edges[node]:
-            if (
-                neighbor in done
-                or link_id in exclude_links
-                or residual_bw[link_id] < bw_kbps
-            ):
+            if neighbor in done or residual_bw[link_id] < bw_kbps:
                 continue
             next_latency = latency + link_latency
             label = best.get(neighbor)
@@ -97,11 +88,7 @@ def _settle(
 
 
 def shortest_path_tree(
-    net,
-    src: int,
-    bw_kbps: int,
-    exclude_links: frozenset[int] = frozenset(),
-    targets: Collection[int] = (),
+    net, src: int, bw_kbps: int, targets: Collection[int] = ()
 ) -> dict[int, PathKey]:
     """Key of the minimum-latency feasible path from src to every reachable node.
 
@@ -113,27 +100,22 @@ def shortest_path_tree(
     if src not in net.nodes:
         msg = f"unknown node in path query: {src}"
         raise UnknownHost(msg)
-    return _settle(net, src, bw_kbps, exclude_links, targets)
+    return _settle(net, src, bw_kbps, targets)
 
 
-def shortest_feasible_path(
-    net,
-    src: int,
-    dst: int,
-    bw_kbps: int,
-    exclude_links: frozenset[int] = frozenset(),
-) -> list[int] | None:
+def shortest_feasible_path(net, src: int, dst: int, bw_kbps: int) -> list[int] | None:
     """Minimum-latency simple path from src to dst over feasible links.
 
-    A link is feasible when its residual bandwidth covers bw_kbps and it is
-    not excluded. Ties fall to fewer hops, then to the lexicographically
-    smallest link-id sequence. Returns [] when src == dst and None when no
-    feasible path exists. `net` is a NetworkState or a planning view of one.
+    A link is feasible when its residual bandwidth covers bw_kbps; a
+    planning view shuns a link by giving it a residual below any demand.
+    Ties fall to fewer hops, then to the lexicographically smallest link-id
+    sequence. Returns [] when src == dst and None when no feasible path
+    exists. `net` is a NetworkState or a planning view of one.
     """
     if src not in net.nodes or dst not in net.nodes:
         msg = f"unknown node in path query: {src} -> {dst}"
         raise UnknownHost(msg)
     if src == dst:
         return []
-    label = _settle(net, src, bw_kbps, exclude_links, (dst,)).get(dst)
+    label = _settle(net, src, bw_kbps, (dst,)).get(dst)
     return None if label is None else list(label[2])

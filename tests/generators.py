@@ -267,6 +267,13 @@ def fail_and_repair(orchestrator, host_id: int, now: int = 0) -> list:
     return actions
 
 
+def degrade_and_refresh(orchestrator, link_id: int, **figures) -> None:
+    """Degrade a link and hand the change to the controller, as the kernel does."""
+    controller = orchestrator.controller
+    controller.network.degrade_link(link_id, **figures)
+    controller.handle_degradation(link_id, orchestrator.db.live())
+
+
 def series_rows(report: SimReport) -> Iterator[tuple[int, QoeSample]]:
     """A run's QoE series as (window index, sample) rows, in qoe_series.csv order."""
     for window, samples in enumerate(report.series):
@@ -296,7 +303,7 @@ def breach_trail(breach_windows: int, stalls) -> tuple[list[float], list[int]]:
     orch = stalled_flow(breach_windows)
     scores, breached = [], []
     for window, stall in enumerate(stalls):
-        orch.controller.set_stall(0, stall)
+        orch.controller.set_stall(0, stall, orch.db.live())
         samples, breaching = orch.controller.monitor_window(window, orch.db.live())
         scores.append(samples[0].mos)
         breached.extend(window for _ in breaching)

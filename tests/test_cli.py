@@ -155,3 +155,49 @@ def test_report_on_missing_directory_is_an_input_error(tmp_path, capsys, summary
         (out / "summary.json").write_text(summary)
     assert cli.main(["report", str(out)]) == 1
     assert "ERROR input:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        dict.clear,
+        lambda summary: summary.update(seed="7"),
+        lambda summary: summary["counters"].pop("migrated"),
+        lambda summary: summary.update(flows=[]),
+        lambda summary: summary["flows"].update(x=summary["flows"]["0"]),
+        lambda summary: summary["flows"].update({"0": None}),
+        lambda summary: summary["flows"]["0"].update(compliance="1.0"),
+        lambda summary: summary["flows"]["0"].pop("breach_windows"),
+    ],
+    ids=[
+        "empty",
+        "seed_not_int",
+        "counter_missing",
+        "flows_not_an_object",
+        "flow_id_not_a_number",
+        "flow_not_an_object",
+        "compliance_not_a_number",
+        "flow_field_missing",
+    ],
+)
+def test_report_on_a_summary_without_what_it_reads_is_an_input_error(tmp_path, capsys, spoil):
+    out = tmp_path / "out"
+    cli.main(["run", BASIC, "--out", str(out)])
+    path = out / "summary.json"
+    summary = json.loads(path.read_text())
+    spoil(summary)
+    path.write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert cli.main(["report", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("ERROR input:")
+
+
+def test_report_on_a_series_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    cli.main(["run", BASIC, "--out", str(out)])
+    (out / "qoe_series.csv").write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    assert cli.main(["report", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no half-printed report before the error
+    assert captured.err.startswith("ERROR input:")

@@ -41,6 +41,7 @@ from qoechain.orchestrator import DbEntry
 from qoechain.routing import shortest_path_tree
 
 from generators import (
+    degrade_and_refresh,
     fail_and_repair,
     line_network,
     make_profile,
@@ -233,20 +234,23 @@ def test_exact_embed_enforces_limits():
         )
 
 
-def _bw_view(net, deltas):
+def _bw_view(net, deltas, shunned=()):
+    """A planning view with deltas on its bandwidth and shunned links at -1, as _replan sets them."""
     view = ResourceView(net)
     for link_id, kbps in deltas.items():
         view.residual_bw[link_id] += kbps
+    for link_id in shunned:
+        view.residual_bw[link_id] = -1
     return view
 
 
-def _full_tree_choice(net, searched, anchor, vnf, bw_kbps, exclude):
+def _full_tree_choice(net, searched, anchor, vnf, bw_kbps):
     """_place_next's rule read off an unbounded tree over searched.
 
     Returns the winning (host, segment), or the reject reason, and whether
     the winner is settled after another fitting host of its latency.
     """
-    tree = shortest_path_tree(searched, anchor, bw_kbps, exclude)
+    tree = shortest_path_tree(searched, anchor, bw_kbps)
     fits, options = False, []
     for host_id in net.host_ids:
         cpu, mem = net.residual_cpu[host_id], net.residual_mem[host_id]
@@ -298,11 +302,14 @@ def test_bounded_placement_matches_the_full_tree_choice():
             for link_id in rng.sample(sorted(net.links), 4)
         }
         for searched_deltas in ({}, deltas):
-            searched = _bw_view(net, searched_deltas) if searched_deltas else net
+            if searched_deltas or exclude:
+                searched = _bw_view(net, searched_deltas, exclude)
+            else:
+                searched = net
             for anchor in sorted(net.nodes):
-                expected, tie = _full_tree_choice(net, searched, anchor, vnf, bw, exclude)
-                view = _bw_view(net, searched_deltas)
-                assert ctl._place_next(view, anchor, vnf, bw, exclude) == expected
+                expected, tie = _full_tree_choice(net, searched, anchor, vnf, bw)
+                view = _bw_view(net, searched_deltas, exclude)
+                assert ctl._place_next(view, anchor, vnf, bw) == expected
                 placed += not isinstance(expected, RejectReason)
                 tied += tie
     assert placed >= 2000  # most searches must place a VNF
@@ -326,7 +333,7 @@ def test_colocated_placement_settles_only_the_anchor_tier(placement_trees):
     net = line_network()
     ctl = _controller(net)
     vnf = ctl.catalog.vnf("fw")
-    assert ctl._place_next(ResourceView(net), 1, vnf, 1000, frozenset()) == (1, ())
+    assert ctl._place_next(ResourceView(net), 1, vnf, 1000) == (1, ())
     assert placement_trees == [{1: (0.0, 0, ())}]
 
 
@@ -339,7 +346,7 @@ def test_placement_stops_at_the_nearest_fitting_host(placement_trees):
     links = [LinkSpec(i, i, i + 1, bandwidth_kbps=10_000, latency_ms=1.0) for i in range(8)]
     net = NetworkState(nodes, links)
     ctl = _controller(net)
-    placed = ctl._place_next(ResourceView(net), 0, ctl.catalog.vnf("fw"), 1000, frozenset())
+    placed = ctl._place_next(ResourceView(net), 0, ctl.catalog.vnf("fw"), 1000)
     assert placed == (1, (0,))
     assert len(shortest_path_tree(net, 0, 1000)) == 9
     assert [sorted(tree) for tree in placement_trees] == [[0, 1]]  # not the tail
@@ -390,7 +397,7 @@ def test_monitor_window_scores_and_smooths():
         assert [s.mos for s in samples] == [5.0]
         assert alerts == []
 
-    net.degrade_link(0, latency_ms=300.0)
+    degrade_and_refresh(orch, 0, latency_ms=300.0)
     expected_delay = 10.0
     expected = []
     alert_trail = []
@@ -421,7 +428,7 @@ def test_a_degraded_flow_breaches_again_and_the_run_survives_a_reroute():
     # target and breaches again in the very next window.
     orch = stalled_flow()
     controller, entry = orch.controller, orch.db.entries[0]
-    controller.set_stall(0, 0.2)
+    controller.set_stall(0, 0.2, orch.db.live())
     for window in range(2):
         _, breaching = controller.monitor_window(window, orch.db.live())
     assert [s.flow_id for s in breaching] == [0]
@@ -438,7 +445,7 @@ def test_a_degraded_flow_breaches_again_and_the_run_survives_a_reroute():
     # carries over to the new graph, so the next stalled window breaches.
     orch = stalled_flow(latencies=(10.0, 12.0))
     controller, entry = orch.controller, orch.db.entries[0]
-    controller.set_stall(0, 0.2)
+    controller.set_stall(0, 0.2, orch.db.live())
     for window in range(2):
         _, breaching = controller.monitor_window(window, orch.db.live())
     old_graph = entry.graph
@@ -448,7 +455,7 @@ def test_a_degraded_flow_breaches_again_and_the_run_survives_a_reroute():
     _, breaching = controller.monitor_window(2, orch.db.live())
     assert [s.flow_id for s in breaching] == [0]
     assert entry.breach_windows == [1, 2]
-    controller.set_stall(0, 0.0)
+    controller.set_stall(0, 0.0, orch.db.live())
     _, breaching = controller.monitor_window(3, orch.db.live())
     assert breaching == [] and entry.windows_below == 0
     assert entry.breach_windows == [1, 2]
@@ -458,12 +465,12 @@ def test_stall_injection_shapes_q_stall():
     orch = _orchestrator()
     ctl = orch.controller
     orch.submit_request(make_request(), now=0)
-    ctl.set_stall(0, 0.1)  # stall_max is 0.2
+    ctl.set_stall(0, 0.1, orch.db.live())  # stall_max is 0.2
     samples, _ = ctl.monitor_window(0, orch.db.live())
     assert samples[0].q_stall == pytest.approx(0.5)
     assert samples[0].mos == pytest.approx(3.0)
     with pytest.raises(InvalidRange):
-        ctl.set_stall(0, 1.5)
+        ctl.set_stall(0, 1.5, orch.db.live())
 
 
 def test_reserved_bandwidth_insulates_throughput():
@@ -478,8 +485,9 @@ def test_reserved_bandwidth_insulates_throughput():
     assert samples[0].mos > 4.9
 
 
-# Route figures are cached on the entry per graph object and quality epoch;
-# these three pin what must still show in the very next window.
+# Route figures are cached on the entry per graph object and rebuilt at a
+# degradation on the route; these two pin what must still show in the very
+# next window.
 
 
 def test_degrading_a_used_link_shows_in_the_next_window():
@@ -489,7 +497,7 @@ def test_degrading_a_used_link_shows_in_the_next_window():
     entry = orch.db.entries[0]
     orch.controller.monitor_window(0, orch.db.live())
     assert (entry.smoothed.delay_ms, entry.smoothed.loss_pct) == (10.0, 0.0)
-    net.degrade_link(0, latency_ms=40.0, loss_pct=2.0)
+    degrade_and_refresh(orch, 0, latency_ms=40.0, loss_pct=2.0)
     orch.controller.monitor_window(1, orch.db.live())
     assert entry.smoothed.delay_ms == 40.0
     assert entry.smoothed.loss_pct == pytest.approx(2.0)
@@ -500,7 +508,7 @@ def test_a_reroute_is_measured_on_the_new_segments_next_window():
     orch = _orchestrator(net, pair_catalog(delay_opt=50.0, delay_max=250.0))
     orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
     entry = orch.db.entries[0]
-    net.degrade_link(0, latency_ms=300.0)
+    degrade_and_refresh(orch, 0, latency_ms=300.0)
     # Measured after the degradation, so only the new graph tells the
     # figures of link 0 apart from those of the reroute.
     orch.controller.monitor_window(0, orch.db.live())
@@ -512,8 +520,7 @@ def test_a_reroute_is_measured_on_the_new_segments_next_window():
     assert samples[0].mos == 5.0
 
 
-# A moved quality epoch rebuilds a flow's figures only when a link of its
-# route changed after they were built.
+# A degradation rebuilds a flow's figures only when the link is on its route.
 
 
 def _pair_flow(net):
@@ -528,10 +535,9 @@ def test_degrading_a_link_off_the_route_keeps_its_figures():
     orch, entry = _pair_flow(net)
     first, _ = orch.controller.monitor_window(0, orch.db.live())
     before = entry.route
-    net.degrade_link(1, latency_ms=40.0, loss_pct=2.0)
+    degrade_and_refresh(orch, 1, latency_ms=40.0, loss_pct=2.0)
     second, _ = orch.controller.monitor_window(1, orch.db.live())
     assert entry.route is before
-    assert before.quality_epoch == net.quality_epoch
     assert (second[0].mos, second[0].q_delay, second[0].q_loss) == (
         first[0].mos,
         first[0].q_delay,
@@ -545,19 +551,20 @@ def test_degrading_a_link_on_the_route_rebuilds_its_figures():
     orch, entry = _pair_flow(net)
     orch.controller.monitor_window(0, orch.db.live())
     before = entry.route
-    net.degrade_link(0, latency_ms=40.0)
+    degrade_and_refresh(orch, 0, latency_ms=40.0)
+    # Rebuilt at the event, for the same graph.
+    assert entry.route is not before and entry.route.graph is entry.graph
+    assert entry.route.metrics.latency_ms == 40.0
     orch.controller.monitor_window(1, orch.db.live())
-    assert entry.route is not before
-    assert entry.route.quality_epoch == net.quality_epoch
     assert entry.smoothed.delay_ms == 40.0
 
 
 def test_a_link_degraded_off_the_route_shows_once_the_flow_moves_onto_it():
     net = parallel_pair()
     orch, entry = _pair_flow(net)
-    net.degrade_link(1, latency_ms=15.0)  # off the route: figures kept
+    degrade_and_refresh(orch, 1, latency_ms=15.0)  # off the route: figures kept
     orch.controller.monitor_window(0, orch.db.live())
-    net.degrade_link(0, latency_ms=300.0)
+    degrade_and_refresh(orch, 0, latency_ms=300.0)
     orch.controller.monitor_window(1, orch.db.live())
     assert entry.smoothed.delay_ms == 300.0
     orch.apply_action(orch.controller.handle_breach(entry), now=2000)
@@ -585,7 +592,7 @@ def _settle(orch) -> int:
     held = entry.settled
     samples, _ = orch.controller.monitor_window(window, orch.db.live())
     assert entry.settled is held  # reused, not scored again
-    assert samples[0] is held[1]
+    assert samples[0] is held
     return window + 1
 
 
@@ -615,7 +622,7 @@ def _settled_pair_flow(net):
 
 def test_a_settled_flow_feels_a_stall_change():
     orch, window = _settled_pair_flow(parallel_pair())
-    orch.controller.set_stall(0, 0.1)
+    orch.controller.set_stall(0, 0.1, orch.db.live())
     sample = _scored_from_scratch(orch, window, (4.0, 10.0, 0.0, 0.0, 0.1))
     assert sample.q_stall < 1.0
 
@@ -623,7 +630,7 @@ def test_a_settled_flow_feels_a_stall_change():
 def test_a_settled_flow_feels_a_degradation_on_its_route():
     net = parallel_pair()
     orch, window = _settled_pair_flow(net)
-    net.degrade_link(0, latency_ms=40.0, loss_pct=2.0)
+    degrade_and_refresh(orch, 0, latency_ms=40.0, loss_pct=2.0)
     loss_pct = 100.0 * (1.0 - (1.0 - 2.0 / 100.0))
     sample = _scored_from_scratch(orch, window, (4.0, 40.0, 0.0, loss_pct, 0.0))
     assert sample.q_loss < 1.0
@@ -633,16 +640,31 @@ def test_a_settled_flow_is_taken_raw_after_a_reroute():
     net = parallel_pair()
     orch, window = _settled_pair_flow(net)
     entry = orch.db.entries[0]
-    net.degrade_link(0, latency_ms=300.0)
+    degrade_and_refresh(orch, 0, latency_ms=300.0)
     orch.apply_action(orch.controller.handle_breach(entry), now=1000)
     assert entry.graph.segments == ((1,),)
     _scored_from_scratch(orch, window, (4.0, 12.0, 0.0, 0.0, 0.0), restart=True)
     assert entry.settled is None
 
 
+def test_a_degradation_before_the_first_window_on_a_new_graph_keeps_the_restart():
+    # The route figures still belong to the old graph, which crosses link 0;
+    # rebuilding them at the degradation would hide the new graph from
+    # _measure, and smoothing would carry over instead of restarting.
+    net = parallel_pair()
+    orch, window = _settled_pair_flow(net)
+    entry = orch.db.entries[0]
+    degrade_and_refresh(orch, 0, latency_ms=300.0)
+    orch.apply_action(orch.controller.handle_breach(entry), now=1000)
+    assert entry.graph.segments == ((1,),)
+    degrade_and_refresh(orch, 0, latency_ms=400.0)
+    assert entry.route.graph is not entry.graph
+    _scored_from_scratch(orch, window, (4.0, 12.0, 0.0, 0.0, 0.0), restart=True)
+
+
 def test_a_settled_flow_is_measured_on_its_new_graph_after_a_host_failure():
-    # A migration moves neither the quality nor the stall epoch, so only the
-    # new graph object can send the flow past its held sample.
+    # A migration drops no held sample, so only the new graph object can
+    # send the flow past it.
     net = square_network()
     net.degrade_link(1, latency_ms=20.0)  # host 2 is the farther refuge
     orch = _orchestrator(net, policy=PolicyConfig(predictor_alpha=ALPHA))
@@ -661,18 +683,18 @@ def test_a_settled_flow_reuses_its_sample_after_a_degradation_off_its_route():
     orch, window = _settled_pair_flow(net)
     entry = orch.db.entries[0]
     held = entry.settled
-    net.degrade_link(1, latency_ms=40.0, loss_pct=2.0)
+    degrade_and_refresh(orch, 1, latency_ms=40.0, loss_pct=2.0)
     sample = _scored_from_scratch(orch, window, (4.0, 10.0, 0.0, 0.0, 0.0))
     assert entry.settled is held
-    assert sample is held[1]
+    assert sample is held
 
 
 def test_a_moving_ewma_is_scored_afresh_every_window():
     net = parallel_pair()
     orch, window = _settled_pair_flow(net)
     entry = orch.db.entries[0]
-    net.degrade_link(0, latency_ms=300.0)
-    last = entry.settled[1]
+    last = entry.settled
+    degrade_and_refresh(orch, 0, latency_ms=300.0)
     for window in range(window, window + 10):
         sample = _scored_from_scratch(orch, window, (4.0, 300.0, 0.0, 0.0, 0.0))
         assert (sample.mos, sample.q_delay) != (last.mos, last.q_delay)
@@ -746,30 +768,18 @@ def _count_measures(monkeypatch) -> list[int]:
     return measured
 
 
-def test_set_stall_moves_the_stall_epoch():
-    controller = _controller(parallel_pair(), pair_catalog())
-    epoch = controller.stall_epoch
-    controller.set_stall(7, 0.2)  # a flow not admitted yet counts too
-    assert controller.stall_epoch != epoch
-    epoch = controller.stall_epoch
-    controller.set_stall(7, 0.2)  # so does a level that stays the same
-    assert controller.stall_epoch != epoch
-    epoch = controller.stall_epoch
-    with pytest.raises(InvalidRange):
-        controller.set_stall(7, 1.5)
-    assert controller.stall_epoch == epoch
-
-
 def test_quiet_windows_measure_no_settled_flow(monkeypatch):
     # A reserve or release off every route leaves a window quiet: a flow's
-    # throughput is its own reservation, not what the ledger has left.
+    # throughput is its own reservation, not what the ledger has left. So
+    # does a stall set on a flow not admitted yet.
     orch, window = _settled_stream_flows()
-    net = orch.controller.network
-    held = [entry.settled[1] for entry in orch.db.live()]
+    controller, net = orch.controller, orch.controller.network
+    held = [entry.settled for entry in orch.db.live()]
     measured = _count_measures(monkeypatch)
     writes = [
         lambda: net.reserve(link_demands={1: 1000}),  # on no flow's route
         lambda: net.release(link_demands={1: 1000}),
+        lambda: controller.set_stall(7, 0.2, orch.db.live()),
         lambda: None,
     ]
     for window, write in enumerate(writes, start=window):
@@ -779,26 +789,37 @@ def test_quiet_windows_measure_no_settled_flow(monkeypatch):
     assert measured == []
 
 
-@pytest.mark.parametrize("change", ["set_stall", "degrade_link", "reserve"])
-def test_a_moved_stamp_measures_every_live_flow_once(monkeypatch, change):
+@pytest.mark.parametrize(
+    ("change", "touched"),
+    [
+        ("degrade_link_on_routes", [0, 1, 2]),
+        ("degrade_link_off_routes", []),
+        ("set_stall", [1]),
+        ("reserve", [1]),
+    ],
+    ids=["degrade_link_on_routes", "degrade_link_off_routes", "set_stall", "reserve"],
+)
+def test_a_change_measures_only_the_flows_it_touches(monkeypatch, change, touched):
     orch, window = _settled_stream_flows()
     controller, net = orch.controller, orch.controller.network
     measured = _count_measures(monkeypatch)
-    if change == "set_stall":
-        controller.set_stall(1, 0.0)  # the level it already had
-    elif change == "degrade_link":
-        net.degrade_link(2, latency_ms=40.0)  # on no flow's route
+    if change == "degrade_link_on_routes":
+        degrade_and_refresh(orch, 0, latency_ms=10.0)  # the latency link 0 has
+    elif change == "degrade_link_off_routes":
+        degrade_and_refresh(orch, 2, latency_ms=40.0)
+    elif change == "set_stall":
+        controller.set_stall(1, 0.0, orch.db.live())  # the level it already had
     else:
-        # A ledger write moves no stamp, even on every flow's route; beside a
-        # move that does, it adds no second measure and no later one.
+        # A ledger write touches no flow, even on every flow's route; beside
+        # a change that does, it adds no second measure and no later one.
         net.reserve(link_demands={0: 1000})
-        controller.set_stall(1, 0.0)
+        controller.set_stall(1, 0.0, orch.db.live())
     controller.monitor_window(window, orch.db.live())
-    assert measured == [0, 1, 2]
-    # None of them read anything new, so each recorded the new stamp and
-    # the next window is quiet again.
+    assert measured == touched
+    # None of them read anything new, so each settled again and the next
+    # window is quiet.
     controller.monitor_window(window + 1, orch.db.live())
-    assert measured == [0, 1, 2]
+    assert measured == touched
 
 
 def test_per_flow_state_stays_bounded_over_the_horizon():
@@ -814,7 +835,7 @@ def test_per_flow_state_stays_bounded_over_the_horizon():
     def run_windows(first: int, last: int) -> int:
         for window in range(first, last):
             if window % 25 == 0:
-                net.degrade_link(0, latency_ms=5.0 + window % 50)
+                degrade_and_refresh(orch, 0, latency_ms=5.0 + window % 50)
             controller.monitor_window(window, orch.db.live())
         gc.collect()
         return tracemalloc.get_traced_memory()[0]
@@ -835,7 +856,7 @@ def test_handle_breach_reroutes_to_the_spare_link():
     entry = orch.db.entries[0]
     orch.controller.monitor_window(0, orch.db.live())
     assert entry.smoothed is not None
-    net.degrade_link(0, latency_ms=300.0)
+    degrade_and_refresh(orch, 0, latency_ms=300.0)
     action = orch.controller.handle_breach(entry)
     orch.apply_action(action, now=1000)
     assert action.kind is ActionKind.REROUTED
@@ -880,7 +901,7 @@ def test_handle_breach_marks_degraded_when_out_of_options():
     net = parallel_pair(latencies=(10.0,))
     orch = _orchestrator(net, pair_catalog())
     orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
-    net.degrade_link(0, latency_ms=1000.0)
+    degrade_and_refresh(orch, 0, latency_ms=1000.0)
     before = snapshot(net)
     action = orch.controller.handle_breach(orch.db.entries[0])
     assert action.kind is ActionKind.MARKED_DEGRADED
@@ -899,7 +920,7 @@ def test_unchanged_segments_are_no_reroute():
     # the flow already has, which would pass the MOS gate but repair nothing.
     orch = _orchestrator()
     orch.submit_request(make_request(), now=0)
-    orch.controller.set_stall(0, 0.9)
+    orch.controller.set_stall(0, 0.9, orch.db.live())
     action = orch.controller.handle_breach(orch.db.entries[0])
     assert action.kind is ActionKind.MARKED_DEGRADED
 

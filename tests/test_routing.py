@@ -42,10 +42,22 @@ def test_bandwidth_filter_redirects():
     assert shortest_feasible_path(net, 0, 1, 9500) is None
 
 
+def _shunning(net, links):
+    """net itself, or a planning view of it that shuns links as _replan does."""
+    if not links:
+        return net
+    view = ResourceView(net)
+    for link_id in links:
+        view.residual_bw[link_id] = -1
+    return view
+
+
 def test_exclude_links_forces_detour():
     net = _parallel_pair()
-    assert shortest_feasible_path(net, 0, 1, 1000, frozenset({0, 2})) == [1]
-    assert shortest_feasible_path(net, 0, 1, 1000, frozenset({0, 1, 2})) is None
+    assert shortest_feasible_path(_shunning(net, {0, 2}), 0, 1, 1000) == [1]
+    assert shortest_feasible_path(_shunning(net, {0, 1, 2}), 0, 1, 1000) is None
+    # A shunned link is below even a demand of nothing.
+    assert shortest_feasible_path(_shunning(net, {0, 1, 2}), 0, 1, 0) is None
 
 
 def test_same_endpoint_path_is_empty():
@@ -167,25 +179,23 @@ def _perturbed_network(rng: Random, **sizes):
 def _check_tree_against_queries(net, rng: Random, exhaustive: bool) -> int:
     """Compare every node's tree entry with a per-target query; count answers."""
     bw = rng.randint(1, 9) * 1000
-    exclude = frozenset(rng.sample(sorted(net.links), rng.randint(0, 2)))
+    net = _shunning(net, rng.sample(sorted(net.links), rng.randint(0, 2)))
     answered = 0
     for src in sorted(net.nodes):
-        tree = shortest_path_tree(net, src, bw, exclude)
+        tree = shortest_path_tree(net, src, bw)
         assert tree[src] == (0.0, 0, ())
         assert set(tree) <= set(net.nodes)
         for node in sorted(net.nodes):
             if node == src:
                 continue
-            path = shortest_feasible_path(net, src, node, bw, exclude)
+            path = shortest_feasible_path(net, src, node, bw)
             if path is None:
                 assert node not in tree
             else:
                 assert tree[node] == path_key(net, path)
                 answered += 1
             if exhaustive:
-                everything = enumerate_simple_paths(
-                    net, src, node, bw, exclude, max_paths=5000
-                )
+                everything = enumerate_simple_paths(net, src, node, bw, max_paths=5000)
                 keys = [path_key(net, each) for each in everything]
                 assert tree.get(node) == (min(keys) if keys else None)
     return answered
@@ -245,20 +255,18 @@ def test_tree_and_query_match_the_enumeration_under_heavy_ties():
         for link_id in rng.sample(sorted(net.links), 4):
             view.residual_bw[link_id] += rng.choice((-1, 1)) * rng.randint(1, 6) * 1000
         bw = rng.randint(1, 6) * 1000
-        exclude = frozenset(rng.sample(sorted(net.links), rng.randint(0, 2)))
-        for searched in (net, view):
+        exclude = rng.sample(sorted(net.links), rng.randint(0, 2))
+        for searched in (_shunning(net, exclude), _shunning(view, exclude)):
             for src in sorted(net.nodes):
-                tree = shortest_path_tree(searched, src, bw, exclude)
+                tree = shortest_path_tree(searched, src, bw)
                 for dst in sorted(net.nodes):
                     if dst == src:
                         continue
-                    everything = enumerate_simple_paths(
-                        searched, src, dst, bw, exclude, max_paths=5000
-                    )
+                    everything = enumerate_simple_paths(searched, src, dst, bw, max_paths=5000)
                     keys = sorted(path_key(searched, path) for path in everything)
                     best = keys[0] if keys else None
                     assert tree.get(dst) == best
-                    path = shortest_feasible_path(searched, src, dst, bw, exclude)
+                    path = shortest_feasible_path(searched, src, dst, bw)
                     assert (None if path is None else path_key(searched, path)) == best
                     if keys:
                         answered += 1
@@ -284,11 +292,11 @@ def test_a_bounded_tree_is_the_full_tree_up_to_the_nearest_target_tier():
         )
         net.fail_host(rng.choice(net.host_ids))
         bw = rng.randint(1, 6) * 1000
-        exclude = frozenset(rng.sample(sorted(net.links), rng.randint(0, 3)))
+        net = _shunning(net, rng.sample(sorted(net.links), rng.randint(0, 3)))
         for src in sorted(net.nodes):
             targets = set(rng.sample(sorted(net.nodes), rng.randint(1, 4)))
-            full = shortest_path_tree(net, src, bw, exclude)
-            bounded = shortest_path_tree(net, src, bw, exclude, targets)
+            full = shortest_path_tree(net, src, bw)
+            bounded = shortest_path_tree(net, src, bw, targets)
             assert list(bounded.items()) == list(full.items())[: len(bounded)]
             reached = [full[node][0] for node in targets if node in full]
             if not reached:
