@@ -4,18 +4,25 @@ The controller decides and the orchestrator records. The controller keeps
 the substrate, the catalog, the ELA, the policy and the injected stall
 levels, and nothing per flow: each flow's request, graph, status,
 measurement carry, settled sample, run of windows below target, route
-figures and run outcome live on its entry in the orchestrator's database.
+figures and breached windows live on its entry in the orchestrator's
+database.
 Monitoring reads the target from the request, the profile from the catalog
 and the breach rule's window count from the ELA. The controller scores the
-entries it is handed, writing only their measurement fields and run
-outcome, and answers with graphs or Actions; it never changes a flow's
+entries it is handed, writing only their measurement fields and breached
+windows, and answers with graphs or Actions; it never changes a flow's
 graph or status. A host failure is repaired from the live flows' graphs
 alone.
 
 A flow's measurement inputs change only at three events, and each reaches
 just the flows it touches: a degradation through handle_degradation, a
 stall level through set_stall and a new graph through the graph check in
-monitor_window.
+monitor_window. A window in which every live flow held its sample at or
+above target is quiet, and its sample list is shared: the next windows
+return that same list unmeasured until one of the three events drops it.
+The ledger commit, which every admission, release and repair goes
+through, drops it for a change of membership or of graph;
+handle_degradation drops it with a held sample, and set_stall with the
+stalled flow's.
 
 The controller owns the reservation ledger. Admission and every repair
 are planned by one routine on a resource view, and one ledger commit,
@@ -170,6 +177,9 @@ class Controller:
         # Keyed by flow id, not by entry: a stall may target a flow before
         # that flow is admitted.
         self.stall_levels: dict[int, float] = {}
+        # The samples of the last quiet window, which every window repeats
+        # until an event drops them; None while there are none.
+        self.shared_window: list[QoeSample] | None = None
 
     # -- admission ------------------------------------------------------------
 
@@ -336,9 +346,8 @@ class Controller:
         degraded flows are still measured so recovery stays observable. A
         window scoring strictly below the request's target extends the
         entry's run of such windows and any other ends it; a flow breaches
-        while that run is at least the ELA's breach_windows long. The entry
-        also keeps its run outcome: the windows observed, those at or above
-        its target, and those that breached.
+        while that run is at least the ELA's breach_windows long, and the
+        entry keeps the index of each window that breached.
 
         A settled flow is not smoothed or scored again. Smoothed figures are
         a function of the raw inputs (route figures, throughput, stall level)
@@ -351,27 +360,38 @@ class Controller:
         the graph object; a degradation on the route (handle_degradation)
         and a new stall level (set_stall) drop the held sample, and a new
         graph object fails the graph check.
+
+        A window whose flows all end it holding their sample, none below
+        target, changes nothing for the next window to find: each flow
+        would hand back the same sample and breach nothing. So the list is
+        kept as shared_window and returned as it is, with no breaches, until
+        an event drops it.
         """
+        if self.shared_window is not None:
+            return self.shared_window, []
         alpha = self.policy.predictor_alpha
         breach_after = self.ela.breach_windows
         profile_of = self.catalog.profile
         samples: list[QoeSample] = []
         breaching: list[QoeSample] = []
+        quiet = True
         for entry in flows:
             request = entry.request
             sample = entry.settled
             if sample is None or entry.route.graph is not entry.graph:
                 sample = self._measure(entry, profile_of(request.profile), alpha)
+                quiet = quiet and entry.settled is not None
             samples.append(sample)
-            entry.windows_observed += 1
             if sample.mos >= request.ela_target:
-                entry.windows_met += 1
                 entry.windows_below = 0
             else:
+                quiet = False
                 entry.windows_below += 1
                 if entry.windows_below >= breach_after:
                     entry.breach_windows.append(window_index)
                     breaching.append(sample)
+        if quiet:
+            self.shared_window = samples
         return samples, breaching
 
     def _measure(self, entry: DbEntry, profile: AppProfile, alpha: float) -> QoeSample:
@@ -425,27 +445,30 @@ class Controller:
 
         A flow whose route figures, built for its current graph, cross the
         link has them rebuilt under the new quality and loses its held
-        sample; its smoothing carries on. Figures built for an older graph
-        are left for _measure, which rebuilds them and restarts smoothing.
+        sample, which drops the shared window; its smoothing carries on.
+        Figures built for an older graph are left for _measure, which
+        rebuilds them and restarts smoothing.
         """
         for entry in flows:
             route = entry.route
             if route is not None and route.graph is entry.graph and link_id in route.links:
                 entry.route = self._route_figures(entry)
                 entry.settled = None
+                self.shared_window = None
 
     def set_stall(self, flow_id: int, stall_ratio: float, flows: Iterable[DbEntry]) -> None:
         """Set a flow's stall level; it persists until the next injection.
 
         flows are the live database entries; if the flow is one of them, its
-        held sample is dropped. A flow not yet admitted reads the level when
-        first measured.
+        held sample and the shared window are dropped. A flow not yet
+        admitted reads the level when first measured.
         """
         check_stall_ratio(stall_ratio)
         self.stall_levels[flow_id] = stall_ratio
         for entry in flows:
             if entry.request.id == flow_id:
                 entry.settled = None
+                self.shared_window = None
 
     # -- self-healing -------------------------------------------------------------
 
@@ -462,11 +485,12 @@ class Controller:
         request, graph = entry.request, entry.graph
         chain = range(len(request.vnf_sequence))
         segments = range(len(graph.segments))
-        stages = [
-            (ActionKind.REROUTED, (), frozenset()),
-            (ActionKind.MIGRATED, chain, frozenset({self._worst_link(graph)})),
-        ]
-        for kind, positions, exclude_links in stages[: self.policy.max_reroute_attempts]:
+        stages = [(ActionKind.REROUTED, ()), (ActionKind.MIGRATED, chain)]
+        for kind, positions in stages[: self.policy.max_reroute_attempts]:
+            # Only the re-embed shuns a link, so only it looks for the worst.
+            exclude_links = frozenset()
+            if kind is ActionKind.MIGRATED:
+                exclude_links = frozenset({self._worst_link(graph)})
             new_graph = self._replan(request, graph, positions, segments, exclude_links)
             if not isinstance(new_graph, Rejected):
                 self._commit(request, graph, new_graph, positions, segments)
@@ -529,8 +553,10 @@ class Controller:
         a flow that ends nothing to take. A failed host's holdings are
         released here like any other. A new plan was checked against a view
         of this very state, so a reserve that fails means planner and ledger
-        disagree, which is fatal.
+        disagree, which is fatal. Every commit changes a flow's graph or
+        the live flows, so it drops the shared window.
         """
+        self.shared_window = None
         if old is not None:
             self.network.release(*self._parts(request, old, positions, segments))
         if new is not None:

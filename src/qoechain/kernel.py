@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable
 
 from .controller import Controller, Rejected
@@ -78,9 +79,9 @@ def run(
     """Execute a scenario to its horizon and return the report.
 
     seed overrides the scenario's own seed. strict_debug re-runs the global
-    conservation and validity audits after every event instead of only at
-    the end. event_hook(event, state) is a test seam called after each
-    dispatch, before the audits.
+    conservation, validity and shared-window audits after every event
+    instead of only at the end. event_hook(event, state) is a test seam
+    called after each dispatch, before the audits.
     """
     state = NetworkState(doc.nodes, doc.links)
     catalog = ServiceCatalog(doc.vnf_types, doc.profiles)
@@ -143,9 +144,9 @@ def run(
         if event_hook is not None:
             event_hook(event, state)
         if strict_debug:
-            _audit_or_die(state, orchestrator.db, catalog)
+            _audit_or_die(controller, orchestrator.db)
 
-    _audit_or_die(state, orchestrator.db, catalog)
+    _audit_or_die(controller, orchestrator.db)
     lifecycle_violations = audit_lifecycle(orchestrator.db)
     if lifecycle_violations:
         raise InvariantViolation("; ".join(lifecycle_violations))
@@ -153,6 +154,9 @@ def run(
         msg = f"measured {len(series)} windows, expected {windows}"
         raise InvariantViolation(msg)
 
+    entries = orchestrator.db.entries
+    observed, met = _window_counts(series, entries)
+    budget = controller.ela.compliance_budget
     return SimReport(
         scenario_name=doc.name,
         seed=effective_seed,
@@ -161,18 +165,41 @@ def run(
         windows=windows,
         counters=orchestrator.counters(),
         flows={
-            request_id: _flow_summary(entry, controller.ela.compliance_budget)
-            for request_id, entry in sorted(orchestrator.db.entries.items())
+            request_id: _flow_summary(entry, observed[request_id], met[request_id], budget)
+            for request_id, entry in sorted(entries.items())
         },
         series=series,
         db_dump=orchestrator.db.dump(),
     )
 
 
-def _flow_summary(entry: DbEntry, compliance_budget: float) -> FlowSummary:
-    """A flow's line in the report, read off its database entry."""
-    observed = entry.windows_observed
-    compliance = entry.windows_met / observed if observed else None
+def _window_counts(
+    series: list[list[QoeSample]], entries: dict[int, DbEntry]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Per flow id, the windows the series holds it in and those at or above its target.
+
+    A run of consecutive windows that share one sample list is counted once,
+    times the run's length. Every list is alive in the series, so two
+    windows with one id are one list.
+    """
+    observed = dict.fromkeys(entries, 0)
+    met = dict.fromkeys(entries, 0)
+    for _, run_of_windows in groupby(series, key=id):
+        samples, *repeats = run_of_windows
+        length = 1 + len(repeats)
+        for sample in samples:
+            flow_id = sample.flow_id
+            observed[flow_id] += length
+            if sample.mos >= entries[flow_id].request.ela_target:
+                met[flow_id] += length
+    return observed, met
+
+
+def _flow_summary(
+    entry: DbEntry, observed: int, met: int, compliance_budget: float
+) -> FlowSummary:
+    """A flow's line in the report: its window counts and its database entry."""
+    compliance = met / observed if observed else None
     return FlowSummary(
         windows_observed=observed,
         compliance=compliance,
@@ -229,8 +256,35 @@ def audit_conservation(
     return violations
 
 
-def _audit_or_die(state, db, catalog) -> None:
-    violations = audit_conservation(state, db, catalog)
+def audit_shared_window(controller: Controller, db: VnfDb) -> list[str]:
+    """Check the controller's shared window, if it holds one, against the live entries.
+
+    A shared window stands for every window until an event drops it, so it
+    must be what measuring now would give: the live entries' held samples
+    in ascending request id, each on route figures built for the entry's
+    current graph, and none below its target.
+    """
+    shared = controller.shared_window
+    if shared is None:
+        return []
+    live = db.live()
+    if len(shared) != len(live):
+        return [f"shared window holds {len(shared)} samples for {len(live)} live flows"]
+    violations: list[str] = []
+    for entry, sample in zip(live, shared):
+        flow_id = entry.request.id
+        if entry.settled is not sample:
+            violations.append(f"flow {flow_id}: shared window sample is not its held sample")
+        if entry.route is None or entry.route.graph is not entry.graph:
+            violations.append(f"flow {flow_id}: route figures are not for its current graph")
+        if sample.mos < entry.request.ela_target:
+            violations.append(f"flow {flow_id}: shared window sample is below target")
+    return violations
+
+
+def _audit_or_die(controller: Controller, db: VnfDb) -> None:
+    violations = audit_conservation(controller.network, db, controller.catalog)
+    violations += audit_shared_window(controller, db)
     if violations:
         raise InvariantViolation("; ".join(violations))
 

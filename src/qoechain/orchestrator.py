@@ -4,18 +4,20 @@ The database is the only record of a flow: one entry per admitted request,
 kept after the flow ends, holding its request, forwarding graph, lifecycle
 status and log, and what the controller's monitoring alone writes: the
 smoothing carry, the settled sample, the run of windows below target,
-route figures and run outcome. The orchestrator turns the controller's
-admissions, Actions and releases into graph and status changes, all
-through one guarded transition helper, and tallies the two outcomes the
-lifecycle log cannot tell apart: rejections by reason, and reroutes versus
-migrations. Every other counter is derived from the entries when the
+route figures and the windows that breached. The orchestrator turns the
+controller's admissions, Actions and releases into graph and status
+changes, all through one guarded transition helper, and tallies the two
+outcomes the lifecycle log cannot tell apart: rejections by reason, and
+reroutes versus migrations. Every other counter is derived from the entries when the
 report is built.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from .controller import (
     Action,
@@ -96,10 +98,8 @@ class DbEntry:
     # the graph the route figures were built for takes it unmeasured. A
     # degradation on the route and a new stall level drop it.
     settled: QoeSample | None = None
-    # The run outcome: windows measured, windows at or above the target,
-    # and the indices of the windows that breached the ELA.
-    windows_observed: int = 0
-    windows_met: int = 0
+    # The indices of the windows that breached the ELA. The windows observed
+    # and met are read off the QoE series.
     breach_windows: list[int] = field(default_factory=list)
 
     @property
@@ -109,26 +109,32 @@ class DbEntry:
 
 
 class VnfDb:
-    """Every entry ever admitted, by request id, plus an index of the live ones.
+    """Every entry ever admitted, by request id, plus a list of the live ones.
 
     add is the one way in and transition the one way to a terminal status,
-    so together they keep the index equal to the entries that are live.
+    so together they keep the list equal to the entries that are live. Each
+    membership change builds a new list, so a list handed out earlier stays
+    as it was.
     """
 
     def __init__(self):
         self.entries: dict[int, DbEntry] = {}
-        self._live: dict[int, DbEntry] = {}
+        self._live: list[DbEntry] = []
 
     def add(self, entry: DbEntry) -> None:
-        request_id = entry.request.id
-        self.entries[request_id] = entry
+        self.entries[entry.request.id] = entry
         if entry.is_live:
-            self._live[request_id] = entry
+            live = self._live.copy()
+            insort(live, entry, key=attrgetter("request.id"))
+            self._live = live
 
     def live(self) -> list[DbEntry]:
-        """Entries of flows that still hold resources, in ascending request id."""
-        live = self._live
-        return [live[request_id] for request_id in sorted(live)]
+        """Entries of flows that still hold resources, in ascending request id.
+
+        The same list object until the next membership change; callers must
+        not change it.
+        """
+        return self._live
 
     def transition(self, entry: DbEntry, to: LifecycleStatus, now: int) -> None:
         if to not in LEGAL_TRANSITIONS[entry.status]:
@@ -143,7 +149,7 @@ class VnfDb:
         entry.log.append((now, entry.status, to))
         entry.status = to
         if to in TERMINAL:
-            del self._live[entry.request.id]
+            self._live = [other for other in self._live if other is not entry]
 
     def dump(self) -> list[dict]:
         """JSON-ready dump of every entry, sorted by request id."""

@@ -10,8 +10,9 @@ All three are rendered deterministically (sorted keys, fixed float
 formatting) so identical runs produce byte-identical artifacts. The two JSON
 files are the bytes of json.dumps(value, indent=2, sort_keys=True) plus a
 newline, written by this module's own writer: json.dumps with an indent runs
-json's pure-Python encoder. db_dump.json and the series stream to disk, one
-database entry and one window at a time.
+json's pure-Python encoder. All three stream to disk: summary.json one
+top-level item and one flow at a time, db_dump.json one database entry at a
+time and the series one window at a time.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ class SimReport:
     flows: dict[int, FlowSummary]
     # The QoE series: index = window index; each window's samples in
     # ascending flow id, [] when no flow was live. A settled flow's sample
-    # is one object shared by every window that reused it.
+    # is one object shared by every window that reused it, and consecutive
+    # windows may be one list object: a quiet window's, shared by every
+    # window that repeated it.
     series: list[list[QoeSample]] = field(default_factory=list)
     db_dump: list[dict] = field(default_factory=list)
 
@@ -88,9 +91,10 @@ def _append_json(value, indent: str, parts: list[str]) -> None:
 
     indent is a newline plus the spaces of value's depth. Only the exact
     built-in types json writes are taken, and dict keys must be str; any
-    other value or key raises TypeError. Scalars are spelled as json spells
-    them: str through json's escaper, int and float by their reprs, NaN and
-    the infinities by json's names.
+    other value raises TypeError, and so does any other key, in sorted or
+    in json's escaper, which takes only a str. Scalars are spelled as json
+    spells them: str through json's escaper, int and float by their reprs,
+    NaN and the infinities by json's names.
     """
     kind = type(value)
     if kind is str:
@@ -104,9 +108,6 @@ def _append_json(value, indent: str, parts: list[str]) -> None:
         inner = indent + "  "
         separator = "{" + inner
         for key in sorted(value):
-            if type(key) is not str:
-                msg = f"keys must be str, not {type(key).__name__}"
-                raise TypeError(msg)
             parts.append(separator + _escape(key) + ": ")
             _append_json(value[key], inner, parts)
             separator = "," + inner
@@ -138,25 +139,31 @@ def _append_json(value, indent: str, parts: list[str]) -> None:
         raise TypeError(msg)
 
 
-def _json_text(value) -> str:
-    """json.dumps(value, indent=2, sort_keys=True), for the types _append_json takes."""
-    parts: list[str] = []
-    _append_json(value, "\n", parts)
-    return "".join(parts)
+def _write_json(handle, value, depth: int, indent: str = "\n", lead: str = "") -> None:
+    """Write lead and the text of json.dumps(value, indent=2, sort_keys=True).
 
-
-def _write_json_list(handle, items: list) -> None:
-    """Stream _json_text(items) and a newline, one item at a time."""
-    if not items:
-        handle.write("[]\n")
-        return
-    separator = "[\n  "
-    for item in items:
-        parts = [separator]
-        _append_json(item, "\n  ", parts)
+    The containers less than depth levels below value are opened and closed
+    here, and each of their items is rendered by _append_json and written,
+    after its separator, in one write, so the writer holds one item's text
+    at a time. indent is as _append_json takes it.
+    """
+    kind = type(value)
+    if not (depth and value and (kind is dict or kind is list or kind is tuple)):
+        parts = [lead]
+        _append_json(value, indent, parts)
         handle.write("".join(parts))
-        separator = ",\n  "
-    handle.write("\n]\n")
+        return
+    inner = indent + "  "
+    if kind is dict:
+        separator, closing = lead + "{" + inner, "}"
+        items = ((_escape(key) + ": ", value[key]) for key in sorted(value))
+    else:
+        separator, closing = lead + "[" + inner, "]"
+        items = (("", item) for item in value)
+    for label, item in items:
+        _write_json(handle, item, depth - 1, inner, separator + label)
+        separator = "," + inner
+    handle.write(indent + closing)
 
 
 def _write_series(handle, series: list[list[QoeSample]], window_ms: int) -> None:
@@ -167,25 +174,31 @@ def _write_series(handle, series: list[list[QoeSample]], window_ms: int) -> None
     id) order. A settled flow hands the same sample object to a run of
     consecutive windows, so each sample's score text is formatted once and
     looked up by id in the next window. Every sample stays alive in the
-    series for the whole write, so no id is reused while it is a key.
+    series for the whole write, so no id is reused while it is a key. A
+    window that is the previous window's very list takes all of its texts
+    as they are, in one join.
     """
     handle.write(",".join(CSV_HEADER) + "\n")
     previous: dict[int, str] = {}
+    last: list[QoeSample] | None = None
+    texts: list[str] = []
     for index, samples in enumerate(series):
-        prefix = f"{(index + 1) * window_ms},"
-        current: dict[int, str] = {}
-        lines: list[str] = []
-        for sample in samples:
-            text = previous.get(id(sample))
-            if text is None:
-                text = (
-                    f"{sample.flow_id},{sample.mos:.6f},{sample.q_bw:.6f},"
-                    f"{sample.q_delay:.6f},{sample.q_loss:.6f},{sample.q_stall:.6f}\n"
-                )
-            current[id(sample)] = text
-            lines.append(prefix + text)
-        handle.write("".join(lines))
-        previous = current
+        if samples is not last:
+            current: dict[int, str] = {}
+            texts = []
+            for sample in samples:
+                text = previous.get(id(sample))
+                if text is None:
+                    text = (
+                        f"{sample.flow_id},{sample.mos:.6f},{sample.q_bw:.6f},"
+                        f"{sample.q_delay:.6f},{sample.q_loss:.6f},{sample.q_stall:.6f}"
+                    )
+                current[id(sample)] = text
+                texts.append(text)
+            previous, last = current, samples
+        if texts:
+            prefix = f"{(index + 1) * window_ms},"
+            handle.write(prefix + ("\n" + prefix).join(texts) + "\n")
 
 
 def write_report(report: SimReport, out_dir: str | Path) -> list[Path]:
@@ -196,11 +209,14 @@ def write_report(report: SimReport, out_dir: str | Path) -> list[Path]:
         summary_path = directory / "summary.json"
         series_path = directory / "qoe_series.csv"
         dump_path = directory / "db_dump.json"
-        summary_path.write_text(_json_text(report.summary_dict()) + "\n", encoding="utf-8")
+        with open(summary_path, "w", encoding="utf-8") as handle:
+            _write_json(handle, report.summary_dict(), depth=2)
+            handle.write("\n")
         with open(series_path, "w", encoding="utf-8") as handle:
             _write_series(handle, report.series, report.window_ms)
         with open(dump_path, "w", encoding="utf-8") as handle:
-            _write_json_list(handle, report.db_dump)
+            _write_json(handle, report.db_dump, depth=1)
+            handle.write("\n")
     except OSError as exc:
         msg = f"cannot write report to {directory}: {exc}"
         raise IoFailure(msg) from exc

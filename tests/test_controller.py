@@ -822,6 +822,103 @@ def test_a_change_measures_only_the_flows_it_touches(monkeypatch, change, touche
     assert measured == touched
 
 
+# A quiet window's sample list is shared by the windows after it until an
+# event that changes what a live flow is measured from drops it.
+
+
+def _shared(orch, window: int) -> tuple[list, int]:
+    """Monitor until a window is quiet; its list and the next window index."""
+    controller = orch.controller
+    while controller.shared_window is None:
+        assert window < 50, "no window was quiet"
+        controller.monitor_window(window, orch.db.live())
+        window += 1
+    shared = controller.shared_window
+    assert controller.monitor_window(window, orch.db.live()) == (shared, [])
+    assert controller.monitor_window(window + 1, orch.db.live())[0] is shared
+    return shared, window + 2
+
+
+def _dropped(orch, window: int, shared: list) -> list:
+    """The next window's samples, checked to be measured anew after a drop."""
+    assert orch.controller.shared_window is None
+    samples, _ = orch.controller.monitor_window(window, orch.db.live())
+    assert samples is not shared
+    assert [sample.flow_id for sample in samples] == [
+        entry.request.id for entry in orch.db.live()
+    ]
+    return samples
+
+
+def test_a_degradation_on_a_route_drops_the_shared_window():
+    orch, window = _settled_stream_flows()
+    shared, window = _shared(orch, window)
+    degrade_and_refresh(orch, 0, latency_ms=300.0)  # smoothed past delay_opt
+    samples = _dropped(orch, window, shared)
+    assert all(sample.q_delay < held.q_delay for sample, held in zip(samples, shared))
+
+
+def test_a_degradation_on_no_route_keeps_the_shared_window():
+    # So does a stall set on a flow that is not live.
+    orch, window = _settled_stream_flows()
+    shared, window = _shared(orch, window)
+    degrade_and_refresh(orch, 2, latency_ms=40.0)
+    orch.controller.set_stall(7, 0.2, orch.db.live())
+    assert orch.controller.shared_window is shared
+    assert orch.controller.monitor_window(window, orch.db.live()) == (shared, [])
+    assert orch.controller.monitor_window(window + 1, orch.db.live())[0] is shared
+
+
+def test_a_stall_on_a_live_flow_drops_the_shared_window():
+    orch, window = _settled_stream_flows()
+    shared, window = _shared(orch, window)
+    orch.controller.set_stall(1, 0.1, orch.db.live())
+    samples = _dropped(orch, window, shared)
+    assert [sample is held for sample, held in zip(samples, shared)] == [True, False, True]
+
+
+def test_an_arrival_drops_the_shared_window():
+    orch, window = _settled_stream_flows()
+    shared, window = _shared(orch, window)
+    request = make_request(rid=3, ingress=0, egress=1, vnfs=(), profile="stream")
+    assert not isinstance(orch.submit_request(request, now=window * 1000), Rejected)
+    samples = _dropped(orch, window, shared)
+    assert samples[:3] == shared and len(samples) == 4
+
+
+def test_a_departure_drops_the_shared_window():
+    orch, window = _settled_stream_flows()
+    shared, window = _shared(orch, window)
+    orch.complete_request(1, now=window * 1000)
+    samples = _dropped(orch, window, shared)
+    assert samples == [shared[0], shared[2]]
+
+
+def test_a_breach_repair_drops_the_shared_window():
+    # Nothing breaches in a quiet window, so the repair is asked for
+    # directly: the current segments are already the best, so the
+    # re-embed moves flow 1 off link 0, the worst link it crosses.
+    orch, window = _settled_stream_flows()
+    shared, window = _shared(orch, window)
+    entry = orch.db.entries[1]
+    action = orch.controller.handle_breach(entry)
+    assert action.kind is ActionKind.MIGRATED
+    orch.apply_action(action, now=window * 1000)
+    assert entry.graph.segments == ((1,),)
+    samples = _dropped(orch, window, shared)
+    assert samples[1] is not shared[1]
+
+
+def test_a_host_failure_repair_drops_the_shared_window():
+    net = square_network()
+    orch = _orchestrator(net, policy=PolicyConfig(predictor_alpha=ALPHA))
+    orch.submit_request(make_request(ingress=0, egress=3), now=0)
+    shared, window = _shared(orch, 0)
+    fail_and_repair(orch, 1, now=window * 1000)
+    assert orch.db.entries[0].graph.hosts == (2,)
+    _dropped(orch, window, shared)
+
+
 def test_per_flow_state_stays_bounded_over_the_horizon():
     # Entries keep a bounded history and one set of route figures, however
     # long the flows live and however often the figures are rebuilt.

@@ -22,7 +22,8 @@ from qoechain.report import SimReport
 
 from generators import one_fault_of_each_kind, random_doc, series_rows
 
-SCENARIOS = Path(__file__).parent.parent / "scenarios"
+ROOT = Path(__file__).parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def _load(name: str):
@@ -350,6 +351,100 @@ def test_strict_debug_catches_state_corruption(corruption, message, monkeypatch)
         run(_doc(_payload()), strict_debug=True, event_hook=corrupt)
 
 
+def _events_after_quiet_windows():
+    """The _payload flow, held past the horizon, with one event of each kind.
+
+    An arrival at 2.5 s, a degradation on the flows' route at 4.5 s and a
+    stall on flow 0 at 6.5 s each come after a quiet window, and none of
+    them makes a flow breach. Without smoothing, a flow settles in the
+    second window after a change.
+    """
+    payload = _payload()
+    payload["meta"]["duration_ms"] = 8000
+    payload["policy"] = {"predictor_alpha": 1.0}
+    first = payload["workload"]["requests"][0]
+    first["holding_ms"] = 20_000
+    payload["workload"]["requests"].append({**first, "id": 1, "arrival_ms": 2500})
+    payload["faults"] = {
+        "link_degradations": [{"time_ms": 4500, "link": 0, "latency_ms": 20}],
+        "stall_injections": [{"time_ms": 6500, "flow": 0, "stall_ratio": 0.05}],
+    }
+    return _doc(payload)
+
+
+@pytest.mark.parametrize("method", ["_commit", "handle_degradation", "set_stall"])
+def test_strict_debug_catches_a_shared_window_kept_past_its_event(method, monkeypatch):
+    # Each of the three places that drop the shared window is made to
+    # keep it; the event that should have dropped it then fails the audit.
+    doc = _events_after_quiet_windows()
+    report = run(doc, strict_debug=True)
+    assert report.counters["admitted"] == 2
+    assert all(not flow.breach_windows for flow in report.flows.values())
+    dropping = getattr(Controller, method)
+
+    def keeping(self, *args):
+        shared = self.shared_window
+        dropping(self, *args)
+        self.shared_window = shared
+
+    monkeypatch.setattr(Controller, method, keeping)
+    with pytest.raises(InvariantViolation, match="shared window"):
+        run(doc, strict_debug=True)
+
+
+def _bench_module(name: str):
+    """bench/<name>.py, loaded by path: bench/ is not a package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _artifacts(report: SimReport, out: Path) -> dict[str, bytes]:
+    write_report(report, out)
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def _shared_runs(report: SimReport) -> tuple[int, int]:
+    """Windows that are the previous window's list: all, and those with samples."""
+    pairs = list(zip(report.series, report.series[1:]))
+    shared = [later for earlier, later in pairs if later is earlier]
+    return len(shared), sum(1 for samples in shared if samples)
+
+
+def test_sharing_quiet_windows_changes_no_run(monkeypatch, tmp_path):
+    # The same runs with the shared window cleared before every window, so
+    # every window is built flow by flow: the artifacts and every
+    # FlowSummary, whose window counts are read off runs of shared lists,
+    # must not move.
+    gen = _bench_module("gen")
+    rng = Random(2424)
+    docs = [random_doc(rng, index) for index in range(150)]
+    # fault_storm file 26 shares a window that holds flows between faults.
+    picked = [("fault_storm", index) for index in (0, 1, 2, 26)] + [("steady_monitoring", 0)]
+    docs += [_doc(json.loads(gen.render(workload, 1, index))) for workload, index in picked]
+    first_runs = []
+    shared = nonempty = 0
+    for index, doc in enumerate(docs):
+        report = run(doc)
+        first_runs.append((report, _artifacts(report, tmp_path / f"shared-{index}")))
+        counts = _shared_runs(report)
+        shared, nonempty = shared + counts[0], nonempty + counts[1]
+    assert nonempty > 100 and shared > nonempty
+    monitor = Controller.monitor_window
+
+    def unshared(self, window_index, flows):
+        self.shared_window = None
+        return monitor(self, window_index, flows)
+
+    monkeypatch.setattr(Controller, "monitor_window", unshared)
+    for index, (doc, (first, files)) in enumerate(zip(docs, first_runs)):
+        second = run(doc)
+        assert _shared_runs(second) == (0, 0)
+        assert second.flows == first.flows
+        assert _artifacts(second, tmp_path / f"unshared-{index}") == files
+
+
 def test_every_bundled_scenario_runs_clean_under_strict_audits():
     for path in sorted(SCENARIOS.glob("*.json")):
         doc, diagnostics = parse_scenario(path.read_text())
@@ -433,10 +528,7 @@ def test_bundled_scenarios_match_golden_digests(tmp_path):
 def test_every_traced_entry_point_is_an_own_attribute():
     # The benchmark's tracer swaps each entry point through owner.__dict__,
     # so a name must be defined or imported right where it is listed.
-    path = Path(__file__).parent.parent / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _bench_module("tracer")
     assert tracer.ENTRY_POINTS
     for name, module_name, attr_path in tracer.ENTRY_POINTS:
         owner = importlib.import_module(module_name)

@@ -203,6 +203,38 @@ def test_live_index_matches_a_full_scan_over_random_lifecycles():
     assert moves > 500
 
 
+def test_a_live_list_handed_out_is_never_changed():
+    # live() hands out one list until membership changes, and a change
+    # builds a new list: one that a caller still holds stays as it was.
+    db = VnfDb()
+    graph = ForwardingGraph((1,), ((0,), (1,)), 4000)
+    entries = {}
+    for rid in (2, 0, 1):
+        entries[rid] = DbEntry(make_request(rid=rid), graph, LifecycleStatus.REQUESTED)
+        db.add(entries[rid])
+        db.transition(entries[rid], LifecycleStatus.ACTIVE, 0)
+    held = db.live()
+    assert db.live() is held
+    db.transition(entries[1], LifecycleStatus.DEGRADED, 100)  # still live
+    assert db.live() is held
+    snapshots = [(held, list(held))]
+    late = DbEntry(make_request(rid=3), graph, LifecycleStatus.REQUESTED)
+    db.add(late)
+    db.transition(late, LifecycleStatus.ACTIVE, 200)
+    snapshots.append((db.live(), list(db.live())))
+    db.transition(entries[0], LifecycleStatus.COMPLETED, 300)
+    snapshots.append((db.live(), list(db.live())))
+    db.transition(entries[1], LifecycleStatus.FAILED, 400)
+    for handed_out, as_handed in snapshots:
+        assert handed_out == as_handed
+    assert [[entry.request.id for entry in live] for live, _ in snapshots] == [
+        [0, 1, 2],
+        [0, 1, 2, 3],
+        [1, 2, 3],
+    ]
+    assert db.live() == _scanned_live(db) == [entries[2], late]
+
+
 def test_live_index_matches_a_full_scan_in_jittered_runs(monkeypatch):
     # Whole runs: admissions, departures, breach repairs and host-failure
     # migrations, with arrivals jittered out of id order.

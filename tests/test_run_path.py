@@ -3,18 +3,21 @@
 The run-path modules (network.py, service.py, qoe.py, routing.py,
 controller.py, orchestrator.py and kernel.py) hold only code that a run
 executes, and the exhaustive oracle in oracle.py is never part of a run.
-The runs parse and run the bundled scenarios and the one-fault-of-each-kind
-document, which between them reach every fault handler; parsing builds
-the policy, whose validator lives in controller.py.
+The runs parse and run the bundled scenarios, the one-fault-of-each-kind
+document and feedback_reroute with its spare link degraded too, which
+between them reach every fault handler and both repair stages; parsing
+builds the policy, whose validator lives in controller.py.
 """
 
 from __future__ import annotations
 
 import ast
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from qoechain import parse_scenario, run
+from qoechain.scenario import LinkDegradation
 
 from generators import SCENARIOS, one_fault_of_each_kind
 
@@ -41,12 +44,22 @@ def defined(module: str) -> set[tuple[str, int]]:
 
 
 def run_everything() -> None:
-    """Parse and run each bundled scenario, then the fault document."""
+    """Parse and run each bundled scenario, then the fault document.
+
+    Last comes feedback_reroute with both of its links degraded: no new
+    segment helps, so the breach escalates to the re-embed, which shuns the
+    worst link.
+    """
+    docs = {}
     for path in sorted(SCENARIOS.glob("*.json")):
         doc, diagnostics = parse_scenario(path.read_text())
         assert diagnostics == [], (path.name, diagnostics)
         run(doc)
+        docs[path.stem] = doc
     run(one_fault_of_each_kind())
+    feedback = docs["feedback_reroute"]
+    spare = LinkDegradation(time_ms=2500, link=1, latency_ms=300.0)
+    run(replace(feedback, link_degradations=(*feedback.link_degradations, spare)))
 
 
 def called_by(work) -> dict[str, set[tuple[str, int]]]:
