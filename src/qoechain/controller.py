@@ -15,8 +15,8 @@ alone.
 
 A flow's measurement inputs change only at three events, and each reaches
 just the flows it touches: a degradation through handle_degradation, a
-stall level through set_stall and a new graph through the graph check in
-monitor_window. A window in which every live flow held its sample at or
+stall level through set_stall and a new graph through the repair that
+commits it. A window in which every live flow held its sample at or
 above target is quiet, and its sample list is shared: the next windows
 return that same list unmeasured until one of the three events drops it.
 The ledger commit, which every admission, release and repair goes
@@ -128,9 +128,10 @@ class ResourceView:
 
     The three residual tables are copies a plan writes freely: giving a
     replanned flow's holdings back raises them, demand pending within the
-    plan lowers them, and a link the plan shuns is set to -1. Topology, failures and link quality are the
-    state's own objects. Discarding the view discards the plan; only the
-    ledger commit writes the state's residuals.
+    plan lowers them, and a link the plan shuns is set to -1. Topology,
+    failures and link quality are the state's own objects. Discarding the
+    view discards the plan; only the ledger commit writes the state's
+    residuals.
     """
 
     def __init__(self, state: NetworkState):
@@ -149,14 +150,11 @@ class ResourceView:
 class RouteFigures:
     """What measuring a flow reads off its graph and the link quality.
 
-    Built for one graph object and valid while the entry still holds that
-    object: a reroute or migration installs a new graph object, and
-    handle_degradation rebuilds the figures of every flow whose graph
-    crosses a degraded link. Nothing here reads residual bandwidth: a
-    flow's throughput is the rate its graph reserves.
+    Built by the first window to find none: admission, a repair and a
+    degradation on the route leave none. Nothing here reads residual
+    bandwidth: a flow's throughput is the rate its graph reserves.
     """
 
-    graph: ForwardingGraph
     metrics: PathMetrics
     # Every link the graph crosses.
     links: frozenset[int]
@@ -355,11 +353,10 @@ class Controller:
         window's and the last window's smoothing left every figure where it
         was, the EWMA sits at its floating-point fixed point and the sample
         is the last one. entry.settled holds that sample, and a window that
-        finds it, on the graph the route figures were built for, returns the
-        same object unmeasured. Route figures and throughput are fixed by
-        the graph object; a degradation on the route (handle_degradation)
-        and a new stall level (set_stall) drop the held sample, and a new
-        graph object fails the graph check.
+        finds it returns the same object unmeasured. Each event that moves a
+        raw input drops the held sample: a degradation on the route
+        (handle_degradation), a new stall level (set_stall) and a repair
+        that commits a new graph, which restarts the flow's measurement.
 
         A window whose flows all end it holding their sample, none below
         target, changes nothing for the next window to find: each flow
@@ -378,7 +375,7 @@ class Controller:
         for entry in flows:
             request = entry.request
             sample = entry.settled
-            if sample is None or entry.route.graph is not entry.graph:
+            if sample is None:
                 sample = self._measure(entry, profile_of(request.profile), alpha)
                 quiet = quiet and entry.settled is not None
             samples.append(sample)
@@ -396,14 +393,11 @@ class Controller:
 
     def _measure(self, entry: DbEntry, profile: AppProfile, alpha: float) -> QoeSample:
         """The flow's sample for one window; brings its monitoring state up to date."""
-        route = entry.route
-        if route is None or route.graph is not entry.graph:
-            route = entry.route = self._route_figures(entry)
-            # The first window on a new graph is taken raw.
-            entry.smoothed = None
+        if entry.route is None:
+            entry.route = self._route_figures(entry)
         flow_id = entry.request.id
         stall_ratio = self.stall_levels.get(flow_id, 0.0)
-        metrics = route.metrics
+        metrics = entry.route.metrics
         raw = FlowSample(
             flow_id=flow_id,
             throughput_mbps=entry.graph.reserved_bw_kbps / KBPS_PER_MBPS,
@@ -420,7 +414,6 @@ class Controller:
     def _route_figures(self, entry: DbEntry) -> RouteFigures:
         request, graph = entry.request, entry.graph
         return RouteFigures(
-            graph=graph,
             metrics=path_metrics(
                 graph.segments,
                 self.network,
@@ -443,18 +436,18 @@ class Controller:
     def handle_degradation(self, link_id: int, flows: Iterable[DbEntry]) -> None:
         """Bring the given live flows up to date after link_id changed quality.
 
-        A flow whose route figures, built for its current graph, cross the
-        link has them rebuilt under the new quality and loses its held
-        sample, which drops the shared window; its smoothing carries on.
-        Figures built for an older graph are left for _measure, which
-        rebuilds them and restarts smoothing.
+        A flow whose route figures cross the link loses them and its held
+        sample, which drops the shared window; its next window builds them
+        once, however many degradations came between, and smooths on.
         """
         for entry in flows:
-            route = entry.route
-            if route is not None and route.graph is entry.graph and link_id in route.links:
-                entry.route = self._route_figures(entry)
-                entry.settled = None
+            if entry.route is not None and link_id in entry.route.links:
+                entry.route = entry.settled = None
                 self.shared_window = None
+
+    def _restart_measurement(self, entry: DbEntry) -> None:
+        """After a repair: the next window builds the figures anew and is taken raw."""
+        entry.route = entry.smoothed = entry.settled = None
 
     def set_stall(self, flow_id: int, stall_ratio: float, flows: Iterable[DbEntry]) -> None:
         """Set a flow's stall level; it persists until the next injection.
@@ -479,8 +472,9 @@ class Controller:
         that shuns the worst link of the current graph (highest loss, then
         highest latency); each stage consumes one of max_reroute_attempts.
         When nothing predicted to meet the target fits, the flow is marked
-        degraded but keeps running on what it has. The network is updated
-        here; the entry is left for the orchestrator to update.
+        degraded but keeps running on what it has. The network and the
+        flow's measurement are updated here, its graph and status by the
+        orchestrator.
         """
         request, graph = entry.request, entry.graph
         chain = range(len(request.vnf_sequence))
@@ -494,6 +488,7 @@ class Controller:
             new_graph = self._replan(request, graph, positions, segments, exclude_links)
             if not isinstance(new_graph, Rejected):
                 self._commit(request, graph, new_graph, positions, segments)
+                self._restart_measurement(entry)
                 return Action(kind, request.id, new_graph)
         return Action(ActionKind.MARKED_DEGRADED, request.id)
 
@@ -510,9 +505,9 @@ class Controller:
         flows are the live database entries in ascending request id, and
         are handled in that order. Only what _failure_damage names is
         planned anew, without the MOS gate; the rest of the graph stays.
-        A repaired flow is answered with Migrated if it lost a placement,
-        else Rerouted; one that cannot be repaired is fully released and
-        answered with Failed.
+        A repaired flow restarts its measurement and is answered with
+        Migrated if it lost a placement, else Rerouted; one that cannot be
+        repaired is fully released and answered with Failed.
         """
         actions = []
         for entry in flows:
@@ -526,6 +521,7 @@ class Controller:
                 actions.append(Action(ActionKind.FAILED, request.id))
             else:
                 self._commit(request, graph, new_graph, lost, segments)
+                self._restart_measurement(entry)
                 kind = ActionKind.MIGRATED if lost else ActionKind.REROUTED
                 actions.append(Action(kind, request.id, new_graph))
         return actions

@@ -261,8 +261,8 @@ def audit_shared_window(controller: Controller, db: VnfDb) -> list[str]:
 
     A shared window stands for every window until an event drops it, so it
     must be what measuring now would give: the live entries' held samples
-    in ascending request id, each on route figures built for the entry's
-    current graph, and none below its target.
+    in ascending request id, each on route figures that cross exactly the
+    links of the entry's current graph, and none below its target.
     """
     shared = controller.shared_window
     if shared is None:
@@ -275,7 +275,7 @@ def audit_shared_window(controller: Controller, db: VnfDb) -> list[str]:
         flow_id = entry.request.id
         if entry.settled is not sample:
             violations.append(f"flow {flow_id}: shared window sample is not its held sample")
-        if entry.route is None or entry.route.graph is not entry.graph:
+        if entry.route is None or entry.route.links != frozenset(entry.graph.all_links()):
             violations.append(f"flow {flow_id}: route figures are not for its current graph")
         if sample.mos < entry.request.ela_target:
             violations.append(f"flow {flow_id}: shared window sample is below target")

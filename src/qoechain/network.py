@@ -26,6 +26,7 @@ from .errors import (
     UnknownLink,
 )
 
+
 class NodeKind(str, Enum):
     HOST = "host"
     SWITCH = "switch"
@@ -250,10 +251,12 @@ class NetworkState:
         """Override a link's quality figures; None keeps the current value.
 
         Capacity is untouched: a degraded link still carries its reserved
-        traffic, only worse. loss_pct=100 models a link failure. This is the
-        only change of link quality; it refreshes both endpoints' edges, and
-        the caller hands the change to Controller.handle_degradation, which
-        refreshes the flows measured over the link.
+        traffic, only worse. Path search reads latency alone, so even at
+        loss_pct=100 the link stays in every search: a flow on it scores
+        q_loss 0, and only the MOS gate or a breach re-embed's shunned link
+        keeps a plan off it; host-failure repair has neither. This is the
+        only change of link quality; it refreshes both endpoints' edges,
+        and the caller hands the change to Controller.handle_degradation.
         """
         if link_id not in self.links:
             msg = f"unknown link {link_id}"

@@ -85,18 +85,18 @@ class DbEntry:
     status: LifecycleStatus
     # (time_ms, from, to), append-only with non-decreasing timestamps.
     log: list[tuple[int, LifecycleStatus, LifecycleStatus]] = field(default_factory=list)
-    # EWMA carry per metric; the controller restarts it on each new graph,
-    # so the first window on a new path is taken at face value.
+    # EWMA carry per metric; a repair restarts it with the new graph, so
+    # the first window on a new path is taken at face value.
     smoothed: FlowSample | None = None
     # Consecutive scored windows below the target, up to the latest; it
     # carries over a new graph.
     windows_below: int = 0
-    # The controller's figures for measuring this flow, keyed on the graph
-    # object; None until first measured.
+    # The controller's figures for measuring this flow; None until a window
+    # measures it after admission, a repair or a degradation on the route.
     route: RouteFigures | None = None
-    # While smoothing stands still, the sample it last scored. A window on
-    # the graph the route figures were built for takes it unmeasured. A
-    # degradation on the route and a new stall level drop it.
+    # While smoothing stands still, the sample it last scored, which a
+    # window takes unmeasured. A repair, a degradation on the route and a
+    # new stall level drop it.
     settled: QoeSample | None = None
     # The indices of the windows that breached the ELA. The windows observed
     # and met are read off the QoE series.

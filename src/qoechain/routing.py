@@ -21,10 +21,9 @@ The loop reads each node's (link id, neighbour, latency) tuples from the
 state's `edges` and each link's `residual_bw` inline, without calling an
 accessor per edge; a planning view's residuals are its own copies, with
 the plan's pending demand already taken out and any link it shuns set
-below every demand. A candidate
-whose neighbour already holds a label better on (latency, hops) is
-dropped before its link tuple is built; only a tie on both compares link
-sequences.
+below every demand. A candidate whose neighbour already holds a label
+better on (latency, hops) is dropped before its link tuple is built; only
+a tie on both compares link sequences.
 """
 
 from __future__ import annotations

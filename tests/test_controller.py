@@ -485,9 +485,9 @@ def test_reserved_bandwidth_insulates_throughput():
     assert samples[0].mos > 4.9
 
 
-# Route figures are cached on the entry per graph object and rebuilt at a
-# degradation on the route; these two pin what must still show in the very
-# next window.
+# Route figures are cached on the entry, dropped at a repair or at a
+# degradation on the route and built again by the next window; these two
+# pin what must still show in that window.
 
 
 def test_degrading_a_used_link_shows_in_the_next_window():
@@ -520,7 +520,7 @@ def test_a_reroute_is_measured_on_the_new_segments_next_window():
     assert samples[0].mos == 5.0
 
 
-# A degradation rebuilds a flow's figures only when the link is on its route.
+# A degradation drops a flow's figures only when the link is on its route.
 
 
 def _pair_flow(net):
@@ -552,10 +552,10 @@ def test_degrading_a_link_on_the_route_rebuilds_its_figures():
     orch.controller.monitor_window(0, orch.db.live())
     before = entry.route
     degrade_and_refresh(orch, 0, latency_ms=40.0)
-    # Rebuilt at the event, for the same graph.
-    assert entry.route is not before and entry.route.graph is entry.graph
-    assert entry.route.metrics.latency_ms == 40.0
+    # Rebuilt by the next window, for the same links.
     orch.controller.monitor_window(1, orch.db.live())
+    assert entry.route is not before and entry.route.links == before.links
+    assert entry.route.metrics.latency_ms == 40.0
     assert entry.smoothed.delay_ms == 40.0
 
 
@@ -636,6 +636,24 @@ def test_a_settled_flow_feels_a_degradation_on_its_route():
     assert sample.q_loss < 1.0
 
 
+def test_two_degradations_before_a_window_build_the_route_figures_once(monkeypatch):
+    orch, window = _settled_pair_flow(parallel_pair())
+    builds = []
+    route_figures = Controller._route_figures
+    monkeypatch.setattr(
+        Controller,
+        "_route_figures",
+        lambda self, entry: builds.append(entry) or route_figures(self, entry),
+    )
+    degrade_and_refresh(orch, 0, latency_ms=300.0)
+    degrade_and_refresh(orch, 0, latency_ms=40.0, loss_pct=2.0)
+    assert builds == []
+    # Under the final quality only: the first override is never scored.
+    loss_pct = 100.0 * (1.0 - (1.0 - 2.0 / 100.0))
+    _scored_from_scratch(orch, window, (4.0, 40.0, 0.0, loss_pct, 0.0))
+    assert builds == [orch.db.entries[0]]
+
+
 def test_a_settled_flow_is_taken_raw_after_a_reroute():
     net = parallel_pair()
     orch, window = _settled_pair_flow(net)
@@ -648,9 +666,9 @@ def test_a_settled_flow_is_taken_raw_after_a_reroute():
 
 
 def test_a_degradation_before_the_first_window_on_a_new_graph_keeps_the_restart():
-    # The route figures still belong to the old graph, which crosses link 0;
-    # rebuilding them at the degradation would hide the new graph from
-    # _measure, and smoothing would carry over instead of restarting.
+    # The repair dropped the old graph's figures, which cross link 0, and
+    # the smoothing carry; a degradation of link 0 before the next window
+    # finds no figures to drop, and that window scores the new route raw.
     net = parallel_pair()
     orch, window = _settled_pair_flow(net)
     entry = orch.db.entries[0]
@@ -658,13 +676,15 @@ def test_a_degradation_before_the_first_window_on_a_new_graph_keeps_the_restart(
     orch.apply_action(orch.controller.handle_breach(entry), now=1000)
     assert entry.graph.segments == ((1,),)
     degrade_and_refresh(orch, 0, latency_ms=400.0)
-    assert entry.route.graph is not entry.graph
     _scored_from_scratch(orch, window, (4.0, 12.0, 0.0, 0.0, 0.0), restart=True)
+    # Smoothing then carries on over link 1 alone.
+    _scored_from_scratch(orch, window + 1, (4.0, 12.0, 0.0, 0.0, 0.0))
 
 
 def test_a_settled_flow_is_measured_on_its_new_graph_after_a_host_failure():
-    # A migration drops no held sample, so only the new graph object can
-    # send the flow past it.
+    # The repair that commits the migration drops the held sample and the
+    # route figures, so the next window measures the new graph, and a later
+    # degradation on the new route reaches the flow.
     net = square_network()
     net.degrade_link(1, latency_ms=20.0)  # host 2 is the farther refuge
     orch = _orchestrator(net, policy=PolicyConfig(predictor_alpha=ALPHA))
@@ -675,7 +695,8 @@ def test_a_settled_flow_is_measured_on_its_new_graph_after_a_host_failure():
     assert entry.graph.hosts == (2,)
     # 20 + 5 ms of links and 1 ms of fw, taken raw on the new graph.
     _scored_from_scratch(orch, window, (4.0, 26.0, 0.0, 0.0, 0.0), restart=True)
-    assert entry.route.graph is entry.graph
+    degrade_and_refresh(orch, 3, latency_ms=15.0)
+    _scored_from_scratch(orch, window + 1, (4.0, 36.0, 0.0, 0.0, 0.0))
 
 
 def test_a_settled_flow_reuses_its_sample_after_a_degradation_off_its_route():

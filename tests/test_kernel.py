@@ -392,6 +392,33 @@ def test_strict_debug_catches_a_shared_window_kept_past_its_event(method, monkey
         run(doc, strict_debug=True)
 
 
+def test_strict_debug_catches_a_repair_that_keeps_the_old_measurement(monkeypatch):
+    # The _payload flow settles on host 1 by the second window; host 1
+    # fails at 2.5 s and the flow migrates to host 3, a second fw host as
+    # near. A migration that kept the held sample and the old graph's route
+    # figures would share the next window on them.
+    payload = _payload()
+    payload["meta"]["duration_ms"] = 5000
+    payload["policy"] = {"predictor_alpha": 1.0}
+    payload["network"]["nodes"].append(
+        {"id": 3, "kind": "host", "cpu_capacity": 8, "mem_capacity": 8}
+    )
+    payload["network"]["links"] += [
+        {"id": 2, "a": 0, "b": 3, "bandwidth_mbps": 10, "latency_ms": 5},
+        {"id": 3, "a": 3, "b": 2, "bandwidth_mbps": 10, "latency_ms": 5},
+    ]
+    payload["workload"]["requests"][0]["holding_ms"] = 20_000
+    payload["faults"] = {"host_failures": [{"time_ms": 2500, "host": 1}]}
+    doc = _doc(payload)
+    report = run(doc, strict_debug=True)
+    assert report.counters["migrated"] == 1
+    # The new route is as fast, so the series cannot tell; the audit can.
+    assert [row.mos for _, row in series_rows(report)] == [report.series[0][0].mos] * 5
+    monkeypatch.setattr(Controller, "_restart_measurement", lambda self, entry: None)
+    with pytest.raises(InvariantViolation, match="route figures are not for its current graph"):
+        run(doc, strict_debug=True)
+
+
 def _bench_module(name: str):
     """bench/<name>.py, loaded by path: bench/ is not a package."""
     spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
