@@ -195,7 +195,7 @@ class Controller:
         segments = range(len(chain) + 1)
         graph = self._replan(request, None, chain, segments)
         if not isinstance(graph, Rejected):
-            self._commit(request, None, graph, chain, segments)
+            self._commit(request, None, graph)
         return graph
 
     def _replan(
@@ -205,6 +205,7 @@ class Controller:
         positions: Collection[int],
         segments: Collection[int],
         exclude_links: frozenset[int] = frozenset(),
+        gate: bool = True,
     ) -> ForwardingGraph | Rejected:
         """Plan new hosts for positions and new paths for segments; reserve nothing.
 
@@ -214,11 +215,11 @@ class Controller:
         holds at those positions and segments offered back. Positions are
         re-placed first, in ascending order, each with the segment into it;
         the other segments are then rebuilt in ascending order. A plan
-        identical to the graph is no repair. A flow whose graph touches a
-        failed host takes any plan that fits; any other plan must reach the
-        request's target MOS, predicted from its segments under the current
-        link quality. Each link in exclude_links is shunned: the view gives
-        it a residual of -1, below any demand.
+        identical to the graph is no repair. With gate, the plan must reach
+        the request's target MOS, predicted from its segments under the
+        current link quality; host-failure repair alone passes gate=False.
+        Each link in exclude_links is shunned: the view gives it a residual
+        of -1, below any demand.
         """
         view = ResourceView(self.network)
         if graph is None:
@@ -254,7 +255,7 @@ class Controller:
                 view.residual_bw[link_id] -= bw_kbps
         if graph is not None and tuple(paths) == graph.segments:
             return Rejected(RejectReason.NO_PATH)
-        if graph is None or not self._failure_damage(request, graph)[1]:
+        if gate:
             predicted = predict_mos(request, paths, view, self.catalog)
             if predicted.mos < request.ela_target:
                 return Rejected(RejectReason.QOE_BELOW_TARGET, predicted.mos)
@@ -267,11 +268,9 @@ class Controller:
 
         The positions are those placed on a failed host; the segments are
         those on either side of such a position or forwarding through one.
-        With no failed host there is nothing to walk.
+        Only host-failure repair asks, once per live flow.
         """
         failed = self.network.failed_hosts
-        if not failed:
-            return set(), set()
         lost = {p for p, host_id in enumerate(graph.hosts) if host_id in failed}
         segments = {index for p in lost for index in (p, p + 1)}
         node = request.ingress
@@ -330,11 +329,11 @@ class Controller:
 
     def monitor_window(
         self, window_index: int, flows: Iterable[DbEntry]
-    ) -> tuple[list[QoeSample], list[QoeSample]]:
+    ) -> tuple[list[QoeSample], list[DbEntry]]:
         """Measure the given live flows for one window.
 
-        Returns (samples, breaching): one sample per flow, and those of them
-        that breach the ELA.
+        Returns (samples, breaching): one sample per flow, and the entries
+        of those that breach the ELA.
         flows are the live database entries in ascending request id; both
         lists come out in that order. Raw figures come from the flow's
         route figures (its current segments under the current link
@@ -370,7 +369,7 @@ class Controller:
         breach_after = self.ela.breach_windows
         profile_of = self.catalog.profile
         samples: list[QoeSample] = []
-        breaching: list[QoeSample] = []
+        breaching: list[DbEntry] = []
         quiet = True
         for entry in flows:
             request = entry.request
@@ -386,7 +385,7 @@ class Controller:
                 entry.windows_below += 1
                 if entry.windows_below >= breach_after:
                     entry.breach_windows.append(window_index)
-                    breaching.append(sample)
+                    breaching.append(entry)
         if quiet:
             self.shared_window = samples
         return samples, breaching
@@ -487,7 +486,7 @@ class Controller:
                 exclude_links = frozenset({self._worst_link(graph)})
             new_graph = self._replan(request, graph, positions, segments, exclude_links)
             if not isinstance(new_graph, Rejected):
-                self._commit(request, graph, new_graph, positions, segments)
+                self._commit(request, graph, new_graph)
                 self._restart_measurement(entry)
                 return Action(kind, request.id, new_graph)
         return Action(ActionKind.MARKED_DEGRADED, request.id)
@@ -504,10 +503,12 @@ class Controller:
 
         flows are the live database entries in ascending request id, and
         are handled in that order. Only what _failure_damage names is
-        planned anew, without the MOS gate; the rest of the graph stays.
-        A repaired flow restarts its measurement and is answered with
-        Migrated if it lost a placement, else Rerouted; one that cannot be
-        repaired is fully released and answered with Failed.
+        planned anew, and without the MOS gate: this is the one repair that
+        takes any plan that fits. The rest of the graph stays. A repaired
+        flow restarts its measurement and is answered with Migrated if it
+        lost a placement, else Rerouted; one that cannot be repaired is
+        fully released and answered with Failed. Either way, once this
+        returns no live graph touches a failed host.
         """
         actions = []
         for entry in flows:
@@ -515,12 +516,12 @@ class Controller:
             lost, segments = self._failure_damage(request, graph)
             if not segments:
                 continue
-            new_graph = self._replan(request, graph, lost, segments)
+            new_graph = self._replan(request, graph, lost, segments, gate=False)
             if isinstance(new_graph, Rejected):
                 self.release_flow(entry)
                 actions.append(Action(ActionKind.FAILED, request.id))
             else:
-                self._commit(request, graph, new_graph, lost, segments)
+                self._commit(request, graph, new_graph)
                 self._restart_measurement(entry)
                 kind = ActionKind.MIGRATED if lost else ActionKind.REROUTED
                 actions.append(Action(kind, request.id, new_graph))
@@ -530,34 +531,29 @@ class Controller:
 
     def release_flow(self, entry: DbEntry) -> None:
         """Release everything a flow's graph holds."""
-        request, graph = entry.request, entry.graph
-        chain = range(len(request.vnf_sequence))
-        self._commit(request, graph, None, chain, range(len(graph.segments)))
+        self._commit(entry.request, entry.graph, None)
 
     def _commit(
-        self,
-        request: ChainRequest,
-        old: ForwardingGraph | None,
-        new: ForwardingGraph | None,
-        positions: Collection[int],
-        segments: Collection[int],
+        self, request: ChainRequest, old: ForwardingGraph | None, new: ForwardingGraph | None
     ) -> None:
-        """Swap old's parts at positions and segments for new's on the ledger.
+        """Swap all that old holds for all that new holds on the ledger.
 
-        One release of what old holds there, then one reserve of new's
-        parts. Either graph may be None: admission has nothing to give back,
-        a flow that ends nothing to take. A failed host's holdings are
-        released here like any other. A new plan was checked against a view
-        of this very state, so a reserve that fails means planner and ledger
-        disagree, which is fatal. Every commit changes a flow's graph or
-        the live flows, so it drops the shared window.
+        One release, then one reserve. Either graph may be None: admission
+        has nothing to give back, a flow that ends nothing to take. A failed
+        host's holdings are released here like any other. The plan's view
+        offered back the parts that change, and the parts it keeps are
+        released before they are taken again, so a reserve that fails means
+        planner and ledger disagree, which is fatal. Every commit changes a
+        flow's graph or the live flows, so it drops the shared window.
         """
+        chain = range(len(request.vnf_sequence))
+        segments = range(len(chain) + 1)
         self.shared_window = None
         if old is not None:
-            self.network.release(*self._parts(request, old, positions, segments))
+            self.network.release(*self._parts(request, old, chain, segments))
         if new is not None:
             try:
-                self.network.reserve(*self._parts(request, new, positions, segments))
+                self.network.reserve(*self._parts(request, new, chain, segments))
             except SimulatorError as exc:
                 msg = f"planned reservation no longer fits: {exc}"
                 raise InvariantViolation(msg) from exc

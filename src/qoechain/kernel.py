@@ -117,17 +117,16 @@ def run(
                     )
                 )
         elif isinstance(event, Departure):
-            entry = orchestrator.db.entries.get(event.request_id)
-            # A flow that already failed has nothing left to tear down.
-            if entry is not None and entry.is_live:
+            # Only an admitted request gets a departure; a flow that already
+            # failed has nothing left to tear down.
+            if orchestrator.db.entries[event.request_id].is_live:
                 orchestrator.complete_request(event.request_id, event.time_ms)
         elif isinstance(event, MeasureWindow):
             samples, breaching = controller.monitor_window(
                 event.index, orchestrator.db.live()
             )
             series.append(samples)
-            for sample in breaching:
-                entry = orchestrator.db.entries[sample.flow_id]
+            for entry in breaching:
                 orchestrator.apply_action(controller.handle_breach(entry), event.time_ms)
         elif isinstance(event, HostFailure):
             state.fail_host(event.host)

@@ -2,14 +2,14 @@
 
 The database is the only record of a flow: one entry per admitted request,
 kept after the flow ends, holding its request, forwarding graph, lifecycle
-status and log, and what the controller's monitoring alone writes: the
-smoothing carry, the settled sample, the run of windows below target,
-route figures and the windows that breached. The orchestrator turns the
-controller's admissions, Actions and releases into graph and status
-changes, all through one guarded transition helper, and tallies the two
-outcomes the lifecycle log cannot tell apart: rejections by reason, and
-reroutes versus migrations. Every other counter is derived from the entries when the
-report is built.
+log, whose last record is its status, and what the controller's monitoring
+alone writes: the smoothing carry, the settled sample, the run of windows
+below target, route figures and the windows that breached. The
+orchestrator turns the controller's admissions, Actions and releases into
+graph and status changes, all through one guarded transition helper, and
+tallies the two outcomes the lifecycle log cannot tell apart: rejections
+by reason, and reroutes versus migrations. Every other counter is derived
+from the entries when the report is built.
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ TERMINAL = frozenset({LifecycleStatus.FAILED, LifecycleStatus.COMPLETED})
 class DbEntry:
     request: ChainRequest
     graph: ForwardingGraph
-    status: LifecycleStatus
-    # (time_ms, from, to), append-only with non-decreasing timestamps.
-    log: list[tuple[int, LifecycleStatus, LifecycleStatus]] = field(default_factory=list)
+    # (time_ms, status entered), append-only with non-decreasing timestamps.
+    # The one record of the flow's status: see status.
+    log: list[tuple[int, LifecycleStatus]] = field(default_factory=list)
     # EWMA carry per metric; a repair restarts it with the new graph, so
     # the first window on a new path is taken at face value.
     smoothed: FlowSample | None = None
@@ -101,6 +101,11 @@ class DbEntry:
     # The indices of the windows that breached the ELA. The windows observed
     # and met are read off the QoE series.
     breach_windows: list[int] = field(default_factory=list)
+
+    @property
+    def status(self) -> LifecycleStatus:
+        """The status the last log record entered; Requested before any."""
+        return self.log[-1][1] if self.log else LifecycleStatus.REQUESTED
 
     @property
     def is_live(self) -> bool:
@@ -137,17 +142,18 @@ class VnfDb:
         return self._live
 
     def transition(self, entry: DbEntry, to: LifecycleStatus, now: int) -> None:
-        if to not in LEGAL_TRANSITIONS[entry.status]:
+        """Append entry's move to `to` at `now` to its log, which is its status."""
+        status = entry.status
+        if to not in LEGAL_TRANSITIONS[status]:
             msg = (
                 f"request {entry.request.id}: illegal transition "
-                f"{entry.status.value} -> {to.value}"
+                f"{status.value} -> {to.value}"
             )
             raise IllegalTransition(msg)
         if entry.log and now < entry.log[-1][0]:
             msg = f"request {entry.request.id}: lifecycle log time went backwards"
             raise IllegalTransition(msg)
-        entry.log.append((now, entry.status, to))
-        entry.status = to
+        entry.log.append((now, to))
         if to in TERMINAL:
             self._live = [other for other in self._live if other is not entry]
 
@@ -157,15 +163,19 @@ class VnfDb:
         for request_id in sorted(self.entries):
             entry = self.entries[request_id]
             request, graph = entry.request, entry.graph
+            # Each record's from is the status the record before it entered.
+            lifecycle = []
+            status = ran_under = LifecycleStatus.REQUESTED
+            for time_ms, entered in entry.log:
+                lifecycle.append({"time_ms": time_ms, "from": status.value, "to": entered.value})
+                ran_under, status = status, entered
             # A completed flow's graph keeps the status it last ran under.
-            graph_status = entry.status
-            if graph_status is LifecycleStatus.COMPLETED:
-                graph_status = entry.log[-1][1]
+            graph_status = ran_under if status is LifecycleStatus.COMPLETED else status
             out.append(
                 {
                     "request_id": request_id,
                     "request": dump_request(request),
-                    "status": entry.status.value,
+                    "status": status.value,
                     "forwarding_graph": {
                         "placements": [
                             {"vnf": name, "host": host_id}
@@ -175,10 +185,7 @@ class VnfDb:
                         "reserved_bw_mbps": kbps_to_mbps(graph.reserved_bw_kbps),
                         "status": graph_status.value,
                     },
-                    "lifecycle": [
-                        {"time_ms": time_ms, "from": src.value, "to": dst.value}
-                        for time_ms, src, dst in entry.log
-                    ],
+                    "lifecycle": lifecycle,
                 }
             )
         return out
@@ -206,7 +213,7 @@ class Orchestrator:
         if isinstance(result, Rejected):
             self.rejected[result.reason.value] += 1
             return result
-        entry = DbEntry(request=request, graph=result, status=LifecycleStatus.REQUESTED)
+        entry = DbEntry(request=request, graph=result)
         self.db.add(entry)
         self.db.transition(entry, LifecycleStatus.ACTIVE, now)
         return result
@@ -263,25 +270,17 @@ class Orchestrator:
 
 
 def audit_lifecycle(db: VnfDb) -> list[str]:
-    """Replay every entry's log against the automaton; return violations."""
+    """Replay every entry's log from Requested against the automaton; return violations."""
     violations: list[str] = []
     for request_id in sorted(db.entries):
-        entry = db.entries[request_id]
         status = LifecycleStatus.REQUESTED
         last_time = None
-        for time_ms, src, dst in entry.log:
+        for time_ms, entered in db.entries[request_id].log:
             label = f"request {request_id} at {time_ms}ms"
-            if src is not status:
-                violations.append(f"{label}: log jumps from {status.value} to {src.value}")
-            if dst not in LEGAL_TRANSITIONS[src]:
-                violations.append(f"{label}: illegal {src.value} -> {dst.value}")
+            if entered not in LEGAL_TRANSITIONS[status]:
+                violations.append(f"{label}: illegal {status.value} -> {entered.value}")
             if last_time is not None and time_ms < last_time:
                 violations.append(f"{label}: timestamps not monotone")
-            status = dst
+            status = entered
             last_time = time_ms
-        if status is not entry.status:
-            violations.append(
-                f"request {request_id}: log ends at {status.value}, "
-                f"entry says {entry.status.value}"
-            )
     return violations

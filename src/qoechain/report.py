@@ -32,7 +32,7 @@ _INF = float("inf")
 CSV_HEADER = ["time_ms", "flow_id", "mos", "q_bw", "q_delay", "q_loss", "q_stall"]
 
 # What `qoechain report` reads off summary.json, each with the types it takes:
-# the top level, the counters and each flow.
+# the top level, the counters and each flow. A bool is not an int here.
 _SUMMARY_FIELDS = {"scenario": str, "seed": int, "windows": int, "counters": dict, "flows": dict}
 _COUNTER_FIELDS = dict.fromkeys(
     ("admitted", "rejected_total", "completed", "failed", "rerouted", "migrated"), int
@@ -228,7 +228,7 @@ def _check_fields(path: Path, where: str, value, fields: dict) -> None:
     if not isinstance(value, dict):
         raise IoFailure(f"{path}: {where} is not a JSON object")
     for key, kinds in fields.items():
-        if key not in value or not isinstance(value[key], kinds):
+        if key not in value or type(value[key]) is bool or not isinstance(value[key], kinds):
             raise IoFailure(f"{path}: {where} has no valid {key!r}")
 
 

@@ -168,6 +168,11 @@ def test_report_on_missing_directory_is_an_input_error(tmp_path, capsys, summary
         lambda summary: summary["flows"].update({"0": None}),
         lambda summary: summary["flows"]["0"].update(compliance="1.0"),
         lambda summary: summary["flows"]["0"].pop("breach_windows"),
+        # json.loads gives a bool for true and false, and a bool is not a number here.
+        lambda summary: summary.update(seed=True),
+        lambda summary: summary.update(windows=True),
+        lambda summary: summary["counters"].update(admitted=False),
+        lambda summary: summary["flows"]["0"].update(compliance=True),
     ],
     ids=[
         "empty",
@@ -178,6 +183,10 @@ def test_report_on_missing_directory_is_an_input_error(tmp_path, capsys, summary
         "flow_not_an_object",
         "compliance_not_a_number",
         "flow_field_missing",
+        "seed_bool",
+        "windows_bool",
+        "counter_bool",
+        "compliance_bool",
     ],
 )
 def test_report_on_a_summary_without_what_it_reads_is_an_input_error(tmp_path, capsys, spoil):

@@ -411,7 +411,7 @@ def test_monitor_window_scores_and_smooths():
     assert expected == pytest.approx([97.0, 157.9, 200.53])
     # Windows 3 and 4 score below 3.0; the second consecutive miss alerts.
     assert alert_trail[0] == [] and alert_trail[1] == []
-    assert alert_trail[2] == samples
+    assert alert_trail[2] == [orch.db.entries[0]]
     assert orch.db.entries[0].breach_windows == [4]
 
 
@@ -431,13 +431,13 @@ def test_a_degraded_flow_breaches_again_and_the_run_survives_a_reroute():
     controller.set_stall(0, 0.2, orch.db.live())
     for window in range(2):
         _, breaching = controller.monitor_window(window, orch.db.live())
-    assert [s.flow_id for s in breaching] == [0]
+    assert breaching == [entry]
     assert entry.breach_windows == [1]
     action = controller.handle_breach(entry)
     assert action.kind is ActionKind.MARKED_DEGRADED
     orch.apply_action(action, now=2000)
     _, breaching = controller.monitor_window(2, orch.db.live())
-    assert [s.flow_id for s in breaching] == [0]
+    assert breaching == [entry]
     assert entry.breach_windows == [1, 2]
     assert entry.status is LifecycleStatus.DEGRADED
 
@@ -453,7 +453,7 @@ def test_a_degraded_flow_breaches_again_and_the_run_survives_a_reroute():
     assert entry.graph is not old_graph and entry.graph.segments == ((1,),)
     assert entry.windows_below == 2
     _, breaching = controller.monitor_window(2, orch.db.live())
-    assert [s.flow_id for s in breaching] == [0]
+    assert breaching == [entry]
     assert entry.breach_windows == [1, 2]
     controller.set_stall(0, 0.0, orch.db.live())
     _, breaching = controller.monitor_window(3, orch.db.live())
@@ -1031,6 +1031,33 @@ def test_handle_breach_marks_degraded_when_out_of_options():
     # Degraded flows stay monitored.
     samples, _ = orch.controller.monitor_window(0, orch.db.live())
     assert len(samples) == 1
+
+
+def test_handle_breach_takes_no_plan_predicted_below_the_target():
+    # The flow's link degrades, and the spare link fits but is too slow for
+    # the target: both stages plan the flow onto it, and the MOS gate turns
+    # each plan down, so the flow stays on its graph, marked degraded.
+    net = parallel_pair(latencies=(10.0, 200.0))
+    catalog = pair_catalog(delay_opt=50.0, delay_max=250.0)
+    orch = _orchestrator(net, catalog, PolicyConfig(predictor_alpha=1.0))
+    controller = orch.controller
+    orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
+    entry = orch.db.entries[0]
+    graph = entry.graph
+    assert graph.segments == ((0,),)
+    degrade_and_refresh(orch, 0, latency_ms=300.0)
+    for window in range(ELA.breach_windows):
+        _, breaching = controller.monitor_window(window, orch.db.live())
+    assert breaching == [entry]
+    ungated = controller._replan(entry.request, graph, (), range(1), gate=False)
+    assert ungated.segments == ((1,),)
+    assert predict_mos(entry.request, ungated.segments, net, catalog).mos == pytest.approx(2.0)
+    before = snapshot(net)
+    action = controller.handle_breach(entry)
+    assert action.kind is ActionKind.MARKED_DEGRADED
+    assert snapshot(net) == before
+    orch.apply_action(action, now=2000)
+    assert entry.graph is graph and entry.status is LifecycleStatus.DEGRADED
 
 
 def test_unchanged_segments_are_no_reroute():
