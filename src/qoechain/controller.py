@@ -54,7 +54,7 @@ from .qoe import (
     estimate_mos,
     predict_mos,
 )
-from .routing import shortest_feasible_path, shortest_path_tree
+from .routing import floor_tier, shortest_feasible_path, shortest_path_tree
 from .service import (
     AppProfile,
     ChainRequest,
@@ -129,9 +129,10 @@ class ResourceView:
     The three residual tables are copies a plan writes freely: giving a
     replanned flow's holdings back raises them, demand pending within the
     plan lowers them, and a link the plan shuns is set to -1. Topology,
-    failures and link quality are the state's own objects. Discarding the
-    view discards the plan; only the ledger commit writes the state's
-    residuals.
+    failures, link quality and the floor are the state's own objects: a
+    floor tree reads no residual, so a tree built during one plan serves
+    every later one. Discarding the view discards the plan; only the
+    ledger commit writes the state's residuals.
     """
 
     def __init__(self, state: NetworkState):
@@ -141,6 +142,7 @@ class ResourceView:
         self.adjacency = state.adjacency
         self.edges = state.edges
         self.quality = state.quality
+        self.floor = state.floor
         self.residual_bw = state.residual_bw.copy()
         self.residual_cpu = state.residual_cpu.copy()
         self.residual_mem = state.residual_mem.copy()
@@ -289,9 +291,12 @@ class Controller:
         The host is the candidate with the cheapest feasible path from the
         anchor (ties: lowest utilization, then lowest host id). One pass
         reads each host's CPU and memory once to find the hosts that fit, so
-        a NoHost rejection searches nothing; one shortest-path tree bounded
-        at the nearest of them then holds every host that can win. Returns
-        the host and the segment to it, or why no host was chosen.
+        a NoHost rejection searches nothing. The fitting hosts at the
+        nearest floor latency, read off the anchor's floor tree, are every
+        host that can win when each of their routes is clean; when one is
+        not, one shortest-path tree bounded at the nearest fitting host
+        holds them instead. Returns the host and the segment to it, or why
+        no host was chosen.
         """
         residual_cpu, residual_mem = view.residual_cpu, view.residual_mem
         fitting = {}
@@ -303,10 +308,12 @@ class Controller:
                 fitting[host_id] = cpu, mem
         if not fitting:
             return RejectReason.NO_HOST
-        tree = shortest_path_tree(view, anchor, bw_kbps, fitting)
+        tier = floor_tier(view, anchor, bw_kbps, fitting)
+        if tier is None:
+            tier = shortest_path_tree(view, anchor, bw_kbps, fitting)
         nodes = self.network.nodes
         options = []
-        for host_id, label in tree.items():
+        for host_id, label in tier.items():
             if host_id not in fitting:
                 continue
             cpu, mem = fitting[host_id]

@@ -117,6 +117,28 @@ class LinkQuality:
     loss_pct: float
 
 
+class Floor:
+    """The substrate at its floor: what floor trees are searched on.
+
+    A link's floor latency is the lowest latency it has held in this run:
+    its base latency, lowered by degrade_link when a degradation sets a
+    lower one. The view's edges carry floor latencies in the state's edge
+    order, every residual fits a demand of 0 and no host has failed, so
+    every link is open and every node relays. trees maps a source to its
+    floor tree, built by routing on first use; lowering a floor drops them
+    all.
+    """
+
+    def __init__(self, state: NetworkState):
+        self.latency: dict[int, float] = {
+            link_id: quality.latency_ms for link_id, quality in state.quality.items()
+        }
+        self.edges = dict(state.edges)
+        self.residual_bw: dict[int, int] = dict.fromkeys(state.links, 0)
+        self.failed_hosts: frozenset[int] = frozenset()
+        self.trees: dict[int, dict] = {}
+
+
 class NetworkState:
     """Mutable substrate state: residual resources, failures, degradations.
 
@@ -176,6 +198,7 @@ class NetworkState:
         self.edges: dict[int, tuple[tuple[int, int, float], ...]] = {}
         for node_id in self.nodes:
             self._refresh_edges(node_id)
+        self.floor = Floor(self)
 
     # -- mutations ----------------------------------------------------------
 
@@ -257,6 +280,9 @@ class NetworkState:
         keeps a plan off it; host-failure repair has neither. This is the
         only change of link quality; it refreshes both endpoints' edges,
         and the caller hands the change to Controller.handle_degradation.
+        A latency below the link's floor lowers the floor, refreshes both
+        endpoints' floor edges and drops every floor tree; any other leaves
+        the floor trees standing.
         """
         if link_id not in self.links:
             msg = f"unknown link {link_id}"
@@ -270,6 +296,15 @@ class NetworkState:
         link = self.links[link_id]
         self._refresh_edges(link.a)
         self._refresh_edges(link.b)
+        floor = self.floor
+        if latency < floor.latency[link_id]:
+            floor.latency[link_id] = latency
+            for node_id in (link.a, link.b):
+                floor.edges[node_id] = tuple(
+                    (each, neighbor, floor.latency[each])
+                    for each, neighbor, _ in floor.edges[node_id]
+                )
+            floor.trees.clear()
 
     # -- helpers -------------------------------------------------------------
 

@@ -24,6 +24,29 @@ the plan's pending demand already taken out and any link it shuns set
 below every demand. A candidate whose neighbour already holds a label
 better on (latency, hops) is dropped before its link tuple is built; only
 a tie on both compares link sequences.
+
+Most queries are answered without a search, from the source's floor tree:
+`_settle` run once over the state's `Floor`, where each link has its floor
+latency (the lowest it has held), every link is open and every node
+relays. The state keeps each tree until a degradation lowers a floor. A
+floor label is clean in a view when each of its links is at its floor
+latency now and has a residual covering the demand (so a shunned link
+never is), and no failed host relays on it. A clean label is the answer
+the search would give, floats included:
+- A path's current key is at least its floor key. Both latency sums run
+  in path order from 0.0, each current link latency is at least its
+  floor, and rounded addition is monotone; hops and links are the same.
+- A clean label's current key equals its floor key, which is the least
+  floor key of any path to its node. So no path has a smaller current
+  key, and since the label is feasible it is the key-min that `_settle`
+  returns.
+- For placement, the answer is the tier of targets at the nearest floor
+  latency. When each of them is clean, that tier is exactly the targets a
+  bounded search settles, with the same labels: each is at its floor key,
+  and any other target reachable at all has current latency at least its
+  floor latency, which is above the tier's.
+A node missing from the floor tree is unreachable in any view. A query
+whose floor answer is not clean falls back to the search.
 """
 
 from __future__ import annotations
@@ -102,6 +125,53 @@ def shortest_path_tree(
     return _settle(net, src, bw_kbps, targets)
 
 
+def _floor_tree(net, src: int) -> dict[int, PathKey]:
+    """src's floor tree: the key of every node over floor latencies, built once."""
+    floor = net.floor
+    tree = floor.trees.get(src)
+    if tree is None:
+        tree = floor.trees[src] = _settle(floor, src, 0)
+    return tree
+
+
+def _clean(net, src: int, links: tuple[int, ...], bw_kbps: int) -> bool:
+    """Whether the floor route links from src is open in net at its floor latency."""
+    residual_bw, quality, floor_latency = net.residual_bw, net.quality, net.floor.latency
+    for link_id in links:
+        if residual_bw[link_id] < bw_kbps or quality[link_id].latency_ms != floor_latency[link_id]:
+            return False
+    failed_hosts = net.failed_hosts
+    if failed_hosts:
+        node = src
+        for link_id in links[:-1]:
+            node = net.links[link_id].other(node)
+            if node in failed_hosts:
+                return False
+    return True
+
+
+def floor_tier(
+    net, src: int, bw_kbps: int, targets: Collection[int]
+) -> dict[int, PathKey] | None:
+    """Keys of the targets nearest src, read off the floor tree, or None.
+
+    The tier is the targets at the nearest floor latency, empty when none
+    is reachable. It is the answer when each of them is clean, and None
+    says that one is not, so the caller searches instead.
+    """
+    tier: dict[int, PathKey] = {}
+    nearest = float("inf")
+    for node, label in _floor_tree(net, src).items():
+        if label[0] > nearest:
+            break
+        if node in targets:
+            if not _clean(net, src, label[2], bw_kbps):
+                return None
+            nearest = label[0]
+            tier[node] = label
+    return tier
+
+
 def shortest_feasible_path(net, src: int, dst: int, bw_kbps: int) -> list[int] | None:
     """Minimum-latency simple path from src to dst over feasible links.
 
@@ -109,12 +179,15 @@ def shortest_feasible_path(net, src: int, dst: int, bw_kbps: int) -> list[int] |
     planning view shuns a link by giving it a residual below any demand.
     Ties fall to fewer hops, then to the lexicographically smallest link-id
     sequence. Returns [] when src == dst and None when no feasible path
-    exists. `net` is a NetworkState or a planning view of one.
+    exists. `net` is a NetworkState or a planning view of one. The floor
+    answer is returned when it is clean, and a search runs otherwise.
     """
     if src not in net.nodes or dst not in net.nodes:
         msg = f"unknown node in path query: {src} -> {dst}"
         raise UnknownHost(msg)
     if src == dst:
         return []
-    label = _settle(net, src, bw_kbps, (dst,)).get(dst)
+    label = _floor_tree(net, src).get(dst)
+    if label is not None and not _clean(net, src, label[2], bw_kbps):
+        label = _settle(net, src, bw_kbps, (dst,)).get(dst)
     return None if label is None else list(label[2])

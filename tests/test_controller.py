@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -29,6 +30,7 @@ from qoechain import (
     validate_forwarding_graph,
 )
 from qoechain import controller as controller_module
+from qoechain import routing
 from qoechain.controller import ActionKind, ResourceView
 from qoechain.errors import (
     AlreadyTerminal,
@@ -330,7 +332,21 @@ def placement_trees(monkeypatch):
 
 
 def test_colocated_placement_settles_only_the_anchor_tier(placement_trees):
-    net = line_network()
+    # The line network plus host 3, joined to host 1 by a 0 ms link too
+    # narrow for the demand: the nearest floor tier is hosts 1 and 3, and
+    # host 3's label is not clean, so placement searches.
+    nodes = [
+        NodeSpec(0, NodeKind.ENDPOINT),
+        NodeSpec(1, NodeKind.HOST, cpu_capacity=8, mem_capacity=8),
+        NodeSpec(2, NodeKind.ENDPOINT),
+        NodeSpec(3, NodeKind.HOST, cpu_capacity=8, mem_capacity=8),
+    ]
+    links = [
+        LinkSpec(0, 0, 1, bandwidth_kbps=10_000, latency_ms=5.0),
+        LinkSpec(1, 1, 2, bandwidth_kbps=10_000, latency_ms=5.0),
+        LinkSpec(2, 1, 3, bandwidth_kbps=500, latency_ms=0.0),
+    ]
+    net = NetworkState(nodes, links)
     ctl = _controller(net)
     vnf = ctl.catalog.vnf("fw")
     assert ctl._place_next(ResourceView(net), 1, vnf, 1000) == (1, ())
@@ -346,10 +362,51 @@ def test_placement_stops_at_the_nearest_fitting_host(placement_trees):
     links = [LinkSpec(i, i, i + 1, bandwidth_kbps=10_000, latency_ms=1.0) for i in range(8)]
     net = NetworkState(nodes, links)
     ctl = _controller(net)
-    placed = ctl._place_next(ResourceView(net), 0, ctl.catalog.vnf("fw"), 1000)
+    vnf = ctl.catalog.vnf("fw")
+    # At its floor, the route to host 1 is clean: the floor tree answers.
+    assert ctl._place_next(ResourceView(net), 0, vnf, 1000) == (1, (0,))
+    assert placement_trees == []
+    # Degraded above its floor, it is not: placement searches.
+    net.degrade_link(0, latency_ms=1.5)
+    placed = ctl._place_next(ResourceView(net), 0, vnf, 1000)
     assert placed == (1, (0,))
     assert len(shortest_path_tree(net, 0, 1000)) == 9
     assert [sorted(tree) for tree in placement_trees] == [[0, 1]]  # not the tail
+
+
+def test_a_degradation_below_the_floor_reroutes_the_next_admission():
+    # Link 1 falls from 12 to 8 ms, below link 0's 10 ms. Endpoint 0's floor
+    # tree, built by the first admission, still names link 0, which is
+    # clean, so a tree kept past the new floor would answer link 0.
+    net = parallel_pair()
+    orch = _orchestrator(net, pair_catalog())
+    request = make_request(ingress=0, egress=1, vnfs=(), profile="stream")
+    assert orch.submit_request(request, now=0).segments == ((0,),)
+    degrade_and_refresh(orch, 1, latency_ms=8.0)
+    assert net.floor.trees == {}
+    again = orch.submit_request(replace(request, id=1), now=0)
+    assert again.segments == ((1,),)
+
+
+def test_a_degradation_above_the_floor_on_the_answer_falls_back_to_the_search(monkeypatch):
+    net = parallel_pair()
+    orch = _orchestrator(net, pair_catalog())
+    request = make_request(ingress=0, egress=1, vnfs=(), profile="stream")
+    assert orch.submit_request(request, now=0).segments == ((0,),)
+    degrade_and_refresh(orch, 0, latency_ms=15.0)
+    expected = shortest_path_tree(ResourceView(net), 0, 4000, (1,))[1][2]
+    assert expected == (1,)
+    trees = dict(net.floor.trees)
+    settle, searches = routing._settle, []
+
+    def recording_settle(*args):
+        searches.append(args[1:])
+        return settle(*args)
+
+    monkeypatch.setattr(routing, "_settle", recording_settle)
+    assert orch.submit_request(replace(request, id=1), now=0).segments == (expected,)
+    assert searches == [(0, 4000, (1,))]  # the floor answer, link 0, is not clean
+    assert net.floor.trees == trees  # a degradation above the floor keeps them
 
 
 def _spur_network(spur_bw_kbps: int):

@@ -15,7 +15,7 @@ from qoechain import (
 from qoechain.controller import ResourceView
 from qoechain.errors import InstanceTooLarge, UnknownHost
 from qoechain.oracle import path_key
-from qoechain.routing import shortest_path_tree
+from qoechain.routing import floor_tier, shortest_path_tree
 
 from generators import random_network, square_network
 
@@ -311,3 +311,99 @@ def test_a_bounded_tree_is_the_full_tree_up_to_the_nearest_target_tier():
                 assert list(full.values())[len(bounded)][0] > nearest
                 bounded_short += 1
     assert bounded_short >= 200  # the latency bound, not the target count, often stops it
+
+
+def test_the_floor_tree_keeps_a_float_tie_at_fewer_hops():
+    # The 24.7 ms tie above, with the 3-hop route brought to it by
+    # degradations below its base latencies. Each lowers a floor and drops
+    # the floor trees; the tree built after the last must hold the 3-hop
+    # route, as the search does.
+    nodes = [NodeSpec(0, NodeKind.ENDPOINT), NodeSpec(1, NodeKind.ENDPOINT)]
+    nodes += [NodeSpec(node_id, NodeKind.SWITCH) for node_id in range(2, 7)]
+    four = [(0, 4, 3.6), (4, 5, 6.3), (5, 6, 6.8), (6, 1, 8.0)]
+    three = [(0, 2, 7.0), (2, 3, 9.5), (3, 1, 9.5)]
+    links = [
+        LinkSpec(link_id, a, b, bandwidth_kbps=1000, latency_ms=latency)
+        for link_id, (a, b, latency) in enumerate(four + three)
+    ]
+    net = NetworkState(nodes, links)
+    for link_id, latency in ((4, 6.7), (5, 9.0), (6, 9.0)):
+        assert shortest_feasible_path(net, 0, 1, 500) == [0, 1, 2, 3]
+        net.degrade_link(link_id, latency_ms=latency)
+        assert net.floor.trees == {}
+    three_hops = path_key(net, [4, 5, 6])
+    assert three_hops[0] == path_key(net, [0, 1, 2, 3])[0] == 24.7
+    assert floor_tier(net, 0, 500, {1}) == {1: three_hops}
+    assert shortest_feasible_path(net, 0, 1, 500) == [4, 5, 6]
+    # Above its floor, link 4 is not clean and the search takes the 4-hop
+    # route; back at its floor, the kept tree answers again.
+    net.degrade_link(4, latency_ms=20.0)
+    assert floor_tier(net, 0, 500, {1}) is None
+    assert shortest_feasible_path(net, 0, 1, 500) == [0, 1, 2, 3]
+    net.degrade_link(4, latency_ms=6.7)
+    assert floor_tier(net, 0, 500, {1}) == {1: three_hops}
+    assert shortest_feasible_path(net, 0, 1, 500) == [4, 5, 6]
+
+
+def _degrade_some(net, rng: Random) -> None:
+    """Degrade two links to within 0.3x to 2x of base, and put one back at its floor."""
+    for link_id in rng.sample(sorted(net.links), 2):
+        base = net.links[link_id].latency_ms
+        net.degrade_link(link_id, latency_ms=round(base * rng.uniform(0.3, 2.0), 1))
+    link_id = rng.choice(sorted(net.links))
+    net.degrade_link(link_id, latency_ms=net.floor.latency[link_id])
+
+
+def test_floor_answers_match_the_search_and_the_enumeration():
+    # Latencies at 0.1 ms resolution, so float sums tie exactly, degraded
+    # above and below base over three rounds that keep the floor trees
+    # between them; a failed relay, shunned links and bandwidth that binds.
+    # A query's floor answer, when clean, must be the bounded search's, and
+    # on the small networks the enumeration's best; a placement tier read
+    # off the floor tree must be the targets a bounded search settles at
+    # the nearest latency.
+    rng = Random(0xF1002)
+    clean = fallback = tiers = 0
+    for case in range(60):
+        small = case < 40
+        if small:
+            net = random_network(rng, n_endpoints=2, n_hosts=3, n_switches=1, extra_links=3)
+        else:
+            net = random_network(rng, n_endpoints=3, n_hosts=6, n_switches=3, extra_links=8)
+        net.fail_host(rng.choice(net.host_ids))
+        for _ in range(3):
+            _degrade_some(net, rng)
+            view = ResourceView(net)
+            for link_id in rng.sample(sorted(net.links), 3):
+                view.residual_bw[link_id] -= rng.randint(1, 6) * 1000
+            for link_id in rng.sample(sorted(net.links), rng.randint(0, 2)):
+                view.residual_bw[link_id] = -1
+            bw = rng.randint(1, 6) * 1000
+            for src in sorted(net.nodes):
+                for dst in sorted(net.nodes):
+                    if dst == src:
+                        continue
+                    search = shortest_path_tree(view, src, bw, (dst,)).get(dst)
+                    path = shortest_feasible_path(view, src, dst, bw)
+                    assert (None if path is None else path_key(view, path)) == search
+                    floor = floor_tier(view, src, bw, {dst})
+                    if floor is None:
+                        fallback += 1
+                    else:
+                        assert floor == ({} if search is None else {dst: search})
+                        clean += search is not None
+                    if small:
+                        everything = enumerate_simple_paths(view, src, dst, bw, max_paths=5000)
+                        keys = [path_key(view, each) for each in everything]
+                        assert search == (min(keys) if keys else None)
+                targets = set(rng.sample(sorted(net.nodes), rng.randint(1, 4)))
+                floor = floor_tier(view, src, bw, targets)
+                if floor is not None:
+                    bounded = shortest_path_tree(view, src, bw, targets)
+                    reached = {node: bounded[node] for node in targets & set(bounded)}
+                    nearest = min((label[0] for label in reached.values()), default=None)
+                    assert floor == {n: label for n, label in reached.items() if label[0] == nearest}
+                    tiers += floor != {}
+    assert clean >= 3000  # many answers come off the floor tree
+    assert fallback >= 5000  # and many floor answers are not clean
+    assert tiers >= 600  # and many placement tiers are clean
