@@ -2,8 +2,9 @@
 
 Time is integer milliseconds. Events dispatch in (time, seq) order where
 seq is the scheduling order, so same-time ties resolve the same way every
-run: measurement windows are scheduled first, then the scenario's declared
-events in file order, then anything spawned while running (departures).
+run: measurement windows are scheduled first, then the scenario's requests
+in id order, then its fault records in file order, then anything spawned
+while running (departures).
 The scenario's fault records are queued as they are: each is its own event.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import groupby
+from operator import attrgetter
 from typing import Callable
 
 from .controller import Controller, Rejected
@@ -93,8 +95,10 @@ def run(
     windows = doc.duration_ms // doc.window_ms
     for index in range(windows):
         queue.schedule(MeasureWindow(time_ms=(index + 1) * doc.window_ms, index=index))
+    # Arrivals are scheduled, and their jitter drawn, in request-id order,
+    # so the order of the workload's records does not change the run.
     rng = SplitMix64(effective_seed)
-    for request in doc.requests:
+    for request in sorted(doc.requests, key=attrgetter("id")):
         arrival = request.arrival_ms
         if doc.arrival_jitter_ms > 0:
             span = 2 * doc.arrival_jitter_ms + 1
@@ -168,7 +172,7 @@ def run(
             for request_id, entry in sorted(entries.items())
         },
         series=series,
-        db_dump=orchestrator.db.dump(),
+        entries=entries,
     )
 
 

@@ -9,7 +9,9 @@ orchestrator turns the controller's admissions, Actions and releases into
 graph and status changes, all through one guarded transition helper, and
 tallies the two outcomes the lifecycle log cannot tell apart: rejections
 by reason, and reroutes versus migrations. Every other counter is derived
-from the entries when the report is built.
+from the entries when the report is built, and db_dump.json is rendered
+from the entries themselves as report.py writes it: nothing here builds a
+dump.
 """
 
 from __future__ import annotations
@@ -34,9 +36,7 @@ from .errors import (
     UnknownRequest,
 )
 from .qoe import FlowSample, QoeSample
-from .scenario import dump_request
 from .service import ChainRequest, ForwardingGraph
-from .units import kbps_to_mbps
 
 
 class LifecycleStatus(str, Enum):
@@ -116,6 +116,7 @@ class DbEntry:
 class VnfDb:
     """Every entry ever admitted, by request id, plus a list of the live ones.
 
+    entries is what a run's report carries and db_dump.json is written from.
     add is the one way in and transition the one way to a terminal status,
     so together they keep the list equal to the entries that are live. Each
     membership change builds a new list, so a list handed out earlier stays
@@ -156,39 +157,6 @@ class VnfDb:
         entry.log.append((now, to))
         if to in TERMINAL:
             self._live = [other for other in self._live if other is not entry]
-
-    def dump(self) -> list[dict]:
-        """JSON-ready dump of every entry, sorted by request id."""
-        out = []
-        for request_id in sorted(self.entries):
-            entry = self.entries[request_id]
-            request, graph = entry.request, entry.graph
-            # Each record's from is the status the record before it entered.
-            lifecycle = []
-            status = ran_under = LifecycleStatus.REQUESTED
-            for time_ms, entered in entry.log:
-                lifecycle.append({"time_ms": time_ms, "from": status.value, "to": entered.value})
-                ran_under, status = status, entered
-            # A completed flow's graph keeps the status it last ran under.
-            graph_status = ran_under if status is LifecycleStatus.COMPLETED else status
-            out.append(
-                {
-                    "request_id": request_id,
-                    "request": dump_request(request),
-                    "status": status.value,
-                    "forwarding_graph": {
-                        "placements": [
-                            {"vnf": name, "host": host_id}
-                            for name, host_id in zip(request.vnf_sequence, graph.hosts)
-                        ],
-                        "segments": [list(segment) for segment in graph.segments],
-                        "reserved_bw_mbps": kbps_to_mbps(graph.reserved_bw_kbps),
-                        "status": graph_status.value,
-                    },
-                    "lifecycle": lifecycle,
-                }
-            )
-        return out
 
 
 class Orchestrator:

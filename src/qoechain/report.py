@@ -9,10 +9,15 @@ A finished run produces three files in the output directory:
 All three are rendered deterministically (sorted keys, fixed float
 formatting) so identical runs produce byte-identical artifacts. The two JSON
 files are the bytes of json.dumps(value, indent=2, sort_keys=True) plus a
-newline, written by this module's own writer: json.dumps with an indent runs
-json's pure-Python encoder. All three stream to disk: summary.json one
-top-level item and one flow at a time, db_dump.json one database entry at a
-time and the series one window at a time.
+newline, written by this module's own writers: json.dumps with an indent
+runs json's pure-Python encoder. All three stream to disk: summary.json one
+top-level item and one flow at a time, the series one window at a time and
+db_dump.json one database entry at a time, in request-id order. No dump is
+built first: each entry's text is rendered straight from the entry, filled
+into one fixed template whose keys are in sorted order, its request by a
+renderer built from scenario.py's request table. Scalars are spelled as
+json.dumps spells the value's own type: strings through json's C escaper,
+numbers by int's or float's repr.
 """
 
 from __future__ import annotations
@@ -20,10 +25,16 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable
 
 from .errors import IoFailure
+from .orchestrator import DbEntry, LifecycleStatus
 from .qoe import QoeSample
+from .scenario import _REQUEST
+from .service import ChainRequest
+from .units import kbps_to_mbps
 
 # json's own C escaper: the text json.dumps gives a str, quotes included.
 _escape = json.encoder.encode_basestring_ascii
@@ -56,6 +67,8 @@ class FlowSummary:
 
 @dataclass
 class SimReport:
+    """A finished run: what write_report writes, held as the run left it."""
+
     scenario_name: str
     seed: int
     duration_ms: int
@@ -69,7 +82,9 @@ class SimReport:
     # windows may be one list object: a quiet window's, shared by every
     # window that repeated it.
     series: list[list[QoeSample]] = field(default_factory=list)
-    db_dump: list[dict] = field(default_factory=list)
+    # The orchestrator's database entries by request id, the same objects:
+    # db_dump.json is rendered from them one at a time as it is written.
+    entries: dict[int, DbEntry] = field(default_factory=dict)
 
     def summary_dict(self) -> dict:
         flows = {
@@ -201,6 +216,123 @@ def _write_series(handle, series: list[list[QoeSample]], window_ms: int) -> None
             handle.write(prefix + ("\n" + prefix).join(texts) + "\n")
 
 
+def _json_list(texts: list[str], indent: str) -> str:
+    """The JSON list of the item texts given, its closing bracket at indent."""
+    if not texts:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(texts) + indent + "]"
+
+
+def _request_renderer(indent: str) -> Callable[[ChainRequest], str]:
+    """A function giving a request's JSON object text, keyed as in a scenario's workload.
+
+    The text is json.dumps's with indent=2 and sorted keys, for an object
+    whose closing brace sits at indent (a newline and its spaces). It fills
+    one template built here from the rows of scenario.py's request table,
+    the one list of a request's keys: every attribute of a ChainRequest is
+    set, so no key is ever left out. A number goes in by %r, which is int's
+    or float's repr, as json.dumps spells the value's own type; a string
+    goes through json's escaper, and the one list row holds VNF names.
+    """
+    inner = indent + "  "
+    rows = sorted(_REQUEST.rows, key=lambda row: row.key)
+    numeric = ("int", "number")
+    template = "{" + ",".join(
+        f"{inner}{_escape(row.key)}: {'%r' if row.kind in numeric else '%s'}" for row in rows
+    ) + indent + "}"
+    values = attrgetter(*(row.attr for row in rows))
+
+    def spell_names(names: tuple[str, ...]) -> str:
+        return _json_list([*map(_escape, names)], inner)
+
+    spelled = [
+        (index, _escape if row.kind == "str" else spell_names)
+        for index, row in enumerate(rows)
+        if row.kind not in numeric
+    ]
+
+    def render(request: ChainRequest) -> str:
+        fields = list(values(request))
+        for index, spell in spelled:
+            fields[index] = spell(fields[index])
+        return template % tuple(fields)
+
+    return render
+
+
+_STATUS_TEXT = {status: _escape(status.value) for status in LifecycleStatus}
+_render_request = _request_renderer("\n    ")
+
+# An entry's object as db_dump.json holds it, an item of the top-level list,
+# with its keys and those of its placements and lifecycle records in sorted
+# order. A %s takes a value's JSON text, and a %r a number, whose repr is
+# the text json.dumps gives an int or a float.
+_ENTRY = """{
+    "forwarding_graph": {
+      "placements": %s,
+      "reserved_bw_mbps": %r,
+      "segments": %s,
+      "status": %s
+    },
+    "lifecycle": %s,
+    "request": %s,
+    "request_id": %r,
+    "status": %s
+  }"""
+_PLACEMENT = """{
+          "host": %r,
+          "vnf": %s
+        }"""
+_RECORD = """{
+        "from": %s,
+        "time_ms": %r,
+        "to": %s
+      }"""
+
+
+def render_entry(entry: DbEntry) -> str:
+    """entry's object in db_dump.json, as an item of the file's list.
+
+    The text is json.dumps's with indent=2 and sorted keys: the request as
+    the workload keys it, the forwarding graph with each VNF's host, and the
+    lifecycle log, each record with the status it left.
+    """
+    request, graph = entry.request, entry.graph
+    # Each record's from is the status the record before it entered.
+    records = []
+    status = ran_under = LifecycleStatus.REQUESTED
+    for time_ms, entered in entry.log:
+        records.append(_RECORD % (_STATUS_TEXT[status], time_ms, _STATUS_TEXT[entered]))
+        ran_under, status = status, entered
+    # A completed flow's graph keeps the status it last ran under.
+    graph_status = ran_under if status is LifecycleStatus.COMPLETED else status
+    placements = [
+        _PLACEMENT % (host_id, _escape(name))
+        for name, host_id in zip(request.vnf_sequence, graph.hosts)
+    ]
+    segments = [_json_list([*map(repr, segment)], "\n        ") for segment in graph.segments]
+    return _ENTRY % (
+        _json_list(placements, "\n      "),
+        kbps_to_mbps(graph.reserved_bw_kbps),
+        _json_list(segments, "\n      "),
+        _STATUS_TEXT[graph_status],
+        _json_list(records, "\n    "),
+        _render_request(request),
+        request.id,
+        _STATUS_TEXT[status],
+    )
+
+
+def _write_entries(handle, entries: dict[int, DbEntry]) -> None:
+    """Stream db_dump.json: the entries' list in request-id order, one entry at a time."""
+    separator = "[\n  "
+    for request_id in sorted(entries):
+        handle.write(separator + render_entry(entries[request_id]))
+        separator = ",\n  "
+    handle.write("[]\n" if not entries else "\n]\n")
+
+
 def write_report(report: SimReport, out_dir: str | Path) -> list[Path]:
     """Write the three artifacts, returning their paths."""
     directory = Path(out_dir)
@@ -215,8 +347,7 @@ def write_report(report: SimReport, out_dir: str | Path) -> list[Path]:
         with open(series_path, "w", encoding="utf-8") as handle:
             _write_series(handle, report.series, report.window_ms)
         with open(dump_path, "w", encoding="utf-8") as handle:
-            _write_json(handle, report.db_dump, depth=1)
-            handle.write("\n")
+            _write_entries(handle, report.entries)
     except OSError as exc:
         msg = f"cannot write report to {directory}: {exc}"
         raise IoFailure(msg) from exc

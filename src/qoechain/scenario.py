@@ -496,11 +496,6 @@ def _dump(record: Any, rows: tuple[_Field, ...]) -> dict:
     return payload
 
 
-def dump_request(request: ChainRequest) -> dict:
-    """A request's JSON object, keyed as in a scenario's workload."""
-    return _dump(request, _REQUEST.rows)
-
-
 def serialize_scenario(doc: ScenarioDoc) -> str:
     """Canonical JSON for a scenario; parse(serialize(doc)) equals doc."""
     payload = {

@@ -7,6 +7,7 @@ own seed; the suite never consumes global RNG state.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import json
 from pathlib import Path
 from random import Random
@@ -27,6 +28,7 @@ from qoechain import (
     ServiceCatalog,
     VnfType,
     parse_scenario,
+    write_report,
 )
 from qoechain.qoe import FlowSample, QoeSample
 from qoechain.report import SimReport
@@ -38,6 +40,15 @@ from qoechain.scenario import (
 )
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
+BENCH = Path(__file__).parent.parent / "bench"
+
+
+def bench_module(name: str):
+    """bench/<name>.py, loaded by path: bench/ is not a package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_profile(
@@ -272,6 +283,12 @@ def degrade_and_refresh(orchestrator, link_id: int, **figures) -> None:
     controller = orchestrator.controller
     controller.network.degrade_link(link_id, **figures)
     controller.handle_degradation(link_id, orchestrator.db.live())
+
+
+def written_dump(report: SimReport, out_dir: Path) -> list[dict]:
+    """Write report's artifacts to out_dir and read its db_dump.json back."""
+    write_report(report, out_dir)
+    return json.loads((out_dir / "db_dump.json").read_text(encoding="utf-8"))
 
 
 def series_rows(report: SimReport) -> Iterator[tuple[int, QoeSample]]:

@@ -61,6 +61,7 @@ from generators import (
     random_request,
     random_sample,
     series_rows,
+    written_dump,
 )
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -501,7 +502,7 @@ def test_shortest_path_matches_exhaustive_enumeration():
     )
 
 
-def test_host_failure_triggers_immediate_migration():
+def test_host_failure_triggers_immediate_migration(tmp_path):
     doc = _load("host_failure_migration.json")
     stale_refs = []
 
@@ -515,7 +516,7 @@ def test_host_failure_triggers_immediate_migration():
     report = run(doc, strict_debug=True, event_hook=hook)
     lifecycle = [
         (step["time_ms"], step["from"], step["to"])
-        for step in report.db_dump[0]["lifecycle"]
+        for step in written_dump(report, tmp_path)[0]["lifecycle"]
     ]
     migration_steps = [step for step in lifecycle if step[0] == 2500]
     rows = list(series_rows(report))
@@ -541,7 +542,7 @@ def test_host_failure_triggers_immediate_migration():
     )
 
 
-def test_host_failure_reroutes_flows_relayed_through_the_host():
+def test_host_failure_reroutes_flows_relayed_through_the_host(tmp_path):
     # Flow 0 places fw on host 1; flow 1 places nothing but forwards through
     # host 1. Both must leave it when it fails; strict audits flag any live
     # segment that still relays through a failed host.
@@ -551,7 +552,7 @@ def test_host_failure_reroutes_flows_relayed_through_the_host():
         report = run(doc, strict_debug=True)
     except InvariantViolation as exc:
         _verdict("relay-failure-scenario", False, f"audit tripped: {exc}")
-    dump = {entry["request_id"]: entry for entry in report.db_dump}
+    dump = {entry["request_id"]: entry for entry in written_dump(report, tmp_path)}
     steps = {
         request_id: [
             (step["time_ms"], step["from"], step["to"])
@@ -695,21 +696,18 @@ def _replay_dump(dump_text: str) -> list[str]:
     return problems
 
 
-def test_lifecycle_logs_replay_the_automaton():
+def test_lifecycle_logs_replay_the_automaton(tmp_path):
     rng = Random(1010)
+    reports = [run(_load(path.name)) for path in sorted(SCENARIOS.glob("*.json"))]
+    reports += [run(random_doc(rng, index), strict_debug=True) for index in range(25)]
     runs = 0
     entries = 0
     problems: list[str] = []
-    for path in sorted(SCENARIOS.glob("*.json")):
-        report = run(_load(path.name))
-        problems += _replay_dump(json.dumps(report.db_dump))
+    for index, report in enumerate(reports):
+        write_report(report, tmp_path / f"run{index}")
+        problems += _replay_dump((tmp_path / f"run{index}" / "db_dump.json").read_text())
         runs += 1
-        entries += len(report.db_dump)
-    for index in range(25):
-        report = run(random_doc(rng, index), strict_debug=True)
-        problems += _replay_dump(json.dumps(report.db_dump))
-        runs += 1
-        entries += len(report.db_dump)
+        entries += len(report.entries)
     _verdict(
         "lifecycle-soundness",
         not problems,

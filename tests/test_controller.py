@@ -60,6 +60,7 @@ from generators import (
     snapshot,
     square_network,
     stalled_flow,
+    written_dump,
 )
 
 ELA = Ela(target_mos=3.0, breach_windows=2, compliance_budget=0.9)
@@ -780,7 +781,7 @@ def test_a_moving_ewma_is_scored_afresh_every_window():
         last = sample
 
 
-def test_reusing_settled_samples_changes_no_run(monkeypatch):
+def test_reusing_settled_samples_changes_no_run(monkeypatch, tmp_path):
     # The same runs with every reuse check missing: a DbEntry.settled that
     # always reads None makes the controller measure, smooth and score
     # every flow in every window.
@@ -803,12 +804,11 @@ def test_reusing_settled_samples_changes_no_run(monkeypatch):
     assert len(scored) < sum(len(list(series_rows(report))) for report in reused)
     never = property(lambda entry: None, lambda entry, value: None)
     monkeypatch.setattr(DbEntry, "settled", never)
-    for doc, first in zip(docs, reused):
+    for index, (doc, first) in enumerate(zip(docs, reused)):
         second = run(doc)
-        assert (second.series, second.flows, second.db_dump) == (
-            first.series,
-            first.flows,
-            first.db_dump,
+        assert (second.series, second.flows) == (first.series, first.flows)
+        assert written_dump(second, tmp_path / f"unsettled{index}") == written_dump(
+            first, tmp_path / f"settled{index}"
         )
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-import importlib.util
 import json
 import re
 import tracemalloc
@@ -20,7 +19,13 @@ from qoechain.kernel import Departure, MeasureWindow
 from qoechain.qoe import QoeSample
 from qoechain.report import SimReport
 
-from generators import one_fault_of_each_kind, random_doc, series_rows
+from generators import (
+    bench_module,
+    one_fault_of_each_kind,
+    random_doc,
+    series_rows,
+    written_dump,
+)
 
 ROOT = Path(__file__).parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -145,7 +150,7 @@ def test_departure_completes_the_flow():
     assert report.flows[0].compliance == 1.0
 
 
-def test_rejected_request_is_counted_and_leaves_no_trace():
+def test_rejected_request_is_counted_and_leaves_no_trace(tmp_path):
     payload = _payload()
     payload["profiles"]["app_profiles"].append(
         {
@@ -163,7 +168,7 @@ def test_rejected_request_is_counted_and_leaves_no_trace():
     assert report.counters["rejected_total"] == 1
     assert report.counters["admitted"] == 0
     assert report.flows == {}
-    assert report.db_dump == []
+    assert written_dump(report, tmp_path) == []
 
 
 def test_stall_injection_descends_through_the_smoother():
@@ -199,7 +204,7 @@ def test_link_degradation_applies_from_its_event_time():
     assert second.mos == pytest.approx(1 + 4 * (400 - 306) / 350, abs=1e-9)
 
 
-def test_arrival_jitter_is_reproducible_and_seed_sensitive():
+def test_arrival_jitter_is_reproducible_and_seed_sensitive(tmp_path):
     payload = _payload()
     payload["meta"]["duration_ms"] = 2000
     payload["workload"]["arrival_jitter_ms"] = 400
@@ -209,15 +214,31 @@ def test_arrival_jitter_is_reproducible_and_seed_sensitive():
     second = run(doc)
     assert list(series_rows(first)) == list(series_rows(second))
     assert first.summary_dict() == second.summary_dict()
-    assert first.db_dump == second.db_dump
+    assert written_dump(first, tmp_path / "first") == written_dump(second, tmp_path / "second")
 
     arrivals = set()
     for seed in range(12):
         report = run(doc, seed=seed)
-        arrival = report.db_dump[0]["lifecycle"][0]["time_ms"]
+        arrival = written_dump(report, tmp_path / f"seed{seed}")[0]["lifecycle"][0]["time_ms"]
         assert 100 <= arrival <= 900
         arrivals.add(arrival)
     assert len(arrivals) > 1
+
+
+def test_a_shuffled_workload_runs_the_same(tmp_path):
+    # Arrival jitter is drawn in request-id order, so the order in which the
+    # workload lists its requests changes no artifact.
+    rng = Random(2626)
+    moved = 0
+    for index in range(40):
+        doc = replace(random_doc(rng, index), arrival_jitter_ms=250)
+        shuffled = list(doc.requests)
+        rng.shuffle(shuffled)
+        moved += shuffled != list(doc.requests)
+        first = _artifacts(run(doc), tmp_path / f"listed{index}")
+        second = _artifacts(run(replace(doc, requests=tuple(shuffled))), tmp_path / f"shuffled{index}")
+        assert _digests(second) == _digests(first), doc.name
+    assert moved > 20
 
 
 def test_window_exactly_at_target_counts_as_compliant():
@@ -419,17 +440,13 @@ def test_strict_debug_catches_a_repair_that_keeps_the_old_measurement(monkeypatc
         run(doc, strict_debug=True)
 
 
-def _bench_module(name: str):
-    """bench/<name>.py, loaded by path: bench/ is not a package."""
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _artifacts(report: SimReport, out: Path) -> dict[str, bytes]:
     write_report(report, out)
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def _digests(artifacts: dict[str, bytes]) -> dict[str, str]:
+    return {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()}
 
 
 def _shared_runs(report: SimReport) -> tuple[int, int]:
@@ -444,7 +461,7 @@ def test_sharing_quiet_windows_changes_no_run(monkeypatch, tmp_path):
     # every window is built flow by flow: the artifacts and every
     # FlowSummary, whose window counts are read off runs of shared lists,
     # must not move.
-    gen = _bench_module("gen")
+    gen = bench_module("gen")
     rng = Random(2424)
     docs = [random_doc(rng, index) for index in range(150)]
     # fault_storm file 26 shares a window that holds flows between faults.
@@ -555,7 +572,7 @@ def test_bundled_scenarios_match_golden_digests(tmp_path):
 def test_every_traced_entry_point_is_an_own_attribute():
     # The benchmark's tracer swaps each entry point through owner.__dict__,
     # so a name must be defined or imported right where it is listed.
-    tracer = _bench_module("tracer")
+    tracer = bench_module("tracer")
     assert tracer.ENTRY_POINTS
     for name, module_name, attr_path in tracer.ENTRY_POINTS:
         owner = importlib.import_module(module_name)

@@ -27,9 +27,10 @@ from qoechain.errors import (
     UnknownRequest,
 )
 from qoechain.orchestrator import LEGAL_TRANSITIONS, TERMINAL, DbEntry
+from qoechain.report import SimReport
 from qoechain.service import ForwardingGraph
 
-from generators import line_network, make_request, random_doc, small_catalog
+from generators import line_network, make_request, random_doc, small_catalog, written_dump
 
 ELA = Ela(3.0, 2, 0.9)
 
@@ -223,7 +224,7 @@ def test_a_live_list_handed_out_is_never_changed():
     assert db.live() == _scanned_live(db) == [entries[2], late]
 
 
-def test_live_index_matches_a_full_scan_in_jittered_runs(monkeypatch):
+def test_live_index_matches_a_full_scan_in_jittered_runs(monkeypatch, tmp_path):
     # Whole runs: admissions, departures, breach repairs and host-failure
     # migrations, with arrivals jittered out of id order.
     indexed = VnfDb.live
@@ -245,7 +246,8 @@ def test_live_index_matches_a_full_scan_in_jittered_runs(monkeypatch):
         moved += counters["rerouted"] + counters["migrated"]
         ended += counters["completed"]
         failed += counters["failed"]
-        admitted = sorted(report.db_dump, key=lambda item: item["lifecycle"][0]["time_ms"])
+        dump = written_dump(report, tmp_path / f"run{index}")
+        admitted = sorted(dump, key=lambda item: item["lifecycle"][0]["time_ms"])
         ids = [item["request_id"] for item in admitted]
         out_of_order += ids != sorted(ids)
     assert min(moved, ended, failed, out_of_order) > 0
@@ -291,11 +293,16 @@ def test_audit_flags_time_regression():
     assert audit_lifecycle(db) == ["request 0 at 3ms: timestamps not monotone"]
 
 
-def test_dump_is_json_ready_and_sorted_by_request_id():
+def _written_db(orch: Orchestrator, out_dir) -> list[dict]:
+    """orch's database as a report's db_dump.json holds it, read back."""
+    return written_dump(SimReport("db", 0, 0, 1, 0, {}, {}, entries=orch.db.entries), out_dir)
+
+
+def test_dump_is_json_ready_and_sorted_by_request_id(tmp_path):
     orch = _orchestrator()
     orch.submit_request(make_request(rid=7), now=0)
     orch.submit_request(make_request(rid=3), now=10)
-    dump = orch.db.dump()
+    dump = _written_db(orch, tmp_path)
     assert [item["request_id"] for item in dump] == [3, 7]
     assert dump[0]["lifecycle"] == [
         {"time_ms": 10, "from": "Requested", "to": "Active"}
@@ -304,7 +311,8 @@ def test_dump_is_json_ready_and_sorted_by_request_id():
     assert dump[1]["forwarding_graph"]["placements"] == [{"vnf": "fw", "host": 1}]
     assert dump[1]["forwarding_graph"]["segments"] == [[0], [1]]
     assert dump[1]["forwarding_graph"]["reserved_bw_mbps"] == 4.0
-    json.dumps(dump)
+    text = (tmp_path / "db_dump.json").read_text()
+    assert text == json.dumps(dump, indent=2, sort_keys=True) + "\n"
 
 
 def test_counters_come_from_entries_and_the_two_tallies():
@@ -330,7 +338,7 @@ def test_counters_come_from_entries_and_the_two_tallies():
     assert orch.db.live() == []
 
 
-def test_dumped_graph_status_is_the_last_one_the_flow_ran_under():
+def test_dumped_graph_status_is_the_last_one_the_flow_ran_under(tmp_path):
     orch = _orchestrator()
     orch.submit_request(make_request(rid=0), now=0)
     orch.submit_request(make_request(rid=1), now=0)
@@ -339,7 +347,7 @@ def test_dumped_graph_status_is_the_last_one_the_flow_ran_under():
     orch.complete_request(1, now=200)
     orch.submit_request(make_request(rid=2), now=200)
     orch.apply_action(Action(ActionKind.FAILED, flow_id=2), now=300)
-    dump = orch.db.dump()
+    dump = _written_db(orch, tmp_path)
     assert [(item["status"], item["forwarding_graph"]["status"]) for item in dump] == [
         ("Completed", "Degraded"),
         ("Completed", "Active"),
