@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import groupby
 from operator import attrgetter
 from typing import Callable
 
 from .controller import Controller, Rejected
 from .errors import InvariantViolation, TimeTravel
 from .network import NetworkState
-from .orchestrator import DbEntry, Orchestrator, VnfDb, audit_lifecycle
+from .orchestrator import Orchestrator, VnfDb, audit_lifecycle
 from .qoe import QoeSample
-from .report import FlowSummary, SimReport
+from .report import SimReport
 from .rng import SplitMix64
 from .scenario import HostFailure, LinkDegradation, ScenarioDoc, StallInjection
 from .service import ServiceCatalog, validate_forwarding_graph
@@ -79,6 +78,11 @@ def run(
     event_hook: Callable | None = None,
 ) -> SimReport:
     """Execute a scenario to its horizon and return the report.
+
+    The report holds the run as it ended: the counters, the ELA's compliance
+    budget, the QoE series and the database entries themselves. Nothing per
+    flow is summed here: each flow's windows observed and met are counted
+    off the series when summary.json is written.
 
     seed overrides the scenario's own seed. strict_debug re-runs the global
     conservation, validity and shared-window audits after every event
@@ -157,9 +161,6 @@ def run(
         msg = f"measured {len(series)} windows, expected {windows}"
         raise InvariantViolation(msg)
 
-    entries = orchestrator.db.entries
-    observed, met = _window_counts(series, entries)
-    budget = controller.ela.compliance_budget
     return SimReport(
         scenario_name=doc.name,
         seed=effective_seed,
@@ -167,48 +168,9 @@ def run(
         window_ms=doc.window_ms,
         windows=windows,
         counters=orchestrator.counters(),
-        flows={
-            request_id: _flow_summary(entry, observed[request_id], met[request_id], budget)
-            for request_id, entry in sorted(entries.items())
-        },
+        compliance_budget=doc.ela.compliance_budget,
         series=series,
-        entries=entries,
-    )
-
-
-def _window_counts(
-    series: list[list[QoeSample]], entries: dict[int, DbEntry]
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Per flow id, the windows the series holds it in and those at or above its target.
-
-    A run of consecutive windows that share one sample list is counted once,
-    times the run's length. Every list is alive in the series, so two
-    windows with one id are one list.
-    """
-    observed = dict.fromkeys(entries, 0)
-    met = dict.fromkeys(entries, 0)
-    for _, run_of_windows in groupby(series, key=id):
-        samples, *repeats = run_of_windows
-        length = 1 + len(repeats)
-        for sample in samples:
-            flow_id = sample.flow_id
-            observed[flow_id] += length
-            if sample.mos >= entries[flow_id].request.ela_target:
-                met[flow_id] += length
-    return observed, met
-
-
-def _flow_summary(
-    entry: DbEntry, observed: int, met: int, compliance_budget: float
-) -> FlowSummary:
-    """A flow's line in the report: its window counts and its database entry."""
-    compliance = met / observed if observed else None
-    return FlowSummary(
-        windows_observed=observed,
-        compliance=compliance,
-        compliant=None if compliance is None else compliance >= compliance_budget,
-        breach_windows=entry.breach_windows,
-        final_status=entry.status.value,
+        entries=orchestrator.db.entries,
     )
 
 

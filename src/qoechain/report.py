@@ -9,22 +9,25 @@ A finished run produces three files in the output directory:
 All three are rendered deterministically (sorted keys, fixed float
 formatting) so identical runs produce byte-identical artifacts. The two JSON
 files are the bytes of json.dumps(value, indent=2, sort_keys=True) plus a
-newline, written by this module's own writers: json.dumps with an indent
-runs json's pure-Python encoder. All three stream to disk: summary.json one
-top-level item and one flow at a time, the series one window at a time and
-db_dump.json one database entry at a time, in request-id order. No dump is
-built first: each entry's text is rendered straight from the entry, filled
-into one fixed template whose keys are in sorted order, its request by a
-renderer built from scenario.py's request table. Scalars are spelled as
-json.dumps spells the value's own type: strings through json's C escaper,
-numbers by int's or float's repr.
+newline, but json.dumps, which with an indent runs json's pure-Python
+encoder, writes neither. Each is filled into fixed, pre-indented templates
+whose keys are in sorted order, straight from the database entries and the
+series: db_dump.json one entry at a time in request-id order, its request
+by a renderer built from scenario.py's request table, and summary.json one
+flow at a time in the sorted order of its string keys, each flow's windows
+observed and met read off the series as it is written. The series streams
+one window at a time. Scalars are spelled as json.dumps spells the value's
+own type: strings through json's C escaper, numbers by int's or float's
+repr, and lists and objects of those texts by _json_list.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable
@@ -38,7 +41,6 @@ from .units import kbps_to_mbps
 
 # json's own C escaper: the text json.dumps gives a str, quotes included.
 _escape = json.encoder.encode_basestring_ascii
-_INF = float("inf")
 
 CSV_HEADER = ["time_ms", "flow_id", "mos", "q_bw", "q_delay", "q_loss", "q_stall"]
 
@@ -56,18 +58,14 @@ _FLOW_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class FlowSummary:
-    windows_observed: int
-    compliance: float | None
-    compliant: bool | None
-    breach_windows: list[int]
-    final_status: str
-
-
 @dataclass
 class SimReport:
-    """A finished run: what write_report writes, held as the run left it."""
+    """A finished run: what write_report writes, held as the run left it.
+
+    No flow's line of summary.json is held here: it is rendered as it is
+    written, from the flow's database entry and the windows the series holds
+    it in, which are counted then.
+    """
 
     scenario_name: str
     seed: int
@@ -75,7 +73,9 @@ class SimReport:
     window_ms: int
     windows: int
     counters: dict[str, object]
-    flows: dict[int, FlowSummary]
+    # The ELA's least share of a flow's observed windows at or above its
+    # target for the flow to count as compliant.
+    compliance_budget: float
     # The QoE series: index = window index; each window's samples in
     # ascending flow id, [] when no flow was live. A settled flow's sample
     # is one object shared by every window that reused it, and consecutive
@@ -83,102 +83,9 @@ class SimReport:
     # window that repeated it.
     series: list[list[QoeSample]] = field(default_factory=list)
     # The orchestrator's database entries by request id, the same objects:
-    # db_dump.json is rendered from them one at a time as it is written.
+    # both JSON files are rendered from them one entry at a time as they are
+    # written.
     entries: dict[int, DbEntry] = field(default_factory=dict)
-
-    def summary_dict(self) -> dict:
-        flows = {
-            str(flow_id): vars(self.flows[flow_id]) for flow_id in sorted(self.flows)
-        }
-        return {
-            "scenario": self.scenario_name,
-            "seed": self.seed,
-            "duration_ms": self.duration_ms,
-            "window_ms": self.window_ms,
-            "windows": self.windows,
-            "counters": self.counters,
-            "flows": flows,
-        }
-
-
-def _append_json(value, indent: str, parts: list[str]) -> None:
-    """Append the text of json.dumps(value, indent=2, sort_keys=True) to parts.
-
-    indent is a newline plus the spaces of value's depth. Only the exact
-    built-in types json writes are taken, and dict keys must be str; any
-    other value raises TypeError, and so does any other key, in sorted or
-    in json's escaper, which takes only a str. Scalars are spelled as json
-    spells them: str through json's escaper, int and float by their reprs,
-    NaN and the infinities by json's names.
-    """
-    kind = type(value)
-    if kind is str:
-        parts.append(_escape(value))
-    elif kind is int:
-        parts.append(int.__repr__(value))
-    elif kind is dict:
-        if not value:
-            parts.append("{}")
-            return
-        inner = indent + "  "
-        separator = "{" + inner
-        for key in sorted(value):
-            parts.append(separator + _escape(key) + ": ")
-            _append_json(value[key], inner, parts)
-            separator = "," + inner
-        parts.append(indent + "}")
-    elif kind is list or kind is tuple:
-        if not value:
-            parts.append("[]")
-            return
-        inner = indent + "  "
-        separator = "[" + inner
-        for item in value:
-            parts.append(separator)
-            _append_json(item, inner, parts)
-            separator = "," + inner
-        parts.append(indent + "]")
-    elif kind is float:
-        if -_INF < value < _INF:
-            parts.append(float.__repr__(value))
-        elif value != value:
-            parts.append("NaN")
-        else:
-            parts.append("Infinity" if value > 0 else "-Infinity")
-    elif value is None:
-        parts.append("null")
-    elif kind is bool:
-        parts.append("true" if value else "false")
-    else:
-        msg = f"Object of type {kind.__name__} is not JSON serializable"
-        raise TypeError(msg)
-
-
-def _write_json(handle, value, depth: int, indent: str = "\n", lead: str = "") -> None:
-    """Write lead and the text of json.dumps(value, indent=2, sort_keys=True).
-
-    The containers less than depth levels below value are opened and closed
-    here, and each of their items is rendered by _append_json and written,
-    after its separator, in one write, so the writer holds one item's text
-    at a time. indent is as _append_json takes it.
-    """
-    kind = type(value)
-    if not (depth and value and (kind is dict or kind is list or kind is tuple)):
-        parts = [lead]
-        _append_json(value, indent, parts)
-        handle.write("".join(parts))
-        return
-    inner = indent + "  "
-    if kind is dict:
-        separator, closing = lead + "{" + inner, "}"
-        items = ((_escape(key) + ": ", value[key]) for key in sorted(value))
-    else:
-        separator, closing = lead + "[" + inner, "]"
-        items = (("", item) for item in value)
-    for label, item in items:
-        _write_json(handle, item, depth - 1, inner, separator + label)
-        separator = "," + inner
-    handle.write(indent + closing)
 
 
 def _write_series(handle, series: list[list[QoeSample]], window_ms: int) -> None:
@@ -216,12 +123,15 @@ def _write_series(handle, series: list[list[QoeSample]], window_ms: int) -> None
             handle.write(prefix + ("\n" + prefix).join(texts) + "\n")
 
 
-def _json_list(texts: list[str], indent: str) -> str:
-    """The JSON list of the item texts given, its closing bracket at indent."""
+def _json_list(texts: list[str], indent: str, brackets: str = "[]") -> str:
+    """The JSON list of the item texts given, its closing bracket at indent.
+
+    With brackets "{}" it is the JSON object whose "key": value texts are given.
+    """
     if not texts:
-        return "[]"
+        return brackets
     inner = indent + "  "
-    return "[" + inner + ("," + inner).join(texts) + indent + "]"
+    return brackets[0] + inner + ("," + inner).join(texts) + indent + brackets[1]
 
 
 def _request_renderer(indent: str) -> Callable[[ChainRequest], str]:
@@ -333,6 +243,97 @@ def _write_entries(handle, entries: dict[int, DbEntry]) -> None:
     handle.write("[]\n" if not entries else "\n]\n")
 
 
+def _window_counts(
+    series: list[list[QoeSample]], entries: dict[int, DbEntry]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Per flow id, the windows the series holds it in and those at or above its target.
+
+    A flow is counted from its first sample on, so a flow id the series
+    never holds has no count. A run of consecutive windows that share one
+    sample list is counted once, times the run's length. Every list is alive
+    in the series, so two windows with one id are one list.
+    """
+    observed: defaultdict[int, int] = defaultdict(int)
+    met: defaultdict[int, int] = defaultdict(int)
+    for _, run_of_windows in groupby(series, key=id):
+        samples, *repeats = run_of_windows
+        length = 1 + len(repeats)
+        for sample in samples:
+            flow_id = sample.flow_id
+            observed[flow_id] += length
+            if sample.mos >= entries[flow_id].request.ela_target:
+                met[flow_id] += length
+    return observed, met
+
+
+def _json_counts(counts: dict, indent: str) -> str:
+    """The JSON object of counts, keys sorted; a count is a number or such an object."""
+    texts = []
+    for name in sorted(counts):
+        count = counts[name]
+        text = _json_counts(count, indent + "  ") if isinstance(count, dict) else repr(count)
+        texts.append(f"{_escape(name)}: {text}")
+    return _json_list(texts, indent, "{}")
+
+
+# summary.json's object with its keys in sorted order, split where its flows
+# stream in, and a flow's item of "flows", keyed by its id's digits.
+_SUMMARY_HEAD = """{
+  "counters": %s,
+  "duration_ms": %r,
+  "flows": """
+_SUMMARY_TAIL = """,
+  "scenario": %s,
+  "seed": %r,
+  "window_ms": %r,
+  "windows": %r
+}
+"""
+_FLOW = """"%r": {
+      "breach_windows": %s,
+      "compliance": %s,
+      "compliant": %s,
+      "final_status": %s,
+      "windows_observed": %r
+    }"""
+
+
+def _write_summary(handle, report: SimReport) -> None:
+    """Stream summary.json one flow at a time, in the sorted order of JSON's string keys.
+
+    A flow's line is its entry's breach windows and status and its window
+    counts off the series: its compliance is the share of its observed
+    windows at or above its target, null for a flow never observed, and it
+    is compliant when that share reaches the ELA's budget.
+    """
+    entries = report.entries
+    observed, met = _window_counts(report.series, entries)
+    handle.write(_SUMMARY_HEAD % (_json_counts(report.counters, "\n  "), report.duration_ms))
+    separator = "{\n    "
+    for flow_id in sorted(entries, key=str):
+        entry = entries[flow_id]
+        windows = observed.get(flow_id, 0)
+        if windows:
+            compliance = met.get(flow_id, 0) / windows
+            compliance_text = repr(compliance)
+            compliant_text = "true" if compliance >= report.compliance_budget else "false"
+        else:
+            compliance_text = compliant_text = "null"
+        breaches = _json_list([*map(repr, entry.breach_windows)], "\n      ")
+        status = _STATUS_TEXT[entry.status]
+        handle.write(
+            separator
+            + _FLOW % (flow_id, breaches, compliance_text, compliant_text, status, windows)
+        )
+        separator = ",\n    "
+    closing = "\n  }" if entries else "{}"
+    handle.write(
+        closing
+        + _SUMMARY_TAIL
+        % (_escape(report.scenario_name), report.seed, report.window_ms, report.windows)
+    )
+
+
 def write_report(report: SimReport, out_dir: str | Path) -> list[Path]:
     """Write the three artifacts, returning their paths."""
     directory = Path(out_dir)
@@ -342,8 +343,7 @@ def write_report(report: SimReport, out_dir: str | Path) -> list[Path]:
         series_path = directory / "qoe_series.csv"
         dump_path = directory / "db_dump.json"
         with open(summary_path, "w", encoding="utf-8") as handle:
-            _write_json(handle, report.summary_dict(), depth=2)
-            handle.write("\n")
+            _write_summary(handle, report)
         with open(series_path, "w", encoding="utf-8") as handle:
             _write_series(handle, report.series, report.window_ms)
         with open(dump_path, "w", encoding="utf-8") as handle:
@@ -371,7 +371,9 @@ def read_summary(out_dir: str | Path) -> dict:
     except OSError as exc:
         msg = f"cannot read {path}: {exc}"
         raise IoFailure(msg) from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    # ValueError covers JSONDecodeError and UnicodeDecodeError, and nesting
+    # too deep for the decoder raises RecursionError.
+    except (ValueError, RecursionError) as exc:
         msg = f"{path} is not valid JSON: {exc}"
         raise IoFailure(msg) from exc
     _check_fields(path, "the summary", summary, _SUMMARY_FIELDS)

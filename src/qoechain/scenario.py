@@ -401,7 +401,9 @@ def parse_scenario(text: str | bytes) -> tuple[ScenarioDoc | None, list[Diagnost
     ctx = _Ctx()
     try:
         root = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError covers JSONDecodeError and bytes that are not UTF-8, and
+    # nesting too deep for the decoder raises RecursionError.
+    except (ValueError, RecursionError) as exc:
         ctx.error("$", f"invalid JSON: {exc}")
         return None, list(ctx)
     if not isinstance(root, dict):
@@ -506,9 +508,10 @@ def serialize_scenario(doc: ScenarioDoc) -> str:
 
 
 def load_scenario(path) -> tuple[ScenarioDoc | None, list[Diagnostic]]:
+    """The scenario file at path, parsed from its bytes as parse_scenario parses them."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise IoFailure(f"cannot read scenario {path}: {exc}") from exc
-    return parse_scenario(text)
+    return parse_scenario(data)

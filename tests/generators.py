@@ -291,6 +291,12 @@ def written_dump(report: SimReport, out_dir: Path) -> list[dict]:
     return json.loads((out_dir / "db_dump.json").read_text(encoding="utf-8"))
 
 
+def written_summary(report: SimReport, out_dir: Path) -> dict:
+    """Write report's artifacts to out_dir and read its summary.json back."""
+    write_report(report, out_dir)
+    return json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+
+
 def series_rows(report: SimReport) -> Iterator[tuple[int, QoeSample]]:
     """A run's QoE series as (window index, sample) rows, in qoe_series.csv order."""
     for window, samples in enumerate(report.series):

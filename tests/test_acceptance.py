@@ -62,6 +62,7 @@ from generators import (
     random_sample,
     series_rows,
     written_dump,
+    written_summary,
 )
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -519,6 +520,7 @@ def test_host_failure_triggers_immediate_migration(tmp_path):
         for step in written_dump(report, tmp_path)[0]["lifecycle"]
     ]
     migration_steps = [step for step in lifecycle if step[0] == 2500]
+    compliance = written_summary(report, tmp_path)["flows"]["0"]["compliance"]
     rows = list(series_rows(report))
     recovery_row = next(
         row for window, row in rows if (window + 1) * doc.window_ms == 3000
@@ -531,14 +533,14 @@ def test_host_failure_triggers_immediate_migration(tmp_path):
         and recovery_row.mos >= doc.ela.target_mos
         and len(rows) == 5
         and all(abs(row.mos - 5.0) <= 1e-9 for _, row in rows)
-        and report.flows[0].compliance == 1.0
+        and compliance == 1.0
     )
     _verdict(
         "failure-migration-scenario",
         ok,
         f"migrated={report.counters['migrated']}, stale placement refs "
         f"{len(stale_refs)}, window-after-failure mos {recovery_row.mos:.3f}, "
-        f"compliance {report.flows[0].compliance}",
+        f"compliance {compliance}",
     )
 
 
@@ -553,6 +555,7 @@ def test_host_failure_reroutes_flows_relayed_through_the_host(tmp_path):
     except InvariantViolation as exc:
         _verdict("relay-failure-scenario", False, f"audit tripped: {exc}")
     dump = {entry["request_id"]: entry for entry in written_dump(report, tmp_path)}
+    flows = written_summary(report, tmp_path)["flows"]
     steps = {
         request_id: [
             (step["time_ms"], step["from"], step["to"])
@@ -579,7 +582,7 @@ def test_host_failure_reroutes_flows_relayed_through_the_host(tmp_path):
         and dump[1]["forwarding_graph"]["segments"] == [[1, 3]]
         and len(relayed_rows) == 3
         and all(abs(mos - refuge_mos) <= 1e-9 for mos in relayed_rows)
-        and all(flow.compliance == 1.0 for flow in report.flows.values())
+        and all(flow["compliance"] == 1.0 for flow in flows.values())
     )
     _verdict(
         "relay-failure-scenario",
@@ -590,7 +593,7 @@ def test_host_failure_reroutes_flows_relayed_through_the_host(tmp_path):
     )
 
 
-def test_breach_feedback_reroutes_at_the_replayed_window():
+def test_breach_feedback_reroutes_at_the_replayed_window(tmp_path):
     doc = _load("feedback_reroute.json")
     profile = doc.profiles[0]
     alpha = doc.policy.predictor_alpha
@@ -625,23 +628,23 @@ def test_breach_feedback_reroutes_at_the_replayed_window():
     worst_error = max(
         (abs(a - e) for a, e in zip(actual, expected_mos)), default=float("inf")
     )
-    flow = report.flows[0]
+    flow = written_summary(report, tmp_path)["flows"]["0"]
     replayed_compliance = sum(1 for m in expected_mos if m >= target) / len(expected_mos)
     ok = (
         len(actual) == 10
         and worst_error <= 1e-9
         and breach_at == 4
-        and flow.breach_windows == [breach_at]
+        and flow["breach_windows"] == [breach_at]
         and report.counters["rerouted"] == 1
         and abs(actual[breach_at + 1] - 5.0) <= 1e-9
-        and flow.compliance == replayed_compliance == 0.8
+        and flow["compliance"] == replayed_compliance == 0.8
     )
     _verdict(
         "feedback-reroute-scenario",
         ok,
-        f"replayed breach window {breach_at}, reported {flow.breach_windows}, "
+        f"replayed breach window {breach_at}, reported {flow['breach_windows']}, "
         f"trace error {worst_error:.2e}, rerouted={report.counters['rerouted']}, "
-        f"compliance {flow.compliance}",
+        f"compliance {flow['compliance']}",
     )
 
 

@@ -30,6 +30,22 @@ def test_validate_prints_each_diagnostic(tmp_path, capsys):
     assert "ERROR network: missing required section" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "oracle"])
+@pytest.mark.parametrize(
+    "data",
+    [b"\x80{}", b'{"a":' * 100_000],
+    ids=["not_utf8", "nested_too_deep"],
+)
+def test_a_scenario_json_cannot_decode_is_an_input_error(tmp_path, capsys, command, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert cli.main([command, str(bad), *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR $: invalid JSON:")
+
+
 def test_bad_usage_exits_one_not_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["run", BASIC])
@@ -199,6 +215,17 @@ def test_report_on_a_summary_without_what_it_reads_is_an_input_error(tmp_path, c
     capsys.readouterr()
     assert cli.main(["report", str(out)]) == 1
     assert capsys.readouterr().err.startswith("ERROR input:")
+
+
+def test_report_on_a_summary_nested_too_deep_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.json").write_text('{"a":' * 100_000)
+    assert cli.main(["report", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR input:")
+    assert "is not valid JSON" in captured.err
 
 
 def test_report_on_a_series_that_is_not_utf8_is_an_input_error(tmp_path, capsys):

@@ -13,18 +13,21 @@ from random import Random
 
 import pytest
 
-from qoechain import Controller, EventQueue, parse_scenario, run, write_report
+from qoechain import Controller, EventQueue, ForwardingGraph, parse_scenario, run, write_report
 from qoechain.errors import InvariantViolation, TimeTravel
 from qoechain.kernel import Departure, MeasureWindow
+from qoechain.orchestrator import DbEntry
 from qoechain.qoe import QoeSample
 from qoechain.report import SimReport
 
 from generators import (
     bench_module,
+    make_request,
     one_fault_of_each_kind,
     random_doc,
     series_rows,
     written_dump,
+    written_summary,
 )
 
 ROOT = Path(__file__).parent.parent
@@ -116,38 +119,38 @@ def test_empty_scenario_produces_header_only_series(tmp_path):
     report = run(_load("minimal.json"))
     assert report.windows == 1
     assert report.series == [[]]
-    assert report.flows == {}
+    assert written_summary(report, tmp_path)["flows"] == {}
     assert report.counters["admitted"] == 0
-    write_report(report, tmp_path)
     assert (tmp_path / "qoe_series.csv").read_text() == (
         "time_ms,flow_id,mos,q_bw,q_delay,q_loss,q_stall\n"
     )
 
 
-def test_basic_run_holds_the_derived_steady_state():
+def test_basic_run_holds_the_derived_steady_state(tmp_path):
     report = run(_load("basic.json"))
     assert report.windows == 10
     rows = list(series_rows(report))
     assert len(rows) == 10
     for _, row in rows:
         assert row.mos == pytest.approx(4.969387755102041, abs=1e-9)
-    summary = report.flows[0]
-    assert summary.windows_observed == 10
-    assert summary.compliance == 1.0
-    assert summary.compliant is True
-    assert summary.breach_windows == []
-    assert summary.final_status == "Active"
+    summary = written_summary(report, tmp_path)["flows"]["0"]
+    assert summary["windows_observed"] == 10
+    assert summary["compliance"] == 1.0
+    assert summary["compliant"] is True
+    assert summary["breach_windows"] == []
+    assert summary["final_status"] == "Active"
     assert report.counters["admitted"] == 1
     assert report.counters["completed"] == 0
 
 
-def test_departure_completes_the_flow():
+def test_departure_completes_the_flow(tmp_path):
     report = run(_doc(_payload()), strict_debug=True)
     assert report.counters["completed"] == 1
-    assert report.flows[0].final_status == "Completed"
-    assert report.flows[0].windows_observed == 1
+    flow = written_summary(report, tmp_path)["flows"]["0"]
+    assert flow["final_status"] == "Completed"
+    assert flow["windows_observed"] == 1
     assert [(window + 1) * report.window_ms for window, _ in series_rows(report)] == [1000]
-    assert report.flows[0].compliance == 1.0
+    assert flow["compliance"] == 1.0
 
 
 def test_rejected_request_is_counted_and_leaves_no_trace(tmp_path):
@@ -167,7 +170,7 @@ def test_rejected_request_is_counted_and_leaves_no_trace(tmp_path):
     assert report.counters["rejected"]["NoPath"] == 1
     assert report.counters["rejected_total"] == 1
     assert report.counters["admitted"] == 0
-    assert report.flows == {}
+    assert written_summary(report, tmp_path)["flows"] == {}
     assert written_dump(report, tmp_path) == []
 
 
@@ -213,7 +216,9 @@ def test_arrival_jitter_is_reproducible_and_seed_sensitive(tmp_path):
     first = run(doc)
     second = run(doc)
     assert list(series_rows(first)) == list(series_rows(second))
-    assert first.summary_dict() == second.summary_dict()
+    assert written_summary(first, tmp_path / "first") == written_summary(
+        second, tmp_path / "second"
+    )
     assert written_dump(first, tmp_path / "first") == written_dump(second, tmp_path / "second")
 
     arrivals = set()
@@ -241,7 +246,7 @@ def test_a_shuffled_workload_runs_the_same(tmp_path):
     assert moved > 20
 
 
-def test_window_exactly_at_target_counts_as_compliant():
+def test_window_exactly_at_target_counts_as_compliant(tmp_path):
     # The line flow scores exactly 5.0 in every window; with the target at
     # 5.0 each window sits at target and must count as compliant.
     payload = _payload()
@@ -250,22 +255,23 @@ def test_window_exactly_at_target_counts_as_compliant():
     request["holding_ms"] = 10_000
     report = run(_doc(payload))
     assert [row.mos for _, row in series_rows(report)] == [5.0, 5.0, 5.0]
-    summary = report.flows[0]
-    assert summary.windows_observed == 3
-    assert summary.compliance == 1.0
-    assert summary.compliant is True
+    summary = written_summary(report, tmp_path)["flows"]["0"]
+    assert summary["windows_observed"] == 3
+    assert summary["compliance"] == 1.0
+    assert summary["compliant"] is True
 
 
-def test_early_departure_of_the_last_flow_keeps_the_window_count():
+def test_early_departure_of_the_last_flow_keeps_the_window_count(tmp_path):
     payload = _payload()
     first = payload["workload"]["requests"][0]
     first["holding_ms"] = 10_000
     payload["workload"]["requests"].append({**first, "id": 1, "holding_ms": 1500})
     report = run(_doc(payload), strict_debug=True)
     assert report.windows == payload["meta"]["duration_ms"] // payload["meta"]["window_ms"]
-    assert report.flows[0].windows_observed == 3
-    assert report.flows[1].windows_observed == 1
-    assert report.flows[1].final_status == "Completed"
+    flows = written_summary(report, tmp_path)["flows"]
+    assert flows["0"]["windows_observed"] == 3
+    assert flows["1"]["windows_observed"] == 1
+    assert flows["1"]["final_status"] == "Completed"
     assert len(list(series_rows(report))) == 4
 
 
@@ -298,7 +304,12 @@ def test_the_series_streams_to_disk(tmp_path):
             q_bw = (window * flows + flow + 1) / (flows * windows + 1)
             samples.append(QoeSample(flow, 1.0 + 4.0 * q_bw, q_bw, 1.0, 1.0, 1.0))
         series.append(samples)
-    report = SimReport("streamed", 1, windows * 1000, 1000, windows, {}, {}, series)
+    # summary.json reads each sampled flow's target off its database entry.
+    entries = {
+        flow: DbEntry(make_request(rid=flow, vnfs=()), ForwardingGraph((), ((),), 0))
+        for flow in range(flows)
+    }
+    report = SimReport("streamed", 1, windows * 1000, 1000, windows, {}, 0.9, series, entries)
     tracemalloc.start()
     try:
         write_report(report, tmp_path)
@@ -394,13 +405,14 @@ def _events_after_quiet_windows():
 
 
 @pytest.mark.parametrize("method", ["_commit", "handle_degradation", "set_stall"])
-def test_strict_debug_catches_a_shared_window_kept_past_its_event(method, monkeypatch):
+def test_strict_debug_catches_a_shared_window_kept_past_its_event(method, monkeypatch, tmp_path):
     # Each of the three places that drop the shared window is made to
     # keep it; the event that should have dropped it then fails the audit.
     doc = _events_after_quiet_windows()
     report = run(doc, strict_debug=True)
     assert report.counters["admitted"] == 2
-    assert all(not flow.breach_windows for flow in report.flows.values())
+    flows = written_summary(report, tmp_path)["flows"].values()
+    assert all(not flow["breach_windows"] for flow in flows)
     dropping = getattr(Controller, method)
 
     def keeping(self, *args):
@@ -458,9 +470,8 @@ def _shared_runs(report: SimReport) -> tuple[int, int]:
 
 def test_sharing_quiet_windows_changes_no_run(monkeypatch, tmp_path):
     # The same runs with the shared window cleared before every window, so
-    # every window is built flow by flow: the artifacts and every
-    # FlowSummary, whose window counts are read off runs of shared lists,
-    # must not move.
+    # every window is built flow by flow: the artifacts, whose summary.json
+    # counts each flow's windows off runs of shared lists, must not move.
     gen = bench_module("gen")
     rng = Random(2424)
     docs = [random_doc(rng, index) for index in range(150)]
@@ -485,7 +496,6 @@ def test_sharing_quiet_windows_changes_no_run(monkeypatch, tmp_path):
     for index, (doc, (first, files)) in enumerate(zip(docs, first_runs)):
         second = run(doc)
         assert _shared_runs(second) == (0, 0)
-        assert second.flows == first.flows
         assert _artifacts(second, tmp_path / f"unshared-{index}") == files
 
 

@@ -295,7 +295,7 @@ def test_audit_flags_time_regression():
 
 def _written_db(orch: Orchestrator, out_dir) -> list[dict]:
     """orch's database as a report's db_dump.json holds it, read back."""
-    return written_dump(SimReport("db", 0, 0, 1, 0, {}, {}, entries=orch.db.entries), out_dir)
+    return written_dump(SimReport("db", 0, 0, 1, 0, {}, 0.9, entries=orch.db.entries), out_dir)
 
 
 def test_dump_is_json_ready_and_sorted_by_request_id(tmp_path):

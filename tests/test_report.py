@@ -2,20 +2,18 @@
 
 from __future__ import annotations
 
-import io
 import json
-import math
 import tempfile
 import tracemalloc
 from operator import itemgetter
 from pathlib import Path
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qoechain import ChainRequest, ForwardingGraph, parse_scenario, run, write_report
 from qoechain.orchestrator import DbEntry, LifecycleStatus, VnfDb
-from qoechain.report import FlowSummary, SimReport, _write_json, render_entry
+from qoechain.qoe import QoeSample
+from qoechain.report import SimReport, render_entry
 from qoechain.scenario import _REQUEST, _dump
 
 from generators import bench_module
@@ -25,33 +23,7 @@ def _dumps(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
 
 
-def _written(value, depth: int = 0) -> str:
-    handle = io.StringIO()
-    _write_json(handle, value, depth)
-    return handle.getvalue()
-
-
-strings = st.text() | st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t é€ 😀'))
-integers = st.integers() | st.integers(-(10**40), 10**40) | st.sampled_from([2**63, -(2**63) - 1])
-floats = st.floats() | st.sampled_from([-0.0, 1e16, math.nan, math.inf, -math.inf])
-scalars = st.none() | st.booleans() | integers | floats | strings
-values = st.recursive(
-    scalars,
-    lambda children: (
-        st.lists(children)
-        | st.lists(children).map(tuple)
-        | st.dictionaries(strings, children)
-    ),
-    max_leaves=20,
-)
-
-
-@settings(derandomize=True, max_examples=200)
-@given(values)
-def test_the_writer_gives_the_text_of_json_dumps(value):
-    # Streamed at any depth, the text is the same.
-    for depth in range(4):
-        assert _written(value, depth) == _dumps(value)
+strings = st.text() | st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t é€ 😀'))
 
 
 # A lifecycle log: up to 8 (time, status) records at non-decreasing times.
@@ -132,26 +104,15 @@ def test_an_entry_renders_as_json_dumps_of_its_dict(entry):
 @given(st.lists(entries(st.integers(0, 50)), max_size=4))
 def test_a_streamed_list_is_the_dumped_list_and_a_newline(items):
     by_id = {entry.request.id: entry for entry in items}
-    report = SimReport("dumped", 1, 1000, 1000, 1, {}, {}, entries=by_id)
+    report = SimReport("dumped", 1, 1000, 1000, 1, {}, 0.9, entries=by_id)
     with tempfile.TemporaryDirectory() as out:
         write_report(report, out)
         expected = [_dumped(by_id[request_id]) for request_id in sorted(by_id)]
         assert (Path(out) / "db_dump.json").read_text() == _dumps(expected) + "\n"
 
 
-def test_a_non_str_key_or_an_unsupported_type_raises_type_error():
-    for depth in (0, 2):
-        with pytest.raises(TypeError):
-            _written({"flows": {1: "a"}}, depth)
-        with pytest.raises(TypeError):
-            _written([{"hosts": {1, 2}}], depth)
-    # json.dumps refuses the set as well.
-    with pytest.raises(TypeError):
-        _dumps([{"hosts": {1, 2}}])
-
-
 def test_the_dump_of_an_empty_database_is_an_empty_list(tmp_path):
-    report = SimReport("empty", 1, 1000, 1000, 1, {}, {}, entries=VnfDb().entries)
+    report = SimReport("empty", 1, 1000, 1000, 1, {}, 0.9, entries=VnfDb().entries)
     write_report(report, tmp_path)
     assert (tmp_path / "db_dump.json").read_text() == "[]\n" == json.dumps([]) + "\n"
 
@@ -162,7 +123,7 @@ def test_the_dump_streams_one_entry_at_a_time(tmp_path):
     doc, diagnostics = parse_scenario(bench_module("gen").render("steady_monitoring", 1, "long"))
     assert diagnostics == []
     db = run(doc).entries
-    report = SimReport("streamed", 1, 1000, 1000, 1, {}, {}, entries=db)
+    report = SimReport("streamed", 1, 1000, 1000, 1, {}, 0.9, entries=db)
     tracemalloc.start()
     try:
         write_report(report, tmp_path)
@@ -175,13 +136,132 @@ def test_the_dump_streams_one_entry_at_a_time(tmp_path):
     assert peak < len(text) / 5
 
 
+def _summarized(report: SimReport) -> dict:
+    """report's summary.json as a plain dict, each flow's windows counted one window at a time."""
+    flows = {}
+    for flow_id, entry in report.entries.items():
+        scores = [
+            sample.mos
+            for samples in report.series
+            for sample in samples
+            if sample.flow_id == flow_id
+        ]
+        met = sum(1 for mos in scores if mos >= entry.request.ela_target)
+        compliance = met / len(scores) if scores else None
+        flows[str(flow_id)] = {
+            "windows_observed": len(scores),
+            "compliance": compliance,
+            "compliant": None if compliance is None else compliance >= report.compliance_budget,
+            "breach_windows": entry.breach_windows,
+            "final_status": entry.status.value,
+        }
+    return {
+        "scenario": report.scenario_name,
+        "seed": report.seed,
+        "duration_ms": report.duration_ms,
+        "window_ms": report.window_ms,
+        "windows": report.windows,
+        "counters": report.counters,
+        "flows": flows,
+    }
+
+
+def _written_summary(report: SimReport) -> str:
+    with tempfile.TemporaryDirectory() as out:
+        write_report(report, out)
+        return (Path(out) / "summary.json").read_text()
+
+
+def _sample(flow_id: int, mos: float) -> QoeSample:
+    """A sample of flow_id scoring mos, all of it on bandwidth."""
+    return QoeSample(flow_id, mos, (mos - 1.0) / 4.0, 1.0, 1.0, 1.0)
+
+
+# Flow ids of one to seven digits, so that "10" sorts before "2".
+flow_ids = st.sampled_from([0, 1, 2, 9, 10, 11, 99, 100, 1000]) | st.integers(0, 10**6)
+counts = st.integers(0, 10**9)
+
+
+@st.composite
+def summarized_runs(draw):
+    """A report as a run could leave it: entries, a series and the ELA's budget.
+
+    Each window holds samples of some of the entries in ascending flow id,
+    and a drawn run of windows shares one list, as quiet windows do. A
+    sample scores at an entry's target as often as elsewhere. An entry in
+    no window was never observed.
+    """
+    by_id = {}
+    for entry in draw(st.lists(entries(flow_ids), max_size=6)):
+        entry.breach_windows = draw(st.lists(st.integers(0, 10**6), max_size=4))
+        by_id[entry.request.id] = entry
+    series = []
+    for _ in range(draw(st.integers(0, 5))):
+        samples = []
+        for flow_id in sorted(by_id):
+            if draw(st.booleans()):
+                target = float(by_id[flow_id].request.ela_target)
+                mos = draw(st.just(target) | st.floats(1.0, 5.0))
+                samples.append(_sample(flow_id, mos))
+        series += [samples] * draw(st.integers(1, 4))
+    counters = draw(
+        st.dictionaries(strings, counts | st.dictionaries(strings, counts), max_size=4)
+    )
+    return SimReport(
+        scenario_name=draw(strings),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        duration_ms=draw(counts),
+        window_ms=draw(st.integers(1, 10**6)),
+        windows=len(series),
+        counters=counters,
+        compliance_budget=draw(st.floats(0.0, 1.0)),
+        series=series,
+        entries=by_id,
+    )
+
+
+def _two_flow_run() -> SimReport:
+    """Flows 2 and 10, one with an int and one with a float target; flow 2 never observed."""
+    log = [(0, LifecycleStatus.ACTIVE)]
+    by_id = {
+        flow_id: DbEntry(
+            ChainRequest(flow_id, 0, 1, (), "video", target, 0, 1000),
+            ForwardingGraph(hosts=(), segments=((),), reserved_bw_kbps=0),
+            log=log,
+        )
+        for flow_id, target in ((2, 3), (10, 2.5))
+    }
+    shared = [_sample(10, 2.5)]
+    series = [[_sample(10, 2.0)], shared, shared]
+    counters = {"admitted": 2, "rejected": {"NoPath": 1}, "rejected_total": 1}
+    return SimReport("two", 1, 3000, 1000, 3, counters, 0.5, series, by_id)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(summarized_runs())
+@example(SimReport("empty", 0, 0, 1000, 0, {}, 0.5))
+@example(_two_flow_run())
+def test_the_summary_is_json_dumps_of_its_dict(report):
+    assert _written_summary(report) == _dumps(_summarized(report)) + "\n"
+
+
 def test_the_summary_streams_one_flow_at_a_time(tmp_path):
-    # summary.json goes to disk one top-level item at a time and, inside
-    # "flows", one flow at a time, so the writer's peak holds about one
-    # flow's text, not the file's.
-    flow = FlowSummary(300, 0.5, False, list(range(300)), "Active")
-    flows = dict.fromkeys(range(500), flow)
-    report = SimReport("streamed", 1, 300_000, 1000, 300, {"admitted": 500}, flows)
+    # summary.json goes to disk one flow at a time, so the writer's peak
+    # holds about one flow's text, not the file's. The 300 windows are one
+    # shared list, counted as one run.
+    log = [(0, LifecycleStatus.ACTIVE)]
+    db = {
+        flow_id: DbEntry(
+            ChainRequest(flow_id, 0, 1, (), "video", 3.0, 0, 300_000),
+            ForwardingGraph(hosts=(), segments=((),), reserved_bw_kbps=0),
+            log=log,
+            breach_windows=list(range(300)),
+        )
+        for flow_id in range(500)
+    }
+    samples = [_sample(flow_id, 3.0 + flow_id % 2) for flow_id in db]
+    series = [samples] * 300
+    report = SimReport("streamed", 1, 300_000, 1000, 300, {"admitted": 500}, 0.9, series, db)
     tracemalloc.start()
     try:
         write_report(report, tmp_path)
@@ -189,6 +269,6 @@ def test_the_summary_streams_one_flow_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     text = (tmp_path / "summary.json").read_text()
-    assert text == _dumps(report.summary_dict()) + "\n"
+    assert text == _dumps(_summarized(report)) + "\n"
     assert len(text) > 1_000_000
     assert peak < len(text) / 10

@@ -110,6 +110,18 @@ def test_invalid_json_is_a_root_diagnostic():
     assert "invalid JSON" in diagnostics[0].message
 
 
+@pytest.mark.parametrize(
+    "text",
+    [b"\x80{}", '{"a":' * 100_000],
+    ids=["not_utf8", "nested_too_deep"],
+)
+def test_undecodable_json_is_a_root_diagnostic(text):
+    doc, diagnostics = parse_scenario(text)
+    assert doc is None
+    assert [diagnostic.path for diagnostic in diagnostics] == ["$"]
+    assert "invalid JSON" in diagnostics[0].message
+
+
 def test_non_object_top_level_is_rejected():
     doc, diagnostics = parse_scenario("[]")
     assert doc is None
