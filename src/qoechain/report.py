@@ -16,9 +16,12 @@ series: db_dump.json one entry at a time in request-id order, its request
 by a renderer built from scenario.py's request table, and summary.json one
 flow at a time in the sorted order of its string keys, each flow's windows
 observed and met read off the series as it is written. The series streams
-one window at a time. Scalars are spelled as json.dumps spells the value's
-own type: strings through json's C escaper, numbers by int's or float's
-repr, and lists and objects of those texts by _json_list.
+one window at a time, each row its window's time and _ROW's text, formatted
+once per sample. Scalars are spelled as json.dumps spells the value's own
+type: strings through json's C escaper, numbers by int's or float's repr,
+and lists and objects of those texts by _json_list. A lifecycle record is
+its (from, to) pair's template in _RECORDS with its time filled in, and a
+segment is one join of its node ids in _SEGMENT.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ from .units import kbps_to_mbps
 _escape = json.encoder.encode_basestring_ascii
 
 CSV_HEADER = ["time_ms", "flow_id", "mos", "q_bw", "q_delay", "q_loss", "q_stall"]
+# A series row after its time: the flow id and the five scores, six decimals each.
+_ROW = "%d,%.6f,%.6f,%.6f,%.6f,%.6f"
+_row_fields = attrgetter(*CSV_HEADER[1:])
 
 # What `qoechain report` reads off summary.json, each with the types it takes:
 # the top level, the counters and each flow. A bool is not an int here.
@@ -93,12 +99,12 @@ def _write_series(handle, series: list[list[QoeSample]], window_ms: int) -> None
 
     A row's time is the end of its window, (window index + 1) * window_ms,
     when the kernel measured it; rows come out in the series' (window, flow
-    id) order. A settled flow hands the same sample object to a run of
-    consecutive windows, so each sample's score text is formatted once and
-    looked up by id in the next window. Every sample stays alive in the
-    series for the whole write, so no id is reused while it is a key. A
-    window that is the previous window's very list takes all of its texts
-    as they are, in one join.
+    id) order, the rest of a row filled into _ROW. A settled flow hands the
+    same sample object to a run of consecutive windows, so each sample's
+    text is formatted once and looked up by id in the next window. Every
+    sample stays alive in the series for the whole write, so no id is
+    reused while it is a key. A window that is the previous window's very
+    list takes all of its texts as they are, in one join.
     """
     handle.write(",".join(CSV_HEADER) + "\n")
     previous: dict[int, str] = {}
@@ -111,10 +117,7 @@ def _write_series(handle, series: list[list[QoeSample]], window_ms: int) -> None
             for sample in samples:
                 text = previous.get(id(sample))
                 if text is None:
-                    text = (
-                        f"{sample.flow_id},{sample.mos:.6f},{sample.q_bw:.6f},"
-                        f"{sample.q_delay:.6f},{sample.q_loss:.6f},{sample.q_stall:.6f}"
-                    )
+                    text = _ROW % _row_fields(sample)
                 current[id(sample)] = text
                 texts.append(text)
             previous, last = current, samples
@@ -194,11 +197,17 @@ _PLACEMENT = """{
           "host": %r,
           "vnf": %s
         }"""
+_SEGMENT = "[\n          %s\n        ]"
 _RECORD = """{
         "from": %s,
-        "time_ms": %r,
+        "time_ms": %%r,
         "to": %s
       }"""
+# Each (from, to) pair's record, its time left to a %r; illegal pairs too.
+_RECORDS = {
+    (left, entered): _RECORD % (_STATUS_TEXT[left], _STATUS_TEXT[entered])
+    for left in LifecycleStatus for entered in LifecycleStatus
+}
 
 
 def render_entry(entry: DbEntry) -> str:
@@ -206,14 +215,15 @@ def render_entry(entry: DbEntry) -> str:
 
     The text is json.dumps's with indent=2 and sorted keys: the request as
     the workload keys it, the forwarding graph with each VNF's host, and the
-    lifecycle log, each record with the status it left.
+    lifecycle log, each record with the status it left: its (from, to)
+    pair's template in _RECORDS, with its time filled in.
     """
     request, graph = entry.request, entry.graph
     # Each record's from is the status the record before it entered.
     records = []
     status = ran_under = LifecycleStatus.REQUESTED
     for time_ms, entered in entry.log:
-        records.append(_RECORD % (_STATUS_TEXT[status], time_ms, _STATUS_TEXT[entered]))
+        records.append(_RECORDS[status, entered] % time_ms)
         ran_under, status = status, entered
     # A completed flow's graph keeps the status it last ran under.
     graph_status = ran_under if status is LifecycleStatus.COMPLETED else status
@@ -221,7 +231,10 @@ def render_entry(entry: DbEntry) -> str:
         _PLACEMENT % (host_id, _escape(name))
         for name, host_id in zip(request.vnf_sequence, graph.hosts)
     ]
-    segments = [_json_list([*map(repr, segment)], "\n        ") for segment in graph.segments]
+    segments = [
+        _SEGMENT % ",\n          ".join(map(repr, segment)) if segment else "[]"
+        for segment in graph.segments
+    ]
     return _ENTRY % (
         _json_list(placements, "\n      "),
         kbps_to_mbps(graph.reserved_bw_kbps),
@@ -251,8 +264,10 @@ def _window_counts(
     A flow is counted from its first sample on, so a flow id the series
     never holds has no count. A run of consecutive windows that share one
     sample list is counted once, times the run's length. Every list is alive
-    in the series, so two windows with one id are one list.
+    in the series, so two windows with one id are one list. Each flow's
+    target is read off its entry once.
     """
+    targets = {flow_id: entry.request.ela_target for flow_id, entry in entries.items()}
     observed: defaultdict[int, int] = defaultdict(int)
     met: defaultdict[int, int] = defaultdict(int)
     for _, run_of_windows in groupby(series, key=id):
@@ -261,7 +276,7 @@ def _window_counts(
         for sample in samples:
             flow_id = sample.flow_id
             observed[flow_id] += length
-            if sample.mos >= entries[flow_id].request.ela_target:
+            if sample.mos >= targets[flow_id]:
                 met[flow_id] += length
     return observed, met
 

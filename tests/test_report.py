@@ -1,7 +1,8 @@
-"""The report layer's JSON writers give json.dumps's text, and stream both JSON files."""
+"""The report writers: both JSON files as json.dumps spells them, streamed, and the series rows."""
 
 from __future__ import annotations
 
+import io
 import json
 import tempfile
 import tracemalloc
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from qoechain import ChainRequest, ForwardingGraph, parse_scenario, run, write_report
 from qoechain.orchestrator import DbEntry, LifecycleStatus, VnfDb
 from qoechain.qoe import QoeSample
-from qoechain.report import SimReport, render_entry
+from qoechain.report import CSV_HEADER, SimReport, _write_series, render_entry
 from qoechain.scenario import _REQUEST, _dump
 
 from generators import bench_module
@@ -272,3 +273,69 @@ def test_the_summary_streams_one_flow_at_a_time(tmp_path):
     assert text == _dumps(_summarized(report)) + "\n"
     assert len(text) > 1_000_000
     assert peak < len(text) / 10
+
+
+# Factor values that include 0, 1 and sixth-decimal halfway values, so that
+# a MOS of 1.0 or 5.0 comes up, besides any factor in [0, 1].
+factors = st.sampled_from([0.0, 1.0, 0.0000005, 0.9999995, 0.0000015, 0.5]) | st.floats(0.0, 1.0)
+
+
+def _scored(flow_id: int, *quality: float) -> QoeSample:
+    """A sample of flow_id with the four quality factors given, its MOS theirs."""
+    q_bw, q_delay, q_loss, q_stall = quality
+    return QoeSample(flow_id, 1.0 + 4.0 * q_bw * q_delay * q_loss * q_stall, *quality)
+
+
+@st.composite
+def series_windows(draw):
+    """A QoE series as monitoring leaves it, and its window length.
+
+    A window holds samples in ascending flow id, each fresh or one its flow
+    had in an earlier window, or is empty, or is the previous window's very
+    list, as a quiet window is.
+    """
+    made: dict[int, list[QoeSample]] = {}
+    series: list[list[QoeSample]] = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["samples", "samples", "empty", "repeat"]))
+        if kind == "repeat" and series:
+            series.append(series[-1])
+            continue
+        window = []
+        if kind == "samples":
+            live = draw(st.sets(st.sampled_from([0, 1, 9, 10, 2**40]), max_size=4))
+            for flow_id in sorted(live):
+                earlier = made.setdefault(flow_id, [])
+                if earlier and draw(st.booleans()):
+                    window.append(draw(st.sampled_from(earlier)))
+                else:
+                    earlier.append(_scored(flow_id, *(draw(factors) for _ in range(4))))
+                    window.append(earlier[-1])
+        series.append(window)
+    return series, draw(st.integers(1, 10**6))
+
+
+def _reference_rows(series: list[list[QoeSample]], window_ms: int) -> str:
+    """The series' CSV text, each row's fields spelled one at a time."""
+    lines = [",".join(CSV_HEADER)]
+    for index, samples in enumerate(series):
+        for sample in samples:
+            scores = (sample.mos, sample.q_bw, sample.q_delay, sample.q_loss, sample.q_stall)
+            fields = [str((index + 1) * window_ms), str(sample.flow_id)]
+            lines.append(",".join(fields + [format(score, ".6f") for score in scores]))
+    return "\n".join(lines) + "\n"
+
+
+_halfway = [_scored(1, 0.0000005, 1.0, 1.0, 1.0), _scored(9, 0.9999995, 1.0, 1.0, 1.0)]
+
+
+@settings(derandomize=True, max_examples=300)
+@given(series_windows())
+@example(([], 1000))
+@example(([[_scored(0, 0.0, 1.0, 1.0, 1.0)], [], [_scored(0, 1.0, 1.0, 1.0, 1.0)]], 1000))
+@example(([_halfway, _halfway, [], _halfway[1:], [_halfway[0]]], 1000))
+def test_each_series_row_is_its_fields_spelled_one_at_a_time(drawn):
+    series, window_ms = drawn
+    handle = io.StringIO()
+    _write_series(handle, series, window_ms)
+    assert handle.getvalue() == _reference_rows(series, window_ms)
