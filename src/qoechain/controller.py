@@ -4,8 +4,8 @@ The controller decides and the orchestrator records. The controller keeps
 the substrate, the catalog, the ELA, the policy and the injected stall
 levels, and nothing per flow: each flow's request, graph, status,
 measurement carry, settled sample, run of windows below target, route
-figures and breached windows live on its entry in the orchestrator's
-database.
+figures (its graph's path metrics under the current link quality) and
+breached windows live on its entry in the orchestrator's database.
 Monitoring reads the target from the request, the profile from the catalog
 and the breach rule's window count from the ELA. The controller scores the
 entries it is handed, writing only their measurement fields and breached
@@ -60,7 +60,6 @@ from .service import (
     ChainRequest,
     ForwardingGraph,
     LinkPath,
-    PathMetrics,
     ServiceCatalog,
     VnfType,
     path_metrics,
@@ -146,20 +145,6 @@ class ResourceView:
         self.residual_bw = state.residual_bw.copy()
         self.residual_cpu = state.residual_cpu.copy()
         self.residual_mem = state.residual_mem.copy()
-
-
-@dataclass
-class RouteFigures:
-    """What measuring a flow reads off its graph and the link quality.
-
-    Built by the first window to find none: admission, a repair and a
-    degradation on the route leave none. Nothing here reads residual
-    bandwidth: a flow's throughput is the rate its graph reserves.
-    """
-
-    metrics: PathMetrics
-    # Every link the graph crosses.
-    links: frozenset[int]
 
 
 class Controller:
@@ -343,9 +328,9 @@ class Controller:
         of those that breach the ELA.
         flows are the live database entries in ascending request id; both
         lists come out in that order. Raw figures come from the flow's
-        route figures (its current segments under the current link
-        quality), the rate its graph reserves as throughput, and the
-        injected stall level. Each metric is EWMA-smoothed with
+        route figures (the path metrics of its current segments under the
+        current link quality), the rate its graph reserves as throughput,
+        and the injected stall level. Each metric is EWMA-smoothed with
         predictor_alpha before scoring against the request's profile;
         degraded flows are still measured so recovery stays observable. A
         window scoring strictly below the request's target extends the
@@ -399,34 +384,26 @@ class Controller:
 
     def _measure(self, entry: DbEntry, profile: AppProfile, alpha: float) -> QoeSample:
         """The flow's sample for one window; brings its monitoring state up to date."""
+        request, graph = entry.request, entry.graph
         if entry.route is None:
-            entry.route = self._route_figures(entry)
-        flow_id = entry.request.id
-        stall_ratio = self.stall_levels.get(flow_id, 0.0)
-        metrics = entry.route.metrics
+            entry.route = path_metrics(
+                graph.segments,
+                self.network,
+                self.catalog.proc_latencies(request.vnf_sequence),
+            )
+        route = entry.route
         raw = FlowSample(
-            flow_id=flow_id,
-            throughput_mbps=entry.graph.reserved_bw_kbps / KBPS_PER_MBPS,
-            delay_ms=metrics.latency_ms,
-            jitter_ms=metrics.jitter_ms,
-            loss_pct=metrics.loss_pct,
-            stall_ratio=stall_ratio,
+            flow_id=request.id,
+            throughput_mbps=graph.reserved_bw_kbps / KBPS_PER_MBPS,
+            delay_ms=route.latency_ms,
+            jitter_ms=route.jitter_ms,
+            loss_pct=route.loss_pct,
+            stall_ratio=self.stall_levels.get(request.id, 0.0),
         )
         still = self._smooth(entry, raw, alpha)
         sample = estimate_mos(entry.smoothed, profile)
         entry.settled = sample if still else None
         return sample
-
-    def _route_figures(self, entry: DbEntry) -> RouteFigures:
-        request, graph = entry.request, entry.graph
-        return RouteFigures(
-            metrics=path_metrics(
-                graph.segments,
-                self.network,
-                self.catalog.proc_latencies(request.vnf_sequence),
-            ),
-            links=frozenset(graph.all_links()),
-        )
 
     def _smooth(self, entry: DbEntry, raw: FlowSample, alpha: float) -> bool:
         """Fold raw into entry.smoothed; whether every smoothed figure stood still."""
@@ -442,17 +419,19 @@ class Controller:
     def handle_degradation(self, link_id: int, flows: Iterable[DbEntry]) -> None:
         """Bring the given live flows up to date after link_id changed quality.
 
-        A flow whose route figures cross the link loses them and its held
-        sample, which drops the shared window; its next window builds them
-        once, however many degradations came between, and smooths on.
+        A flow whose graph crosses the link loses its route figures and its
+        held sample, which drops the shared window (a flow without figures
+        has no sample, so no window is shared); its next window takes the
+        path metrics once, however many degradations came between, and
+        smooths on.
         """
         for entry in flows:
-            if entry.route is not None and link_id in entry.route.links:
+            if link_id in entry.graph.links:
                 entry.route = entry.settled = None
                 self.shared_window = None
 
     def _restart_measurement(self, entry: DbEntry) -> None:
-        """After a repair: the next window builds the figures anew and is taken raw."""
+        """After a repair: the next window takes the new graph's path metrics, raw."""
         entry.route = entry.smoothed = entry.settled = None
 
     def set_stall(self, flow_id: int, stall_ratio: float, flows: Iterable[DbEntry]) -> None:
@@ -503,7 +482,7 @@ class Controller:
             quality = self.network.quality[link_id]
             return (quality.loss_pct, quality.latency_ms, link_id)
 
-        return max(set(graph.all_links()), key=badness)
+        return max(graph.links, key=badness)
 
     def handle_host_failure(self, flows: Iterable[DbEntry]) -> list[Action]:
         """Repair every given flow whose graph touches a failed host.

@@ -4,14 +4,14 @@ The database is the only record of a flow: one entry per admitted request,
 kept after the flow ends, holding its request, forwarding graph, lifecycle
 log, whose last record is its status, and what the controller's monitoring
 alone writes: the smoothing carry, the settled sample, the run of windows
-below target, route figures and the windows that breached. The
-orchestrator turns the controller's admissions, Actions and releases into
-graph and status changes, all through one guarded transition helper, and
-tallies the two outcomes the lifecycle log cannot tell apart: rejections
-by reason, and reroutes versus migrations. Every other counter is derived
-from the entries when the report is built, and db_dump.json is rendered
-from the entries themselves as report.py writes it: nothing here builds a
-dump.
+below target, the route figures (the graph's path metrics) and the windows
+that breached. The orchestrator turns the controller's admissions, Actions
+and releases into graph and status changes, all through one guarded
+transition helper, and tallies the two outcomes the lifecycle log cannot
+tell apart: rejections by reason, and reroutes versus migrations. Every
+other counter is derived from the entries when the report is built, and
+db_dump.json is rendered from the entries themselves as report.py writes
+it: nothing here builds a dump.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .controller import (
     Controller,
     Rejected,
     RejectReason,
-    RouteFigures,
 )
 from .errors import (
     AlreadyTerminal,
@@ -36,7 +35,7 @@ from .errors import (
     UnknownRequest,
 )
 from .qoe import FlowSample, QoeSample
-from .service import ChainRequest, ForwardingGraph
+from .service import ChainRequest, ForwardingGraph, PathMetrics
 
 
 class LifecycleStatus(str, Enum):
@@ -91,9 +90,10 @@ class DbEntry:
     # Consecutive scored windows below the target, up to the latest; it
     # carries over a new graph.
     windows_below: int = 0
-    # The controller's figures for measuring this flow; None until a window
-    # measures it after admission, a repair or a degradation on the route.
-    route: RouteFigures | None = None
+    # The path metrics of the graph under the current link quality, which
+    # measuring reads; None until a window measures the flow after
+    # admission, a repair or a degradation on the route.
+    route: PathMetrics | None = None
     # While smoothing stands still, the sample it last scored, which a
     # window takes unmeasured. A repair, a degradation on the route and a
     # new stall level drop it.

@@ -154,16 +154,10 @@ class ForwardingGraph:
     segments: tuple[LinkPath, ...]
     reserved_bw_kbps: int
 
-    def all_links(self) -> list[int]:
-        """Every link crossed, with multiplicity, in traversal order."""
-        return [link_id for segment in self.segments for link_id in segment]
-
-    def link_usage(self) -> dict[int, int]:
-        """kbps reserved per link, aggregated over all segments."""
-        usage: dict[int, int] = {}
-        for link_id in self.all_links():
-            usage[link_id] = usage.get(link_id, 0) + self.reserved_bw_kbps
-        return usage
+    @cached_property
+    def links(self) -> frozenset[int]:
+        """Every link the graph crosses; computed once per graph."""
+        return frozenset(link_id for segment in self.segments for link_id in segment)
 
 
 @dataclass(frozen=True)

@@ -253,8 +253,9 @@ def _controller_ledger_mismatches(net, orchestrator, catalog) -> int:
             vnf = catalog.vnf(name)
             expected_cpu[host] = expected_cpu.get(host, 0) + vnf.cpu_demand
             expected_mem[host] = expected_mem.get(host, 0) + vnf.mem_demand
-        for link, kbps in entry.graph.link_usage().items():
-            expected_bw[link] = expected_bw.get(link, 0) + kbps
+        for segment in entry.graph.segments:
+            for link in segment:
+                expected_bw[link] = expected_bw.get(link, 0) + entry.graph.reserved_bw_kbps
     bad = 0
     for host in net.residual_cpu:
         node = net.nodes[host]

@@ -611,10 +611,10 @@ def test_degrading_a_link_on_the_route_rebuilds_its_figures():
     orch.controller.monitor_window(0, orch.db.live())
     before = entry.route
     degrade_and_refresh(orch, 0, latency_ms=40.0)
-    # Rebuilt by the next window, for the same links.
+    # Rebuilt by the next window, under the new quality of the same link.
     orch.controller.monitor_window(1, orch.db.live())
-    assert entry.route is not before and entry.route.links == before.links
-    assert entry.route.metrics.latency_ms == 40.0
+    assert entry.route is not before and entry.graph.links == {0}
+    assert (before.latency_ms, entry.route.latency_ms) == (10.0, 40.0)
     assert entry.smoothed.delay_ms == 40.0
 
 
@@ -698,11 +698,11 @@ def test_a_settled_flow_feels_a_degradation_on_its_route():
 def test_two_degradations_before_a_window_build_the_route_figures_once(monkeypatch):
     orch, window = _settled_pair_flow(parallel_pair())
     builds = []
-    route_figures = Controller._route_figures
+    path_metrics = controller_module.path_metrics
     monkeypatch.setattr(
-        Controller,
-        "_route_figures",
-        lambda self, entry: builds.append(entry) or route_figures(self, entry),
+        controller_module,
+        "path_metrics",
+        lambda segments, *args: builds.append(segments) or path_metrics(segments, *args),
     )
     degrade_and_refresh(orch, 0, latency_ms=300.0)
     degrade_and_refresh(orch, 0, latency_ms=40.0, loss_pct=2.0)
@@ -710,7 +710,7 @@ def test_two_degradations_before_a_window_build_the_route_figures_once(monkeypat
     # Under the final quality only: the first override is never scored.
     loss_pct = 100.0 * (1.0 - (1.0 - 2.0 / 100.0))
     _scored_from_scratch(orch, window, (4.0, 40.0, 0.0, loss_pct, 0.0))
-    assert builds == [orch.db.entries[0]]
+    assert builds == [orch.db.entries[0].graph.segments]
 
 
 def test_a_settled_flow_is_taken_raw_after_a_reroute():
@@ -788,12 +788,23 @@ def test_reusing_settled_samples_changes_no_run(monkeypatch, tmp_path):
     # every flow in every window.
     rng = Random(1414)
     docs = [one_fault_of_each_kind()] + [random_doc(rng, index) for index in range(200)]
-    scored = []
+    # Only monitoring's scorings count: the end-of-run audit scores held
+    # samples again, outside monitor_window.
+    calls, scored = [], []
     monkeypatch.setattr(
         controller_module,
         "estimate_mos",
-        lambda sample, profile: scored.append(sample) or estimate_mos(sample, profile),
+        lambda sample, profile: calls.append(sample) or estimate_mos(sample, profile),
     )
+    monitor = Controller.monitor_window
+
+    def monitored(self, *args):
+        start = len(calls)
+        result = monitor(self, *args)
+        scored.extend(calls[start:])
+        return result
+
+    monkeypatch.setattr(Controller, "monitor_window", monitored)
     reused = []
     for doc in docs:
         before = len(scored)

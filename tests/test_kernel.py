@@ -383,16 +383,33 @@ def test_strict_debug_catches_state_corruption(corruption, message, monkeypatch)
         run(_doc(_payload()), strict_debug=True, event_hook=corrupt)
 
 
-def _events_after_quiet_windows():
-    """The _payload flow, held past the horizon, with one event of each kind.
+def _with_second_host(payload: dict) -> dict:
+    """Add host 3, a second fw host joined to both endpoints by 6 ms links.
 
-    An arrival at 2.5 s, a degradation on the flows' route at 4.5 s and a
-    stall on flow 0 at 6.5 s each come after a quiet window, and none of
+    Its route is 2 ms slower than host 1's, so flows go to host 1 until it
+    fails, and then score the same MOS on host 3.
+    """
+    payload["network"]["nodes"].append(
+        {"id": 3, "kind": "host", "cpu_capacity": 8, "mem_capacity": 8}
+    )
+    payload["network"]["links"] += [
+        {"id": 2, "a": 0, "b": 3, "bandwidth_mbps": 10, "latency_ms": 6},
+        {"id": 3, "a": 3, "b": 2, "bandwidth_mbps": 10, "latency_ms": 6},
+    ]
+    return payload
+
+
+def _events_after_quiet_windows():
+    """Two _payload flows, held past the horizon, and each event that drops.
+
+    An arrival at 2.5 s, a degradation on the flows' route at 4.5 s, a
+    stall on flow 0 at 6.5 s and a failure of their host at 8.5 s, which
+    migrates both to host 3, each come after a quiet window, and none of
     them makes a flow breach. Without smoothing, a flow settles in the
     second window after a change.
     """
-    payload = _payload()
-    payload["meta"]["duration_ms"] = 8000
+    payload = _with_second_host(_payload())
+    payload["meta"]["duration_ms"] = 10_000
     payload["policy"] = {"predictor_alpha": 1.0}
     first = payload["workload"]["requests"][0]
     first["holding_ms"] = 20_000
@@ -400,6 +417,7 @@ def _events_after_quiet_windows():
     payload["faults"] = {
         "link_degradations": [{"time_ms": 4500, "link": 0, "latency_ms": 20}],
         "stall_injections": [{"time_ms": 6500, "flow": 0, "stall_ratio": 0.05}],
+        "host_failures": [{"time_ms": 8500, "host": 1}],
     }
     return _doc(payload)
 
@@ -410,7 +428,7 @@ def test_strict_debug_catches_a_shared_window_kept_past_its_event(method, monkey
     # keep it; the event that should have dropped it then fails the audit.
     doc = _events_after_quiet_windows()
     report = run(doc, strict_debug=True)
-    assert report.counters["admitted"] == 2
+    assert (report.counters["admitted"], report.counters["migrated"]) == (2, 2)
     flows = written_summary(report, tmp_path)["flows"].values()
     assert all(not flow["breach_windows"] for flow in flows)
     dropping = getattr(Controller, method)
@@ -425,30 +443,61 @@ def test_strict_debug_catches_a_shared_window_kept_past_its_event(method, monkey
         run(doc, strict_debug=True)
 
 
+def _set_stall_level_only(self, flow_id, stall_ratio, flows):
+    self.stall_levels[flow_id] = stall_ratio
+
+
+# Each place that drops what monitoring holds, made to drop nothing: the
+# flows it touches keep their route figures, held samples and the shared
+# window, and the measurement audit finds them stale.
+@pytest.mark.parametrize(
+    "method,no_op,message",
+    [
+        pytest.param(
+            "_restart_measurement",
+            lambda self, entry: None,
+            "route figures are not its graph's path metrics",
+            id="repair",
+        ),
+        pytest.param(
+            "handle_degradation",
+            lambda self, link_id, flows: None,
+            "route figures are not its graph's path metrics",
+            id="degradation",
+        ),
+        pytest.param(
+            "set_stall",
+            _set_stall_level_only,
+            "held sample is not what measuring now gives",
+            id="stall",
+        ),
+    ],
+)
+def test_strict_debug_catches_an_event_that_drops_nothing(method, no_op, message, monkeypatch):
+    monkeypatch.setattr(Controller, method, no_op)
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        run(_events_after_quiet_windows(), strict_debug=True)
+
+
 def test_strict_debug_catches_a_repair_that_keeps_the_old_measurement(monkeypatch):
     # The _payload flow settles on host 1 by the second window; host 1
-    # fails at 2.5 s and the flow migrates to host 3, a second fw host as
-    # near. A migration that kept the held sample and the old graph's route
-    # figures would share the next window on them.
-    payload = _payload()
+    # fails at 2.5 s and the flow migrates to host 3, whose route is slower
+    # by 2 ms. A migration that kept the held sample and the old graph's
+    # route figures would share the next window on them.
+    payload = _with_second_host(_payload())
     payload["meta"]["duration_ms"] = 5000
     payload["policy"] = {"predictor_alpha": 1.0}
-    payload["network"]["nodes"].append(
-        {"id": 3, "kind": "host", "cpu_capacity": 8, "mem_capacity": 8}
-    )
-    payload["network"]["links"] += [
-        {"id": 2, "a": 0, "b": 3, "bandwidth_mbps": 10, "latency_ms": 5},
-        {"id": 3, "a": 3, "b": 2, "bandwidth_mbps": 10, "latency_ms": 5},
-    ]
     payload["workload"]["requests"][0]["holding_ms"] = 20_000
     payload["faults"] = {"host_failures": [{"time_ms": 2500, "host": 1}]}
     doc = _doc(payload)
     report = run(doc, strict_debug=True)
     assert report.counters["migrated"] == 1
-    # The new route is as fast, so the series cannot tell; the audit can.
+    assert [entry.route.latency_ms for entry in report.entries.values()] == [13.0]
+    # The new route scores the same MOS, so the series cannot tell; the
+    # audit can.
     assert [row.mos for _, row in series_rows(report)] == [report.series[0][0].mos] * 5
     monkeypatch.setattr(Controller, "_restart_measurement", lambda self, entry: None)
-    with pytest.raises(InvariantViolation, match="route figures are not for its current graph"):
+    with pytest.raises(InvariantViolation, match="route figures are not its graph's path metrics"):
         run(doc, strict_debug=True)
 
 

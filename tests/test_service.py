@@ -119,14 +119,16 @@ def test_empty_path_has_zero_metrics():
     assert (metrics.latency_ms, metrics.jitter_ms, metrics.loss_pct) == (0.0, 0.0, 0.0)
 
 
-def test_link_usage_counts_multiplicity():
+def test_graph_links_collapse_repeats_and_skip_empty_segments():
+    # Two VNFs on host 1: the segment between them is empty.
     graph = ForwardingGraph(
-        hosts=(1,),
-        segments=((0,), (0, 1, 3)),
+        hosts=(1, 1),
+        segments=((0,), (), (0, 1, 3)),
         reserved_bw_kbps=4000,
     )
-    assert graph.all_links() == [0, 0, 1, 3]
-    assert graph.link_usage() == {0: 8000, 1: 4000, 3: 4000}
+    assert graph.links == frozenset({0, 1, 3})
+    assert graph.links is graph.links  # computed once per graph
+    assert ForwardingGraph(hosts=(1,), segments=((), ()), reserved_bw_kbps=4000).links == set()
 
 
 def _square_graph():
