@@ -8,13 +8,7 @@ from .controller import (
     Rejected,
     RejectReason,
 )
-from .errors import (
-    InstanceTooLarge,
-    InvariantViolation,
-    IoFailure,
-    SimulatorError,
-    TimeTravel,
-)
+from .errors import InvariantViolation, SimulatorError
 from .kernel import EventQueue, audit_conservation, run
 from .network import (
     LinkQuality,
@@ -23,7 +17,7 @@ from .network import (
     NodeKind,
     NodeSpec,
 )
-from .oracle import OracleLimits, enumerate_simple_paths, exact_embed
+from .oracle import enumerate_simple_paths, exact_embed
 from .orchestrator import LifecycleStatus, Orchestrator, VnfDb, audit_lifecycle
 from .qoe import (
     Ela,
@@ -63,16 +57,13 @@ __all__ = [
     "EventQueue",
     "FlowSample",
     "ForwardingGraph",
-    "InstanceTooLarge",
     "InvariantViolation",
-    "IoFailure",
     "LifecycleStatus",
     "LinkQuality",
     "LinkSpec",
     "NetworkState",
     "NodeKind",
     "NodeSpec",
-    "OracleLimits",
     "Orchestrator",
     "PathMetrics",
     "PolicyConfig",
@@ -83,7 +74,6 @@ __all__ = [
     "ServiceCatalog",
     "SimReport",
     "SimulatorError",
-    "TimeTravel",
     "VnfDb",
     "VnfType",
     "audit_conservation",

@@ -1,4 +1,16 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator.
+
+Callers tell apart three kinds of error, and only these three exist:
+
+- SimulatorError: a request the simulator refuses, such as an unknown id,
+  a demand that does not fit or an unreadable file. The CLI prints it as
+  an ``ERROR input:`` line and exits 1; the controller turns one raised
+  while committing a plan it has just checked into an InvariantViolation.
+- InvariantViolation: internal bookkeeping broke, so the run can no longer
+  be trusted. The CLI prints it as an ``INTERNAL`` line and exits 2.
+- InvalidRange: a value breaks its rule. The scenario parser reads its
+  field to name the attribute at fault in a diagnostic.
+"""
 
 from __future__ import annotations
 
@@ -11,103 +23,9 @@ class InvariantViolation(SimulatorError):
     """Internal bookkeeping broke; the run can no longer be trusted."""
 
 
-# -- network model ----------------------------------------------------------
-
-
 class InvalidRange(SimulatorError):
     """A value breaks its rule; field names the one attribute at fault, if any."""
 
     def __init__(self, message: str = "", field: str | None = None):
         self.field = field
         super().__init__(message)
-
-
-class DuplicateId(SimulatorError):
-    pass
-
-
-class DanglingEndpoint(InvalidRange):
-    pass
-
-
-class NegativeCapacity(InvalidRange):
-    pass
-
-
-class UnknownHost(SimulatorError):
-    pass
-
-
-class UnknownLink(SimulatorError):
-    pass
-
-
-class AlreadyFailed(SimulatorError):
-    pass
-
-
-class InsufficientResidual(SimulatorError):
-    """A reservation asked for more than the current residual provides."""
-
-    def __init__(self, resource: str, entity_id: int, message: str = ""):
-        self.resource = resource
-        self.entity_id = entity_id
-        super().__init__(message or f"insufficient {resource} on {entity_id}")
-
-
-class OverRelease(InvariantViolation):
-    """A release would push a residual above capacity; bookkeeping bug."""
-
-    def __init__(self, resource: str, entity_id: int, message: str = ""):
-        self.resource = resource
-        self.entity_id = entity_id
-        super().__init__(message or f"over-release of {resource} on {entity_id}")
-
-
-# -- service and QoE models -------------------------------------------------
-
-
-class UnknownVnf(SimulatorError):
-    pass
-
-
-class UnknownProfile(SimulatorError):
-    pass
-
-
-class InvalidProfile(InvalidRange):
-    pass
-
-
-# -- controller and orchestrator --------------------------------------------
-
-
-class DuplicateRequest(SimulatorError):
-    pass
-
-
-class UnknownRequest(SimulatorError):
-    pass
-
-
-class AlreadyTerminal(SimulatorError):
-    pass
-
-
-class IllegalTransition(InvariantViolation):
-    """Lifecycle automaton violation; controller and orchestrator disagree."""
-
-
-class InstanceTooLarge(SimulatorError):
-    """The exhaustive embedding oracle refuses instances above its limits."""
-
-
-# -- kernel and scenario I/O -------------------------------------------------
-
-
-class TimeTravel(SimulatorError):
-    """An event was scheduled before the current simulation clock."""
-
-
-class IoFailure(SimulatorError):
-    pass

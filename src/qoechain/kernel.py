@@ -16,7 +16,7 @@ from operator import attrgetter
 from typing import Callable
 
 from .controller import Controller, Rejected
-from .errors import InvariantViolation, TimeTravel
+from .errors import InvariantViolation, SimulatorError
 from .network import NetworkState
 from .orchestrator import Orchestrator, VnfDb, audit_lifecycle
 from .qoe import QoeSample
@@ -58,7 +58,7 @@ class EventQueue:
     def schedule(self, event) -> None:
         if event.time_ms < self.now:
             msg = f"event at {event.time_ms}ms scheduled at clock {self.now}ms"
-            raise TimeTravel(msg)
+            raise SimulatorError(msg)
         heapq.heappush(self._heap, (event.time_ms, self._seq, event))
         self._seq += 1
 

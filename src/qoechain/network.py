@@ -14,17 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .errors import (
-    AlreadyFailed,
-    DanglingEndpoint,
-    DuplicateId,
-    InsufficientResidual,
-    InvalidRange,
-    NegativeCapacity,
-    OverRelease,
-    UnknownHost,
-    UnknownLink,
-)
+from .errors import InvalidRange, InvariantViolation, SimulatorError
 
 
 class NodeKind(str, Enum):
@@ -48,7 +38,7 @@ class NodeSpec:
             raise InvalidRange(msg, field="id")
         if self.cpu_capacity < 0 or self.mem_capacity < 0:
             msg = f"node {self.id}: capacities must be non-negative"
-            raise NegativeCapacity(msg)
+            raise InvalidRange(msg)
         if self.kind is not NodeKind.HOST and (self.cpu_capacity or self.mem_capacity):
             msg = f"node {self.id}: only hosts may have cpu/mem capacity"
             raise InvalidRange(msg)
@@ -75,10 +65,10 @@ class LinkSpec:
             raise InvalidRange(msg, field="id")
         if self.a == self.b:
             msg = f"link {self.id}: self-loops are not allowed"
-            raise DanglingEndpoint(msg)
+            raise InvalidRange(msg)
         if self.bandwidth_kbps <= 0:
             msg = f"link {self.id}: bandwidth must be at least 0.001 Mbps"
-            raise NegativeCapacity(msg, field="bandwidth_kbps")
+            raise InvalidRange(msg, field="bandwidth_kbps")
         check_link_quality(self.id, self.latency_ms, self.jitter_ms, self.loss_pct)
 
     def other(self, node_id: int) -> int:
@@ -87,7 +77,7 @@ class LinkSpec:
         if node_id == self.b:
             return self.a
         msg = f"node {node_id} is not an endpoint of link {self.id}"
-        raise DanglingEndpoint(msg)
+        raise InvalidRange(msg)
 
 
 def check_link_quality(
@@ -151,18 +141,18 @@ class NetworkState:
         for node in nodes:
             if node.id in self.nodes:
                 msg = f"duplicate node id {node.id}"
-                raise DuplicateId(msg)
+                raise SimulatorError(msg)
             self.nodes[node.id] = node
 
         self.links: dict[int, LinkSpec] = {}
         for link in links:
             if link.id in self.links:
                 msg = f"duplicate link id {link.id}"
-                raise DuplicateId(msg)
+                raise SimulatorError(msg)
             for end in (link.a, link.b):
                 if end not in self.nodes:
                     msg = f"link {link.id} references unknown node {end}"
-                    raise DanglingEndpoint(msg)
+                    raise InvalidRange(msg)
             self.links[link.id] = link
 
         self.residual_cpu: dict[int, int] = {}
@@ -215,15 +205,15 @@ class NetworkState:
         mem_demands map host id to the sum over the VNFs placed there. Who
         holds what is the database's record, not the network's.
 
-        Raises UnknownHost/UnknownLink for bad ids, NegativeCapacity for
-        negative demands and InsufficientResidual when anything does not fit
-        or a host has failed. On any error the state is left untouched.
+        Raises a SimulatorError for an unknown id, a demand that does not
+        fit or a failed host, and an InvalidRange for a negative demand. On
+        any error the state is left untouched.
         """
         tables = self._ledger_tables(link_demands, cpu_demands, mem_demands, allow_failed=False)
         for resource, residual, totals, _ in tables:
             for key, amount in totals.items():
                 if amount > residual[key]:
-                    raise InsufficientResidual(resource, key)
+                    raise SimulatorError(f"insufficient {resource} on {key}")
         for _, residual, totals, _ in tables:
             for key, amount in totals.items():
                 residual[key] -= amount
@@ -237,15 +227,15 @@ class NetworkState:
         """Give back per-id totals reserved earlier, all-or-nothing.
 
         Takes the same maps as reserve; a failed host's holdings are given
-        back like any other. Releasing more than is reserved raises
-        OverRelease: that always means the caller's ledger and this state
-        disagree, which is fatal.
+        back like any other. Releasing more than is reserved raises an
+        InvariantViolation: that always means the caller's ledger and this
+        state disagree, which is fatal.
         """
         tables = self._ledger_tables(link_demands, cpu_demands, mem_demands, allow_failed=True)
         for resource, residual, totals, capacity in tables:
             for key, amount in totals.items():
                 if residual[key] + amount > capacity(key):
-                    raise OverRelease(resource, key)
+                    raise InvariantViolation(f"over-release of {resource} on {key}")
         for _, residual, totals, _ in tables:
             for key, amount in totals.items():
                 residual[key] += amount
@@ -255,13 +245,13 @@ class NetworkState:
 
         The host takes no new demand from now on. What it holds stays
         reserved until released like any other holding. Failing an
-        already-failed host raises AlreadyFailed; failures are explicit
+        already-failed host raises a SimulatorError; failures are explicit
         events, not idempotent updates.
         """
         self._check_host(host_id, allow_failed=True)
         if host_id in self.failed_hosts:
             msg = f"host {host_id} already failed"
-            raise AlreadyFailed(msg)
+            raise SimulatorError(msg)
         self.failed_hosts.add(host_id)
 
     def degrade_link(
@@ -286,7 +276,7 @@ class NetworkState:
         """
         if link_id not in self.links:
             msg = f"unknown link {link_id}"
-            raise UnknownLink(msg)
+            raise SimulatorError(msg)
         current = self.quality[link_id]
         latency = current.latency_ms if latency_ms is None else latency_ms
         jitter = current.jitter_ms if jitter_ms is None else jitter_ms
@@ -329,7 +319,7 @@ class NetworkState:
             self._check_host(host_id, allow_failed)
         for link_id in link_demands:
             if link_id not in links:
-                raise UnknownLink(f"unknown link {link_id}")
+                raise SimulatorError(f"unknown link {link_id}")
         tables = (
             ("cpu", self.residual_cpu, cpu_demands, lambda i: nodes[i].cpu_capacity),
             ("mem", self.residual_mem, mem_demands, lambda i: nodes[i].mem_capacity),
@@ -338,16 +328,16 @@ class NetworkState:
         for resource, _, totals, _ in tables:
             for key, amount in totals.items():
                 if amount < 0:
-                    raise NegativeCapacity(f"negative {resource} demand on {key}")
+                    raise InvalidRange(f"negative {resource} demand on {key}")
         return tables
 
     def _check_host(self, host_id: int, allow_failed: bool = False) -> None:
         node = self.nodes.get(host_id)
         if node is None or node.kind is not NodeKind.HOST:
             msg = f"unknown host {host_id}"
-            raise UnknownHost(msg)
+            raise SimulatorError(msg)
         if not allow_failed and host_id in self.failed_hosts:
             # A failed host provides nothing, so any demand on it is
             # unsatisfiable by definition.
-            raise InsufficientResidual("cpu", host_id, f"host {host_id} has failed")
+            raise SimulatorError(f"host {host_id} has failed")
 

@@ -5,8 +5,10 @@ feasible simple path between two nodes and `exact_embed` searches every
 placement and path choice for a request, so tests can check that the
 router's Dijkstra loop finds a minimum-key path and that a greedy admission
 is always contained in an exhaustive one; `qoechain oracle` prints the
-exhaustive embedding of one request. Both refuse loudly, with
-InstanceTooLarge, where an exhaustive search would not be small.
+exhaustive embedding of one request. Both refuse loudly, with a
+SimulatorError, where an exhaustive search would not be small: above
+MAX_HOSTS hosts, MAX_CHAIN VNFs or MAX_PATHS_PER_PAIR paths between two
+nodes.
 
 `enumerate_simple_paths` and `path_key` read the state's `adjacency` and
 `quality` instead of the `edges` tuples of the routing loop, so the oracle
@@ -17,22 +19,17 @@ does not share the loop's inputs. Bandwidth and host capacity are the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InstanceTooLarge, UnknownHost
+from .errors import SimulatorError
 from .qoe import predict_mos
 from .routing import PathKey
 from .service import ChainRequest, ForwardingGraph, LinkPath, ServiceCatalog, path_metrics
 
-
-@dataclass(frozen=True)
-class OracleLimits:
-    """Hard bounds above which exact_embed refuses to run."""
-
-    max_hosts: int = 6
-    max_chain: int = 3
-    max_paths_per_pair: int = 100
+# Hard bounds above which exact_embed refuses to run.
+MAX_HOSTS = 6
+MAX_CHAIN = 3
+MAX_PATHS_PER_PAIR = 100
 
 
 def path_key(net, path: Iterable[int]) -> PathKey:
@@ -55,12 +52,12 @@ def enumerate_simple_paths(
 
     The exhaustive counterpart of shortest_feasible_path. Paths come out in
     depth-first link-id order. With max_paths set, finding more than that
-    raises InstanceTooLarge instead of silently truncating, which would
+    raises a SimulatorError instead of silently truncating, which would
     quietly bias any comparison built on top.
     """
     if src not in net.nodes or dst not in net.nodes:
         msg = f"unknown node in path query: {src} -> {dst}"
-        raise UnknownHost(msg)
+        raise SimulatorError(msg)
     if src == dst:
         return [[]]
 
@@ -80,7 +77,7 @@ def enumerate_simple_paths(
                 paths.append(list(trail))
                 if max_paths is not None and len(paths) > max_paths:
                     msg = f"more than {max_paths} simple paths between {src} and {dst}"
-                    raise InstanceTooLarge(msg)
+                    raise SimulatorError(msg)
             else:
                 visited.add(neighbor)
                 extend(neighbor, visited, trail)
@@ -95,25 +92,24 @@ def exact_embed(
     network,
     catalog: ServiceCatalog,
     request: ChainRequest,
-    limits: OracleLimits = OracleLimits(),
 ) -> ForwardingGraph | None:
     """Exhaustive minimum-latency embedding, or None when infeasible.
 
     Enumerates every placement assignment and every simple-path choice
     per segment, subject to aggregate bandwidth feasibility and the same
-    admission rule as Controller.admit. Never reserves anything. Raises
-    InstanceTooLarge beyond the given limits; refusing loudly beats a
+    admission rule as Controller.admit. Never reserves anything. Raises a
+    SimulatorError beyond the module's limits; refusing loudly beats a
     silently truncated search.
     """
     bw_kbps = catalog.profile(request.profile).bw_req_kbps
     chain = [catalog.vnf(name) for name in request.vnf_sequence]
     hosts = network.host_ids
-    if len(hosts) > limits.max_hosts:
-        msg = f"{len(hosts)} hosts exceeds oracle limit {limits.max_hosts}"
-        raise InstanceTooLarge(msg)
-    if len(chain) > limits.max_chain:
-        msg = f"chain length {len(chain)} exceeds oracle limit {limits.max_chain}"
-        raise InstanceTooLarge(msg)
+    if len(hosts) > MAX_HOSTS:
+        msg = f"{len(hosts)} hosts exceeds oracle limit {MAX_HOSTS}"
+        raise SimulatorError(msg)
+    if len(chain) > MAX_CHAIN:
+        msg = f"chain length {len(chain)} exceeds oracle limit {MAX_CHAIN}"
+        raise SimulatorError(msg)
     usable = [h for h in hosts if h not in network.failed_hosts]
     proc_total = sum(vnf.proc_latency_ms for vnf in chain)
 
@@ -121,9 +117,7 @@ def exact_embed(
 
     def paths_between(a: int, b: int) -> list[tuple[float, list[int]]]:
         if (a, b) not in path_cache:
-            raw = enumerate_simple_paths(
-                network, a, b, bw_kbps, max_paths=limits.max_paths_per_pair
-            )
+            raw = enumerate_simple_paths(network, a, b, bw_kbps, max_paths=MAX_PATHS_PER_PAIR)
             keyed = sorted((path_key(network, path), path) for path in raw)
             path_cache[(a, b)] = [(key[0], path) for key, path in keyed]
         return path_cache[(a, b)]

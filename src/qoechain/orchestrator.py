@@ -28,12 +28,7 @@ from .controller import (
     Rejected,
     RejectReason,
 )
-from .errors import (
-    AlreadyTerminal,
-    DuplicateRequest,
-    IllegalTransition,
-    UnknownRequest,
-)
+from .errors import InvariantViolation, SimulatorError
 from .qoe import FlowSample, QoeSample
 from .service import ChainRequest, ForwardingGraph, PathMetrics
 
@@ -150,10 +145,10 @@ class VnfDb:
                 f"request {entry.request.id}: illegal transition "
                 f"{status.value} -> {to.value}"
             )
-            raise IllegalTransition(msg)
+            raise InvariantViolation(msg)
         if entry.log and now < entry.log[-1][0]:
             msg = f"request {entry.request.id}: lifecycle log time went backwards"
-            raise IllegalTransition(msg)
+            raise InvariantViolation(msg)
         entry.log.append((now, to))
         if to in TERMINAL:
             self._live = [other for other in self._live if other is not entry]
@@ -176,7 +171,7 @@ class Orchestrator:
         admission outcome, not a lifecycle.
         """
         if request.id in self.db.entries:
-            raise DuplicateRequest(f"request {request.id} already submitted")
+            raise SimulatorError(f"request {request.id} already submitted")
         result = self.controller.admit(request)
         if isinstance(result, Rejected):
             self.rejected[result.reason.value] += 1
@@ -190,10 +185,10 @@ class Orchestrator:
         """Tear down a flow that ran its course."""
         entry = self.db.entries.get(request_id)
         if entry is None:
-            raise UnknownRequest(f"unknown request {request_id}")
+            raise SimulatorError(f"unknown request {request_id}")
         if not entry.is_live:
             msg = f"request {request_id} is already {entry.status.value}"
-            raise AlreadyTerminal(msg)
+            raise SimulatorError(msg)
         self.controller.release_flow(entry)
         self.db.transition(entry, LifecycleStatus.COMPLETED, now)
 
@@ -207,7 +202,7 @@ class Orchestrator:
         """
         entry = self.db.entries.get(action.flow_id)
         if entry is None:
-            raise UnknownRequest(f"action for unknown request {action.flow_id}")
+            raise SimulatorError(f"action for unknown request {action.flow_id}")
         if action.kind in (ActionKind.REROUTED, ActionKind.MIGRATED):
             self.db.transition(entry, LifecycleStatus.MIGRATING, now)
             self.db.transition(entry, LifecycleStatus.ACTIVE, now)

@@ -35,7 +35,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
-from .errors import IoFailure
+from .errors import SimulatorError
 from .orchestrator import DbEntry, LifecycleStatus
 from .qoe import QoeSample
 from .scenario import _REQUEST
@@ -365,17 +365,17 @@ def write_report(report: SimReport, out_dir: str | Path) -> list[Path]:
             _write_entries(handle, report.entries)
     except OSError as exc:
         msg = f"cannot write report to {directory}: {exc}"
-        raise IoFailure(msg) from exc
+        raise SimulatorError(msg) from exc
     return [summary_path, series_path, dump_path]
 
 
 def _check_fields(path: Path, where: str, value, fields: dict) -> None:
-    """Raise IoFailure unless value is a JSON object holding fields, each of its types."""
+    """Raise a SimulatorError unless value is a JSON object holding fields, each of its types."""
     if not isinstance(value, dict):
-        raise IoFailure(f"{path}: {where} is not a JSON object")
+        raise SimulatorError(f"{path}: {where} is not a JSON object")
     for key, kinds in fields.items():
         if key not in value or type(value[key]) is bool or not isinstance(value[key], kinds):
-            raise IoFailure(f"{path}: {where} has no valid {key!r}")
+            raise SimulatorError(f"{path}: {where} has no valid {key!r}")
 
 
 def read_summary(out_dir: str | Path) -> dict:
@@ -385,17 +385,17 @@ def read_summary(out_dir: str | Path) -> dict:
         summary = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         msg = f"cannot read {path}: {exc}"
-        raise IoFailure(msg) from exc
+        raise SimulatorError(msg) from exc
     # ValueError covers JSONDecodeError and UnicodeDecodeError, and nesting
     # too deep for the decoder raises RecursionError.
     except (ValueError, RecursionError) as exc:
         msg = f"{path} is not valid JSON: {exc}"
-        raise IoFailure(msg) from exc
+        raise SimulatorError(msg) from exc
     _check_fields(path, "the summary", summary, _SUMMARY_FIELDS)
     _check_fields(path, "counters", summary["counters"], _COUNTER_FIELDS)
     for flow_id, flow in summary["flows"].items():
         if not flow_id.isdecimal():
-            raise IoFailure(f"{path}: flow id {flow_id!r} is not a number")
+            raise SimulatorError(f"{path}: flow id {flow_id!r} is not a number")
         _check_fields(path, f"flow {flow_id}", flow, _FLOW_FIELDS)
     return summary
 
@@ -410,7 +410,7 @@ def count_series_rows(out_dir: str | Path) -> int:
             return sum(1 for row in rows if row)
     except OSError as exc:
         msg = f"cannot read {path}: {exc}"
-        raise IoFailure(msg) from exc
+        raise SimulatorError(msg) from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         msg = f"{path} is not a UTF-8 CSV file: {exc}"
-        raise IoFailure(msg) from exc
+        raise SimulatorError(msg) from exc

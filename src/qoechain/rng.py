@@ -13,9 +13,14 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+def seed_fits(seed: int) -> bool:
+    """The rule on seeds, for the generator and the scenario parser alike."""
+    return 0 <= seed <= _MASK64
+
+
 class SplitMix64:
     def __init__(self, seed: int):
-        if not 0 <= seed <= _MASK64:
+        if not seed_fits(seed):
             msg = f"seed must fit in an unsigned 64-bit integer, got {seed}"
             raise InvalidRange(msg, field="seed")
         self._state = seed

@@ -54,7 +54,7 @@ from __future__ import annotations
 from collections.abc import Collection
 from heapq import heappop, heappush
 
-from .errors import UnknownHost
+from .errors import SimulatorError
 
 PathKey = tuple[float, int, tuple[int, ...]]
 
@@ -121,7 +121,7 @@ def shortest_path_tree(
     """
     if src not in net.nodes:
         msg = f"unknown node in path query: {src}"
-        raise UnknownHost(msg)
+        raise SimulatorError(msg)
     return _settle(net, src, bw_kbps, targets)
 
 
@@ -184,7 +184,7 @@ def shortest_feasible_path(net, src: int, dst: int, bw_kbps: int) -> list[int] |
     """
     if src not in net.nodes or dst not in net.nodes:
         msg = f"unknown node in path query: {src} -> {dst}"
-        raise UnknownHost(msg)
+        raise SimulatorError(msg)
     if src == dst:
         return []
     label = _floor_tree(net, src).get(dst)

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .controller import PolicyConfig
-from .errors import InvalidRange, IoFailure
+from .errors import InvalidRange, SimulatorError
 from .network import LinkSpec, NodeKind, NodeSpec, check_link_quality
 from .qoe import Ela, check_stall_ratio
+from .rng import seed_fits
 from .service import AppProfile, ChainRequest, VnfType
 from .units import KBPS_PER_MBPS, kbps_to_mbps, mbps_to_kbps
-
-_MAX_SEED = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -412,7 +411,7 @@ def parse_scenario(text: str | bytes) -> tuple[ScenarioDoc | None, list[Diagnost
 
     doc = dict(root)
     meta = _read_section(ctx, doc, "meta")
-    if not 0 <= meta["seed"] <= _MAX_SEED:
+    if not seed_fits(meta["seed"]):
         ctx.error("meta.seed", "must fit in an unsigned 64-bit integer")
     if meta["duration_ms"] < 0:
         ctx.error("meta.duration_ms", "must be non-negative")
@@ -513,5 +512,5 @@ def load_scenario(path) -> tuple[ScenarioDoc | None, list[Diagnostic]]:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
-        raise IoFailure(f"cannot read scenario {path}: {exc}") from exc
+        raise SimulatorError(f"cannot read scenario {path}: {exc}") from exc
     return parse_scenario(data)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import InvalidProfile, InvalidRange, UnknownProfile, UnknownVnf
+from .errors import InvalidRange, SimulatorError
 from .network import NetworkState, NodeKind
 from .units import mbps_to_kbps
 
@@ -53,19 +53,19 @@ class AppProfile:
 
     def __post_init__(self):
         if not self.name:
-            raise InvalidProfile("profile name must be non-empty", field="name")
+            raise InvalidRange("profile name must be non-empty", field="name")
         if self.bw_req_mbps <= 0:
             msg = f"profile {self.name}: bw_req must be positive"
-            raise InvalidProfile(msg, field="bw_req_mbps")
+            raise InvalidRange(msg, field="bw_req_mbps")
         if self.delay_opt_ms < 0 or self.delay_max_ms <= self.delay_opt_ms:
             msg = f"profile {self.name}: need 0 <= delay_opt_ms < delay_max_ms"
-            raise InvalidProfile(msg)
+            raise InvalidRange(msg)
         if self.loss_max_pct <= 0 or self.loss_max_pct > 100:
             msg = f"profile {self.name}: loss_max must be in (0, 100]"
-            raise InvalidProfile(msg, field="loss_max_pct")
+            raise InvalidRange(msg, field="loss_max_pct")
         if not 0 < self.stall_max <= 1:
             msg = f"profile {self.name}: stall_max must be in (0, 1]"
-            raise InvalidProfile(msg, field="stall_max")
+            raise InvalidRange(msg, field="stall_max")
 
     @cached_property
     def bw_req_kbps(self) -> int:
@@ -127,13 +127,13 @@ class ServiceCatalog:
         try:
             return self.vnf_types[name]
         except KeyError:
-            raise UnknownVnf(f"unknown vnf type {name!r}") from None
+            raise SimulatorError(f"unknown vnf type {name!r}") from None
 
     def profile(self, name: str) -> AppProfile:
         try:
             return self.profiles[name]
         except KeyError:
-            raise UnknownProfile(f"unknown profile {name!r}") from None
+            raise SimulatorError(f"unknown profile {name!r}") from None
 
     def proc_latencies(self, names: Sequence[str]) -> tuple[float, ...]:
         return tuple(self.vnf(name).proc_latency_ms for name in names)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import re
 import time
 from pathlib import Path
 from random import Random
@@ -33,15 +34,8 @@ from qoechain import (
     write_report,
 )
 from qoechain.controller import RejectReason
-from qoechain.errors import (
-    AlreadyFailed,
-    InstanceTooLarge,
-    InsufficientResidual,
-    InvariantViolation,
-    UnknownHost,
-)
+from qoechain.errors import InvariantViolation, SimulatorError
 from qoechain.oracle import (
-    OracleLimits,
     enumerate_simple_paths,
     exact_embed,
     graph_latency,
@@ -66,6 +60,8 @@ from generators import (
 )
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
+# How exact_embed refuses an instance above its limits.
+ORACLE_REFUSAL = re.compile(r"exceeds oracle limit|more than \d+ simple paths")
 
 
 def _verdict(label: str, ok: bool, detail: str) -> None:
@@ -204,8 +200,8 @@ def _raw_conservation_sequence(rng: Random) -> int:
                 link_demands[link] = link_demands.get(link, 0) + rng.randint(0, 8) * 500
             try:
                 net.reserve(link_demands, cpu_demands, mem_demands)
-            except (InsufficientResidual, UnknownHost, AlreadyFailed):
-                pass
+            except SimulatorError as exc:
+                assert re.fullmatch(r"insufficient \w+ on \d+|host \d+ has failed", str(exc)), exc
             else:
                 for host, cpu in cpu_demands.items():
                     used_cpu[host] += cpu
@@ -362,7 +358,6 @@ def test_every_emitted_embedding_is_valid():
 def test_oracle_contains_greedy_and_measures_the_gap():
     rng = Random(505)
     start = time.perf_counter()
-    limits = OracleLimits(max_hosts=6, max_chain=3, max_paths_per_pair=100)
     instances = 0
     admitted = 0
     containment_failures = 0
@@ -380,8 +375,9 @@ def test_oracle_contains_greedy_and_measures_the_gap():
         controller = Controller(net, catalog, Ela(1.0, 2, 0.9))
         request = random_request(rng, 0, net, catalog, target=1.0, max_chain=3)
         try:
-            exact = exact_embed(net, catalog, request, limits)
-        except InstanceTooLarge:
+            exact = exact_embed(net, catalog, request)
+        except SimulatorError as exc:
+            assert ORACLE_REFUSAL.search(str(exc)), exc
             continue
         instances += 1
         greedy = controller.admit(request)
@@ -433,7 +429,6 @@ def test_admission_gap_of_greedy_rejections():
     # can embed, by rejection reason. Only containment is a guarantee; the
     # gap figures are measured, not bounded.
     rng = Random(707)
-    limits = OracleLimits(max_hosts=6, max_chain=3, max_paths_per_pair=100)
     instances = 0
     admitted = 0
     containment_failures = 0
@@ -450,8 +445,9 @@ def test_admission_gap_of_greedy_rejections():
         catalog = random_catalog(rng)
         request = random_request(rng, 0, net, catalog, max_chain=3)
         try:
-            exact = exact_embed(net, catalog, request, limits)
-        except InstanceTooLarge:
+            exact = exact_embed(net, catalog, request)
+        except SimulatorError as exc:
+            assert ORACLE_REFUSAL.search(str(exc)), exc
             continue
         instances += 1
         greedy = Controller(net, catalog, Ela(1.0, 2, 0.9)).admit(request)

@@ -141,6 +141,19 @@ def test_oracle_reports_infeasible_instances(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"feasible": False, "request": 0}
 
 
+def test_oracle_refuses_an_instance_above_its_limits(tmp_path, capsys):
+    scenario = json.loads((SCENARIOS / "basic.json").read_text())
+    scenario["network"]["nodes"] += [
+        {"id": i, "kind": "host", "cpu_capacity": 1, "mem_capacity": 1} for i in range(3, 9)
+    ]
+    path = tmp_path / "seven_hosts.json"
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["oracle", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR input: 7 hosts exceeds oracle limit 6\n"
+
+
 def test_report_summarizes_a_run_directory(tmp_path, capsys):
     out = tmp_path / "out"
     cli.main(["run", BASIC, "--out", str(out)])

@@ -16,7 +16,6 @@ from qoechain import (
     NetworkState,
     NodeKind,
     NodeSpec,
-    OracleLimits,
     Orchestrator,
     PolicyConfig,
     Rejected,
@@ -32,12 +31,7 @@ from qoechain import (
 from qoechain import controller as controller_module
 from qoechain import routing
 from qoechain.controller import ActionKind, ResourceView
-from qoechain.errors import (
-    AlreadyTerminal,
-    DuplicateRequest,
-    InstanceTooLarge,
-    InvalidRange,
-)
+from qoechain.errors import InvalidRange, SimulatorError
 from qoechain.oracle import graph_latency
 from qoechain.orchestrator import DbEntry
 from qoechain.routing import shortest_path_tree
@@ -96,7 +90,7 @@ def test_admit_reserves_everything_transactionally():
 def test_admit_twice_raises():
     orch = _orchestrator()
     orch.submit_request(make_request(), now=0)
-    with pytest.raises(DuplicateRequest):
+    with pytest.raises(SimulatorError, match="request 0 already submitted"):
         orch.submit_request(make_request(), now=0)
 
 
@@ -216,26 +210,22 @@ def test_exact_embed_infeasible_returns_none():
     assert exact_embed(ctl.network, ctl.catalog, make_request(ingress=0, egress=3)) is None
 
 
-def test_exact_embed_enforces_limits():
+def test_exact_embed_enforces_limits(monkeypatch):
     nodes = [NodeSpec(0, NodeKind.ENDPOINT), NodeSpec(1, NodeKind.ENDPOINT)]
     nodes += [NodeSpec(i, NodeKind.HOST, cpu_capacity=1, mem_capacity=1) for i in range(2, 9)]
     links = [LinkSpec(0, 0, 1, bandwidth_kbps=10_000, latency_ms=1.0)]
     ctl = Controller(NetworkState(nodes, links), small_catalog(), ELA)
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(SimulatorError, match="7 hosts exceeds oracle limit 6"):
         exact_embed(ctl.network, ctl.catalog, make_request(ingress=0, egress=1, vnfs=()))
 
     ctl = _controller()
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(SimulatorError, match="chain length 4 exceeds oracle limit 3"):
         exact_embed(ctl.network, ctl.catalog, make_request(vnfs=("fw",) * 4))
 
     ctl = Controller(square_network(), small_catalog(), ELA)
-    with pytest.raises(InstanceTooLarge):
-        exact_embed(
-            ctl.network,
-            ctl.catalog,
-            make_request(ingress=0, egress=3, vnfs=()),
-            OracleLimits(max_paths_per_pair=1),
-        )
+    monkeypatch.setattr("qoechain.oracle.MAX_PATHS_PER_PAIR", 1)
+    with pytest.raises(SimulatorError, match="more than 1 simple paths between 0 and 3"):
+        exact_embed(ctl.network, ctl.catalog, make_request(ingress=0, egress=3, vnfs=()))
 
 
 def _bw_view(net, deltas, shunned=()):
@@ -1360,7 +1350,7 @@ def test_release_flow_returns_holdings_and_restores_state():
     orch.complete_request(0, now=1000)
     assert snapshot(orch.controller.network) == pristine
     assert orch.counters()["completed"] == 1
-    with pytest.raises(AlreadyTerminal):
+    with pytest.raises(SimulatorError, match="request 0 is already Completed"):
         orch.complete_request(0, now=2000)
 
 

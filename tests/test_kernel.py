@@ -14,7 +14,7 @@ from random import Random
 import pytest
 
 from qoechain import Controller, EventQueue, ForwardingGraph, parse_scenario, run, write_report
-from qoechain.errors import InvariantViolation, TimeTravel
+from qoechain.errors import InvariantViolation, SimulatorError
 from qoechain.kernel import Departure, MeasureWindow
 from qoechain.orchestrator import DbEntry
 from qoechain.qoe import QoeSample
@@ -110,7 +110,7 @@ def test_scheduling_into_the_past_raises():
     queue = EventQueue()
     queue.schedule(MeasureWindow(time_ms=5, index=0))
     queue.pop()
-    with pytest.raises(TimeTravel):
+    with pytest.raises(SimulatorError, match="event at 4ms scheduled at clock 5ms"):
         queue.schedule(MeasureWindow(time_ms=4, index=1))
     queue.schedule(MeasureWindow(time_ms=5, index=1))
 

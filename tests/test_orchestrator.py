@@ -20,12 +20,7 @@ from qoechain import (
     audit_lifecycle,
     run,
 )
-from qoechain.errors import (
-    AlreadyTerminal,
-    DuplicateRequest,
-    IllegalTransition,
-    UnknownRequest,
-)
+from qoechain.errors import InvariantViolation, SimulatorError
 from qoechain.orchestrator import LEGAL_TRANSITIONS, TERMINAL, DbEntry
 from qoechain.report import SimReport
 from qoechain.service import ForwardingGraph
@@ -59,7 +54,8 @@ def test_automaton_covers_every_status_and_terminals_are_sinks():
 def test_transition_rejects_illegal_edge_without_side_effects():
     db = VnfDb()
     entry = _entry([])
-    with pytest.raises(IllegalTransition):
+    illegal = "request 0: illegal transition Requested -> Degraded"
+    with pytest.raises(InvariantViolation, match=illegal):
         db.transition(entry, LifecycleStatus.DEGRADED, now=0)
     assert entry.status is LifecycleStatus.REQUESTED
     assert entry.log == []
@@ -69,7 +65,7 @@ def test_transition_rejects_time_regression_but_allows_same_instant():
     db = VnfDb()
     entry = _entry([])
     db.transition(entry, LifecycleStatus.ACTIVE, now=100)
-    with pytest.raises(IllegalTransition):
+    with pytest.raises(InvariantViolation, match="request 0: lifecycle log time went backwards"):
         db.transition(entry, LifecycleStatus.DEGRADED, now=99)
     db.transition(entry, LifecycleStatus.DEGRADED, now=100)
     assert entry.log == [(100, LifecycleStatus.ACTIVE), (100, LifecycleStatus.DEGRADED)]
@@ -88,7 +84,7 @@ def test_submit_activates_and_logs():
 def test_submit_rejects_duplicate_ids():
     orch = _orchestrator()
     orch.submit_request(make_request(), now=0)
-    with pytest.raises(DuplicateRequest):
+    with pytest.raises(SimulatorError, match="request 0 already submitted"):
         orch.submit_request(make_request(), now=1)
 
 
@@ -111,11 +107,11 @@ def test_complete_releases_resources_and_finishes():
 
 def test_complete_unknown_or_finished_request_raises():
     orch = _orchestrator()
-    with pytest.raises(UnknownRequest):
+    with pytest.raises(SimulatorError, match="unknown request 42"):
         orch.complete_request(42, now=0)
     orch.submit_request(make_request(), now=0)
     orch.complete_request(0, now=5)
-    with pytest.raises(AlreadyTerminal):
+    with pytest.raises(SimulatorError, match="request 0 is already Completed"):
         orch.complete_request(0, now=6)
 
 
@@ -148,13 +144,13 @@ def test_failed_action_is_terminal():
     orch.submit_request(make_request(), now=0)
     entry = orch.apply_action(Action(ActionKind.FAILED, flow_id=0), now=500)
     assert entry.status is LifecycleStatus.FAILED
-    with pytest.raises(AlreadyTerminal):
+    with pytest.raises(SimulatorError, match="request 0 is already Failed"):
         orch.complete_request(0, now=600)
 
 
 def test_action_for_unknown_flow_raises():
     orch = _orchestrator()
-    with pytest.raises(UnknownRequest):
+    with pytest.raises(SimulatorError, match="action for unknown request 9"):
         orch.apply_action(Action(ActionKind.FAILED, flow_id=9), now=0)
 
 

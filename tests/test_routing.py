@@ -13,7 +13,7 @@ from qoechain import (
     shortest_feasible_path,
 )
 from qoechain.controller import ResourceView
-from qoechain.errors import InstanceTooLarge, UnknownHost
+from qoechain.errors import SimulatorError
 from qoechain.oracle import path_key
 from qoechain.routing import floor_tier, shortest_path_tree
 
@@ -68,9 +68,9 @@ def test_same_endpoint_path_is_empty():
 
 def test_unknown_nodes_raise():
     net = _parallel_pair()
-    with pytest.raises(UnknownHost):
+    with pytest.raises(SimulatorError, match="unknown node in path query: 0 -> 9"):
         shortest_feasible_path(net, 0, 9, 1000)
-    with pytest.raises(UnknownHost):
+    with pytest.raises(SimulatorError, match="unknown node in path query: 9 -> 0"):
         enumerate_simple_paths(net, 9, 0, 1000)
 
 
@@ -137,7 +137,7 @@ def test_enumeration_lists_every_simple_path():
 
 def test_enumeration_overflow_raises():
     net = square_network()
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(SimulatorError, match="more than 1 simple paths between 0 and 3"):
         enumerate_simple_paths(net, 0, 3, 1000, max_paths=1)
 
 
@@ -229,7 +229,7 @@ def test_tree_on_a_planning_view_reads_its_bandwidth_deltas():
 
 def test_tree_of_an_unknown_source_raises():
     net = _parallel_pair()
-    with pytest.raises(UnknownHost):
+    with pytest.raises(SimulatorError, match="unknown node in path query: 9"):
         shortest_path_tree(net, 9, 1000)
     assert shortest_path_tree(net, 0, 6000) == {0: (0.0, 0, ()), 1: (10.0, 1, (2,))}
 

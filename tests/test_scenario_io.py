@@ -10,7 +10,7 @@ import pytest
 
 from qoechain import load_scenario, parse_scenario, serialize_scenario
 from qoechain.controller import PolicyConfig
-from qoechain.errors import InvalidRange, IoFailure
+from qoechain.errors import InvalidRange, SimulatorError
 from qoechain.scenario import HostFailure, LinkDegradation, StallInjection
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -564,5 +564,5 @@ def test_load_scenario_reads_files(tmp_path):
     doc, diagnostics = load_scenario(SCENARIOS / "basic.json")
     assert diagnostics == []
     assert doc.name == "basic"
-    with pytest.raises(IoFailure):
+    with pytest.raises(SimulatorError, match=r"cannot read scenario .*missing\.json: \[Errno 2\]"):
         load_scenario(tmp_path / "missing.json")

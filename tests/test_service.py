@@ -14,7 +14,7 @@ from qoechain import (
     path_metrics,
     validate_forwarding_graph,
 )
-from qoechain.errors import InvalidProfile, InvalidRange, UnknownProfile, UnknownVnf
+from qoechain.errors import InvalidRange, SimulatorError
 
 from generators import line_network, make_profile, make_request, square_network
 
@@ -29,17 +29,17 @@ def test_vnf_type_validation():
 
 
 def test_profile_validation():
-    with pytest.raises(InvalidProfile):
+    with pytest.raises(InvalidRange, match="profile video: bw_req must be positive"):
         make_profile(bw=0.0)
-    with pytest.raises(InvalidProfile):
+    with pytest.raises(InvalidRange, match="profile video: need 0 <= delay_opt_ms < delay_max_ms"):
         make_profile(delay_opt=100.0, delay_max=100.0)
-    with pytest.raises(InvalidProfile):
+    with pytest.raises(InvalidRange, match=r"profile video: loss_max must be in \(0, 100\]"):
         make_profile(loss_max=0.0)
-    with pytest.raises(InvalidProfile):
+    with pytest.raises(InvalidRange, match=r"profile video: loss_max must be in \(0, 100\]"):
         make_profile(loss_max=101.0)
-    with pytest.raises(InvalidProfile):
+    with pytest.raises(InvalidRange, match=r"profile video: stall_max must be in \(0, 1\]"):
         make_profile(stall_max=0.0)
-    with pytest.raises(InvalidProfile):
+    with pytest.raises(InvalidRange, match=r"profile video: stall_max must be in \(0, 1\]"):
         make_profile(stall_max=1.5)
 
 
@@ -65,9 +65,9 @@ def test_catalog_lookup():
     assert catalog.vnf("fw").proc_latency_ms == 10.0
     assert catalog.profile("video").bw_req_mbps == 4.0
     assert catalog.proc_latencies(["nat", "fw", "nat"]) == (5.0, 10.0, 5.0)
-    with pytest.raises(UnknownVnf):
+    with pytest.raises(SimulatorError, match="unknown vnf type 'dpi'"):
         catalog.vnf("dpi")
-    with pytest.raises(UnknownProfile):
+    with pytest.raises(SimulatorError, match="unknown profile 'voice'"):
         catalog.profile("voice")
     with pytest.raises(InvalidRange):
         ServiceCatalog([VnfType("fw", 1, 1, 1.0), VnfType("fw", 2, 2, 2.0)], [])

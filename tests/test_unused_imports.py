@@ -16,6 +16,11 @@ read of any attribute with the same name counts; dunder methods are called
 by the language and are never reported. Because of that, a method name that two or more classes define
 is reported too, unless ``SHARED`` gives the reason: a read of one such
 method would hide that the other has lost its callers.
+
+The error scan reports each exception class defined in ``errors.py`` that
+no ``except`` clause in ``src/qoechain`` names: a class nothing catches
+is a distinction no caller makes, so it is raised as the class it derives
+from instead.
 """
 
 from __future__ import annotations
@@ -145,6 +150,27 @@ def unused_definitions(sources: list[str], shared=(), public=()) -> list[str]:
     return unused
 
 
+def caught(tree: ast.AST) -> set[str]:
+    """Names the except clauses in tree catch, alone or in a tuple."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for each in types:
+                if isinstance(each, ast.Name):
+                    names.add(each.id)
+                elif isinstance(each, ast.Attribute):
+                    names.add(each.attr)
+    return names
+
+
+def uncaught_errors(errors: str, sources: list[str]) -> list[str]:
+    """Classes defined in the errors source that no except clause in sources names."""
+    defined = [node.name for node in ast.walk(ast.parse(errors)) if isinstance(node, ast.ClassDef)]
+    names = set().union(*(caught(ast.parse(source)) for source in sources))
+    return [name for name in defined if name not in names]
+
+
 def test_the_scan_sees_an_unused_import():
     source = (
         "import os\nimport sys\nfrom json import dumps, loads\nfrom io import StringIO\n"
@@ -190,6 +216,15 @@ def test_the_scan_sees_an_export_nothing_reads():
     assert unused_definitions(sources, public={"spare"}) == []
 
 
+def test_the_scan_sees_an_error_class_nothing_catches():
+    errors = "class Base(Exception): pass\nclass Odd(Base): pass\nclass Rare(Base): pass\n"
+    sources = [
+        "try:\n    f()\nexcept (errors.Odd, KeyError):\n    pass\n",
+        "try:\n    g()\nexcept Base as exc:\n    raise\nexcept:\n    pass\n",
+    ]
+    assert uncaught_errors(errors, sources) == ["Rare"]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -208,3 +243,9 @@ def test_every_public_definition_is_still_unread():
 def test_every_shared_method_name_is_still_shared():
     owners = method_owners([ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE])
     assert {name: owners[name] for name in SHARED if len(owners[name]) < 2} == {}
+
+
+def test_every_error_class_is_caught_somewhere():
+    errors = (ROOT / "src/qoechain/errors.py").read_text(encoding="utf-8")
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
+    assert uncaught_errors(errors, sources) == []
