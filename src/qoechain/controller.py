@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from typing import TYPE_CHECKING, Collection, Iterable
 
 from .errors import (
@@ -68,12 +67,6 @@ from .units import KBPS_PER_MBPS
 
 if TYPE_CHECKING:
     from .orchestrator import DbEntry
-
-# The figures of a FlowSample that smoothing folds, in field order.
-_FIGURES = attrgetter(
-    "throughput_mbps", "delay_ms", "jitter_ms", "loss_pct", "stall_ratio"
-)
-
 
 @dataclass(frozen=True)
 class PolicyConfig:
@@ -324,8 +317,8 @@ class Controller:
     ) -> tuple[list[QoeSample], list[DbEntry]]:
         """Measure the given live flows for one window.
 
-        Returns (samples, breaching): one sample per flow, and the entries
-        of those that breach the ELA.
+        Returns (samples, breaching): one QoeSample per flow, and the
+        entries of those that breach the ELA.
         flows are the live database entries in ascending request id; both
         lists come out in that order. Raw figures come from the flow's
         route figures (the path metrics of its current segments under the
@@ -391,28 +384,25 @@ class Controller:
                 self.network,
                 self.catalog.proc_latencies(request.vnf_sequence),
             )
-        route = entry.route
-        raw = FlowSample(
-            flow_id=request.id,
-            throughput_mbps=graph.reserved_bw_kbps / KBPS_PER_MBPS,
-            delay_ms=route.latency_ms,
-            jitter_ms=route.jitter_ms,
-            loss_pct=route.loss_pct,
-            stall_ratio=self.stall_levels.get(request.id, 0.0),
-        )
+        throughput = graph.reserved_bw_kbps / KBPS_PER_MBPS
+        stall = self.stall_levels.get(request.id, 0.0)
+        raw = FlowSample(request.id, throughput, *entry.route, stall)
         still = self._smooth(entry, raw, alpha)
         sample = estimate_mos(entry.smoothed, profile)
         entry.settled = sample if still else None
         return sample
 
     def _smooth(self, entry: DbEntry, raw: FlowSample, alpha: float) -> bool:
-        """Fold raw into entry.smoothed; whether every smoothed figure stood still."""
+        """Fold raw into entry.smoothed; whether every smoothed figure stood still.
+
+        The figures are every field of a FlowSample after its flow id.
+        """
         prev = entry.smoothed
         if prev is None:
             entry.smoothed = raw
             return False
-        last = _FIGURES(prev)
-        figures = tuple(alpha * r + (1 - alpha) * p for r, p in zip(_FIGURES(raw), last))
+        last = prev[1:]
+        figures = tuple(alpha * r + (1 - alpha) * p for r, p in zip(raw[1:], last))
         entry.smoothed = FlowSample(raw.flow_id, *figures)
         return figures == last
 

@@ -3,9 +3,12 @@
 Time is integer milliseconds. Events dispatch in (time, seq) order where
 seq is the scheduling order, so same-time ties resolve the same way every
 run: measurement windows are scheduled first, then the scenario's requests
-in id order, then its fault records in file order, then anything spawned
-while running (departures).
-The scenario's fault records are queued as they are: each is its own event.
+in id order, then its fault records, each its own event, then anything
+spawned while running (departures). Each fault list is queued in value
+order: host failures by (time, host), degradations by _degradation_order
+and stalls by (time, flow, ratio). So at one instant one link's or one
+flow's records apply in that order and the last one stands, whatever order
+the file lists them in.
 """
 
 from __future__ import annotations
@@ -24,6 +27,12 @@ from .report import SimReport
 from .rng import SplitMix64
 from .scenario import HostFailure, LinkDegradation, ScenarioDoc, StallInjection
 from .service import ServiceCatalog, validate_forwarding_graph
+
+
+def _degradation_order(fault: LinkDegradation) -> tuple:
+    """(time, link, latency, jitter, loss), with -1 for an absent figure."""
+    figures = (fault.latency_ms, fault.jitter_ms, fault.loss_pct)
+    return (fault.time_ms, fault.link, *(-1 if f is None else f for f in figures))
 
 
 @dataclass(frozen=True)
@@ -108,7 +117,11 @@ def run(
             span = 2 * doc.arrival_jitter_ms + 1
             arrival = max(0, arrival + rng.next_below(span) - doc.arrival_jitter_ms)
         queue.schedule(Arrival(time_ms=arrival, request=request))
-    for fault in (*doc.host_failures, *doc.link_degradations, *doc.stall_injections):
+    for fault in (
+        *sorted(doc.host_failures, key=attrgetter("time_ms", "host")),
+        *sorted(doc.link_degradations, key=_degradation_order),
+        *sorted(doc.stall_injections, key=attrgetter("time_ms", "flow", "stall_ratio")),
+    ):
         queue.schedule(fault)
 
     series: list[list[QoeSample]] = []

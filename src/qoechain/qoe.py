@@ -4,12 +4,27 @@ MOS is modeled as 1 + 4 * q_bw * q_delay * q_loss * q_stall with each factor
 in [0, 1], so one exhausted dimension pins the score at 1 and a sample that
 meets every optimum scores 5. Jitter enters through an effective delay of
 delay + 2 * jitter.
+
+FlowSample and QoeSample are plain tuples that check nothing, because every
+figure they carry is in range by construction, floats included:
+- A raw sample's delay, jitter and loss are sums, and one compounded
+  product, of link and VNF figures that the parser and check_link_quality
+  hold non-negative, loss at most 100. Its throughput is a reservation of
+  0 kbps or more, and its stall level passed check_stall_ratio in the
+  parser and in set_stall.
+- Smoothing takes a * r + (1 - a) * p with a in (0, 1] and r, p >= 0,
+  which is exactly non-negative in IEEE floats.
+- estimate_mos maps any non-negative figures into factors in [0, 1]: q_bw
+  by min, q_delay by _clamp01, and q_loss and q_stall by max(0, 1 - x /
+  limit) with a limit AppProfile holds positive, so even a stall above 1
+  gives a q_stall in [0, 1]. The MOS is computed from those factors, so it
+  lies in [1, 5] and matches them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import InvalidRange
 from .units import KBPS_PER_MBPS
@@ -31,8 +46,7 @@ def check_stall_ratio(stall_ratio: float) -> None:
         raise InvalidRange("stall_ratio must be within [0, 1]", field="stall_ratio")
 
 
-@dataclass(frozen=True)
-class FlowSample:
+class FlowSample(NamedTuple):
     """One measurement window's raw figures for a flow."""
 
     flow_id: int
@@ -42,24 +56,13 @@ class FlowSample:
     loss_pct: float
     stall_ratio: float
 
-    def __post_init__(self):
-        if self.throughput_mbps < 0:
-            raise InvalidRange("throughput_mbps must be non-negative")
-        if self.delay_ms < 0:
-            raise InvalidRange("delay_ms must be non-negative")
-        if self.jitter_ms < 0:
-            raise InvalidRange("jitter_ms must be non-negative")
-        if self.loss_pct < 0:
-            raise InvalidRange("loss_pct must be non-negative")
-        check_stall_ratio(self.stall_ratio)
 
-
-@dataclass(frozen=True)
-class QoeSample:
+class QoeSample(NamedTuple):
     """A scored window: the MOS plus its four quality factors.
 
     Which window it scored is the series' business, not the sample's: a
-    settled flow's sample stands for every window it is reused in.
+    settled flow's sample stands for every window it is reused in. Its
+    fields after flow_id are the series' columns, in order.
     """
 
     flow_id: int
@@ -68,19 +71,6 @@ class QoeSample:
     q_delay: float
     q_loss: float
     q_stall: float
-
-    def __post_init__(self):
-        if not 0 <= self.q_bw <= 1:
-            raise InvalidRange("q_bw must be within [0, 1]")
-        if not 0 <= self.q_delay <= 1:
-            raise InvalidRange("q_delay must be within [0, 1]")
-        if not 0 <= self.q_loss <= 1:
-            raise InvalidRange("q_loss must be within [0, 1]")
-        if not 0 <= self.q_stall <= 1:
-            raise InvalidRange("q_stall must be within [0, 1]")
-        expected = 1.0 + 4.0 * self.q_bw * self.q_delay * self.q_loss * self.q_stall
-        if abs(self.mos - expected) > 1e-9:
-            raise InvalidRange("mos does not match its factors")
 
 
 @dataclass(frozen=True)
@@ -126,14 +116,7 @@ def estimate_mos(sample: FlowSample, profile: AppProfile) -> QoeSample:
     q_loss = max(0.0, 1.0 - sample.loss_pct / profile.loss_max_pct)
     q_stall = max(0.0, 1.0 - sample.stall_ratio / profile.stall_max)
     mos = 1.0 + 4.0 * q_bw * q_delay * q_loss * q_stall
-    return QoeSample(
-        flow_id=sample.flow_id,
-        mos=mos,
-        q_bw=q_bw,
-        q_delay=q_delay,
-        q_loss=q_loss,
-        q_stall=q_stall,
-    )
+    return QoeSample(sample.flow_id, mos, q_bw, q_delay, q_loss, q_stall)
 
 
 def predict_mos(
@@ -153,12 +136,5 @@ def predict_mos(
     metrics = path_metrics(
         segments, net, catalog.proc_latencies(request.vnf_sequence)
     )
-    sample = FlowSample(
-        flow_id=request.id,
-        throughput_mbps=profile.bw_req_kbps / KBPS_PER_MBPS,
-        delay_ms=metrics.latency_ms,
-        jitter_ms=metrics.jitter_ms,
-        loss_pct=metrics.loss_pct,
-        stall_ratio=0.0,
-    )
+    sample = FlowSample(request.id, profile.bw_req_kbps / KBPS_PER_MBPS, *metrics, 0.0)
     return estimate_mos(sample, profile)

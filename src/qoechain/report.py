@@ -46,9 +46,9 @@ from .units import kbps_to_mbps
 _escape = json.encoder.encode_basestring_ascii
 
 CSV_HEADER = ["time_ms", "flow_id", "mos", "q_bw", "q_delay", "q_loss", "q_stall"]
-# A series row after its time: the flow id and the five scores, six decimals each.
+# A series row after its time: a QoeSample, whose fields are CSV_HEADER[1:],
+# the flow id and the five scores with six decimals each.
 _ROW = "%d,%.6f,%.6f,%.6f,%.6f,%.6f"
-_row_fields = attrgetter(*CSV_HEADER[1:])
 
 # What `qoechain report` reads off summary.json, each with the types it takes:
 # the top level, the counters and each flow. A bool is not an int here.
@@ -117,7 +117,7 @@ def _write_series(handle, series: list[list[QoeSample]], window_ms: int) -> None
             for sample in samples:
                 text = previous.get(id(sample))
                 if text is None:
-                    text = _ROW % _row_fields(sample)
+                    text = _ROW % sample
                 current[id(sample)] = text
                 texts.append(text)
             previous, last = current, samples

@@ -41,7 +41,8 @@ def _check_time(time_ms: int) -> None:
         raise InvalidRange("time_ms must be non-negative", field="time_ms")
 
 
-# Fault records; the kernel queues each as it is, the event at its time_ms.
+# Fault records; the kernel queues each, in value order, as the event at its
+# time_ms.
 
 
 @dataclass(frozen=True)

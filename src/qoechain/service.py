@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidRange, SimulatorError
 from .network import NetworkState, NodeKind
@@ -160,8 +160,9 @@ class ForwardingGraph:
         return frozenset(link_id for segment in self.segments for link_id in segment)
 
 
-@dataclass(frozen=True)
-class PathMetrics:
+class PathMetrics(NamedTuple):
+    """A path's figures, in the order of a FlowSample's delay, jitter and loss."""
+
     latency_ms: float
     jitter_ms: float
     loss_pct: float

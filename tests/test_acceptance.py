@@ -96,22 +96,14 @@ def test_qoe_model_properties_hold_over_random_pairs():
         # Monotonicity: worsening any one coordinate never raises the score.
         if ok:
             worse_cases = (
-                dataclasses.replace(
-                    sample, throughput_mbps=sample.throughput_mbps * rng.random()
+                sample._replace(throughput_mbps=sample.throughput_mbps * rng.random()),
+                sample._replace(delay_ms=sample.delay_ms + rng.uniform(0.0, 200.0)),
+                sample._replace(jitter_ms=sample.jitter_ms + rng.uniform(0.0, 50.0)),
+                sample._replace(
+                    loss_pct=min(100.0, sample.loss_pct + rng.uniform(0.0, 20.0))
                 ),
-                dataclasses.replace(
-                    sample, delay_ms=sample.delay_ms + rng.uniform(0.0, 200.0)
-                ),
-                dataclasses.replace(
-                    sample, jitter_ms=sample.jitter_ms + rng.uniform(0.0, 50.0)
-                ),
-                dataclasses.replace(
-                    sample,
-                    loss_pct=min(100.0, sample.loss_pct + rng.uniform(0.0, 20.0)),
-                ),
-                dataclasses.replace(
-                    sample,
-                    stall_ratio=min(1.0, sample.stall_ratio + rng.uniform(0.0, 0.5)),
+                sample._replace(
+                    stall_ratio=min(1.0, sample.stall_ratio + rng.uniform(0.0, 0.5))
                 ),
             )
             for worse in worse_cases:
@@ -121,9 +113,9 @@ def test_qoe_model_properties_hold_over_random_pairs():
 
         # Saturation: throughput beyond the requirement scores like exactly enough.
         if ok:
-            at_req = dataclasses.replace(sample, throughput_mbps=profile.bw_req_mbps)
-            above = dataclasses.replace(
-                sample, throughput_mbps=profile.bw_req_mbps * rng.uniform(1.0, 4.0)
+            at_req = sample._replace(throughput_mbps=profile.bw_req_mbps)
+            above = sample._replace(
+                throughput_mbps=profile.bw_req_mbps * rng.uniform(1.0, 4.0)
             )
             saturated = estimate_mos(above, profile)
             ok = saturated.q_bw == 1.0

@@ -19,6 +19,7 @@ from qoechain.kernel import Departure, MeasureWindow
 from qoechain.orchestrator import DbEntry
 from qoechain.qoe import QoeSample
 from qoechain.report import SimReport
+from qoechain.scenario import LinkDegradation, StallInjection
 
 from generators import (
     bench_module,
@@ -244,6 +245,48 @@ def test_a_shuffled_workload_runs_the_same(tmp_path):
         second = _artifacts(run(replace(doc, requests=tuple(shuffled))), tmp_path / f"shuffled{index}")
         assert _digests(second) == _digests(first), doc.name
     assert moved > 20
+
+
+def _swapped_shuffle(rng: Random, records: list, pair: tuple) -> tuple:
+    """records shuffled, with the two records of pair in the other order."""
+    shuffled = list(records)
+    rng.shuffle(shuffled)
+    first, second = (shuffled.index(record) for record in pair)
+    if first < second:
+        shuffled[first], shuffled[second] = shuffled[second], shuffled[first]
+    return tuple(shuffled)
+
+
+def test_same_instant_faults_mean_the_same_in_any_order(tmp_path):
+    # At one instant, one link degraded twice and one flow stalled twice:
+    # the records apply in value order, whatever order the file lists them.
+    rng = Random(6767)
+    for index in range(40):
+        doc = random_doc(rng, index)
+        instant = rng.randrange(1000, doc.duration_ms)
+        link = rng.choice(doc.links).id
+        flow = rng.choice(doc.requests).id
+        slow = LinkDegradation(instant, link, latency_ms=250.0, loss_pct=8.0)
+        clean = LinkDegradation(instant, link, latency_ms=1.0, loss_pct=0.0)
+        stalled = StallInjection(instant, flow, 0.9)
+        flowing = StallInjection(instant, flow, 0.05)
+        degradations = [*doc.link_degradations, slow, clean]
+        stalls = [*doc.stall_injections, stalled, flowing]
+        listed = replace(doc, link_degradations=tuple(degradations), stall_injections=tuple(stalls))
+        requests = list(doc.requests)
+        rng.shuffle(requests)
+        failures = list(doc.host_failures)
+        rng.shuffle(failures)
+        shuffled = replace(
+            listed,
+            requests=tuple(requests),
+            host_failures=tuple(failures),
+            link_degradations=_swapped_shuffle(rng, degradations, (slow, clean)),
+            stall_injections=_swapped_shuffle(rng, stalls, (stalled, flowing)),
+        )
+        first = _artifacts(run(listed, strict_debug=True), tmp_path / f"listed{index}")
+        second = _artifacts(run(shuffled, strict_debug=True), tmp_path / f"shuffled{index}")
+        assert _digests(second) == _digests(first), doc.name
 
 
 def test_window_exactly_at_target_counts_as_compliant(tmp_path):

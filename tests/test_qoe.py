@@ -1,12 +1,33 @@
 """MOS model, agreement rules and admission prediction."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from qoechain import Ela, FlowSample, QoeSample, estimate_mos, predict_mos
+from qoechain import (
+    Controller,
+    Ela,
+    FlowSample,
+    ForwardingGraph,
+    estimate_mos,
+    parse_scenario,
+    predict_mos,
+    run,
+)
 from qoechain.errors import InvalidRange
+from qoechain.orchestrator import DbEntry
 
-from generators import breach_trail, line_network, make_profile, make_request, small_catalog
+from generators import (
+    SCENARIOS,
+    breach_trail,
+    line_network,
+    make_profile,
+    make_request,
+    random_doc,
+    series_rows,
+    small_catalog,
+)
 
 
 def _sample(thr=4.0, delay=100.0, jitter=25.0, loss=1.0, stall=0.05):
@@ -61,18 +82,39 @@ def test_throughput_above_requirement_does_not_overshoot():
     assert estimate_mos(_sample(thr=0.0), profile).q_bw == 0.0
 
 
-def test_flow_sample_validation():
-    with pytest.raises(InvalidRange):
-        _sample(thr=-0.1)
-    with pytest.raises(InvalidRange):
-        _sample(stall=1.1)
+# A sample's figures after its flow id: four non-negative, then a stall level.
+figures = st.tuples(*[st.floats(0.0, 1e12)] * 4, st.floats(0.0, 1.0))
 
 
-def test_qoe_sample_rejects_inconsistent_mos():
-    with pytest.raises(InvalidRange):
-        QoeSample(0, mos=4.0, q_bw=1.0, q_delay=1.0, q_loss=1.0, q_stall=1.0)
-    with pytest.raises(InvalidRange):
-        QoeSample(0, mos=5.0, q_bw=1.0, q_delay=1.2, q_loss=1.0, q_stall=1.0)
+@given(figures, figures, st.floats(0.0, 1.0, exclude_min=True))
+def test_smoothing_keeps_figures_in_range(prev, raw, alpha):
+    # The EWMA of non-negative figures is non-negative, and of two stall
+    # levels in [0, 1] is in [0, 1], exactly in floats: nothing re-checks it.
+    controller = Controller(line_network(), small_catalog(), Ela(3.0, 2, 0.9))
+    entry = DbEntry(make_request(), ForwardingGraph((), ((),), 0))
+    entry.smoothed = FlowSample(0, *prev)
+    controller._smooth(entry, FlowSample(0, *raw), alpha)
+    smoothed = entry.smoothed
+    assert all(figure >= 0.0 for figure in smoothed[1:])
+    assert smoothed.stall_ratio <= 1.0
+
+
+def test_every_scored_window_is_in_range():
+    # What a run writes is in range by construction: each factor in [0, 1]
+    # and the MOS exactly the model's value of them, so within [1, 5].
+    rng = Random(7171)
+    docs = [parse_scenario(path.read_text())[0] for path in sorted(SCENARIOS.glob("*.json"))]
+    docs += [random_doc(rng, index) for index in range(40)]
+    scored = 0
+    for doc in docs:
+        for _, sample in series_rows(run(doc)):
+            factors = sample[2:]
+            assert all(0.0 <= factor <= 1.0 for factor in factors), sample
+            assert 1.0 <= sample.mos <= 5.0, sample
+            q_bw, q_delay, q_loss, q_stall = factors
+            assert sample.mos == 1.0 + 4.0 * q_bw * q_delay * q_loss * q_stall, sample
+            scored += 1
+    assert scored > 100
 
 
 def test_ela_validation():
