@@ -11,11 +11,11 @@ from .controller import (
 from .errors import InvariantViolation, SimulatorError
 from .kernel import EventQueue, audit_conservation, run
 from .network import (
-    LinkQuality,
     LinkSpec,
     NetworkState,
     NodeKind,
     NodeSpec,
+    PathMetrics,
 )
 from .oracle import enumerate_simple_paths, exact_embed
 from .orchestrator import LifecycleStatus, Orchestrator, VnfDb, audit_lifecycle
@@ -39,7 +39,6 @@ from .service import (
     AppProfile,
     ChainRequest,
     ForwardingGraph,
-    PathMetrics,
     ServiceCatalog,
     VnfType,
     path_metrics,
@@ -59,7 +58,6 @@ __all__ = [
     "ForwardingGraph",
     "InvariantViolation",
     "LifecycleStatus",
-    "LinkQuality",
     "LinkSpec",
     "NetworkState",
     "NodeKind",

@@ -20,7 +20,7 @@ from typing import Callable
 
 from .controller import Controller, Rejected
 from .errors import InvariantViolation, SimulatorError
-from .network import NetworkState
+from .network import NetworkState, PathMetrics
 from .orchestrator import Orchestrator, VnfDb, audit_lifecycle
 from .qoe import QoeSample
 from .report import SimReport
@@ -29,10 +29,12 @@ from .scenario import HostFailure, LinkDegradation, ScenarioDoc, StallInjection
 from .service import ServiceCatalog, validate_forwarding_graph
 
 
+_figures = attrgetter(*PathMetrics._fields)
+
+
 def _degradation_order(fault: LinkDegradation) -> tuple:
     """(time, link, latency, jitter, loss), with -1 for an absent figure."""
-    figures = (fault.latency_ms, fault.jitter_ms, fault.loss_pct)
-    return (fault.time_ms, fault.link, *(-1 if f is None else f for f in figures))
+    return (fault.time_ms, fault.link, *(-1 if f is None else f for f in _figures(fault)))
 
 
 @dataclass(frozen=True)
@@ -206,27 +208,18 @@ def audit_conservation(
             for link_id in segment:
                 expected_bw[link_id] = expected_bw.get(link_id, 0) + graph.reserved_bw_kbps
 
-    for host_id in state.residual_cpu:
-        node = state.nodes[host_id]
-        used_cpu = node.cpu_capacity - state.residual_cpu[host_id]
-        used_mem = node.mem_capacity - state.residual_mem[host_id]
-        if used_cpu != expected_cpu.get(host_id, 0):
-            violations.append(
-                f"host {host_id}: cpu ledger says {expected_cpu.get(host_id, 0)}, "
-                f"state says {used_cpu}"
-            )
-        if used_mem != expected_mem.get(host_id, 0):
-            violations.append(
-                f"host {host_id}: mem ledger says {expected_mem.get(host_id, 0)}, "
-                f"state says {used_mem}"
-            )
-    for link_id, link in state.links.items():
-        used_bw = link.bandwidth_kbps - state.residual_bw[link_id]
-        if used_bw != expected_bw.get(link_id, 0):
-            violations.append(
-                f"link {link_id}: bandwidth ledger says {expected_bw.get(link_id, 0)}, "
-                f"state says {used_bw}"
-            )
+    nodes, links = state.nodes, state.links
+    for owner, resource, residual, expected, capacity in (
+        ("host", "cpu", state.residual_cpu, expected_cpu, lambda i: nodes[i].cpu_capacity),
+        ("host", "mem", state.residual_mem, expected_mem, lambda i: nodes[i].mem_capacity),
+        ("link", "bandwidth", state.residual_bw, expected_bw, lambda i: links[i].bandwidth_kbps),
+    ):
+        for key, left in residual.items():
+            used, held = capacity(key) - left, expected.get(key, 0)
+            if used != held:
+                violations.append(
+                    f"{owner} {key}: {resource} ledger says {held}, state says {used}"
+                )
 
     for entry in live:
         problems = validate_forwarding_graph(entry.graph, entry.request, state)

@@ -1,9 +1,10 @@
 """Substrate network model.
 
 The substrate is an undirected graph of compute hosts, switches and traffic
-endpoints. Each link carries one shared bandwidth pool plus base quality
-figures (latency, jitter, loss) that fault injection may override at run
-time. Reservations mutate integer residual counters; every mutating
+endpoints. Each link carries one shared bandwidth pool plus quality
+figures: a PathMetrics (latency, jitter, loss), the one type for a link's
+figures and a path's, that fault injection may override at run time.
+Reservations mutate integer residual counters; every mutating
 operation either applies completely or not at all. The network counts what
 is left; which flow holds what is recorded in the VNF database.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvalidRange, InvariantViolation, SimulatorError
 
@@ -98,9 +99,11 @@ def check_link_quality(
         raise InvalidRange(msg, field="loss_pct")
 
 
-@dataclass(frozen=True)
-class LinkQuality:
-    """A link's quality figures: its spec's until a degradation overwrites them."""
+class PathMetrics(NamedTuple):
+    """A path's figures, in the order of a FlowSample's delay, jitter and loss.
+
+    A link's quality is the metrics of the one-link path over it.
+    """
 
     latency_ms: float
     jitter_ms: float
@@ -111,7 +114,7 @@ class Floor:
     """The substrate at its floor: what floor trees are searched on.
 
     A link's floor latency is the lowest latency it has held in this run:
-    its base latency, lowered by degrade_link when a degradation sets a
+    its base latency until lower, the only writer of a floor, takes a
     lower one. The view's edges carry floor latencies in the state's edge
     order, every residual fits a demand of 0 and no host has failed, so
     every link is open and every node relays. trees maps a source to its
@@ -127,6 +130,21 @@ class Floor:
         self.residual_bw: dict[int, int] = dict.fromkeys(state.links, 0)
         self.failed_hosts: frozenset[int] = frozenset()
         self.trees: dict[int, dict] = {}
+
+    def lower(self, link: LinkSpec, latency_ms: float) -> None:
+        """Take latency_ms as link's floor if it is below it.
+
+        Lowering refreshes both endpoints' floor edges and drops every
+        floor tree; a latency at or above the floor leaves all standing.
+        """
+        if latency_ms < self.latency[link.id]:
+            self.latency[link.id] = latency_ms
+            for node_id in (link.a, link.b):
+                self.edges[node_id] = tuple(
+                    (each, neighbor, self.latency[each])
+                    for each, neighbor, _ in self.edges[node_id]
+                )
+            self.trees.clear()
 
 
 class NetworkState:
@@ -169,8 +187,8 @@ class NetworkState:
         self.failed_hosts: set[int] = set()
         # Each link's current quality: its LinkSpec figures until degrade_link
         # overwrites them.
-        self.quality: dict[int, LinkQuality] = {
-            link.id: LinkQuality(link.latency_ms, link.jitter_ms, link.loss_pct)
+        self.quality: dict[int, PathMetrics] = {
+            link.id: PathMetrics(link.latency_ms, link.jitter_ms, link.loss_pct)
             for link in self.links.values()
         }
 
@@ -209,14 +227,7 @@ class NetworkState:
         fit or a failed host, and an InvalidRange for a negative demand. On
         any error the state is left untouched.
         """
-        tables = self._ledger_tables(link_demands, cpu_demands, mem_demands, allow_failed=False)
-        for resource, residual, totals, _ in tables:
-            for key, amount in totals.items():
-                if amount > residual[key]:
-                    raise SimulatorError(f"insufficient {resource} on {key}")
-        for _, residual, totals, _ in tables:
-            for key, amount in totals.items():
-                residual[key] -= amount
+        self._ledger_walk(-1, link_demands, cpu_demands, mem_demands)
 
     def release(
         self,
@@ -231,14 +242,7 @@ class NetworkState:
         InvariantViolation: that always means the caller's ledger and this
         state disagree, which is fatal.
         """
-        tables = self._ledger_tables(link_demands, cpu_demands, mem_demands, allow_failed=True)
-        for resource, residual, totals, capacity in tables:
-            for key, amount in totals.items():
-                if residual[key] + amount > capacity(key):
-                    raise InvariantViolation(f"over-release of {resource} on {key}")
-        for _, residual, totals, _ in tables:
-            for key, amount in totals.items():
-                residual[key] += amount
+        self._ledger_walk(1, link_demands, cpu_demands, mem_demands)
 
     def fail_host(self, host_id: int) -> None:
         """Fail-stop a host.
@@ -270,31 +274,22 @@ class NetworkState:
         keeps a plan off it; host-failure repair has neither. This is the
         only change of link quality; it refreshes both endpoints' edges,
         and the caller hands the change to Controller.handle_degradation.
-        A latency below the link's floor lowers the floor, refreshes both
-        endpoints' floor edges and drops every floor tree; any other leaves
-        the floor trees standing.
+        Floor.lower then takes the new latency as the link's floor if it is
+        below it.
         """
         if link_id not in self.links:
             msg = f"unknown link {link_id}"
             raise SimulatorError(msg)
-        current = self.quality[link_id]
-        latency = current.latency_ms if latency_ms is None else latency_ms
-        jitter = current.jitter_ms if jitter_ms is None else jitter_ms
-        loss = current.loss_pct if loss_pct is None else loss_pct
-        check_link_quality(link_id, latency, jitter, loss)
-        self.quality[link_id] = LinkQuality(latency, jitter, loss)
+        figures = (latency_ms, jitter_ms, loss_pct)
+        quality = PathMetrics._make(
+            now if given is None else given for now, given in zip(self.quality[link_id], figures)
+        )
+        check_link_quality(link_id, *quality)
+        self.quality[link_id] = quality
         link = self.links[link_id]
         self._refresh_edges(link.a)
         self._refresh_edges(link.b)
-        floor = self.floor
-        if latency < floor.latency[link_id]:
-            floor.latency[link_id] = latency
-            for node_id in (link.a, link.b):
-                floor.edges[node_id] = tuple(
-                    (each, neighbor, floor.latency[each])
-                    for each, neighbor, _ in floor.edges[node_id]
-                )
-            floor.trees.clear()
+        self.floor.lower(link, quality.latency_ms)
 
     # -- helpers -------------------------------------------------------------
 
@@ -305,18 +300,21 @@ class NetworkState:
             for link_id in self.adjacency[node_id]
         )
 
-    def _ledger_tables(self, link_demands, cpu_demands, mem_demands, allow_failed):
-        """Check a reserve's or release's ids and signs; pair each map with its table.
+    def _ledger_walk(self, sign, link_demands, cpu_demands, mem_demands):
+        """Add sign times each demand to its residual, after checking them all.
 
-        Returns (resource, residual table, totals, capacity of an id) for
-        CPU, memory and bandwidth, in that order. A failed host takes no
-        demand unless allow_failed.
+        A reserve passes sign -1 and a release sign 1. The ids, then the
+        signs, then the totals are checked, for CPU, memory and bandwidth
+        in that order, before any residual is written. Only a release may
+        name a failed host. A residual stays within [0, capacity]: a
+        reserve that would take one below 0 does not fit, and a release
+        that would take one above its capacity means the ledgers disagree.
         """
         nodes, links = self.nodes, self.links
         cpu_demands, mem_demands = cpu_demands or {}, mem_demands or {}
         link_demands = link_demands or {}
         for host_id in (*cpu_demands, *mem_demands):
-            self._check_host(host_id, allow_failed)
+            self._check_host(host_id, allow_failed=sign > 0)
         for link_id in link_demands:
             if link_id not in links:
                 raise SimulatorError(f"unknown link {link_id}")
@@ -329,7 +327,16 @@ class NetworkState:
             for key, amount in totals.items():
                 if amount < 0:
                     raise InvalidRange(f"negative {resource} demand on {key}")
-        return tables
+        for resource, residual, totals, capacity in tables:
+            for key, amount in totals.items():
+                if sign < 0:
+                    if amount > residual[key]:
+                        raise SimulatorError(f"insufficient {resource} on {key}")
+                elif residual[key] + amount > capacity(key):
+                    raise InvariantViolation(f"over-release of {resource} on {key}")
+        for _, residual, totals, _ in tables:
+            for key, amount in totals.items():
+                residual[key] += sign * amount
 
     def _check_host(self, host_id: int, allow_failed: bool = False) -> None:
         node = self.nodes.get(host_id)

@@ -29,8 +29,9 @@ from .controller import (
     RejectReason,
 )
 from .errors import InvariantViolation, SimulatorError
+from .network import PathMetrics
 from .qoe import FlowSample, QoeSample
-from .service import ChainRequest, ForwardingGraph, PathMetrics
+from .service import ChainRequest, ForwardingGraph
 
 
 class LifecycleStatus(str, Enum):

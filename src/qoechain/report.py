@@ -45,9 +45,9 @@ from .units import kbps_to_mbps
 # json's own C escaper: the text json.dumps gives a str, quotes included.
 _escape = json.encoder.encode_basestring_ascii
 
-CSV_HEADER = ["time_ms", "flow_id", "mos", "q_bw", "q_delay", "q_loss", "q_stall"]
-# A series row after its time: a QoeSample, whose fields are CSV_HEADER[1:],
-# the flow id and the five scores with six decimals each.
+CSV_HEADER = ["time_ms", *QoeSample._fields]
+# A series row after its time: a QoeSample, the flow id and the five scores
+# with six decimals each.
 _ROW = "%d,%.6f,%.6f,%.6f,%.6f,%.6f"
 
 # What `qoechain report` reads off summary.json, each with the types it takes:

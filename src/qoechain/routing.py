@@ -28,7 +28,10 @@ a tie on both compares link sequences.
 Most queries are answered without a search, from the source's floor tree:
 `_settle` run once over the state's `Floor`, where each link has its floor
 latency (the lowest it has held), every link is open and every node
-relays. The state keeps each tree until a degradation lowers a floor. A
+relays. `Floor.lower` is the only code that writes a floor, and
+`degrade_link`, the only change of link quality, calls it with every new
+latency, so no link's current latency is ever below its floor. Lowering
+one drops every tree; the state keeps each tree until then. A
 floor label is clean in a view when each of its links is at its floor
 latency now and has a residual covering the demand (so a shunned link
 never is), and no failed host relays on it. A clean label is the answer

@@ -23,7 +23,7 @@ from typing import Any, Callable
 
 from .controller import PolicyConfig
 from .errors import InvalidRange, SimulatorError
-from .network import LinkSpec, NodeKind, NodeSpec, check_link_quality
+from .network import LinkSpec, NodeKind, NodeSpec, PathMetrics, check_link_quality
 from .qoe import Ela, check_stall_ratio
 from .rng import seed_fits
 from .service import AppProfile, ChainRequest, VnfType
@@ -64,8 +64,7 @@ class LinkDegradation:
 
     def __post_init__(self):
         _check_time(self.time_ms)
-        figures = ("latency_ms", "jitter_ms", "loss_pct")
-        given = [name for name in figures if getattr(self, name) is not None]
+        given = [name for name in PathMetrics._fields if getattr(self, name) is not None]
         if not given:
             raise InvalidRange("degradation changes nothing")
         for name in given:

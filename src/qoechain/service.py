@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidRange, SimulatorError
-from .network import NetworkState, NodeKind
+from .network import NetworkState, NodeKind, PathMetrics
 from .units import mbps_to_kbps
 
 LinkPath = tuple[int, ...]
@@ -160,14 +160,6 @@ class ForwardingGraph:
         return frozenset(link_id for segment in self.segments for link_id in segment)
 
 
-class PathMetrics(NamedTuple):
-    """A path's figures, in the order of a FlowSample's delay, jitter and loss."""
-
-    latency_ms: float
-    jitter_ms: float
-    loss_pct: float
-
-
 def path_metrics(
     segments: Iterable[LinkPath],
     state: NetworkState,
@@ -175,19 +167,21 @@ def path_metrics(
 ) -> PathMetrics:
     """End-to-end metrics of a segment list under the current link quality.
 
-    Latency is the sum of link latencies plus the processing latency of
+    Each link's quality is its one-link path's metrics, so this joins them:
+    latency is the sum of link latencies plus the processing latency of
     every traversed VNF; jitter adds up the same way. Losses compound:
     loss = 100 * (1 - prod(1 - loss_i / 100)).
     """
+    quality = state.quality
     latency = 0.0
     jitter = 0.0
     delivery = 1.0
     for segment in segments:
         for link_id in segment:
-            quality = state.quality[link_id]
-            latency += quality.latency_ms
-            jitter += quality.jitter_ms
-            delivery *= 1.0 - quality.loss_pct / 100.0
+            link_latency, link_jitter, link_loss = quality[link_id]
+            latency += link_latency
+            jitter += link_jitter
+            delivery *= 1.0 - link_loss / 100.0
     latency += sum(proc_latencies_ms)
     return PathMetrics(latency, jitter, 100.0 * (1.0 - delivery))
 

@@ -23,6 +23,7 @@ from qoechain import (
     NodeKind,
     NodeSpec,
     Orchestrator,
+    PathMetrics,
     PolicyConfig,
     Rejected,
     ServiceCatalog,
@@ -285,6 +286,12 @@ def degrade_and_refresh(orchestrator, link_id: int, **figures) -> None:
     controller.handle_degradation(link_id, orchestrator.db.live())
 
 
+def written_artifacts(report: SimReport, out_dir: Path) -> dict[str, bytes]:
+    """Write report's artifacts to out_dir and read back each file's bytes, by name."""
+    write_report(report, out_dir)
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
 def written_dump(report: SimReport, out_dir: Path) -> list[dict]:
     """Write report's artifacts to out_dir and read its db_dump.json back."""
     write_report(report, out_dir)
@@ -411,3 +418,32 @@ def random_doc(rng: Random, index: int) -> ScenarioDoc:
         link_degradations=tuple(degradations),
         stall_injections=tuple(stalls),
     )
+
+
+def degraded_doc(rng: Random, doc: ScenarioDoc) -> ScenarioDoc:
+    """doc with its degradations replaced by records of every kind the format accepts.
+
+    Each record sets one, two or all three figures. A latency falls below
+    its link's base (down to 0) as often as above it, loss runs up to 100
+    (100 itself included), and about one record in three repeats the link
+    and instant of the record before it.
+    """
+    degradations: list[LinkDegradation] = []
+    for _ in range(rng.randint(3, 8)):
+        # The first record always draws; a repeat keeps the previous link.
+        if degradations and rng.random() < 0.3:
+            time_ms = degradations[-1].time_ms
+        else:
+            time_ms, link = rng.randrange(0, doc.duration_ms), rng.choice(doc.links)
+        figures = {}
+        for name in rng.sample(PathMetrics._fields, rng.randint(1, 3)):
+            if name == "latency_ms":
+                below = rng.random() < 0.5
+                low, high = (0.0, link.latency_ms) if below else (link.latency_ms, 300.0)
+                figures[name] = round(rng.uniform(low, high), 1)
+            elif name == "jitter_ms":
+                figures[name] = round(rng.uniform(0.0, 20.0), 1)
+            else:
+                figures[name] = rng.choice((100.0, round(rng.uniform(0.0, 100.0), 1)))
+        degradations.append(LinkDegradation(time_ms=time_ms, link=link.id, **figures))
+    return dataclasses.replace(doc, link_degradations=tuple(degradations))

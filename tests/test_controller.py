@@ -17,6 +17,7 @@ from qoechain import (
     NodeKind,
     NodeSpec,
     Orchestrator,
+    PathMetrics,
     PolicyConfig,
     Rejected,
     RejectReason,
@@ -38,6 +39,7 @@ from qoechain.routing import shortest_path_tree
 
 from generators import (
     degrade_and_refresh,
+    degraded_doc,
     fail_and_repair,
     line_network,
     make_profile,
@@ -54,6 +56,7 @@ from generators import (
     snapshot,
     square_network,
     stalled_flow,
+    written_artifacts,
     written_dump,
     written_summary,
 )
@@ -399,6 +402,39 @@ def test_a_degradation_above_the_floor_on_the_answer_falls_back_to_the_search(mo
     assert orch.submit_request(replace(request, id=1), now=0).segments == (expected,)
     assert searches == [(0, 4000, (1,))]  # the floor answer, link 0, is not clean
     assert net.floor.trees == trees  # a degradation above the floor keeps them
+
+
+def test_floor_answers_change_no_run_under_every_kind_of_degradation(monkeypatch, tmp_path):
+    # Degradations that lower floors, set one figure alone, reach 100% loss
+    # and stack on one link at one instant: each run is clean under the
+    # strict audits, and the same run with no floor answer taken, so that
+    # every path and placement query searches, writes the same artifacts.
+    rng = Random(32)
+    docs = [degraded_doc(rng, random_doc(rng, index)) for index in range(200)]
+    records = [(doc, fault) for doc in docs for fault in doc.link_degradations]
+    assert any(
+        fault.latency_ms is not None and fault.latency_ms < doc.links[fault.link].latency_ms
+        for doc, fault in records
+    )
+    assert any(fault.loss_pct == 100.0 for _, fault in records)
+    given = {
+        tuple(name for name in PathMetrics._fields if getattr(fault, name) is not None)
+        for _, fault in records
+    }
+    assert {("jitter_ms",), ("loss_pct",)} <= given
+    assert any(
+        len({(fault.time_ms, fault.link) for fault in doc.link_degradations})
+        < len(doc.link_degradations)
+        for doc in docs
+    )
+    floors = [
+        written_artifacts(run(doc, strict_debug=True), tmp_path / f"floor{index}")
+        for index, doc in enumerate(docs)
+    ]
+    monkeypatch.setattr(controller_module, "floor_tier", lambda *args: None)
+    monkeypatch.setattr(routing, "_clean", lambda *args: False)
+    for index, (doc, files) in enumerate(zip(docs, floors)):
+        assert written_artifacts(run(doc), tmp_path / f"search{index}") == files, doc.name
 
 
 def _spur_network(spur_bw_kbps: int):

@@ -27,6 +27,7 @@ from generators import (
     one_fault_of_each_kind,
     random_doc,
     series_rows,
+    written_artifacts,
     written_dump,
     written_summary,
 )
@@ -241,8 +242,10 @@ def test_a_shuffled_workload_runs_the_same(tmp_path):
         shuffled = list(doc.requests)
         rng.shuffle(shuffled)
         moved += shuffled != list(doc.requests)
-        first = _artifacts(run(doc), tmp_path / f"listed{index}")
-        second = _artifacts(run(replace(doc, requests=tuple(shuffled))), tmp_path / f"shuffled{index}")
+        first = written_artifacts(run(doc), tmp_path / f"listed{index}")
+        second = written_artifacts(
+            run(replace(doc, requests=tuple(shuffled))), tmp_path / f"shuffled{index}"
+        )
         assert _digests(second) == _digests(first), doc.name
     assert moved > 20
 
@@ -284,8 +287,8 @@ def test_same_instant_faults_mean_the_same_in_any_order(tmp_path):
             link_degradations=_swapped_shuffle(rng, degradations, (slow, clean)),
             stall_injections=_swapped_shuffle(rng, stalls, (stalled, flowing)),
         )
-        first = _artifacts(run(listed, strict_debug=True), tmp_path / f"listed{index}")
-        second = _artifacts(run(shuffled, strict_debug=True), tmp_path / f"shuffled{index}")
+        first = written_artifacts(run(listed, strict_debug=True), tmp_path / f"listed{index}")
+        second = written_artifacts(run(shuffled, strict_debug=True), tmp_path / f"shuffled{index}")
         assert _digests(second) == _digests(first), doc.name
 
 
@@ -544,11 +547,6 @@ def test_strict_debug_catches_a_repair_that_keeps_the_old_measurement(monkeypatc
         run(doc, strict_debug=True)
 
 
-def _artifacts(report: SimReport, out: Path) -> dict[str, bytes]:
-    write_report(report, out)
-    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-
-
 def _digests(artifacts: dict[str, bytes]) -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()}
 
@@ -574,7 +572,7 @@ def test_sharing_quiet_windows_changes_no_run(monkeypatch, tmp_path):
     shared = nonempty = 0
     for index, doc in enumerate(docs):
         report = run(doc)
-        first_runs.append((report, _artifacts(report, tmp_path / f"shared-{index}")))
+        first_runs.append((report, written_artifacts(report, tmp_path / f"shared-{index}")))
         counts = _shared_runs(report)
         shared, nonempty = shared + counts[0], nonempty + counts[1]
     assert nonempty > 100 and shared > nonempty
@@ -588,7 +586,7 @@ def test_sharing_quiet_windows_changes_no_run(monkeypatch, tmp_path):
     for index, (doc, (first, files)) in enumerate(zip(docs, first_runs)):
         second = run(doc)
         assert _shared_runs(second) == (0, 0)
-        assert _artifacts(second, tmp_path / f"unshared-{index}") == files
+        assert written_artifacts(second, tmp_path / f"unshared-{index}") == files
 
 
 def test_every_bundled_scenario_runs_clean_under_strict_audits():

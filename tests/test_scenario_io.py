@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from qoechain import load_scenario, parse_scenario, serialize_scenario
+from qoechain import load_scenario, parse_scenario, scenario, serialize_scenario
 from qoechain.controller import PolicyConfig
 from qoechain.errors import InvalidRange, SimulatorError
 from qoechain.scenario import HostFailure, LinkDegradation, StallInjection
@@ -566,3 +567,29 @@ def test_load_scenario_reads_files(tmp_path):
     assert doc.name == "basic"
     with pytest.raises(SimulatorError, match=r"cannot read scenario .*missing\.json: \[Errno 2\]"):
         load_scenario(tmp_path / "missing.json")
+
+
+def test_each_optional_field_defaults_as_its_record_class_does():
+    # An absent optional key and a record built without that attribute must
+    # mean the same, so the field table and the dataclass state one default.
+    tables = [table for table in vars(scenario).values() if isinstance(table, scenario._Table)]
+    compared = set()
+    for table in tables:
+        declared = {field.name: field.default for field in dataclasses.fields(table.cls)}
+        for row in table.rows:
+            default = declared.get(row.attr, dataclasses.MISSING)
+            if row.required or default is dataclasses.MISSING:
+                continue
+            assert (type(row.default), row.default) == (type(default), default), (
+                table.cls.__name__,
+                row.key,
+            )
+            compared.add((table.cls.__name__, row.attr))
+    assert {
+        ("PolicyConfig", "predictor_alpha"),
+        ("PolicyConfig", "max_reroute_attempts"),
+        ("NodeSpec", "cpu_capacity"),
+        ("NodeSpec", "mem_capacity"),
+        ("LinkSpec", "jitter_ms"),
+        ("LinkSpec", "loss_pct"),
+    } <= compared
