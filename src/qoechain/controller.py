@@ -120,18 +120,18 @@ class ResourceView:
 
     The three residual tables are copies a plan writes freely: giving a
     replanned flow's holdings back raises them, demand pending within the
-    plan lowers them, and a link the plan shuns is set to -1. Topology,
-    failures, link quality and the floor are the state's own objects: a
-    floor tree reads no residual, so a tree built during one plan serves
-    every later one. Discarding the view discards the plan; only the
-    ledger commit writes the state's residuals.
+    plan lowers them, and a link the plan shuns is set to -1. The
+    topology (`edges`), failures, link quality and the floor are the
+    state's own objects, so a view built before a degradation searches at
+    the new latency; a floor tree reads no residual, so a tree built
+    during one plan serves every later one. Discarding the view discards
+    the plan; only the ledger commit writes the state's residuals.
     """
 
     def __init__(self, state: NetworkState):
         self.nodes = state.nodes
         self.links = state.links
         self.failed_hosts = state.failed_hosts
-        self.adjacency = state.adjacency
         self.edges = state.edges
         self.quality = state.quality
         self.floor = state.floor
@@ -289,13 +289,13 @@ class Controller:
         tier = floor_tier(view, anchor, bw_kbps, fitting)
         if tier is None:
             tier = shortest_path_tree(view, anchor, bw_kbps, fitting)
-        nodes = self.network.nodes
+        capacity = self.network.capacity
         options = []
         for host_id, label in tier.items():
             if host_id not in fitting:
                 continue
             cpu, mem = fitting[host_id]
-            cap_cpu, cap_mem = nodes[host_id].cpu_capacity, nodes[host_id].mem_capacity
+            cap_cpu, cap_mem = capacity["cpu"][host_id], capacity["mem"][host_id]
             utilization = max(
                 (cap_cpu - cpu) / cap_cpu if cap_cpu else 0.0,
                 (cap_mem - mem) / cap_mem if cap_mem else 0.0,

@@ -208,14 +208,14 @@ def audit_conservation(
             for link_id in segment:
                 expected_bw[link_id] = expected_bw.get(link_id, 0) + graph.reserved_bw_kbps
 
-    nodes, links = state.nodes, state.links
-    for owner, resource, residual, expected, capacity in (
-        ("host", "cpu", state.residual_cpu, expected_cpu, lambda i: nodes[i].cpu_capacity),
-        ("host", "mem", state.residual_mem, expected_mem, lambda i: nodes[i].mem_capacity),
-        ("link", "bandwidth", state.residual_bw, expected_bw, lambda i: links[i].bandwidth_kbps),
+    for owner, resource, residual, expected in (
+        ("host", "cpu", state.residual_cpu, expected_cpu),
+        ("host", "mem", state.residual_mem, expected_mem),
+        ("link", "bandwidth", state.residual_bw, expected_bw),
     ):
+        capacity = state.capacity[resource]
         for key, left in residual.items():
-            used, held = capacity(key) - left, expected.get(key, 0)
+            used, held = capacity[key] - left, expected.get(key, 0)
             if used != held:
                 violations.append(
                     f"{owner} {key}: {resource} ledger says {held}, state says {used}"

@@ -7,6 +7,11 @@ figures and a path's, that fault injection may override at run time.
 Reservations mutate integer residual counters; every mutating
 operation either applies completely or not at all. The network counts what
 is left; which flow holds what is recorded in the VNF database.
+
+Each fact has one table on NetworkState: `edges` is the topology, built
+once; `quality` holds each link's current figures and `floor.quality` its
+floor figures; `capacity` holds each resource's capacity, from which the
+`residual_*` tables start.
 """
 
 from __future__ import annotations
@@ -113,37 +118,33 @@ class PathMetrics(NamedTuple):
 class Floor:
     """The substrate at its floor: what floor trees are searched on.
 
-    A link's floor latency is the lowest latency it has held in this run:
-    its base latency until lower, the only writer of a floor, takes a
-    lower one. The view's edges carry floor latencies in the state's edge
-    order, every residual fits a demand of 0 and no host has failed, so
-    every link is open and every node relays. trees maps a source to its
-    floor tree, built by routing on first use; lowering a floor drops them
-    all.
+    quality holds each link's floor figures: its floor latency, the lowest
+    latency it has held in this run (its base latency until lower, the
+    only writer of a floor, takes a lower one), with jitter and loss 0,
+    since search reads latency alone. The floor shares the state's edges,
+    every residual fits a demand of 0 and no host has failed, so every
+    link is open and every node relays. trees maps a source to its floor
+    tree, built by routing on first use; lowering a floor drops them all.
     """
 
     def __init__(self, state: NetworkState):
-        self.latency: dict[int, float] = {
-            link_id: quality.latency_ms for link_id, quality in state.quality.items()
+        self.edges = state.edges
+        self.quality: dict[int, PathMetrics] = {
+            link_id: PathMetrics(quality.latency_ms, 0.0, 0.0)
+            for link_id, quality in state.quality.items()
         }
-        self.edges = dict(state.edges)
         self.residual_bw: dict[int, int] = dict.fromkeys(state.links, 0)
         self.failed_hosts: frozenset[int] = frozenset()
         self.trees: dict[int, dict] = {}
 
-    def lower(self, link: LinkSpec, latency_ms: float) -> None:
-        """Take latency_ms as link's floor if it is below it.
+    def lower(self, link_id: int, latency_ms: float) -> None:
+        """Take latency_ms as the link's floor if it is below it.
 
-        Lowering refreshes both endpoints' floor edges and drops every
-        floor tree; a latency at or above the floor leaves all standing.
+        Lowering writes that link's floor figures and drops every floor
+        tree; a latency at or above the floor leaves all standing.
         """
-        if latency_ms < self.latency[link.id]:
-            self.latency[link.id] = latency_ms
-            for node_id in (link.a, link.b):
-                self.edges[node_id] = tuple(
-                    (each, neighbor, self.latency[each])
-                    for each, neighbor, _ in self.edges[node_id]
-                )
+        if latency_ms < self.quality[link_id].latency_ms:
+            self.quality[link_id] = PathMetrics(latency_ms, 0.0, 0.0)
             self.trees.clear()
 
 
@@ -173,17 +174,19 @@ class NetworkState:
                     raise InvalidRange(msg)
             self.links[link.id] = link
 
-        self.residual_cpu: dict[int, int] = {}
-        self.residual_mem: dict[int, int] = {}
-        for node in self.nodes.values():
-            if node.kind is NodeKind.HOST:
-                self.residual_cpu[node.id] = node.cpu_capacity
-                self.residual_mem[node.id] = node.mem_capacity
+        # Each resource's capacity, by host or link id; the residuals start
+        # from it and a release may not take one above it.
+        hosts = [node for node in self.nodes.values() if node.kind is NodeKind.HOST]
+        self.capacity: dict[str, dict[int, int]] = {
+            "cpu": {node.id: node.cpu_capacity for node in hosts},
+            "mem": {node.id: node.mem_capacity for node in hosts},
+            "bandwidth": {link.id: link.bandwidth_kbps for link in self.links.values()},
+        }
+        self.residual_cpu: dict[int, int] = dict(self.capacity["cpu"])
+        self.residual_mem: dict[int, int] = dict(self.capacity["mem"])
+        self.residual_bw: dict[int, int] = dict(self.capacity["bandwidth"])
         # Hosts never join or leave after construction; a failed one stays listed.
         self.host_ids: tuple[int, ...] = tuple(sorted(self.residual_cpu))
-        self.residual_bw: dict[int, int] = {
-            link.id: link.bandwidth_kbps for link in self.links.values()
-        }
         self.failed_hosts: set[int] = set()
         # Each link's current quality: its LinkSpec figures until degrade_link
         # overwrites them.
@@ -191,21 +194,16 @@ class NetworkState:
             link.id: PathMetrics(link.latency_ms, link.jitter_ms, link.loss_pct)
             for link in self.links.values()
         }
-
-        adj: dict[int, list[int]] = {node_id: [] for node_id in self.nodes}
-        for link in self.links.values():
-            adj[link.a].append(link.id)
-            adj[link.b].append(link.id)
-        self.adjacency: dict[int, tuple[int, ...]] = {
-            node_id: tuple(sorted(ids)) for node_id, ids in adj.items()
+        # The topology: each node's (link id, neighbour) pairs in link-id
+        # order, built here and never written again.
+        edges: dict[int, list[tuple[int, int]]] = {node_id: [] for node_id in self.nodes}
+        for link_id in sorted(self.links):
+            link = self.links[link_id]
+            edges[link.a].append((link_id, link.b))
+            edges[link.b].append((link_id, link.a))
+        self.edges: dict[int, tuple[tuple[int, int], ...]] = {
+            node_id: tuple(pairs) for node_id, pairs in edges.items()
         }
-        # What path search reads per node: (link id, neighbour, latency) in
-        # adjacency order under the current quality. degrade_link rewrites
-        # entries in place, never rebinding the dict, so planning views
-        # holding it see every change.
-        self.edges: dict[int, tuple[tuple[int, int, float], ...]] = {}
-        for node_id in self.nodes:
-            self._refresh_edges(node_id)
         self.floor = Floor(self)
 
     # -- mutations ----------------------------------------------------------
@@ -272,10 +270,11 @@ class NetworkState:
         loss_pct=100 the link stays in every search: a flow on it scores
         q_loss 0, and only the MOS gate or a breach re-embed's shunned link
         keeps a plan off it; host-failure repair has neither. This is the
-        only change of link quality; it refreshes both endpoints' edges,
-        and the caller hands the change to Controller.handle_degradation.
-        Floor.lower then takes the new latency as the link's floor if it is
-        below it.
+        only writer of quality and writes only the link's entry there,
+        which every search reads, so nothing else needs refreshing;
+        Floor.lower then takes the new latency as the link's floor if it
+        is below it. The caller hands the change to
+        Controller.handle_degradation.
         """
         if link_id not in self.links:
             msg = f"unknown link {link_id}"
@@ -286,19 +285,9 @@ class NetworkState:
         )
         check_link_quality(link_id, *quality)
         self.quality[link_id] = quality
-        link = self.links[link_id]
-        self._refresh_edges(link.a)
-        self._refresh_edges(link.b)
-        self.floor.lower(link, quality.latency_ms)
+        self.floor.lower(link_id, quality.latency_ms)
 
     # -- helpers -------------------------------------------------------------
-
-    def _refresh_edges(self, node_id: int) -> None:
-        links = self.links
-        self.edges[node_id] = tuple(
-            (link_id, links[link_id].other(node_id), self.quality[link_id].latency_ms)
-            for link_id in self.adjacency[node_id]
-        )
 
     def _ledger_walk(self, sign, link_demands, cpu_demands, mem_demands):
         """Add sign times each demand to its residual, after checking them all.
@@ -310,31 +299,31 @@ class NetworkState:
         reserve that would take one below 0 does not fit, and a release
         that would take one above its capacity means the ledgers disagree.
         """
-        nodes, links = self.nodes, self.links
         cpu_demands, mem_demands = cpu_demands or {}, mem_demands or {}
         link_demands = link_demands or {}
         for host_id in (*cpu_demands, *mem_demands):
             self._check_host(host_id, allow_failed=sign > 0)
         for link_id in link_demands:
-            if link_id not in links:
+            if link_id not in self.links:
                 raise SimulatorError(f"unknown link {link_id}")
         tables = (
-            ("cpu", self.residual_cpu, cpu_demands, lambda i: nodes[i].cpu_capacity),
-            ("mem", self.residual_mem, mem_demands, lambda i: nodes[i].mem_capacity),
-            ("bandwidth", self.residual_bw, link_demands, lambda i: links[i].bandwidth_kbps),
+            ("cpu", self.residual_cpu, cpu_demands),
+            ("mem", self.residual_mem, mem_demands),
+            ("bandwidth", self.residual_bw, link_demands),
         )
-        for resource, _, totals, _ in tables:
+        for resource, _, totals in tables:
             for key, amount in totals.items():
                 if amount < 0:
                     raise InvalidRange(f"negative {resource} demand on {key}")
-        for resource, residual, totals, capacity in tables:
+        for resource, residual, totals in tables:
+            capacity = self.capacity[resource]
             for key, amount in totals.items():
                 if sign < 0:
                     if amount > residual[key]:
                         raise SimulatorError(f"insufficient {resource} on {key}")
-                elif residual[key] + amount > capacity(key):
+                elif residual[key] + amount > capacity[key]:
                     raise InvariantViolation(f"over-release of {resource} on {key}")
-        for _, residual, totals, _ in tables:
+        for _, residual, totals in tables:
             for key, amount in totals.items():
                 residual[key] += sign * amount
 

@@ -10,9 +10,10 @@ SimulatorError, where an exhaustive search would not be small: above
 MAX_HOSTS hosts, MAX_CHAIN VNFs or MAX_PATHS_PER_PAIR paths between two
 nodes.
 
-`enumerate_simple_paths` and `path_key` read the state's `adjacency` and
-`quality` instead of the `edges` tuples of the routing loop, so the oracle
-does not share the loop's inputs. Bandwidth and host capacity are the
+`enumerate_simple_paths` walks the state's `edges`, the topology table
+the routing loop also reads, but shares neither the loop's algorithm nor
+its latency reads: it lists paths depth-first, and `path_key` sums each
+path's latency from `quality` itself. Bandwidth and host capacity are the
 `residual_*` tables, a planning view's own copies when given one.
 """
 
@@ -66,11 +67,8 @@ def enumerate_simple_paths(
     def extend(node: int, visited: set[int], trail: list[int]) -> None:
         if node != src and node in net.failed_hosts:
             return
-        for link_id in net.adjacency[node]:
-            if net.residual_bw[link_id] < bw_kbps:
-                continue
-            neighbor = net.links[link_id].other(node)
-            if neighbor in visited:
+        for link_id, neighbor in net.edges[node]:
+            if net.residual_bw[link_id] < bw_kbps or neighbor in visited:
                 continue
             trail.append(link_id)
             if neighbor == dst:

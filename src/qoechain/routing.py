@@ -17,28 +17,34 @@ at the same node keeps their order, so a label is final when first popped.
 Latency is summed along the path from 0.0 in path order, as
 `oracle.path_key` sums it, so even the floats agree.
 
-The loop reads each node's (link id, neighbour, latency) tuples from the
-state's `edges` and each link's `residual_bw` inline, without calling an
-accessor per edge; a planning view's residuals are its own copies, with
-the plan's pending demand already taken out and any link it shuns set
-below every demand. A candidate whose neighbour already holds a label
-better on (latency, hops) is dropped before its link tuple is built; only
-a tie on both compares link sequences.
+The loop reads each node's (link id, neighbour) pairs from the state's
+`edges`, the topology, built once and never written. For a candidate
+whose neighbour is not settled and whose `residual_bw` covers the demand
+it reads the link's latency from `quality`, the one table of current
+link figures. All three are read inline, without calling an accessor per
+edge; a planning view's residuals are its own copies, with the plan's
+pending demand already taken out and any link it shuns set below every
+demand. A candidate whose neighbour already holds a label better on
+(latency, hops) is dropped before its link tuple is built; only a tie on
+both compares link sequences.
 
 Most queries are answered without a search, from the source's floor tree:
-`_settle` run once over the state's `Floor`, where each link has its floor
-latency (the lowest it has held), every link is open and every node
-relays. `Floor.lower` is the only code that writes a floor, and
-`degrade_link`, the only change of link quality, calls it with every new
-latency, so no link's current latency is ever below its floor. Lowering
-one drops every tree; the state keeps each tree until then. A
-floor label is clean in a view when each of its links is at its floor
-latency now and has a residual covering the demand (so a shunned link
-never is), and no failed host relays on it. A clean label is the answer
-the search would give, floats included:
+the same `_settle` run once over the state's `Floor`, which shares the
+state's `edges` and whose `quality` holds each link's floor latency (the
+lowest it has held), where every link is open and every node relays.
+`Floor.lower` is the only code that writes `floor.quality`, and
+`degrade_link`, the only writer of `quality`, calls it with every new
+latency, so no link's latency in `quality` is ever below its latency in
+`floor.quality`. Lowering a floor drops every tree; the state keeps each
+tree until then. A floor label is clean in a view when each of its links has
+the same latency in `quality` as in `floor.quality` and a residual
+covering the demand (so a shunned link never is), and no failed host
+relays on it. A clean label is the answer the search would give, floats
+included:
 - A path's current key is at least its floor key. Both latency sums run
-  in path order from 0.0, each current link latency is at least its
-  floor, and rounded addition is monotone; hops and links are the same.
+  in path order from 0.0 over the same `edges`, each link's latency in
+  `quality` is at least its latency in `floor.quality`, and rounded
+  addition is monotone; hops and links are the same.
 - A clean label's current key equals its floor key, which is the least
   floor key of any path to its node. So no path has a smaller current
   key, and since the label is feasible it is the key-min that `_settle`
@@ -70,6 +76,7 @@ def _settle(net, src: int, bw_kbps: int, targets: Collection[int] = ()) -> dict[
     farther than the first target settled.
     """
     edges = net.edges
+    quality = net.quality
     residual_bw = net.residual_bw
     failed_hosts = net.failed_hosts
     best: dict[int, PathKey] = {src: (0.0, 0, ())}
@@ -92,10 +99,10 @@ def _settle(net, src: int, bw_kbps: int, targets: Collection[int] = ()) -> dict[
         if node != src and node in failed_hosts:
             continue
         next_hops = hops + 1
-        for link_id, neighbor, link_latency in edges[node]:
+        for link_id, neighbor in edges[node]:
             if neighbor in done or residual_bw[link_id] < bw_kbps:
                 continue
-            next_latency = latency + link_latency
+            next_latency = latency + quality[link_id].latency_ms
             label = best.get(neighbor)
             if label is not None:
                 # Only a tie on (latency, hops) needs the link sequences.
@@ -139,9 +146,11 @@ def _floor_tree(net, src: int) -> dict[int, PathKey]:
 
 def _clean(net, src: int, links: tuple[int, ...], bw_kbps: int) -> bool:
     """Whether the floor route links from src is open in net at its floor latency."""
-    residual_bw, quality, floor_latency = net.residual_bw, net.quality, net.floor.latency
+    residual_bw, quality, floor_quality = net.residual_bw, net.quality, net.floor.quality
     for link_id in links:
-        if residual_bw[link_id] < bw_kbps or quality[link_id].latency_ms != floor_latency[link_id]:
+        if residual_bw[link_id] < bw_kbps:
+            return False
+        if quality[link_id].latency_ms != floor_quality[link_id].latency_ms:
             return False
     failed_hosts = net.failed_hosts
     if failed_hosts:

@@ -356,6 +356,28 @@ def one_fault_of_each_kind() -> ScenarioDoc:
     return doc
 
 
+def lowered_detour_doc() -> ScenarioDoc:
+    """basic.json with a detour to the host that falls below its floor before a second request.
+
+    Switch 3 joins endpoint 0 to host 1 over two 3 ms links, 6 ms against
+    link 0's 5 ms. At 500 ms the first falls to 1 ms, below its floor, and
+    a second request from 0 to 2 arrives at 1,000 ms: only a floor tree
+    built after the fall routes it over the detour.
+    """
+    payload = json.loads((SCENARIOS / "basic.json").read_text())
+    payload["network"]["nodes"].append({"id": 3, "kind": "switch"})
+    payload["network"]["links"] += [
+        {"id": 2, "a": 0, "b": 3, "bandwidth_mbps": 10, "latency_ms": 3},
+        {"id": 3, "a": 3, "b": 1, "bandwidth_mbps": 10, "latency_ms": 3},
+    ]
+    requests = payload["workload"]["requests"]
+    requests.append({**requests[0], "id": 1, "arrival_ms": 1000})
+    payload["faults"] = {"link_degradations": [{"time_ms": 500, "link": 2, "latency_ms": 1}]}
+    doc, diagnostics = parse_scenario(json.dumps(payload))
+    assert diagnostics == []
+    return doc
+
+
 def random_doc(rng: Random, index: int) -> ScenarioDoc:
     """A small random scenario: requests, at most one host failure, degradations, stalls."""
     net = random_network(

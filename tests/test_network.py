@@ -2,9 +2,10 @@
 
 import pytest
 
-from qoechain import LinkSpec, NetworkState, NodeKind, NodeSpec
+from qoechain import LinkSpec, NetworkState, NodeKind, NodeSpec, PathMetrics
 from qoechain.controller import ResourceView
 from qoechain.errors import InvalidRange, InvariantViolation, SimulatorError
+from qoechain.routing import floor_tier, shortest_feasible_path
 
 from generators import line_network, snapshot, square_network
 
@@ -58,7 +59,7 @@ def test_initial_residuals_match_capacity():
     assert net.residual_cpu[1] == 8
     assert net.residual_mem[1] == 8
     assert net.residual_bw[0] == 10_000
-    assert net.adjacency[1] == (0, 1)
+    assert net.edges[1] == ((0, 0), (1, 2))
 
 
 def test_reserve_and_release_roundtrip():
@@ -169,25 +170,33 @@ def test_degrade_link_overrides_quality():
         net.degrade_link(0, latency_ms=-1.0)
 
 
-def test_degrade_link_refreshes_both_endpoints_edges_in_place():
+def test_degrade_link_writes_quality_and_the_floor_but_never_the_topology():
     net = square_network()
     view = ResourceView(net)
     edges = net.edges
     before = dict(edges)
-    assert edges[0] == ((0, 1, 5.0), (1, 2, 5.0))
-    net.degrade_link(0, latency_ms=30.0)
-    assert net.edges is edges  # mutated, never rebound
-    assert edges[0] == ((0, 1, 30.0), (1, 2, 5.0))
-    assert edges[1] == ((0, 0, 30.0), (2, 3, 5.0))
-    assert edges[2] is before[2] and edges[3] is before[3]
-    assert view.edges[0][0] == (0, 1, 30.0)  # a view built earlier sees it
-    net.degrade_link(0, jitter_ms=2.0)
-    assert edges[1][0] == (0, 0, 30.0)  # latency kept
-    net.degrade_link(3, loss_pct=1.0)
-    after = dict(edges), dict(net.quality)
+    assert edges[0] == ((0, 1), (1, 2)) and net.floor.edges is edges
+    assert floor_tier(view, 0, 1000, {3}) == {3: (10.0, 2, (0, 2))}
+    net.degrade_link(0, latency_ms=30.0)  # above its floor
+    assert net.edges is edges and edges == before
+    assert net.floor.quality[0] == PathMetrics(5.0, 0.0, 0.0)
+    assert floor_tier(view, 0, 1000, {3}) is None  # link 0 is above its floor
+    assert shortest_feasible_path(view, 0, 3, 1000) == [1, 3]  # a view built earlier sees 30 ms
+    net.degrade_link(1, latency_ms=1.0)  # below its floor
+    assert net.edges is edges and edges == before
+    assert net.floor.quality[1] == PathMetrics(1.0, 0.0, 0.0)
+    assert floor_tier(view, 0, 1000, {3}) == {3: (6.0, 2, (1, 3))}
+    net.degrade_link(3, jitter_ms=2.0, loss_pct=1.0)
+    assert net.edges is edges and edges == before
+    assert net.floor.quality[3] == PathMetrics(5.0, 0.0, 0.0)
+    after = dict(net.quality), dict(net.floor.quality)
     with pytest.raises(InvalidRange):
         net.degrade_link(2, latency_ms=-1.0)
-    assert (dict(edges), dict(net.quality)) == after  # a rejected override changes nothing
+    with pytest.raises(InvalidRange):
+        net.degrade_link(2, latency_ms=0.5, loss_pct=200.0)
+    # A rejected override changes nothing, not even a floor it would lower.
+    assert (dict(net.quality), dict(net.floor.quality)) == after
+    assert edges == before
 
 
 def test_snapshot_reflects_every_mutable_piece():

@@ -351,7 +351,7 @@ def _degrade_some(net, rng: Random) -> None:
         base = net.links[link_id].latency_ms
         net.degrade_link(link_id, latency_ms=round(base * rng.uniform(0.3, 2.0), 1))
     link_id = rng.choice(sorted(net.links))
-    net.degrade_link(link_id, latency_ms=net.floor.latency[link_id])
+    net.degrade_link(link_id, latency_ms=net.floor.quality[link_id].latency_ms)
 
 
 def test_floor_answers_match_the_search_and_the_enumeration():
