@@ -4,6 +4,7 @@ from .controller import (
     Action,
     ActionKind,
     Controller,
+    Plan,
     PolicyConfig,
     Rejected,
     RejectReason,
@@ -64,6 +65,7 @@ __all__ = [
     "NodeSpec",
     "Orchestrator",
     "PathMetrics",
+    "Plan",
     "PolicyConfig",
     "QoeSample",
     "RejectReason",

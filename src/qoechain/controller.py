@@ -5,7 +5,11 @@ the substrate, the catalog, the ELA, the policy and the injected stall
 levels, and nothing per flow: each flow's request, graph, status,
 measurement carry, settled sample, run of windows below target, route
 figures (its graph's path metrics under the current link quality) and
-breached windows live on its entry in the orchestrator's database.
+breached windows live on its entry in the orchestrator's database. The MOS
+gate computes a plan's path metrics to predict its score, so an admitted
+flow, and one repaired under the gate, starts with those as its route
+figures, and its first window computes none; host-failure repair has no
+gate and leaves them to the first window.
 Monitoring reads the target from the request, the profile from the catalog
 and the breach rule's window count from the ELA. The controller scores the
 entries it is handed, writing only their measurement fields and breached
@@ -37,14 +41,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Collection, Iterable
+from typing import TYPE_CHECKING, Collection, Iterable, NamedTuple
 
 from .errors import (
     InvalidRange,
     InvariantViolation,
     SimulatorError,
 )
-from .network import NetworkState
+from .network import NetworkState, PathMetrics
 from .qoe import (
     Ela,
     FlowSample,
@@ -108,6 +112,16 @@ class ActionKind(str, Enum):
     FAILED = "Failed"
 
 
+class Plan(NamedTuple):
+    """A graph that fits, and with the MOS gate, the path metrics it was scored on.
+
+    route is None for a plan made without the gate.
+    """
+
+    graph: ForwardingGraph
+    route: PathMetrics | None
+
+
 @dataclass(frozen=True)
 class Action:
     kind: ActionKind
@@ -161,7 +175,7 @@ class Controller:
 
     # -- admission ------------------------------------------------------------
 
-    def admit(self, request: ChainRequest) -> ForwardingGraph | Rejected:
+    def admit(self, request: ChainRequest) -> Plan | Rejected:
         """Greedy chain embedding with QoE-gated admission.
 
         Walks the chain from the ingress, placing each VNF on the host with
@@ -169,14 +183,15 @@ class Controller:
         utilization, then lowest host id), then stitches the final segment
         to the egress. The candidate is admitted only if its predicted MOS
         reaches the request's target; on admission every resource is
-        reserved in one transaction.
+        reserved in one transaction. The plan's route figures are the flow's
+        first.
         """
         chain = range(len(request.vnf_sequence))
         segments = range(len(chain) + 1)
-        graph = self._replan(request, None, chain, segments)
-        if not isinstance(graph, Rejected):
-            self._commit(request, None, graph)
-        return graph
+        plan = self._replan(request, None, chain, segments)
+        if not isinstance(plan, Rejected):
+            self._commit(request, None, plan.graph)
+        return plan
 
     def _replan(
         self,
@@ -186,7 +201,7 @@ class Controller:
         segments: Collection[int],
         exclude_links: frozenset[int] = frozenset(),
         gate: bool = True,
-    ) -> ForwardingGraph | Rejected:
+    ) -> Plan | Rejected:
         """Plan new hosts for positions and new paths for segments; reserve nothing.
 
         graph is the flow's current graph, or None for a new request, which
@@ -197,7 +212,8 @@ class Controller:
         the other segments are then rebuilt in ascending order. A plan
         identical to the graph is no repair. With gate, the plan must reach
         the request's target MOS, predicted from its segments under the
-        current link quality; host-failure repair alone passes gate=False.
+        current link quality, and the plan carries the path metrics the
+        prediction read; host-failure repair alone passes gate=False.
         Each link in exclude_links is shunned: the view gives it a residual
         of -1, below any demand.
         """
@@ -210,13 +226,13 @@ class Controller:
             bw_kbps = graph.reserved_bw_kbps
             hosts = list(graph.hosts)
             paths = list(graph.segments)
-            usage, cpu, mem = self._parts(request, graph, positions, segments)
-            for link_id, kbps in usage.items():
-                view.residual_bw[link_id] += kbps
-            for host_id, amount in cpu.items():
-                view.residual_cpu[host_id] += amount
-            for host_id, amount in mem.items():
-                view.residual_mem[host_id] += amount
+            for index in segments:
+                for link_id in paths[index]:
+                    view.residual_bw[link_id] += bw_kbps
+            for position in positions:
+                vnf = self.catalog.vnf(request.vnf_sequence[position])
+                view.residual_cpu[hosts[position]] += vnf.cpu_demand
+                view.residual_mem[hosts[position]] += vnf.mem_demand
         for link_id in exclude_links:
             view.residual_bw[link_id] = -1
         points = [request.ingress, *hosts, request.egress]
@@ -235,11 +251,12 @@ class Controller:
                 view.residual_bw[link_id] -= bw_kbps
         if graph is not None and tuple(paths) == graph.segments:
             return Rejected(RejectReason.NO_PATH)
+        route = None
         if gate:
-            predicted = predict_mos(request, paths, view, self.catalog)
+            predicted, route = predict_mos(request, paths, view, self.catalog)
             if predicted.mos < request.ela_target:
                 return Rejected(RejectReason.QOE_BELOW_TARGET, predicted.mos)
-        return ForwardingGraph(tuple(points[1:-1]), tuple(paths), bw_kbps)
+        return Plan(ForwardingGraph(tuple(points[1:-1]), tuple(paths), bw_kbps), route)
 
     def _failure_damage(
         self, request: ChainRequest, graph: ForwardingGraph
@@ -268,44 +285,47 @@ class Controller:
 
         The host is the candidate with the cheapest feasible path from the
         anchor (ties: lowest utilization, then lowest host id). One pass
-        reads each host's CPU and memory once to find the hosts that fit, so
-        a NoHost rejection searches nothing. The fitting hosts at the
-        nearest floor latency, read off the anchor's floor tree, are every
-        host that can win when each of their routes is clean; when one is
-        not, one shortest-path tree bounded at the nearest fitting host
-        holds them instead. Returns the host and the segment to it, or why
-        no host was chosen.
+        finds the hosts whose CPU and memory fit, so a NoHost rejection
+        searches nothing. The fitting hosts at the nearest floor latency,
+        read off the anchor's floor tree, are every host that can win when
+        each of their routes is clean; when one is not, one shortest-path
+        tree bounded at the nearest fitting host holds them instead. Each
+        candidate's utilization is read off the view's residuals, and the
+        best is kept as they are read. Returns the host and the segment to
+        it, or why no host was chosen.
         """
         residual_cpu, residual_mem = view.residual_cpu, view.residual_mem
-        fitting = {}
-        for host_id in self.network.host_ids:
-            if host_id in view.failed_hosts:
-                continue
-            cpu, mem = residual_cpu[host_id], residual_mem[host_id]
-            if cpu >= vnf.cpu_demand and mem >= vnf.mem_demand:
-                fitting[host_id] = cpu, mem
+        cpu_demand, mem_demand = vnf.cpu_demand, vnf.mem_demand
+        fitting = {
+            host_id
+            for host_id in self.network.host_ids
+            if host_id not in view.failed_hosts
+            and residual_cpu[host_id] >= cpu_demand
+            and residual_mem[host_id] >= mem_demand
+        }
         if not fitting:
             return RejectReason.NO_HOST
         tier = floor_tier(view, anchor, bw_kbps, fitting)
         if tier is None:
             tier = shortest_path_tree(view, anchor, bw_kbps, fitting)
-        capacity = self.network.capacity
-        options = []
-        for host_id, label in tier.items():
+        capacity_cpu, capacity_mem = self.network.capacity["cpu"], self.network.capacity["mem"]
+        best = None
+        for host_id, (latency, _, segment) in tier.items():
             if host_id not in fitting:
                 continue
-            cpu, mem = fitting[host_id]
-            cap_cpu, cap_mem = capacity["cpu"][host_id], capacity["mem"][host_id]
+            cap_cpu, cap_mem = capacity_cpu[host_id], capacity_mem[host_id]
             utilization = max(
-                (cap_cpu - cpu) / cap_cpu if cap_cpu else 0.0,
-                (cap_mem - mem) / cap_mem if cap_mem else 0.0,
+                (cap_cpu - residual_cpu[host_id]) / cap_cpu if cap_cpu else 0.0,
+                (cap_mem - residual_mem[host_id]) / cap_mem if cap_mem else 0.0,
             )
-            options.append((label[0], utilization, host_id, label[2]))
-        if not options:
+            option = (latency, utilization, host_id, segment)
+            if best is None or option < best:
+                best = option
+        if best is None:
             return RejectReason.NO_PATH
-        _, _, host_id, segment = min(options)
-        residual_cpu[host_id] -= vnf.cpu_demand
-        residual_mem[host_id] -= vnf.mem_demand
+        _, _, host_id, segment = best
+        residual_cpu[host_id] -= cpu_demand
+        residual_mem[host_id] -= mem_demand
         for link_id in segment:
             view.residual_bw[link_id] -= bw_kbps
         return host_id, segment
@@ -322,7 +342,8 @@ class Controller:
         flows are the live database entries in ascending request id; both
         lists come out in that order. Raw figures come from the flow's
         route figures (the path metrics of its current segments under the
-        current link quality), the rate its graph reserves as throughput,
+        current link quality, seeded by the MOS gate or computed here when
+        the flow has none), the rate its graph reserves as throughput,
         and the injected stall level. Each metric is EWMA-smoothed with
         predictor_alpha before scoring against the request's profile;
         degraded flows are still measured so recovery stays observable. A
@@ -377,34 +398,51 @@ class Controller:
 
     def _measure(self, entry: DbEntry, profile: AppProfile, alpha: float) -> QoeSample:
         """The flow's sample for one window; brings its monitoring state up to date."""
-        request, graph = entry.request, entry.graph
         if entry.route is None:
-            entry.route = path_metrics(
-                graph.segments,
-                self.network,
-                self.catalog.proc_latencies(request.vnf_sequence),
-            )
-        throughput = graph.reserved_bw_kbps / KBPS_PER_MBPS
-        stall = self.stall_levels.get(request.id, 0.0)
-        raw = FlowSample(request.id, throughput, *entry.route, stall)
-        still = self._smooth(entry, raw, alpha)
-        sample = estimate_mos(entry.smoothed, profile)
+            entry.route = self.route_of(entry)
+        entry.smoothed, sample, still = self.measurement(entry, entry.route, profile, alpha)
         entry.settled = sample if still else None
         return sample
 
-    def _smooth(self, entry: DbEntry, raw: FlowSample, alpha: float) -> bool:
-        """Fold raw into entry.smoothed; whether every smoothed figure stood still.
+    def route_of(self, entry: DbEntry) -> PathMetrics:
+        """The path metrics of the flow's graph under the current link quality."""
+        request = entry.request
+        return path_metrics(
+            entry.graph.segments,
+            self.network,
+            self.catalog.proc_latencies(request.vnf_sequence),
+        )
 
-        The figures are every field of a FlowSample after its flow id.
+    def measurement(
+        self, entry: DbEntry, route: PathMetrics, profile: AppProfile, alpha: float
+    ) -> tuple[FlowSample, QoeSample, bool]:
+        """One window's measurement of the flow on route figures; writes nothing.
+
+        The raw figures are route, the rate the graph reserves as throughput
+        and the flow's stall level. Returns the smoothed figures, their
+        sample, and whether smoothing left every figure where it was.
         """
-        prev = entry.smoothed
+        request = entry.request
+        throughput = entry.graph.reserved_bw_kbps / KBPS_PER_MBPS
+        stall = self.stall_levels.get(request.id, 0.0)
+        raw = FlowSample(request.id, throughput, *route, stall)
+        smoothed, still = self._smooth(entry.smoothed, raw, alpha)
+        return smoothed, estimate_mos(smoothed, profile), still
+
+    @staticmethod
+    def _smooth(
+        prev: FlowSample | None, raw: FlowSample, alpha: float
+    ) -> tuple[FlowSample, bool]:
+        """Fold raw into prev: the smoothed figures, and whether each stood still.
+
+        The figures are every field of a FlowSample after its flow id; with
+        no prev, raw is taken at face value.
+        """
         if prev is None:
-            entry.smoothed = raw
-            return False
+            return raw, False
         last = prev[1:]
         figures = tuple(alpha * r + (1 - alpha) * p for r, p in zip(raw[1:], last))
-        entry.smoothed = FlowSample(raw.flow_id, *figures)
-        return figures == last
+        return FlowSample(raw.flow_id, *figures), figures == last
 
     def handle_degradation(self, link_id: int, flows: Iterable[DbEntry]) -> None:
         """Bring the given live flows up to date after link_id changed quality.
@@ -421,7 +459,11 @@ class Controller:
                 self.shared_window = None
 
     def _restart_measurement(self, entry: DbEntry) -> None:
-        """After a repair: the next window takes the new graph's path metrics, raw."""
+        """After a repair: the next window takes the new graph's figures raw.
+
+        A repair made under the gate then seeds the route figures with the
+        path metrics its prediction read.
+        """
         entry.route = entry.smoothed = entry.settled = None
 
     def set_stall(self, flow_id: int, stall_ratio: float, flows: Iterable[DbEntry]) -> None:
@@ -460,11 +502,12 @@ class Controller:
             exclude_links = frozenset()
             if kind is ActionKind.MIGRATED:
                 exclude_links = frozenset({self._worst_link(graph)})
-            new_graph = self._replan(request, graph, positions, segments, exclude_links)
-            if not isinstance(new_graph, Rejected):
-                self._commit(request, graph, new_graph)
+            plan = self._replan(request, graph, positions, segments, exclude_links)
+            if not isinstance(plan, Rejected):
+                self._commit(request, graph, plan.graph)
                 self._restart_measurement(entry)
-                return Action(kind, request.id, new_graph)
+                entry.route = plan.route
+                return Action(kind, request.id, plan.graph)
         return Action(ActionKind.MARKED_DEGRADED, request.id)
 
     def _worst_link(self, graph: ForwardingGraph) -> int:
@@ -492,15 +535,15 @@ class Controller:
             lost, segments = self._failure_damage(request, graph)
             if not segments:
                 continue
-            new_graph = self._replan(request, graph, lost, segments, gate=False)
-            if isinstance(new_graph, Rejected):
+            plan = self._replan(request, graph, lost, segments, gate=False)
+            if isinstance(plan, Rejected):
                 self.release_flow(entry)
                 actions.append(Action(ActionKind.FAILED, request.id))
             else:
-                self._commit(request, graph, new_graph)
+                self._commit(request, graph, plan.graph)
                 self._restart_measurement(entry)
                 kind = ActionKind.MIGRATED if lost else ActionKind.REROUTED
-                actions.append(Action(kind, request.id, new_graph))
+                actions.append(Action(kind, request.id, plan.graph))
         return actions
 
     # -- the reservation ledger ---------------------------------------------------
@@ -522,39 +565,35 @@ class Controller:
         planner and ledger disagree, which is fatal. Every commit changes a
         flow's graph or the live flows, so it drops the shared window.
         """
-        chain = range(len(request.vnf_sequence))
-        segments = range(len(chain) + 1)
         self.shared_window = None
         if old is not None:
-            self.network.release(*self._parts(request, old, chain, segments))
+            self.network.release(*self._holdings(request, old))
         if new is not None:
             try:
-                self.network.reserve(*self._parts(request, new, chain, segments))
+                self.network.reserve(*self._holdings(request, new))
             except SimulatorError as exc:
                 msg = f"planned reservation no longer fits: {exc}"
                 raise InvariantViolation(msg) from exc
 
-    def _parts(
-        self,
-        request: ChainRequest,
-        graph: ForwardingGraph,
-        positions: Collection[int],
-        segments: Collection[int],
+    def _holdings(
+        self, request: ChainRequest, graph: ForwardingGraph
     ) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-        """What graph holds at positions and segments.
+        """What graph holds, read in one pass over its links and one over its VNFs.
 
         Returns kbps per link, and CPU and memory per host summed over the
-        VNFs placed there, in the order reserve and release take them.
+        VNFs placed there (the request's VNF names zipped with the graph's
+        hosts), in the order reserve and release take them.
         """
+        kbps = graph.reserved_bw_kbps
         usage: dict[int, int] = {}
-        for index in segments:
-            for link_id in graph.segments[index]:
-                usage[link_id] = usage.get(link_id, 0) + graph.reserved_bw_kbps
+        for segment in graph.segments:
+            for link_id in segment:
+                usage[link_id] = usage.get(link_id, 0) + kbps
         cpu: dict[int, int] = {}
         mem: dict[int, int] = {}
-        for position in sorted(positions):
-            vnf = self.catalog.vnf(request.vnf_sequence[position])
-            host_id = graph.hosts[position]
-            cpu[host_id] = cpu.get(host_id, 0) + vnf.cpu_demand
-            mem[host_id] = mem.get(host_id, 0) + vnf.mem_demand
+        vnf = self.catalog.vnf
+        for name, host_id in zip(request.vnf_sequence, graph.hosts):
+            demand = vnf(name)
+            cpu[host_id] = cpu.get(host_id, 0) + demand.cpu_demand
+            mem[host_id] = mem.get(host_id, 0) + demand.mem_demand
         return usage, cpu, mem

@@ -2,19 +2,24 @@
 
 Time is integer milliseconds. Events dispatch in (time, seq) order where
 seq is the scheduling order, so same-time ties resolve the same way every
-run: measurement windows are scheduled first, then the scenario's requests
-in id order, then its fault records, each its own event, then anything
-spawned while running (departures). Each fault list is queued in value
-order: host failures by (time, host), degradations by _degradation_order
-and stalls by (time, flow, ratio). So at one instant one link's or one
-flow's records apply in that order and the last one stands, whatever order
-the file lists them in.
+run: the scenario's requests in id order, then its fault records, each its
+own event, then anything spawned while running (departures). Each fault
+list is queued in value order: host failures by (time, host), degradations
+by _degradation_order and stalls by (time, flow, ratio). So at one instant
+one link's or one flow's records apply in that order and the last one
+stands, whatever order the file lists them in.
+
+Measurement windows are the run's clock, not queued events: window i falls
+at (i + 1) * window_ms, and the loop dispatches it whenever its time is at
+or before the queue's next event, so a window comes before every other
+event at its instant. A departure later than the horizon is not queued,
+since it could never be dispatched; one exactly at the horizon is.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
 
@@ -98,7 +103,8 @@ def run(
     seed overrides the scenario's own seed. strict_debug re-runs the global
     conservation, validity, measurement and shared-window audits after
     every event instead of only at the end. event_hook(event, state) is a
-    test seam called after each dispatch, before the audits.
+    test seam called after each dispatch, a MeasureWindow for each window
+    included, before the audits.
     """
     state = NetworkState(doc.nodes, doc.links)
     catalog = ServiceCatalog(doc.vnf_types, doc.profiles)
@@ -107,9 +113,6 @@ def run(
 
     effective_seed = doc.seed if seed is None else seed
     queue = EventQueue()
-    windows = doc.duration_ms // doc.window_ms
-    for index in range(windows):
-        queue.schedule(MeasureWindow(time_ms=(index + 1) * doc.window_ms, index=index))
     # Arrivals are scheduled, and their jitter drawn, in request-id order,
     # so the order of the workload's records does not change the run.
     rng = SplitMix64(effective_seed)
@@ -126,43 +129,47 @@ def run(
     ):
         queue.schedule(fault)
 
+    horizon = doc.duration_ms
+    windows = horizon // doc.window_ms
     series: list[list[QoeSample]] = []
 
-    while queue and queue.peek_time() <= doc.duration_ms:
-        event = queue.pop()
-        if isinstance(event, Arrival):
-            result = orchestrator.submit_request(event.request, event.time_ms)
-            if not isinstance(result, Rejected):
-                queue.schedule(
-                    Departure(
-                        time_ms=event.time_ms + event.request.holding_ms,
-                        request_id=event.request.id,
-                    )
-                )
-        elif isinstance(event, Departure):
-            # Only an admitted request gets a departure; a flow that already
-            # failed has nothing left to tear down.
-            if orchestrator.db.entries[event.request_id].is_live:
-                orchestrator.complete_request(event.request_id, event.time_ms)
-        elif isinstance(event, MeasureWindow):
-            samples, breaching = controller.monitor_window(
-                event.index, orchestrator.db.live()
-            )
+    index = 0  # the next window's
+    while True:
+        window_at = (index + 1) * doc.window_ms
+        event_at = queue.peek_time() if queue else horizon + 1  # none: past the horizon
+        if index < windows and window_at <= event_at:
+            event = MeasureWindow(window_at, index)
+            samples, breaching = controller.monitor_window(index, orchestrator.db.live())
             series.append(samples)
             for entry in breaching:
-                orchestrator.apply_action(controller.handle_breach(entry), event.time_ms)
-        elif isinstance(event, HostFailure):
-            state.fail_host(event.host)
-            for action in controller.handle_host_failure(orchestrator.db.live()):
-                orchestrator.apply_action(action, event.time_ms)
-        elif isinstance(event, LinkDegradation):
-            state.degrade_link(event.link, event.latency_ms, event.jitter_ms, event.loss_pct)
-            controller.handle_degradation(event.link, orchestrator.db.live())
-        elif isinstance(event, StallInjection):
-            controller.set_stall(event.flow, event.stall_ratio, orchestrator.db.live())
-        else:  # pragma: no cover - the queue only ever holds the types above
-            msg = f"unknown event {event!r}"
-            raise InvariantViolation(msg)
+                orchestrator.apply_action(controller.handle_breach(entry), window_at)
+            index += 1
+        elif event_at <= horizon:
+            event = queue.pop()
+            if isinstance(event, Arrival):
+                result = orchestrator.submit_request(event.request, event.time_ms)
+                departs = event.time_ms + event.request.holding_ms
+                if not isinstance(result, Rejected) and departs <= horizon:
+                    queue.schedule(Departure(time_ms=departs, request_id=event.request.id))
+            elif isinstance(event, Departure):
+                # Only an admitted request gets a departure; a flow that
+                # already failed has nothing left to tear down.
+                if orchestrator.db.entries[event.request_id].is_live:
+                    orchestrator.complete_request(event.request_id, event.time_ms)
+            elif isinstance(event, HostFailure):
+                state.fail_host(event.host)
+                for action in controller.handle_host_failure(orchestrator.db.live()):
+                    orchestrator.apply_action(action, event.time_ms)
+            elif isinstance(event, LinkDegradation):
+                state.degrade_link(event.link, event.latency_ms, event.jitter_ms, event.loss_pct)
+                controller.handle_degradation(event.link, orchestrator.db.live())
+            elif isinstance(event, StallInjection):
+                controller.set_stall(event.flow, event.stall_ratio, orchestrator.db.live())
+            else:  # pragma: no cover - the queue only ever holds the types above
+                msg = f"unknown event {event!r}"
+                raise InvariantViolation(msg)
+        else:
+            break
         if event_hook is not None:
             event_hook(event, state)
         if strict_debug:
@@ -172,9 +179,6 @@ def run(
     lifecycle_violations = audit_lifecycle(orchestrator.db)
     if lifecycle_violations:
         raise InvariantViolation("; ".join(lifecycle_violations))
-    if len(series) != windows:
-        msg = f"measured {len(series)} windows, expected {windows}"
-        raise InvariantViolation(msg)
 
     return SimReport(
         scenario_name=doc.name,
@@ -258,9 +262,10 @@ def audit_measurement(controller: Controller, db: VnfDb) -> list[str]:
     the current link quality. A held sample must be what the next window
     would give: smoothing the current raw figures (route figures, reserved
     rate, stall level) into the carry leaves the carry unchanged, and
-    scoring the carry gives the sample. Both are read off one measurement
-    of a copy of the entry, taken with its route figures dropped, so the
-    audit shares monitoring's formulas rather than restating them.
+    scoring the carry gives the sample. Both are read off the controller's
+    own measurement step, taken on freshly computed route figures and
+    writing nothing, so the audit shares monitoring's formulas rather than
+    restating them.
     """
     violations: list[str] = []
     alpha = controller.policy.predictor_alpha
@@ -268,14 +273,14 @@ def audit_measurement(controller: Controller, db: VnfDb) -> list[str]:
         if entry.route is None and entry.settled is None:
             continue
         request = entry.request
-        again = replace(entry, route=None)
-        sample = controller._measure(again, controller.catalog.profile(request.profile), alpha)
-        if entry.route is not None and entry.route != again.route:
+        route = controller.route_of(entry)
+        if entry.route is not None and entry.route != route:
             violations.append(f"flow {request.id}: route figures are not its graph's path metrics")
-        elif entry.settled is not None and (
-            again.smoothed != entry.smoothed or sample != entry.settled
-        ):
-            violations.append(f"flow {request.id}: held sample is not what measuring now gives")
+        elif entry.settled is not None:
+            profile = controller.catalog.profile(request.profile)
+            smoothed, sample, _ = controller.measurement(entry, route, profile, alpha)
+            if smoothed != entry.smoothed or sample != entry.settled:
+                violations.append(f"flow {request.id}: held sample is not what measuring now gives")
     return violations
 
 

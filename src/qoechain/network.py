@@ -250,7 +250,8 @@ class NetworkState:
         already-failed host raises a SimulatorError; failures are explicit
         events, not idempotent updates.
         """
-        self._check_host(host_id, allow_failed=True)
+        if host_id not in self.residual_cpu:
+            raise SimulatorError(f"unknown host {host_id}")
         if host_id in self.failed_hosts:
             msg = f"host {host_id} already failed"
             raise SimulatorError(msg)
@@ -301,39 +302,37 @@ class NetworkState:
         """
         cpu_demands, mem_demands = cpu_demands or {}, mem_demands or {}
         link_demands = link_demands or {}
+        # The host ids are the keys of either host residual table. A failed
+        # host provides nothing, so any demand on it is unsatisfiable.
+        hosts, links = self.residual_cpu, self.residual_bw
+        failed = self.failed_hosts if sign < 0 else ()
         for host_id in (*cpu_demands, *mem_demands):
-            self._check_host(host_id, allow_failed=sign > 0)
+            if host_id not in hosts:
+                raise SimulatorError(f"unknown host {host_id}")
+            if host_id in failed:
+                raise SimulatorError(f"host {host_id} has failed")
         for link_id in link_demands:
-            if link_id not in self.links:
+            if link_id not in links:
                 raise SimulatorError(f"unknown link {link_id}")
         tables = (
-            ("cpu", self.residual_cpu, cpu_demands),
+            ("cpu", hosts, cpu_demands),
             ("mem", self.residual_mem, mem_demands),
-            ("bandwidth", self.residual_bw, link_demands),
+            ("bandwidth", links, link_demands),
         )
         for resource, _, totals in tables:
             for key, amount in totals.items():
                 if amount < 0:
                     raise InvalidRange(f"negative {resource} demand on {key}")
         for resource, residual, totals in tables:
-            capacity = self.capacity[resource]
-            for key, amount in totals.items():
-                if sign < 0:
+            if sign < 0:
+                for key, amount in totals.items():
                     if amount > residual[key]:
                         raise SimulatorError(f"insufficient {resource} on {key}")
-                elif residual[key] + amount > capacity[key]:
-                    raise InvariantViolation(f"over-release of {resource} on {key}")
+            else:
+                capacity = self.capacity[resource]
+                for key, amount in totals.items():
+                    if residual[key] + amount > capacity[key]:
+                        raise InvariantViolation(f"over-release of {resource} on {key}")
         for _, residual, totals in tables:
             for key, amount in totals.items():
                 residual[key] += sign * amount
-
-    def _check_host(self, host_id: int, allow_failed: bool = False) -> None:
-        node = self.nodes.get(host_id)
-        if node is None or node.kind is not NodeKind.HOST:
-            msg = f"unknown host {host_id}"
-            raise SimulatorError(msg)
-        if not allow_failed and host_id in self.failed_hosts:
-            # A failed host provides nothing, so any demand on it is
-            # unsatisfiable by definition.
-            raise SimulatorError(f"host {host_id} has failed")
-

@@ -133,7 +133,7 @@ def exact_embed(
             return
         if index == len(options):
             segments = tuple(chosen)
-            predicted = predict_mos(request, segments, network, catalog)
+            predicted, _ = predict_mos(request, segments, network, catalog)
             if predicted.mos < request.ela_target:
                 return
             flat = tuple(link_id for segment in segments for link_id in segment)

@@ -87,8 +87,9 @@ class DbEntry:
     # carries over a new graph.
     windows_below: int = 0
     # The path metrics of the graph under the current link quality, which
-    # measuring reads; None until a window measures the flow after
-    # admission, a repair or a degradation on the route.
+    # measuring reads. Admission and a gated repair seed them with the
+    # figures their prediction read; after a host-failure repair or a
+    # degradation on the route they are None until a window measures.
     route: PathMetrics | None = None
     # While smoothing stands still, the sample it last scored, which a
     # window takes unmeasured. A repair, a degradation on the route and a
@@ -169,18 +170,19 @@ class Orchestrator:
         """Admit a new request through the controller and record it.
 
         Rejected requests leave no database entry; rejection is an
-        admission outcome, not a lifecycle.
+        admission outcome, not a lifecycle. An admitted flow's route figures
+        are the path metrics its admission was predicted from.
         """
         if request.id in self.db.entries:
             raise SimulatorError(f"request {request.id} already submitted")
-        result = self.controller.admit(request)
-        if isinstance(result, Rejected):
-            self.rejected[result.reason.value] += 1
-            return result
-        entry = DbEntry(request=request, graph=result)
+        plan = self.controller.admit(request)
+        if isinstance(plan, Rejected):
+            self.rejected[plan.reason.value] += 1
+            return plan
+        entry = DbEntry(request=request, graph=plan.graph, route=plan.route)
         self.db.add(entry)
         self.db.transition(entry, LifecycleStatus.ACTIVE, now)
-        return result
+        return plan.graph
 
     def complete_request(self, request_id: int, now: int) -> None:
         """Tear down a flow that ran its course."""

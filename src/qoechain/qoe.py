@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import InvalidRange
+from .network import PathMetrics
 from .units import KBPS_PER_MBPS
 from .service import (
     AppProfile,
@@ -124,17 +125,18 @@ def predict_mos(
     segments: Iterable[LinkPath],
     net,
     catalog: "ServiceCatalog",
-) -> QoeSample:
+) -> tuple[QoeSample, PathMetrics]:
     """Admission-time MOS prediction for a candidate embedding.
 
-    Builds a synthetic sample from the candidate's path metrics. Throughput
-    is the profile requirement, the rate admission reserves on every link
-    of the path, and stalling is assumed absent at admission time. `net` is
-    anything with the NetworkState read interface, including planning views.
+    Builds a synthetic sample from the candidate's path metrics, and returns
+    its score with those metrics. Throughput is the profile requirement, the
+    rate admission reserves on every link of the path, and stalling is
+    assumed absent at admission time. `net` is anything with the
+    NetworkState read interface, including planning views.
     """
     profile = catalog.profile(request.profile)
     metrics = path_metrics(
         segments, net, catalog.proc_latencies(request.vnf_sequence)
     )
     sample = FlowSample(request.id, profile.bw_req_kbps / KBPS_PER_MBPS, *metrics, 0.0)
-    return estimate_mos(sample, profile)
+    return estimate_mos(sample, profile), metrics

@@ -135,8 +135,8 @@ class ServiceCatalog:
         except KeyError:
             raise SimulatorError(f"unknown profile {name!r}") from None
 
-    def proc_latencies(self, names: Sequence[str]) -> tuple[float, ...]:
-        return tuple(self.vnf(name).proc_latency_ms for name in names)
+    def proc_latencies(self, names: Sequence[str]) -> list[float]:
+        return [self.vnf(name).proc_latency_ms for name in names]
 
 
 @dataclass

@@ -123,13 +123,18 @@ def pair_catalog(**profile_kwargs) -> ServiceCatalog:
 
 
 def snapshot(net: NetworkState) -> tuple:
-    """Equality-comparable picture of a network's whole mutable state."""
+    """Equality-comparable picture of a network's whole mutable state.
+
+    The floor is part of it: its figures, and which sources hold a tree.
+    """
     return (
         tuple(sorted(net.residual_cpu.items())),
         tuple(sorted(net.residual_mem.items())),
         tuple(sorted(net.residual_bw.items())),
         tuple(sorted(net.failed_hosts)),
         tuple(sorted(net.quality.items())),
+        tuple(sorted(net.floor.quality.items())),
+        tuple(sorted(net.floor.trees)),
     )
 
 

@@ -372,9 +372,10 @@ def test_oracle_contains_greedy_and_measures_the_gap():
             assert ORACLE_REFUSAL.search(str(exc)), exc
             continue
         instances += 1
-        greedy = controller.admit(request)
-        if isinstance(greedy, Rejected):
+        plan = controller.admit(request)
+        if isinstance(plan, Rejected):
             continue
+        greedy = plan.graph
         admitted += 1
         if exact is None:
             containment_failures += 1
@@ -392,7 +393,7 @@ def test_oracle_contains_greedy_and_measures_the_gap():
     controller = Controller(net, catalog, doc.ela, doc.policy)
     request = doc.requests[0]
     exact = exact_embed(net, catalog, request)
-    greedy = controller.admit(request)
+    greedy = controller.admit(request).graph
     constructed_gap = graph_latency(net, catalog, greedy, request) - graph_latency(
         net, catalog, exact, request
     )

@@ -25,19 +25,23 @@ from qoechain import (
     VnfType,
     estimate_mos,
     exact_embed,
+    parse_scenario,
+    path_metrics,
     predict_mos,
     run,
     validate_forwarding_graph,
 )
 from qoechain import controller as controller_module
+from qoechain import qoe as qoe_module
 from qoechain import routing
 from qoechain.controller import ActionKind, ResourceView
-from qoechain.errors import InvalidRange, SimulatorError
+from qoechain.errors import InvalidRange, InvariantViolation, SimulatorError
 from qoechain.oracle import graph_latency
 from qoechain.orchestrator import DbEntry
 from qoechain.routing import shortest_path_tree
 
 from generators import (
+    SCENARIOS,
     degrade_and_refresh,
     degraded_doc,
     fail_and_repair,
@@ -146,7 +150,9 @@ def test_reject_reasons():
     assert result.predicted_mos == pytest.approx(1.0)
     assert orch.counters()["rejected"]["QoeBelowTarget"] == 1
     assert orch.counters()["rejected_total"] == 1
-    # Rejections never leak reservations.
+    # Rejections never leak reservations. The floor trees the queries built
+    # are a cache of answers, not a holding.
+    orch.controller.network.floor.trees.clear()
     assert snapshot(orch.controller.network) == snapshot(line_network())
 
 
@@ -203,7 +209,7 @@ def test_exact_embed_beats_greedy_on_crafted_gap():
     assert graph_latency(net, catalog, exact, request) == pytest.approx(4.0)
     assert snapshot(net) == snapshot(NetworkState(nodes, links))  # no reservation
 
-    greedy = ctl.admit(request)
+    greedy = ctl.admit(request).graph
     assert greedy.hosts == (1,)
     assert graph_latency(net, catalog, greedy, request) == pytest.approx(6.0)
 
@@ -744,6 +750,56 @@ def test_two_degradations_before_a_window_build_the_route_figures_once(monkeypat
     assert builds == [orch.db.entries[0].graph.segments]
 
 
+def _path_metrics_calls(monkeypatch) -> list:
+    """The segments of every path_metrics call, the gate's and monitoring's."""
+    calls = []
+    original = controller_module.path_metrics
+
+    def counted(segments, *args):
+        calls.append(tuple(segments))
+        return original(segments, *args)
+
+    monkeypatch.setattr(controller_module, "path_metrics", counted)
+    monkeypatch.setattr(qoe_module, "path_metrics", counted)
+    return calls
+
+
+def test_a_gated_plan_seeds_the_route_figures(monkeypatch):
+    net = parallel_pair()
+    calls = _path_metrics_calls(monkeypatch)
+    orch, entry = _pair_flow(net)
+    # Admission's gate computes the route once, and the first window none.
+    assert calls == [((0,),)]
+    assert entry.route == path_metrics(((0,),), net)
+    orch.controller.monitor_window(0, orch.db.live())
+    assert calls == [((0,),)]
+    degrade_and_refresh(orch, 0, latency_ms=300.0)
+    orch.controller.monitor_window(1, orch.db.live())
+    assert calls == [((0,),), ((0,),)]  # dropped by the degradation
+    # So does a repair under the gate.
+    calls.clear()
+    orch.apply_action(orch.controller.handle_breach(entry), now=1000)
+    assert entry.graph.segments == ((1,),)
+    assert calls == [((1,),)]
+    assert entry.route == path_metrics(((1,),), net)
+    orch.controller.monitor_window(2, orch.db.live())
+    assert calls == [((1,),)]
+
+
+def test_strict_debug_catches_a_wrongly_seeded_route(monkeypatch):
+    doc, _ = parse_scenario((SCENARIOS / "basic.json").read_text())
+    run(doc, strict_debug=True)
+    predict = controller_module.predict_mos
+
+    def perturbed(*args):
+        predicted, metrics = predict(*args)
+        return predicted, metrics._replace(latency_ms=metrics.latency_ms + 1.0)
+
+    monkeypatch.setattr(controller_module, "predict_mos", perturbed)
+    with pytest.raises(InvariantViolation, match="route figures are not its graph's path metrics"):
+        run(doc, strict_debug=True)
+
+
 def test_a_settled_flow_is_taken_raw_after_a_reroute():
     net = parallel_pair()
     orch, window = _settled_pair_flow(net)
@@ -1152,9 +1208,10 @@ def test_handle_breach_takes_no_plan_predicted_below_the_target():
     for window in range(ELA.breach_windows):
         _, breaching = controller.monitor_window(window, orch.db.live())
     assert breaching == [entry]
-    ungated = controller._replan(entry.request, graph, (), range(1), gate=False)
+    ungated = controller._replan(entry.request, graph, (), range(1), gate=False).graph
     assert ungated.segments == ((1,),)
-    assert predict_mos(entry.request, ungated.segments, net, catalog).mos == pytest.approx(2.0)
+    predicted, _ = predict_mos(entry.request, ungated.segments, net, catalog)
+    assert predicted.mos == pytest.approx(2.0)
     before = snapshot(net)
     action = controller.handle_breach(entry)
     assert action.kind is ActionKind.MARKED_DEGRADED
@@ -1268,7 +1325,7 @@ def test_host_failure_migrates_below_the_target_rather_than_fail():
     orch.submit_request(request, now=0)
     # The only refuge is too slow for the target: admission would refuse
     # it, but a flow that lost its host takes any embedding that fits.
-    assert predict_mos(request, [(1,), (3,)], net, orch.controller.catalog).mos < 3.0
+    assert predict_mos(request, [(1,), (3,)], net, orch.controller.catalog)[0].mos < 3.0
     actions = fail_and_repair(orch, 1)
     assert [a.kind for a in actions] == [ActionKind.MIGRATED]
     assert actions[0].new_graph.hosts == (2,)
@@ -1349,7 +1406,7 @@ def test_host_failure_reroutes_a_flow_that_relays_through_the_host():
     # The refuge is too slow for flow 1's target: a flow the failure hit
     # takes it anyway.
     catalog = orch.controller.catalog
-    assert predict_mos(second, [(1, 3)], net, catalog).mos < 3.0
+    assert predict_mos(second, [(1, 3)], net, catalog)[0].mos < 3.0
     actions = fail_and_repair(orch, 1)
     assert [(a.flow_id, a.kind) for a in actions] == [
         (0, ActionKind.REROUTED),
@@ -1389,6 +1446,8 @@ def test_release_flow_returns_holdings_and_restores_state():
     pristine = snapshot(orch.controller.network)
     orch.submit_request(make_request(), now=0)
     orch.complete_request(0, now=1000)
+    # The floor trees admission built are a cache of answers, not a holding.
+    orch.controller.network.floor.trees.clear()
     assert snapshot(orch.controller.network) == pristine
     assert orch.counters()["completed"] == 1
     with pytest.raises(SimulatorError, match="request 0 is already Completed"):

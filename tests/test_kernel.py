@@ -379,6 +379,51 @@ def test_event_hook_sees_the_dispatch_order():
     ]
 
 
+def test_a_window_precedes_every_event_at_its_instant():
+    # At 2 s: the window, two arrivals, a host failure, a degradation, a
+    # stall and flow 0's departure, scheduled when it arrived. Flow 1
+    # departs at the 3 s horizon and is dispatched; flow 2 would depart at
+    # 3.5 s and never is.
+    payload = _with_second_host(_payload())
+    for link in payload["network"]["links"]:
+        link["bandwidth_mbps"] = 20
+    first = payload["workload"]["requests"][0]
+    first["holding_ms"] = 2000
+    payload["workload"]["requests"] += [
+        {**first, "id": 1, "arrival_ms": 2000, "holding_ms": 1000},
+        {**first, "id": 2, "arrival_ms": 2000, "holding_ms": 1500},
+    ]
+    payload["faults"] = {
+        "host_failures": [{"time_ms": 2000, "host": 3}],
+        "link_degradations": [{"time_ms": 2000, "link": 0, "jitter_ms": 1.0}],
+        "stall_injections": [{"time_ms": 2000, "flow": 1, "stall_ratio": 0.1}],
+    }
+    seen: list[tuple[int, str]] = []
+    report = run(
+        _doc(payload),
+        strict_debug=True,
+        event_hook=lambda event, state: seen.append((event.time_ms, type(event).__name__)),
+    )
+    assert seen == [
+        (0, "Arrival"),
+        (1000, "MeasureWindow"),
+        (2000, "MeasureWindow"),
+        (2000, "Arrival"),
+        (2000, "Arrival"),
+        (2000, "HostFailure"),
+        (2000, "LinkDegradation"),
+        (2000, "StallInjection"),
+        (2000, "Departure"),
+        (3000, "MeasureWindow"),
+        (3000, "Departure"),
+    ]
+    assert [entry.status.value for entry in report.entries.values()] == [
+        "Completed",
+        "Completed",
+        "Active",
+    ]
+
+
 def _take_cpu(state, graph):
     state.residual_cpu[1] -= 1
 
@@ -415,9 +460,9 @@ def test_strict_debug_catches_state_corruption(corruption, message, monkeypatch)
     admit = Controller.admit
 
     def recording_admit(self, request):
-        graph = admit(self, request)
-        graphs.append(graph)
-        return graph
+        plan = admit(self, request)
+        graphs.append(plan.graph)
+        return plan
 
     monkeypatch.setattr(Controller, "admit", recording_admit)
 

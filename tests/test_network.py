@@ -189,13 +189,13 @@ def test_degrade_link_writes_quality_and_the_floor_but_never_the_topology():
     net.degrade_link(3, jitter_ms=2.0, loss_pct=1.0)
     assert net.edges is edges and edges == before
     assert net.floor.quality[3] == PathMetrics(5.0, 0.0, 0.0)
-    after = dict(net.quality), dict(net.floor.quality)
+    after = snapshot(net)
     with pytest.raises(InvalidRange):
         net.degrade_link(2, latency_ms=-1.0)
     with pytest.raises(InvalidRange):
         net.degrade_link(2, latency_ms=0.5, loss_pct=200.0)
     # A rejected override changes nothing, not even a floor it would lower.
-    assert (dict(net.quality), dict(net.floor.quality)) == after
+    assert snapshot(net) == after
     assert edges == before
 
 
@@ -208,3 +208,14 @@ def test_snapshot_reflects_every_mutable_piece():
     assert snapshot(net) == base
     net.degrade_link(0, jitter_ms=1.0)
     assert snapshot(net) != base
+    # A query builds its source's floor tree.
+    quiet = snapshot(net)
+    assert shortest_feasible_path(net, 0, 3, 1000) == [0, 2]
+    built = snapshot(net)
+    assert built != quiet
+    # A degradation below link 1's floor, then one back to its base latency:
+    # the link's quality is as it was, its floor is not, and no tree stands.
+    net.degrade_link(1, latency_ms=1.0)
+    net.degrade_link(1, latency_ms=5.0)
+    assert net.floor.trees == {}
+    assert snapshot(net) not in (quiet, built)

@@ -9,14 +9,13 @@ from qoechain import (
     Controller,
     Ela,
     FlowSample,
-    ForwardingGraph,
     estimate_mos,
     parse_scenario,
+    path_metrics,
     predict_mos,
     run,
 )
 from qoechain.errors import InvalidRange
-from qoechain.orchestrator import DbEntry
 
 from generators import (
     SCENARIOS,
@@ -90,11 +89,7 @@ figures = st.tuples(*[st.floats(0.0, 1e12)] * 4, st.floats(0.0, 1.0))
 def test_smoothing_keeps_figures_in_range(prev, raw, alpha):
     # The EWMA of non-negative figures is non-negative, and of two stall
     # levels in [0, 1] is in [0, 1], exactly in floats: nothing re-checks it.
-    controller = Controller(line_network(), small_catalog(), Ela(3.0, 2, 0.9))
-    entry = DbEntry(make_request(), ForwardingGraph((), ((),), 0))
-    entry.smoothed = FlowSample(0, *prev)
-    controller._smooth(entry, FlowSample(0, *raw), alpha)
-    smoothed = entry.smoothed
+    smoothed, _ = Controller._smooth(FlowSample(0, *prev), FlowSample(0, *raw), alpha)
     assert all(figure >= 0.0 for figure in smoothed[1:])
     assert smoothed.stall_ratio <= 1.0
 
@@ -150,16 +145,17 @@ def test_predict_mos_scores_the_path_figures():
     net = line_network()
     catalog = small_catalog()
     request = make_request()
-    predicted = predict_mos(request, ((0,), (1,)), net, catalog)
+    predicted, metrics = predict_mos(request, ((0,), (1,)), net, catalog)
     # 11 ms effective delay against delay_opt 50 -> every factor is 1.
     assert predicted.mos == 5.0
+    assert metrics == path_metrics(((0,), (1,)), net, catalog.proc_latencies(request.vnf_sequence))
 
 
 def test_predict_mos_without_links_assumes_requirement_met():
     net = line_network()
     catalog = small_catalog()
     request = make_request(vnfs=())
-    predicted = predict_mos(request, ((),), net, catalog)
+    predicted, _ = predict_mos(request, ((),), net, catalog)
     assert predicted.q_bw == 1.0
 
 

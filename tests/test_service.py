@@ -64,7 +64,7 @@ def test_catalog_lookup():
     )
     assert catalog.vnf("fw").proc_latency_ms == 10.0
     assert catalog.profile("video").bw_req_mbps == 4.0
-    assert catalog.proc_latencies(["nat", "fw", "nat"]) == (5.0, 10.0, 5.0)
+    assert catalog.proc_latencies(["nat", "fw", "nat"]) == [5.0, 10.0, 5.0]
     with pytest.raises(SimulatorError, match="unknown vnf type 'dpi'"):
         catalog.vnf("dpi")
     with pytest.raises(SimulatorError, match="unknown profile 'voice'"):
