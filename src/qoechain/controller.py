@@ -79,6 +79,9 @@ class PolicyConfig:
     Path weight (latency), the candidate tie-break (lowest utilization,
     then lowest host id) and the admission rule (predicted MOS at or above
     the request's target) are fixed behavior, not configuration.
+    max_reroute_attempts caps the stages of breach repair (handle_breach),
+    which has two: 1 allows the reroute alone, and 2 or more both the
+    reroute and the re-embed, so every value of 2 or more behaves as 2.
     """
 
     predictor_alpha: float = 0.3
@@ -284,35 +287,44 @@ class Controller:
         """Place one VNF after anchor and take its demand out of the view.
 
         The host is the candidate with the cheapest feasible path from the
-        anchor (ties: lowest utilization, then lowest host id). One pass
-        finds the hosts whose CPU and memory fit, so a NoHost rejection
-        searches nothing. The fitting hosts at the nearest floor latency,
-        read off the anchor's floor tree, are every host that can win when
-        each of their routes is clean; when one is not, one shortest-path
-        tree bounded at the nearest fitting host holds them instead. Each
-        candidate's utilization is read off the view's residuals, and the
-        best is kept as they are read. Returns the host and the segment to
-        it, or why no host was chosen.
+        anchor (ties: lowest utilization, then lowest host id). A host is a
+        candidate when it has not failed and its CPU and memory fit. The
+        anchor's floor tree is walked in key order, and each host's fit is
+        tested as the walk reaches it: the fitting hosts at the nearest
+        floor latency are every host that can win when each of their
+        routes is clean. Only when the walk gives no such answer is the set
+        of every fitting host built: when a route is not clean, one
+        shortest-path tree bounded at the nearest fitting host holds the
+        candidates instead, and when no fitting host is reachable, an empty
+        set tells NoHost from NoPath. So a NoHost rejection searches
+        nothing in the view, though it may build the anchor's floor tree,
+        which is a cache. Each candidate's utilization is read off the
+        view's residuals, and the best is kept as they are read. Returns
+        the host and the segment to it, or why no host was chosen.
         """
         residual_cpu, residual_mem = view.residual_cpu, view.residual_mem
+        failed_hosts = view.failed_hosts
         cpu_demand, mem_demand = vnf.cpu_demand, vnf.mem_demand
-        fitting = {
-            host_id
-            for host_id in self.network.host_ids
-            if host_id not in view.failed_hosts
-            and residual_cpu[host_id] >= cpu_demand
-            and residual_mem[host_id] >= mem_demand
-        }
-        if not fitting:
-            return RejectReason.NO_HOST
-        tier = floor_tier(view, anchor, bw_kbps, fitting)
-        if tier is None:
-            tier = shortest_path_tree(view, anchor, bw_kbps, fitting)
+
+        def fits(node: int) -> bool:
+            # Only hosts are keys of the CPU table, and -1 fits no demand.
+            return (
+                residual_cpu.get(node, -1) >= cpu_demand
+                and residual_mem[node] >= mem_demand
+                and node not in failed_hosts
+            )
+
+        tier = floor_tier(view, anchor, bw_kbps, fits)
+        if not tier:
+            fitting = {host_id for host_id in self.network.host_ids if fits(host_id)}
+            if not fitting:
+                return RejectReason.NO_HOST
+            if tier is None:
+                tree = shortest_path_tree(view, anchor, bw_kbps, fitting)
+                tier = {host_id: tree[host_id] for host_id in fitting if host_id in tree}
         capacity_cpu, capacity_mem = self.network.capacity["cpu"], self.network.capacity["mem"]
         best = None
         for host_id, (latency, _, segment) in tier.items():
-            if host_id not in fitting:
-                continue
             cap_cpu, cap_mem = capacity_cpu[host_id], capacity_mem[host_id]
             utilization = max(
                 (cap_cpu - residual_cpu[host_id]) / cap_cpu if cap_cpu else 0.0,
@@ -435,14 +447,28 @@ class Controller:
     ) -> tuple[FlowSample, bool]:
         """Fold raw into prev: the smoothed figures, and whether each stood still.
 
-        The figures are every field of a FlowSample after its flow id; with
-        no prev, raw is taken at face value.
+        The figures are every field of a FlowSample after its flow id, each
+        folded as alpha * raw + (1 - alpha) * prev; with no prev, raw is
+        taken at face value.
         """
         if prev is None:
             return raw, False
-        last = prev[1:]
-        figures = tuple(alpha * r + (1 - alpha) * p for r, p in zip(raw[1:], last))
-        return FlowSample(raw.flow_id, *figures), figures == last
+        flow_id, throughput, delay, jitter, loss, stall = raw
+        _, last_throughput, last_delay, last_jitter, last_loss, last_stall = prev
+        keep = 1 - alpha
+        throughput = alpha * throughput + keep * last_throughput
+        delay = alpha * delay + keep * last_delay
+        jitter = alpha * jitter + keep * last_jitter
+        loss = alpha * loss + keep * last_loss
+        stall = alpha * stall + keep * last_stall
+        still = (
+            throughput == last_throughput
+            and delay == last_delay
+            and jitter == last_jitter
+            and loss == last_loss
+            and stall == last_stall
+        )
+        return FlowSample(flow_id, throughput, delay, jitter, loss, stall), still
 
     def handle_degradation(self, link_id: int, flows: Iterable[DbEntry]) -> None:
         """Bring the given live flows up to date after link_id changed quality.
@@ -488,6 +514,8 @@ class Controller:
         First try new segments with placements fixed; then a full re-embed
         that shuns the worst link of the current graph (highest loss, then
         highest latency); each stage consumes one of max_reroute_attempts.
+        There are only these two stages, so an attempt count of 2 or more
+        runs both and any higher count behaves as 2.
         When nothing predicted to meet the target fits, the flow is marked
         degraded but keeps running on what it has. The network and the
         flow's measurement are updated here, its graph and status by the

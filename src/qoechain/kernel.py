@@ -12,8 +12,10 @@ stands, whatever order the file lists them in.
 Measurement windows are the run's clock, not queued events: window i falls
 at (i + 1) * window_ms, and the loop dispatches it whenever its time is at
 or before the queue's next event, so a window comes before every other
-event at its instant. A departure later than the horizon is not queued,
-since it could never be dispatched; one exactly at the horizon is.
+event at its instant. Only an event hook reads a window's MeasureWindow, so
+one is built only when a hook is set. A departure later than the horizon
+is not queued, since it could never be dispatched; one exactly at the
+horizon is.
 """
 
 from __future__ import annotations
@@ -103,8 +105,9 @@ def run(
     seed overrides the scenario's own seed. strict_debug re-runs the global
     conservation, validity, measurement and shared-window audits after
     every event instead of only at the end. event_hook(event, state) is a
-    test seam called after each dispatch, a MeasureWindow for each window
-    included, before the audits.
+    test seam called after each dispatch, before the audits. Each window
+    is handed to it as a MeasureWindow of its time and index, built for
+    the hook alone: a run without a hook builds none.
     """
     state = NetworkState(doc.nodes, doc.links)
     catalog = ServiceCatalog(doc.vnf_types, doc.profiles)
@@ -138,7 +141,7 @@ def run(
         window_at = (index + 1) * doc.window_ms
         event_at = queue.peek_time() if queue else horizon + 1  # none: past the horizon
         if index < windows and window_at <= event_at:
-            event = MeasureWindow(window_at, index)
+            event = MeasureWindow(window_at, index) if event_hook is not None else None
             samples, breaching = controller.monitor_window(index, orchestrator.db.live())
             series.append(samples)
             for entry in breaching:

@@ -107,17 +107,18 @@ def estimate_mos(sample: FlowSample, profile: AppProfile) -> QoeSample:
     q_stall = max(0, 1 - stall_ratio / stall_max)
     mos = 1 + 4 * q_bw * q_delay * q_loss * q_stall
     """
-    d_eff = sample.delay_ms + 2.0 * sample.jitter_ms
-    q_bw = min(1.0, sample.throughput_mbps / profile.bw_req_mbps)
+    flow_id, throughput, delay, jitter, loss, stall = sample
+    d_eff = delay + 2.0 * jitter
+    q_bw = min(1.0, throughput / profile.bw_req_mbps)
     if d_eff <= profile.delay_opt_ms:
         q_delay = 1.0
     else:
         span = profile.delay_max_ms - profile.delay_opt_ms
         q_delay = _clamp01((profile.delay_max_ms - d_eff) / span)
-    q_loss = max(0.0, 1.0 - sample.loss_pct / profile.loss_max_pct)
-    q_stall = max(0.0, 1.0 - sample.stall_ratio / profile.stall_max)
+    q_loss = max(0.0, 1.0 - loss / profile.loss_max_pct)
+    q_stall = max(0.0, 1.0 - stall / profile.stall_max)
     mos = 1.0 + 4.0 * q_bw * q_delay * q_loss * q_stall
-    return QoeSample(sample.flow_id, mos, q_bw, q_delay, q_loss, q_stall)
+    return QoeSample(flow_id, mos, q_bw, q_delay, q_loss, q_stall)
 
 
 def predict_mos(

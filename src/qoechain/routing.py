@@ -8,14 +8,15 @@ runs reproducible. Failed hosts never appear as interior nodes.
 One Dijkstra loop (`_settle`), one plain call, serves both callers with one
 stop rule: given target nodes, it stops once all are settled or at the first
 popped key whose latency is strictly above that of the first target settled.
-`shortest_feasible_path` passes its destination; host placement passes the
-hosts that fit, since a host farther than the nearest one cannot win while
-every host tied with it is still settled. Without targets the search settles
-every reachable node. A settled node's label is the one a full search gives:
-the key is a total order, and appending the same link to two paths that end
-at the same node keeps their order, so a label is final when first popped.
-Latency is summed along the path from 0.0 in path order, as
-`oracle.path_key` sums it, so even the floats agree.
+`shortest_feasible_path` passes its destination; host placement, when its
+floor tier is not clean, passes the set of every host that fits, since a
+host farther than the nearest one cannot win while every host tied with it
+is still settled. Without targets the search settles every reachable node.
+A settled node's label is the one a full search gives: the key is a total
+order, and appending the same link to two paths that end at the same node
+keeps their order, so a label is final when first popped. Latency is
+summed along the path from 0.0 in path order, as `oracle.path_key` sums
+it, so even the floats agree.
 
 The loop reads each node's (link id, neighbour) pairs from the state's
 `edges`, the topology, built once and never written. For a candidate
@@ -53,14 +54,16 @@ included:
   latency. When each of them is clean, that tier is exactly the targets a
   bounded search settles, with the same labels: each is at its floor key,
   and any other target reachable at all has current latency at least its
-  floor latency, which is above the tier's.
+  floor latency, which is above the tier's. `floor_tier` takes the targets
+  as a fit test, asked of each node as the walk over the floor tree
+  reaches it, so a clean tier is found without listing the targets.
 A node missing from the floor tree is unreachable in any view. A query
 whose floor answer is not clean falls back to the search.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 from heapq import heappop, heappush
 
 from .errors import SimulatorError
@@ -163,20 +166,22 @@ def _clean(net, src: int, links: tuple[int, ...], bw_kbps: int) -> bool:
 
 
 def floor_tier(
-    net, src: int, bw_kbps: int, targets: Collection[int]
+    net, src: int, bw_kbps: int, fits: Callable[[int], bool]
 ) -> dict[int, PathKey] | None:
-    """Keys of the targets nearest src, read off the floor tree, or None.
+    """Keys of the fitting nodes nearest src, read off the floor tree, or None.
 
-    The tier is the targets at the nearest floor latency, empty when none
-    is reachable. It is the answer when each of them is clean, and None
-    says that one is not, so the caller searches instead.
+    fits says whether a node is a target; it is asked of each node the
+    walk reaches, in floor-key order, until the walk passes the nearest
+    target's floor latency. The tier is the targets at that latency, empty
+    when none is reachable. It is the answer when each of them is clean,
+    and None says that one is not, so the caller searches instead.
     """
     tier: dict[int, PathKey] = {}
     nearest = float("inf")
     for node, label in _floor_tree(net, src).items():
         if label[0] > nearest:
             break
-        if node in targets:
+        if fits(node):
             if not _clean(net, src, label[2], bw_kbps):
                 return None
             nearest = label[0]

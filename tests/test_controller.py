@@ -376,6 +376,95 @@ def test_placement_stops_at_the_nearest_fitting_host(placement_trees):
     assert [sorted(tree) for tree in placement_trees] == [[0, 1]]  # not the tail
 
 
+def _star_network(latencies: dict[int, float]) -> NetworkState:
+    """Endpoint 0 joined to each host by one link of its latency, link id = host id - 1."""
+    nodes = [NodeSpec(0, NodeKind.ENDPOINT)] + [
+        NodeSpec(host_id, NodeKind.HOST, cpu_capacity=4, mem_capacity=4) for host_id in latencies
+    ]
+    links = [
+        LinkSpec(host_id - 1, 0, host_id, bandwidth_kbps=10_000, latency_ms=latency)
+        for host_id, latency in latencies.items()
+    ]
+    return NetworkState(nodes, links)
+
+
+class _CountingHostIds(tuple):
+    """A host-id tuple that counts the loops over it."""
+
+    loops = 0
+
+    def __iter__(self):
+        self.loops += 1
+        return super().__iter__()
+
+
+def test_placement_rejects_no_host_when_every_host_is_full(placement_trees):
+    net = _star_network({1: 1.0, 2: 2.0})
+    net.reserve(cpu_demands={1: 3, 2: 4})
+    ctl = _controller(net)
+    view = ResourceView(net)
+    assert ctl._place_next(view, 0, ctl.catalog.vnf("fw"), 1000) is RejectReason.NO_HOST
+    assert placement_trees == []  # nothing is searched in the view
+    assert view.residual_cpu == net.residual_cpu and view.residual_bw == net.residual_bw
+
+
+@pytest.mark.parametrize("search", [False, True], ids=["floor", "search"])
+def test_placement_rejects_no_path_when_the_fitting_host_cannot_be_reached(search, monkeypatch):
+    # Host 1 is full. Host 2 has no link at all, and host 3 only a link too
+    # narrow for the demand: either one, as the only host with room, is a
+    # NoPath, whether the floor tree or a search answers.
+    if search:
+        monkeypatch.setattr(controller_module, "floor_tier", lambda *args: None)
+    nodes = [NodeSpec(0, NodeKind.ENDPOINT)] + [
+        NodeSpec(host_id, NodeKind.HOST, cpu_capacity=4, mem_capacity=4) for host_id in (1, 2, 3)
+    ]
+    links = [
+        LinkSpec(0, 0, 1, bandwidth_kbps=10_000, latency_ms=1.0),
+        LinkSpec(1, 0, 3, bandwidth_kbps=500, latency_ms=1.0),
+    ]
+    vnf = small_catalog().vnf("fw")
+    for full in (3, 2):
+        net = NetworkState(nodes, links)
+        net.reserve(cpu_demands={1: 4, full: 4})
+        ctl = _controller(net)
+        assert ctl._place_next(ResourceView(net), 0, vnf, 1000) is RejectReason.NO_PATH
+
+
+def test_placement_skips_a_failed_host_at_the_nearest_floor_latency(placement_trees):
+    net = _star_network({1: 1.0, 2: 2.0, 3: 2.0})
+    net.fail_host(1)
+    ctl = _controller(net)
+    assert ctl._place_next(ResourceView(net), 0, ctl.catalog.vnf("fw"), 1000) == (2, (1,))
+    assert placement_trees == []  # hosts 2 and 3 are a clean floor tier
+
+
+@pytest.mark.parametrize("search", [False, True], ids=["floor", "search"])
+def test_a_placement_tie_falls_to_utilization_then_to_host_id(search, monkeypatch):
+    # Hosts 2, 3 and 4 tie at the nearest latency; host 1, farther, is idle.
+    if search:
+        monkeypatch.setattr(controller_module, "floor_tier", lambda *args: None)
+    net = _star_network({1: 3.0, 2: 1.0, 3: 1.0, 4: 1.0})
+    net.reserve(cpu_demands={2: 3, 3: 1, 4: 1}, mem_demands={3: 2})
+    ctl = _controller(net)
+    vnf = ctl.catalog.vnf("fw")
+    assert ctl._place_next(ResourceView(net), 0, vnf, 1000) == (4, (3,))  # 3 has more mem in use
+    net.reserve(mem_demands={4: 2})
+    assert ctl._place_next(ResourceView(net), 0, vnf, 1000) == (3, (2,))  # 3 and 4 tie: lower id
+
+
+def test_placement_on_a_clean_tier_never_loops_over_the_hosts():
+    net = _star_network({1: 1.0, 2: 2.0})
+    net.host_ids = _CountingHostIds(net.host_ids)
+    ctl = _controller(net)
+    vnf = ctl.catalog.vnf("fw")
+    assert ctl._place_next(ResourceView(net), 0, vnf, 1000) == (1, (0,))
+    assert net.host_ids.loops == 0
+    # A tier that is not clean searches, so it needs every fitting host.
+    net.degrade_link(0, latency_ms=1.5)
+    assert ctl._place_next(ResourceView(net), 0, vnf, 1000) == (1, (0,))
+    assert net.host_ids.loops == 1
+
+
 def test_a_degradation_below_the_floor_reroutes_the_next_admission():
     # Link 1 falls from 12 to 8 ms, below link 0's 10 ms. Endpoint 0's floor
     # tree, built by the first admission, still names link 0, which is

@@ -14,6 +14,7 @@ from random import Random
 import pytest
 
 from qoechain import Controller, EventQueue, ForwardingGraph, parse_scenario, run, write_report
+from qoechain import kernel as kernel_module
 from qoechain.errors import InvariantViolation, SimulatorError
 from qoechain.kernel import Departure, MeasureWindow
 from qoechain.orchestrator import DbEntry
@@ -377,6 +378,27 @@ def test_event_hook_sees_the_dispatch_order():
         "MeasureWindow",
         "MeasureWindow",
     ]
+
+
+def test_a_window_builds_its_event_only_for_a_hook(monkeypatch):
+    # The hook sees one MeasureWindow per window, at (i + 1) * window_ms
+    # with index i. A run with no hook builds none, and writes the same.
+    built: list[MeasureWindow] = []
+
+    def counting_window(time_ms, index):
+        built.append(MeasureWindow(time_ms, index))
+        return built[-1]
+
+    monkeypatch.setattr(kernel_module, "MeasureWindow", counting_window)
+    doc = _doc(_payload())
+    seen: list = []
+    hooked = run(doc, event_hook=lambda event, state: seen.append(event))
+    windows = [event for event in seen if isinstance(event, MeasureWindow)]
+    assert windows == [MeasureWindow((i + 1) * doc.window_ms, i) for i in range(hooked.windows)]
+    assert hooked.windows == 3 and built == windows
+    built.clear()
+    assert run(doc).series == hooked.series
+    assert built == []
 
 
 def test_a_window_precedes_every_event_at_its_instant():

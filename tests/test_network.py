@@ -176,16 +176,16 @@ def test_degrade_link_writes_quality_and_the_floor_but_never_the_topology():
     edges = net.edges
     before = dict(edges)
     assert edges[0] == ((0, 1), (1, 2)) and net.floor.edges is edges
-    assert floor_tier(view, 0, 1000, {3}) == {3: (10.0, 2, (0, 2))}
+    assert floor_tier(view, 0, 1000, {3}.__contains__) == {3: (10.0, 2, (0, 2))}
     net.degrade_link(0, latency_ms=30.0)  # above its floor
     assert net.edges is edges and edges == before
     assert net.floor.quality[0] == PathMetrics(5.0, 0.0, 0.0)
-    assert floor_tier(view, 0, 1000, {3}) is None  # link 0 is above its floor
+    assert floor_tier(view, 0, 1000, {3}.__contains__) is None  # link 0 is above its floor
     assert shortest_feasible_path(view, 0, 3, 1000) == [1, 3]  # a view built earlier sees 30 ms
     net.degrade_link(1, latency_ms=1.0)  # below its floor
     assert net.edges is edges and edges == before
     assert net.floor.quality[1] == PathMetrics(1.0, 0.0, 0.0)
-    assert floor_tier(view, 0, 1000, {3}) == {3: (6.0, 2, (1, 3))}
+    assert floor_tier(view, 0, 1000, {3}.__contains__) == {3: (6.0, 2, (1, 3))}
     net.degrade_link(3, jitter_ms=2.0, loss_pct=1.0)
     assert net.edges is edges and edges == before
     assert net.floor.quality[3] == PathMetrics(5.0, 0.0, 0.0)

@@ -94,6 +94,26 @@ def test_smoothing_keeps_figures_in_range(prev, raw, alpha):
     assert smoothed.stall_ratio <= 1.0
 
 
+@given(
+    figures,
+    figures,
+    st.tuples(*[st.booleans()] * 5),
+    st.sampled_from((0.3, 0.5, 1.0)) | st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_smoothing_folds_each_figure_by_the_ewma(prev, raw, repeat, alpha):
+    # Each figure after the flow id is alpha * raw + (1 - alpha) * prev, and
+    # the flow stands still when every one of them equals prev's. A raw
+    # figure may repeat prev's, which is where the EWMA can stand still.
+    raw = tuple(p if same else r for p, r, same in zip(prev, raw, repeat))
+    prev, raw = FlowSample(7, *prev), FlowSample(8, *raw)
+    smoothed, still = Controller._smooth(prev, raw, alpha)
+    assert type(smoothed) is FlowSample and smoothed.flow_id == 8
+    for name in FlowSample._fields[1:]:
+        expected = alpha * getattr(raw, name) + (1 - alpha) * getattr(prev, name)
+        assert getattr(smoothed, name) == expected, name
+    assert still == all(getattr(smoothed, n) == getattr(prev, n) for n in FlowSample._fields[1:])
+
+
 def test_every_scored_window_is_in_range():
     # What a run writes is in range by construction: each factor in [0, 1]
     # and the MOS exactly the model's value of them, so within [1, 5].

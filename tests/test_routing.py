@@ -333,15 +333,15 @@ def test_the_floor_tree_keeps_a_float_tie_at_fewer_hops():
         assert net.floor.trees == {}
     three_hops = path_key(net, [4, 5, 6])
     assert three_hops[0] == path_key(net, [0, 1, 2, 3])[0] == 24.7
-    assert floor_tier(net, 0, 500, {1}) == {1: three_hops}
+    assert floor_tier(net, 0, 500, {1}.__contains__) == {1: three_hops}
     assert shortest_feasible_path(net, 0, 1, 500) == [4, 5, 6]
     # Above its floor, link 4 is not clean and the search takes the 4-hop
     # route; back at its floor, the kept tree answers again.
     net.degrade_link(4, latency_ms=20.0)
-    assert floor_tier(net, 0, 500, {1}) is None
+    assert floor_tier(net, 0, 500, {1}.__contains__) is None
     assert shortest_feasible_path(net, 0, 1, 500) == [0, 1, 2, 3]
     net.degrade_link(4, latency_ms=6.7)
-    assert floor_tier(net, 0, 500, {1}) == {1: three_hops}
+    assert floor_tier(net, 0, 500, {1}.__contains__) == {1: three_hops}
     assert shortest_feasible_path(net, 0, 1, 500) == [4, 5, 6]
 
 
@@ -386,7 +386,7 @@ def test_floor_answers_match_the_search_and_the_enumeration():
                     search = shortest_path_tree(view, src, bw, (dst,)).get(dst)
                     path = shortest_feasible_path(view, src, dst, bw)
                     assert (None if path is None else path_key(view, path)) == search
-                    floor = floor_tier(view, src, bw, {dst})
+                    floor = floor_tier(view, src, bw, {dst}.__contains__)
                     if floor is None:
                         fallback += 1
                     else:
@@ -397,7 +397,7 @@ def test_floor_answers_match_the_search_and_the_enumeration():
                         keys = [path_key(view, each) for each in everything]
                         assert search == (min(keys) if keys else None)
                 targets = set(rng.sample(sorted(net.nodes), rng.randint(1, 4)))
-                floor = floor_tier(view, src, bw, targets)
+                floor = floor_tier(view, src, bw, targets.__contains__)
                 if floor is not None:
                     bounded = shortest_path_tree(view, src, bw, targets)
                     reached = {node: bounded[node] for node in targets & set(bounded)}
