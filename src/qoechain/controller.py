@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Collection, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, NamedTuple
 
 from .errors import (
     InvalidRange,
@@ -74,26 +74,20 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Controller knobs.
+    """Controller knobs: the EWMA factor monitoring smooths with.
 
     Path weight (latency), the candidate tie-break (lowest utilization,
-    then lowest host id) and the admission rule (predicted MOS at or above
-    the request's target) are fixed behavior, not configuration.
-    max_reroute_attempts caps the stages of breach repair (handle_breach),
-    which has two: 1 allows the reroute alone, and 2 or more both the
-    reroute and the re-embed, so every value of 2 or more behaves as 2.
+    then lowest host id), the admission rule (predicted MOS at or above
+    the request's target) and breach repair's two plans (handle_breach)
+    are fixed behavior, not configuration.
     """
 
     predictor_alpha: float = 0.3
-    max_reroute_attempts: int = 2
 
     def __post_init__(self):
         if not 0 < self.predictor_alpha <= 1:
             msg = "predictor_alpha must be in (0, 1]"
             raise InvalidRange(msg, field="predictor_alpha")
-        if self.max_reroute_attempts < 1:
-            msg = "max_reroute_attempts must be at least 1"
-            raise InvalidRange(msg, field="max_reroute_attempts")
 
 
 class RejectReason(str, Enum):
@@ -492,51 +486,48 @@ class Controller:
         """
         entry.route = entry.smoothed = entry.settled = None
 
-    def set_stall(self, flow_id: int, stall_ratio: float, flows: Iterable[DbEntry]) -> None:
+    def set_stall(self, flow_id: int, stall_ratio: float, entries: Mapping[int, DbEntry]) -> None:
         """Set a flow's stall level; it persists until the next injection.
 
-        flows are the live database entries; if the flow is one of them, its
-        held sample and the shared window are dropped. A flow not yet
-        admitted reads the level when first measured.
+        entries are the database entries by flow id. If the flow's entry is
+        live, its held sample and the shared window are dropped. A flow not
+        yet admitted reads the level when first measured, and one that has
+        ended is never measured again.
         """
         check_stall_ratio(stall_ratio)
         self.stall_levels[flow_id] = stall_ratio
-        for entry in flows:
-            if entry.request.id == flow_id:
-                entry.settled = None
-                self.shared_window = None
+        entry = entries.get(flow_id)
+        if entry is not None and entry.is_live:
+            entry.settled = None
+            self.shared_window = None
 
     # -- self-healing -------------------------------------------------------------
 
     def handle_breach(self, entry: DbEntry) -> Action:
-        """Escalating repair of a breaching flow.
+        """Escalating repair of a breaching flow: two plans, each under the MOS gate.
 
-        First try new segments with placements fixed; then a full re-embed
-        that shuns the worst link of the current graph (highest loss, then
-        highest latency); each stage consumes one of max_reroute_attempts.
-        There are only these two stages, so an attempt count of 2 or more
-        runs both and any higher count behaves as 2.
-        When nothing predicted to meet the target fits, the flow is marked
-        degraded but keeps running on what it has. The network and the
-        flow's measurement are updated here, its graph and status by the
-        orchestrator.
+        First a reroute: new segments with placements fixed. If no such plan
+        passes, a full re-embed that shuns the worst link of the current
+        graph (highest loss, then highest latency). When neither fits, the
+        flow is marked degraded but keeps running on what it has. The
+        network and the flow's measurement are updated here, its graph and
+        status by the orchestrator.
         """
         request, graph = entry.request, entry.graph
-        chain = range(len(request.vnf_sequence))
         segments = range(len(graph.segments))
-        stages = [(ActionKind.REROUTED, ()), (ActionKind.MIGRATED, chain)]
-        for kind, positions in stages[: self.policy.max_reroute_attempts]:
-            # Only the re-embed shuns a link, so only it looks for the worst.
-            exclude_links = frozenset()
-            if kind is ActionKind.MIGRATED:
-                exclude_links = frozenset({self._worst_link(graph)})
-            plan = self._replan(request, graph, positions, segments, exclude_links)
-            if not isinstance(plan, Rejected):
-                self._commit(request, graph, plan.graph)
-                self._restart_measurement(entry)
-                entry.route = plan.route
-                return Action(kind, request.id, plan.graph)
-        return Action(ActionKind.MARKED_DEGRADED, request.id)
+        kind = ActionKind.REROUTED
+        plan = self._replan(request, graph, (), segments)
+        if isinstance(plan, Rejected):
+            kind = ActionKind.MIGRATED
+            chain = range(len(request.vnf_sequence))
+            shunned = frozenset({self._worst_link(graph)})
+            plan = self._replan(request, graph, chain, segments, shunned)
+            if isinstance(plan, Rejected):
+                return Action(ActionKind.MARKED_DEGRADED, request.id)
+        self._commit(request, graph, plan.graph)
+        self._restart_measurement(entry)
+        entry.route = plan.route
+        return Action(kind, request.id, plan.graph)
 
     def _worst_link(self, graph: ForwardingGraph) -> int:
         def badness(link_id: int):

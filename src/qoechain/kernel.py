@@ -167,7 +167,7 @@ def run(
                 state.degrade_link(event.link, event.latency_ms, event.jitter_ms, event.loss_pct)
                 controller.handle_degradation(event.link, orchestrator.db.live())
             elif isinstance(event, StallInjection):
-                controller.set_stall(event.flow, event.stall_ratio, orchestrator.db.live())
+                controller.set_stall(event.flow, event.stall_ratio, orchestrator.db.entries)
             else:  # pragma: no cover - the queue only ever holds the types above
                 msg = f"unknown event {event!r}"
                 raise InvariantViolation(msg)

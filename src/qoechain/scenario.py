@@ -193,7 +193,6 @@ _ELA = _Table(Ela, (
 ))
 _POLICY = _Table(PolicyConfig, (
     _Field("predictor_alpha", "predictor_alpha", "number", required=False, default=0.3),
-    _Field("max_reroute_attempts", "max_reroute_attempts", "int", required=False, default=2),
 ))
 # An absent ela_target is the ELA's target_mos; the parser supplies it.
 _REQUEST = _Table(ChainRequest, (

@@ -6,6 +6,7 @@ own seed; the suite never consumes global RNG state.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import importlib.util
 import json
@@ -31,6 +32,9 @@ from qoechain import (
     parse_scenario,
     write_report,
 )
+from qoechain import controller as controller_module
+from qoechain import routing
+from qoechain.orchestrator import DbEntry
 from qoechain.qoe import FlowSample, QoeSample
 from qoechain.report import SimReport
 from qoechain.scenario import (
@@ -291,6 +295,48 @@ def degrade_and_refresh(orchestrator, link_id: int, **figures) -> None:
     controller.handle_degradation(link_id, orchestrator.db.live())
 
 
+@contextlib.contextmanager
+def reference_run() -> Iterator[None]:
+    """Inside it, a run takes none of the run path's exact shortcuts.
+
+    Each is swapped for the plain computation, so a run inside must write
+    what the same run outside writes:
+    - floor answers: `controller.floor_tier` returns None and
+      `routing._clean` False, so every path and placement query searches;
+    - held samples and the shared window: `DbEntry.settled` and
+      `Controller.shared_window` read None and ignore writes, so every flow
+      is scored in every window and report.py is handed no shared list;
+    - route figures seeded by the MOS gate or held from a window before:
+      `Controller._measure` clears the entry's route before it measures.
+    Windows outside the event heap have no plain form to swap in;
+    test_a_window_precedes_every_event_at_its_instant covers them. The
+    swaps are undone on exit, and no pytest is needed, so a script can
+    use it too.
+    """
+    never = property(lambda owner: None, lambda owner, value: None)
+    measure = Controller._measure
+
+    def measure_afresh(self, entry, profile, alpha):
+        entry.route = None
+        return measure(self, entry, profile, alpha)
+
+    swaps = (
+        (controller_module, "floor_tier", lambda *args: None),
+        (routing, "_clean", lambda *args: False),
+        (DbEntry, "settled", never),
+        (Controller, "shared_window", never),
+        (Controller, "_measure", measure_afresh),
+    )
+    with contextlib.ExitStack() as undo:
+        for owner, name, swap in swaps:
+            if name in vars(owner):
+                undo.callback(setattr, owner, name, vars(owner)[name])
+            else:
+                undo.callback(delattr, owner, name)
+            setattr(owner, name, swap)
+        yield
+
+
 def written_artifacts(report: SimReport, out_dir: Path) -> dict[str, bytes]:
     """Write report's artifacts to out_dir and read back each file's bytes, by name."""
     write_report(report, out_dir)
@@ -338,7 +384,7 @@ def breach_trail(breach_windows: int, stalls) -> tuple[list[float], list[int]]:
     orch = stalled_flow(breach_windows)
     scores, breached = [], []
     for window, stall in enumerate(stalls):
-        orch.controller.set_stall(0, stall, orch.db.live())
+        orch.controller.set_stall(0, stall, orch.db.entries)
         samples, breaching = orch.controller.monitor_window(window, orch.db.live())
         scores.append(samples[0].mos)
         breached.extend(window for _ in breaching)
@@ -438,7 +484,7 @@ def random_doc(rng: Random, index: int) -> ScenarioDoc:
         vnf_types=tuple(catalog.vnf_types[name] for name in sorted(catalog.vnf_types)),
         profiles=tuple(catalog.profiles[name] for name in sorted(catalog.profiles)),
         ela=Ela(3.0, 2, 0.8),
-        policy=PolicyConfig(0.3, 2),
+        policy=PolicyConfig(0.3),
         arrival_jitter_ms=rng.choice((0, 0, 250)),
         requests=tuple(requests),
         host_failures=tuple(failures),

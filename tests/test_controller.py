@@ -17,7 +17,6 @@ from qoechain import (
     NodeKind,
     NodeSpec,
     Orchestrator,
-    PathMetrics,
     PolicyConfig,
     Rejected,
     RejectReason,
@@ -37,33 +36,24 @@ from qoechain import routing
 from qoechain.controller import ActionKind, ResourceView
 from qoechain.errors import InvalidRange, InvariantViolation, SimulatorError
 from qoechain.oracle import graph_latency
-from qoechain.orchestrator import DbEntry
 from qoechain.routing import shortest_path_tree
 
 from generators import (
     SCENARIOS,
     degrade_and_refresh,
-    degraded_doc,
     fail_and_repair,
     line_network,
-    lowered_detour_doc,
     make_profile,
     make_request,
-    one_fault_of_each_kind,
     pair_catalog,
     parallel_pair,
     random_catalog,
-    random_doc,
     random_network,
     random_request,
-    series_rows,
     small_catalog,
     snapshot,
     square_network,
     stalled_flow,
-    written_artifacts,
-    written_dump,
-    written_summary,
 )
 
 ELA = Ela(target_mos=3.0, breach_windows=2, compliance_budget=0.9)
@@ -500,43 +490,6 @@ def test_a_degradation_above_the_floor_on_the_answer_falls_back_to_the_search(mo
     assert net.floor.trees == trees  # a degradation above the floor keeps them
 
 
-def test_floor_answers_change_no_run_under_every_kind_of_degradation(monkeypatch, tmp_path):
-    # Degradations that lower floors, set one figure alone, reach 100% loss
-    # and stack on one link at one instant: each run is clean under the
-    # strict audits, and the same run with no floor answer taken, so that
-    # every path and placement query searches, writes the same artifacts.
-    # The random substrates seldom give a lowered link a second route to
-    # win, so the hand-built detour, where a kept floor tree answers the
-    # old route, is one of the documents.
-    rng = Random(32)
-    docs = [degraded_doc(rng, random_doc(rng, index)) for index in range(200)]
-    docs.append(lowered_detour_doc())
-    records = [(doc, fault) for doc in docs for fault in doc.link_degradations]
-    assert any(
-        fault.latency_ms is not None and fault.latency_ms < doc.links[fault.link].latency_ms
-        for doc, fault in records
-    )
-    assert any(fault.loss_pct == 100.0 for _, fault in records)
-    given = {
-        tuple(name for name in PathMetrics._fields if getattr(fault, name) is not None)
-        for _, fault in records
-    }
-    assert {("jitter_ms",), ("loss_pct",)} <= given
-    assert any(
-        len({(fault.time_ms, fault.link) for fault in doc.link_degradations})
-        < len(doc.link_degradations)
-        for doc in docs
-    )
-    floors = [
-        written_artifacts(run(doc, strict_debug=True), tmp_path / f"floor{index}")
-        for index, doc in enumerate(docs)
-    ]
-    monkeypatch.setattr(controller_module, "floor_tier", lambda *args: None)
-    monkeypatch.setattr(routing, "_clean", lambda *args: False)
-    for index, (doc, files) in enumerate(zip(docs, floors)):
-        assert written_artifacts(run(doc), tmp_path / f"search{index}") == files, doc.name
-
-
 def _spur_network(spur_bw_kbps: int):
     # Host 3 hangs off the path on a spur, so placing there crosses the
     # spur link in both directions: 8 Mbps of aggregate demand on it.
@@ -613,7 +566,7 @@ def test_a_degraded_flow_breaches_again_and_the_run_survives_a_reroute():
     # target and breaches again in the very next window.
     orch = stalled_flow()
     controller, entry = orch.controller, orch.db.entries[0]
-    controller.set_stall(0, 0.2, orch.db.live())
+    controller.set_stall(0, 0.2, orch.db.entries)
     for window in range(2):
         _, breaching = controller.monitor_window(window, orch.db.live())
     assert breaching == [entry]
@@ -630,7 +583,7 @@ def test_a_degraded_flow_breaches_again_and_the_run_survives_a_reroute():
     # carries over to the new graph, so the next stalled window breaches.
     orch = stalled_flow(latencies=(10.0, 12.0))
     controller, entry = orch.controller, orch.db.entries[0]
-    controller.set_stall(0, 0.2, orch.db.live())
+    controller.set_stall(0, 0.2, orch.db.entries)
     for window in range(2):
         _, breaching = controller.monitor_window(window, orch.db.live())
     old_graph = entry.graph
@@ -640,7 +593,7 @@ def test_a_degraded_flow_breaches_again_and_the_run_survives_a_reroute():
     _, breaching = controller.monitor_window(2, orch.db.live())
     assert breaching == [entry]
     assert entry.breach_windows == [1, 2]
-    controller.set_stall(0, 0.0, orch.db.live())
+    controller.set_stall(0, 0.0, orch.db.entries)
     _, breaching = controller.monitor_window(3, orch.db.live())
     assert breaching == [] and entry.windows_below == 0
     assert entry.breach_windows == [1, 2]
@@ -650,12 +603,12 @@ def test_stall_injection_shapes_q_stall():
     orch = _orchestrator()
     ctl = orch.controller
     orch.submit_request(make_request(), now=0)
-    ctl.set_stall(0, 0.1, orch.db.live())  # stall_max is 0.2
+    ctl.set_stall(0, 0.1, orch.db.entries)  # stall_max is 0.2
     samples, _ = ctl.monitor_window(0, orch.db.live())
     assert samples[0].q_stall == pytest.approx(0.5)
     assert samples[0].mos == pytest.approx(3.0)
     with pytest.raises(InvalidRange):
-        ctl.set_stall(0, 1.5, orch.db.live())
+        ctl.set_stall(0, 1.5, orch.db.entries)
 
 
 def test_reserved_bandwidth_insulates_throughput():
@@ -807,7 +760,7 @@ def _settled_pair_flow(net):
 
 def test_a_settled_flow_feels_a_stall_change():
     orch, window = _settled_pair_flow(parallel_pair())
-    orch.controller.set_stall(0, 0.1, orch.db.live())
+    orch.controller.set_stall(0, 0.1, orch.db.entries)
     sample = _scored_from_scratch(orch, window, (4.0, 10.0, 0.0, 0.0, 0.1))
     assert sample.q_stall < 1.0
 
@@ -958,51 +911,6 @@ def test_a_moving_ewma_is_scored_afresh_every_window():
         last = sample
 
 
-def test_reusing_settled_samples_changes_no_run(monkeypatch, tmp_path):
-    # The same runs with every reuse check missing: a DbEntry.settled that
-    # always reads None makes the controller measure, smooth and score
-    # every flow in every window.
-    rng = Random(1414)
-    docs = [one_fault_of_each_kind()] + [random_doc(rng, index) for index in range(200)]
-    # Only monitoring's scorings count: the end-of-run audit scores held
-    # samples again, outside monitor_window.
-    calls, scored = [], []
-    monkeypatch.setattr(
-        controller_module,
-        "estimate_mos",
-        lambda sample, profile: calls.append(sample) or estimate_mos(sample, profile),
-    )
-    monitor = Controller.monitor_window
-
-    def monitored(self, *args):
-        start = len(calls)
-        result = monitor(self, *args)
-        scored.extend(calls[start:])
-        return result
-
-    monkeypatch.setattr(Controller, "monitor_window", monitored)
-    reused = []
-    for doc in docs:
-        before = len(scored)
-        reused.append(run(doc))
-        # A reused window shares its sample object: the series holds one
-        # object per scoring, however many windows repeat it.
-        shared = {id(sample) for _, sample in series_rows(reused[-1])}
-        assert len(shared) == len(scored) - before
-    assert len(scored) < sum(len(list(series_rows(report))) for report in reused)
-    never = property(lambda entry: None, lambda entry, value: None)
-    monkeypatch.setattr(DbEntry, "settled", never)
-    for index, (doc, first) in enumerate(zip(docs, reused)):
-        second = run(doc)
-        assert second.series == first.series
-        assert written_summary(second, tmp_path / f"unsettled{index}") == written_summary(
-            first, tmp_path / f"settled{index}"
-        )
-        assert written_dump(second, tmp_path / f"unsettled{index}") == written_dump(
-            first, tmp_path / f"settled{index}"
-        )
-
-
 def _settled_stream_flows(count: int = 3):
     """count chain-free stream flows on link 0 of three, each settled under ALPHA.
 
@@ -1048,7 +956,7 @@ def test_quiet_windows_measure_no_settled_flow(monkeypatch):
     writes = [
         lambda: net.reserve(link_demands={1: 1000}),  # on no flow's route
         lambda: net.release(link_demands={1: 1000}),
-        lambda: controller.set_stall(7, 0.2, orch.db.live()),
+        lambda: controller.set_stall(7, 0.2, orch.db.entries),
         lambda: None,
     ]
     for window, write in enumerate(writes, start=window):
@@ -1077,12 +985,12 @@ def test_a_change_measures_only_the_flows_it_touches(monkeypatch, change, touche
     elif change == "degrade_link_off_routes":
         degrade_and_refresh(orch, 2, latency_ms=40.0)
     elif change == "set_stall":
-        controller.set_stall(1, 0.0, orch.db.live())  # the level it already had
+        controller.set_stall(1, 0.0, orch.db.entries)  # the level it already had
     else:
         # A ledger write touches no flow, even on every flow's route; beside
         # a change that does, it adds no second measure and no later one.
         net.reserve(link_demands={0: 1000})
-        controller.set_stall(1, 0.0, orch.db.live())
+        controller.set_stall(1, 0.0, orch.db.entries)
     controller.monitor_window(window, orch.db.live())
     assert measured == touched
     # None of them read anything new, so each settled again and the next
@@ -1128,11 +1036,14 @@ def test_a_degradation_on_a_route_drops_the_shared_window():
 
 
 def test_a_degradation_on_no_route_keeps_the_shared_window():
-    # So does a stall set on a flow that is not live.
+    # So does a stall set on a flow that is not live: one never admitted
+    # and one that has ended.
     orch, window = _settled_stream_flows()
+    orch.complete_request(2, now=0)
     shared, window = _shared(orch, window)
     degrade_and_refresh(orch, 2, latency_ms=40.0)
-    orch.controller.set_stall(7, 0.2, orch.db.live())
+    orch.controller.set_stall(7, 0.2, orch.db.entries)
+    orch.controller.set_stall(2, 0.2, orch.db.entries)
     assert orch.controller.shared_window is shared
     assert orch.controller.monitor_window(window, orch.db.live()) == (shared, [])
     assert orch.controller.monitor_window(window + 1, orch.db.live())[0] is shared
@@ -1141,7 +1052,7 @@ def test_a_degradation_on_no_route_keeps_the_shared_window():
 def test_a_stall_on_a_live_flow_drops_the_shared_window():
     orch, window = _settled_stream_flows()
     shared, window = _shared(orch, window)
-    orch.controller.set_stall(1, 0.1, orch.db.live())
+    orch.controller.set_stall(1, 0.1, orch.db.entries)
     samples = _dropped(orch, window, shared)
     assert [sample is held for sample, held in zip(samples, shared)] == [True, False, True]
 
@@ -1314,16 +1225,7 @@ def test_unchanged_segments_are_no_reroute():
     # the flow already has, which would pass the MOS gate but repair nothing.
     orch = _orchestrator()
     orch.submit_request(make_request(), now=0)
-    orch.controller.set_stall(0, 0.9, orch.db.live())
-    action = orch.controller.handle_breach(orch.db.entries[0])
-    assert action.kind is ActionKind.MARKED_DEGRADED
-
-
-def test_single_attempt_policy_skips_migration():
-    net = square_network()
-    orch = _orchestrator(net, policy=PolicyConfig(max_reroute_attempts=1))
-    orch.submit_request(make_request(ingress=0, egress=3), now=0)
-    net.degrade_link(0, loss_pct=50.0)
+    orch.controller.set_stall(0, 0.9, orch.db.entries)
     action = orch.controller.handle_breach(orch.db.entries[0])
     assert action.kind is ActionKind.MARKED_DEGRADED
 

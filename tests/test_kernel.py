@@ -7,6 +7,7 @@ import importlib
 import json
 import re
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from random import Random
@@ -15,18 +16,23 @@ import pytest
 
 from qoechain import Controller, EventQueue, ForwardingGraph, parse_scenario, run, write_report
 from qoechain import kernel as kernel_module
+from qoechain import routing
 from qoechain.errors import InvariantViolation, SimulatorError
 from qoechain.kernel import Departure, MeasureWindow
+from qoechain.network import PathMetrics
 from qoechain.orchestrator import DbEntry
 from qoechain.qoe import QoeSample
 from qoechain.report import SimReport
-from qoechain.scenario import LinkDegradation, StallInjection
+from qoechain.scenario import LinkDegradation, ScenarioDoc, StallInjection
 
 from generators import (
     bench_module,
+    degraded_doc,
+    lowered_detour_doc,
     make_request,
     one_fault_of_each_kind,
     random_doc,
+    reference_run,
     series_rows,
     written_artifacts,
     written_dump,
@@ -618,42 +624,79 @@ def _digests(artifacts: dict[str, bytes]) -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()}
 
 
-def _shared_runs(report: SimReport) -> tuple[int, int]:
-    """Windows that are the previous window's list: all, and those with samples."""
-    pairs = list(zip(report.series, report.series[1:]))
-    shared = [later for earlier, later in pairs if later is earlier]
-    return len(shared), sum(1 for samples in shared if samples)
+def _reference_corpus() -> list[ScenarioDoc]:
+    """The documents the reference run is held to.
 
-
-def test_sharing_quiet_windows_changes_no_run(monkeypatch, tmp_path):
-    # The same runs with the shared window cleared before every window, so
-    # every window is built flow by flow: the artifacts, whose summary.json
-    # counts each flow's windows off runs of shared lists, must not move.
+    The bundled scenarios; one fault of each kind; the hand-built detour,
+    where a floor tree kept past a lowered floor would answer the old route;
+    bench files where windows are shared most (fault_storm file 26 shares
+    one that holds flows between faults); and 200 random documents whose
+    degradations lower floors, reach 100% loss, set jitter or loss alone
+    and stack on one link at one instant, as is checked here.
+    """
+    docs = [_load(path.name) for path in sorted(SCENARIOS.glob("*.json"))]
+    docs += [one_fault_of_each_kind(), lowered_detour_doc()]
     gen = bench_module("gen")
-    rng = Random(2424)
-    docs = [random_doc(rng, index) for index in range(150)]
-    # fault_storm file 26 shares a window that holds flows between faults.
     picked = [("fault_storm", index) for index in (0, 1, 2, 26)] + [("steady_monitoring", 0)]
     docs += [_doc(json.loads(gen.render(workload, 1, index))) for workload, index in picked]
-    first_runs = []
-    shared = nonempty = 0
-    for index, doc in enumerate(docs):
-        report = run(doc)
-        first_runs.append((report, written_artifacts(report, tmp_path / f"shared-{index}")))
-        counts = _shared_runs(report)
-        shared, nonempty = shared + counts[0], nonempty + counts[1]
-    assert nonempty > 100 and shared > nonempty
-    monitor = Controller.monitor_window
+    rng = Random(7)
+    docs += [degraded_doc(rng, random_doc(rng, index)) for index in range(200)]
+    base = {(id(doc), link.id): link.latency_ms for doc in docs for link in doc.links}
+    records = [(id(doc), fault) for doc in docs for fault in doc.link_degradations]
+    assert any(
+        fault.latency_ms is not None and fault.latency_ms < base[key, fault.link]
+        for key, fault in records
+    )
+    assert any(fault.loss_pct == 100.0 for _, fault in records)
+    figures = PathMetrics._fields
+    given = {tuple(n for n in figures if getattr(fault, n) is not None) for _, fault in records}
+    assert {("jitter_ms",), ("loss_pct",)} <= given
+    assert len({(key, fault.time_ms, fault.link) for key, fault in records}) < len(records)
+    return docs
 
-    def unshared(self, window_index, flows):
-        self.shared_window = None
-        return monitor(self, window_index, flows)
 
-    monkeypatch.setattr(Controller, "monitor_window", unshared)
-    for index, (doc, (first, files)) in enumerate(zip(docs, first_runs)):
-        second = run(doc)
-        assert _shared_runs(second) == (0, 0)
-        assert written_artifacts(second, tmp_path / f"unshared-{index}") == files
+def test_the_reference_run_writes_what_the_shortcuts_write(monkeypatch, tmp_path):
+    # Each document runs under the strict audits as it is, then inside
+    # reference_run(), which takes none of the run path's shortcuts: the
+    # series must be equal and the three artifacts byte-identical. Counts
+    # of searches (_settle), monitoring's scorings (_measure) and shared
+    # windows show that the first runs take the shortcuts and the second
+    # take none.
+    docs = _reference_corpus()
+    counts = Counter()
+
+    def counting(name, original):
+        return lambda *args: counts.update((name,)) or original(*args)
+
+    monkeypatch.setattr(routing, "_settle", counting("_settle", routing._settle))
+    monkeypatch.setattr(Controller, "_measure", counting("_measure", Controller._measure))
+
+    def run_all(name: str) -> tuple[list[tuple[list, dict[str, bytes]]], Counter]:
+        """Each document's series and artifacts, and the counts over them all."""
+        counts.clear()
+        written = []
+        for index, doc in enumerate(docs):
+            before = counts["_measure"]
+            report = run(doc, strict_debug=True)
+            # One sample object per scoring, however many windows repeat it.
+            samples = {id(sample) for _, sample in series_rows(report)}
+            assert len(samples) == counts["_measure"] - before, doc.name
+            counts["rows"] += sum(map(len, report.series))
+            for earlier, later in zip(report.series, report.series[1:]):
+                counts["shared"] += later is earlier
+                counts["nonempty shared"] += later is earlier and bool(later)
+            files = written_artifacts(report, tmp_path / f"{name}{index}")
+            written.append((report.series, files))
+        return written, counts.copy()
+
+    plain, first = run_all("plain")
+    with reference_run():
+        reference, second = run_all("reference")
+    assert first["nonempty shared"] > 100 and first["_measure"] < first["rows"]
+    assert second["shared"] == 0 and second["_measure"] == second["rows"]
+    assert second["_settle"] > first["_settle"]
+    for doc, first_run, second_run in zip(docs, plain, reference):
+        assert second_run == first_run, doc.name
 
 
 def test_every_bundled_scenario_runs_clean_under_strict_audits():

@@ -49,7 +49,7 @@ def _payload() -> dict:
             ]
         },
         "ela": {"target_mos": 3.0, "breach_windows": 2, "compliance_budget": 0.9},
-        "policy": {"predictor_alpha": 0.3, "max_reroute_attempts": 2},
+        "policy": {"predictor_alpha": 0.3},
         "workload": {
             "arrival_jitter_ms": 0,
             "requests": [
@@ -97,7 +97,7 @@ def test_omitted_sections_get_defaults():
     assert diagnostics == []
     assert doc.vnf_types == ()
     assert doc.profiles == ()
-    assert doc.policy == PolicyConfig(0.3, 2)
+    assert doc.policy == PolicyConfig(0.3)
     assert doc.arrival_jitter_ms == 0
     assert doc.host_failures == ()
     assert doc.link_degradations == ()
@@ -269,9 +269,11 @@ CASES = [
         lambda p: p["policy"].update(predictor_alpha=0),
         "policy.predictor_alpha", "(0, 1]", id="policy-alpha-range",
     ),
+    # The attempt cap is gone from the format: any value, the old
+    # out-of-range 0 included, is an unknown key.
     pytest.param(
         lambda p: p["policy"].update(max_reroute_attempts=0),
-        "policy.max_reroute_attempts", "at least 1", id="policy-attempts-range",
+        "policy.max_reroute_attempts", "unknown key", id="policy-attempts-range",
     ),
     pytest.param(
         lambda p: p.pop("workload"), "workload", "missing required section",
@@ -587,7 +589,6 @@ def test_each_optional_field_defaults_as_its_record_class_does():
             compared.add((table.cls.__name__, row.attr))
     assert {
         ("PolicyConfig", "predictor_alpha"),
-        ("PolicyConfig", "max_reroute_attempts"),
         ("NodeSpec", "cpu_capacity"),
         ("NodeSpec", "mem_capacity"),
         ("LinkSpec", "jitter_ms"),
