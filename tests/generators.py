@@ -295,8 +295,11 @@ def degrade_and_refresh(orchestrator, link_id: int, **figures) -> None:
     controller.handle_degradation(link_id, orchestrator.db.live())
 
 
+SHORTCUTS = ("floor answers", "held samples", "shared window", "route figures")
+
+
 @contextlib.contextmanager
-def reference_run() -> Iterator[None]:
+def reference_run(*shortcuts: str) -> Iterator[None]:
     """Inside it, a run takes none of the run path's exact shortcuts.
 
     Each is swapped for the plain computation, so a run inside must write
@@ -308,11 +311,15 @@ def reference_run() -> Iterator[None]:
       is scored in every window and report.py is handed no shared list;
     - route figures seeded by the MOS gate or held from a window before:
       `Controller._measure` clears the entry's route before it measures.
-    Windows outside the event heap have no plain form to swap in;
-    test_a_window_precedes_every_event_at_its_instant covers them. The
-    swaps are undone on exit, and no pytest is needed, so a script can
-    use it too.
+    Given names from SHORTCUTS, only those are swapped, so each can be held
+    to the plain run alone. Windows outside the event heap have no plain
+    form to swap in; test_a_window_precedes_every_event_at_its_instant
+    covers them. The swaps are undone on exit, and no pytest is needed, so
+    a script can use it too.
     """
+    unknown = set(shortcuts) - set(SHORTCUTS)
+    if unknown:
+        raise ValueError(f"no such shortcut: {sorted(unknown)}")
     never = property(lambda owner: None, lambda owner, value: None)
     measure = Controller._measure
 
@@ -320,20 +327,23 @@ def reference_run() -> Iterator[None]:
         entry.route = None
         return measure(self, entry, profile, alpha)
 
-    swaps = (
-        (controller_module, "floor_tier", lambda *args: None),
-        (routing, "_clean", lambda *args: False),
-        (DbEntry, "settled", never),
-        (Controller, "shared_window", never),
-        (Controller, "_measure", measure_afresh),
-    )
+    swaps = {
+        "floor answers": (
+            (controller_module, "floor_tier", lambda *args: None),
+            (routing, "_clean", lambda *args: False),
+        ),
+        "held samples": ((DbEntry, "settled", never),),
+        "shared window": ((Controller, "shared_window", never),),
+        "route figures": ((Controller, "_measure", measure_afresh),),
+    }
     with contextlib.ExitStack() as undo:
-        for owner, name, swap in swaps:
-            if name in vars(owner):
-                undo.callback(setattr, owner, name, vars(owner)[name])
-            else:
-                undo.callback(delattr, owner, name)
-            setattr(owner, name, swap)
+        for shortcut in shortcuts or SHORTCUTS:
+            for owner, name, swap in swaps[shortcut]:
+                if name in vars(owner):
+                    undo.callback(setattr, owner, name, vars(owner)[name])
+                else:
+                    undo.callback(delattr, owner, name)
+                setattr(owner, name, swap)
         yield
 
 

@@ -55,6 +55,7 @@ def test_bad_usage_exits_one_not_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["frobnicate"])
     assert excinfo.value.code == 1
+    assert "ERROR args: argument command: invalid choice" in capsys.readouterr().err
 
 
 def test_run_writes_the_three_artifacts(tmp_path, capsys):
@@ -73,7 +74,7 @@ def test_run_writes_the_three_artifacts(tmp_path, capsys):
     assert (out / "db_dump.json").exists()
 
 
-def test_run_accepts_a_seed_override_under_strict_debug(tmp_path):
+def test_run_accepts_a_seed_override_under_strict_debug(tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(
         ["run", BASIC, "--out", str(out), "--seed", "3", "--strict-debug"]
@@ -85,6 +86,7 @@ def test_run_accepts_a_seed_override_under_strict_debug(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["run", BASIC, "--out", str(out), "--alpha", "0.5"])
     assert excinfo.value.code == 1
+    assert "ERROR args: unrecognized arguments: --alpha 0.5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", ["-5", str(1 << 64)])

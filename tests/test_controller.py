@@ -17,6 +17,7 @@ from qoechain import (
     NodeKind,
     NodeSpec,
     Orchestrator,
+    PathMetrics,
     PolicyConfig,
     Rejected,
     RejectReason,
@@ -41,19 +42,28 @@ from qoechain.routing import shortest_path_tree
 from generators import (
     SCENARIOS,
     degrade_and_refresh,
+    degraded_doc,
     fail_and_repair,
     line_network,
+    lowered_detour_doc,
     make_profile,
     make_request,
+    one_fault_of_each_kind,
     pair_catalog,
     parallel_pair,
     random_catalog,
+    random_doc,
     random_network,
     random_request,
+    reference_run,
+    series_rows,
     small_catalog,
     snapshot,
     square_network,
     stalled_flow,
+    written_artifacts,
+    written_dump,
+    written_summary,
 )
 
 ELA = Ela(target_mos=3.0, breach_windows=2, compliance_budget=0.9)
@@ -490,6 +500,42 @@ def test_a_degradation_above_the_floor_on_the_answer_falls_back_to_the_search(mo
     assert net.floor.trees == trees  # a degradation above the floor keeps them
 
 
+def test_floor_answers_change_no_run_under_every_kind_of_degradation(tmp_path):
+    # Degradations that lower floors, set one figure alone, reach 100% loss
+    # and stack on one link at one instant: each run is clean under the
+    # strict audits, and the same run with no floor answer taken, so that
+    # every path and placement query searches, writes the same artifacts.
+    # The random substrates seldom give a lowered link a second route to
+    # win, so the hand-built detour, where a kept floor tree answers the
+    # old route, is one of the documents.
+    rng = Random(32)
+    docs = [degraded_doc(rng, random_doc(rng, index)) for index in range(200)]
+    docs.append(lowered_detour_doc())
+    records = [(doc, fault) for doc in docs for fault in doc.link_degradations]
+    assert any(
+        fault.latency_ms is not None and fault.latency_ms < doc.links[fault.link].latency_ms
+        for doc, fault in records
+    )
+    assert any(fault.loss_pct == 100.0 for _, fault in records)
+    given = {
+        tuple(name for name in PathMetrics._fields if getattr(fault, name) is not None)
+        for _, fault in records
+    }
+    assert {("jitter_ms",), ("loss_pct",)} <= given
+    assert any(
+        len({(fault.time_ms, fault.link) for fault in doc.link_degradations})
+        < len(doc.link_degradations)
+        for doc in docs
+    )
+    floors = [
+        written_artifacts(run(doc, strict_debug=True), tmp_path / f"floor{index}")
+        for index, doc in enumerate(docs)
+    ]
+    with reference_run("floor answers"):
+        for index, (doc, files) in enumerate(zip(docs, floors)):
+            assert written_artifacts(run(doc), tmp_path / f"search{index}") == files, doc.name
+
+
 def _spur_network(spur_bw_kbps: int):
     # Host 3 hangs off the path on a spur, so placing there crosses the
     # spur link in both directions: 8 Mbps of aggregate demand on it.
@@ -909,6 +955,50 @@ def test_a_moving_ewma_is_scored_afresh_every_window():
         assert (sample.mos, sample.q_delay) != (last.mos, last.q_delay)
         assert entry.settled is None
         last = sample
+
+
+def test_reusing_settled_samples_changes_no_run(monkeypatch, tmp_path):
+    # The same runs with every reuse check missing: a DbEntry.settled that
+    # always reads None makes the controller measure, smooth and score
+    # every flow in every window.
+    rng = Random(1414)
+    docs = [one_fault_of_each_kind()] + [random_doc(rng, index) for index in range(200)]
+    # Only monitoring's scorings count: the end-of-run audit scores held
+    # samples again, outside monitor_window.
+    calls, scored = [], []
+    monkeypatch.setattr(
+        controller_module,
+        "estimate_mos",
+        lambda sample, profile: calls.append(sample) or estimate_mos(sample, profile),
+    )
+    monitor = Controller.monitor_window
+
+    def monitored(self, *args):
+        start = len(calls)
+        result = monitor(self, *args)
+        scored.extend(calls[start:])
+        return result
+
+    monkeypatch.setattr(Controller, "monitor_window", monitored)
+    reused = []
+    for doc in docs:
+        before = len(scored)
+        reused.append(run(doc))
+        # A reused window shares its sample object: the series holds one
+        # object per scoring, however many windows repeat it.
+        shared = {id(sample) for _, sample in series_rows(reused[-1])}
+        assert len(shared) == len(scored) - before
+    assert len(scored) < sum(len(list(series_rows(report))) for report in reused)
+    with reference_run("held samples"):
+        for index, (doc, first) in enumerate(zip(docs, reused)):
+            second = run(doc)
+            assert second.series == first.series
+            assert written_summary(second, tmp_path / f"unsettled{index}") == written_summary(
+                first, tmp_path / f"settled{index}"
+            )
+            assert written_dump(second, tmp_path / f"unsettled{index}") == written_dump(
+                first, tmp_path / f"settled{index}"
+            )
 
 
 def _settled_stream_flows(count: int = 3):

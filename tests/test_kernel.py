@@ -620,6 +620,38 @@ def test_strict_debug_catches_a_repair_that_keeps_the_old_measurement(monkeypatc
         run(doc, strict_debug=True)
 
 
+def _shared_runs(report: SimReport) -> tuple[int, int]:
+    """Windows that are the previous window's list: all, and those with samples."""
+    pairs = list(zip(report.series, report.series[1:]))
+    shared = [later for earlier, later in pairs if later is earlier]
+    return len(shared), sum(1 for samples in shared if samples)
+
+
+def test_sharing_quiet_windows_changes_no_run(tmp_path):
+    # The same runs with no window shared, so every window is built flow by
+    # flow: the artifacts, whose summary.json counts each flow's windows off
+    # runs of shared lists, must not move.
+    gen = bench_module("gen")
+    rng = Random(2424)
+    docs = [random_doc(rng, index) for index in range(150)]
+    # fault_storm file 26 shares a window that holds flows between faults.
+    picked = [("fault_storm", index) for index in (0, 1, 2, 26)] + [("steady_monitoring", 0)]
+    docs += [_doc(json.loads(gen.render(workload, 1, index))) for workload, index in picked]
+    first_runs = []
+    shared = nonempty = 0
+    for index, doc in enumerate(docs):
+        report = run(doc)
+        first_runs.append(written_artifacts(report, tmp_path / f"shared-{index}"))
+        counts = _shared_runs(report)
+        shared, nonempty = shared + counts[0], nonempty + counts[1]
+    assert nonempty > 100 and shared > nonempty
+    with reference_run("shared window"):
+        for index, (doc, files) in enumerate(zip(docs, first_runs)):
+            second = run(doc)
+            assert _shared_runs(second) == (0, 0)
+            assert written_artifacts(second, tmp_path / f"unshared-{index}") == files
+
+
 def _digests(artifacts: dict[str, bytes]) -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()}
 
