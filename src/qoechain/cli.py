@@ -38,7 +38,6 @@ def _build_parser() -> _Parser:
     run_cmd = sub.add_parser("run", help="execute a scenario and write reports")
     run_cmd.add_argument("scenario", help="path to a scenario JSON file")
     run_cmd.add_argument("--out", required=True, help="output directory")
-    run_cmd.add_argument("--seed", type=int, default=None, help="override seed")
     run_cmd.add_argument(
         "--strict-debug",
         action="store_true",
@@ -85,7 +84,7 @@ def _cmd_run(args) -> int:
     doc = _load(args.scenario)
     if doc is None:
         return USAGE_EXIT
-    report = run_scenario(doc, seed=args.seed, strict_debug=args.strict_debug)
+    report = run_scenario(doc, strict_debug=args.strict_debug)
     paths = write_report(report, args.out)
     print(f"{doc.name}: {report.windows} windows, {_counters_line(report.counters)}")
     for path in paths:

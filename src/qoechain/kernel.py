@@ -31,7 +31,6 @@ from .network import NetworkState, PathMetrics
 from .orchestrator import Orchestrator, VnfDb, audit_lifecycle
 from .qoe import QoeSample
 from .report import SimReport
-from .rng import SplitMix64
 from .scenario import HostFailure, LinkDegradation, ScenarioDoc, StallInjection
 from .service import ServiceCatalog, validate_forwarding_graph
 
@@ -91,7 +90,6 @@ class EventQueue:
 
 def run(
     doc: ScenarioDoc,
-    seed: int | None = None,
     strict_debug: bool = False,
     event_hook: Callable | None = None,
 ) -> SimReport:
@@ -100,31 +98,28 @@ def run(
     The report holds the run as it ended: the counters, the ELA's compliance
     budget, the QoE series and the database entries themselves. Nothing per
     flow is summed here: each flow's windows observed and met are counted
-    off the series when summary.json is written.
+    off the series when summary.json is written. Nothing is drawn at
+    random: the run is a function of doc alone, and the report's seed is
+    doc's meta seed, which only names the seed the file was generated with.
 
-    seed overrides the scenario's own seed. strict_debug re-runs the global
-    conservation, validity, measurement and shared-window audits after
-    every event instead of only at the end. event_hook(event, state) is a
-    test seam called after each dispatch, before the audits. Each window
-    is handed to it as a MeasureWindow of its time and index, built for
-    the hook alone: a run without a hook builds none.
+    strict_debug re-runs the global conservation, validity, measurement and
+    shared-window audits after every event instead of only at the end.
+    event_hook(event, state) is a test seam called after each dispatch,
+    before the audits. Each window is handed to it as a MeasureWindow of
+    its time and index, built for the hook alone: a run without a hook
+    builds none.
     """
     state = NetworkState(doc.nodes, doc.links)
     catalog = ServiceCatalog(doc.vnf_types, doc.profiles)
     controller = Controller(state, catalog, doc.ela, doc.policy)
     orchestrator = Orchestrator(controller)
 
-    effective_seed = doc.seed if seed is None else seed
     queue = EventQueue()
-    # Arrivals are scheduled, and their jitter drawn, in request-id order,
-    # so the order of the workload's records does not change the run.
-    rng = SplitMix64(effective_seed)
+    # Arrivals are scheduled in request-id order, so requests that arrive
+    # at one instant are admitted in id order, whatever order the
+    # workload lists them in.
     for request in sorted(doc.requests, key=attrgetter("id")):
-        arrival = request.arrival_ms
-        if doc.arrival_jitter_ms > 0:
-            span = 2 * doc.arrival_jitter_ms + 1
-            arrival = max(0, arrival + rng.next_below(span) - doc.arrival_jitter_ms)
-        queue.schedule(Arrival(time_ms=arrival, request=request))
+        queue.schedule(Arrival(time_ms=request.arrival_ms, request=request))
     for fault in (
         *sorted(doc.host_failures, key=attrgetter("time_ms", "host")),
         *sorted(doc.link_degradations, key=_degradation_order),
@@ -185,7 +180,7 @@ def run(
 
     return SimReport(
         scenario_name=doc.name,
-        seed=effective_seed,
+        seed=doc.seed,
         duration_ms=doc.duration_ms,
         window_ms=doc.window_ms,
         windows=windows,

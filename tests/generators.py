@@ -495,7 +495,6 @@ def random_doc(rng: Random, index: int) -> ScenarioDoc:
         profiles=tuple(catalog.profiles[name] for name in sorted(catalog.profiles)),
         ela=Ela(3.0, 2, 0.8),
         policy=PolicyConfig(0.3),
-        arrival_jitter_ms=rng.choice((0, 0, 250)),
         requests=tuple(requests),
         host_failures=tuple(failures),
         link_degradations=tuple(degradations),

@@ -74,27 +74,19 @@ def test_run_writes_the_three_artifacts(tmp_path, capsys):
     assert (out / "db_dump.json").exists()
 
 
-def test_run_accepts_a_seed_override_under_strict_debug(tmp_path, capsys):
+def test_run_under_strict_debug_takes_no_seed_or_alpha_override(tmp_path, capsys):
     out = tmp_path / "out"
-    code = cli.main(
-        ["run", BASIC, "--out", str(out), "--seed", "3", "--strict-debug"]
-    )
-    assert code == 0
+    assert cli.main(["run", BASIC, "--out", str(out), "--strict-debug"]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["seed"] == 3
-    # The smoothing factor is the scenario policy's alone: no flag overrides it.
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["run", BASIC, "--out", str(out), "--alpha", "0.5"])
-    assert excinfo.value.code == 1
-    assert "ERROR args: unrecognized arguments: --alpha 0.5" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("seed", ["-5", str(1 << 64)])
-def test_run_seed_override_out_of_range_is_an_input_error(tmp_path, capsys, seed):
-    out = tmp_path / "out"
-    assert cli.main(["run", BASIC, "--out", str(out), "--seed", seed]) == 1
-    assert "ERROR input: seed must fit in an unsigned 64-bit integer" in capsys.readouterr().err
-    assert not out.exists()
+    assert summary["seed"] == 7
+    # A run is a function of its scenario file: no flag overrides the seed
+    # it names or the policy's smoothing factor.
+    for flag, value in (("--seed", "3"), ("--alpha", "0.5")):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["run", BASIC, "--out", str(tmp_path / "again"), flag, value])
+        assert excinfo.value.code == 1
+        assert f"ERROR args: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
 
 
 def test_run_missing_scenario_is_an_input_error(tmp_path, capsys):

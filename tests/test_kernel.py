@@ -216,36 +216,19 @@ def test_link_degradation_applies_from_its_event_time():
     assert second.mos == pytest.approx(1 + 4 * (400 - 306) / 350, abs=1e-9)
 
 
-def test_arrival_jitter_is_reproducible_and_seed_sensitive(tmp_path):
-    payload = _payload()
-    payload["meta"]["duration_ms"] = 2000
-    payload["workload"]["arrival_jitter_ms"] = 400
-    payload["workload"]["requests"][0]["arrival_ms"] = 500
-    doc = _doc(payload)
-    first = run(doc)
-    second = run(doc)
-    assert list(series_rows(first)) == list(series_rows(second))
-    assert written_summary(first, tmp_path / "first") == written_summary(
-        second, tmp_path / "second"
-    )
-    assert written_dump(first, tmp_path / "first") == written_dump(second, tmp_path / "second")
-
-    arrivals = set()
-    for seed in range(12):
-        report = run(doc, seed=seed)
-        arrival = written_dump(report, tmp_path / f"seed{seed}")[0]["lifecycle"][0]["time_ms"]
-        assert 100 <= arrival <= 900
-        arrivals.add(arrival)
-    assert len(arrivals) > 1
-
-
 def test_a_shuffled_workload_runs_the_same(tmp_path):
-    # Arrival jitter is drawn in request-id order, so the order in which the
-    # workload lists its requests changes no artifact.
+    # Arrivals are queued in request-id order, so the order in which the
+    # workload lists its requests changes no artifact. Every request
+    # arrives at one of two instants, so ties between arrivals decide.
     rng = Random(2626)
     moved = 0
     for index in range(40):
-        doc = replace(random_doc(rng, index), arrival_jitter_ms=250)
+        doc = random_doc(rng, index)
+        requests = tuple(
+            replace(request, arrival_ms=(0, doc.window_ms // 2)[request.id % 2])
+            for request in doc.requests
+        )
+        doc = replace(doc, requests=requests)
         shuffled = list(doc.requests)
         rng.shuffle(shuffled)
         moved += shuffled != list(doc.requests)
@@ -332,9 +315,7 @@ def test_the_series_holds_each_window_in_ascending_flow_id():
     # The series is written as it stands, unsorted: the kernel's order is
     # the file's (window, flow id) order.
     rng = Random(1618)
-    docs = [one_fault_of_each_kind()] + [
-        replace(random_doc(rng, index), arrival_jitter_ms=1500) for index in range(300)
-    ]
+    docs = [one_fault_of_each_kind()] + [random_doc(rng, index) for index in range(300)]
     multi_flow_windows = 0
     for doc in docs:
         report = run(doc)
@@ -568,16 +549,11 @@ def _set_stall_level_only(self, flow_id, stall_ratio, flows):
 
 # Each place that drops what monitoring holds, made to drop nothing: the
 # flows it touches keep their route figures, held samples and the shared
-# window, and the measurement audit finds them stale.
+# window, and the measurement audit finds them stale. The third such place,
+# a repair's _restart_measurement, has its own test below.
 @pytest.mark.parametrize(
     "method,no_op,message",
     [
-        pytest.param(
-            "_restart_measurement",
-            lambda self, entry: None,
-            "route figures are not its graph's path metrics",
-            id="repair",
-        ),
         pytest.param(
             "handle_degradation",
             lambda self, link_id, flows: None,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from random import Random
 
@@ -160,8 +159,9 @@ def _scanned_live(db: VnfDb) -> list[DbEntry]:
 
 
 def test_live_index_matches_a_full_scan_over_random_lifecycles():
-    # Requests arrive out of id order, as jittered arrivals admit them, and
-    # every legal move is taken at random: degrade, migrate, complete, fail.
+    # Requests arrive out of id order, as a file's arrival times may admit
+    # them, and every legal move is taken at random: degrade, migrate,
+    # complete, fail.
     rng = Random(1616)
     moves = 0
     for _ in range(60):
@@ -220,9 +220,9 @@ def test_a_live_list_handed_out_is_never_changed():
     assert db.live() == _scanned_live(db) == [entries[2], late]
 
 
-def test_live_index_matches_a_full_scan_in_jittered_runs(monkeypatch, tmp_path):
+def test_live_index_matches_a_full_scan_in_random_runs(monkeypatch, tmp_path):
     # Whole runs: admissions, departures, breach repairs and host-failure
-    # migrations, with arrivals jittered out of id order.
+    # migrations, with arrivals drawn out of id order.
     indexed = VnfDb.live
     sizes = []
 
@@ -236,8 +236,7 @@ def test_live_index_matches_a_full_scan_in_jittered_runs(monkeypatch, tmp_path):
     rng = Random(1617)
     moved = ended = failed = out_of_order = 0
     for index in range(400):
-        doc = random_doc(rng, index)
-        report = run(dataclasses.replace(doc, arrival_jitter_ms=1500), strict_debug=True)
+        report = run(random_doc(rng, index), strict_debug=True)
         counters = report.counters
         moved += counters["rerouted"] + counters["migrated"]
         ended += counters["completed"]

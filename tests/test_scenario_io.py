@@ -51,7 +51,6 @@ def _payload() -> dict:
         "ela": {"target_mos": 3.0, "breach_windows": 2, "compliance_budget": 0.9},
         "policy": {"predictor_alpha": 0.3},
         "workload": {
-            "arrival_jitter_ms": 0,
             "requests": [
                 {
                     "id": 0,
@@ -98,7 +97,6 @@ def test_omitted_sections_get_defaults():
     assert doc.vnf_types == ()
     assert doc.profiles == ()
     assert doc.policy == PolicyConfig(0.3)
-    assert doc.arrival_jitter_ms == 0
     assert doc.host_failures == ()
     assert doc.link_degradations == ()
     assert doc.stall_injections == ()
@@ -283,9 +281,11 @@ CASES = [
         lambda p: p["workload"].pop("requests"), "workload.requests",
         "missing required key", id="requests-missing",
     ),
+    # Arrival jitter is gone from the format: the simulator draws nothing
+    # at random, so any value is an unknown key.
     pytest.param(
-        lambda p: p["workload"].update(arrival_jitter_ms=-1),
-        "workload.arrival_jitter_ms", "non-negative", id="jitter-negative",
+        lambda p: p["workload"].update(arrival_jitter_ms=250),
+        "workload.arrival_jitter_ms", "unknown key", id="jitter-unknown",
     ),
     pytest.param(
         lambda p: p["workload"]["requests"][0].update(ingress=1),
