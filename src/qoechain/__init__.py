@@ -10,7 +10,7 @@ from .controller import (
     RejectReason,
 )
 from .errors import InvariantViolation, SimulatorError
-from .kernel import EventQueue, audit_conservation, run
+from .kernel import audit_conservation, run
 from .network import (
     LinkSpec,
     NetworkState,
@@ -54,7 +54,6 @@ __all__ = [
     "Controller",
     "Diagnostic",
     "Ela",
-    "EventQueue",
     "FlowSample",
     "ForwardingGraph",
     "InvariantViolation",

@@ -1,32 +1,33 @@
 """Discrete-event kernel.
 
-Time is integer milliseconds. Events dispatch in (time, seq) order where
-seq is the scheduling order, so same-time ties resolve the same way every
-run: the scenario's requests in id order, then its fault records, each its
-own event, then anything spawned while running (departures). Each fault
-list is queued in value order: host failures by (time, host), degradations
-by _degradation_order and stalls by (time, flow, ratio). So at one instant
-one link's or one flow's records apply in that order and the last one
-stands, whatever order the file lists them in.
+Time is integer milliseconds. Every event is known when a run starts: the
+scenario lists the arrivals and the fault records, each its own event, and
+a request departs at arrival_ms + holding_ms. So run builds the schedule
+once, one list stable-sorted by time, in which same-time ties keep the
+list's order: arrivals in request-id order, the fault records, then the
+departures in (arrival, id) order. Each fault list is in value order: host
+failures by (time, host), degradations by _degradation_order and stalls by
+(time, flow, ratio), so at one instant one link's or one flow's records
+apply in that order and the last one stands, whatever the file's order.
+Every request gets a departure, since admission is decided on arrival: a
+rejected request's has no database entry to end, so it is skipped unseen
+by the hook and the audits. An event after the horizon is not listed.
 
-Measurement windows are the run's clock, not queued events: window i falls
+Measurement windows are the run's clock, not listed events: window i falls
 at (i + 1) * window_ms, and the loop dispatches it whenever its time is at
-or before the queue's next event, so a window comes before every other
+or before the next listed event, so a window comes before every other
 event at its instant. Only an event hook reads a window's MeasureWindow, so
-one is built only when a hook is set. A departure later than the horizon
-is not queued, since it could never be dispatched; one exactly at the
-horizon is.
+one is built only when a hook is set.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
 
-from .controller import Controller, Rejected
-from .errors import InvariantViolation, SimulatorError
+from .controller import Controller
+from .errors import InvariantViolation
 from .network import NetworkState, PathMetrics
 from .orchestrator import Orchestrator, VnfDb, audit_lifecycle
 from .qoe import QoeSample
@@ -61,31 +62,20 @@ class MeasureWindow:
     index: int
 
 
-class EventQueue:
-    """Min-heap on (time, seq); scheduling into the past is an error."""
-
-    def __init__(self):
-        self._heap: list[tuple[int, int, object]] = []
-        self._seq = 0
-        self.now = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def schedule(self, event) -> None:
-        if event.time_ms < self.now:
-            msg = f"event at {event.time_ms}ms scheduled at clock {self.now}ms"
-            raise SimulatorError(msg)
-        heapq.heappush(self._heap, (event.time_ms, self._seq, event))
-        self._seq += 1
-
-    def peek_time(self) -> int:
-        return self._heap[0][0]
-
-    def pop(self):
-        time, _, event = heapq.heappop(self._heap)
-        self.now = time
-        return event
+def _schedule(doc: ScenarioDoc) -> list:
+    """Every event of doc's run but its windows, up to the horizon, in dispatch order."""
+    requests = sorted(doc.requests, key=attrgetter("id"))
+    leaving = sorted(requests, key=attrgetter("arrival_ms"))  # stable: id order at a tie
+    events = [
+        *(Arrival(request.arrival_ms, request) for request in requests),
+        *sorted(doc.host_failures, key=attrgetter("time_ms", "host")),
+        *sorted(doc.link_degradations, key=_degradation_order),
+        *sorted(doc.stall_injections, key=attrgetter("time_ms", "flow", "stall_ratio")),
+        *(Departure(r.arrival_ms + r.holding_ms, r.id) for r in leaving),
+    ]
+    schedule = [event for event in events if event.time_ms <= doc.duration_ms]
+    schedule.sort(key=attrgetter("time_ms"))
+    return schedule
 
 
 def run(
@@ -114,45 +104,30 @@ def run(
     controller = Controller(state, catalog, doc.ela, doc.policy)
     orchestrator = Orchestrator(controller)
 
-    queue = EventQueue()
-    # Arrivals are scheduled in request-id order, so requests that arrive
-    # at one instant are admitted in id order, whatever order the
-    # workload lists them in.
-    for request in sorted(doc.requests, key=attrgetter("id")):
-        queue.schedule(Arrival(time_ms=request.arrival_ms, request=request))
-    for fault in (
-        *sorted(doc.host_failures, key=attrgetter("time_ms", "host")),
-        *sorted(doc.link_degradations, key=_degradation_order),
-        *sorted(doc.stall_injections, key=attrgetter("time_ms", "flow", "stall_ratio")),
-    ):
-        queue.schedule(fault)
-
-    horizon = doc.duration_ms
-    windows = horizon // doc.window_ms
+    pending = _schedule(doc)[::-1]  # the next event last
+    windows = doc.duration_ms // doc.window_ms
     series: list[list[QoeSample]] = []
 
     index = 0  # the next window's
     while True:
         window_at = (index + 1) * doc.window_ms
-        event_at = queue.peek_time() if queue else horizon + 1  # none: past the horizon
-        if index < windows and window_at <= event_at:
+        if index < windows and (not pending or window_at <= pending[-1].time_ms):
             event = MeasureWindow(window_at, index) if event_hook is not None else None
             samples, breaching = controller.monitor_window(index, orchestrator.db.live())
             series.append(samples)
             for entry in breaching:
                 orchestrator.apply_action(controller.handle_breach(entry), window_at)
             index += 1
-        elif event_at <= horizon:
-            event = queue.pop()
+        elif pending:
+            event = pending.pop()
             if isinstance(event, Arrival):
-                result = orchestrator.submit_request(event.request, event.time_ms)
-                departs = event.time_ms + event.request.holding_ms
-                if not isinstance(result, Rejected) and departs <= horizon:
-                    queue.schedule(Departure(time_ms=departs, request_id=event.request.id))
+                orchestrator.submit_request(event.request, event.time_ms)
             elif isinstance(event, Departure):
-                # Only an admitted request gets a departure; a flow that
-                # already failed has nothing left to tear down.
-                if orchestrator.db.entries[event.request_id].is_live:
+                entry = orchestrator.db.entries.get(event.request_id)
+                if entry is None:  # rejected on arrival: no flow to end
+                    continue
+                # A flow that already failed has nothing left to tear down.
+                if entry.is_live:
                     orchestrator.complete_request(event.request_id, event.time_ms)
             elif isinstance(event, HostFailure):
                 state.fail_host(event.host)
@@ -163,7 +138,7 @@ def run(
                 controller.handle_degradation(event.link, orchestrator.db.live())
             elif isinstance(event, StallInjection):
                 controller.set_stall(event.flow, event.stall_ratio, orchestrator.db.entries)
-            else:  # pragma: no cover - the queue only ever holds the types above
+            else:  # pragma: no cover - the schedule holds only the types above
                 msg = f"unknown event {event!r}"
                 raise InvariantViolation(msg)
         else:

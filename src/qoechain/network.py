@@ -86,19 +86,29 @@ class LinkSpec:
         raise InvalidRange(msg)
 
 
+# The largest latency or jitter a link, degradation or VNF may give: so far
+# below the float range that no route's sum of them can overflow.
+MAX_DELAY_MS = 1e12
+
+
 def check_link_quality(
     link_id: int, latency_ms: float = 0.0, jitter_ms: float = 0.0, loss_pct: float = 0.0
 ) -> None:
     """The rule on link quality figures, for base values and overrides alike.
 
-    Latency and jitter are non-negative and loss is a percentage. A figure
-    left at its default is one the caller does not set. A bad latency or
-    jitter names no field: a link's diagnostic for it is at the link.
+    Latency and jitter lie within [0, MAX_DELAY_MS] and loss is a
+    percentage. A figure left at its default is one the caller does not
+    set. A negative latency or jitter names no field: a link's diagnostic
+    for it is at the link. One above the cap names its field.
     """
     if latency_ms < 0:
         raise InvalidRange(f"link {link_id}: latency must be non-negative")
     if jitter_ms < 0:
         raise InvalidRange(f"link {link_id}: jitter must be non-negative")
+    for name, value in (("latency_ms", latency_ms), ("jitter_ms", jitter_ms)):
+        if value > MAX_DELAY_MS:
+            msg = f"link {link_id}: {name} must be at most {MAX_DELAY_MS:g}"
+            raise InvalidRange(msg, field=name)
     if not 0 <= loss_pct <= 100:
         msg = f"link {link_id}: loss must be within [0, 100]"
         raise InvalidRange(msg, field="loss_pct")

@@ -8,12 +8,14 @@ delay + 2 * jitter.
 FlowSample and QoeSample are plain tuples that check nothing, because every
 figure they carry is in range by construction, floats included:
 - A raw sample's delay, jitter and loss are sums, and one compounded
-  product, of link and VNF figures that the parser and check_link_quality
-  hold non-negative, loss at most 100. Its throughput is a reservation of
-  0 kbps or more, and its stall level passed check_stall_ratio in the
-  parser and in set_stall.
-- Smoothing takes a * r + (1 - a) * p with a in (0, 1] and r, p >= 0,
-  which is exactly non-negative in IEEE floats.
+  product, of link and VNF figures that check_link_quality and VnfType
+  hold within [0, MAX_DELAY_MS], loss within [0, 100], so every sum is
+  finite. Its throughput is a reservation of 0 kbps or more, and its stall
+  level passed check_stall_ratio in the parser and in set_stall.
+- Smoothing takes a * r + (1 - a) * p with a in (0, 1] and finite r, p >=
+  0, which is exactly non-negative and finite in IEEE floats. With an
+  infinite figure, 0 * inf would be NaN at a = 1, and the carry would
+  never decay at a < 1.
 - estimate_mos maps any non-negative figures into factors in [0, 1]: q_bw
   by min, q_delay by _clamp01, and q_loss and q_stall by max(0, 1 - x /
   limit) with a limit AppProfile holds positive, so even a stall above 1

@@ -40,7 +40,7 @@ def _check_time(time_ms: int) -> None:
         raise InvalidRange("time_ms must be non-negative", field="time_ms")
 
 
-# Fault records; the kernel queues each, in value order, as the event at its
+# Fault records; the kernel lists each, in value order, as the event at its
 # time_ms.
 
 
@@ -148,6 +148,11 @@ def _load_kbps(mbps: float) -> int:
     return kbps
 
 
+def _load_mbps(mbps: float) -> float:
+    """A profile's bandwidth, in Mbps but under the same 0.001 Mbps rule as a link's."""
+    return kbps_to_mbps(_load_kbps(mbps))
+
+
 def _load_node_kind(value: str) -> NodeKind:
     try:
         return NodeKind(value)
@@ -178,7 +183,7 @@ _VNF_TYPE = _Table(VnfType, (
 ))
 _PROFILE = _Table(AppProfile, (
     _Field("name", "name", "str", unique="duplicate profile {!r}"),
-    _Field("bw_mbps", "bw_req_mbps", "number"),
+    _Field("bw_mbps", "bw_req_mbps", "number", convert=(_load_mbps, float)),
     _Field("delay_opt_ms", "delay_opt_ms", "number"),
     _Field("delay_max_ms", "delay_max_ms", "number"),
     _Field("loss_max_pct", "loss_max_pct", "number"),

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidRange, SimulatorError
-from .network import NetworkState, NodeKind, PathMetrics
+from .network import MAX_DELAY_MS, NetworkState, NodeKind, PathMetrics
 from .units import mbps_to_kbps
 
 LinkPath = tuple[int, ...]
@@ -38,6 +38,9 @@ class VnfType:
         if self.proc_latency_ms < 0:
             msg = f"vnf {self.name}: proc latency must be non-negative"
             raise InvalidRange(msg)
+        if self.proc_latency_ms > MAX_DELAY_MS:
+            msg = f"vnf {self.name}: proc_latency_ms must be at most {MAX_DELAY_MS:g}"
+            raise InvalidRange(msg, field="proc_latency_ms")
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,29 @@
-"""Event queue mechanics and whole-scenario simulation runs."""
+"""The event schedule and whole-scenario simulation runs."""
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import importlib
 import json
+import math
 import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from itertools import count
+from operator import attrgetter
 from pathlib import Path
 from random import Random
 
 import pytest
 
-from qoechain import Controller, EventQueue, ForwardingGraph, parse_scenario, run, write_report
+from qoechain import Controller, ForwardingGraph, parse_scenario, run, write_report
 from qoechain import kernel as kernel_module
 from qoechain import routing
-from qoechain.errors import InvariantViolation, SimulatorError
-from qoechain.kernel import Departure, MeasureWindow
-from qoechain.network import PathMetrics
+from qoechain.errors import InvariantViolation
+from qoechain.kernel import MeasureWindow
+from qoechain.network import MAX_DELAY_MS, PathMetrics
 from qoechain.orchestrator import DbEntry
 from qoechain.qoe import QoeSample
 from qoechain.report import SimReport
@@ -102,26 +106,6 @@ def _payload() -> dict:
             ]
         },
     }
-
-
-def test_queue_orders_by_time_then_insertion_order():
-    queue = EventQueue()
-    queue.schedule(Departure(time_ms=5, request_id=1))
-    queue.schedule(Departure(time_ms=2, request_id=2))
-    queue.schedule(Departure(time_ms=5, request_id=3))
-    queue.schedule(Departure(time_ms=2, request_id=4))
-    assert [queue.pop().request_id for _ in range(4)] == [2, 4, 1, 3]
-    assert queue.now == 5
-    assert len(queue) == 0
-
-
-def test_scheduling_into_the_past_raises():
-    queue = EventQueue()
-    queue.schedule(MeasureWindow(time_ms=5, index=0))
-    queue.pop()
-    with pytest.raises(SimulatorError, match="event at 4ms scheduled at clock 5ms"):
-        queue.schedule(MeasureWindow(time_ms=4, index=1))
-    queue.schedule(MeasureWindow(time_ms=5, index=1))
 
 
 def test_empty_scenario_produces_header_only_series(tmp_path):
@@ -216,8 +200,45 @@ def test_link_degradation_applies_from_its_event_time():
     assert second.mos == pytest.approx(1 + 4 * (400 - 306) / 350, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "alpha,restore",
+    [pytest.param(1.0, False, id="nan-at-alpha-1"), pytest.param(0.3, True, id="no-recovery")],
+)
+def test_no_route_figure_overflows(alpha, restore):
+    # basic.json with both links degraded to 1e308 ms at 1.5 s: their sum is
+    # infinite, so at alpha 1 smoothing's 0 * inf read NaN, and at 0.3 the
+    # carry stayed infinite after the links came back at 3.5 s. The parser
+    # refuses such a figure at its path; at the cap every figure stays
+    # finite and the carry comes back down.
+    payload = json.loads((SCENARIOS / "basic.json").read_text())
+    payload["meta"]["duration_ms"] = 100_000
+    payload["workload"]["requests"][0]["holding_ms"] = 200_000
+    payload["ela"]["target_mos"] = 1.0
+    payload["policy"] = {"predictor_alpha": alpha}
+    faults = [{"time_ms": 1500, "link": link, "latency_ms": 1e308} for link in (0, 1)]
+    if restore:
+        faults += [{"time_ms": 3500, "link": link, "latency_ms": 5} for link in (0, 1)]
+    payload["faults"] = {"link_degradations": faults}
+    doc, diagnostics = parse_scenario(json.dumps(payload))
+    assert doc is None
+    assert [(item.path, item.message) for item in diagnostics] == [
+        (
+            f"faults.link_degradations[{link}].latency_ms",
+            f"link {link}: latency_ms must be at most 1e+12",
+        )
+        for link in (0, 1)
+    ]
+    for fault in faults[:2]:
+        fault["latency_ms"] = MAX_DELAY_MS
+    samples = [sample for _, sample in series_rows(run(_doc(payload), strict_debug=True))]
+    assert all(math.isfinite(figure) for sample in samples for figure in sample)
+    assert samples[1].mos == 1.0
+    if restore:
+        assert samples[-1].mos == pytest.approx(samples[0].mos, abs=1e-4)
+
+
 def test_a_shuffled_workload_runs_the_same(tmp_path):
-    # Arrivals are queued in request-id order, so the order in which the
+    # Arrivals are listed in request-id order, so the order in which the
     # workload lists its requests changes no artifact. Every request
     # arrives at one of two instants, so ties between arrivals decide.
     rng = Random(2626)
@@ -431,6 +452,107 @@ def test_a_window_precedes_every_event_at_its_instant():
         "Completed",
         "Active",
     ]
+
+
+# The id a hook's event carries, by its type's name.
+_EVENT_ID = {
+    "Arrival": lambda event: event.request.id,
+    "Departure": attrgetter("request_id"),
+    "MeasureWindow": attrgetter("index"),
+    "HostFailure": attrgetter("host"),
+    "LinkDegradation": attrgetter("link"),
+    "StallInjection": attrgetter("flow"),
+}
+
+
+def _dispatched(doc: ScenarioDoc) -> tuple[list[tuple[int, str, int]], dict]:
+    """The hook's (time, type, id) of each event doc's run dispatches, and its entries."""
+    seen: list[tuple[int, str, int]] = []
+
+    def hook(event, state):
+        name = type(event).__name__
+        seen.append((event.time_ms, name, _EVENT_ID[name](event)))
+
+    return seen, run(doc, event_hook=hook).entries
+
+
+def _heap_order(doc: ScenarioDoc, entries: dict) -> list[tuple[int, str, int]]:
+    """The (time, type, id) order of a min-heap on (time, insertion count).
+
+    The scenario's arrivals are pushed in id order, then its host failures,
+    degradations and stalls, each in (time, id) order; an admitted request's
+    departure, if at or before the horizon, is pushed when its arrival pops.
+    entries, the run's own, say which requests were admitted. Each window
+    comes before every event at its instant.
+    """
+    heap: list = []
+    pushed = count()
+
+    def push(time_ms: int, name: str, key: int) -> None:
+        heapq.heappush(heap, (time_ms, next(pushed), name, key))
+
+    for request in sorted(doc.requests, key=attrgetter("id")):
+        push(request.arrival_ms, "Arrival", request.id)
+    for name, records, key in (
+        ("HostFailure", doc.host_failures, "host"),
+        ("LinkDegradation", doc.link_degradations, "link"),
+        ("StallInjection", doc.stall_injections, "flow"),
+    ):
+        for record in sorted(records, key=attrgetter("time_ms", key)):
+            push(record.time_ms, name, getattr(record, key))
+    holding = {request.id: request.holding_ms for request in doc.requests}
+    windows = [
+        ((index + 1) * doc.window_ms, "MeasureWindow", index)
+        for index in range(doc.duration_ms // doc.window_ms)
+    ]
+    order: list[tuple[int, str, int]] = []
+    while heap and heap[0][0] <= doc.duration_ms:
+        time_ms, _, name, key = heapq.heappop(heap)
+        while windows and windows[0][0] <= time_ms:
+            order.append(windows.pop(0))
+        order.append((time_ms, name, key))
+        if name == "Arrival" and key in entries and time_ms + holding[key] <= doc.duration_ms:
+            push(time_ms + holding[key], "Departure", key)
+    return order + windows
+
+
+def _crossed_departures() -> ScenarioDoc:
+    """Two flows that leave together at 2 s, having arrived in the other order.
+
+    Flow 1 arrives at 0.5 s and flow 0 at 1 s, so the heap numbers flow 1's
+    departure first. Flow 2 asks for five fw instances, more CPU than the
+    host has, so it is rejected, and its departure at 1 s never dispatches.
+    """
+    payload = _payload()
+    for link in payload["network"]["links"]:
+        link["bandwidth_mbps"] = 20
+    first = payload["workload"]["requests"][0]
+    first.update(arrival_ms=1000, holding_ms=1000)
+    payload["workload"]["requests"] += [
+        {**first, "id": 1, "arrival_ms": 500, "holding_ms": 1500},
+        {**first, "id": 2, "vnfs": ["fw"] * 5, "arrival_ms": 0, "holding_ms": 1000},
+    ]
+    return _doc(payload)
+
+
+def test_dispatch_order_is_the_heap_rule():
+    crossed = _crossed_departures()
+    seen, entries = _dispatched(crossed)
+    assert sorted(entries) == [0, 1]
+    assert [event for event in seen if event[1] == "Departure"] == [
+        (2000, "Departure", 1),
+        (2000, "Departure", 0),
+    ]
+    assert seen == _heap_order(crossed, entries)
+    rng = Random(3838)
+    docs = [random_doc(rng, index) for index in range(60)]
+    docs += [degraded_doc(rng, random_doc(rng, index)) for index in range(60)]
+    departures = 0
+    for doc in docs:
+        seen, entries = _dispatched(doc)
+        assert seen == _heap_order(doc, entries), doc.name
+        departures += sum(name == "Departure" for _, name, _ in seen)
+    assert departures > 50
 
 
 def _take_cpu(state, graph):

@@ -435,6 +435,40 @@ CASES = [
         lambda p: p["network"]["links"][0].update(bandwidth_mbps=1e308),
         "network.links[0].bandwidth_mbps", "too large", id="link-bw-overflows-kbps",
     ),
+    pytest.param(
+        lambda p: p["profiles"]["app_profiles"][0].update(bw_mbps=4.0004),
+        "profiles.app_profiles[0].bw_mbps", "resolution is 0.001 Mbps",
+        id="profile-bw-resolution",
+    ),
+    pytest.param(
+        lambda p: p["profiles"]["app_profiles"][0].update(bw_mbps=0.0004),
+        "profiles.app_profiles[0].bw_mbps", "resolution is 0.001 Mbps",
+        id="profile-bw-below-resolution",
+    ),
+    pytest.param(
+        lambda p: p["profiles"]["app_profiles"][0].update(bw_mbps=1e308),
+        "profiles.app_profiles[0].bw_mbps", "too large", id="profile-bw-overflows-kbps",
+    ),
+    pytest.param(
+        lambda p: p["network"]["links"][0].update(latency_ms=1e13),
+        "network.links[0].latency_ms", "at most 1e+12", id="link-latency-above-cap",
+    ),
+    pytest.param(
+        lambda p: p["network"]["links"][0].update(jitter_ms=1e13),
+        "network.links[0].jitter_ms", "at most 1e+12", id="link-jitter-above-cap",
+    ),
+    pytest.param(
+        lambda p: p["catalog"]["vnf_types"][0].update(proc_latency_ms=1e13),
+        "catalog.vnf_types[0].proc_latency_ms", "at most 1e+12",
+        id="vnf-proc-latency-above-cap",
+    ),
+    pytest.param(
+        lambda p: p["faults"]["link_degradations"].append(
+            {"time_ms": 0, "link": 0, "jitter_ms": 1e308}
+        ),
+        "faults.link_degradations[0].jitter_ms", "at most 1e+12",
+        id="degradation-jitter-above-cap",
+    ),
 ]
 
 
