@@ -89,6 +89,7 @@ class LinkSpec:
 # The largest latency or jitter a link, degradation or VNF may give: so far
 # below the float range that no route's sum of them can overflow.
 MAX_DELAY_MS = 1e12
+_AT_MOST = f"must be at most {MAX_DELAY_MS:g}"
 
 
 def check_link_quality(
@@ -97,18 +98,16 @@ def check_link_quality(
     """The rule on link quality figures, for base values and overrides alike.
 
     Latency and jitter lie within [0, MAX_DELAY_MS] and loss is a
-    percentage. A figure left at its default is one the caller does not
-    set. A negative latency or jitter names no field: a link's diagnostic
-    for it is at the link. One above the cap names its field.
+    percentage; each figure is checked in that order, and one out of range
+    names its field. A figure left at its default is one the caller does
+    not set.
     """
-    if latency_ms < 0:
-        raise InvalidRange(f"link {link_id}: latency must be non-negative")
-    if jitter_ms < 0:
-        raise InvalidRange(f"link {link_id}: jitter must be non-negative")
-    for name, value in (("latency_ms", latency_ms), ("jitter_ms", jitter_ms)):
-        if value > MAX_DELAY_MS:
-            msg = f"link {link_id}: {name} must be at most {MAX_DELAY_MS:g}"
-            raise InvalidRange(msg, field=name)
+    if latency_ms < 0 or latency_ms > MAX_DELAY_MS:
+        rule = "latency must be non-negative" if latency_ms < 0 else f"latency_ms {_AT_MOST}"
+        raise InvalidRange(f"link {link_id}: {rule}", field="latency_ms")
+    if jitter_ms < 0 or jitter_ms > MAX_DELAY_MS:
+        rule = "jitter must be non-negative" if jitter_ms < 0 else f"jitter_ms {_AT_MOST}"
+        raise InvalidRange(f"link {link_id}: {rule}", field="jitter_ms")
     if not 0 <= loss_pct <= 100:
         msg = f"link {link_id}: loss must be within [0, 100]"
         raise InvalidRange(msg, field="loss_pct")

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import InvalidRange
 from .network import PathMetrics
-from .units import KBPS_PER_MBPS
 from .service import (
     AppProfile,
     ChainRequest,
@@ -141,5 +140,5 @@ def predict_mos(
     metrics = path_metrics(
         segments, net, catalog.proc_latencies(request.vnf_sequence)
     )
-    sample = FlowSample(request.id, profile.bw_req_kbps / KBPS_PER_MBPS, *metrics, 0.0)
+    sample = FlowSample(request.id, profile.bw_req_mbps, *metrics, 0.0)
     return estimate_mos(sample, profile), metrics

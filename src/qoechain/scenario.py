@@ -19,11 +19,11 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .controller import PolicyConfig
 from .errors import InvalidRange, SimulatorError
-from .network import LinkSpec, NodeKind, NodeSpec, PathMetrics, check_link_quality
+from .network import LinkSpec, NodeKind, NodeSpec, check_link_quality
 from .qoe import Ela, check_stall_ratio
 from .service import AppProfile, ChainRequest, VnfType
 from .units import KBPS_PER_MBPS, kbps_to_mbps, mbps_to_kbps
@@ -63,15 +63,11 @@ class LinkDegradation:
 
     def __post_init__(self):
         _check_time(self.time_ms)
-        given = [name for name in PathMetrics._fields if getattr(self, name) is not None]
-        if not given:
+        latency, jitter, loss = self.latency_ms, self.jitter_ms, self.loss_pct
+        if latency is None and jitter is None and loss is None:
             raise InvalidRange("degradation changes nothing")
-        for name in given:
-            try:
-                check_link_quality(self.link, **{name: getattr(self, name)})
-            except InvalidRange as exc:
-                # A degradation sets its figures one by one, so a bad one is its own fault.
-                raise InvalidRange(str(exc), field=name) from None
+        # An absent figure goes in as 0.0, which check_link_quality reads as not set.
+        check_link_quality(self.link, latency or 0.0, jitter or 0.0, loss or 0.0)
 
 
 @dataclass(frozen=True)
@@ -148,11 +144,6 @@ def _load_kbps(mbps: float) -> int:
     return kbps
 
 
-def _load_mbps(mbps: float) -> float:
-    """A profile's bandwidth, in Mbps but under the same 0.001 Mbps rule as a link's."""
-    return kbps_to_mbps(_load_kbps(mbps))
-
-
 def _load_node_kind(value: str) -> NodeKind:
     try:
         return NodeKind(value)
@@ -183,7 +174,7 @@ _VNF_TYPE = _Table(VnfType, (
 ))
 _PROFILE = _Table(AppProfile, (
     _Field("name", "name", "str", unique="duplicate profile {!r}"),
-    _Field("bw_mbps", "bw_req_mbps", "number", convert=(_load_mbps, float)),
+    _Field("bw_mbps", "bw_req_kbps", "number", convert=(_load_kbps, kbps_to_mbps)),
     _Field("delay_opt_ms", "delay_opt_ms", "number"),
     _Field("delay_max_ms", "delay_max_ms", "number"),
     _Field("loss_max_pct", "loss_max_pct", "number"),
@@ -322,50 +313,45 @@ def _read(ctx: _Ctx, obj: dict, path: str, rows: tuple[_Field, ...], values: dic
     return values
 
 
-def _record(ctx: _Ctx, obj: dict, path: str, table: _Table, base: dict) -> Any:
-    """The record one JSON object describes, or None once it is diagnosed.
+def _items(
+    ctx: _Ctx, items: Iterable[tuple[str, Any]], path: str, table: _Table, base: dict | None
+) -> dict[str, Any]:
+    """{item path: record} for each (item path, JSON value) that reads and builds.
 
-    A value rule the record's validator raises is diagnosed at the key of
-    the attribute it names, or at path when it names none.
+    path is the list's, or the one object's. A value rule the record's
+    validator raises is diagnosed at the key of the attribute it names, or
+    at the item when it names none. An item that read its unique key
+    cleanly but did not build leaves the key in ctx.unbuilt[path].
     """
-    before = len(ctx)
-    values = _read(ctx, obj, path, table.rows, dict(base))
-    if len(ctx) > before:
-        return None
-    try:
-        return table.cls(**values)
-    except InvalidRange as exc:
-        key = next((row.key for row in table.rows if row.attr == exc.field), None)
-        ctx.error(path if key is None else f"{path}.{key}", str(exc))
-        return None
-
-
-def _items(ctx: _Ctx, raw: list, path: str, table: _Table, base: dict) -> dict[str, Any]:
-    """{item path: record} for each item of a JSON list that reads and builds."""
     built: dict[str, Any] = {}
-    unique_row = next((row for row in table.rows if row.unique), None)
+    cls, rows = table.cls, table.rows
+    unique = next((row for row in rows if row.unique), None)
     seen: set = set()
-    for index, item in enumerate(raw):
-        item_path = f"{path}[{index}]"
+    for item_path, item in items:
         if type(item) is not dict:
             ctx.error(item_path, "expected object")
             continue
         before = len(ctx)
-        key = None if unique_row is None else item.get(unique_row.key)
-        record = _record(ctx, item, item_path, table, base)
-        if record is None:
-            if unique_row is not None:
-                key_path = f"{item_path}.{unique_row.key}"
-                if all(found.path != key_path for found in ctx[before:]):
-                    ctx.unbuilt[path].add(key)
-            continue
-        if unique_row is not None:
-            value = getattr(record, unique_row.attr)
-            if value in seen:
-                ctx.error(f"{item_path}.{unique_row.key}", unique_row.unique.format(value))
+        values = _read(ctx, item, item_path, rows, dict(base) if base else {})
+        if len(ctx) == before:
+            try:
+                record = cls(**values)
+            except InvalidRange as exc:
+                key = next((row.key for row in rows if row.attr == exc.field), None)
+                ctx.error(item_path if key is None else f"{item_path}.{key}", str(exc))
+            else:
+                if unique is None:
+                    built[item_path] = record
+                elif (key := values[unique.attr]) in seen:
+                    ctx.error(f"{item_path}.{unique.key}", unique.unique.format(key))
+                else:
+                    seen.add(key)
+                    built[item_path] = record
                 continue
-            seen.add(value)
-        built[item_path] = record
+        if unique is not None:
+            key_path = f"{item_path}.{unique.key}"
+            if all(found.path != key_path for found in ctx[before:]):
+                ctx.unbuilt[path].add(values[unique.attr])
     return built
 
 
@@ -376,7 +362,8 @@ def _read_section(ctx: _Ctx, doc: dict, key: str, base: dict | None = None) -> d
     for row in rows:
         if row.items is not None:
             path = f"{key}.{row.key}"
-            values[row.attr] = _items(ctx, values[row.attr], path, row.items, base or {})
+            items = ((f"{path}[{index}]", item) for index, item in enumerate(values[row.attr]))
+            values[row.attr] = _items(ctx, items, path, row.items, base)
     return values
 
 
@@ -434,8 +421,10 @@ def parse_scenario(text: str | bytes) -> tuple[ScenarioDoc | None, list[Diagnost
 
     catalog = _read_section(ctx, doc, "catalog")
     profiles = _read_section(ctx, doc, "profiles")
-    ela = _record(ctx, _section(ctx, doc, "ela"), "ela", _ELA, {})
-    policy = _record(ctx, _section(ctx, doc, "policy"), "policy", _POLICY, {})
+    ela, policy = (
+        _items(ctx, [(key, _section(ctx, doc, key))], key, table, None).get(key)
+        for key, table in (("ela", _ELA), ("policy", _POLICY))
+    )
 
     # A broken ELA is already diagnosed; any valid target lets requests be checked.
     target = 3.0 if ela is None else ela.target_mos

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidRange, SimulatorError
 from .network import MAX_DELAY_MS, NetworkState, NodeKind, PathMetrics
-from .units import mbps_to_kbps
+from .units import kbps_to_mbps
 
 LinkPath = tuple[int, ...]
 
@@ -37,7 +37,7 @@ class VnfType:
             raise InvalidRange(msg)
         if self.proc_latency_ms < 0:
             msg = f"vnf {self.name}: proc latency must be non-negative"
-            raise InvalidRange(msg)
+            raise InvalidRange(msg, field="proc_latency_ms")
         if self.proc_latency_ms > MAX_DELAY_MS:
             msg = f"vnf {self.name}: proc_latency_ms must be at most {MAX_DELAY_MS:g}"
             raise InvalidRange(msg, field="proc_latency_ms")
@@ -45,10 +45,10 @@ class VnfType:
 
 @dataclass(frozen=True)
 class AppProfile:
-    """Per-application QoE thresholds feeding the MOS model."""
+    """Per-application QoE thresholds feeding the MOS model; bandwidth in integer kbps."""
 
     name: str
-    bw_req_mbps: float
+    bw_req_kbps: int
     delay_opt_ms: float
     delay_max_ms: float
     loss_max_pct: float
@@ -57,9 +57,12 @@ class AppProfile:
     def __post_init__(self):
         if not self.name:
             raise InvalidRange("profile name must be non-empty", field="name")
-        if self.bw_req_mbps <= 0:
+        if type(self.bw_req_kbps) is not int:
+            msg = f"profile {self.name}: bw_req must be a whole number of kbps"
+            raise InvalidRange(msg, field="bw_req_kbps")
+        if self.bw_req_kbps <= 0:
             msg = f"profile {self.name}: bw_req must be positive"
-            raise InvalidRange(msg, field="bw_req_mbps")
+            raise InvalidRange(msg, field="bw_req_kbps")
         if self.delay_opt_ms < 0 or self.delay_max_ms <= self.delay_opt_ms:
             msg = f"profile {self.name}: need 0 <= delay_opt_ms < delay_max_ms"
             raise InvalidRange(msg)
@@ -71,14 +74,15 @@ class AppProfile:
             raise InvalidRange(msg, field="stall_max")
 
     @cached_property
-    def bw_req_kbps(self) -> int:
-        """The bandwidth need in the integer kbps that reservations hold."""
-        return mbps_to_kbps(self.bw_req_mbps)
+    def bw_req_mbps(self) -> float:
+        """The bandwidth need in Mbps, the unit of a sample's throughput."""
+        return kbps_to_mbps(self.bw_req_kbps)
 
 
-def check_mos_target(target: float, field: str, owner: str = "") -> None:
-    """A MOS target lies on the MOS scale, [1, 5]; owner prefixes the message."""
+def check_mos_target(target: float, field: str, request_id: int | None = None) -> None:
+    """A MOS target lies on the MOS scale, [1, 5]; a request's message names it."""
     if not 1.0 <= target <= 5.0:
+        owner = "" if request_id is None else f"request {request_id}: "
         raise InvalidRange(f"{owner}{field} must be within [1, 5]", field=field)
 
 
@@ -102,7 +106,7 @@ class ChainRequest:
         if self.ingress == self.egress:
             msg = f"request {self.id}: ingress and egress must differ"
             raise InvalidRange(msg)
-        check_mos_target(self.ela_target, "ela_target", f"request {self.id}: ")
+        check_mos_target(self.ela_target, "ela_target", self.id)
         if self.arrival_ms < 0:
             msg = f"request {self.id}: arrival must be non-negative"
             raise InvalidRange(msg, field="arrival_ms")

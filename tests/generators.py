@@ -58,13 +58,13 @@ def bench_module(name: str):
 
 def make_profile(
     name: str = "video",
-    bw: float = 4.0,
+    bw_kbps: int = 4000,
     delay_opt: float = 50.0,
     delay_max: float = 400.0,
     loss_max: float = 5.0,
     stall_max: float = 0.2,
 ) -> AppProfile:
-    return AppProfile(name, bw, delay_opt, delay_max, loss_max, stall_max)
+    return AppProfile(name, bw_kbps, delay_opt, delay_max, loss_max, stall_max)
 
 
 def make_request(
@@ -155,7 +155,7 @@ def random_profile(rng: Random, name: str = "p") -> AppProfile:
     delay_max = delay_opt + round(rng.uniform(10.0, 400.0), 1)
     return AppProfile(
         name,
-        bw_req_mbps=round(rng.uniform(0.5, 8.0), 3),
+        bw_req_kbps=round(rng.uniform(500, 8000)),
         delay_opt_ms=delay_opt,
         delay_max_ms=delay_max,
         loss_max_pct=round(rng.uniform(0.5, 20.0), 2),

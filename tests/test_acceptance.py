@@ -132,7 +132,7 @@ def test_qoe_model_properties_hold_over_random_pairs():
 
 
 def test_closed_form_scores_match_hand_derivation():
-    profile = AppProfile("video", 4.0, 50.0, 400.0, 5.0, 0.2)
+    profile = AppProfile("video", 4000, 50.0, 400.0, 5.0, 0.2)
     worked = estimate_mos(FlowSample(0, 4.0, 100.0, 25.0, 1.0, 0.05), profile)
     expected = 1.0 + 4.0 * (3.0 / 7.0)
     checks = [

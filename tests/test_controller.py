@@ -134,7 +134,7 @@ def test_reject_reasons():
     assert result == Rejected(RejectReason.NO_HOST)
     assert orch.counters()["rejected"]["NoHost"] == 1
 
-    thirsty = ServiceCatalog([], [make_profile(bw=20.0)])
+    thirsty = ServiceCatalog([], [make_profile(bw_kbps=20_000)])
     orch = _orchestrator(catalog=thirsty)
     result = orch.submit_request(make_request(vnfs=()), now=0)
     assert result == Rejected(RejectReason.NO_PATH)

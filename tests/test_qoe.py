@@ -181,7 +181,7 @@ def test_predict_mos_without_links_assumes_requirement_met():
 
 profiles = st.builds(
     make_profile,
-    bw=st.floats(0.1, 10.0),
+    bw_kbps=st.integers(100, 10_000),
     delay_opt=st.floats(0.0, 100.0),
     delay_max=st.floats(101.0, 800.0),
     loss_max=st.floats(0.5, 100.0),

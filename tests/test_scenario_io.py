@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
+import re
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -13,6 +16,8 @@ from qoechain import load_scenario, parse_scenario, scenario, serialize_scenario
 from qoechain.controller import PolicyConfig
 from qoechain.errors import InvalidRange, SimulatorError
 from qoechain.scenario import HostFailure, LinkDegradation, StallInjection
+
+from generators import bench_module
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -79,7 +84,7 @@ def test_valid_document_parses_with_no_diagnostics():
     assert [node.id for node in doc.nodes] == [0, 1, 2]
     assert doc.links[0].bandwidth_kbps == 10_000
     assert doc.vnf_types[0].name == "fw"
-    assert doc.profiles[0].bw_req_mbps == 4.0
+    assert doc.profiles[0].bw_req_kbps == 4000
     assert doc.ela.target_mos == 3.0
     assert doc.requests[0].vnf_sequence == ("fw",)
     assert doc.requests[0].ela_target == 3.0
@@ -209,7 +214,7 @@ CASES = [
     ),
     pytest.param(
         lambda p: p["network"]["links"][0].update(latency_ms=-1),
-        "network.links[0]", "non-negative", id="link-negative-latency",
+        "network.links[0].latency_ms", "non-negative", id="link-negative-latency",
     ),
     pytest.param(
         lambda p: p["network"]["links"][0].update(loss_pct=150),
@@ -363,7 +368,7 @@ CASES = [
     ),
     pytest.param(
         lambda p: p["network"]["links"][0].update(jitter_ms=-1),
-        "network.links[0]", "non-negative", id="link-negative-jitter",
+        "network.links[0].jitter_ms", "non-negative", id="link-negative-jitter",
     ),
     pytest.param(
         lambda p: p["network"]["links"][0].update(b=9),
@@ -379,7 +384,8 @@ CASES = [
     ),
     pytest.param(
         lambda p: p["catalog"]["vnf_types"][0].update(proc_latency_ms=-1),
-        "catalog.vnf_types[0]", "non-negative", id="vnf-negative-proc-latency",
+        "catalog.vnf_types[0].proc_latency_ms", "non-negative",
+        id="vnf-negative-proc-latency",
     ),
     pytest.param(
         lambda p: p["workload"]["requests"][0].update(id=-1),
@@ -545,6 +551,106 @@ def test_an_item_that_does_not_build_is_diagnosed_once(mutate, expected):
     assert [(item.path, item.message) for item in diagnostics] == expected
 
 
+# A diagnostic of a mutated record may also land on a record that names it:
+# the mutation took away the node, link, request, profile or VNF type it
+# refers to, or the meta.duration_ms its time must fall within.
+REFERENCE_CASCADE = re.compile(
+    r"unknown (node|link|request) -?\d+|node \d+ is not an? (host|endpoint)"
+    r"|unknown (profile|vnf type) '.*'|must be within \[0, duration_ms\]"
+)
+
+
+def _record_kinds(payload: dict) -> list[tuple[str, list | None, tuple]]:
+    """(path, JSON list or None for a single object, field rows) of each record kind."""
+    kinds = []
+    for section, (_, rows, _) in scenario._SECTIONS.items():
+        listed = [row for row in rows if row.items is not None]
+        if not listed:
+            kinds.append((section, None, rows))
+        for row in listed:
+            kinds.append((f"{section}.{row.key}", payload[section][row.key], row.items.rows))
+    return kinds
+
+
+def _mutations(payload: dict, rng: Random) -> list[tuple[str, str, object]]:
+    """Seeded single-field mutations of a document: (item path, key, new value).
+
+    Each record kind gets, field by field, a value of the wrong JSON type,
+    a NaN or infinity, out-of-range values and, for a required key, its
+    removal (the value None); then an unknown key and, where the kind has
+    a unique key and the list two or more items, an earlier item's key.
+    Each mutation picks its item of a list at random.
+    """
+    mutations = []
+    for kind, items, rows in _record_kinds(payload):
+
+        def add(key, value):
+            path = kind if items is None else f"{kind}[{rng.randrange(len(items))}]"
+            mutations.append((path, key, value))
+
+        for row in rows:
+            add(row.key, 1 if row.kind == "str" else "x")
+            if row.kind in ("int", "number"):
+                add(row.key, rng.choice([math.nan, math.inf, -math.inf]))
+                add(row.key, -1)
+            if row.kind == "number":
+                add(row.key, 1e13)
+            if row.kind == "str":
+                add(row.key, "")
+            if row.required:
+                add(row.key, None)
+        add("surplus", 1)
+        unique = next((row for row in rows if row.unique), None)
+        if unique is not None and len(items) > 1:
+            index = rng.randrange(1, len(items))
+            earlier = items[rng.randrange(index)][unique.key]
+            mutations.append((f"{kind}[{index}]", unique.key, earlier))
+    return mutations
+
+
+def _apply(payload: dict, path: str, key: str, value) -> None:
+    section, _, rest = path.partition(".")
+    if not rest:
+        target = payload.setdefault(section, {})
+    else:
+        name, index = rest.rstrip("]").split("[")
+        target = payload[section][name][int(index)]
+    if value is None:
+        target.pop(key, None)
+    else:
+        target[key] = value
+
+
+# sha256 of the (path, message) lists the corpus below draws, one list per
+# mutation in mutation order, as JSON.
+CORPUS_DIGEST = "8319c5ee3402859cbbe332e0536b81e1e18dafd829c1328f9c559e672f8fa10d"
+
+
+def test_single_field_mutations_of_a_bench_file_keep_their_diagnostics():
+    # Mutations of a fault_storm file, which holds every record kind but a
+    # policy (a mutation adds one): each diagnostic lands on the mutated
+    # item or is a reference cascade, and the whole corpus is pinned.
+    text = bench_module("gen").render("fault_storm", 1, 0)
+    payload = json.loads(text)
+    payload["policy"] = {"predictor_alpha": 0.3}
+    text = json.dumps(payload)
+    corpus = []
+    for path, key, value in _mutations(payload, Random(2019)):
+        mutated = json.loads(text)
+        _apply(mutated, path, key, value)
+        _, diagnostics = parse_scenario(json.dumps(mutated))
+        for item in diagnostics:
+            assert (
+                item.path == path
+                or item.path.startswith(f"{path}.")
+                or REFERENCE_CASCADE.fullmatch(item.message)
+            ), (path, key, value, item)
+        corpus.append([[item.path, item.message] for item in diagnostics])
+    assert len(corpus) > 150 and sum(map(bool, corpus)) > 0.9 * len(corpus)
+    digest = hashlib.sha256(json.dumps(corpus).encode()).hexdigest()
+    assert digest == CORPUS_DIGEST
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -579,15 +685,33 @@ def test_fault_specs_reject_bad_values(build):
         build()
 
 
-def test_every_bundled_scenario_round_trips():
+def _round_trip_inputs():
+    """(name, bytes) of each bundled scenario, then of the benchmark's seed-1
+    sweep files and long-horizon files, as bench/gen.py renders them."""
     for path in sorted(SCENARIOS.glob("*.json")):
-        first, diagnostics = parse_scenario(path.read_text())
-        assert diagnostics == [], (path.name, diagnostics)
+        yield path.name, path.read_bytes()
+    gen = bench_module("gen")
+    for workload, params in gen.WORKLOADS.items():
+        for index in range(params["sweep"]):
+            yield f"{workload}-1-{index:02d}", gen.render(workload, 1, index)
+    for workload in gen.LONG_HORIZON:
+        yield f"{workload}-1-long", gen.render(workload, 1, "long")
+
+
+def test_every_bundled_scenario_round_trips():
+    partial = 0
+    for name, data in _round_trip_inputs():
+        first, diagnostics = parse_scenario(data)
+        assert diagnostics == [], (name, diagnostics)
         canonical = serialize_scenario(first)
         second, diagnostics = parse_scenario(canonical)
-        assert diagnostics == [], (path.name, diagnostics)
+        assert diagnostics == [], (name, diagnostics)
         assert second == first
         assert serialize_scenario(second) == canonical
+        figures = [(f.latency_ms, f.jitter_ms, f.loss_pct) for f in first.link_degradations]
+        partial += sum(None in given for given in figures)
+    # Some of these degradations give only some of their figures.
+    assert partial > 0
 
 
 def test_inline_document_round_trips():

@@ -30,7 +30,9 @@ def test_vnf_type_validation():
 
 def test_profile_validation():
     with pytest.raises(InvalidRange, match="profile video: bw_req must be positive"):
-        make_profile(bw=0.0)
+        make_profile(bw_kbps=0)
+    with pytest.raises(InvalidRange, match="profile video: bw_req must be a whole number of kbps"):
+        make_profile(bw_kbps=4000.4)
     with pytest.raises(InvalidRange, match="profile video: need 0 <= delay_opt_ms < delay_max_ms"):
         make_profile(delay_opt=100.0, delay_max=100.0)
     with pytest.raises(InvalidRange, match=r"profile video: loss_max must be in \(0, 100\]"):
@@ -212,8 +214,8 @@ def test_validate_empty_chain_graph():
 def test_profile_dataclass_is_frozen():
     profile = make_profile()
     with pytest.raises(AttributeError):
-        profile.bw_req_mbps = 1.0
+        profile.bw_req_kbps = 1000
 
 
 def test_app_profile_accepts_boundary_values():
-    AppProfile("edge", 0.001, 0.0, 0.1, 100.0, 1.0)
+    AppProfile("edge", 1, 0.0, 0.1, 100.0, 1.0)
