@@ -7,16 +7,17 @@ alone writes: the smoothing carry, the settled sample, the run of windows
 below target, the route figures (the graph's path metrics) and the windows
 that breached. The orchestrator turns the controller's admissions, Actions
 and releases into graph and status changes, all through one guarded
-transition helper, and tallies the two outcomes the lifecycle log cannot
-tell apart: rejections by reason, and reroutes versus migrations. Every
-other counter is derived from the entries when the report is built, and
-db_dump.json is rendered from the entries themselves as report.py writes
-it: nothing here builds a dump.
+transition helper. A repair is one record into Active that names its kind,
+reroute or migration. Rejections, which leave no entry, are the one tally
+kept by reason; every other counter is read off the entries when the
+report is built, and db_dump.json is rendered from the entries themselves
+as report.py writes it: nothing here builds a dump.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -38,37 +39,29 @@ class LifecycleStatus(str, Enum):
     REQUESTED = "Requested"
     ACTIVE = "Active"
     DEGRADED = "Degraded"
-    MIGRATING = "Migrating"
     FAILED = "Failed"
     COMPLETED = "Completed"
 
 
+# Only a repair, the one record with a kind, enters Active from Active or Degraded.
 LEGAL_TRANSITIONS: dict[LifecycleStatus, frozenset[LifecycleStatus]] = {
-    LifecycleStatus.REQUESTED: frozenset(
-        {LifecycleStatus.ACTIVE, LifecycleStatus.FAILED}
-    ),
+    LifecycleStatus.REQUESTED: frozenset({LifecycleStatus.ACTIVE}),
     LifecycleStatus.ACTIVE: frozenset(
         {
+            LifecycleStatus.ACTIVE,
             LifecycleStatus.DEGRADED,
-            LifecycleStatus.MIGRATING,
             LifecycleStatus.COMPLETED,
             LifecycleStatus.FAILED,
         }
     ),
     LifecycleStatus.DEGRADED: frozenset(
-        {
-            LifecycleStatus.ACTIVE,
-            LifecycleStatus.MIGRATING,
-            LifecycleStatus.FAILED,
-            LifecycleStatus.COMPLETED,
-        }
-    ),
-    LifecycleStatus.MIGRATING: frozenset(
-        {LifecycleStatus.ACTIVE, LifecycleStatus.FAILED}
+        {LifecycleStatus.ACTIVE, LifecycleStatus.FAILED, LifecycleStatus.COMPLETED}
     ),
     LifecycleStatus.FAILED: frozenset(),
     LifecycleStatus.COMPLETED: frozenset(),
 }
+
+REPAIRS = frozenset({ActionKind.REROUTED, ActionKind.MIGRATED})
 
 TERMINAL = frozenset({LifecycleStatus.FAILED, LifecycleStatus.COMPLETED})
 
@@ -77,9 +70,10 @@ TERMINAL = frozenset({LifecycleStatus.FAILED, LifecycleStatus.COMPLETED})
 class DbEntry:
     request: ChainRequest
     graph: ForwardingGraph
-    # (time_ms, status entered), append-only with non-decreasing timestamps.
-    # The one record of the flow's status: see status.
-    log: list[tuple[int, LifecycleStatus]] = field(default_factory=list)
+    # (time_ms, status entered, kind), append-only with non-decreasing
+    # timestamps: kind is a repair's ActionKind, None on any other record.
+    # The one record of the flow's status (see status) and of its repairs.
+    log: list[tuple[int, LifecycleStatus, ActionKind | None]] = field(default_factory=list)
     # EWMA carry per metric; a repair restarts it with the new graph, so
     # the first window on a new path is taken at face value.
     smoothed: FlowSample | None = None
@@ -139,8 +133,10 @@ class VnfDb:
         """
         return self._live
 
-    def transition(self, entry: DbEntry, to: LifecycleStatus, now: int) -> None:
-        """Append entry's move to `to` at `now` to its log, which is its status."""
+    def transition(
+        self, entry: DbEntry, to: LifecycleStatus, now: int, kind: ActionKind | None = None
+    ) -> None:
+        """Append entry's move to `to` at `now`, a repair of `kind` if given, to its log."""
         status = entry.status
         if to not in LEGAL_TRANSITIONS[status]:
             msg = (
@@ -151,7 +147,7 @@ class VnfDb:
         if entry.log and now < entry.log[-1][0]:
             msg = f"request {entry.request.id}: lifecycle log time went backwards"
             raise InvariantViolation(msg)
-        entry.log.append((now, to))
+        entry.log.append((now, to, kind))
         if to in TERMINAL:
             self._live = [other for other in self._live if other is not entry]
 
@@ -163,8 +159,6 @@ class Orchestrator:
         self.controller = controller
         self.db = VnfDb()
         self.rejected = {reason.value: 0 for reason in RejectReason}
-        self.rerouted = 0
-        self.migrated = 0
 
     def submit_request(self, request: ChainRequest, now: int) -> ForwardingGraph | Rejected:
         """Admit a new request through the controller and record it.
@@ -198,22 +192,17 @@ class Orchestrator:
     def apply_action(self, action: Action, now: int) -> DbEntry:
         """Replay a controller action onto the database.
 
-        Reroutes and migrations pass through Migrating and land on Active,
-        both logged at the same timestamp, and install the new graph.
-        Marking an already-degraded flow degraded again is a no-op rather
-        than a self-transition, which the automaton does not have.
+        A reroute or migration, from Active or Degraded, is one record into
+        Active that names its kind, and installs the new graph. Marking an
+        already-degraded flow degraded again is a no-op: the automaton has no
+        Degraded -> Degraded edge.
         """
         entry = self.db.entries.get(action.flow_id)
         if entry is None:
             raise SimulatorError(f"action for unknown request {action.flow_id}")
-        if action.kind in (ActionKind.REROUTED, ActionKind.MIGRATED):
-            self.db.transition(entry, LifecycleStatus.MIGRATING, now)
-            self.db.transition(entry, LifecycleStatus.ACTIVE, now)
+        if action.kind in REPAIRS:
+            self.db.transition(entry, LifecycleStatus.ACTIVE, now, action.kind)
             entry.graph = action.new_graph
-            if action.kind is ActionKind.REROUTED:
-                self.rerouted += 1
-            else:
-                self.migrated += 1
         elif action.kind is ActionKind.MARKED_DEGRADED:
             if entry.status is not LifecycleStatus.DEGRADED:
                 self.db.transition(entry, LifecycleStatus.DEGRADED, now)
@@ -222,14 +211,15 @@ class Orchestrator:
         return entry
 
     def counters(self) -> dict:
-        """Run totals: the two tallies plus what the entries' statuses show."""
+        """Run totals: the rejection tally plus what the entries' logs show."""
         statuses = [entry.status for entry in self.db.entries.values()]
+        kinds = Counter(kind for entry in self.db.entries.values() for *_, kind in entry.log)
         return {
             "admitted": len(statuses),
             "rejected": dict(self.rejected),
             "rejected_total": sum(self.rejected.values()),
-            "rerouted": self.rerouted,
-            "migrated": self.migrated,
+            "rerouted": kinds[ActionKind.REROUTED],
+            "migrated": kinds[ActionKind.MIGRATED],
             "failed": statuses.count(LifecycleStatus.FAILED),
             "completed": statuses.count(LifecycleStatus.COMPLETED),
         }
@@ -241,10 +231,16 @@ def audit_lifecycle(db: VnfDb) -> list[str]:
     for request_id in sorted(db.entries):
         status = LifecycleStatus.REQUESTED
         last_time = None
-        for time_ms, entered in db.entries[request_id].log:
+        for time_ms, entered, kind in db.entries[request_id].log:
             label = f"request {request_id} at {time_ms}ms"
+            edge = f"{status.value} -> {entered.value}"
+            repair = entered is LifecycleStatus.ACTIVE and status is not LifecycleStatus.REQUESTED
             if entered not in LEGAL_TRANSITIONS[status]:
-                violations.append(f"{label}: illegal {status.value} -> {entered.value}")
+                violations.append(f"{label}: illegal {edge}")
+            elif kind is not None and not repair:
+                violations.append(f"{label}: {edge} names repair kind {kind.value}")
+            elif repair and kind not in REPAIRS:
+                violations.append(f"{label}: repair {edge} names no repair kind")
             if last_time is not None and time_ms < last_time:
                 violations.append(f"{label}: timestamps not monotone")
             status = entered

@@ -20,7 +20,7 @@ one window at a time, each row its window's time and _ROW's text, formatted
 once per sample. Scalars are spelled as json.dumps spells the value's own
 type: strings through json's C escaper, numbers by int's or float's repr,
 and lists and objects of those texts by _json_list. A lifecycle record is
-its (from, to) pair's template in _RECORDS with its time filled in, and a
+its (from, to, kind) template in _RECORDS with its time filled in, and a
 segment is one join of its node ids in _SEGMENT.
 """
 
@@ -35,6 +35,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
+from .controller import ActionKind
 from .errors import SimulatorError
 from .orchestrator import DbEntry, LifecycleStatus
 from .qoe import QoeSample
@@ -199,14 +200,16 @@ _PLACEMENT = """{
         }"""
 _SEGMENT = "[\n          %s\n        ]"
 _RECORD = """{
-        "from": %s,
+        "from": %s,%s
         "time_ms": %%r,
         "to": %s
       }"""
-# Each (from, to) pair's record, its time left to a %r; illegal pairs too.
+# Each (from, to, kind) record, its time left to a %r; illegal ones too.
+# Only a record that names a kind has a "kind" key.
+_KIND_KEY = {None: "", **{kind: f'\n        "kind": {_escape(kind.value)},' for kind in ActionKind}}
 _RECORDS = {
-    (left, entered): _RECORD % (_STATUS_TEXT[left], _STATUS_TEXT[entered])
-    for left in LifecycleStatus for entered in LifecycleStatus
+    (left, entered, kind): _RECORD % (_STATUS_TEXT[left], _KIND_KEY[kind], _STATUS_TEXT[entered])
+    for left in LifecycleStatus for entered in LifecycleStatus for kind in _KIND_KEY
 }
 
 
@@ -215,15 +218,15 @@ def render_entry(entry: DbEntry) -> str:
 
     The text is json.dumps's with indent=2 and sorted keys: the request as
     the workload keys it, the forwarding graph with each VNF's host, and the
-    lifecycle log, each record with the status it left: its (from, to)
-    pair's template in _RECORDS, with its time filled in.
+    lifecycle log, each record with the status it left: its (from, to,
+    kind) template in _RECORDS, with its time filled in.
     """
     request, graph = entry.request, entry.graph
     # Each record's from is the status the record before it entered.
     records = []
     status = ran_under = LifecycleStatus.REQUESTED
-    for time_ms, entered in entry.log:
-        records.append(_RECORDS[status, entered] % time_ms)
+    for time_ms, entered, kind in entry.log:
+        records.append(_RECORDS[status, entered, kind] % time_ms)
         ran_under, status = status, entered
     # A completed flow's graph keeps the status it last ran under.
     graph_status = ran_under if status is LifecycleStatus.COMPLETED else status

@@ -506,7 +506,7 @@ def test_host_failure_triggers_immediate_migration(tmp_path):
 
     report = run(doc, strict_debug=True, event_hook=hook)
     lifecycle = [
-        (step["time_ms"], step["from"], step["to"])
+        (step["time_ms"], step["from"], step["to"], step.get("kind"))
         for step in written_dump(report, tmp_path)[0]["lifecycle"]
     ]
     migration_steps = [step for step in lifecycle if step[0] == 2500]
@@ -517,8 +517,7 @@ def test_host_failure_triggers_immediate_migration(tmp_path):
     )
     ok = (
         report.counters["migrated"] == 1
-        and migration_steps
-        == [(2500, "Active", "Migrating"), (2500, "Migrating", "Active")]
+        and migration_steps == [(2500, "Active", "Active", "Migrated")]
         and not stale_refs
         and recovery_row.mos >= doc.ela.target_mos
         and len(rows) == 5
@@ -548,7 +547,7 @@ def test_host_failure_reroutes_flows_relayed_through_the_host(tmp_path):
     flows = written_summary(report, tmp_path)["flows"]
     steps = {
         request_id: [
-            (step["time_ms"], step["from"], step["to"])
+            (step["time_ms"], step["from"], step["to"], step.get("kind"))
             for step in entry["lifecycle"]
             if step["time_ms"] == 2500
         ]
@@ -563,11 +562,8 @@ def test_host_failure_reroutes_flows_relayed_through_the_host(tmp_path):
     ok = (
         report.counters["migrated"] == 1
         and report.counters["rerouted"] == 1
-        and all(
-            steps[request_id]
-            == [(2500, "Active", "Migrating"), (2500, "Migrating", "Active")]
-            for request_id in (0, 1)
-        )
+        and steps[0] == [(2500, "Active", "Active", "Migrated")]
+        and steps[1] == [(2500, "Active", "Active", "Rerouted")]
         and dump[0]["forwarding_graph"]["placements"] == [{"vnf": "fw", "host": 2}]
         and dump[1]["forwarding_graph"]["segments"] == [[1, 3]]
         and len(relayed_rows) == 3
@@ -659,17 +655,20 @@ def test_reruns_produce_byte_identical_artifacts(tmp_path):
 
 
 _LEGAL = {
-    "Requested": {"Active", "Failed"},
-    "Active": {"Degraded", "Migrating", "Completed", "Failed"},
-    "Degraded": {"Active", "Migrating", "Failed", "Completed"},
-    "Migrating": {"Active", "Failed"},
+    "Requested": {"Active"},
+    "Active": {"Active", "Degraded", "Completed", "Failed"},
+    "Degraded": {"Active", "Failed", "Completed"},
     "Failed": set(),
     "Completed": set(),
 }
 
 
 def _replay_dump(dump_text: str) -> list[str]:
-    """Re-audit a serialized database dump with a local transition table."""
+    """Re-audit a serialized database dump with a local transition table.
+
+    A record into Active from Active or Degraded is a repair and must name
+    its kind, Rerouted or Migrated; no other record names one.
+    """
     problems = []
     for entry in json.loads(dump_text):
         label = f"request {entry['request_id']}"
@@ -680,6 +679,9 @@ def _replay_dump(dump_text: str) -> list[str]:
                 problems.append(f"{label}: jump {status} -> {step['from']}")
             if step["to"] not in _LEGAL[step["from"]]:
                 problems.append(f"{label}: illegal {step['from']} -> {step['to']}")
+            repair = step["from"] != "Requested" and step["to"] == "Active"
+            if step.get("kind") not in ({"Rerouted", "Migrated"} if repair else {None}):
+                problems.append(f"{label}: {step['from']} -> {step['to']} names {step.get('kind')}")
             if last_time is not None and step["time_ms"] < last_time:
                 problems.append(f"{label}: time went backwards")
             status = step["to"]

@@ -839,8 +839,9 @@ def test_every_bundled_scenario_runs_clean_under_strict_audits():
 
 # sha256 of each artifact of each bundled scenario, recorded from the
 # unchanged simulator (relay_failure from the first simulator that moves
-# relayed flows off a failed host). A refactor that claims the same
-# behaviour keeps them.
+# relayed flows off a failed host; the db_dump.json of the three scenarios
+# that repair a flow from the first that logs a repair as one record naming
+# its kind). A refactor that claims the same behaviour keeps them.
 GOLDEN_DIGESTS = {
     ("basic", "summary.json"): (
         "a60ed5d245276f40cd6566a8308f49563f6258d3bfaf40856b714d5723b06fd3"
@@ -858,7 +859,7 @@ GOLDEN_DIGESTS = {
         "8ea4bd95bec915ca4b033be9e4e600989b1a983dfdf6b8f7bc98165ea96d42ac"
     ),
     ("feedback_reroute", "db_dump.json"): (
-        "c86aff0151678ed683ab0b9a5b1887a0df1c7cecc8afaf5d30da1e4e36bf2b55"
+        "e41e85535d22de45f7b4f935d3575d1ad2df054f791863fd5c2708081e7a9b67"
     ),
     ("greedy_gap", "summary.json"): (
         "5fa788c1acbf4042692e135df3f92f4562aa3ce3ff0726ed338ef2038dde9d53"
@@ -876,7 +877,7 @@ GOLDEN_DIGESTS = {
         "875c1f9a5df013c4e00f9397f0ecf0dc03d640d1881c6e29254bbec0311c449d"
     ),
     ("host_failure_migration", "db_dump.json"): (
-        "af5acdd163ec4ce33fbe671c79cc2f0c40b22fac97b8ef64d6437e4b6720805d"
+        "732feb6c0dbd16c040ca7860b26f1f86112225296baa01e2ed892d6c6518da6d"
     ),
     ("minimal", "summary.json"): (
         "0bf1ed01867738a139047dd1e9bbdda6af8f839607208983648687fe74f9d38c"
@@ -894,7 +895,7 @@ GOLDEN_DIGESTS = {
         "b0e04abd4f395333dbfaf0417a86d472118ff3672703b4ecfe797158f030ae14"
     ),
     ("relay_failure", "db_dump.json"): (
-        "a8981449570c92a96e8328e487463594cd1e9754a2f6fadebd98298abe62e3fe"
+        "fe4c90111f946128c06a11438b0eeb9cf964828958cd01c63552f51293090887"
     ),
 }
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -17,14 +18,24 @@ from qoechain import (
     Rejected,
     VnfDb,
     audit_lifecycle,
+    parse_scenario,
     run,
+    write_report,
 )
 from qoechain.errors import InvariantViolation, SimulatorError
 from qoechain.orchestrator import LEGAL_TRANSITIONS, TERMINAL, DbEntry
 from qoechain.report import SimReport
 from qoechain.service import ForwardingGraph
 
-from generators import line_network, make_request, random_doc, small_catalog, written_dump
+from generators import (
+    SCENARIOS,
+    bench_module,
+    line_network,
+    make_request,
+    random_doc,
+    small_catalog,
+    written_dump,
+)
 
 ELA = Ela(3.0, 2, 0.9)
 
@@ -44,10 +55,10 @@ def test_automaton_covers_every_status_and_terminals_are_sinks():
     for status in TERMINAL:
         assert LEGAL_TRANSITIONS[status] == frozenset()
     assert LifecycleStatus.DEGRADED in LEGAL_TRANSITIONS[LifecycleStatus.ACTIVE]
-    assert LEGAL_TRANSITIONS[LifecycleStatus.MIGRATING] == {
-        LifecycleStatus.ACTIVE,
-        LifecycleStatus.FAILED,
-    }
+    assert LEGAL_TRANSITIONS[LifecycleStatus.REQUESTED] == {LifecycleStatus.ACTIVE}
+    # A repair enters Active from Active or Degraded.
+    for status in (LifecycleStatus.ACTIVE, LifecycleStatus.DEGRADED):
+        assert LifecycleStatus.ACTIVE in LEGAL_TRANSITIONS[status]
 
 
 def test_transition_rejects_illegal_edge_without_side_effects():
@@ -67,7 +78,7 @@ def test_transition_rejects_time_regression_but_allows_same_instant():
     with pytest.raises(InvariantViolation, match="request 0: lifecycle log time went backwards"):
         db.transition(entry, LifecycleStatus.DEGRADED, now=99)
     db.transition(entry, LifecycleStatus.DEGRADED, now=100)
-    assert entry.log == [(100, LifecycleStatus.ACTIVE), (100, LifecycleStatus.DEGRADED)]
+    assert entry.log == [(100, LifecycleStatus.ACTIVE, None), (100, LifecycleStatus.DEGRADED, None)]
 
 
 def test_submit_activates_and_logs():
@@ -76,7 +87,7 @@ def test_submit_activates_and_logs():
     assert not isinstance(graph, Rejected)
     entry = orch.db.entries[0]
     assert entry.status is LifecycleStatus.ACTIVE
-    assert entry.log == [(250, LifecycleStatus.ACTIVE)]
+    assert entry.log == [(250, LifecycleStatus.ACTIVE, None)]
     assert entry.graph is graph
 
 
@@ -100,7 +111,10 @@ def test_complete_releases_resources_and_finishes():
     orch.complete_request(0, now=10_000)
     entry = orch.db.entries[0]
     assert entry.status is LifecycleStatus.COMPLETED
-    assert entry.log == [(0, LifecycleStatus.ACTIVE), (10_000, LifecycleStatus.COMPLETED)]
+    assert entry.log == [
+        (0, LifecycleStatus.ACTIVE, None),
+        (10_000, LifecycleStatus.COMPLETED, None),
+    ]
     assert orch.db.live() == []
 
 
@@ -114,7 +128,7 @@ def test_complete_unknown_or_finished_request_raises():
         orch.complete_request(0, now=6)
 
 
-def test_reroute_action_passes_through_migrating_at_one_instant():
+def test_reroute_action_is_one_record_that_names_its_kind():
     orch = _orchestrator()
     graph = orch.submit_request(make_request(), now=0)
     new_graph = ForwardingGraph(graph.hosts, graph.segments, graph.reserved_bw_kbps)
@@ -123,7 +137,7 @@ def test_reroute_action_passes_through_migrating_at_one_instant():
     )
     assert entry.status is LifecycleStatus.ACTIVE
     assert entry.graph is new_graph
-    assert entry.log[-2:] == [(3000, LifecycleStatus.MIGRATING), (3000, LifecycleStatus.ACTIVE)]
+    assert entry.log[1:] == [(3000, LifecycleStatus.ACTIVE, ActionKind.REROUTED)]
 
 
 def test_marking_degraded_twice_is_a_no_op():
@@ -264,7 +278,7 @@ def test_audit_passes_on_a_clean_history():
 def test_audit_flags_log_that_starts_past_requested():
     # The log is replayed from Requested, which has no edge to Degraded.
     db = VnfDb()
-    db.add(_entry([(0, LifecycleStatus.DEGRADED)]))
+    db.add(_entry([(0, LifecycleStatus.DEGRADED, None)]))
     assert audit_lifecycle(db) == ["request 0 at 0ms: illegal Requested -> Degraded"]
 
 
@@ -273,19 +287,111 @@ def test_audit_flags_illegal_edge():
     db.add(
         _entry(
             [
-                (0, LifecycleStatus.ACTIVE),
-                (1, LifecycleStatus.MIGRATING),
-                (2, LifecycleStatus.DEGRADED),
+                (0, LifecycleStatus.ACTIVE, None),
+                (1, LifecycleStatus.DEGRADED, None),
+                (2, LifecycleStatus.DEGRADED, None),
             ]
         )
     )
-    assert audit_lifecycle(db) == ["request 0 at 2ms: illegal Migrating -> Degraded"]
+    assert audit_lifecycle(db) == ["request 0 at 2ms: illegal Degraded -> Degraded"]
+
+
+def test_audit_flags_a_kind_on_a_record_that_is_no_repair():
+    # Admission enters Active from Requested: no repair, so no kind.
+    db = VnfDb()
+    db.add(
+        _entry(
+            [
+                (0, LifecycleStatus.ACTIVE, ActionKind.REROUTED),
+                (1, LifecycleStatus.DEGRADED, ActionKind.MIGRATED),
+            ]
+        )
+    )
+    assert audit_lifecycle(db) == [
+        "request 0 at 0ms: Requested -> Active names repair kind Rerouted",
+        "request 0 at 1ms: Active -> Degraded names repair kind Migrated",
+    ]
+
+
+def test_audit_flags_a_repair_that_names_no_repair_kind():
+    db = VnfDb()
+    db.add(
+        _entry(
+            [
+                (0, LifecycleStatus.ACTIVE, None),
+                (1, LifecycleStatus.ACTIVE, None),
+                (2, LifecycleStatus.DEGRADED, None),
+                (3, LifecycleStatus.ACTIVE, ActionKind.MARKED_DEGRADED),
+            ]
+        )
+    )
+    assert audit_lifecycle(db) == [
+        "request 0 at 1ms: repair Active -> Active names no repair kind",
+        "request 0 at 3ms: repair Degraded -> Active names no repair kind",
+    ]
 
 
 def test_audit_flags_time_regression():
     db = VnfDb()
-    db.add(_entry([(5, LifecycleStatus.ACTIVE), (3, LifecycleStatus.COMPLETED)]))
+    db.add(_entry([(5, LifecycleStatus.ACTIVE, None), (3, LifecycleStatus.COMPLETED, None)]))
     assert audit_lifecycle(db) == ["request 0 at 3ms: timestamps not monotone"]
+
+
+@pytest.fixture(scope="module")
+def corpus_runs(tmp_path_factory) -> list[tuple[str, SimReport, Path]]:
+    """(name, report, output directory) of each bundled scenario and each
+    seed-1 fault_storm sweep file, as bench/gen.py renders it, run and written."""
+    inputs = [(path.stem, path.read_bytes()) for path in sorted(SCENARIOS.glob("*.json"))]
+    gen = bench_module("gen")
+    sweep = gen.WORKLOADS["fault_storm"]["sweep"]
+    inputs += [
+        (f"fault_storm-1-{index:02d}", gen.render("fault_storm", 1, index))
+        for index in range(sweep)
+    ]
+    runs = []
+    for name, data in inputs:
+        doc, diagnostics = parse_scenario(data)
+        assert diagnostics == [], (name, diagnostics)
+        report = run(doc)
+        out_dir = tmp_path_factory.mktemp(name)
+        write_report(report, out_dir)
+        runs.append((name, report, out_dir))
+    return runs
+
+
+def test_every_edge_of_the_automaton_is_taken(corpus_runs):
+    # An edge no run takes is dead: the automaton should not have it.
+    taken = set()
+    for _, report, _ in corpus_runs:
+        for entry in report.entries.values():
+            status = LifecycleStatus.REQUESTED
+            for _, entered, _ in entry.log:
+                taken.add((status, entered))
+                status = entered
+    edges = {(left, to) for left, targets in LEGAL_TRANSITIONS.items() for to in targets}
+    assert edges - taken == set()
+
+
+def test_counters_rebuild_from_the_dump_alone(corpus_runs):
+    # Each counter but the rejections is read off db_dump.json: admissions
+    # are its entries, repairs its records by kind and endings its statuses.
+    # Rejected stays a tally: a rejected request has no entry to read.
+    rejected = 0
+    for name, _, out_dir in corpus_runs:
+        dump = json.loads((out_dir / "db_dump.json").read_text(encoding="utf-8"))
+        counters = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))["counters"]
+        kinds = [step.get("kind") for entry in dump for step in entry["lifecycle"]]
+        statuses = [entry["status"] for entry in dump]
+        rebuilt = {
+            "admitted": len(dump),
+            "rerouted": kinds.count("Rerouted"),
+            "migrated": kinds.count("Migrated"),
+            "failed": statuses.count("Failed"),
+            "completed": statuses.count("Completed"),
+        }
+        assert rebuilt == {key: counters[key] for key in rebuilt}, name
+        rejected += counters["rejected_total"]
+    assert rejected > 0
 
 
 def _written_db(orch: Orchestrator, out_dir) -> list[dict]:

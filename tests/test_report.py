@@ -12,6 +12,7 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 from qoechain import ChainRequest, ForwardingGraph, parse_scenario, run, write_report
+from qoechain.controller import ActionKind
 from qoechain.orchestrator import DbEntry, LifecycleStatus, VnfDb
 from qoechain.qoe import QoeSample
 from qoechain.report import CSV_HEADER, SimReport, _write_series, render_entry
@@ -27,9 +28,14 @@ def _dumps(value) -> str:
 strings = st.text() | st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t é€ 😀'))
 
 
-# A lifecycle log: up to 8 (time, status) records at non-decreasing times.
+# A lifecycle log: up to 8 (time, status, kind) records at non-decreasing times.
 logs = st.lists(
-    st.tuples(st.integers(0, 10**6), st.sampled_from(list(LifecycleStatus))), max_size=8
+    st.tuples(
+        st.integers(0, 10**6),
+        st.sampled_from(list(LifecycleStatus)),
+        st.sampled_from([None, *ActionKind]),
+    ),
+    max_size=8,
 ).map(lambda records: sorted(records, key=itemgetter(0)))
 ids = st.integers(0, 2**40)
 
@@ -65,13 +71,16 @@ def entries(draw, request_id=ids):
 def _dumped(entry: DbEntry) -> dict:
     """entry as the plain dict db_dump.json holds.
 
-    Each record names the status it left, and a completed flow's graph keeps
-    the status it last ran under.
+    Each record names the status it left, and a record with a kind names
+    it; a completed flow's graph keeps the status it last ran under.
     """
     lifecycle = []
     status = ran_under = "Requested"
-    for time_ms, entered in entry.log:
-        lifecycle.append({"time_ms": time_ms, "from": status, "to": entered.value})
+    for time_ms, entered, kind in entry.log:
+        record = {"time_ms": time_ms, "from": status, "to": entered.value}
+        if kind is not None:
+            record["kind"] = kind.value
+        lifecycle.append(record)
         ran_under, status = status, entered.value
     request, graph = entry.request, entry.graph
     return {
@@ -223,7 +232,7 @@ def summarized_runs(draw):
 
 def _two_flow_run() -> SimReport:
     """Flows 2 and 10, one with an int and one with a float target; flow 2 never observed."""
-    log = [(0, LifecycleStatus.ACTIVE)]
+    log = [(0, LifecycleStatus.ACTIVE, None)]
     by_id = {
         flow_id: DbEntry(
             ChainRequest(flow_id, 0, 1, (), "video", target, 0, 1000),
@@ -250,7 +259,7 @@ def test_the_summary_streams_one_flow_at_a_time(tmp_path):
     # summary.json goes to disk one flow at a time, so the writer's peak
     # holds about one flow's text, not the file's. The 300 windows are one
     # shared list, counted as one run.
-    log = [(0, LifecycleStatus.ACTIVE)]
+    log = [(0, LifecycleStatus.ACTIVE, None)]
     db = {
         flow_id: DbEntry(
             ChainRequest(flow_id, 0, 1, (), "video", 3.0, 0, 300_000),
