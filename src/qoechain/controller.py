@@ -17,16 +17,18 @@ windows, and answers with graphs or Actions; it never changes a flow's
 graph or status. A host failure is repaired from the live flows' graphs
 alone.
 
-A flow's measurement inputs change only at three events, and each reaches
-just the flows it touches: a degradation through handle_degradation, a
-stall level through set_stall and a new graph through the repair that
-commits it. A window in which every live flow held its sample at or
-above target is quiet, and its sample list is shared: the next windows
-return that same list unmeasured until one of the three events drops it.
-The ledger commit, which every admission, release and repair goes
-through, drops it for a change of membership or of graph;
-handle_degradation drops it with a held sample, and set_stall with the
-stalled flow's.
+A flow holds its sample from the window whose smoothed figures are the
+EWMA's fixed point, audit_measurement's rule: folding the same raw
+figures in again would leave every one unchanged. Those inputs change
+only at three events, and each reaches just the flows it touches: a
+degradation through handle_degradation, a stall level through set_stall
+and a new graph through the repair that commits it. A window in which
+every live flow held its sample at or above target is quiet, and its
+sample list is shared: the next windows return that same list unmeasured
+until one of the three events drops it. The ledger commit, which every
+admission, release and repair goes through, drops it for a change of
+membership or of graph; handle_degradation drops it with a held sample,
+and set_stall with the stalled flow's.
 
 The controller owns the reservation ledger. Admission and every repair
 are planned by one routine on a resource view, and one ledger commit,
@@ -360,14 +362,13 @@ class Controller:
 
         A settled flow is not smoothed or scored again. Smoothed figures are
         a function of the raw inputs (route figures, throughput, stall level)
-        and the last smoothed figures. So when the raw inputs equal the last
-        window's and the last window's smoothing left every figure where it
-        was, the EWMA sits at its floating-point fixed point and the sample
-        is the last one. entry.settled holds that sample, and a window that
-        finds it returns the same object unmeasured. Each event that moves a
-        raw input drops the held sample: a degradation on the route
-        (handle_degradation), a new stall level (set_stall) and a repair
-        that commits a new graph, which restarts the flow's measurement.
+        and the last smoothed figures, so from the window whose figures a
+        fold of the same raw inputs would not move (audit_measurement's
+        rule, which _smooth applies) every window gives the same sample.
+        entry.settled holds it, and a window that finds it returns the same
+        object unmeasured, until a degradation on the route
+        (handle_degradation), a new stall level (set_stall) or a repair that
+        commits a new graph moves a raw input and drops it.
 
         A window whose flows all end it holding their sample, none below
         target, changes nothing for the next window to find: each flow
@@ -426,7 +427,7 @@ class Controller:
 
         The raw figures are route, the rate the graph reserves as throughput
         and the flow's stall level. Returns the smoothed figures, their
-        sample, and whether smoothing left every figure where it was.
+        sample, and whether the figures are the EWMA's fixed point (_smooth).
         """
         request = entry.request
         throughput = entry.graph.reserved_bw_kbps / KBPS_PER_MBPS
@@ -436,33 +437,35 @@ class Controller:
         return smoothed, estimate_mos(smoothed, profile), still
 
     @staticmethod
-    def _smooth(
-        prev: FlowSample | None, raw: FlowSample, alpha: float
-    ) -> tuple[FlowSample, bool]:
-        """Fold raw into prev: the smoothed figures, and whether each stood still.
+    def _smooth(prev: FlowSample | None, raw: FlowSample, alpha: float) -> tuple[FlowSample, bool]:
+        """Fold raw into prev: the smoothed figures, and whether they are a fixed point.
 
         The figures are every field of a FlowSample after its flow id, each
         folded as alpha * raw + (1 - alpha) * prev; with no prev, raw is
-        taken at face value.
+        taken at face value. They are a fixed point, by audit_measurement's
+        rule, when folding raw into them again would leave every one as it is.
         """
-        if prev is None:
-            return raw, False
         flow_id, throughput, delay, jitter, loss, stall = raw
-        _, last_throughput, last_delay, last_jitter, last_loss, last_stall = prev
         keep = 1 - alpha
-        throughput = alpha * throughput + keep * last_throughput
-        delay = alpha * delay + keep * last_delay
-        jitter = alpha * jitter + keep * last_jitter
-        loss = alpha * loss + keep * last_loss
-        stall = alpha * stall + keep * last_stall
-        still = (
-            throughput == last_throughput
-            and delay == last_delay
-            and jitter == last_jitter
-            and loss == last_loss
-            and stall == last_stall
+        smoothed = raw
+        if prev is not None:
+            _, last_throughput, last_delay, last_jitter, last_loss, last_stall = prev
+            smoothed = FlowSample(
+                flow_id,
+                alpha * throughput + keep * last_throughput,
+                alpha * delay + keep * last_delay,
+                alpha * jitter + keep * last_jitter,
+                alpha * loss + keep * last_loss,
+                alpha * stall + keep * last_stall,
+            )
+        _, new_throughput, new_delay, new_jitter, new_loss, new_stall = smoothed
+        return smoothed, (
+            alpha * throughput + keep * new_throughput == new_throughput
+            and alpha * delay + keep * new_delay == new_delay
+            and alpha * jitter + keep * new_jitter == new_jitter
+            and alpha * loss + keep * new_loss == new_loss
+            and alpha * stall + keep * new_stall == new_stall
         )
-        return FlowSample(flow_id, throughput, delay, jitter, loss, stall), still
 
     def handle_degradation(self, link_id: int, flows: Iterable[DbEntry]) -> None:
         """Bring the given live flows up to date after link_id changed quality.

@@ -302,46 +302,36 @@ class NetworkState:
     def _ledger_walk(self, sign, link_demands, cpu_demands, mem_demands):
         """Add sign times each demand to its residual, after checking them all.
 
-        A reserve passes sign -1 and a release sign 1. The ids, then the
-        signs, then the totals are checked, for CPU, memory and bandwidth
-        in that order, before any residual is written. Only a release may
-        name a failed host. A residual stays within [0, capacity]: a
-        reserve that would take one below 0 does not fit, and a release
-        that would take one above its capacity means the ledgers disagree.
+        A reserve passes sign -1 and a release sign 1. The CPU, memory and
+        bandwidth tables are checked in that order, each in one pass in map
+        order, before any residual is written. Each demand's id must be
+        known, its host (on a reserve) not failed, its sign not negative and
+        its residual left within [0, capacity]: a reserve that would take one
+        below 0 does not fit, and a release that would take one above its
+        capacity means the ledgers disagree. So of several faults in one
+        call, the first demand's first fault in that order is raised.
         """
-        cpu_demands, mem_demands = cpu_demands or {}, mem_demands or {}
-        link_demands = link_demands or {}
-        # The host ids are the keys of either host residual table. A failed
-        # host provides nothing, so any demand on it is unsatisfiable.
-        hosts, links = self.residual_cpu, self.residual_bw
+        # A failed host provides nothing, so any demand on it is unsatisfiable.
         failed = self.failed_hosts if sign < 0 else ()
-        for host_id in (*cpu_demands, *mem_demands):
-            if host_id not in hosts:
-                raise SimulatorError(f"unknown host {host_id}")
-            if host_id in failed:
-                raise SimulatorError(f"host {host_id} has failed")
-        for link_id in link_demands:
-            if link_id not in links:
-                raise SimulatorError(f"unknown link {link_id}")
         tables = (
-            ("cpu", hosts, cpu_demands),
-            ("mem", self.residual_mem, mem_demands),
-            ("bandwidth", links, link_demands),
+            ("cpu", "host", self.residual_cpu, cpu_demands, failed),
+            ("mem", "host", self.residual_mem, mem_demands, failed),
+            ("bandwidth", "link", self.residual_bw, link_demands, ()),
         )
-        for resource, _, totals in tables:
-            for key, amount in totals.items():
+        for resource, owner, residual, totals, down in tables:
+            capacity = self.capacity[resource]
+            for key, amount in (totals or {}).items():
+                if key not in residual:
+                    raise SimulatorError(f"unknown {owner} {key}")
+                if key in down:
+                    raise SimulatorError(f"host {key} has failed")
                 if amount < 0:
                     raise InvalidRange(f"negative {resource} demand on {key}")
-        for resource, residual, totals in tables:
-            if sign < 0:
-                for key, amount in totals.items():
-                    if amount > residual[key]:
-                        raise SimulatorError(f"insufficient {resource} on {key}")
-            else:
-                capacity = self.capacity[resource]
-                for key, amount in totals.items():
-                    if residual[key] + amount > capacity[key]:
-                        raise InvariantViolation(f"over-release of {resource} on {key}")
-        for _, residual, totals in tables:
-            for key, amount in totals.items():
+                left = residual[key] + sign * amount
+                if left < 0:
+                    raise SimulatorError(f"insufficient {resource} on {key}")
+                if left > capacity[key]:
+                    raise InvariantViolation(f"over-release of {resource} on {key}")
+        for _, _, residual, totals, _ in tables:
+            for key, amount in (totals or {}).items():
                 residual[key] += sign * amount

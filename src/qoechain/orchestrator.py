@@ -16,11 +16,9 @@ as report.py writes it: nothing here builds a dump.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
 
 from .controller import (
     Action,
@@ -85,9 +83,9 @@ class DbEntry:
     # figures their prediction read; after a host-failure repair or a
     # degradation on the route they are None until a window measures.
     route: PathMetrics | None = None
-    # While smoothing stands still, the sample it last scored, which a
-    # window takes unmeasured. A repair, a degradation on the route and a
-    # new stall level drop it.
+    # While the carry is the EWMA's fixed point, the sample scored from it,
+    # which a window takes unmeasured. A repair, a degradation on the route
+    # and a new stall level drop it.
     settled: QoeSample | None = None
     # The indices of the windows that breached the ELA. The windows observed
     # and met are read off the QoE series.
@@ -105,25 +103,25 @@ class DbEntry:
 
 
 class VnfDb:
-    """Every entry ever admitted, by request id, plus a list of the live ones.
+    """Every entry ever admitted, by request id, plus the live ones.
 
     entries is what a run's report carries and db_dump.json is written from.
     add is the one way in and transition the one way to a terminal status,
-    so together they keep the list equal to the entries that are live. Each
-    membership change builds a new list, so a list handed out earlier stays
-    as it was.
+    so together they keep the live members equal to the entries that are
+    live. live() sorts them into a new list at its first read after a
+    membership change, so a list handed out earlier stays as it was.
     """
 
     def __init__(self):
         self.entries: dict[int, DbEntry] = {}
-        self._live: list[DbEntry] = []
+        self._members: dict[int, DbEntry] = {}
+        self._live: list[DbEntry] | None = []
 
     def add(self, entry: DbEntry) -> None:
         self.entries[entry.request.id] = entry
         if entry.is_live:
-            live = self._live.copy()
-            insort(live, entry, key=attrgetter("request.id"))
-            self._live = live
+            self._members[entry.request.id] = entry
+            self._live = None
 
     def live(self) -> list[DbEntry]:
         """Entries of flows that still hold resources, in ascending request id.
@@ -131,6 +129,8 @@ class VnfDb:
         The same list object until the next membership change; callers must
         not change it.
         """
+        if self._live is None:
+            self._live = [self._members[request_id] for request_id in sorted(self._members)]
         return self._live
 
     def transition(
@@ -139,17 +139,18 @@ class VnfDb:
         """Append entry's move to `to` at `now`, a repair of `kind` if given, to its log."""
         status = entry.status
         if to not in LEGAL_TRANSITIONS[status]:
-            msg = (
-                f"request {entry.request.id}: illegal transition "
-                f"{status.value} -> {to.value}"
-            )
+            msg = f"request {entry.request.id}: illegal transition {status.value} -> {to.value}"
             raise InvariantViolation(msg)
+        fault = _kind_fault(status, to, kind)
+        if fault is not None:
+            raise InvariantViolation(f"request {entry.request.id} at {now}ms: {fault}")
         if entry.log and now < entry.log[-1][0]:
             msg = f"request {entry.request.id}: lifecycle log time went backwards"
             raise InvariantViolation(msg)
         entry.log.append((now, to, kind))
         if to in TERMINAL:
-            self._live = [other for other in self._live if other is not entry]
+            self._members.pop(entry.request.id, None)
+            self._live = None
 
 
 class Orchestrator:
@@ -225,6 +226,18 @@ class Orchestrator:
         }
 
 
+def _kind_fault(
+    status: LifecycleStatus, entered: LifecycleStatus, kind: ActionKind | None
+) -> str | None:
+    """What is wrong with the kind of a record on the legal edge status -> entered, if anything."""
+    repair = entered is LifecycleStatus.ACTIVE and status is not LifecycleStatus.REQUESTED
+    if kind is not None and not repair:
+        return f"{status.value} -> {entered.value} names repair kind {kind.value}"
+    if repair and kind not in REPAIRS:
+        return f"repair {status.value} -> {entered.value} names no repair kind"
+    return None
+
+
 def audit_lifecycle(db: VnfDb) -> list[str]:
     """Replay every entry's log from Requested against the automaton; return violations."""
     violations: list[str] = []
@@ -232,17 +245,14 @@ def audit_lifecycle(db: VnfDb) -> list[str]:
         status = LifecycleStatus.REQUESTED
         last_time = None
         for time_ms, entered, kind in db.entries[request_id].log:
-            label = f"request {request_id} at {time_ms}ms"
-            edge = f"{status.value} -> {entered.value}"
-            repair = entered is LifecycleStatus.ACTIVE and status is not LifecycleStatus.REQUESTED
             if entered not in LEGAL_TRANSITIONS[status]:
-                violations.append(f"{label}: illegal {edge}")
-            elif kind is not None and not repair:
-                violations.append(f"{label}: {edge} names repair kind {kind.value}")
-            elif repair and kind not in REPAIRS:
-                violations.append(f"{label}: repair {edge} names no repair kind")
+                fault = f"illegal {status.value} -> {entered.value}"
+            else:
+                fault = _kind_fault(status, entered, kind)
+            if fault is not None:
+                violations.append(f"request {request_id} at {time_ms}ms: {fault}")
             if last_time is not None and time_ms < last_time:
-                violations.append(f"{label}: timestamps not monotone")
+                violations.append(f"request {request_id} at {time_ms}ms: timestamps not monotone")
             status = entered
             last_time = time_ms
     return violations

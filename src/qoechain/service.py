@@ -194,26 +194,24 @@ def path_metrics(
 
 
 def _walk_segment(
-    state: NetworkState, start: int, segment: LinkPath, violations: list[str], label: str
+    state: NetworkState, start: int, segment: LinkPath, violations: list[str], index: int
 ) -> int | None:
-    """Follow a link path from start; append violations, return the end node."""
+    """Follow segment index's link path from start; append violations, return the end node."""
     here = start
     seen: set[int] = set()
     for hop, link_id in enumerate(segment):
         if hop and here in state.failed_hosts:
-            violations.append(f"{label}: relays through failed host {here}")
+            violations.append(f"segment {index}: relays through failed host {here}")
         link = state.links.get(link_id)
         if link is None:
-            violations.append(f"{label}: unknown link {link_id}")
+            violations.append(f"segment {index}: unknown link {link_id}")
             return None
         if link_id in seen:
-            violations.append(f"{label}: link {link_id} repeated within segment")
+            violations.append(f"segment {index}: link {link_id} repeated within segment")
             return None
         seen.add(link_id)
         if here not in (link.a, link.b):
-            violations.append(
-                f"{label}: link {link_id} does not touch node {here}"
-            )
+            violations.append(f"segment {index}: link {link_id} does not touch node {here}")
             return None
         here = link.other(here)
     return here
@@ -247,12 +245,11 @@ def validate_forwarding_graph(
 
     points = [request.ingress, *fg.hosts, request.egress]
     for index, segment in enumerate(fg.segments):
-        label = f"segment {index}"
-        end = _walk_segment(state, points[index], segment, violations, label)
+        end = _walk_segment(state, points[index], segment, violations, index)
         if end is None:
             continue
         if end != points[index + 1]:
             violations.append(
-                f"{label}: ends at node {end}, expected {points[index + 1]}"
+                f"segment {index}: ends at node {end}, expected {points[index + 1]}"
             )
     return violations

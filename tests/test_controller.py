@@ -957,6 +957,48 @@ def test_a_moving_ewma_is_scored_afresh_every_window():
         last = sample
 
 
+def _folds_to_itself(raw: tuple, carry: FlowSample) -> bool:
+    """Whether folding raw (in FIGURES order) into carry under ALPHA leaves every figure."""
+    figures = [getattr(carry, name) for name in FIGURES]
+    return all(ALPHA * r + (1 - ALPHA) * c == c for r, c in zip(raw, figures))
+
+
+def test_a_flow_whose_first_figures_are_the_fixed_point_is_measured_once(monkeypatch):
+    # 4 Mbps over 10 ms, no jitter, loss or stall: folding these into
+    # themselves under ALPHA gives them back, so the first window holds.
+    raw = (4.0, 10.0, 0.0, 0.0, 0.0)
+    assert _folds_to_itself(raw, FlowSample(0, *raw))
+    orch = _orchestrator(parallel_pair(), pair_catalog(), PolicyConfig(predictor_alpha=ALPHA))
+    orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
+    measured = _count_measures(monkeypatch)
+    first, _ = orch.controller.monitor_window(0, orch.db.live())
+    second, _ = orch.controller.monitor_window(1, orch.db.live())
+    assert second[0] is first[0]
+    assert measured == [0]
+
+
+def test_a_moving_carry_is_held_only_from_its_fixed_point():
+    # 12 ms folded into itself under ALPHA is not 12 ms, so the carry moves
+    # after the first window; the flow holds its sample from the first
+    # window whose carry a fold of the same figures would leave as it is.
+    raw = (4.0, 12.0, 0.0, 0.0, 0.0)
+    assert not _folds_to_itself(raw, FlowSample(0, *raw))
+    net = parallel_pair(latencies=(12.0, 14.0))
+    orch = _orchestrator(net, pair_catalog(), PolicyConfig(predictor_alpha=ALPHA))
+    orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
+    entry = orch.db.entries[0]
+    held = []
+    for window in range(50):
+        samples, _ = orch.controller.monitor_window(window, orch.db.live())
+        held.append(entry.settled is not None)
+        assert held[-1] == _folds_to_itself(raw, entry.smoothed)
+        if held[-1]:
+            break
+    assert held == [False] * (len(held) - 1) + [True] and len(held) > 1
+    later, _ = orch.controller.monitor_window(window + 1, orch.db.live())
+    assert later[0] is samples[0]
+
+
 def test_reusing_settled_samples_changes_no_run(monkeypatch, tmp_path):
     # The same runs with every reuse check missing: a DbEntry.settled that
     # always reads None makes the controller measure, smooth and score

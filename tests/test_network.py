@@ -120,6 +120,74 @@ def test_over_release_is_an_invariant_violation():
     assert snapshot(net) == before
 
 
+@pytest.mark.parametrize(
+    ("call", "demands", "error", "message"),
+    [
+        ("reserve", {"cpu_demands": {0: 1}}, SimulatorError, "unknown host 0"),
+        ("reserve", {"mem_demands": {0: 1}}, SimulatorError, "unknown host 0"),
+        ("release", {"cpu_demands": {5: 1}}, SimulatorError, "unknown host 5"),
+        ("reserve", {"link_demands": {42: 1}}, SimulatorError, "unknown link 42"),
+        ("release", {"link_demands": {42: 1}}, SimulatorError, "unknown link 42"),
+        ("reserve", {"cpu_demands": {1: -1}}, InvalidRange, "negative cpu demand on 1"),
+        ("reserve", {"mem_demands": {1: -1}}, InvalidRange, "negative mem demand on 1"),
+        ("release", {"link_demands": {0: -1}}, InvalidRange, "negative bandwidth demand on 0"),
+        ("reserve", {"cpu_demands": {1: 9}}, SimulatorError, "insufficient cpu on 1"),
+        ("reserve", {"mem_demands": {1: 9}}, SimulatorError, "insufficient mem on 1"),
+        ("reserve", {"link_demands": {1: 10_001}}, SimulatorError, "insufficient bandwidth on 1"),
+        ("release", {"cpu_demands": {1: 1}}, InvariantViolation, "over-release of cpu on 1"),
+        ("release", {"mem_demands": {1: 1}}, InvariantViolation, "over-release of mem on 1"),
+        ("release", {"link_demands": {0: 1}}, InvariantViolation, "over-release of bandwidth on 0"),
+    ],
+)
+def test_each_single_ledger_fault_raises_its_own_error(call, demands, error, message):
+    net = line_network()
+    before = snapshot(net)
+    with pytest.raises(SimulatorError) as exc:
+        getattr(net, call)(**demands)
+    assert type(exc.value) is error and str(exc.value) == message
+    assert snapshot(net) == before
+
+
+@pytest.mark.parametrize("kind", ["cpu_demands", "mem_demands"])
+def test_a_reserve_on_a_failed_host_raises_whatever_the_demand(kind):
+    net = line_network()
+    net.fail_host(1)
+    before = snapshot(net)
+    with pytest.raises(SimulatorError) as exc:
+        net.reserve(**{kind: {1: 0}})
+    assert type(exc.value) is SimulatorError and str(exc.value) == "host 1 has failed"
+    assert snapshot(net) == before
+
+
+def test_a_fault_in_the_last_bandwidth_demand_writes_nothing():
+    # Valid CPU and memory demands are checked before the bandwidth table,
+    # and nothing is written until every demand has passed.
+    net = line_network()
+    net.reserve(link_demands={0: 1000, 1: 1000}, cpu_demands={1: 2}, mem_demands={1: 2})
+    before = snapshot(net)
+    with pytest.raises(SimulatorError, match="insufficient bandwidth on 1"):
+        net.reserve(link_demands={0: 1000, 1: 9001}, cpu_demands={1: 2}, mem_demands={1: 2})
+    assert snapshot(net) == before
+    with pytest.raises(InvariantViolation, match="over-release of bandwidth on 1"):
+        net.release(link_demands={0: 1000, 1: 1001}, cpu_demands={1: 2}, mem_demands={1: 2})
+    assert snapshot(net) == before
+
+
+def test_of_several_ledger_faults_the_first_demand_in_table_order_is_raised():
+    # CPU, then memory, then bandwidth, each in map order; a demand's own
+    # faults in the order id, failed host, sign, fit.
+    net = line_network()
+    with pytest.raises(SimulatorError, match="^insufficient cpu on 1$"):
+        net.reserve(cpu_demands={1: 9, 0: 1})
+    with pytest.raises(InvalidRange, match="^negative cpu demand on 1$"):
+        net.reserve(cpu_demands={1: -1}, mem_demands={0: 1}, link_demands={42: 1})
+    with pytest.raises(SimulatorError, match="^unknown host 0$"):
+        net.reserve(mem_demands={0: -1}, link_demands={0: -1})
+    net.fail_host(1)
+    with pytest.raises(SimulatorError, match="^host 1 has failed$"):
+        net.reserve(cpu_demands={1: -1})
+
+
 def test_fail_host_evicts_and_resets():
     net = square_network()
     net.reserve(link_demands={0: 2000}, cpu_demands={1: 3, 2: 1}, mem_demands={1: 3, 2: 1})

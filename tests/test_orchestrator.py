@@ -23,7 +23,7 @@ from qoechain import (
     write_report,
 )
 from qoechain.errors import InvariantViolation, SimulatorError
-from qoechain.orchestrator import LEGAL_TRANSITIONS, TERMINAL, DbEntry
+from qoechain.orchestrator import LEGAL_TRANSITIONS, REPAIRS, TERMINAL, DbEntry
 from qoechain.report import SimReport
 from qoechain.service import ForwardingGraph
 
@@ -69,6 +69,49 @@ def test_transition_rejects_illegal_edge_without_side_effects():
         db.transition(entry, LifecycleStatus.DEGRADED, now=0)
     assert entry.status is LifecycleStatus.REQUESTED
     assert entry.log == []
+
+
+@pytest.mark.parametrize("kind", [None, ActionKind.MARKED_DEGRADED, ActionKind.FAILED])
+@pytest.mark.parametrize("status", [LifecycleStatus.ACTIVE, LifecycleStatus.DEGRADED])
+def test_transition_refuses_a_repair_that_names_no_repair_kind(status, kind):
+    # A record into Active from Active or Degraded is a repair: it must name
+    # Rerouted or Migrated, in the words audit_lifecycle uses.
+    db = VnfDb()
+    log = [(0, LifecycleStatus.ACTIVE, None), (1, LifecycleStatus.DEGRADED, None)]
+    entry = _entry(log[: 1 + (status is LifecycleStatus.DEGRADED)])
+    db.add(entry)
+    before, live = list(entry.log), db.live()
+    refused = f"request 0 at 2ms: repair {status.value} -> Active names no repair kind"
+    with pytest.raises(InvariantViolation) as exc:
+        db.transition(entry, LifecycleStatus.ACTIVE, now=2, kind=kind)
+    assert str(exc.value) == refused
+    assert entry.log == before and db.live() is live
+
+
+@pytest.mark.parametrize(
+    ("log", "to"),
+    [
+        ([], LifecycleStatus.ACTIVE),
+        ([(0, LifecycleStatus.ACTIVE, None)], LifecycleStatus.DEGRADED),
+        ([(0, LifecycleStatus.ACTIVE, None)], LifecycleStatus.COMPLETED),
+        ([(0, LifecycleStatus.ACTIVE, None)], LifecycleStatus.FAILED),
+    ],
+    ids=["admission", "degraded", "completed", "failed"],
+)
+@pytest.mark.parametrize("kind", sorted(REPAIRS))
+def test_transition_refuses_a_kind_on_a_record_that_is_no_repair(log, to, kind):
+    # Admission, marking degraded and ending a flow are no repair: their
+    # records name no kind, in the words audit_lifecycle uses.
+    db = VnfDb()
+    entry = _entry(list(log))
+    db.add(entry)
+    status = entry.status
+    before, live = list(entry.log), db.live()
+    refused = f"request 0 at 2ms: {status.value} -> {to.value} names repair kind {kind.value}"
+    with pytest.raises(InvariantViolation) as exc:
+        db.transition(entry, to, now=2, kind=kind)
+    assert str(exc.value) == refused
+    assert entry.log == before and db.live() is live
 
 
 def test_transition_rejects_time_regression_but_allows_same_instant():
@@ -195,7 +238,9 @@ def test_live_index_matches_a_full_scan_over_random_lifecycles():
             else:
                 entry = rng.choice(live)
                 to = rng.choice(sorted(LEGAL_TRANSITIONS[entry.status]))
-                db.transition(entry, to, now)
+                # Every live entry here is past Requested: a move into Active is a repair.
+                kind = rng.choice(sorted(REPAIRS)) if to is LifecycleStatus.ACTIVE else None
+                db.transition(entry, to, now, kind)
                 moves += 1
             assert db.live() == _scanned_live(db)
         assert db.live() == []

@@ -102,16 +102,26 @@ def test_smoothing_keeps_figures_in_range(prev, raw, alpha):
 )
 def test_smoothing_folds_each_figure_by_the_ewma(prev, raw, repeat, alpha):
     # Each figure after the flow id is alpha * raw + (1 - alpha) * prev, and
-    # the flow stands still when every one of them equals prev's. A raw
-    # figure may repeat prev's, which is where the EWMA can stand still.
+    # the smoothed figures are held (still) exactly when folding raw into
+    # them again would leave every one unchanged: the fold's fixed point,
+    # audit_measurement's rule. A raw figure may repeat prev's, which is
+    # where the EWMA can reach it. With no prev, raw is taken as it is.
     raw = tuple(p if same else r for p, r, same in zip(prev, raw, repeat))
     prev, raw = FlowSample(7, *prev), FlowSample(8, *raw)
+
+    def fixed_point(carry):
+        names = FlowSample._fields[1:]
+        fold = [alpha * getattr(raw, n) + (1 - alpha) * getattr(carry, n) for n in names]
+        return fold == [getattr(carry, n) for n in names]
+
     smoothed, still = Controller._smooth(prev, raw, alpha)
     assert type(smoothed) is FlowSample and smoothed.flow_id == 8
     for name in FlowSample._fields[1:]:
         expected = alpha * getattr(raw, name) + (1 - alpha) * getattr(prev, name)
         assert getattr(smoothed, name) == expected, name
-    assert still == all(getattr(smoothed, n) == getattr(prev, n) for n in FlowSample._fields[1:])
+    assert still == fixed_point(smoothed)
+    first, still = Controller._smooth(None, raw, alpha)
+    assert first is raw and still == fixed_point(raw)
 
 
 def test_every_scored_window_is_in_range():
