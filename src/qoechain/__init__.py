@@ -29,13 +29,7 @@ from .qoe import (
 )
 from .report import SimReport, write_report
 from .routing import shortest_feasible_path
-from .scenario import (
-    Diagnostic,
-    ScenarioDoc,
-    load_scenario,
-    parse_scenario,
-    serialize_scenario,
-)
+from .scenario import Diagnostic, ScenarioDoc, load_scenario, parse_scenario
 from .service import (
     AppProfile,
     ChainRequest,
@@ -85,7 +79,6 @@ __all__ = [
     "path_metrics",
     "predict_mos",
     "run",
-    "serialize_scenario",
     "shortest_feasible_path",
     "validate_forwarding_graph",
     "write_report",

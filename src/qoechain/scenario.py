@@ -1,16 +1,14 @@
-"""Scenario documents: strict JSON parsing, validation and serialization.
+"""Scenario documents: strict JSON parsing and validation.
 
 Parsing is strict: unknown keys, bad types and broken cross-references all
 become diagnostics that carry the JSON location (network.links[2].loss_pct)
-so a scenario author can fix the file without reading this code. A valid
-document round-trips: parse(serialize(parse(text))) equals parse(text).
+so a scenario author can fix the file without reading this code.
 
 Each record kind has one field table from JSON keys to dataclass attributes.
 The parser builds each record by its table and diagnoses what the record's
-validator raises, so each value rule lives only in the dataclass; the
-serializer writes by the same tables. Only what no single record can know
-is checked here: the meta rules, references between records and node
-kinds, and times within the duration.
+validator raises, so each value rule lives only in the dataclass. Only what
+no single record can know is checked here: the meta rules, references
+between records and node kinds, and times within the duration.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from .errors import InvalidRange, SimulatorError
 from .network import LinkSpec, NodeKind, NodeSpec, check_link_quality
 from .qoe import Ela, check_stall_ratio
 from .service import AppProfile, ChainRequest, VnfType
-from .units import KBPS_PER_MBPS, kbps_to_mbps, mbps_to_kbps
+from .units import KBPS_PER_MBPS, mbps_to_kbps
 
 
 @dataclass(frozen=True)
@@ -107,10 +105,10 @@ class _Field:
     """One JSON key of a record and the attribute it fills.
 
     kind is the JSON type: int, number (finite, read as float), str or list.
-    default stands in for an absent optional key. convert is a (load, dump)
-    pair; load raises ValueError with the diagnostic message. unique is the
-    message for a value an earlier item of the list holds. items is the
-    table of a list's records. A None attribute is not serialized.
+    default stands in for an absent optional key. load turns the JSON value
+    into the attribute's, raising ValueError with the diagnostic message.
+    unique is the message for a value an earlier item of the list holds.
+    items is the table of a list's records.
     """
 
     key: str
@@ -118,7 +116,7 @@ class _Field:
     kind: str
     required: bool = True
     default: Any = None
-    convert: tuple[Callable[[Any], Any], Callable[[Any], Any]] | None = None
+    load: Callable[[Any], Any] | None = None
     unique: str | None = None
     items: _Table | None = None
 
@@ -153,7 +151,7 @@ def _load_node_kind(value: str) -> NodeKind:
 
 _NODE = _Table(NodeSpec, (
     _Field("id", "id", "int", unique="duplicate node id {!r}"),
-    _Field("kind", "kind", "str", convert=(_load_node_kind, lambda kind: kind.value)),
+    _Field("kind", "kind", "str", load=_load_node_kind),
     _Field("cpu_capacity", "cpu_capacity", "int", required=False, default=0),
     _Field("mem_capacity", "mem_capacity", "int", required=False, default=0),
 ))
@@ -161,7 +159,7 @@ _LINK = _Table(LinkSpec, (
     _Field("id", "id", "int", unique="duplicate link id {!r}"),
     _Field("a", "a", "int"),
     _Field("b", "b", "int"),
-    _Field("bandwidth_mbps", "bandwidth_kbps", "number", convert=(_load_kbps, kbps_to_mbps)),
+    _Field("bandwidth_mbps", "bandwidth_kbps", "number", load=_load_kbps),
     _Field("latency_ms", "latency_ms", "number"),
     _Field("jitter_ms", "jitter_ms", "number", required=False, default=0.0),
     _Field("loss_pct", "loss_pct", "number", required=False, default=0.0),
@@ -174,7 +172,7 @@ _VNF_TYPE = _Table(VnfType, (
 ))
 _PROFILE = _Table(AppProfile, (
     _Field("name", "name", "str", unique="duplicate profile {!r}"),
-    _Field("bw_mbps", "bw_req_kbps", "number", convert=(_load_kbps, kbps_to_mbps)),
+    _Field("bw_mbps", "bw_req_kbps", "number", load=_load_kbps),
     _Field("delay_opt_ms", "delay_opt_ms", "number"),
     _Field("delay_max_ms", "delay_max_ms", "number"),
     _Field("loss_max_pct", "loss_max_pct", "number"),
@@ -193,7 +191,7 @@ _REQUEST = _Table(ChainRequest, (
     _Field("id", "id", "int", unique="duplicate request id {!r}"),
     _Field("ingress", "ingress", "int"),
     _Field("egress", "egress", "int"),
-    _Field("vnfs", "vnf_sequence", "list", required=False, default=(), convert=(tuple, list)),
+    _Field("vnfs", "vnf_sequence", "list", required=False, default=(), load=tuple),
     _Field("profile", "profile", "str"),
     _Field("ela_target", "ela_target", "number", required=False),
     _Field("arrival_ms", "arrival_ms", "int"),
@@ -222,31 +220,30 @@ def _records(key: str, attr: str, table: _Table, required: bool = False) -> _Fie
     return _Field(key, attr, "list", required, default=(), items=table)
 
 
-# Sections in document order, key -> (required, rows, the ScenarioDoc attribute
-# holding the section's record, or None when its fields sit on ScenarioDoc).
+# Sections in document order, key -> (required, rows).
 _SECTIONS = {
     "meta": (True, (
         _Field("name", "name", "str", default=""),
         _Field("seed", "seed", "int", default=0),
         _Field("duration_ms", "duration_ms", "int", default=0),
         _Field("window_ms", "window_ms", "int", default=1),
-    ), None),
+    )),
     "network": (True, (
         _records("nodes", "nodes", _NODE, required=True),
         _records("links", "links", _LINK, required=True),
-    ), None),
-    "catalog": (False, (_records("vnf_types", "vnf_types", _VNF_TYPE),), None),
-    "profiles": (False, (_records("app_profiles", "profiles", _PROFILE),), None),
-    "ela": (True, _ELA.rows, "ela"),
-    "policy": (False, _POLICY.rows, "policy"),
+    )),
+    "catalog": (False, (_records("vnf_types", "vnf_types", _VNF_TYPE),)),
+    "profiles": (False, (_records("app_profiles", "profiles", _PROFILE),)),
+    "ela": (True, _ELA.rows),
+    "policy": (False, _POLICY.rows),
     "workload": (True, (
         _records("requests", "requests", _REQUEST, required=True),
-    ), None),
+    )),
     "faults": (False, (
         _records("host_failures", "host_failures", _HOST_FAILURE),
         _records("link_degradations", "link_degradations", _LINK_DEGRADATION),
         _records("stall_injections", "stall_injections", _STALL_INJECTION),
-    ), None),
+    )),
 }
 
 
@@ -269,15 +266,17 @@ class _Ctx(list):
         self.append(Diagnostic(path, message))
 
 
-def _section(ctx: _Ctx, doc: dict, key: str) -> dict:
+def _section(ctx: _Ctx, doc: dict, key: str) -> dict | None:
+    """The section's object, {} for an absent optional one, or None once diagnosed."""
     if key not in doc:
         if _SECTIONS[key][0]:
             ctx.error(key, "missing required section")
+            return None
         return {}
     value = doc.pop(key)
     if not isinstance(value, dict):
         ctx.error(key, "expected object")
-        return {}
+        return None
     return value
 
 
@@ -301,8 +300,8 @@ def _read(ctx: _Ctx, obj: dict, path: str, rows: tuple[_Field, ...], values: dic
             # float() overflows on an integer beyond the float range.
             if row.kind == "number" and not math.isfinite(value := float(value)):
                 raise ValueError("expected finite number")
-            if row.convert is not None:
-                value = row.convert[0](value)
+            if row.load is not None:
+                value = row.load(value)
         except (ValueError, OverflowError) as exc:
             ctx.error(f"{path}.{row.key}", str(exc))
             value = row.default
@@ -356,9 +355,16 @@ def _items(
 
 
 def _read_section(ctx: _Ctx, doc: dict, key: str, base: dict | None = None) -> dict:
-    """Read one section; a list becomes {item path: record}, base filling its items."""
+    """Read one section; a list becomes {item path: record}, base filling its items.
+
+    A section diagnosed as missing or not an object takes its rows' defaults.
+    """
     rows = _SECTIONS[key][1]
-    values = _read(ctx, _section(ctx, doc, key), key, rows, {})
+    section = _section(ctx, doc, key)
+    if section is None:
+        values = {row.attr: row.default for row in rows}
+    else:
+        values = _read(ctx, section, key, rows, {})
     for row in rows:
         if row.items is not None:
             path = f"{key}.{row.key}"
@@ -422,7 +428,9 @@ def parse_scenario(text: str | bytes) -> tuple[ScenarioDoc | None, list[Diagnost
     catalog = _read_section(ctx, doc, "catalog")
     profiles = _read_section(ctx, doc, "profiles")
     ela, policy = (
-        _items(ctx, [(key, _section(ctx, doc, key))], key, table, None).get(key)
+        None
+        if (obj := _section(ctx, doc, key)) is None
+        else _items(ctx, [(key, obj)], key, table, None).get(key)
         for key, table in (("ela", _ELA), ("policy", _POLICY))
     )
 
@@ -468,32 +476,6 @@ def parse_scenario(text: str | bytes) -> tuple[ScenarioDoc | None, list[Diagnost
         for attr, value in section.items():
             fields[attr] = tuple(value.values()) if isinstance(value, dict) else value
     return ScenarioDoc(**fields), []
-
-
-# -- writing ---------------------------------------------------------------------
-
-
-def _dump(record: Any, rows: tuple[_Field, ...]) -> dict:
-    payload = {}
-    for row in rows:
-        value = getattr(record, row.attr)
-        if value is None:
-            continue
-        if row.items is not None:
-            value = [_dump(item, row.items.rows) for item in value]
-        elif row.convert is not None:
-            value = row.convert[1](value)
-        payload[row.key] = value
-    return payload
-
-
-def serialize_scenario(doc: ScenarioDoc) -> str:
-    """Canonical JSON for a scenario; parse(serialize(doc)) equals doc."""
-    payload = {
-        key: _dump(doc if owner is None else getattr(doc, owner), rows)
-        for key, (_, rows, owner) in _SECTIONS.items()
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def load_scenario(path) -> tuple[ScenarioDoc | None, list[Diagnostic]]:

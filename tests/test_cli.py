@@ -116,6 +116,13 @@ def test_oracle_prints_the_optimal_embedding(capsys):
     }
 
 
+def test_oracle_embeds_the_request_it_is_given(capsys):
+    # Request 1, not the first declared, and it has no VNF to place.
+    assert cli.main(["oracle", str(SCENARIOS / "relay_failure.json"), "--request", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["request"], payload["placements"], payload["segments"]) == (1, [], [[0, 2]])
+
+
 def test_oracle_rejects_unknown_request_id(capsys):
     assert cli.main(["oracle", str(SCENARIOS / "greedy_gap.json"), "--request", "99"]) == 1
     assert "no request with id 99" in capsys.readouterr().err
@@ -166,6 +173,31 @@ def test_report_summarizes_a_run_directory(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["report", str(empty)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "series rows: 0"
+
+
+def test_report_prints_no_compliance_for_a_flow_never_observed(tmp_path, capsys):
+    # Admitted at the horizon, after the last window at that instant.
+    scenario = json.loads((SCENARIOS / "basic.json").read_text())
+    scenario["workload"]["requests"][0]["arrival_ms"] = scenario["meta"]["duration_ms"]
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["report", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "flow 0: Active windows=0 compliance=n/a breaches=0" in stdout.splitlines()
+
+
+def test_report_without_a_series_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    cli.main(["run", BASIC, "--out", str(out)])
+    (out / "qoe_series.csv").unlink()
+    capsys.readouterr()
+    assert cli.main(["report", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"ERROR input: cannot read {out / 'qoe_series.csv'}:")
 
 
 @pytest.mark.parametrize(

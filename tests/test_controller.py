@@ -95,6 +95,22 @@ def test_admit_reserves_everything_transactionally():
     assert validate_forwarding_graph(graph, request, ctl.network) == []
 
 
+def test_a_planned_reservation_that_no_longer_fits_is_an_invariant_violation():
+    # The plan's links are taken whole between planning and commit, so
+    # planner and ledger disagree: fatal, not a rejection.
+    doc, _ = parse_scenario((SCENARIOS / "basic.json").read_text())
+    catalog = ServiceCatalog(doc.vnf_types, doc.profiles)
+    controller = Controller(NetworkState(doc.nodes, doc.links), catalog, doc.ela, doc.policy)
+    request = doc.requests[0]
+    plan = controller._replan(request, None, range(1), range(2))
+    net = controller.network
+    links = {link_id for segment in plan.graph.segments for link_id in segment}
+    net.reserve(link_demands={link_id: net.residual_bw[link_id] for link_id in links})
+    message = "planned reservation no longer fits: insufficient bandwidth on 0"
+    with pytest.raises(InvariantViolation, match=message):
+        controller._commit(request, None, plan.graph)
+
+
 def test_admit_twice_raises():
     orch = _orchestrator()
     orch.submit_request(make_request(), now=0)

@@ -18,13 +18,22 @@ from random import Random
 
 import pytest
 
-from qoechain import Controller, ForwardingGraph, parse_scenario, run, write_report
+from qoechain import (
+    Controller,
+    ForwardingGraph,
+    NetworkState,
+    Orchestrator,
+    ServiceCatalog,
+    parse_scenario,
+    run,
+    write_report,
+)
 from qoechain import kernel as kernel_module
 from qoechain import routing
 from qoechain.errors import InvariantViolation
 from qoechain.kernel import MeasureWindow
 from qoechain.network import MAX_DELAY_MS, PathMetrics
-from qoechain.orchestrator import DbEntry
+from qoechain.orchestrator import DbEntry, LifecycleStatus, Orchestrator, VnfDb
 from qoechain.qoe import QoeSample
 from qoechain.report import SimReport
 from qoechain.scenario import LinkDegradation, ScenarioDoc, StallInjection
@@ -603,6 +612,48 @@ def test_strict_debug_catches_state_corruption(corruption, message, monkeypatch)
 
     with pytest.raises(InvariantViolation, match=re.escape(message)):
         run(_doc(_payload()), strict_debug=True, event_hook=corrupt)
+
+
+def test_the_run_replays_every_lifecycle_log_at_its_end(monkeypatch):
+    # A record written past the orchestrator after window 1 is an illegal
+    # move that no audit during the run reads; the final replay finds it.
+    added = []
+    add = VnfDb.add
+
+    def recording_add(self, entry):
+        added.append(entry)
+        add(self, entry)
+
+    def tamper(event, state):
+        if isinstance(event, MeasureWindow) and event.index == 1:
+            added[0].log.append((event.time_ms, LifecycleStatus.REQUESTED, None))
+
+    monkeypatch.setattr(VnfDb, "add", recording_add)
+    message = "request 0 at 2000ms: illegal Active -> Requested"
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        run(_load("basic.json"), event_hook=tamper)
+
+
+def test_the_shared_window_audit_sees_a_sample_below_its_target():
+    # basic.json's flow settles and its window is shared; a target just
+    # above the held sample is one no shared window may stand for.
+    doc = _load("basic.json")
+    catalog = ServiceCatalog(doc.vnf_types, doc.profiles)
+    controller = Controller(NetworkState(doc.nodes, doc.links), catalog, doc.ela, doc.policy)
+    orchestrator = Orchestrator(controller)
+    orchestrator.submit_request(doc.requests[0], 0)
+    window = 0
+    while controller.shared_window is None:
+        assert window < doc.duration_ms // doc.window_ms, "no window was quiet"
+        controller.monitor_window(window, orchestrator.db.live())
+        window += 1
+    assert kernel_module.audit_shared_window(controller, orchestrator.db) == []
+    entry = orchestrator.db.entries[0]
+    target = math.nextafter(entry.settled.mos, math.inf)
+    entry.request = replace(entry.request, ela_target=target)
+    assert kernel_module.audit_shared_window(controller, orchestrator.db) == [
+        "flow 0: shared window sample is below target"
+    ]
 
 
 def _with_second_host(payload: dict) -> dict:

@@ -9,14 +9,15 @@ import tracemalloc
 from operator import itemgetter
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qoechain import ChainRequest, ForwardingGraph, parse_scenario, run, write_report
 from qoechain.controller import ActionKind
+from qoechain.errors import SimulatorError
 from qoechain.orchestrator import DbEntry, LifecycleStatus, VnfDb
 from qoechain.qoe import QoeSample
 from qoechain.report import CSV_HEADER, SimReport, _write_series, render_entry
-from qoechain.scenario import _REQUEST, _dump
 
 from generators import bench_module
 
@@ -85,7 +86,16 @@ def _dumped(entry: DbEntry) -> dict:
     request, graph = entry.request, entry.graph
     return {
         "request_id": request.id,
-        "request": _dump(request, _REQUEST.rows),
+        "request": {
+            "id": request.id,
+            "ingress": request.ingress,
+            "egress": request.egress,
+            "vnfs": list(request.vnf_sequence),
+            "profile": request.profile,
+            "ela_target": request.ela_target,
+            "arrival_ms": request.arrival_ms,
+            "holding_ms": request.holding_ms,
+        },
         "status": status,
         "forwarding_graph": {
             "placements": [
@@ -125,6 +135,13 @@ def test_the_dump_of_an_empty_database_is_an_empty_list(tmp_path):
     report = SimReport("empty", 1, 1000, 1000, 1, {}, 0.9, entries=VnfDb().entries)
     write_report(report, tmp_path)
     assert (tmp_path / "db_dump.json").read_text() == "[]\n" == json.dumps([]) + "\n"
+
+
+def test_a_report_that_cannot_be_written_is_an_input_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    report = SimReport("blocked", 1, 1000, 1000, 1, {}, 0.9, entries=VnfDb().entries)
+    with pytest.raises(SimulatorError, match="cannot write report to .*file/out: "):
+        write_report(report, tmp_path / "file" / "out")
 
 
 def test_the_dump_streams_one_entry_at_a_time(tmp_path):

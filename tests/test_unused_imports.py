@@ -36,9 +36,7 @@ PACKAGE = sorted(ROOT.glob("src/qoechain/*.py"))
 SOURCES = sorted([*PACKAGE, *ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")])
 
 # Definitions that no package code reads but that are kept, and why.
-PUBLIC = {
-    "serialize_scenario": "the inverse of parse_scenario; the round-trip tests hold the pair to it",
-}
+PUBLIC: dict[str, str] = {}
 
 # Method names that two or more package classes define, and why.
 SHARED = {
