@@ -22,13 +22,10 @@ EWMA's fixed point, audit_measurement's rule: folding the same raw
 figures in again would leave every one unchanged. Those inputs change
 only at three events, and each reaches just the flows it touches: a
 degradation through handle_degradation, a stall level through set_stall
-and a new graph through the repair that commits it. A window in which
-every live flow held its sample at or above target is quiet, and its
-sample list is shared: the next windows return that same list unmeasured
-until one of the three events drops it. The ledger commit, which every
-admission, release and repair goes through, drops it for a change of
-membership or of graph; handle_degradation drops it with a held sample,
-and set_stall with the stalled flow's.
+and a new graph through the repair that commits it. A window that every
+live flow ends holding its sample, none below target, is quiet:
+monitor_window says so, and the kernel repeats its sample list until the
+next event.
 
 The controller owns the reservation ledger. Admission and every repair
 are planned by one routine on a resource view, and one ledger commit,
@@ -168,9 +165,6 @@ class Controller:
         # Keyed by flow id, not by entry: a stall may target a flow before
         # that flow is admitted.
         self.stall_levels: dict[int, float] = {}
-        # The samples of the last quiet window, which every window repeats
-        # until an event drops them; None while there are none.
-        self.shared_window: list[QoeSample] | None = None
 
     # -- admission ------------------------------------------------------------
 
@@ -342,11 +336,12 @@ class Controller:
 
     def monitor_window(
         self, window_index: int, flows: Iterable[DbEntry]
-    ) -> tuple[list[QoeSample], list[DbEntry]]:
+    ) -> tuple[list[QoeSample], list[DbEntry], bool]:
         """Measure the given live flows for one window.
 
-        Returns (samples, breaching): one QoeSample per flow, and the
-        entries of those that breach the ELA.
+        Returns (samples, breaching, quiet): one QoeSample per flow, the
+        entries of those that breach the ELA, and whether the window is
+        quiet.
         flows are the live database entries in ascending request id; both
         lists come out in that order. Raw figures come from the flow's
         route figures (the path metrics of its current segments under the
@@ -370,14 +365,11 @@ class Controller:
         (handle_degradation), a new stall level (set_stall) or a repair that
         commits a new graph moves a raw input and drops it.
 
-        A window whose flows all end it holding their sample, none below
-        target, changes nothing for the next window to find: each flow
-        would hand back the same sample and breach nothing. So the list is
-        kept as shared_window and returned as it is, with no breaches, until
-        an event drops it.
+        A window is quiet when its flows all end it holding their sample,
+        none below target: until the next event, each later window would
+        hand back the same samples and breach nothing, so the kernel repeats
+        the window's list instead of asking again.
         """
-        if self.shared_window is not None:
-            return self.shared_window, []
         alpha = self.policy.predictor_alpha
         breach_after = self.ela.breach_windows
         profile_of = self.catalog.profile
@@ -399,9 +391,7 @@ class Controller:
                 if entry.windows_below >= breach_after:
                     entry.breach_windows.append(window_index)
                     breaching.append(entry)
-        if quiet:
-            self.shared_window = samples
-        return samples, breaching
+        return samples, breaching, quiet
 
     def _measure(self, entry: DbEntry, profile: AppProfile, alpha: float) -> QoeSample:
         """The flow's sample for one window; brings its monitoring state up to date."""
@@ -471,15 +461,12 @@ class Controller:
         """Bring the given live flows up to date after link_id changed quality.
 
         A flow whose graph crosses the link loses its route figures and its
-        held sample, which drops the shared window (a flow without figures
-        has no sample, so no window is shared); its next window takes the
-        path metrics once, however many degradations came between, and
-        smooths on.
+        held sample; its next window takes the path metrics once, however
+        many degradations came between, and smooths on.
         """
         for entry in flows:
             if link_id in entry.graph.links:
                 entry.route = entry.settled = None
-                self.shared_window = None
 
     def _restart_measurement(self, entry: DbEntry) -> None:
         """After a repair: the next window takes the new graph's figures raw.
@@ -493,16 +480,15 @@ class Controller:
         """Set a flow's stall level; it persists until the next injection.
 
         entries are the database entries by flow id. If the flow's entry is
-        live, its held sample and the shared window are dropped. A flow not
-        yet admitted reads the level when first measured, and one that has
-        ended is never measured again.
+        live, its held sample is dropped. A flow not yet admitted reads the
+        level when first measured, and one that has ended is never measured
+        again.
         """
         check_stall_ratio(stall_ratio)
         self.stall_levels[flow_id] = stall_ratio
         entry = entries.get(flow_id)
         if entry is not None and entry.is_live:
             entry.settled = None
-            self.shared_window = None
 
     # -- self-healing -------------------------------------------------------------
 
@@ -584,10 +570,8 @@ class Controller:
         host's holdings are released here like any other. The plan's view
         offered back the parts that change, and the parts it keeps are
         released before they are taken again, so a reserve that fails means
-        planner and ledger disagree, which is fatal. Every commit changes a
-        flow's graph or the live flows, so it drops the shared window.
+        planner and ledger disagree, which is fatal.
         """
-        self.shared_window = None
         if old is not None:
             self.network.release(*self._holdings(request, old))
         if new is not None:

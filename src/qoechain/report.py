@@ -86,8 +86,8 @@ class SimReport:
     # The QoE series: index = window index; each window's samples in
     # ascending flow id, [] when no flow was live. A settled flow's sample
     # is one object shared by every window that reused it, and consecutive
-    # windows may be one list object: a quiet window's, shared by every
-    # window that repeated it.
+    # windows may be one list object: a quiet window's, which the kernel
+    # appends again for each window until the next event.
     series: list[list[QoeSample]] = field(default_factory=list)
     # The orchestrator's database entries by request id, the same objects:
     # both JSON files are rendered from them one entry at a time as they are

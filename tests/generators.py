@@ -306,9 +306,11 @@ def reference_run(*shortcuts: str) -> Iterator[None]:
     what the same run outside writes:
     - floor answers: `controller.floor_tier` returns None and
       `routing._clean` False, so every path and placement query searches;
-    - held samples and the shared window: `DbEntry.settled` and
-      `Controller.shared_window` read None and ignore writes, so every flow
-      is scored in every window and report.py is handed no shared list;
+    - held samples: `DbEntry.settled` reads None and ignores writes, so
+      every flow is scored in every window;
+    - the shared window: `Controller.monitor_window` calls no window quiet,
+      so the kernel repeats no window's list and report.py is handed no
+      shared list;
     - route figures seeded by the MOS gate or held from a window before:
       `Controller._measure` clears the entry's route before it measures.
     Given names from SHORTCUTS, only those are swapped, so each can be held
@@ -321,11 +323,15 @@ def reference_run(*shortcuts: str) -> Iterator[None]:
     if unknown:
         raise ValueError(f"no such shortcut: {sorted(unknown)}")
     never = property(lambda owner: None, lambda owner, value: None)
-    measure = Controller._measure
+    measure, monitor = Controller._measure, Controller.monitor_window
 
     def measure_afresh(self, entry, profile, alpha):
         entry.route = None
         return measure(self, entry, profile, alpha)
+
+    def monitor_unquiet(self, window_index, flows):
+        samples, breaching, _ = monitor(self, window_index, flows)
+        return samples, breaching, False
 
     swaps = {
         "floor answers": (
@@ -333,7 +339,7 @@ def reference_run(*shortcuts: str) -> Iterator[None]:
             (routing, "_clean", lambda *args: False),
         ),
         "held samples": ((DbEntry, "settled", never),),
-        "shared window": ((Controller, "shared_window", never),),
+        "shared window": ((Controller, "monitor_window", monitor_unquiet),),
         "route figures": ((Controller, "_measure", measure_afresh),),
     }
     with contextlib.ExitStack() as undo:
@@ -395,7 +401,7 @@ def breach_trail(breach_windows: int, stalls) -> tuple[list[float], list[int]]:
     scores, breached = [], []
     for window, stall in enumerate(stalls):
         orch.controller.set_stall(0, stall, orch.db.entries)
-        samples, breaching = orch.controller.monitor_window(window, orch.db.live())
+        samples, breaching, _ = orch.controller.monitor_window(window, orch.db.live())
         scores.append(samples[0].mos)
         breached.extend(window for _ in breaching)
     assert orch.db.entries[0].breach_windows == breached

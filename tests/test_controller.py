@@ -1,6 +1,7 @@
 """Controller behavior: admission, oracle, monitoring and self-healing."""
 
 import gc
+import math
 import tracemalloc
 from dataclasses import replace
 from random import Random
@@ -593,7 +594,7 @@ def test_monitor_window_scores_and_smooths():
     orch.submit_request(request, now=0)
 
     for window in (0, 1):
-        samples, alerts = ctl.monitor_window(window, orch.db.live())
+        samples, alerts, _ = ctl.monitor_window(window, orch.db.live())
         assert [s.mos for s in samples] == [5.0]
         assert alerts == []
 
@@ -604,7 +605,7 @@ def test_monitor_window_scores_and_smooths():
     for window in (2, 3, 4):
         expected_delay = 0.3 * 300.0 + 0.7 * expected_delay
         expected.append(expected_delay)
-        samples, alerts = ctl.monitor_window(window, orch.db.live())
+        samples, alerts, _ = ctl.monitor_window(window, orch.db.live())
         q_delay = (250.0 - expected_delay) / 200.0
         assert samples[0].mos == pytest.approx(1.0 + 4.0 * q_delay, abs=1e-9)
         alert_trail.append(alerts)
@@ -619,7 +620,7 @@ def test_monitor_reports_flows_in_ascending_id_order():
     orch = _orchestrator(square_network())
     orch.submit_request(make_request(rid=7, ingress=0, egress=3), now=0)
     orch.submit_request(make_request(rid=3, ingress=3, egress=0), now=0)
-    samples, _ = orch.controller.monitor_window(0, orch.db.live())
+    samples, _, _ = orch.controller.monitor_window(0, orch.db.live())
     assert [s.flow_id for s in samples] == [3, 7]
 
 
@@ -630,13 +631,13 @@ def test_a_degraded_flow_breaches_again_and_the_run_survives_a_reroute():
     controller, entry = orch.controller, orch.db.entries[0]
     controller.set_stall(0, 0.2, orch.db.entries)
     for window in range(2):
-        _, breaching = controller.monitor_window(window, orch.db.live())
+        _, breaching, _ = controller.monitor_window(window, orch.db.live())
     assert breaching == [entry]
     assert entry.breach_windows == [1]
     action = controller.handle_breach(entry)
     assert action.kind is ActionKind.MARKED_DEGRADED
     orch.apply_action(action, now=2000)
-    _, breaching = controller.monitor_window(2, orch.db.live())
+    _, breaching, _ = controller.monitor_window(2, orch.db.live())
     assert breaching == [entry]
     assert entry.breach_windows == [1, 2]
     assert entry.status is LifecycleStatus.DEGRADED
@@ -647,16 +648,16 @@ def test_a_degraded_flow_breaches_again_and_the_run_survives_a_reroute():
     controller, entry = orch.controller, orch.db.entries[0]
     controller.set_stall(0, 0.2, orch.db.entries)
     for window in range(2):
-        _, breaching = controller.monitor_window(window, orch.db.live())
+        _, breaching, _ = controller.monitor_window(window, orch.db.live())
     old_graph = entry.graph
     orch.apply_action(controller.handle_breach(entry), now=2000)
     assert entry.graph is not old_graph and entry.graph.segments == ((1,),)
     assert entry.windows_below == 2
-    _, breaching = controller.monitor_window(2, orch.db.live())
+    _, breaching, _ = controller.monitor_window(2, orch.db.live())
     assert breaching == [entry]
     assert entry.breach_windows == [1, 2]
     controller.set_stall(0, 0.0, orch.db.entries)
-    _, breaching = controller.monitor_window(3, orch.db.live())
+    _, breaching, _ = controller.monitor_window(3, orch.db.live())
     assert breaching == [] and entry.windows_below == 0
     assert entry.breach_windows == [1, 2]
 
@@ -666,7 +667,7 @@ def test_stall_injection_shapes_q_stall():
     ctl = orch.controller
     orch.submit_request(make_request(), now=0)
     ctl.set_stall(0, 0.1, orch.db.entries)  # stall_max is 0.2
-    samples, _ = ctl.monitor_window(0, orch.db.live())
+    samples, _, _ = ctl.monitor_window(0, orch.db.live())
     assert samples[0].q_stall == pytest.approx(0.5)
     assert samples[0].mos == pytest.approx(3.0)
     with pytest.raises(InvalidRange):
@@ -680,7 +681,7 @@ def test_reserved_bandwidth_insulates_throughput():
     ctl = orch.controller
     orch.submit_request(make_request(), now=0)  # 4 of 10 Mbps
     ctl.network.reserve(link_demands={0: 6000, 1: 6000})  # links now fully booked
-    samples, _ = ctl.monitor_window(0, orch.db.live())
+    samples, _, _ = ctl.monitor_window(0, orch.db.live())
     assert samples[0].q_bw == 1.0
     assert samples[0].mos > 4.9
 
@@ -715,7 +716,7 @@ def test_a_reroute_is_measured_on_the_new_segments_next_window():
     assert entry.smoothed.delay_ms == 300.0
     orch.apply_action(orch.controller.handle_breach(entry), now=1000)
     assert entry.graph.segments == ((1,),)
-    samples, _ = orch.controller.monitor_window(1, orch.db.live())
+    samples, _, _ = orch.controller.monitor_window(1, orch.db.live())
     assert entry.smoothed.delay_ms == 12.0  # smoothing restarted on link 1
     assert samples[0].mos == 5.0
 
@@ -733,10 +734,10 @@ def _pair_flow(net):
 def test_degrading_a_link_off_the_route_keeps_its_figures():
     net = parallel_pair()
     orch, entry = _pair_flow(net)
-    first, _ = orch.controller.monitor_window(0, orch.db.live())
+    first, _, _ = orch.controller.monitor_window(0, orch.db.live())
     before = entry.route
     degrade_and_refresh(orch, 1, latency_ms=40.0, loss_pct=2.0)
-    second, _ = orch.controller.monitor_window(1, orch.db.live())
+    second, _, _ = orch.controller.monitor_window(1, orch.db.live())
     assert entry.route is before
     assert (second[0].mos, second[0].q_delay, second[0].q_loss) == (
         first[0].mos,
@@ -790,7 +791,7 @@ def _settle(orch) -> int:
         orch.controller.monitor_window(window, orch.db.live())
         window += 1
     held = entry.settled
-    samples, _ = orch.controller.monitor_window(window, orch.db.live())
+    samples, _, _ = orch.controller.monitor_window(window, orch.db.live())
     assert entry.settled is held  # reused, not scored again
     assert samples[0] is held
     return window + 1
@@ -804,7 +805,7 @@ def _scored_from_scratch(orch, window: int, raw: tuple, restart: bool = False):
     """
     entry = orch.db.entries[0]
     last = entry.smoothed
-    samples, _ = orch.controller.monitor_window(window, orch.db.live())
+    samples, _, _ = orch.controller.monitor_window(window, orch.db.live())
     if not restart:
         carry = [getattr(last, name) for name in FIGURES]
         raw = [ALPHA * r + (1 - ALPHA) * c for r, c in zip(raw, carry)]
@@ -987,8 +988,8 @@ def test_a_flow_whose_first_figures_are_the_fixed_point_is_measured_once(monkeyp
     orch = _orchestrator(parallel_pair(), pair_catalog(), PolicyConfig(predictor_alpha=ALPHA))
     orch.submit_request(make_request(ingress=0, egress=1, vnfs=(), profile="stream"), now=0)
     measured = _count_measures(monkeypatch)
-    first, _ = orch.controller.monitor_window(0, orch.db.live())
-    second, _ = orch.controller.monitor_window(1, orch.db.live())
+    first, _, _ = orch.controller.monitor_window(0, orch.db.live())
+    second, _, _ = orch.controller.monitor_window(1, orch.db.live())
     assert second[0] is first[0]
     assert measured == [0]
 
@@ -1005,13 +1006,13 @@ def test_a_moving_carry_is_held_only_from_its_fixed_point():
     entry = orch.db.entries[0]
     held = []
     for window in range(50):
-        samples, _ = orch.controller.monitor_window(window, orch.db.live())
+        samples, _, _ = orch.controller.monitor_window(window, orch.db.live())
         held.append(entry.settled is not None)
         assert held[-1] == _folds_to_itself(raw, entry.smoothed)
         if held[-1]:
             break
     assert held == [False] * (len(held) - 1) + [True] and len(held) > 1
-    later, _ = orch.controller.monitor_window(window + 1, orch.db.live())
+    later, _, _ = orch.controller.monitor_window(window + 1, orch.db.live())
     assert later[0] is samples[0]
 
 
@@ -1109,7 +1110,7 @@ def test_quiet_windows_measure_no_settled_flow(monkeypatch):
     ]
     for window, write in enumerate(writes, start=window):
         write()
-        samples, _ = orch.controller.monitor_window(window, orch.db.live())
+        samples, _, _ = orch.controller.monitor_window(window, orch.db.live())
         assert all(sample is last for sample, last in zip(samples, held))
     assert measured == []
 
@@ -1147,104 +1148,29 @@ def test_a_change_measures_only_the_flows_it_touches(monkeypatch, change, touche
     assert measured == touched
 
 
-# A quiet window's sample list is shared by the windows after it until an
-# event that changes what a live flow is measured from drops it.
-
-
-def _shared(orch, window: int) -> tuple[list, int]:
-    """Monitor until a window is quiet; its list and the next window index."""
-    controller = orch.controller
-    while controller.shared_window is None:
-        assert window < 50, "no window was quiet"
-        controller.monitor_window(window, orch.db.live())
-        window += 1
-    shared = controller.shared_window
-    assert controller.monitor_window(window, orch.db.live()) == (shared, [])
-    assert controller.monitor_window(window + 1, orch.db.live())[0] is shared
-    return shared, window + 2
-
-
-def _dropped(orch, window: int, shared: list) -> list:
-    """The next window's samples, checked to be measured anew after a drop."""
-    assert orch.controller.shared_window is None
-    samples, _ = orch.controller.monitor_window(window, orch.db.live())
-    assert samples is not shared
-    assert [sample.flow_id for sample in samples] == [
-        entry.request.id for entry in orch.db.live()
-    ]
-    return samples
-
-
-def test_a_degradation_on_a_route_drops_the_shared_window():
+def test_a_window_is_quiet_only_when_every_flow_ends_it_holding_its_sample():
+    # Three settled flows make a quiet window. A stall on flow 1 moves its
+    # carry under ALPHA, so it ends the next window measured but not
+    # holding, and that window is not quiet.
     orch, window = _settled_stream_flows()
-    shared, window = _shared(orch, window)
-    degrade_and_refresh(orch, 0, latency_ms=300.0)  # smoothed past delay_opt
-    samples = _dropped(orch, window, shared)
-    assert all(sample.q_delay < held.q_delay for sample, held in zip(samples, shared))
+    controller, entries = orch.controller, orch.db.entries
+    held = [entry.settled for entry in orch.db.live()]
+    assert controller.monitor_window(window, orch.db.live()) == (held, [], True)
+    controller.set_stall(1, 0.1, entries)
+    samples, breaching, quiet = controller.monitor_window(window + 1, orch.db.live())
+    assert (breaching, quiet) == ([], False) and entries[1].settled is None
+    assert samples[1].mos < held[1].mos
 
 
-def test_a_degradation_on_no_route_keeps_the_shared_window():
-    # So does a stall set on a flow that is not live: one never admitted
-    # and one that has ended.
+def test_a_held_sample_below_its_target_makes_no_window_quiet():
+    # The sample is reused unmeasured, and nothing breaches yet, but a
+    # window below target is never repeated: the next one must count it.
     orch, window = _settled_stream_flows()
-    orch.complete_request(2, now=0)
-    shared, window = _shared(orch, window)
-    degrade_and_refresh(orch, 2, latency_ms=40.0)
-    orch.controller.set_stall(7, 0.2, orch.db.entries)
-    orch.controller.set_stall(2, 0.2, orch.db.entries)
-    assert orch.controller.shared_window is shared
-    assert orch.controller.monitor_window(window, orch.db.live()) == (shared, [])
-    assert orch.controller.monitor_window(window + 1, orch.db.live())[0] is shared
-
-
-def test_a_stall_on_a_live_flow_drops_the_shared_window():
-    orch, window = _settled_stream_flows()
-    shared, window = _shared(orch, window)
-    orch.controller.set_stall(1, 0.1, orch.db.entries)
-    samples = _dropped(orch, window, shared)
-    assert [sample is held for sample, held in zip(samples, shared)] == [True, False, True]
-
-
-def test_an_arrival_drops_the_shared_window():
-    orch, window = _settled_stream_flows()
-    shared, window = _shared(orch, window)
-    request = make_request(rid=3, ingress=0, egress=1, vnfs=(), profile="stream")
-    assert not isinstance(orch.submit_request(request, now=window * 1000), Rejected)
-    samples = _dropped(orch, window, shared)
-    assert samples[:3] == shared and len(samples) == 4
-
-
-def test_a_departure_drops_the_shared_window():
-    orch, window = _settled_stream_flows()
-    shared, window = _shared(orch, window)
-    orch.complete_request(1, now=window * 1000)
-    samples = _dropped(orch, window, shared)
-    assert samples == [shared[0], shared[2]]
-
-
-def test_a_breach_repair_drops_the_shared_window():
-    # Nothing breaches in a quiet window, so the repair is asked for
-    # directly: the current segments are already the best, so the
-    # re-embed moves flow 1 off link 0, the worst link it crosses.
-    orch, window = _settled_stream_flows()
-    shared, window = _shared(orch, window)
-    entry = orch.db.entries[1]
-    action = orch.controller.handle_breach(entry)
-    assert action.kind is ActionKind.MIGRATED
-    orch.apply_action(action, now=window * 1000)
-    assert entry.graph.segments == ((1,),)
-    samples = _dropped(orch, window, shared)
-    assert samples[1] is not shared[1]
-
-
-def test_a_host_failure_repair_drops_the_shared_window():
-    net = square_network()
-    orch = _orchestrator(net, policy=PolicyConfig(predictor_alpha=ALPHA))
-    orch.submit_request(make_request(ingress=0, egress=3), now=0)
-    shared, window = _shared(orch, 0)
-    fail_and_repair(orch, 1, now=window * 1000)
-    assert orch.db.entries[0].graph.hosts == (2,)
-    _dropped(orch, window, shared)
+    entry = orch.db.entries[2]
+    entry.settled = entry.settled._replace(mos=math.nextafter(entry.request.ela_target, 0))
+    samples, breaching, quiet = orch.controller.monitor_window(window, orch.db.live())
+    assert (breaching, quiet) == ([], False) and samples[2] is entry.settled
+    assert entry.windows_below == 1
 
 
 def test_per_flow_state_stays_bounded_over_the_horizon():
@@ -1336,7 +1262,7 @@ def test_handle_breach_marks_degraded_when_out_of_options():
     orch.apply_action(action, now=1000)
     assert orch.db.entries[0].status is LifecycleStatus.DEGRADED
     # Degraded flows stay monitored.
-    samples, _ = orch.controller.monitor_window(0, orch.db.live())
+    samples, _, _ = orch.controller.monitor_window(0, orch.db.live())
     assert len(samples) == 1
 
 
@@ -1354,7 +1280,7 @@ def test_handle_breach_takes_no_plan_predicted_below_the_target():
     assert graph.segments == ((0,),)
     degrade_and_refresh(orch, 0, latency_ms=300.0)
     for window in range(ELA.breach_windows):
-        _, breaching = controller.monitor_window(window, orch.db.live())
+        _, breaching, _ = controller.monitor_window(window, orch.db.live())
     assert breaching == [entry]
     ungated = controller._replan(entry.request, graph, (), range(1), gate=False).graph
     assert ungated.segments == ((1,),)

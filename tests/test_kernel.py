@@ -21,9 +21,6 @@ import pytest
 from qoechain import (
     Controller,
     ForwardingGraph,
-    NetworkState,
-    Orchestrator,
-    ServiceCatalog,
     parse_scenario,
     run,
     write_report,
@@ -33,7 +30,7 @@ from qoechain import routing
 from qoechain.errors import InvariantViolation
 from qoechain.kernel import MeasureWindow
 from qoechain.network import MAX_DELAY_MS, PathMetrics
-from qoechain.orchestrator import DbEntry, LifecycleStatus, Orchestrator, VnfDb
+from qoechain.orchestrator import DbEntry, LifecycleStatus, VnfDb
 from qoechain.qoe import QoeSample
 from qoechain.report import SimReport
 from qoechain.scenario import LinkDegradation, ScenarioDoc, StallInjection
@@ -634,28 +631,6 @@ def test_the_run_replays_every_lifecycle_log_at_its_end(monkeypatch):
         run(_load("basic.json"), event_hook=tamper)
 
 
-def test_the_shared_window_audit_sees_a_sample_below_its_target():
-    # basic.json's flow settles and its window is shared; a target just
-    # above the held sample is one no shared window may stand for.
-    doc = _load("basic.json")
-    catalog = ServiceCatalog(doc.vnf_types, doc.profiles)
-    controller = Controller(NetworkState(doc.nodes, doc.links), catalog, doc.ela, doc.policy)
-    orchestrator = Orchestrator(controller)
-    orchestrator.submit_request(doc.requests[0], 0)
-    window = 0
-    while controller.shared_window is None:
-        assert window < doc.duration_ms // doc.window_ms, "no window was quiet"
-        controller.monitor_window(window, orchestrator.db.live())
-        window += 1
-    assert kernel_module.audit_shared_window(controller, orchestrator.db) == []
-    entry = orchestrator.db.entries[0]
-    target = math.nextafter(entry.settled.mos, math.inf)
-    entry.request = replace(entry.request, ela_target=target)
-    assert kernel_module.audit_shared_window(controller, orchestrator.db) == [
-        "flow 0: shared window sample is below target"
-    ]
-
-
 def _with_second_host(payload: dict) -> dict:
     """Add host 3, a second fw host joined to both endpoints by 6 ms links.
 
@@ -673,7 +648,7 @@ def _with_second_host(payload: dict) -> dict:
 
 
 def _events_after_quiet_windows():
-    """Two _payload flows, held past the horizon, and each event that drops.
+    """Two _payload flows, held past the horizon, and each event that drops a held sample.
 
     An arrival at 2.5 s, a degradation on the flows' route at 4.5 s, a
     stall on flow 0 at 6.5 s and a failure of their host at 8.5 s, which
@@ -695,25 +670,105 @@ def _events_after_quiet_windows():
     return _doc(payload)
 
 
-@pytest.mark.parametrize("method", ["_commit", "handle_degradation", "set_stall"])
-def test_strict_debug_catches_a_shared_window_kept_past_its_event(method, monkeypatch, tmp_path):
-    # Each of the three places that drop the shared window is made to
-    # keep it; the event that should have dropped it then fails the audit.
-    doc = _events_after_quiet_windows()
+_FAT = {
+    "name": "fat",
+    "bw_mbps": 20,
+    "delay_opt_ms": 50,
+    "delay_max_ms": 400,
+    "loss_max_pct": 5,
+    "stall_max": 0.2,
+}
+
+
+# Each listed event kind, alone at 4.5 s after flow 0 has settled on host 1:
+# what request 1 is, if there is one, and the fault records. A fat request
+# finds no path and is rejected on arrival, but its departure is listed.
+@pytest.mark.parametrize(
+    "second,faults",
+    [
+        pytest.param({"arrival_ms": 4500}, {}, id="arrival"),
+        pytest.param({"holding_ms": 4500}, {}, id="departure-admitted"),
+        pytest.param(
+            {"profile": "fat", "arrival_ms": 500, "holding_ms": 4000}, {}, id="departure-rejected"
+        ),
+        pytest.param(
+            None,
+            {"link_degradations": [{"time_ms": 4500, "link": 0, "latency_ms": 20}]},
+            id="degradation-on-a-route",
+        ),
+        pytest.param(
+            None,
+            {"link_degradations": [{"time_ms": 4500, "link": 2, "latency_ms": 20}]},
+            id="degradation-off-every-route",
+        ),
+        pytest.param(
+            None,
+            {"stall_injections": [{"time_ms": 4500, "flow": 0, "stall_ratio": 0.05}]},
+            id="stall-live",
+        ),
+        pytest.param(
+            {"arrival_ms": 6500},
+            {"stall_injections": [{"time_ms": 4500, "flow": 1, "stall_ratio": 0.05}]},
+            id="stall-not-yet-admitted",
+        ),
+        pytest.param(None, {"host_failures": [{"time_ms": 4500, "host": 1}]}, id="host-failure"),
+    ],
+)
+def test_a_quiet_window_repeats_until_the_next_event(second, faults, tmp_path):
+    # Windows 2 and 3 (at 3 s and 4 s) are one quiet window's list; window 4
+    # comes after the event and is a new list, whether or not the event
+    # touched a flow. The run writes what reference_run() writes.
+    payload = _with_second_host(_payload())
+    payload["meta"]["duration_ms"] = 8000
+    payload["policy"] = {"predictor_alpha": 1.0}
+    payload["profiles"]["app_profiles"].append(_FAT)
+    first = payload["workload"]["requests"][0]
+    first["holding_ms"] = 20_000
+    if second is not None:
+        payload["workload"]["requests"].append({**first, "id": 1, **second})
+    payload["faults"] = faults
+    doc = _doc(payload)
     report = run(doc, strict_debug=True)
-    assert (report.counters["admitted"], report.counters["migrated"]) == (2, 2)
-    flows = written_summary(report, tmp_path)["flows"].values()
-    assert all(not flow["breach_windows"] for flow in flows)
-    dropping = getattr(Controller, method)
+    rejected = second is not None and second.get("profile") == "fat"
+    assert report.counters["rejected_total"] == rejected
+    series = report.series
+    assert series[3] is series[2] and series[4] is not series[3]
+    with reference_run():
+        reference = run(doc, strict_debug=True)
+    repeated = zip(reference.series, reference.series[1:])
+    assert not any(later is earlier for earlier, later in repeated)
+    assert written_artifacts(report, tmp_path / "plain") == written_artifacts(
+        reference, tmp_path / "reference"
+    )
 
-    def keeping(self, *args):
-        shared = self.shared_window
-        dropping(self, *args)
-        self.shared_window = shared
 
-    monkeypatch.setattr(Controller, method, keeping)
-    with pytest.raises(InvariantViolation, match="shared window"):
-        run(doc, strict_debug=True)
+def test_strict_debug_catches_a_stale_sample_in_a_repeated_window(monkeypatch):
+    # basic.json's one flow holds its sample and window 5 repeats a quiet
+    # window's list. A held sample overwritten there is caught at window 5,
+    # though the kernel asks the controller nothing in a repeated window.
+    doc = _load("basic.json")
+    series = run(doc).series
+    assert series[5] is series[4]
+    added = []
+    add = VnfDb.add
+
+    def recording_add(self, entry):
+        added.append(entry)
+        add(self, entry)
+
+    windows = []
+
+    def tamper(event, state):
+        if isinstance(event, MeasureWindow):
+            windows.append(event.index)
+            if event.index == 5:
+                added[0].settled = added[0].settled._replace(mos=added[0].settled.mos - 0.5)
+
+    monkeypatch.setattr(VnfDb, "add", recording_add)
+    message = "flow 0: held sample is not what measuring now gives"
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        run(doc, strict_debug=True, event_hook=tamper)
+    assert windows == list(range(6))
 
 
 def _set_stall_level_only(self, flow_id, stall_ratio, flows):
@@ -721,8 +776,8 @@ def _set_stall_level_only(self, flow_id, stall_ratio, flows):
 
 
 # Each place that drops what monitoring holds, made to drop nothing: the
-# flows it touches keep their route figures, held samples and the shared
-# window, and the measurement audit finds them stale. The third such place,
+# flows it touches keep their route figures and held samples, and the
+# measurement audit finds them stale. The third such place,
 # a repair's _restart_measurement, has its own test below.
 @pytest.mark.parametrize(
     "method,no_op,message",
@@ -783,7 +838,8 @@ def test_sharing_quiet_windows_changes_no_run(tmp_path):
     gen = bench_module("gen")
     rng = Random(2424)
     docs = [random_doc(rng, index) for index in range(150)]
-    # fault_storm file 26 shares a window that holds flows between faults.
+    # fault_storm file 26 rebuilds from held samples, after faults that
+    # touch no flow, a quiet window that holds flows.
     picked = [("fault_storm", index) for index in (0, 1, 2, 26)] + [("steady_monitoring", 0)]
     docs += [_doc(json.loads(gen.render(workload, 1, index))) for workload, index in picked]
     first_runs = []
@@ -810,10 +866,11 @@ def _reference_corpus() -> list[ScenarioDoc]:
 
     The bundled scenarios; one fault of each kind; the hand-built detour,
     where a floor tree kept past a lowered floor would answer the old route;
-    bench files where windows are shared most (fault_storm file 26 shares
-    one that holds flows between faults); and 200 random documents whose
-    degradations lower floors, reach 100% loss, set jitter or loss alone
-    and stack on one link at one instant, as is checked here.
+    bench files where windows repeat most (fault_storm file 26 rebuilds
+    from held samples, after faults that touch no flow, a quiet window that
+    holds flows); and 200 random documents whose degradations lower
+    floors, reach 100% loss, set jitter or loss alone and stack on one link
+    at one instant, as is checked here.
     """
     docs = [_load(path.name) for path in sorted(SCENARIOS.glob("*.json"))]
     docs += [one_fault_of_each_kind(), lowered_detour_doc()]
