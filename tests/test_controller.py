@@ -1162,6 +1162,27 @@ def test_a_window_is_quiet_only_when_every_flow_ends_it_holding_its_sample():
     assert samples[1].mos < held[1].mos
 
 
+def test_a_breach_repair_drops_the_shared_window():
+    # A quiet window's list is what the kernel shares until the next event.
+    # Nothing breaches in a quiet window, so the repair is asked for
+    # directly: the current segments are already the best, so the
+    # re-embed moves flow 1 off link 0, the worst link it crosses. The
+    # window after is built anew for flow 1 alone, and is not quiet.
+    orch, window = _settled_stream_flows()
+    controller = orch.controller
+    shared, breaching, quiet = controller.monitor_window(window, orch.db.live())
+    assert (breaching, quiet) == ([], True)
+    entry = orch.db.entries[1]
+    action = controller.handle_breach(entry)
+    assert action.kind is ActionKind.MIGRATED
+    orch.apply_action(action, now=(window + 1) * 1000)
+    assert entry.graph.segments == ((1,),) and entry.settled is None
+    samples, breaching, quiet = controller.monitor_window(window + 1, orch.db.live())
+    assert [sample is held for sample, held in zip(samples, shared)] == [True, False, True]
+    assert [sample.flow_id for sample in samples] == [0, 1, 2]
+    assert (breaching, quiet) == ([], False)
+
+
 def test_a_held_sample_below_its_target_makes_no_window_quiet():
     # The sample is reused unmeasured, and nothing breaches yet, but a
     # window below target is never repeated: the next one must count it.

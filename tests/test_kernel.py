@@ -631,6 +631,37 @@ def test_the_run_replays_every_lifecycle_log_at_its_end(monkeypatch):
         run(_load("basic.json"), event_hook=tamper)
 
 
+def test_the_shared_window_audit_sees_a_sample_below_its_target(monkeypatch):
+    # basic.json's flow holds its sample from the first window, and every
+    # window after it shares that window's list. Given, once admitted, a
+    # target just above the held sample, the flow holds the same sample,
+    # but the quiet verdict sees it below target: no window is shared, and
+    # the flow breaches in every window from the second on.
+    doc = _load("basic.json")
+    report = run(doc, strict_debug=True)
+    assert _shared_runs(report) == (doc.duration_ms // doc.window_ms - 1,) * 2
+    held = report.entries[0].settled
+    target = math.nextafter(held.mos, math.inf)
+    added = []
+    add = VnfDb.add
+
+    def recording_add(self, entry):
+        added.append(entry)
+        add(self, entry)
+
+    def raise_target(event, state):
+        entry = added[0]
+        if entry.request.ela_target != target:
+            entry.request = replace(entry.request, ela_target=target)
+
+    monkeypatch.setattr(VnfDb, "add", recording_add)
+    report = run(doc, strict_debug=True, event_hook=raise_target)
+    entry = report.entries[0]
+    assert entry.settled == held and entry.status is LifecycleStatus.DEGRADED
+    assert _shared_runs(report) == (0, 0)
+    assert entry.breach_windows == list(range(1, len(report.series)))
+
+
 def _with_second_host(payload: dict) -> dict:
     """Add host 3, a second fw host joined to both endpoints by 6 ms links.
 
@@ -668,6 +699,53 @@ def _events_after_quiet_windows():
         "host_failures": [{"time_ms": 8500, "host": 1}],
     }
     return _doc(payload)
+
+
+@pytest.mark.parametrize("method", ["_commit", "handle_degradation", "set_stall"])
+def test_strict_debug_catches_a_shared_window_kept_past_its_event(method, monkeypatch):
+    # After each call to method, the next window is built from what the
+    # live flows held in the last quiet window, as if that window were kept
+    # past the event. A migration's _commit (at 8.5 s), the degradation
+    # (4.5 s) and the stall (6.5 s) each change what a flow is measured
+    # from, so the measurement audit fails at the window after.
+    doc = _events_after_quiet_windows()
+    report = run(doc, strict_debug=True)
+    assert (report.counters["admitted"], report.counters["migrated"]) == (2, 2)
+    assert all(not entry.breach_windows for entry in report.entries.values())
+    monitor, dispatch = Controller.monitor_window, getattr(Controller, method)
+    held_when_quiet: dict[int, tuple] = {}
+    kept = []
+
+    def keeping(self, *args):
+        dispatch(self, *args)
+        kept.append(method)
+
+    def monitor_kept(self, window_index, flows):
+        if kept:
+            kept.clear()
+            for entry in flows:
+                if entry.request.id in held_when_quiet:
+                    entry.route, entry.smoothed, entry.settled = held_when_quiet[entry.request.id]
+        samples, breaching, quiet = monitor(self, window_index, flows)
+        if quiet:
+            held_when_quiet.clear()
+            for entry in flows:
+                held_when_quiet[entry.request.id] = (entry.route, entry.smoothed, entry.settled)
+        return samples, breaching, quiet
+
+    windows = []
+
+    def record(event, state):
+        if isinstance(event, MeasureWindow):
+            windows.append(event.index)
+
+    monkeypatch.setattr(Controller, method, keeping)
+    monkeypatch.setattr(Controller, "monitor_window", monitor_kept)
+    stale = "held sample is not what measuring now gives|route figures are not its graph's"
+    with pytest.raises(InvariantViolation, match=stale):
+        run(doc, strict_debug=True, event_hook=record)
+    after = {"_commit": 8, "handle_degradation": 4, "set_stall": 6}[method]
+    assert windows == list(range(after + 1))
 
 
 _FAT = {
