@@ -4,11 +4,13 @@ Parsing is strict: unknown keys, bad types and broken cross-references all
 become diagnostics that carry the JSON location (network.links[2].loss_pct)
 so a scenario author can fix the file without reading this code.
 
-Each record kind has one field table from JSON keys to dataclass attributes.
-The parser builds each record by its table and diagnoses what the record's
-validator raises, so each value rule lives only in the dataclass. Only what
-no single record can know is checked here: the meta rules, references
-between records and node kinds, and times within the duration.
+Each record kind has one field table from JSON keys to dataclass attributes,
+naming every field of its class. The parser builds each record by its table,
+straight from the values read: they become the instance's __dict__, and the
+class's __post_init__ validates them. It diagnoses what that validator
+raises, so each value rule lives only in the dataclass. Only what no single
+record can know is checked here: the meta rules, references between records
+and node kinds, and times within the duration.
 """
 
 from __future__ import annotations
@@ -317,10 +319,15 @@ def _items(
 ) -> dict[str, Any]:
     """{item path: record} for each (item path, JSON value) that reads and builds.
 
-    path is the list's, or the one object's. A value rule the record's
-    validator raises is diagnosed at the key of the attribute it names, or
-    at the item when it names none. An item that read its unique key
-    cleanly but did not build leaves the key in ctx.unbuilt[path].
+    path is the list's, or the one object's. A record is built as its
+    generated __init__ would build it, minus the frozen class's
+    object.__setattr__ per field: the values read become the instance's
+    __dict__, then __post_init__, the class's one validator, runs. That is
+    exact because the table's rows name every field of its class
+    (tests/test_scenario_io.py holds them to dataclasses.fields). A value
+    rule the validator raises is diagnosed at the key of the attribute it
+    names, or at the item when it names none. An item that read its unique
+    key cleanly but did not build leaves the key in ctx.unbuilt[path].
     """
     built: dict[str, Any] = {}
     cls, rows = table.cls, table.rows
@@ -334,7 +341,10 @@ def _items(
         values = _read(ctx, item, item_path, rows, dict(base) if base else {})
         if len(ctx) == before:
             try:
-                record = cls(**values)
+                record = object.__new__(cls)
+                # The frozen class's own __setattr__ refuses __dict__ too.
+                object.__setattr__(record, "__dict__", values)
+                record.__post_init__()
             except InvalidRange as exc:
                 key = next((row.key for row in rows if row.attr == exc.field), None)
                 ctx.error(item_path if key is None else f"{item_path}.{key}", str(exc))

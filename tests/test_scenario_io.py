@@ -767,12 +767,15 @@ def test_load_scenario_reads_files(tmp_path):
         load_scenario(tmp_path / "missing.json")
 
 
+def _tables() -> list[scenario._Table]:
+    return [table for table in vars(scenario).values() if isinstance(table, scenario._Table)]
+
+
 def test_each_optional_field_defaults_as_its_record_class_does():
     # An absent optional key and a record built without that attribute must
     # mean the same, so the field table and the dataclass state one default.
-    tables = [table for table in vars(scenario).values() if isinstance(table, scenario._Table)]
     compared = set()
-    for table in tables:
+    for table in _tables():
         declared = {field.name: field.default for field in dataclasses.fields(table.cls)}
         for row in table.rows:
             default = declared.get(row.attr, dataclasses.MISSING)
@@ -790,3 +793,35 @@ def test_each_optional_field_defaults_as_its_record_class_does():
         ("LinkSpec", "jitter_ms"),
         ("LinkSpec", "loss_pct"),
     } <= compared
+
+
+def test_each_table_names_every_field_of_its_class():
+    # The parser builds a record from the values its table reads, without
+    # the generated __init__, so a field with no row would be left unset.
+    tables = _tables()
+    assert len(tables) == 10
+    for table in tables:
+        fields = {field.name for field in dataclasses.fields(table.cls)}
+        assert {row.attr for row in table.rows} == fields, table.cls.__name__
+
+
+def test_parsed_records_equal_their_classes_own_build_and_stay_frozen():
+    classes = {table.cls for table in _tables()}
+    seen = set()
+    for name, data in _bundled_inputs():
+        doc, diagnostics = parse_scenario(data)
+        assert diagnostics == [], (name, diagnostics)
+        for field in dataclasses.fields(doc):
+            value = getattr(doc, field.name)
+            for record in value if type(value) is tuple else (value,):
+                if type(record) not in classes:
+                    continue
+                names = [f.name for f in dataclasses.fields(record)]
+                # A field left out of the instance would read its class default.
+                assert sorted(vars(record)) == sorted(names), (name, record)
+                assert record == type(record)(**{n: getattr(record, n) for n in names})
+                for attr in names:
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(record, attr, None)
+                seen.add(type(record))
+    assert seen == classes
